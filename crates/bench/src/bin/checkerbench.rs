@@ -14,8 +14,8 @@
 //! checkerbench --grow-check                       # N vs 10N RSS gate
 //! ```
 //!
-//! `--grow-check` re-executes this binary (the simbench subprocess
-//! pattern: `VmHWM` from `/proc/self/status` is a per-process
+//! `--grow-check` re-executes this binary (one subprocess per size:
+//! `VmHWM` from `/proc/self/status` is a per-process
 //! high-water mark) at `--ops N` and `--ops 10N` and exits non-zero if
 //! peak RSS grew by 10% or more — the CI regression gate for
 //! `tests/checker_stream_memory.rs`.

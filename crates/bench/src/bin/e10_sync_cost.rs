@@ -28,7 +28,8 @@ struct Row {
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let workload = WorkloadSpec {
         keys: 100,
         distribution: KeyDistribution::Uniform,

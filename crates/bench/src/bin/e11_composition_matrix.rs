@@ -71,7 +71,8 @@ fn nemesis() -> FaultSchedule {
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let workload = WorkloadSpec {
         keys: 16,
         distribution: KeyDistribution::Zipfian { theta: 0.9 },

@@ -110,7 +110,8 @@ fn ring_balance(nodes: usize) -> (u64, f64) {
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let workload = WorkloadSpec {
         keys: KEY_DOMAIN,
         distribution: KeyDistribution::Uniform,

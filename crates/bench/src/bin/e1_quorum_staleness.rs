@@ -50,7 +50,8 @@ fn experiment(n: usize, r: usize, w: usize, read_repair: bool) -> Experiment {
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     // Read-repair ablation rides along on the weakest configuration.
     let configs: Vec<(usize, usize, usize, bool)> = vec![
         (3, 1, 1, false),

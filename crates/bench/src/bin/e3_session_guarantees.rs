@@ -61,7 +61,8 @@ fn experiment(guarantees: Guarantees, gossip_ms: u64) -> Experiment {
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let ryw = Guarantees { read_your_writes: true, ..Guarantees::none() };
     let mr = Guarantees { monotonic_reads: true, ..Guarantees::none() };
     let configs: Vec<(&str, Guarantees, u64)> = vec![

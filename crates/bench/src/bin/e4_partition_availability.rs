@@ -73,7 +73,8 @@ fn experiment(scheme: Scheme) -> Experiment {
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let schemes = vec![
         Scheme::eventual(3),
         Scheme::Quorum { n: 3, r: 1, w: 1, read_repair: true, placement: ClientPlacement::Sticky },

@@ -131,7 +131,8 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
 }
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let mut params = Vec::new();
     for &replicas in &[4usize, 8, 16] {
         for &fanout in &[1usize, 2, 3] {

@@ -196,7 +196,8 @@ fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell 
 const INCREMENTS: u64 = 25;
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let mut params = Vec::new();
     for &writers in &[2usize, 4, 8] {
         params.push((false, writers)); // LWW

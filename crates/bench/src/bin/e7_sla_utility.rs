@@ -131,7 +131,8 @@ fn main() {
     // E7 is analytic (no discrete-event simulation), so the recorder only
     // standardizes the results-file shape; its counters stay zero. The
     // sweep still parallelizes (portfolio, strategy, seed) cells.
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     let portfolios: Vec<(&str, Sla)> = vec![
         ("password", Sla::password()),
         ("shopping-cart", Sla::shopping_cart()),

@@ -116,7 +116,8 @@ fn run(
 const CLIENTS: usize = 8;
 
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
+    bench::reject_args(&rest, Obs::USAGE);
     // (cross_group, registrar, theta)
     let mut params: Vec<(bool, usize, f64)> = Vec::new();
     for &theta in &[0.2f64, 0.6, 0.9, 0.99] {

@@ -29,47 +29,43 @@
 //! `quorum(N=3,R=1,W=1)` positive control is expected to fail and does
 //! not affect the exit code.
 
-use bench::{save_json, Obs};
+use bench::{reject_args, save_json, take_value, usage_exit, Obs};
 use obs::Recorder;
 use rec_core::fuzz::{
     campaign, differential_campaign, run_case_recorded, FuzzCase, FuzzScheme, Verdict,
 };
 use std::path::PathBuf;
 
+const USAGE: &str = "[--seeds N] [--jobs N] [--intensity light|medium|heavy] [--base-seed N] \
+                     [--no-shrink] [--stream] [--replay FILE] [--trace-out PATH]";
+
 fn main() {
-    let obs = Obs::from_args();
+    let (obs, rest) = Obs::from_args();
     let mut intensity = "heavy".to_string();
     let mut base_seed = 0u64;
     let mut shrink = true;
     let mut stream = false;
     let mut replay: Option<PathBuf> = None;
-    let mut trace_out: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = rest.into_iter();
     while let Some(a) = args.next() {
-        let take = |flag: &str, args: &mut dyn Iterator<Item = String>| -> Option<String> {
-            if a == flag {
-                args.next()
-            } else {
-                a.strip_prefix(&format!("{flag}=")).map(str::to_string)
-            }
-        };
-        if let Some(name) = take("--intensity", &mut args) {
+        if let Some(name) = take_value(&a, "--intensity", &mut args) {
             intensity = name;
-        } else if let Some(n) = take("--base-seed", &mut args) {
-            base_seed = n.parse().expect("--base-seed expects an integer");
-        } else if let Some(p) = take("--replay", &mut args) {
+        } else if let Some(n) = take_value(&a, "--base-seed", &mut args) {
+            base_seed =
+                n.parse().unwrap_or_else(|_| usage_exit("--base-seed expects an integer", USAGE));
+        } else if let Some(p) = take_value(&a, "--replay", &mut args) {
             replay = Some(PathBuf::from(p));
-        } else if let Some(p) = take("--trace-out", &mut args) {
-            trace_out = Some(PathBuf::from(p));
         } else if a == "--no-shrink" {
             shrink = false;
         } else if a == "--stream" {
             stream = true;
+        } else {
+            reject_args(&[a], USAGE);
         }
     }
 
     if let Some(path) = replay {
-        replay_case(&path, trace_out.as_deref());
+        replay_case(&path, obs.trace_out.as_deref());
         return;
     }
 

@@ -54,7 +54,8 @@ pub struct Obs {
     /// gain a `profile` block and a `results/<name>.folded` flamegraph
     /// stack file. See `docs/PROFILING.md`.
     pub profile: bool,
-    trace_out: Option<PathBuf>,
+    /// Where the JSONL event log goes (`--trace-out <path>`), if anywhere.
+    pub trace_out: Option<PathBuf>,
     /// Per-cell JSONL chunks in grid order, for the concatenated export.
     trace_chunks: RefCell<Vec<String>>,
     /// Cells finished so far (names the next per-cell trace file).
@@ -62,44 +63,40 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// Build from `std::env::args`: recognizes `--trace-out <path>`,
+    /// The flags [`Obs::from_args`] consumes, for usage lines.
+    pub const USAGE: &'static str =
+        "[--jobs N] [--seeds N] [--trace-out PATH] [--summary-only] [--profile]";
+
+    /// Build from `std::env::args`: consumes `--trace-out <path>`,
     /// `--jobs <n>`, `--seeds <n>` (and their `=` forms) plus the bare
-    /// `--summary-only` and `--profile` flags; other arguments are
-    /// ignored.
-    pub fn from_args() -> Self {
+    /// `--summary-only` and `--profile` flags, and hands back every
+    /// other argument, in order, for the caller to consume or
+    /// [`reject_args`]. A value flag given last, without its value,
+    /// comes back too.
+    pub fn from_args() -> (Self, Vec<String>) {
         let mut trace_out = None;
         let mut jobs = default_jobs();
         let mut seeds = 1u64;
         let mut summary_only = false;
         let mut profile = false;
+        let mut rest = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(a) = args.next() {
-            if a == "--summary-only" {
-                summary_only = true;
-                continue;
-            }
-            if a == "--profile" {
-                profile = true;
-                continue;
-            }
-            let take = |flag: &str, args: &mut dyn Iterator<Item = String>| -> Option<String> {
-                if a == flag {
-                    args.next()
-                } else {
-                    a.strip_prefix(&format!("{flag}=")).map(str::to_string)
-                }
-            };
-            if let Some(p) = take("--trace-out", &mut args) {
+            if let Some(p) = take_value(&a, "--trace-out", &mut args) {
                 trace_out = Some(PathBuf::from(p));
-            } else if let Some(n) = take("--jobs", &mut args) {
-                jobs = n.parse().expect("--jobs expects a positive integer");
-                assert!(jobs >= 1, "--jobs must be at least 1");
-            } else if let Some(n) = take("--seeds", &mut args) {
-                seeds = n.parse().expect("--seeds expects a positive integer");
-                assert!(seeds >= 1, "--seeds must be at least 1");
+            } else if let Some(n) = take_value(&a, "--jobs", &mut args) {
+                jobs = parse_positive("--jobs", &n, Self::USAGE) as usize;
+            } else if let Some(n) = take_value(&a, "--seeds", &mut args) {
+                seeds = parse_positive("--seeds", &n, Self::USAGE);
+            } else if a == "--summary-only" {
+                summary_only = true;
+            } else if a == "--profile" {
+                profile = true;
+            } else {
+                rest.push(a);
             }
         }
-        Obs {
+        let obs = Obs {
             recorder: Recorder::enabled(),
             jobs,
             seeds,
@@ -108,7 +105,8 @@ impl Obs {
             trace_out,
             trace_chunks: RefCell::new(Vec::new()),
             cells_done: RefCell::new(0),
-        }
+        };
+        (obs, rest)
     }
 
     /// The recorder kind each grid cell runs with: full event log when
@@ -247,6 +245,42 @@ impl Obs {
             }
         }
     }
+}
+
+/// The value of `flag` if `arg` is `flag` (value in the next argument)
+/// or `flag=value`. `None` when `arg` is some other argument — or is
+/// `flag` with nothing after it, which callers then treat as unknown.
+pub fn take_value(arg: &str, flag: &str, args: &mut dyn Iterator<Item = String>) -> Option<String> {
+    if arg == flag {
+        args.next()
+    } else {
+        arg.strip_prefix(flag)?.strip_prefix('=').map(str::to_string)
+    }
+}
+
+/// Parse a flag value that must be an integer >= 1, or exit 2.
+pub fn parse_positive(flag: &str, value: &str, usage: &str) -> u64 {
+    match value.parse() {
+        Ok(n) if n >= 1 => n,
+        _ => usage_exit(&format!("{flag} expects a positive integer, got `{value}`"), usage),
+    }
+}
+
+/// Exit 2 with a one-line usage if any argument was left unconsumed:
+/// a misspelt flag must not run (and save over the results of) the
+/// default experiment. `usage` lists the flags the bin does take.
+pub fn reject_args(rest: &[String], usage: &str) {
+    if let Some(a) = rest.first() {
+        usage_exit(&format!("unknown or value-less flag `{a}`"), usage);
+    }
+}
+
+/// Print `<bin>: <problem>; usage: <bin> <usage>` to stderr and exit 2.
+pub fn usage_exit(problem: &str, usage: &str) -> ! {
+    let exe = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&exe).file_name().and_then(|n| n.to_str()).unwrap_or("bench");
+    eprintln!("{bin}: {problem}; usage: {bin} {usage}");
+    std::process::exit(2)
 }
 
 /// Mean and a 95% confidence half-width over per-seed measurements.

@@ -850,7 +850,7 @@ mod tests {
     }
 
     #[test]
-    fn violations_are_flagged_online_with_kinds() {
+    fn violations_are_flagged_online_by_kind() {
         let trace = anomalous_trace();
         let mut v = StreamVerifier::new(StreamConfig::default());
         feed_all(&mut v, &trace);

@@ -4,7 +4,7 @@
 //!
 //! Profiles are produced by any harness run with `--profile` (see
 //! `docs/PROFILING.md`); the canonical checked-in artifact is
-//! `results/profile_protos.json` from `simbench --profile`.
+//! `results/profile_protos.json` from the `profile_protos` bin.
 
 use serde::Value;
 
@@ -205,7 +205,7 @@ mod tests {
 
     fn sample_doc() -> String {
         r#"{
-            "tool": "simbench",
+            "tool": "profile_protos",
             "profile": {"schemes": [
                 {"scheme": "paxos", "handlers": [
                     {"role": "replica", "handler": "on_message", "variant": "accept",

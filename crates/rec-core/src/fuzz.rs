@@ -257,22 +257,6 @@ pub fn run_case(case: &FuzzCase) -> Verdict {
     run_case_recorded(case, obs::Recorder::disabled())
 }
 
-/// [`run_case`] under an explicit event-queue backend. Verdicts are a
-/// pure function of the case — the two backends pop events in the same
-/// deterministic order — so this must agree with [`run_case`] for every
-/// backend; `tests/corpus_replay.rs` holds the corpus to that.
-pub fn run_case_with_queue(case: &FuzzCase, queue: simnet::QueueKind) -> Verdict {
-    let result = Experiment::new(case.scheme.to_scheme())
-        .workload(fuzz_workload())
-        .latency(LatencyModel::lan())
-        .faults(nemesis::to_schedule(&case.events))
-        .seed(case.seed)
-        .horizon(SimTime::from_millis(FUZZ_HORIZON_MS))
-        .queue(queue)
-        .run();
-    judge(case, &result)
-}
-
 /// [`run_case`] with an observability recorder attached, so a replayed
 /// reproducer emits its full event log — span open/close pairs included.
 /// The caller keeps the handle and exports the JSONL trace afterwards
@@ -284,12 +268,6 @@ pub fn run_case_recorded(case: &FuzzCase, recorder: obs::Recorder) -> Verdict {
         .faults(nemesis::to_schedule(&case.events))
         .seed(case.seed)
         .horizon(SimTime::from_millis(FUZZ_HORIZON_MS))
-        // Corpus JSON carries no queue field, so replay verdicts must
-        // not depend on the session's default backend: pin the wheel
-        // explicitly (tests/corpus_replay.rs asserts verdicts are
-        // queue-independent anyway, since both backends pop in the
-        // same deterministic order).
-        .queue(simnet::QueueKind::TimingWheel)
         .recorder(recorder)
         .run();
     judge(case, &result)
@@ -381,7 +359,6 @@ pub fn run_case_differential(case: &FuzzCase) -> DifferentialOutcome {
         .faults(nemesis::to_schedule(&case.events))
         .seed(case.seed)
         .horizon(SimTime::from_millis(FUZZ_HORIZON_MS))
-        .queue(simnet::QueueKind::TimingWheel)
         .run_monitored(&mut |ops, _now| verifier.feed_slice(ops));
     let batch = judge(case, &result);
     let reports = verifier.finish();

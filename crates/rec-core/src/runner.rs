@@ -17,8 +17,7 @@ use replication::primary::{PrimaryClient, PrimaryConfig, PrimaryReplica, ReadFro
 use replication::quorum::{QuorumClient, QuorumConfig, QuorumNode};
 use replication::sharded::ShardedConfig;
 use simnet::{
-    optrace, FaultSchedule, LatencyModel, NodeId, OpTrace, QueueKind, Sim, SimConfig, SimRng,
-    SimTime,
+    optrace, FaultSchedule, LatencyModel, NodeId, OpTrace, Sim, SimConfig, SimRng, SimTime,
 };
 use workload::WorkloadSpec;
 
@@ -44,10 +43,6 @@ pub struct Experiment {
     /// [`simnet::SimConfig::trace_base`]); a grid gives each cell a
     /// disjoint range so concatenated trace files keep unique ids.
     pub trace_base: u64,
-    /// Event-queue backend for the simulator core (timing wheel by
-    /// default; the binary heap is kept as a reference for parity tests
-    /// and benchmarks — see docs/PERFORMANCE.md).
-    pub queue: QueueKind,
     /// Enable the in-sim handler profiler for this run (see
     /// `docs/PROFILING.md`). Turns profiling on in the attached
     /// recorder and labels its samples with the scheme under test.
@@ -90,7 +85,6 @@ impl Experiment {
             horizon: SimTime::from_secs(60),
             recorder: Recorder::disabled(),
             trace_base: 0,
-            queue: QueueKind::default(),
             profile: false,
         }
     }
@@ -136,13 +130,6 @@ impl Experiment {
     /// [`simnet::SimConfig::trace_base`]).
     pub fn trace_base(mut self, base: u64) -> Self {
         self.trace_base = base;
-        self
-    }
-
-    /// Select the simulator's event-queue backend (parity tests and
-    /// benchmarks pin this; everything else takes the default wheel).
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
         self
     }
 
@@ -226,8 +213,7 @@ impl Experiment {
             .latency(self.latency.clone())
             .faults(faults)
             .recorder(self.recorder.clone())
-            .trace_base(self.trace_base)
-            .queue(self.queue);
+            .trace_base(self.trace_base);
         let scripts = self.scripts();
 
         let (delivered, dropped, events, ended, final_versions) = match &self.scheme {

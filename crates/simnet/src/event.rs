@@ -2,32 +2,25 @@
 //!
 //! ## Ordering contract
 //!
-//! Every queue backend must pop events in strictly ascending
-//! `(time, seq)` order, where `seq` is the monotonically increasing
-//! insertion counter assigned by [`EventQueue::push`]. The time key
-//! orders the simulation; the seq key breaks same-instant ties
-//! deterministically: two events scheduled for the same microsecond
-//! fire in the order they were scheduled, independent of the backend's
-//! internal layout (heap sift order, wheel slot order, batch buffers).
-//! The conformance suite in `tests/queue_conformance.rs` runs the same
-//! schedules against every [`QueueKind`] and requires identical pop
-//! sequences; `tests/queue_parity.rs` (workspace root) extends that to
-//! byte-identical traces for whole protocol runs under nemesis.
+//! The queue pops events in strictly ascending `(time, seq)` order,
+//! where `seq` is the monotonically increasing insertion counter
+//! assigned by [`EventQueue::push`]. The time key orders the
+//! simulation; the seq key breaks same-instant ties deterministically:
+//! two events scheduled for the same microsecond fire in the order they
+//! were scheduled, independent of the queue's internal layout (wheel
+//! slot order, cascades, batch buffers).
 //!
-//! Two backends uphold the contract:
-//!
-//! * [`QueueKind::TimingWheel`] (default) — hierarchical timing wheel
-//!   with slab-allocated envelopes and a far-future overflow heap; the
-//!   hot path (see `docs/PERFORMANCE.md`).
-//! * [`QueueKind::BinaryHeap`] — the original `std::collections`
-//!   max-heap, kept as the reference implementation and the benchmark
-//!   baseline `simbench` measures speedups against.
+//! The one implementation is the hierarchical timing wheel in
+//! `wheel.rs` (slab-allocated envelopes, far-future overflow
+//! heap; see `docs/PERFORMANCE.md`). It never compares events — it
+//! buckets by time and sorts each tick by seq — so the contract is
+//! checked from outside: `tests/queue_conformance.rs` drives every
+//! entry point the simulator uses through randomized schedules against
+//! a sorted `(time, seq)` model and requires identical observations.
 
 use crate::sim::NodeId;
 use crate::time::SimTime;
 use crate::wheel::TimingWheel;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// What an event does when it fires.
 #[derive(Debug)]
@@ -77,85 +70,18 @@ pub struct Event<M> {
     pub payload: EventPayload<M>,
 }
 
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<M> Ord for Event<M> {
-    /// The heap backend's view of the ordering contract: `BinaryHeap`
-    /// is a max-heap, so the comparison is inverted — the "greatest"
-    /// event is the one with the *smallest* `(time, seq)` key, which
-    /// makes the heap pop the contract's ascending order. Backends that
-    /// do not compare events (the timing wheel buckets by time and
-    /// sorts ticks by seq) must derive the same schedule structurally.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.at.cmp(&self.at).then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Which event-queue backend a simulation runs on. Both are
-/// observationally identical (same pop schedule, hence byte-identical
-/// traces); they differ only in speed. See `docs/PERFORMANCE.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Hierarchical timing wheel + slab envelopes (the fast default).
-    #[default]
-    TimingWheel,
-    /// The reference `std::collections::BinaryHeap` (benchmark baseline).
-    BinaryHeap,
-}
-
-impl QueueKind {
-    /// Both kinds, for conformance/parity sweeps.
-    pub const ALL: [QueueKind; 2] = [QueueKind::TimingWheel, QueueKind::BinaryHeap];
-
-    /// Stable lowercase label (`"wheel"` / `"heap"`), used in benchmark
-    /// output and CLI flags.
-    pub fn label(self) -> &'static str {
-        match self {
-            QueueKind::TimingWheel => "wheel",
-            QueueKind::BinaryHeap => "heap",
-        }
-    }
-
-    /// Parse a [`QueueKind::label`] string.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "wheel" => Some(QueueKind::TimingWheel),
-            "heap" => Some(QueueKind::BinaryHeap),
-            _ => None,
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Backend<M> {
-    Heap(BinaryHeap<Event<M>>),
-    Wheel(TimingWheel<M>),
-}
-
 /// A deterministic priority queue of simulation events.
 ///
 /// `push` assigns each event the next value of a monotonically
 /// increasing insertion counter (`seq`); `pop` returns events in the
-/// ascending `(time, seq)` order of the module-level contract,
-/// whichever backend is in use.
+/// ascending `(time, seq)` order of the module-level contract.
 #[derive(Debug)]
 pub struct EventQueue<M> {
-    backend: Backend<M>,
+    wheel: TimingWheel<M>,
     next_seq: u64,
     /// Incremental count of pending `Deliver` events, maintained on
     /// push/pop so [`EventQueue::deliver_count`] is O(1) instead of a
-    /// whole-heap/slab walk (debug builds assert it against the walked
+    /// whole-slab walk (debug builds assert it against the walked
     /// count).
     delivers: usize,
 }
@@ -167,93 +93,53 @@ impl<M> Default for EventQueue<M> {
 }
 
 impl<M> EventQueue<M> {
-    /// Create an empty queue on the default backend (the timing wheel).
+    /// Create an empty queue.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// Create an empty queue on the given backend.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let backend = match kind {
-            QueueKind::BinaryHeap => Backend::Heap(BinaryHeap::new()),
-            QueueKind::TimingWheel => Backend::Wheel(TimingWheel::new()),
-        };
-        EventQueue { backend, next_seq: 0, delivers: 0 }
+        EventQueue { wheel: TimingWheel::new(), next_seq: 0, delivers: 0 }
     }
 
     /// Schedule `payload` to fire at `at`. The event is stamped with the
     /// next insertion sequence number, which is what makes same-instant
-    /// events fire in scheduling order on every backend.
+    /// events fire in scheduling order.
     pub fn push(&mut self, at: SimTime, payload: EventPayload<M>) {
         if matches!(payload, EventPayload::Deliver { .. }) {
             self.delivers += 1;
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(Event { at, seq, payload }),
-            Backend::Wheel(wheel) => wheel.push(at, seq, payload),
-        }
-    }
-
-    /// Debit the incremental deliver count for an event leaving the queue.
-    fn note_popped(&mut self, ev: Option<Event<M>>) -> Option<Event<M>> {
-        if let Some(ev) = &ev {
-            if matches!(ev.payload, EventPayload::Deliver { .. }) {
-                self.delivers -= 1;
-            }
-        }
-        ev
+        self.wheel.push(at, seq, payload);
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        let ev = match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Wheel(wheel) => wheel.pop(),
-        };
-        self.note_popped(ev)
+        let ev = self.wheel.pop()?;
+        if matches!(ev.payload, EventPayload::Deliver { .. }) {
+            self.delivers -= 1;
+        }
+        Some(ev)
     }
 
     /// Pop the earliest event if it fires at or before `deadline`. One
     /// queue probe instead of a peek-then-pop pair — the shape of the
     /// simulator's `run_until` hot loop.
     pub fn pop_if_at_most(&mut self, deadline: SimTime) -> Option<Event<M>> {
-        let ev = match &mut self.backend {
-            Backend::Heap(heap) => {
-                if heap.peek().is_some_and(|e| e.at <= deadline) {
-                    heap.pop()
-                } else {
-                    None
-                }
-            }
-            Backend::Wheel(wheel) => {
-                if wheel.peek_time().is_some_and(|t| t <= deadline) {
-                    wheel.pop()
-                } else {
-                    None
-                }
-            }
-        };
-        self.note_popped(ev)
+        if self.wheel.peek_time()? <= deadline {
+            self.pop()
+        } else {
+            None
+        }
     }
 
     /// Time of the earliest pending event. (The wheel may pre-drain its
     /// next tick into the batch buffer to answer; that is invisible to
     /// callers.)
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.at),
-            Backend::Wheel(wheel) => wheel.peek_time(),
-        }
+        self.wheel.peek_time()
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(heap) => heap.len(),
-            Backend::Wheel(wheel) => wheel.len(),
-        }
+        self.wheel.len()
     }
 
     /// Whether the queue is empty.
@@ -264,17 +150,11 @@ impl<M> EventQueue<M> {
     /// Number of pending `Deliver` events — the messages currently "in
     /// flight" in the simulated network. O(1): maintained incrementally
     /// on push/pop (debug builds cross-check it against a full walk of
-    /// the backend).
+    /// the slab).
     pub fn deliver_count(&self) -> usize {
         debug_assert_eq!(
             self.delivers,
-            match &self.backend {
-                Backend::Heap(heap) => heap
-                    .iter()
-                    .filter(|e| matches!(e.payload, EventPayload::Deliver { .. }))
-                    .count(),
-                Backend::Wheel(wheel) => wheel.walk_deliver_count(),
-            },
+            self.wheel.walk_deliver_count(),
             "incremental deliver count diverged from the walked count"
         );
         self.delivers
@@ -302,89 +182,68 @@ mod tests {
         tags
     }
 
-    /// The per-backend conformance suite: every `QueueKind` must pass
-    /// every check. Cross-backend equivalence over randomized schedules
-    /// lives in `tests/queue_conformance.rs`.
-    fn for_each_kind(check: impl Fn(EventQueue<()>, QueueKind)) {
-        for kind in QueueKind::ALL {
-            check(EventQueue::with_kind(kind), kind);
-        }
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for_each_kind(|mut q, kind| {
-            timer_at(&mut q, 30, 3);
-            timer_at(&mut q, 10, 1);
-            timer_at(&mut q, 20, 2);
-            assert_eq!(drain_tags(&mut q), vec![1, 2, 3], "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        timer_at(&mut q, 30, 3);
+        timer_at(&mut q, 10, 1);
+        timer_at(&mut q, 20, 2);
+        assert_eq!(drain_tags(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_break_by_insertion_order() {
-        for_each_kind(|mut q, kind| {
-            for tag in 0..10 {
-                timer_at(&mut q, 5, tag);
-            }
-            assert_eq!(drain_tags(&mut q), (0..10).collect::<Vec<_>>(), "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        for tag in 0..10 {
+            timer_at(&mut q, 5, tag);
+        }
+        assert_eq!(drain_tags(&mut q), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_time_tracks_min() {
-        for_each_kind(|mut q, kind| {
-            assert_eq!(q.peek_time(), None, "{kind:?}");
-            timer_at(&mut q, 50, 0);
-            timer_at(&mut q, 7, 1);
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)), "{kind:?}");
-            q.pop();
-            assert_eq!(q.peek_time(), Some(SimTime::from_micros(50)), "{kind:?}");
-        });
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert_eq!(q.peek_time(), None);
+        timer_at(&mut q, 50, 0);
+        timer_at(&mut q, 7, 1);
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_micros(50)));
     }
 
     #[test]
     fn pop_if_at_most_respects_the_deadline() {
-        for_each_kind(|mut q, kind| {
-            timer_at(&mut q, 40, 0);
-            assert!(q.pop_if_at_most(SimTime::from_micros(39)).is_none(), "{kind:?}");
-            assert_eq!(q.len(), 1, "{kind:?}");
-            let ev = q.pop_if_at_most(SimTime::from_micros(40)).expect("due event pops");
-            assert_eq!(ev.at, SimTime::from_micros(40), "{kind:?}");
-            assert!(q.pop_if_at_most(SimTime::MAX).is_none(), "{kind:?}");
-        });
+        let mut q: EventQueue<()> = EventQueue::new();
+        timer_at(&mut q, 40, 0);
+        assert!(q.pop_if_at_most(SimTime::from_micros(39)).is_none());
+        assert_eq!(q.len(), 1);
+        let ev = q.pop_if_at_most(SimTime::from_micros(40)).expect("due event pops");
+        assert_eq!(ev.at, SimTime::from_micros(40));
+        assert!(q.pop_if_at_most(SimTime::MAX).is_none());
     }
 
     #[test]
     fn deliver_count_tracks_in_flight_messages() {
-        for_each_kind(|mut q, kind| {
-            assert_eq!(q.deliver_count(), 0, "{kind:?}");
-            q.push(
-                SimTime::from_micros(1),
-                EventPayload::Deliver {
-                    from: NodeId(0),
-                    to: NodeId(1),
-                    msg: (),
-                    trace: 0,
-                    span: 0,
-                },
-            );
-            timer_at(&mut q, 2, 0);
-            assert_eq!(q.deliver_count(), 1, "{kind:?}");
-            q.pop(); // the deliver fires first
-            assert_eq!(q.deliver_count(), 0, "{kind:?}");
-            assert_eq!(q.len(), 1, "{kind:?}");
-        });
+        let mut q = EventQueue::new();
+        assert_eq!(q.deliver_count(), 0);
+        q.push(
+            SimTime::from_micros(1),
+            EventPayload::Deliver { from: NodeId(0), to: NodeId(1), msg: (), trace: 0, span: 0 },
+        );
+        timer_at(&mut q, 2, 0);
+        assert_eq!(q.deliver_count(), 1);
+        q.pop(); // the deliver fires first
+        assert_eq!(q.deliver_count(), 0);
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
     fn len_and_is_empty() {
-        for_each_kind(|mut q, kind| {
-            assert!(q.is_empty(), "{kind:?}");
-            timer_at(&mut q, 1, 0);
-            assert_eq!(q.len(), 1, "{kind:?}");
-            q.pop();
-            assert!(q.is_empty(), "{kind:?}");
-        });
+        let mut q: EventQueue<()> = EventQueue::new();
+        assert!(q.is_empty());
+        timer_at(&mut q, 1, 0);
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert!(q.is_empty());
     }
 }

@@ -64,7 +64,7 @@ pub mod stats;
 pub mod time;
 mod wheel;
 
-pub use event::{Event, EventPayload, QueueKind};
+pub use event::{Event, EventPayload};
 pub use faults::{FaultEvent, FaultSchedule, Partition};
 pub use latency::LatencyModel;
 pub use nemesis::{IntensityProfile, NemesisEvent};

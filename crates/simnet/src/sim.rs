@@ -7,7 +7,7 @@
 //! turns into future events. This is what makes every run a pure function
 //! of `(config, seed)`.
 
-use crate::event::{Event, EventPayload, EventQueue, QueueKind};
+use crate::event::{Event, EventPayload, EventQueue};
 use crate::faults::{FaultSchedule, FaultState};
 use crate::latency::LatencyModel;
 use crate::rng::SimRng;
@@ -364,10 +364,6 @@ pub struct SimConfig {
     /// pure function of the cell's grid position, never of scheduling,
     /// so traces remain byte-identical across `--jobs` levels.
     pub trace_base: u64,
-    /// Event-queue backend. Both kinds produce byte-identical runs
-    /// (`tests/queue_parity.rs`); the timing wheel is the fast default,
-    /// the binary heap the benchmark baseline. See `docs/PERFORMANCE.md`.
-    pub queue: QueueKind,
 }
 
 impl Default for SimConfig {
@@ -378,7 +374,6 @@ impl Default for SimConfig {
             faults: FaultSchedule::none(),
             recorder: Recorder::disabled(),
             trace_base: 0,
-            queue: QueueKind::default(),
         }
     }
 }
@@ -414,12 +409,6 @@ impl SimConfig {
         self.trace_base = base;
         self
     }
-
-    /// Select the event-queue backend (see [`SimConfig::queue`]).
-    pub fn queue(mut self, kind: QueueKind) -> Self {
-        self.queue = kind;
-        self
-    }
 }
 
 /// The deterministic simulator.
@@ -453,7 +442,7 @@ impl<M> Sim<M> {
     /// Create a simulator from a config. Add actors with
     /// [`Sim::add_node`], then drive it with [`Sim::run_until`].
     pub fn new(config: SimConfig) -> Self {
-        let mut queue = EventQueue::with_kind(config.queue);
+        let mut queue = EventQueue::new();
         for (at, ev) in config.faults.compile() {
             queue.push(at, EventPayload::Fault(ev));
         }
@@ -532,7 +521,7 @@ impl<M> Sim<M> {
 
     /// Messages currently in flight in the simulated network (pending
     /// deliveries, including ones that will be dropped on arrival).
-    /// O(queue length); intended for low-frequency telemetry probes.
+    /// O(1): the queue maintains the count on push/pop.
     pub fn inflight_messages(&self) -> u64 {
         self.queue.deliver_count() as u64
     }
@@ -886,7 +875,7 @@ impl<M: MsgMeta> Sim<M> {
     /// Returns the number of events processed.
     ///
     /// The loop pops due events with a single combined probe
-    /// ([`EventQueue::pop_if_at_most`]); the wheel backend answers it
+    /// ([`EventQueue::pop_if_at_most`]); the timing wheel answers it
     /// from its same-tick batch buffer, so a burst of simultaneous
     /// deliveries costs one wheel walk for the whole tick.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {

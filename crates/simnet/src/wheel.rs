@@ -1,12 +1,10 @@
-//! The hierarchical timing-wheel event queue backend.
+//! The hierarchical timing wheel behind [`crate::event::EventQueue`].
 //!
-//! This is the hot-path replacement for the binary-heap backend in
-//! [`crate::event`]. It upholds exactly the same ordering contract —
-//! events pop in ascending `(time, seq)` order — but turns the
-//! `O(log n)` heap sift (which moves whole event envelopes on every
-//! compare-and-swap) into `O(1)` amortized bucket appends of 24-byte
-//! keys, with the envelopes themselves parked in a free-list slab and
-//! never moved until they fire.
+//! It upholds the queue's ordering contract — events pop in ascending
+//! `(time, seq)` order — with `O(1)` amortized bucket appends of
+//! 24-byte keys in place of an `O(log n)` heap sift that moves whole
+//! event envelopes on every compare-and-swap; the envelopes themselves
+//! are parked in a free-list slab and never moved until they fire.
 //!
 //! ## Structure
 //!
@@ -152,8 +150,7 @@ impl<M> Slab<M> {
 
 /// A deterministic event queue backed by a hierarchical timing wheel
 /// with a far-future overflow heap and a slab of envelopes. Pops in
-/// strictly ascending `(time, seq)` order — byte-for-byte the same
-/// schedule as the binary-heap backend.
+/// strictly ascending `(time, seq)` order.
 pub(crate) struct TimingWheel<M> {
     slab: Slab<M>,
     /// `LEVELS × SLOTS` buckets of keys, flattened level-major.

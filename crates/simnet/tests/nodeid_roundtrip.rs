@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use simnet::event::{EventPayload, EventQueue};
-use simnet::{NodeId, OpKind, OpRecord, QueueKind, SimTime};
+use simnet::{NodeId, OpKind, OpRecord, SimTime};
 
 /// Ids clustered near `u32::MAX`, near zero, and anywhere in between.
 fn node_id() -> impl Strategy<Value = NodeId> {
@@ -19,7 +19,7 @@ fn node_id() -> impl Strategy<Value = NodeId> {
 
 proptest! {
     /// A `Deliver` envelope's `from`/`to` ids survive the wheel's
-    /// slab compact/expand round-trip, on both queue backends.
+    /// slab compact/expand round-trip.
     #[test]
     fn deliver_ids_round_trip_through_queue(
         from in node_id(),
@@ -27,22 +27,20 @@ proptest! {
         at in 0u64..5_000_000,
         msg in any::<u64>(),
     ) {
-        for kind in QueueKind::ALL {
-            let mut q = EventQueue::with_kind(kind);
-            q.push(
-                SimTime::from_micros(at),
-                EventPayload::Deliver { from, to, msg, trace: 7, span: 9 },
-            );
-            let ev = q.pop().expect("one event was pushed");
-            match ev.payload {
-                EventPayload::Deliver { from: f, to: t, msg: m, trace, span } => {
-                    prop_assert_eq!(f, from, "backend {}", kind.label());
-                    prop_assert_eq!(t, to, "backend {}", kind.label());
-                    prop_assert_eq!(m, msg);
-                    prop_assert_eq!((trace, span), (7, 9));
-                }
-                other => prop_assert!(false, "unexpected payload {other:?}"),
+        let mut q = EventQueue::new();
+        q.push(
+            SimTime::from_micros(at),
+            EventPayload::Deliver { from, to, msg, trace: 7, span: 9 },
+        );
+        let ev = q.pop().expect("one event was pushed");
+        match ev.payload {
+            EventPayload::Deliver { from: f, to: t, msg: m, trace, span } => {
+                prop_assert_eq!(f, from);
+                prop_assert_eq!(t, to);
+                prop_assert_eq!(m, msg);
+                prop_assert_eq!((trace, span), (7, 9));
             }
+            other => prop_assert!(false, "unexpected payload {other:?}"),
         }
     }
 
@@ -53,20 +51,18 @@ proptest! {
         at in 0u64..5_000_000,
         tag in any::<u64>(),
     ) {
-        for kind in QueueKind::ALL {
-            let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
-            q.push(
-                SimTime::from_micros(at),
-                EventPayload::Timer { node, timer_id: 3, tag, trace: 0, span: 0 },
-            );
-            let ev = q.pop().expect("one event was pushed");
-            match ev.payload {
-                EventPayload::Timer { node: n, tag: g, .. } => {
-                    prop_assert_eq!(n, node, "backend {}", kind.label());
-                    prop_assert_eq!(g, tag);
-                }
-                other => prop_assert!(false, "unexpected payload {other:?}"),
+        let mut q: EventQueue<u64> = EventQueue::new();
+        q.push(
+            SimTime::from_micros(at),
+            EventPayload::Timer { node, timer_id: 3, tag, trace: 0, span: 0 },
+        );
+        let ev = q.pop().expect("one event was pushed");
+        match ev.payload {
+            EventPayload::Timer { node: n, tag: g, .. } => {
+                prop_assert_eq!(n, node);
+                prop_assert_eq!(g, tag);
             }
+            other => prop_assert!(false, "unexpected payload {other:?}"),
         }
     }
 

@@ -1,20 +1,62 @@
-//! Queue-backend conformance: the binary heap and the timing wheel are
-//! the same queue.
+//! Queue conformance: the timing wheel against a sorted model.
 //!
 //! The ordering contract (`simnet::event`): pops come in strictly
 //! ascending `(time, seq)` order, with `seq` the insertion counter.
-//! These tests drive both backends through randomized schedules —
-//! near-future scatter, same-tick bursts, far-future timers beyond the
-//! wheel span, interleaved pops — and require identical pop sequences,
-//! then pin the slab's no-aliasing guarantee and cancel/re-arm
-//! equivalence at the simulator level. Whole-protocol byte parity lives
-//! in the workspace-root `tests/queue_parity.rs`.
+//! [`Model`] is that contract written down as a `std` binary heap of
+//! `(time, seq)` keys — the reference oracle. The randomized schedules
+//! drive the real queue and the model in lockstep through every entry
+//! point the `Sim` uses (`push`, `pop`, `pop_if_at_most`, `peek_time`,
+//! `len`, `deliver_count`) over near-future scatter, same-tick bursts,
+//! far-future timers beyond the wheel span and pushes below a
+//! pre-drained cursor, and require identical observations. The rest
+//! pins the slab's no-aliasing guarantee and, at the simulator level,
+//! timer cancel/re-arm determinism and injection below a pre-drained
+//! tick.
 
 use simnet::event::{EventPayload, EventQueue};
 use simnet::sim::NodeId;
-use simnet::{Actor, Context, Duration, QueueKind, Sim, SimConfig, SimRng, SimTime};
+use simnet::{Actor, Context, Duration, Sim, SimConfig, SimRng, SimTime};
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
+
+/// What a pop observes: `(time, seq, tag, is_deliver)`.
+type Popped = (u64, u64, u64, bool);
+
+/// The reference oracle: a min-heap of [`Popped`] keys. `seq` is unique,
+/// so the tuple order is exactly the contract's `(time, seq)` order.
+#[derive(Default)]
+struct Model {
+    heap: BinaryHeap<Reverse<Popped>>,
+    next_seq: u64,
+}
+
+impl Model {
+    fn push(&mut self, at: u64, tag: u64, deliver: bool) {
+        self.heap.push(Reverse((at, self.next_seq, tag, deliver)));
+        self.next_seq += 1;
+    }
+    fn pop(&mut self) -> Option<Popped> {
+        self.heap.pop().map(|Reverse(k)| k)
+    }
+    fn pop_if_at_most(&mut self, deadline: u64) -> Option<Popped> {
+        if self.peek_time()? <= deadline {
+            self.pop()
+        } else {
+            None
+        }
+    }
+    fn peek_time(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(k)| k.0)
+    }
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+    fn deliver_count(&self) -> usize {
+        self.heap.iter().filter(|Reverse(k)| k.3).count()
+    }
+}
 
 fn push_timer(q: &mut EventQueue<u64>, at: u64, tag: u64) {
     q.push(
@@ -23,25 +65,40 @@ fn push_timer(q: &mut EventQueue<u64>, at: u64, tag: u64) {
     );
 }
 
-fn pop_key(q: &mut EventQueue<u64>) -> Option<(u64, u64, u64)> {
-    q.pop().map(|ev| match ev.payload {
-        EventPayload::Timer { tag, .. } => (ev.at.as_micros(), ev.seq, tag),
-        _ => panic!("schedule only pushes timers"),
-    })
+fn push_deliver(q: &mut EventQueue<u64>, at: u64, tag: u64) {
+    q.push(
+        SimTime::from_micros(at),
+        EventPayload::Deliver { from: NodeId(0), to: NodeId(1), msg: tag, trace: 0, span: 0 },
+    );
+}
+
+fn key(ev: simnet::Event<u64>) -> Popped {
+    match ev.payload {
+        EventPayload::Timer { tag, .. } => (ev.at.as_micros(), ev.seq, tag, false),
+        EventPayload::Deliver { msg, .. } => (ev.at.as_micros(), ev.seq, msg, true),
+        EventPayload::Fault(_) => panic!("schedules push no faults"),
+    }
+}
+
+fn pop_key(q: &mut EventQueue<u64>) -> Option<Popped> {
+    q.pop().map(key)
 }
 
 /// One randomized schedule: a deterministic (seeded) interleaving of
-/// pushes and pops over a mix of time horizons. Returns the pop
-/// sequence observed by `kind`.
-fn run_schedule(kind: QueueKind, seed: u64) -> Vec<(u64, u64, u64)> {
+/// pushes, pops, deadline pops and peeks over a mix of time horizons,
+/// applied to the queue and the model alike; every observation is
+/// compared as it is made. Returns the queue's pop sequence.
+fn run_schedule(seed: u64) -> Vec<Popped> {
     let mut rng = SimRng::new(seed);
-    let mut q: EventQueue<u64> = EventQueue::with_kind(kind);
+    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut model = Model::default();
     let mut out = Vec::new();
     let mut now = 0u64; // lower bound for new pushes: the last popped time
     let mut tag = 0u64;
-    for _ in 0..600 {
-        match rng.below(10) {
-            // 60%: push somewhere between "now" and a few wheel levels out.
+    for step in 0..600 {
+        let popped = match rng.below(12) {
+            // 50%: push somewhere between "now" and beyond the wheel span.
+            // After a peek this may land below the pre-drained cursor.
             0..=5 => {
                 let horizon = match rng.below(4) {
                     0 => 64,         // same level-0 window
@@ -49,54 +106,86 @@ fn run_schedule(kind: QueueKind, seed: u64) -> Vec<(u64, u64, u64)> {
                     2 => 50_000_000, // ~a minute of virtual time
                     _ => 1 << 40,    // beyond the wheel span: overflow
                 };
-                push_timer(&mut q, now + rng.below(horizon), tag);
+                let at = now + rng.below(horizon);
+                let deliver = rng.chance(0.5);
+                if deliver {
+                    push_deliver(&mut q, at, tag);
+                } else {
+                    push_timer(&mut q, at, tag);
+                }
+                model.push(at, tag, deliver);
                 tag += 1;
+                None
             }
-            // 20%: a same-tick burst (ties must pop in insertion order).
+            // 17%: a same-tick burst (ties must pop in insertion order).
             6..=7 => {
                 let at = now + rng.below(1000);
                 for _ in 0..rng.below(6) + 2 {
                     push_timer(&mut q, at, tag);
+                    model.push(at, tag, false);
                     tag += 1;
                 }
+                None
             }
-            // 20%: pop (advancing the floor for future pushes).
+            // 8%: peek (lets the wheel pre-drain its next tick).
+            8 => {
+                assert_eq!(
+                    q.peek_time().map(SimTime::as_micros),
+                    model.peek_time(),
+                    "peek_time diverged (seed {seed}, step {step})"
+                );
+                None
+            }
+            // 8%: the `run_until` probe, with a deadline that may or may
+            // not reach the head.
+            9 => {
+                let deadline = now + rng.below(20_000);
+                let got = q.pop_if_at_most(SimTime::from_micros(deadline)).map(key);
+                assert_eq!(
+                    got,
+                    model.pop_if_at_most(deadline),
+                    "pop_if_at_most({deadline}) diverged (seed {seed}, step {step})"
+                );
+                got
+            }
+            // 17%: pop.
             _ => {
-                if let Some(k) = pop_key(&mut q) {
-                    now = k.0;
-                    out.push(k);
-                }
+                let got = pop_key(&mut q);
+                assert_eq!(got, model.pop(), "pop diverged (seed {seed}, step {step})");
+                got
             }
+        };
+        if let Some(k) = popped {
+            now = k.0; // advances the floor for future pushes
+            out.push(k);
         }
+        assert_eq!(q.len(), model.len(), "len diverged (seed {seed}, step {step})");
+        assert_eq!(
+            q.deliver_count(),
+            model.deliver_count(),
+            "deliver_count diverged (seed {seed}, step {step})"
+        );
     }
     while let Some(k) = pop_key(&mut q) {
+        assert_eq!(Some(k), model.pop(), "drain diverged (seed {seed})");
         out.push(k);
     }
+    assert_eq!(model.len(), 0);
     out
 }
 
 #[test]
-fn randomized_schedules_pop_identically_on_both_backends() {
+fn randomized_schedules_match_the_model_and_pop_in_ascending_time_then_seq() {
     for seed in 0..200 {
-        let wheel = run_schedule(QueueKind::TimingWheel, seed);
-        let heap = run_schedule(QueueKind::BinaryHeap, seed);
-        assert_eq!(wheel, heap, "pop sequences diverged at schedule seed {seed}");
-    }
-}
-
-#[test]
-fn pop_order_is_ascending_time_then_seq() {
-    for seed in [1, 99] {
-        for kind in QueueKind::ALL {
-            let popped = run_schedule(kind, seed);
-            for w in popped.windows(2) {
-                assert!(
-                    (w[0].0, w[0].1) < (w[1].0, w[1].1),
-                    "{kind:?}: contract violated: {:?} popped before {:?}",
-                    w[0],
-                    w[1]
-                );
-            }
+        let popped = run_schedule(seed);
+        assert!(!popped.is_empty());
+        for w in popped.windows(2) {
+            assert!(
+                (w[0].0, w[0].1) < (w[1].0, w[1].1),
+                "contract violated (seed {seed}): {:?} popped before {:?}",
+                w[0],
+                w[1]
+            );
         }
     }
 }
@@ -106,7 +195,7 @@ fn pop_order_is_ascending_time_then_seq() {
 #[test]
 fn slab_reuse_never_aliases_live_envelopes() {
     let mut rng = SimRng::new(0xa11a5);
-    let mut q: EventQueue<u64> = EventQueue::with_kind(QueueKind::TimingWheel);
+    let mut q: EventQueue<u64> = EventQueue::new();
     let mut pushed = Vec::new();
     let mut popped = Vec::new();
     let mut now = 0u64;
@@ -121,13 +210,13 @@ fn slab_reuse_never_aliases_live_envelopes() {
             tag += 1;
         }
         for _ in 0..rng.below(30) + 10 {
-            if let Some((at, _, t)) = pop_key(&mut q) {
+            if let Some((at, _, t, _)) = pop_key(&mut q) {
                 now = at;
                 popped.push(t);
             }
         }
     }
-    while let Some((_, _, t)) = pop_key(&mut q) {
+    while let Some((_, _, t, _)) = pop_key(&mut q) {
         popped.push(t);
     }
     pushed.sort_unstable();
@@ -135,39 +224,51 @@ fn slab_reuse_never_aliases_live_envelopes() {
     assert_eq!(pushed, popped, "a slab slot was lost, duplicated, or aliased");
 }
 
+/// What the churn actors record: every arm as `(fires_at, timer_id,
+/// tag)`, every cancelled id, and every firing as `(now, timer_id, tag)`.
+#[derive(Default)]
+struct ChurnLog {
+    armed: Vec<(u64, u64, u64)>,
+    cancelled: Vec<u64>,
+    fired: Vec<(u64, u64, u64)>,
+}
+
 /// An actor that randomly arms, cancels, and re-arms timers (driven by
-/// the shared deterministic RNG), logging every firing. Cancellation
-/// and re-arming is simulator state layered over the queue; runs must
-/// be identical whichever backend is underneath.
+/// the shared deterministic RNG). Cancellation and re-arming is
+/// simulator state layered over the queue.
 struct TimerChurn {
-    fired: Rc<RefCell<Vec<(u64, u64, u64)>>>,
+    log: Rc<RefCell<ChurnLog>>,
     armed: Vec<u64>,
+}
+
+impl TimerChurn {
+    fn arm(&mut self, ctx: &mut Context<u64>, after_us: u64, tag: u64) {
+        let id = ctx.set_timer(Duration::from_micros(after_us), tag);
+        self.log.borrow_mut().armed.push((ctx.now().as_micros() + after_us, id, tag));
+        self.armed.push(id);
+    }
 }
 
 impl Actor<u64> for TimerChurn {
     fn on_start(&mut self, ctx: &mut Context<u64>) {
         for tag in 0..4 {
-            self.armed.push(ctx.set_timer(Duration::from_micros(500 + tag * 137), tag));
+            self.arm(ctx, 500 + tag * 137, tag);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut Context<u64>, timer_id: u64, tag: u64) {
-        self.fired.borrow_mut().push((ctx.now().as_micros(), timer_id, tag));
+        self.log.borrow_mut().fired.push((ctx.now().as_micros(), timer_id, tag));
         self.armed.retain(|&id| id != timer_id);
         // Re-arm: sometimes near, sometimes beyond the wheel span.
         let far = ctx.rng().chance(0.1);
-        let delay = if far {
-            Duration::from_micros(1 << 37)
-        } else {
-            let us = ctx.rng().below(20_000) + 1;
-            Duration::from_micros(us)
-        };
-        self.armed.push(ctx.set_timer(delay, tag + 100));
+        let delay = if far { 1 << 37 } else { ctx.rng().below(20_000) + 1 };
+        self.arm(ctx, delay, tag + 100);
         // Occasionally cancel a random armed timer.
         if !self.armed.is_empty() && ctx.rng().chance(0.3) {
             let victim = ctx.rng().index(self.armed.len());
             let id = self.armed.swap_remove(victim);
             ctx.cancel_timer(id);
+            self.log.borrow_mut().cancelled.push(id);
         }
     }
 
@@ -175,22 +276,34 @@ impl Actor<u64> for TimerChurn {
 }
 
 #[test]
-fn cancel_and_rearm_schedules_match_across_backends() {
-    let run = |kind: QueueKind, seed: u64| {
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Sim<u64> = Sim::new(SimConfig::default().seed(seed).queue(kind));
+fn cancel_and_rearm_fires_in_the_expected_order_deterministically() {
+    const DEADLINE_US: u64 = 2_000_000;
+    let run = |seed: u64| {
+        let log = Rc::new(RefCell::new(ChurnLog::default()));
+        let mut sim: Sim<u64> = Sim::new(SimConfig::default().seed(seed));
         for _ in 0..3 {
-            sim.add_node(Box::new(TimerChurn { fired: fired.clone(), armed: Vec::new() }));
+            sim.add_node(Box::new(TimerChurn { log: log.clone(), armed: Vec::new() }));
         }
-        sim.run_until(SimTime::from_secs(2));
-        let log = fired.borrow().clone();
-        log
+        sim.run_until(SimTime::from_micros(DEADLINE_US));
+        drop(sim);
+        Rc::try_unwrap(log).ok().expect("sim dropped its actors").into_inner()
     };
     for seed in [7, 21] {
-        let wheel = run(QueueKind::TimingWheel, seed);
-        let heap = run(QueueKind::BinaryHeap, seed);
-        assert!(!wheel.is_empty(), "churn actors never fired a timer");
-        assert_eq!(wheel, heap, "timer cancel/re-arm diverged across backends (seed {seed})");
+        let log = run(seed);
+        assert!(!log.fired.is_empty(), "churn actors never fired a timer");
+        assert!(!log.cancelled.is_empty(), "churn actors never cancelled a timer");
+        // Expected: every armed, never-cancelled timer due by the deadline,
+        // in (time, arming order) order — timer ids are handed out in
+        // arming order, which is also the queue's seq order.
+        let mut expected: Vec<_> = log
+            .armed
+            .iter()
+            .copied()
+            .filter(|&(at, id, _)| at <= DEADLINE_US && !log.cancelled.contains(&id))
+            .collect();
+        expected.sort_unstable_by_key(|&(at, id, _)| (at, id));
+        assert_eq!(log.fired, expected, "firing order (seed {seed})");
+        assert_eq!(run(seed).fired, log.fired, "same seed, different run (seed {seed})");
     }
 }
 
@@ -215,20 +328,18 @@ impl Actor<u64> for Sink {
 
 #[test]
 fn injection_between_run_until_calls_fires_before_predrained_events() {
-    for kind in QueueKind::ALL {
-        let got = Rc::new(RefCell::new(Vec::new()));
-        let mut sim: Sim<u64> = Sim::new(SimConfig::default().queue(kind));
-        sim.add_node(Box::new(Sink { got: got.clone() }));
-        // Runs past every queued event except the t=100ms timer; the
-        // peek at the deadline boundary pre-drains that tick.
-        sim.run_until(SimTime::from_millis(10));
-        // Now inject something earlier than the pending timer.
-        sim.inject_at(SimTime::from_millis(50), NodeId(0), NodeId(0), 7);
-        sim.run_until(SimTime::from_millis(200));
-        assert_eq!(
-            *got.borrow(),
-            vec![(50_000, 7), (100_000, 42)],
-            "{kind:?}: injected event must precede the pre-drained timer"
-        );
-    }
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let mut sim: Sim<u64> = Sim::new(SimConfig::default());
+    sim.add_node(Box::new(Sink { got: got.clone() }));
+    // Runs past every queued event except the t=100ms timer; the
+    // peek at the deadline boundary pre-drains that tick.
+    sim.run_until(SimTime::from_millis(10));
+    // Now inject something earlier than the pending timer.
+    sim.inject_at(SimTime::from_millis(50), NodeId(0), NodeId(0), 7);
+    sim.run_until(SimTime::from_millis(200));
+    assert_eq!(
+        *got.borrow(),
+        vec![(50_000, 7), (100_000, 42)],
+        "injected event must precede the pre-drained timer"
+    );
 }

@@ -1,19 +1,18 @@
 //! The library outside the simulator: real OS threads gossiping sibling
-//! stores over crossbeam channels.
+//! stores over `std::sync::mpsc` channels.
 //!
 //! Everything else in this workspace runs on deterministic virtual time;
 //! this example shows the same data-plane types (`SiblingStore`, dotted
 //! version vectors) driving a live multi-threaded anti-entropy loop, with
-//! `parking_lot` guarding each replica's store.
+//! a `Mutex` guarding each replica's store.
 //!
 //! ```sh
 //! cargo run --example threaded_gossip
 //! ```
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 use rethinking_ec::kvstore::{siblings::Sibling, Key, SiblingStore, Value};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
@@ -28,7 +27,7 @@ fn main() {
     let stores: Vec<Arc<Mutex<SiblingStore>>> =
         (0..REPLICAS).map(|r| Arc::new(Mutex::new(SiblingStore::new(r as u64)))).collect();
     let channels: Vec<(Sender<GossipMsg>, Receiver<GossipMsg>)> =
-        (0..REPLICAS).map(|_| unbounded()).collect();
+        (0..REPLICAS).map(|_| channel()).collect();
     let senders: Vec<Sender<GossipMsg>> = channels.iter().map(|(s, _)| s.clone()).collect();
 
     let mut handles = Vec::new();
@@ -44,14 +43,14 @@ fn main() {
             for i in 0..WRITES_PER_REPLICA {
                 let key = i % KEYS;
                 let value = Value::from_u64((r as u64) << 32 | i);
-                let mut s = store.lock();
+                let mut s = store.lock().expect("no thread panics holding a store lock");
                 let ctx = s.read(key).context;
                 s.write(key, value, &ctx, i);
             }
             // Phase 2: gossip rounds — push all local siblings, drain inbox.
             for _round in 0..40 {
                 let outgoing: GossipMsg = {
-                    let s = store.lock();
+                    let s = store.lock().expect("no thread panics holding a store lock");
                     s.keys()
                         .flat_map(|k| s.siblings(k).iter().cloned().map(move |sib| (k, sib)))
                         .collect()
@@ -61,7 +60,7 @@ fn main() {
                 }
                 thread::sleep(Duration::from_millis(2));
                 while let Ok(batch) = rx.try_recv() {
-                    let mut s = store.lock();
+                    let mut s = store.lock().expect("no thread panics holding a store lock");
                     for (k, sib) in batch {
                         s.apply_remote(k, sib);
                     }
@@ -74,10 +73,10 @@ fn main() {
     }
 
     // Convergence check across all replicas.
-    let first = stores[0].lock();
+    let first = stores[0].lock().expect("no thread panics holding a store lock");
     let mut converged = true;
     for other in &stores[1..] {
-        if !first.same_siblings(&other.lock()) {
+        if !first.same_siblings(&other.lock().expect("no thread panics holding a store lock")) {
             converged = false;
         }
     }

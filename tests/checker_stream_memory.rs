@@ -1,8 +1,8 @@
 //! Flat-memory regression gate for the streaming checkers.
 //!
 //! `checkerbench --grow-check` (crates/bench/src/bin/checkerbench.rs)
-//! re-executes itself at N and 10·N synthetic ops — the simbench
-//! subprocess pattern, so `VmHWM` from `/proc/self/status` is a
+//! re-executes itself at N and 10·N synthetic ops — one subprocess
+//! per size, so `VmHWM` from `/proc/self/status` is a
 //! per-run high-water mark — and fails if peak RSS grows by 10% or
 //! more. A windowed `StreamVerifier` whose state is genuinely bounded
 //! passes trivially; any accumulation that scales with trace length

@@ -8,8 +8,7 @@
 //! legitimate protocol change shifts a verdict, re-run the fuzzer and
 //! refresh the corpus file alongside the change.
 
-use rethinking_ec::core::fuzz::{run_case, run_case_with_queue, FuzzCase, Verdict, ViolationKind};
-use rethinking_ec::simnet::QueueKind;
+use rethinking_ec::core::fuzz::{run_case, FuzzCase, Verdict, ViolationKind};
 
 fn load(name: &str) -> FuzzCase {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/");
@@ -54,25 +53,4 @@ fn loss_burst_reproducer_still_violates() {
         "partial_quorum_loss_burst.json",
         Verdict::Violation { kind: ViolationKind::StaleReads, count: 2 },
     );
-}
-
-#[test]
-fn corpus_verdicts_are_queue_independent() {
-    // Corpus JSON predates the `queue` knob and carries no queue field;
-    // `run_case` pins the timing wheel explicitly so old reproducers
-    // keep replaying identically. This holds the stronger property that
-    // makes the pin a formality: both event-queue backends pop in the
-    // same deterministic order, so every reproducer's verdict is
-    // identical under either backend.
-    for name in [
-        "partial_quorum_partition.json",
-        "partial_quorum_amnesia_crash.json",
-        "partial_quorum_loss_burst.json",
-    ] {
-        let case = load(name);
-        let wheel = run_case_with_queue(&case, QueueKind::TimingWheel);
-        let heap = run_case_with_queue(&case, QueueKind::BinaryHeap);
-        assert_eq!(wheel, heap, "{name}: verdict depends on the event-queue backend");
-        assert_eq!(wheel, run_case(&case), "{name}: run_case drifted from the pinned backend");
-    }
 }

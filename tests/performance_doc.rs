@@ -1,11 +1,11 @@
 //! Doc-drift guards for the performance contract (docs/PERFORMANCE.md),
 //! in the style of the METRICS.md tests in `tests/observability.rs`:
-//! the checked-in `BENCH_simnet.json` must match the schema the doc
-//! documents, field for field, and the user-facing docs must reference
-//! `simbench` with flags the binary actually accepts.
+//! every ledger name the doc quotes must exist in `BENCHMARK.json`, the
+//! Phase 2 record must quote real profile cells, and the hot-path
+//! clippy gate it advertises must exist in CI. Read-only: nothing here
+//! writes or regenerates an artifact.
 
 const DOC: &str = include_str!("../docs/PERFORMANCE.md");
-const BENCH: &str = include_str!("../BENCH_simnet.json");
 
 /// Extract the names from the markdown table rows (`| \`name\` | ...`)
 /// of the section starting at `heading`.
@@ -24,114 +24,44 @@ fn doc_table_names<'a>(doc: &'a str, heading: &str) -> Vec<&'a str> {
         .collect()
 }
 
-/// Keys of a JSON object, in document order.
-fn object_keys(v: &serde::Value) -> Vec<&str> {
-    v.as_object().expect("expected a JSON object").iter().map(|(k, _)| k.as_str()).collect()
-}
-
+/// Every workload and metric name the doc quotes — the rows of its
+/// ledger table, and in running text any `workload/metric` pair or
+/// `layer.metric` name — must exist in `BENCHMARK.json`.
 #[test]
-fn bench_document_matches_the_documented_top_level_schema() {
-    let doc = serde_json::parse_value(BENCH).expect("BENCH_simnet.json parses");
-    let documented = doc_table_names(DOC, "\n## Document schema");
-    assert_eq!(
-        object_keys(&doc),
-        documented,
-        "BENCH_simnet.json top-level fields must match the `Document schema` \
-         table in docs/PERFORMANCE.md, in order — update whichever drifted"
-    );
-    assert_eq!(doc.get("tool").and_then(|t| t.as_str()), Some("simbench"));
-    assert_eq!(doc.get("mode").and_then(|m| m.as_str()), Some("full"));
-}
+fn quoted_ledger_names_exist_in_benchmark_json() {
+    let bench =
+        serde_json::parse_value(include_str!("../BENCHMARK.json")).expect("BENCHMARK.json parses");
+    let names = |key: &str| -> std::collections::BTreeSet<&str> {
+        let entries = bench.get(key).and_then(|v| v.as_array());
+        let entries = entries.unwrap_or_else(|| panic!("BENCHMARK.json lost its `{key}` array"));
+        entries.iter().map(|e| e.get("name").and_then(|n| n.as_str()).expect("name")).collect()
+    };
+    let (workloads, end_to_end, per_layer) =
+        (names("workloads"), names("end_to_end"), names("per_layer"));
+    let layers: std::collections::BTreeSet<&str> =
+        per_layer.iter().map(|m| m.split('.').next().unwrap()).collect();
 
-#[test]
-fn bench_rows_match_the_documented_row_schema() {
-    let doc = serde_json::parse_value(BENCH).expect("BENCH_simnet.json parses");
-    let documented = doc_table_names(DOC, "\n## Row schema");
-    let configs = doc.get("configs").and_then(|c| c.as_array()).expect("configs array");
-    assert!(!configs.is_empty(), "BENCH_simnet.json has no config rows");
-    for row in configs {
-        assert_eq!(
-            object_keys(row),
-            documented,
-            "every row of BENCH_simnet.json must match the `Row schema` table \
-             in docs/PERFORMANCE.md, in order — update whichever drifted"
-        );
-    }
-}
-
-/// The acceptance bar the checked-in baseline must keep clearing: both
-/// queue backends present, and at least two large-topology (>=1024
-/// node) configurations at >=3x over the heap.
-#[test]
-fn checked_in_baseline_shows_the_wheel_speedup() {
-    let doc = serde_json::parse_value(BENCH).expect("BENCH_simnet.json parses");
-    let configs = doc.get("configs").and_then(|c| c.as_array()).expect("configs array");
-    let wheel_rows =
-        configs.iter().filter(|r| r.get("queue").and_then(|q| q.as_str()) == Some("wheel")).count();
-    let heap_rows = configs.len() - wheel_rows;
-    assert_eq!(wheel_rows, heap_rows, "every config must have a heap and a wheel row");
-    let big_and_fast = configs
-        .iter()
-        .filter(|r| {
-            r.get("nodes").and_then(|n| n.as_u64()).unwrap_or(0) >= 1024
-                && r.get("queue").and_then(|q| q.as_str()) == Some("wheel")
-                && r.get("speedup_vs_heap").and_then(|s| s.as_f64()).unwrap_or(0.0) >= 3.0
-        })
-        .count();
-    assert!(
-        big_and_fast >= 2,
-        "baseline must keep >=2 large-topology configs at >=3x over the heap \
-         (found {big_and_fast}) — regenerate with `cargo run --release --bin simbench`"
-    );
-}
-
-#[test]
-fn baseline_event_counts_are_backend_independent() {
-    let doc = serde_json::parse_value(BENCH).expect("BENCH_simnet.json parses");
-    let configs = doc.get("configs").and_then(|c| c.as_array()).expect("configs array");
-    for pair in configs.chunks(2) {
-        let [heap, wheel] = pair else { panic!("odd number of rows") };
-        assert_eq!(
-            heap.get("name").and_then(|n| n.as_str()),
-            wheel.get("name").and_then(|n| n.as_str()),
-            "rows must come in heap/wheel pairs per config"
-        );
-        assert_eq!(
-            heap.get("events").and_then(|e| e.as_u64()),
-            wheel.get("events").and_then(|e| e.as_u64()),
-            "virtual event counts are machine-independent and must match \
-             across backends for {:?} — a mismatch means determinism broke",
-            heap.get("name")
-        );
-    }
-}
-
-/// README and EXPERIMENTS.md must point at simbench with flags the
-/// binary really accepts (the flag list lives in `parse_args` in
-/// `crates/bench/src/bin/simbench.rs` and the table in PERFORMANCE.md).
-#[test]
-fn user_docs_reference_simbench_with_real_flags() {
-    let readme = include_str!("../README.md");
-    let experiments = include_str!("../EXPERIMENTS.md");
-    for (name, doc) in [("README.md", readme), ("EXPERIMENTS.md", experiments)] {
-        assert!(doc.contains("simbench"), "{name} must mention the simbench harness");
-    }
-    for flag in ["--smoke", "--check", "--determinism-check", "--out"] {
+    let table = doc_table_names(DOC, "\n## The ledger");
+    assert!(table.len() >= 6, "the ledger table must name workloads and metrics: {table:?}");
+    for name in table {
         assert!(
-            experiments.contains(flag),
-            "EXPERIMENTS.md must document simbench's `{flag}` flag"
+            workloads.contains(name) || end_to_end.contains(name) || per_layer.contains(name),
+            "docs/PERFORMANCE.md's ledger table names `{name}`, which BENCHMARK.json does not"
         );
-        assert!(DOC.contains(flag), "docs/PERFORMANCE.md must document simbench's `{flag}` flag");
     }
-}
-
-/// The simbench source must actually accept every flag the docs
-/// advertise — the reverse direction of the test above.
-#[test]
-fn simbench_source_accepts_the_documented_flags() {
-    let source = include_str!("../crates/bench/src/bin/simbench.rs");
-    for flag in ["--smoke", "--out", "--check", "--determinism-check", "--jobs", "--in-process"] {
-        assert!(source.contains(&format!("\"{flag}\"")), "simbench lost its `{flag}` flag");
+    // Inline code outside fenced blocks.
+    for token in DOC.split("```").step_by(2).flat_map(|text| text.split('`').skip(1).step_by(2)) {
+        if let Some((workload, metric)) = token.split_once('/') {
+            assert!(
+                !workloads.contains(workload) || end_to_end.contains(metric),
+                "docs/PERFORMANCE.md quotes `{token}`: no such end-to-end metric"
+            );
+        } else if let Some((layer, _)) = token.split_once('.') {
+            assert!(
+                !layers.contains(layer) || per_layer.contains(token),
+                "docs/PERFORMANCE.md quotes `{token}`: no such per-layer metric"
+            );
+        }
     }
 }
 
