@@ -317,6 +317,16 @@ impl Recorder {
         }
     }
 
+    /// Fold `count` samples taken at one instant, already reduced to
+    /// their sum and maximum, into the series for `metric` under one
+    /// lock — exactly `count` [`Recorder::sample`] calls (see
+    /// [`TimeSeries::record_folded`]).
+    pub fn sample_folded(&self, t_us: u64, metric: TsMetric, count: u64, sum: u64, max: u64) {
+        if let Some(core) = &self.core {
+            core.lock().unwrap().series[metric as usize].record_folded(t_us, count, sum, max);
+        }
+    }
+
     /// Fold everything `other` aggregated into this recorder.
     ///
     /// This is the merge step of a parallel experiment grid: each cell

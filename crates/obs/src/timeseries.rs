@@ -68,6 +68,16 @@ pub struct TsBucket {
     pub max: u64,
 }
 
+impl TsBucket {
+    /// Fold another bucket's samples into this one: counts and sums
+    /// add, maxes take the max (exact and commutative).
+    fn fold(&mut self, o: &TsBucket) {
+        self.count += o.count;
+        self.sum = self.sum.saturating_add(o.sum);
+        self.max = self.max.max(o.max);
+    }
+}
+
 /// A windowed time series: fixed-width virtual-time buckets of
 /// `(count, sum, max)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,14 +116,24 @@ impl TimeSeries {
 
     /// Fold one sample taken at virtual time `t_us` into its bucket.
     pub fn record(&mut self, t_us: u64, value: u64) {
+        self.record_folded(t_us, 1, value, value);
+    }
+
+    /// Fold `count` samples taken at `t_us`, already reduced by the
+    /// caller to their sum and maximum, into their bucket. Exactly
+    /// equivalent to `count` [`TimeSeries::record`] calls with those
+    /// values (the bucket algebra [`TimeSeries::merge`] uses), so a
+    /// probe that maintains `(count, sum, max)` incrementally writes
+    /// once per instant instead of once per sample.
+    pub fn record_folded(&mut self, t_us: u64, count: u64, sum: u64, max: u64) {
+        if count == 0 {
+            return;
+        }
         let idx = (t_us / self.bucket_us) as usize;
         if idx >= self.buckets.len() {
             self.buckets.resize(idx + 1, TsBucket::default());
         }
-        let b = &mut self.buckets[idx];
-        b.count += 1;
-        b.sum = b.sum.saturating_add(value);
-        b.max = b.max.max(value);
+        self.buckets[idx].fold(&TsBucket { count, sum, max });
     }
 
     /// Merge another series into this one.
@@ -133,9 +153,7 @@ impl TimeSeries {
             self.buckets.resize(other.buckets.len(), TsBucket::default());
         }
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            b.count += o.count;
-            b.sum = b.sum.saturating_add(o.sum);
-            b.max = b.max.max(o.max);
+            b.fold(o);
         }
     }
 
@@ -261,6 +279,24 @@ mod tests {
         // Merging an empty series is the identity.
         ab.merge(&TimeSeries::new(500));
         assert_eq!(ab, serial);
+    }
+
+    #[test]
+    fn folded_write_equals_repeated_record() {
+        // Samples at one instant, reduced by the caller, against the
+        // same samples recorded one by one — saturation included.
+        for samples in [vec![], vec![0], vec![3, 1, 4, 1, 5], vec![u64::MAX, 7, u64::MAX]] {
+            let mut serial = TimeSeries::new(1_000);
+            serial.record(10, 2); // the bucket already holds something
+            let mut folded = serial.clone();
+            for &v in &samples {
+                serial.record(2_500, v);
+            }
+            let sum = samples.iter().fold(0u64, |a, &v| a.saturating_add(v));
+            let max = samples.iter().copied().max().unwrap_or(0);
+            folded.record_folded(2_500, samples.len() as u64, sum, max);
+            assert_eq!(folded, serial, "{samples:?}");
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 pub mod fuzz;
 pub mod grid;
 pub mod metrics;
+pub mod probe;
 pub mod runner;
 pub mod scheme;
 

@@ -6,6 +6,7 @@
 //! deployment path, which is what makes legacy-vs-composed byte parity
 //! structural rather than coincidental.
 
+use crate::probe::DivergenceProbe;
 use crate::scheme::{ClientPlacement, Scheme};
 use obs::{MetricsReport, Recorder, TsMetric, DEFAULT_TS_BUCKET_US};
 use replication::causal::{CausalClient, CausalReplica};
@@ -235,7 +236,9 @@ impl Experiment {
             }
         };
 
-        let mut trace = trace.borrow().clone();
+        // The simulation and its clients are gone; nothing pushes to the
+        // shared trace any more (a monitor hook only ever read it).
+        let mut trace = std::mem::take(&mut *trace.borrow_mut());
         trace.sort_by_completion();
         RunResult {
             trace,
@@ -471,11 +474,12 @@ fn run_primary(
 /// monitor installed, the run is sliced into probe windows (one per
 /// time-series bucket, so probe samples and client-side staleness
 /// samples share bucket boundaries): at each boundary the driver samples
-/// per-key replica divergence (distinct versions across nodes, via
-/// [`simnet::Actor::key_versions`]) and the in-flight message depth, and
-/// hands the boundary time to the monitor. Probes only read simulator
-/// state, so a sliced run is event-for-event identical to an unsliced
-/// one.
+/// the in-flight message depth and per-key replica divergence (distinct
+/// versions across nodes, kept up to date by a [`DivergenceProbe`] from
+/// the keys each store changed), and hands the boundary time to the
+/// monitor. A probe drains telemetry-only dirty sets; it never
+/// schedules, reorders or drops an event, so a sliced run is
+/// event-for-event identical to an unsliced one.
 fn drive<M: simnet::MsgMeta>(
     mut sim: Sim<M>,
     horizon: SimTime,
@@ -488,6 +492,7 @@ fn drive<M: simnet::MsgMeta>(
         return (sim.delivered_messages, sim.dropped_messages, events, sim.now(), versions);
     }
     let horizon_us = horizon.as_micros();
+    let mut probe = DivergenceProbe::new();
     let mut t = 0u64;
     let mut events = 0u64;
     while t < horizon_us {
@@ -495,14 +500,9 @@ fn drive<M: simnet::MsgMeta>(
         events += sim.run_until(SimTime::from_micros(t));
         if probing {
             sim.recorder().sample(t, TsMetric::InflightDepth, sim.inflight_messages());
-            let mut per_key: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
-                std::collections::BTreeMap::new();
-            for (_, key, version) in sim.key_versions() {
-                per_key.entry(key).or_default().insert(version);
-            }
-            for versions in per_key.values() {
-                sim.recorder().sample(t, TsMetric::ReplicaDivergence, versions.len() as u64);
-            }
+            probe.sample(&mut sim, t);
+            #[cfg(test)]
+            tests::audit_probe(&sim, &probe);
         }
         if let Some(m) = monitor.as_deref_mut() {
             m(SimTime::from_micros(t));
@@ -519,6 +519,200 @@ mod tests {
     use simnet::Duration;
     use simnet::OpKind;
     use workload::{Arrival, KeyDistribution, OpMix};
+
+    /// What [`audit_probe`] saw on this thread since the last reset.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct ProbeAudit {
+        /// Probe instants checked against the full scan.
+        instants: u64,
+        /// Instants at which some key had more than one version.
+        diverged: u64,
+        /// Instants at which the stores held fewer `(node, key)` entries
+        /// than the instant before (a store lost keys: volatile amnesia).
+        shrunk: u64,
+        entries: usize,
+        /// Change reports the current run's probe has folded.
+        touched: u64,
+    }
+
+    thread_local! {
+        static AUDIT: std::cell::Cell<ProbeAudit> = std::cell::Cell::new(ProbeAudit::default());
+    }
+
+    /// The probe this crate's driver used before it went incremental,
+    /// kept as the oracle: scan every store of every node and count the
+    /// distinct versions of each key.
+    fn full_scan_fold(stored: &[(NodeId, u64, u64)]) -> (u64, u64, u64) {
+        let mut per_key: std::collections::BTreeMap<u64, std::collections::BTreeSet<u64>> =
+            std::collections::BTreeMap::new();
+        for &(_, key, version) in stored {
+            per_key.entry(key).or_default().insert(version);
+        }
+        let distinct = per_key.values().map(|versions| versions.len() as u64);
+        (per_key.len() as u64, distinct.clone().sum(), distinct.max().unwrap_or(0))
+    }
+
+    /// Called by [`drive`] after every probe instant in this crate's
+    /// unit tests: the incremental probe must hold exactly what the
+    /// stores hold and fold it as the full scan does, whatever the
+    /// scheme and the faults.
+    pub(super) fn audit_probe<M>(sim: &Sim<M>, probe: &DivergenceProbe) {
+        let stored = sim.key_versions();
+        assert_eq!(
+            probe.mirrored(),
+            stored,
+            "the probe's picture of the stores != their contents at {:?}",
+            sim.now()
+        );
+        let expected = full_scan_fold(&stored);
+        assert_eq!(
+            probe.fold(),
+            expected,
+            "incremental divergence probe != full scan (count, sum, max) at {:?}",
+            sim.now()
+        );
+        let mut audit = AUDIT.get();
+        audit.instants += 1;
+        audit.diverged += (expected.2 > 1) as u64;
+        audit.shrunk += (stored.len() < audit.entries) as u64;
+        audit.entries = stored.len();
+        audit.touched = probe.touched();
+        AUDIT.set(audit);
+    }
+
+    /// Every scheme family, a sharded ring under churn and a scheme with
+    /// volatile state, with one replica crashing into amnesia and
+    /// another partitioned off: at each of the run's 200 bucket
+    /// boundaries [`audit_probe`] holds the incremental probe against a
+    /// scan of every store.
+    #[test]
+    fn incremental_probe_matches_a_full_scan_at_every_bucket() {
+        use crate::fuzz::FuzzScheme;
+        use crate::scheme::ChurnPlan;
+        let workload = WorkloadSpec {
+            keys: 8,
+            distribution: KeyDistribution::Zipfian { theta: 0.9 },
+            mix: OpMix::ycsb_a(),
+            arrival: Arrival::Closed { think_us: 5_000 },
+            sessions: 3,
+            ops_per_session: 25,
+        };
+        // The restart lands a millisecond (less than a message round
+        // trip) before a bucket boundary, so the probe sees the store a
+        // volatile scheme lost before anti-entropy refills it.
+        let nemesis = FaultSchedule::none()
+            .crash_amnesia(NodeId(1), SimTime::from_millis(800), SimTime::from_millis(1_399))
+            .partition(vec![NodeId(0)], SimTime::from_secs(3), SimTime::from_secs(5));
+        let ring = Scheme::Sharded {
+            inner: Composition::quorum(3, 2, 2, true, 2),
+            nodes: 8,
+            vnodes: 8,
+            churn: ChurnPlan::rolling(8, Duration::from_secs(2), 3, SimTime::from_secs(1)),
+        };
+        // Every fuzz family keeps its store across amnesia (WAL, fsync or
+        // a replayed log); sibling-mode eventual state is volatile, so
+        // this one also reports keys as gone.
+        let volatile = Scheme::Eventual {
+            replicas: 3,
+            eager: true,
+            gossip: Some((Duration::from_millis(50), 1)),
+            mode: replication::kernel::ConflictMode::Siblings,
+            guarantees: Guarantees::none(),
+            placement: ClientPlacement::Sticky,
+        };
+        let schemes = FuzzScheme::ALL.iter().map(|fs| fs.to_scheme()).chain([ring, volatile]);
+        let (mut diverged, mut shrunk) = (0, 0);
+        for scheme in schemes {
+            for seed in [11u64, 42] {
+                AUDIT.set(ProbeAudit::default());
+                let label = scheme.label();
+                Experiment::new(scheme.clone())
+                    .workload(workload.clone())
+                    .latency(LatencyModel::Uniform {
+                        min: Duration::from_millis(1),
+                        max: Duration::from_millis(8),
+                    })
+                    .faults(nemesis.clone())
+                    .seed(seed)
+                    .horizon(SimTime::from_secs(20))
+                    .recorder(Recorder::enabled())
+                    .run();
+                let audit = AUDIT.get();
+                assert_eq!(audit.instants, 200, "{label} seed {seed}: every bucket is audited");
+                assert!(audit.entries > 0, "{label} seed {seed}: nothing was stored");
+                diverged += audit.diverged;
+                shrunk += audit.shrunk;
+            }
+        }
+        // Otherwise the audit only ever compared converged stores, or
+        // never saw a store lose its keys.
+        assert!(diverged > 0, "no bucket ever saw a diverged key");
+        assert!(shrunk > 0, "no amnesia restart ever dropped keys from the probe");
+    }
+
+    /// Complexity guard, by count: a ten times longer session must not
+    /// make a staleness sample or a probe instant dearer. A sample walks
+    /// the versions the read missed (its output) and, beyond those,
+    /// examines the logarithm of the key's writes (one more
+    /// binary-search step per doubling); a scan of the history examines
+    /// ten times as much. Probe reports per instant follow the writes of
+    /// the instant; a scan of the stores reports every stored key.
+    #[test]
+    fn telemetry_cost_does_not_grow_with_session_length() {
+        const SESSIONS: u32 = 4;
+        let run = |ops_per_session: u32| {
+            AUDIT.set(ProbeAudit::default());
+            let result = Experiment::new(Scheme::quorum(3, 2, 2))
+                .workload(WorkloadSpec {
+                    keys: 1_024,
+                    distribution: KeyDistribution::zipfian_default(),
+                    mix: OpMix::ycsb_a(),
+                    arrival: Arrival::Closed { think_us: 2_000 },
+                    sessions: SESSIONS,
+                    ops_per_session,
+                })
+                .seed(12)
+                // No fixed idle tail: both runs are busy for the same
+                // share of their instants.
+                .horizon(SimTime::from_millis(ops_per_session as u64 * 4))
+                .recorder(Recorder::enabled())
+                .run();
+            assert_eq!(result.trace.len() as u32, SESSIONS * ops_per_session);
+            let ok = |kind| result.trace.records().iter().filter(move |r| r.ok && r.kind == kind);
+            // Entries examined beyond the missed versions the sample
+            // reports (its output): the search and the stopping entry.
+            let overhead: u64 = ok(OpKind::Read)
+                .map(|r| {
+                    let ((missed, _), visited) =
+                        result.trace.read_staleness_counted(r.key, r.invoked, &r.value_read);
+                    visited - missed
+                })
+                .sum();
+            let audit = AUDIT.get();
+            (
+                overhead as f64 / ok(OpKind::Read).count() as f64,
+                audit.touched as f64 / audit.instants as f64,
+                audit.touched,
+                ok(OpKind::Write).count() as u64,
+            )
+        };
+        let (short_visits, short_reports, ..) = run(800);
+        let (long_visits, long_reports, touched, writes) = run(8_000);
+        assert!(
+            long_visits <= short_visits + 4.0,
+            "index entries examined per read, beyond the versions it missed, grew from \
+             {short_visits:.1} to {long_visits:.1}"
+        );
+        assert!(
+            long_reports <= short_reports * 1.25,
+            "change reports per probe instant grew from {short_reports:.1} to {long_reports:.1}"
+        );
+        assert!(
+            touched <= 3 * writes,
+            "{touched} change reports for {writes} writes on 3 replicas: the probe reports more \
+             than what changed"
+        );
+    }
 
     fn tiny_workload() -> WorkloadSpec {
         WorkloadSpec {

@@ -16,6 +16,7 @@
 use crate::common::{ClientCore, OpOutcome, ScriptOp, TimerAction};
 use crate::kernel::durability::WalState;
 use crate::kernel::propagation::PeerCache;
+use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::{Key, MvStore, Value};
 use obs::EventKind;
@@ -100,7 +101,7 @@ impl simnet::MsgMeta for Msg {
 /// A causal replica.
 pub struct CausalReplica {
     replicas: usize,
-    store: MvStore,
+    store: Probed<MvStore>,
     /// Durable log of applied writes. The replication metadata (`applied`,
     /// `versions`, `my_seq`) is modeled as fsynced alongside each append:
     /// rolling the applied vector back after a restart would break
@@ -131,7 +132,7 @@ impl CausalReplica {
     pub fn new(replicas: usize) -> Self {
         CausalReplica {
             replicas,
-            store: MvStore::new(),
+            store: Probed::new(MvStore::new()),
             dur: WalState::new(),
             clock: LamportClock::new(),
             applied: VersionVector::new(),
@@ -216,7 +217,7 @@ impl Actor<Msg> for CausalReplica {
         // causally closed — it merely loses un-applied remote writes,
         // which this protocol (no anti-entropy) also loses to a partition.
         self.buffer.clear();
-        self.store = self.dur.replay(ctx, None, Some(&mut self.clock));
+        self.store.replace(self.dur.replay(ctx, None, Some(&mut self.clock)));
     }
 
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
@@ -289,7 +290,11 @@ impl Actor<Msg> for CausalReplica {
     }
 
     fn key_versions(&self) -> Vec<(u64, u64)> {
-        self.store.scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
+        self.store.key_versions()
+    }
+
+    fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
+        self.store.drain_changed_versions(sink);
     }
 }
 

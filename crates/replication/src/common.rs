@@ -281,7 +281,7 @@ impl ClientCore {
                     p.span,
                     if outcome.ok { SpanStatus::Ok } else { SpanStatus::Failed },
                 );
-                if outcome.ok && p.kind == OpKind::Read {
+                if outcome.ok && p.kind == OpKind::Read && ctx.recorder().is_enabled() {
                     // Windowed consistency telemetry: how many acknowledged
                     // writes the read missed, and how far behind it ran.
                     let (missed, lag_us) =
@@ -303,26 +303,30 @@ impl ClientCore {
         let p = self.pending.take().expect("record without pending op");
         // Mirror the trace row into the event stream so online monitors
         // (the streaming consistency checkers) can observe completions
-        // without access to the in-process SharedTrace.
-        ctx.recorder().record(
-            now.as_micros(),
-            obs::EventKind::OpComplete {
-                session: self.session,
-                op: p.op_id,
-                key: p.key,
-                kind: match p.kind {
-                    OpKind::Read => obs::ClientOpKind::Read,
-                    OpKind::Write => obs::ClientOpKind::Write,
+        // without access to the in-process SharedTrace. The event owns a
+        // copy of the values read, so it is only built for a recorder
+        // that will take it.
+        if ctx.recorder().is_enabled() {
+            ctx.recorder().record(
+                now.as_micros(),
+                obs::EventKind::OpComplete {
+                    session: self.session,
+                    op: p.op_id,
+                    key: p.key,
+                    kind: match p.kind {
+                        OpKind::Read => obs::ClientOpKind::Read,
+                        OpKind::Write => obs::ClientOpKind::Write,
+                    },
+                    ok: outcome.ok,
+                    invoked_us: p.invoked.as_micros(),
+                    replica: p.replica.0 as u64,
+                    value: p.value,
+                    values: outcome.values.clone(),
+                    stamp: outcome.stamp,
+                    version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
                 },
-                ok: outcome.ok,
-                invoked_us: p.invoked.as_micros(),
-                replica: p.replica.0 as u64,
-                value: p.value,
-                values: outcome.values.clone(),
-                stamp: outcome.stamp,
-                version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
-            },
-        );
+            );
+        }
         self.trace.borrow_mut().push(OpRecord {
             session: self.session,
             op_id: p.op_id,

@@ -32,6 +32,7 @@ use crate::common::{ClientCore, Guarantees, IssueOp, OpOutcome, ScriptOp, TimerA
 use crate::kernel::durability::{DurabilityPolicy, WalState};
 use crate::kernel::propagation::{AckTracker, Gossip, PeerCache};
 use crate::kernel::resolution::{Digests, ResolvingStore, WriteEffect};
+use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::Key;
 use obs::EventKind;
@@ -190,7 +191,7 @@ struct PendingWrite {
 /// A replica actor.
 pub struct EventualReplica {
     cfg: EventualConfig,
-    store: ResolvingStore,
+    store: Probed<ResolvingStore>,
     /// Durable log of adopted LWW versions; replayed on amnesia restart
     /// under [`DurabilityPolicy::WalReplay`].
     dur: WalState,
@@ -206,7 +207,7 @@ impl EventualReplica {
     /// Create a replica (its node id is assigned by the simulator; the
     /// replica learns it from the context on first callback).
     pub fn new(cfg: EventualConfig) -> Self {
-        let store = ResolvingStore::new(cfg.mode.policy());
+        let store = Probed::new(ResolvingStore::new(cfg.mode.policy()));
         EventualReplica {
             cfg,
             store,
@@ -387,6 +388,10 @@ impl Actor<Msg> for EventualReplica {
         self.store.key_versions()
     }
 
+    fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
+        self.store.drain_changed_versions(sink);
+    }
+
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
         if let Some(g) = self.gossip() {
             // Desynchronize replicas' rounds.
@@ -417,11 +422,11 @@ impl Actor<Msg> for EventualReplica {
                         // LWW versions are durable: rebuild store and
                         // clock from the WAL.
                         ConflictMode::Lww => {
-                            self.store = ResolvingStore::Lww(self.dur.replay(
+                            self.store.replace(ResolvingStore::Lww(self.dur.replay(
                                 ctx,
                                 None,
                                 Some(&mut self.clock),
-                            ));
+                            )));
                         }
                         // Sibling and counter state is modeled volatile:
                         // the replica restarts empty and anti-entropy

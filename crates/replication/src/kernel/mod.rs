@@ -9,6 +9,9 @@
 //! | [`propagation`] | how do updates travel? | [`PropagationPolicy`]: eager broadcast, quorum fan-out, anti-entropy gossip, primary log shipping, consensus log |
 //! | [`resolution`] | how do conflicts resolve? | [`ResolutionPolicy`]: LWW register, version-vector siblings, CRDT merge |
 //!
+//! Beside them, [`telemetry`] wraps whichever store a replica keeps so
+//! the divergence probe hears which keys changed ([`Probed`]).
+//!
 //! The protocol modules (`eventual`, `quorum`, `primary`, `causal`,
 //! `paxos`) are built from these shared layers, and a [`Composition`]
 //! names one point of the product space. The five legacy schemes each
@@ -24,11 +27,13 @@ pub mod durability;
 pub mod propagation;
 pub mod resolution;
 pub mod ring;
+pub mod telemetry;
 
 pub use durability::{DurabilityPolicy, WalState};
 pub use propagation::{peers, AckTracker, Gossip, GossipConfig, PropagationPolicy, ShipMode};
 pub use resolution::{ConflictMode, Item, ReadView, ResolutionPolicy, ResolvingStore, WriteEffect};
 pub use ring::Ring;
+pub use telemetry::{ProbeVersions, Probed};
 
 use simnet::Duration;
 

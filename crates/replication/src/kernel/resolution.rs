@@ -10,11 +10,12 @@
 //! ([`ResolvingStore::digest`] / [`ResolvingStore::missing_at_remote`])
 //! so propagation policies stay resolution-agnostic.
 
+use super::telemetry::{ChangedKeys, ProbeVersions};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use crdt::{CvRdt, PnCounter};
 use kvstore::{siblings::Sibling, Key, MvStore, SiblingStore, Value};
 use simnet::NodeId;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// How conflicts resolve (the resolution axis of a
 /// [`super::Composition`]).
@@ -157,8 +158,6 @@ pub struct WriteOutcome {
 /// The outcome of applying remote items.
 #[derive(Debug, Default)]
 pub struct ApplyOutcome {
-    /// Items that changed local state.
-    pub changed: usize,
     /// Keys left with concurrent siblings (detected conflicts), with
     /// the sibling count.
     pub conflicts: Vec<(Key, u64)>,
@@ -199,11 +198,6 @@ impl ResolvingStore {
             ResolvingStore::Sib(_) => ResolutionPolicy::VersionVectorSiblings,
             ResolvingStore::Crdt(_) => ResolutionPolicy::CrdtMerge,
         }
-    }
-
-    /// Reset to empty (volatile-state amnesia).
-    pub fn reset(&mut self) {
-        *self = ResolvingStore::new(self.policy());
     }
 
     /// Fix the sibling store's dot-minting id to this node before its
@@ -344,11 +338,18 @@ impl ResolvingStore {
     }
 
     /// Apply replicated items, resolving by policy. LWW adoptions are
-    /// returned for the caller's WAL; conflict keys for its events.
+    /// returned for the caller's WAL, conflict keys for its events; the
+    /// keys whose state changed are marked in `changed` (replicas reach
+    /// this through [`super::telemetry::Probed::apply`]).
     // A guard with a side effect (clippy's collapse suggestion) would be
     // worse than the nested `if`.
     #[allow(clippy::collapsible_match)]
-    pub fn apply(&mut self, items: Vec<Item>, clock: &mut LamportClock) -> ApplyOutcome {
+    pub fn apply(
+        &mut self,
+        items: Vec<Item>,
+        clock: &mut LamportClock,
+        changed: &mut ChangedKeys,
+    ) -> ApplyOutcome {
         let mut out = ApplyOutcome::default();
         for item in items {
             match (&mut *self, item) {
@@ -358,26 +359,32 @@ impl ResolvingStore {
                     let v = Value::from_u64(value);
                     if s.put(key, v.clone(), ts, written_at) {
                         out.adopted.push((key, v, ts, written_at));
-                        out.changed += 1;
+                        changed.mark(key);
                     }
                 }
                 (ResolvingStore::Sib(s), Item::Sib { key, sibling }) => {
                     if s.apply_remote(key, sibling) {
-                        out.changed += 1;
+                        changed.mark(key);
                         let n = s.siblings(key).len();
                         if n > 1 {
                             out.conflicts.push((key, n as u64));
                         }
                     }
                 }
-                (ResolvingStore::Crdt(m), Item::Counter { key, state }) => {
-                    let e = m.entry(key).or_default();
-                    let before = e.clone();
-                    e.merge(&state);
-                    if *e != before {
-                        out.changed += 1;
+                (ResolvingStore::Crdt(m), Item::Counter { key, state }) => match m.entry(key) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(PnCounter::default()).merge(&state);
+                        changed.mark(key);
                     }
-                }
+                    Entry::Occupied(mut slot) => {
+                        let e = slot.get_mut();
+                        let before = e.clone();
+                        e.merge(&state);
+                        if *e != before {
+                            changed.mark(key);
+                        }
+                    }
+                },
                 // Policy mismatch: a deployment bug; drop the item.
                 _ => {}
             }
@@ -436,30 +443,38 @@ impl ResolvingStore {
             }
         }
     }
+}
 
-    /// Per-key version fingerprints for divergence probing
-    /// ([`simnet::Actor::key_versions`]).
-    pub fn key_versions(&self) -> Vec<(u64, u64)> {
+/// Sibling sets are fingerprinted order-independently (XOR of values +
+/// count): replicas holding different sets diverge.
+fn sibling_fingerprint(sibs: &[Sibling]) -> u64 {
+    sibs.iter().filter_map(|x| x.value.as_u64()).fold(sibs.len() as u64, |acc, v| acc ^ v)
+}
+
+/// Per-key version fingerprints for divergence probing
+/// ([`simnet::Actor::key_versions`]). LWW stores answer as their
+/// [`MvStore`] does; a counter's "version" is its current value.
+impl ProbeVersions for ResolvingStore {
+    fn key_versions(&self) -> Vec<(u64, u64)> {
         match self {
-            // Unique write ids identify LWW versions directly.
-            ResolvingStore::Lww(s) => {
-                s.scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
+            ResolvingStore::Lww(s) => s.key_versions(),
+            ResolvingStore::Sib(s) => {
+                s.keys().map(|k| (k, sibling_fingerprint(s.siblings(k)))).collect()
             }
-            // Sibling sets are fingerprinted order-independently (XOR of
-            // values + count): replicas holding different sets diverge.
-            ResolvingStore::Sib(s) => s
-                .keys()
-                .map(|k| {
-                    let sibs = s.siblings(k);
-                    let fp = sibs
-                        .iter()
-                        .filter_map(|x| x.value.as_u64())
-                        .fold(sibs.len() as u64, |acc, v| acc ^ v);
-                    (k, fp)
-                })
-                .collect(),
-            // A counter's "version" is its current value.
             ResolvingStore::Crdt(m) => m.iter().map(|(&k, c)| (k, c.value() as u64)).collect(),
+        }
+    }
+
+    fn key_version(&self, key: Key) -> Option<u64> {
+        match self {
+            ResolvingStore::Lww(s) => s.key_version(key),
+            // An entry without siblings cannot exist: entries are
+            // created by the write or apply that fills them.
+            ResolvingStore::Sib(s) => match s.siblings(key) {
+                [] => None,
+                sibs => Some(sibling_fingerprint(sibs)),
+            },
+            ResolvingStore::Crdt(m) => m.get(&key).map(|c| c.value() as u64),
         }
     }
 }
@@ -489,8 +504,9 @@ mod tests {
         b.increment(2, 7);
         let mut store = ResolvingStore::new(ResolutionPolicy::CrdtMerge);
         let mut clock = LamportClock::new();
-        store.apply(vec![Item::Counter { key: 9, state: a.clone() }], &mut clock);
-        store.apply(vec![Item::Counter { key: 9, state: b.clone() }], &mut clock);
+        let mut changed = ChangedKeys::default();
+        store.apply(vec![Item::Counter { key: 9, state: a.clone() }], &mut clock, &mut changed);
+        store.apply(vec![Item::Counter { key: 9, state: b.clone() }], &mut clock, &mut changed);
         let mut direct = a.clone();
         direct.merge(&b);
         assert_eq!(store.counter_value(9), Some(direct.value()));

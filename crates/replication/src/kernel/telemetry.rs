@@ -1,0 +1,203 @@
+//! The telemetry layer: which keys a replica's store changed.
+//!
+//! The replica-divergence probe samples, at every time-series bucket,
+//! how many distinct versions of each key the replicas hold. Scanning
+//! every store at every bucket costs O(stored keys × nodes) whatever
+//! happened in between; a [`Probed`] store instead remembers the keys
+//! written since the probe last looked, so the probe's cost follows the
+//! work the protocol did. Every protocol's replica keeps its store in
+//! one: updates, and whole-store replacement on amnesia recovery, can
+//! only go through methods that mark what they touch.
+//!
+//! Always on, and bounded: the set holds each key at most once, so it
+//! never outgrows the store's key count even when nothing drains it
+//! (runs without a recorder never probe).
+
+use super::resolution::{ApplyOutcome, Item, ResolvingStore, WriteOutcome};
+use clocks::{LamportClock, LamportTimestamp, VersionVector};
+use kvstore::{Key, MvStore, Value};
+use simnet::NodeId;
+use std::collections::BTreeSet;
+use std::ops::Deref;
+
+/// A store the divergence probe can read: per-key version fingerprints
+/// (see [`simnet::Actor::key_versions`] for what a version must tell
+/// apart).
+pub trait ProbeVersions {
+    /// `(key, version)` for every stored key, ascending by key.
+    fn key_versions(&self) -> Vec<(Key, u64)>;
+
+    /// The version [`ProbeVersions::key_versions`] reports for `key`;
+    /// `None` if the key is not stored.
+    fn key_version(&self, key: Key) -> Option<u64>;
+}
+
+/// Unique write ids identify LWW versions directly.
+fn lww_version(v: &kvstore::Version) -> u64 {
+    v.value.as_u64().unwrap_or(0)
+}
+
+impl ProbeVersions for MvStore {
+    fn key_versions(&self) -> Vec<(Key, u64)> {
+        self.scan(..).map(|(k, v)| (k, lww_version(v))).collect()
+    }
+
+    fn key_version(&self, key: Key) -> Option<u64> {
+        self.get(key).map(lww_version)
+    }
+}
+
+/// The keys a store changed since they were last drained.
+#[derive(Debug, Default)]
+pub struct ChangedKeys(BTreeSet<Key>);
+
+impl ChangedKeys {
+    /// Remember that `key`'s version may have changed.
+    pub fn mark(&mut self, key: Key) {
+        self.0.insert(key);
+    }
+}
+
+/// A replica's store plus the keys it changed since the last probe.
+///
+/// Reads go through `Deref`; there is deliberately no `DerefMut`, so a
+/// mutation the probe would not hear about does not type-check.
+#[derive(Debug)]
+pub struct Probed<S> {
+    store: S,
+    changed: ChangedKeys,
+}
+
+impl<S> Deref for Probed<S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        &self.store
+    }
+}
+
+impl<S: ProbeVersions> Probed<S> {
+    /// Wrap an (empty or pre-filled) store; everything in it counts as
+    /// changed.
+    pub fn new(store: S) -> Self {
+        let mut probed = Probed { store, changed: ChangedKeys::default() };
+        probed.mark_all();
+        probed
+    }
+
+    fn mark_all(&mut self) {
+        self.changed.0.extend(self.store.key_versions().into_iter().map(|(k, _)| k));
+    }
+
+    /// Replace the whole store (amnesia recovery: a WAL replay, or a
+    /// restart from empty). Keys of either generation count as changed,
+    /// so keys the new store lacks are reported as gone.
+    pub fn replace(&mut self, store: S) {
+        self.mark_all();
+        self.store = store;
+        self.mark_all();
+    }
+
+    /// [`simnet::Actor::drain_changed_versions`] for the actor owning
+    /// this store.
+    pub fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
+        for key in std::mem::take(&mut self.changed.0) {
+            sink(key, self.store.key_version(key));
+        }
+    }
+}
+
+impl Probed<MvStore> {
+    /// [`MvStore::put`], marking the key when the version was new.
+    pub fn put(&mut self, key: Key, value: Value, ts: LamportTimestamp, written_at: u64) -> bool {
+        let new = self.store.put(key, value, ts, written_at);
+        if new {
+            self.changed.mark(key);
+        }
+        new
+    }
+}
+
+impl Probed<ResolvingStore> {
+    /// [`ResolvingStore::write_local`], marking the key.
+    #[allow(clippy::too_many_arguments)]
+    pub fn write_local(
+        &mut self,
+        me: NodeId,
+        key: Key,
+        value: u64,
+        observed: (u64, u64),
+        client_ctx: &VersionVector,
+        now_us: u64,
+        clock: &mut LamportClock,
+    ) -> WriteOutcome {
+        self.changed.mark(key);
+        self.store.write_local(me, key, value, observed, client_ctx, now_us, clock)
+    }
+
+    /// [`ResolvingStore::apply`], marking the keys whose state changed.
+    pub fn apply(&mut self, items: Vec<Item>, clock: &mut LamportClock) -> ApplyOutcome {
+        self.store.apply(items, clock, &mut self.changed)
+    }
+
+    /// Restart from empty under the same policy (volatile-state
+    /// amnesia).
+    pub fn reset(&mut self) {
+        self.replace(ResolvingStore::new(self.store.policy()));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn drained(s: &mut Probed<MvStore>) -> Vec<(u64, Option<u64>)> {
+        let mut out = Vec::new();
+        s.drain_changed_versions(&mut |k, v| out.push((k, v)));
+        out
+    }
+
+    fn put(s: &mut Probed<MvStore>, key: Key, value: u64, counter: u64) -> bool {
+        s.put(key, Value::from_u64(value), LamportTimestamp::new(counter, 0), 0)
+    }
+
+    #[test]
+    fn drains_each_changed_key_once_with_its_latest_version() {
+        let mut s = Probed::new(MvStore::new());
+        assert!(drained(&mut s).is_empty());
+        put(&mut s, 7, 70, 1);
+        put(&mut s, 3, 30, 1);
+        put(&mut s, 7, 71, 2);
+        assert_eq!(drained(&mut s), vec![(3, Some(30)), (7, Some(71))]);
+        assert!(drained(&mut s).is_empty(), "a drain forgets what it reported");
+        // A duplicate stamp is a no-op and marks nothing; an older
+        // version lands mid-chain and reports the unchanged latest.
+        assert!(!put(&mut s, 7, 71, 2));
+        assert!(drained(&mut s).is_empty());
+        assert!(put(&mut s, 3, 29, 0));
+        assert_eq!(drained(&mut s), vec![(3, Some(30))]);
+    }
+
+    #[test]
+    fn replacement_reports_lost_and_recovered_keys() {
+        let mut s = Probed::new(MvStore::new());
+        put(&mut s, 1, 10, 1);
+        put(&mut s, 2, 20, 1);
+        drained(&mut s);
+        let mut replayed = MvStore::new();
+        replayed.put(2, Value::from_u64(20), LamportTimestamp::new(1, 0), 0);
+        replayed.put(5, Value::from_u64(50), LamportTimestamp::new(1, 0), 0);
+        s.replace(replayed);
+        assert_eq!(drained(&mut s), vec![(1, None), (2, Some(20)), (5, Some(50))]);
+    }
+
+    #[test]
+    fn undrained_marks_stay_bounded_by_the_key_count() {
+        let mut s = Probed::new(MvStore::new());
+        for round in 1..=50 {
+            for key in 0..8 {
+                put(&mut s, key, round * 100 + key, round);
+            }
+        }
+        assert_eq!(s.changed.0.len(), 8);
+    }
+}

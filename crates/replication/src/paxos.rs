@@ -18,6 +18,7 @@
 
 use crate::common::{ClientCore, IssueOp, OpOutcome, ScriptOp, TimerAction};
 use crate::kernel::propagation::{AckTracker, PeerCache};
+use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::LamportTimestamp;
 use kvstore::{Key, MvStore, Value};
 use obs::{EventKind, QuorumKind};
@@ -190,7 +191,7 @@ pub struct PaxosNode {
     /// Next slot to apply to the state machine.
     apply_index: u64,
     /// The replicated state machine.
-    store: MvStore,
+    store: Probed<MvStore>,
     /// Leader: my current ballot.
     my_ballot: Ballot,
     /// Leader: next free slot.
@@ -229,7 +230,7 @@ impl PaxosNode {
             accepted: BTreeMap::new(),
             committed: BTreeMap::new(),
             apply_index: 1,
-            store: MvStore::new(),
+            store: Probed::new(MvStore::new()),
             my_ballot: (0, 0),
             next_slot: 1,
             p2: BTreeMap::new(),
@@ -417,7 +418,7 @@ impl Actor<Msg> for PaxosNode {
             self.p1_adopted.clear();
             self.p2.clear();
             self.leader_hint = None;
-            self.store = MvStore::new();
+            self.store.replace(MvStore::new());
             self.apply_index = 1;
             self.apply_ready(ctx, false);
             ctx.record(EventKind::WalReplay {
@@ -622,7 +623,11 @@ impl Actor<Msg> for PaxosNode {
     }
 
     fn key_versions(&self) -> Vec<(u64, u64)> {
-        self.store.scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
+        self.store.key_versions()
+    }
+
+    fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
+        self.store.drain_changed_versions(sink);
     }
 }
 

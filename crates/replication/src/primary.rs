@@ -31,6 +31,7 @@
 use crate::common::{ClientCore, OpOutcome, ScriptOp, TimerAction};
 use crate::kernel::durability::WalState;
 use crate::kernel::propagation::PeerCache;
+use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::LamportTimestamp;
 use kvstore::{Key, LogRecord, MvStore, Value};
 use obs::{EventKind, QuorumKind};
@@ -225,7 +226,7 @@ const TAG_WRITE_TIMEOUT_BASE: u64 = 1_000;
 /// A primary-copy replica. Node 0 acts as primary; the rest are backups.
 pub struct PrimaryReplica {
     cfg: PrimaryConfig,
-    store: MvStore,
+    store: Probed<MvStore>,
     /// Checkpointed log: `dur.wal` is truncated at each checkpoint and
     /// recovery replays the tail over the snapshot.
     dur: WalState,
@@ -260,7 +261,7 @@ impl PrimaryReplica {
     pub fn new(cfg: PrimaryConfig) -> Self {
         PrimaryReplica {
             cfg,
-            store: MvStore::new(),
+            store: Probed::new(MvStore::new()),
             dur: WalState::new(),
             applied_seq: 0,
             acked: BTreeMap::new(),
@@ -315,7 +316,7 @@ impl PrimaryReplica {
     /// store so an amnesia restart can still rebuild everything the
     /// discarded prefix contained.
     fn checkpoint_and_reset_log(&mut self) {
-        self.durable_snapshot = Some(self.store.clone());
+        self.durable_snapshot = Some(MvStore::clone(&self.store));
         self.dur.wal.reset_to(self.applied_seq);
     }
 
@@ -503,7 +504,7 @@ impl Actor<Msg> for PrimaryReplica {
             }
             self.reorder.clear();
             self.acked.clear();
-            self.store = self.dur.replay(ctx, self.durable_snapshot.as_ref(), None);
+            self.store.replace(self.dur.replay(ctx, self.durable_snapshot.as_ref(), None));
             self.applied_seq = self.dur.wal.last_seq();
         }
         // The simulator dropped all pending timers at crash time; re-arm
@@ -668,7 +669,11 @@ impl Actor<Msg> for PrimaryReplica {
     }
 
     fn key_versions(&self) -> Vec<(u64, u64)> {
-        self.store.scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
+        self.store.key_versions()
+    }
+
+    fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
+        self.store.drain_changed_versions(sink);
     }
 }
 

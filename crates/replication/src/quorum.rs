@@ -14,6 +14,7 @@
 use crate::common::{ClientCore, IssueOp, OpOutcome, ScriptOp, TimerAction};
 use crate::kernel::durability::WalState;
 use crate::kernel::ring::Ring;
+use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp};
 use kvstore::{Key, MvStore, Value};
 use obs::{Counter, EventKind, QuorumKind};
@@ -277,7 +278,7 @@ const TAG_OPTIMEOUT_BASE: u64 = 1_000_000;
 /// A quorum node: storage replica + coordinator.
 pub struct QuorumNode {
     cfg: QuorumConfig,
-    store: MvStore,
+    store: Probed<MvStore>,
     /// Durable log of every version this replica has adopted. On an
     /// amnesia restart the store is rebuilt by replaying it.
     dur: WalState,
@@ -309,7 +310,7 @@ impl QuorumNode {
         cfg.validate();
         QuorumNode {
             cfg,
-            store: MvStore::new(),
+            store: Probed::new(MvStore::new()),
             dur: WalState::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
@@ -617,9 +618,11 @@ impl Actor<Msg> for QuorumNode {
     }
 
     fn key_versions(&self) -> Vec<(u64, u64)> {
-        // Unique write ids identify versions; divergence probes count
-        // distinct ids per key across replicas.
-        self.store.scan(..).map(|(k, v)| (k, v.value.as_u64().unwrap_or(0))).collect()
+        self.store.key_versions()
+    }
+
+    fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
+        self.store.drain_changed_versions(sink);
     }
 
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
@@ -655,7 +658,7 @@ impl Actor<Msg> for QuorumNode {
                 );
             }
             self.hints.clear();
-            self.store = self.dur.replay(ctx, None, Some(&mut self.clock));
+            self.store.replace(self.dur.replay(ctx, None, Some(&mut self.clock)));
         }
         // A crash killed every pending timer, so the hint-retry chain
         // must be re-armed in both recovery modes.

@@ -12,8 +12,9 @@
 
 use crate::sim::NodeId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// The kind of a client operation.
@@ -66,10 +67,43 @@ impl OpRecord {
     }
 }
 
+/// One acknowledged write in the per-key staleness index.
+#[derive(Debug, Clone, Copy)]
+struct AckedWrite {
+    completed: SimTime,
+    /// `None` only for hand-built records: such a write can never be the
+    /// version a read observed, so it counts as missed forever.
+    value: Option<u64>,
+}
+
 /// A full run's operation history.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+///
+/// Besides the records the trace keeps, per key, the acknowledged
+/// writes in record order, so [`OpTrace::read_staleness`] never rescans
+/// the history. The index is derived state: it is rebuilt by
+/// [`OpTrace::sort_by_completion`] and on deserialisation, and the wire
+/// shape stays `{"records": [...]}`.
+#[derive(Debug, Clone, Default)]
 pub struct OpTrace {
     records: Vec<OpRecord>,
+    acked_writes: BTreeMap<u64, Vec<AckedWrite>>,
+}
+
+impl Serialize for OpTrace {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![("records".to_string(), self.records.to_value())])
+    }
+}
+
+impl Deserialize for OpTrace {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let records =
+            v.get("records").ok_or_else(|| serde::Error::custom("missing field `records`"))?;
+        let mut trace =
+            OpTrace { records: Vec::from_value(records)?, acked_writes: BTreeMap::new() };
+        trace.reindex();
+        Ok(trace)
+    }
 }
 
 impl OpTrace {
@@ -80,7 +114,24 @@ impl OpTrace {
 
     /// Append a record.
     pub fn push(&mut self, r: OpRecord) {
+        Self::index(&mut self.acked_writes, &r);
         self.records.push(r);
+    }
+
+    fn index(acked_writes: &mut BTreeMap<u64, Vec<AckedWrite>>, r: &OpRecord) {
+        if r.kind == OpKind::Write && r.ok {
+            acked_writes
+                .entry(r.key)
+                .or_default()
+                .push(AckedWrite { completed: r.completed, value: r.value_written });
+        }
+    }
+
+    fn reindex(&mut self) {
+        self.acked_writes.clear();
+        for r in &self.records {
+            Self::index(&mut self.acked_writes, r);
+        }
     }
 
     /// All records, in append order.
@@ -119,6 +170,7 @@ impl OpTrace {
     /// Sort records by completion time (checkers want real-time order).
     pub fn sort_by_completion(&mut self) {
         self.records.sort_by_key(|r| (r.completed, r.session, r.op_id));
+        self.reindex();
     }
 
     /// Staleness of a read against the writes committed before it was
@@ -128,27 +180,43 @@ impl OpTrace {
     /// Returns `(0, 0)` for a perfectly fresh read.
     ///
     /// Records are appended at completion time, so `completed` is
-    /// non-decreasing and the committed prefix is found by binary
-    /// search; the per-key walk then runs newest-first and stops at the
-    /// version the read observed, so fresh reads are cheap.
+    /// non-decreasing within a key's acknowledged writes and the
+    /// committed prefix is found by binary search; the walk then runs
+    /// newest-first and stops at the version the read observed. Cost:
+    /// O(log writes-to-key + missed), whatever the history's length.
     pub fn read_staleness(&self, key: u64, at: SimTime, values_read: &[u64]) -> (u64, u64) {
-        let prefix = self.records.partition_point(|r| r.completed <= at);
+        self.read_staleness_counted(key, at, values_read).0
+    }
+
+    /// [`OpTrace::read_staleness`] plus the number of index entries it
+    /// examined (binary-search probes and entries walked) — what the
+    /// complexity guard among `rec_core::runner`'s tests holds flat as
+    /// sessions grow.
+    #[doc(hidden)]
+    pub fn read_staleness_counted(
+        &self,
+        key: u64,
+        at: SimTime,
+        values_read: &[u64],
+    ) -> ((u64, u64), u64) {
+        let Some(writes) = self.acked_writes.get(&key) else {
+            return ((0, 0), 0);
+        };
+        let prefix = writes.partition_point(|w| w.completed <= at);
+        let mut visited = (usize::BITS - writes.len().leading_zeros()) as u64;
         let mut missed = 0u64;
-        let mut newest_missed: Option<SimTime> = None;
-        for r in self.records[..prefix].iter().rev() {
-            if r.kind != OpKind::Write || !r.ok || r.key != key {
-                continue;
-            }
-            if r.value_written.map(|v| values_read.contains(&v)).unwrap_or(false) {
+        for w in writes[..prefix].iter().rev() {
+            visited += 1;
+            if w.value.is_some_and(|v| values_read.contains(&v)) {
                 break; // writes older than the version read were superseded, not missed
             }
             missed += 1;
-            if newest_missed.is_none() {
-                newest_missed = Some(r.completed);
-            }
         }
-        let lag_us = newest_missed.map(|c| at.saturating_since(c).as_micros()).unwrap_or(0);
-        (missed, lag_us)
+        let lag_us = match missed {
+            0 => 0,
+            _ => at.saturating_since(writes[prefix - 1].completed).as_micros(),
+        };
+        ((missed, lag_us), visited)
     }
 
     /// Fraction of operations that succeeded.

@@ -104,15 +104,24 @@ pub trait Actor<M> {
     fn on_shutdown(&mut self, _ctx: &mut Context<M>) {}
 
     /// The versions of keys this actor currently stores, as `(key,
-    /// version)` pairs, for replica-divergence telemetry probes: the
-    /// driver counts distinct versions of each key across replicas at
-    /// sampling instants. Version numbers only need to distinguish
+    /// version)` pairs: the full scan behind a run's final store
+    /// contents, and the oracle the incremental divergence probe is
+    /// tested against. Version numbers only need to distinguish
     /// distinct states of a key (timestamps, sequence numbers, and
     /// stamps all qualify). The default (empty) opts an actor out of
     /// divergence probing — clients and non-storage actors keep it.
     fn key_versions(&self) -> Vec<(u64, u64)> {
         Vec::new()
     }
+
+    /// Hand `sink` every key whose [`Actor::key_versions`] entry may
+    /// have changed since the previous call, with its current version
+    /// (`None`: the key is no longer stored), and forget them. This is
+    /// what the replica-divergence probe reads at each sampling
+    /// instant, so its cost follows what changed, not what is stored.
+    /// Telemetry only: an implementation must not touch protocol state.
+    /// An actor that overrides `key_versions` overrides this too.
+    fn drain_changed_versions(&mut self, _sink: &mut dyn FnMut(u64, Option<u64>)) {}
 
     /// Stable role name the profiler keys this actor's handler samples
     /// by (e.g. `"replica"`, `"client"`; see `docs/PROFILING.md`).
@@ -526,10 +535,18 @@ impl<M> Sim<M> {
         self.queue.deliver_count() as u64
     }
 
+    /// Drain every actor's [`Actor::drain_changed_versions`] report
+    /// into `sink` as `(node, key, version)`, in node order.
+    pub fn drain_changed_versions(&mut self, mut sink: impl FnMut(NodeId, u64, Option<u64>)) {
+        for (i, actor) in self.actors.iter_mut().enumerate() {
+            let node = NodeId(i as u32);
+            actor.drain_changed_versions(&mut |key, version| sink(node, key, version));
+        }
+    }
+
     /// The `(key, version)` pairs every actor reports via
     /// [`Actor::key_versions`], as `(node, key, version)` triples in
-    /// node order. Telemetry probes fold these into per-key
-    /// replica-divergence samples.
+    /// node order (a full scan of every store).
     pub fn key_versions(&self) -> Vec<(NodeId, u64, u64)> {
         let mut out = Vec::new();
         for (i, actor) in self.actors.iter().enumerate() {

@@ -17,6 +17,7 @@ use rethinking_ec::crdt::{
     CvRdt, GCounter, GSet, LwwRegister, MvRegister, OrMap, OrSet, PnCounter, Rga, TwoPSet,
 };
 use rethinking_ec::replication::kernel::resolution::{Item, ResolutionPolicy, ResolvingStore};
+use rethinking_ec::replication::kernel::Probed;
 use rethinking_ec::simnet::NodeId;
 
 /// Assert the three semilattice laws for three replica states.
@@ -195,7 +196,7 @@ proptest! {
 
         let mut clock = LamportClock::new();
         for order in [[0usize, 1, 2], [2, 0, 1]] {
-            let mut store = ResolvingStore::new(ResolutionPolicy::CrdtMerge);
+            let mut store = Probed::new(ResolvingStore::new(ResolutionPolicy::CrdtMerge));
             for i in order {
                 store.apply(vec![Item::Counter { key, state: states[i].clone() }], &mut clock);
             }

@@ -141,6 +141,44 @@ fn run_result_metrics_match_the_recorder() {
     assert!(res.metrics.counter(Counter::MessagesSent) > 0);
 }
 
+/// Golden pin of the windowed series of one seeded run under faults.
+/// `--summary-only` strips `timeseries` from the checked-in
+/// `results/*.json`, so nothing else holds these values still: per
+/// series the point count, the totals, and an FNV-1a hash of the
+/// exported JSON (every bucket's `t_us`, `count`, `sum`, `mean`, `max`).
+/// A change to what a staleness sample or a divergence probe *measures*
+/// moves this; a change to how cheaply they measure it must not.
+#[test]
+fn timeseries_of_a_seeded_run_are_pinned() {
+    let fnv1a = |s: &str| {
+        s.bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    };
+    let report = run_with(Recorder::enabled(), 7).metrics;
+    let got: Vec<String> = report
+        .timeseries
+        .iter()
+        .map(|(name, series)| {
+            let p = &series.points;
+            format!(
+                "{name}: {} points, count {}, sum {}, max {}, fnv {:016x}",
+                p.len(),
+                p.iter().map(|x| x.count).sum::<u64>(),
+                p.iter().map(|x| x.sum).sum::<u64>(),
+                p.iter().map(|x| x.max).max().unwrap_or(0),
+                fnv1a(&serde_json::to_string(series).expect("series serializes")),
+            )
+        })
+        .collect();
+    let pinned = [
+        "staleness_versions: 82 points, count 214, sum 959, max 76, fnv eef5cba9857f6890",
+        "visibility_lag_us: 82 points, count 214, sum 35759724, max 3591640, fnv e5d94aa3ade0bd90",
+        "replica_divergence: 150 points, count 1192, sum 1376, max 3, fnv 41549c2928b5a57a",
+        "inflight_depth: 150 points, count 150, sum 133, max 7, fnv 69c9570b26bbcab0",
+    ];
+    assert_eq!(got, pinned, "the time series of quorum(3,2,2) seed 7 under faults moved");
+}
+
 #[test]
 fn span_conservation_holds_across_schemes_under_faults() {
     // Partition + plain crash + amnesia crash + loss: the regimes where

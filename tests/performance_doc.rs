@@ -114,12 +114,29 @@ fn phase_2_section_quotes_real_profile_cells() {
     }
 }
 
-/// The hot-path clippy gate the Phase 2 section advertises must exist
-/// in CI with the lints it names.
+/// The hot-path clippy gate the doc advertises must exist in CI with
+/// the lints and the crates it names.
 #[test]
 fn clippy_hotpath_ci_job_matches_the_doc() {
     let ci = include_str!("../.github/workflows/ci.yml");
     assert!(ci.contains("clippy-hotpath:"), "ci.yml lost the clippy-hotpath job");
+    let gate = ci
+        .lines()
+        .find(|l| l.contains("cargo clippy") && l.contains("clippy::redundant_clone"))
+        .expect("ci.yml lost the clippy-hotpath command line");
+    let gated = DOC
+        .split("The `clippy-hotpath` CI job")
+        .nth(1)
+        .expect("docs/PERFORMANCE.md lost its clippy-hotpath paragraph")
+        .split("\n\n")
+        .next()
+        .unwrap();
+    for krate in ["simnet", "replication", "rec-core", "obs"] {
+        assert!(
+            gate.contains(&format!("-p {krate} ")) && gated.contains(&format!("`{krate}`")),
+            "`{krate}` must be linted by the clippy-hotpath job and named in PERFORMANCE.md"
+        );
+    }
     for lint in ["clippy::redundant_clone", "clippy::large_enum_variant"] {
         assert!(
             ci.contains(&format!("-D {lint}")) && DOC.contains(&format!("`{lint}`")),
