@@ -20,6 +20,7 @@
 //! peak RSS grew by 10% or more — the CI regression gate for
 //! `tests/checker_stream_memory.rs`.
 
+use bench::{parse_positive, take_value, usage_exit};
 use consistency::{StreamConfig, StreamVerifier, Watermark};
 use simnet::{Duration, NodeId, OpKind, OpRecord, SimTime};
 
@@ -30,6 +31,8 @@ const SESSION_SPAN: u64 = 200;
 /// Watermark advance cadence, in ops.
 const CHUNK: usize = 256;
 
+const USAGE: &str = "[--ops N] [--window-ms MS] [--grow-check]";
+
 /// The newest acknowledged write: `(key, value, stamp)`.
 type LastWrite = (u64, u64, (u64, u64));
 
@@ -39,22 +42,14 @@ fn main() {
     let mut grow_check = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let take = |flag: &str, args: &mut dyn Iterator<Item = String>| -> Option<String> {
-            if a == flag {
-                args.next()
-            } else {
-                a.strip_prefix(&format!("{flag}=")).map(str::to_string)
-            }
-        };
-        if let Some(n) = take("--ops", &mut args) {
-            ops = n.parse().expect("--ops expects an integer");
-        } else if let Some(n) = take("--window-ms", &mut args) {
-            window_ms = n.parse().expect("--window-ms expects milliseconds");
+        if let Some(n) = take_value(&a, "--ops", &mut args) {
+            ops = parse_positive("--ops", &n, USAGE);
+        } else if let Some(n) = take_value(&a, "--window-ms", &mut args) {
+            window_ms = parse_positive("--window-ms", &n, USAGE);
         } else if a == "--grow-check" {
             grow_check = true;
         } else {
-            eprintln!("checkerbench: unknown flag `{a}`");
-            std::process::exit(2);
+            usage_exit(&format!("unknown or value-less flag `{a}`"), USAGE);
         }
     }
     if grow_check {

@@ -10,10 +10,9 @@
 
 use bench::{f1, pm, print_table, seed_stat, Obs, SeedStat};
 use obs::Recorder;
-use replication::common::{ClientCore, Guarantees, ScriptOp};
-use replication::eventual::{
-    ConflictMode, EventualClient, EventualConfig, EventualReplica, GossipConfig, TargetPolicy,
-};
+use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
+use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
+use replication::kernel::{Composition, ResolutionPolicy};
 use serde::Serialize;
 use simnet::{optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
 
@@ -41,11 +40,12 @@ struct Cell {
 
 fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Recorder) -> Cell {
     let trace = optrace::shared_trace();
-    let cfg = EventualConfig {
-        eager: false,
-        gossip: Some(GossipConfig { interval: Duration::from_millis(interval_ms), fanout }),
-        ..EventualConfig::default_lww(replicas)
-    };
+    let cfg = Composition::eventual(
+        replicas,
+        false,
+        Some(GossipConfig { interval: Duration::from_millis(interval_ms), fanout }),
+        ResolutionPolicy::LwwRegister,
+    );
     let mut sim = Sim::new(
         SimConfig::default()
             .seed(seed)
@@ -56,7 +56,7 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
             .recorder(rec.clone()),
     );
     for _ in 0..replicas {
-        sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
     // Writer: burst of KEYS writes at replica 0.
     let writer_script: Vec<ScriptOp> =
@@ -65,10 +65,9 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
         1,
         writer_script,
         trace.clone(),
-        replicas,
+        &cfg,
         TargetPolicy::Sticky(NodeId(0)),
         Guarantees::none(),
-        ConflictMode::Lww,
     )));
     // Pollers: one per replica, cycling through the keys.
     let polls_per_key = 1_200u64; // 1200 * 5ms = 6s of polling per key
@@ -80,10 +79,9 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
             2 + r as u64,
             script,
             trace.clone(),
-            replicas,
+            &cfg,
             TargetPolicy::Sticky(NodeId(r as u32)),
             Guarantees::none(),
-            ConflictMode::Lww,
         )));
     }
     sim.run_until(SimTime::from_secs(10));
@@ -98,7 +96,7 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
     let mut conv = Vec::new();
     let mut unconverged = 0u64;
     for k in 0..KEYS {
-        let expected = ClientCore::unique_value(1, k + 1);
+        let expected = unique_value(1, k + 1);
         let Some(done) = write_done[k as usize] else {
             unconverged += 1;
             continue;

@@ -14,10 +14,9 @@
 
 use bench::{pct, pm, print_table, seed_stat, Obs, SeedStat};
 use obs::Recorder;
-use replication::common::{ClientCore, Guarantees, ScriptOp};
-use replication::eventual::{
-    ConflictMode, EventualClient, EventualConfig, EventualReplica, GossipConfig, TargetPolicy,
-};
+use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
+use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
+use replication::kernel::{Composition, ResolutionPolicy};
 use serde::Serialize;
 use simnet::{optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
 
@@ -64,11 +63,12 @@ struct Cell {
 fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
     let trace = optrace::shared_trace();
     let replicas = writers.clamp(2, 4);
-    let cfg = EventualConfig {
-        eager: true,
-        gossip: Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
-        ..EventualConfig::default_lww(replicas)
-    };
+    let cfg = Composition::eventual(
+        replicas,
+        true,
+        Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
+        ResolutionPolicy::LwwRegister,
+    );
     let mut sim = Sim::new(
         SimConfig::default()
             .seed(seed)
@@ -79,7 +79,7 @@ fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
             .recorder(rec.clone()),
     );
     for _ in 0..replicas {
-        sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
     for wtr in 0..writers {
         // RMW cycle: read then write, think time ~2ms.
@@ -92,10 +92,9 @@ fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
             wtr as u64 + 1,
             script,
             trace.clone(),
-            replicas,
+            &cfg,
             TargetPolicy::Sticky(NodeId((wtr % replicas) as u32)),
             Guarantees::none(),
-            ConflictMode::Lww,
         )));
     }
     sim.run_until(SimTime::from_secs(120));
@@ -131,12 +130,12 @@ fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
 fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
     let trace = optrace::shared_trace();
     let replicas = writers.clamp(2, 4);
-    let cfg = EventualConfig {
-        eager: true,
-        gossip: Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
-        mode: ConflictMode::Counter,
-        ..EventualConfig::default_lww(replicas)
-    };
+    let cfg = Composition::eventual(
+        replicas,
+        true,
+        Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
+        ResolutionPolicy::CrdtMerge,
+    );
     let mut sim = Sim::new(
         SimConfig::default()
             .seed(seed)
@@ -147,7 +146,7 @@ fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell 
             .recorder(rec.clone()),
     );
     for _ in 0..replicas {
-        sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
     // In counter mode a "write" increments by the value field; to add +1
     // per op we cannot use the unique-value convention, so clients write
@@ -160,16 +159,15 @@ fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell 
             .map(|_| ScriptOp { gap_us: 2_000, kind: OpKind::Write, key: COUNTER_KEY })
             .collect();
         for op in 1..=increments {
-            expected += ClientCore::unique_value(wtr as u64 + 1, op) as i64;
+            expected += unique_value(wtr as u64 + 1, op) as i64;
         }
         sim.add_node(Box::new(EventualClient::new(
             wtr as u64 + 1,
             script,
             trace.clone(),
-            replicas,
+            &cfg,
             TargetPolicy::Sticky(NodeId((wtr % replicas) as u32)),
             Guarantees::none(),
-            ConflictMode::Counter,
         )));
     }
     // A reader polls late to get the converged value.
@@ -177,10 +175,9 @@ fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell 
         999,
         vec![ScriptOp { gap_us: 60_000_000, kind: OpKind::Read, key: COUNTER_KEY }],
         trace.clone(),
-        replicas,
+        &cfg,
         TargetPolicy::Sticky(NodeId(0)),
         Guarantees::none(),
-        ConflictMode::Counter,
     )));
     sim.run_until(SimTime::from_secs(120));
     let t = trace.borrow();

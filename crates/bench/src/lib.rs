@@ -8,7 +8,7 @@
 //! across runs. Results are byte-identical for any `--jobs` value; see
 //! `EXPERIMENTS.md` ("Parallel grid execution") for the contract.
 
-use obs::{MetricsReport, Recorder};
+use obs::Recorder;
 use rec_core::grid::RecorderSpec;
 use rec_core::{default_jobs, par_map, CellResult, Grid};
 use serde::Serialize;
@@ -343,16 +343,6 @@ pub fn strip_profile(metrics: &mut serde::Value) {
     if let serde::Value::Object(members) = metrics {
         members.retain(|(k, _)| k != "profile");
     }
-}
-
-/// Save a results document of the form `{"rows": rows, "metrics":
-/// metrics}` — the shape every `results/*.json` follows.
-pub fn save_json_with_metrics<T: Serialize>(name: &str, rows: &T, metrics: &MetricsReport) {
-    let doc = serde::Value::Object(vec![
-        ("rows".to_string(), rows.to_value()),
-        ("metrics".to_string(), metrics.to_value()),
-    ]);
-    save_json(name, &doc);
 }
 
 /// Print a fixed-width table.

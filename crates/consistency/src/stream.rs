@@ -2,8 +2,8 @@
 //!
 //! The materialized checkers ([`crate::session`], [`crate::staleness`],
 //! [`crate::monotonic`], [`crate::convergence`]) each walk a fully
-//! resident [`OpTrace`], which caps verifiable run length at whatever
-//! fits in memory. This module re-expresses them as **incremental
+//! resident [`simnet::OpTrace`], which caps verifiable run length at
+//! whatever fits in memory. This module re-expresses them as **incremental
 //! streaming operators**: each [`StreamChecker`] consumes one completed
 //! operation at a time, flags violations online, and — when given a
 //! bounded window — evicts state the advancing [`Watermark`] proves it
@@ -23,8 +23,8 @@
 //! # Feed-order contract
 //!
 //! Operations must be fed in `(completed, session, op_id)` order — the
-//! order [`OpTrace::sort_by_completion`] produces. Two consequences the
-//! operators rely on:
+//! order [`simnet::OpTrace::sort_by_completion`] produces. Two
+//! consequences the operators rely on:
 //!
 //! * per key, acknowledged writes arrive in completion order, so the
 //!   staleness index stays sorted by construction;

@@ -124,11 +124,6 @@ impl Grid {
         self
     }
 
-    /// Number of variants.
-    pub fn variant_count(&self) -> usize {
-        self.variants.len()
-    }
-
     /// Number of seeds each variant runs at.
     pub fn seeds_per_variant(&self) -> u64 {
         self.seeds_per_variant

@@ -1,24 +1,27 @@
 //! Deployment builder and experiment runner.
 //!
-//! [`Experiment::run`] normalizes the scheme to its kernel
-//! [`Composition`] ([`Scheme::normalize`]) and materializes *that* — the
-//! legacy presets and explicit [`Scheme::Composed`] schemes share one
-//! deployment path, which is what makes legacy-vs-composed byte parity
-//! structural rather than coincidental.
+//! [`Experiment::run`] reduces the scheme to its kernel
+//! [`Composition`](replication::kernel::Composition)
+//! ([`Scheme::normalize`]) and deploys *that*: replicas and clients
+//! are constructed from the composition itself, so named presets,
+//! explicit [`Scheme::Composed`] schemes and ring-sharded clusters share
+//! one deployment path — which is what makes preset-vs-composed byte
+//! parity structural rather than coincidental.
 
 use crate::probe::DivergenceProbe;
 use crate::scheme::{ClientPlacement, Scheme};
 use obs::{MetricsReport, Recorder, TsMetric, DEFAULT_TS_BUCKET_US};
 use replication::causal::{CausalClient, CausalReplica};
-use replication::common::{expand_script, Guarantees, ScriptOp};
-use replication::eventual::{EventualClient, EventualConfig, EventualReplica, TargetPolicy};
-use replication::kernel::{Composition, PropagationPolicy, ShipMode, UpdateSite};
-use replication::paxos::{PaxosClient, PaxosConfig, PaxosNode};
-use replication::primary::{PrimaryClient, PrimaryConfig, PrimaryReplica, ReadFrom};
-use replication::quorum::{QuorumClient, QuorumConfig, QuorumNode};
-use replication::sharded::ShardedConfig;
+use replication::common::{expand_script, Guarantees, ScriptOp, TargetPolicy};
+use replication::eventual::{EventualClient, EventualReplica};
+use replication::kernel::{PropagationPolicy as Prop, UpdateSite as Site};
+use replication::paxos::{PaxosClient, PaxosNode};
+use replication::primary::{PrimaryClient, PrimaryReplica};
+use replication::quorum::{QuorumClient, QuorumNode};
+use replication::sharded::initial_ring;
 use simnet::{
-    optrace, FaultSchedule, LatencyModel, NodeId, OpTrace, Sim, SimConfig, SimRng, SimTime,
+    optrace, Actor, FaultSchedule, LatencyModel, MsgMeta, NodeId, OpTrace, SharedTrace, Sim,
+    SimConfig, SimRng, SimTime,
 };
 use workload::WorkloadSpec;
 
@@ -189,11 +192,7 @@ impl Experiment {
         self.run_inner(trace, Some(&mut hook))
     }
 
-    fn run_inner(
-        &self,
-        trace: simnet::SharedTrace,
-        monitor: Option<&mut dyn FnMut(SimTime)>,
-    ) -> RunResult {
+    fn run_inner(&self, trace: SharedTrace, monitor: Option<&mut dyn FnMut(SimTime)>) -> RunResult {
         if self.profile {
             // Must happen before `Sim::new` caches the recorder's
             // profiling flag; the scheme label keys every sample.
@@ -209,32 +208,20 @@ impl Experiment {
                 faults = faults.membership(at, node, join);
             }
         }
-        let cfg = SimConfig::default()
-            .seed(self.seed)
-            .latency(self.latency.clone())
-            .faults(faults)
-            .recorder(self.recorder.clone())
-            .trace_base(self.trace_base);
-        let scripts = self.scripts();
-
-        let (delivered, dropped, events, ended, final_versions) = match &self.scheme {
-            Scheme::Sharded { inner, nodes, vnodes, .. } => {
-                run_sharded(cfg, inner, *nodes, *vnodes, scripts, &trace, self.horizon, monitor)
-            }
-            _ => {
-                let (comp, guarantees, placement) = self.scheme.normalize();
-                run_composition(
-                    cfg,
-                    &comp,
-                    guarantees,
-                    placement,
-                    scripts,
-                    &trace,
-                    self.horizon,
-                    monitor,
-                )
-            }
+        let launch = Launch {
+            cfg: SimConfig::default()
+                .seed(self.seed)
+                .latency(self.latency.clone())
+                .faults(faults)
+                .recorder(self.recorder.clone())
+                .trace_base(self.trace_base),
+            servers: self.scheme.server_node_count(),
+            scripts: self.scripts(),
+            horizon: self.horizon,
+            monitor,
         };
+        let (delivered, dropped, events, ended, final_versions) =
+            deploy(&self.scheme, &trace, launch);
 
         // The simulation and its clients are gone; nothing pushes to the
         // shared trace any more (a monitor hook only ever read it).
@@ -257,217 +244,99 @@ impl Experiment {
 /// every replica's `(node, key, version)` store contents.
 type DriveOutcome = (u64, u64, u64, SimTime, Vec<(NodeId, u64, u64)>);
 
-/// Materialize a kernel [`Composition`] into a concrete actor deployment
-/// and drive it to the horizon. This is the single deployment path every
-/// [`Scheme`] goes through.
+/// Everything a deployment needs besides its actors.
+struct Launch<'a> {
+    cfg: SimConfig,
+    servers: usize,
+    scripts: Vec<Vec<ScriptOp>>,
+    horizon: SimTime,
+    monitor: Option<&'a mut dyn FnMut(SimTime)>,
+}
+
+impl Launch<'_> {
+    /// Add the replicas, then one client per script (`client(i, session,
+    /// script)`), and drive the simulation to the horizon.
+    fn run<M: MsgMeta, R: Actor<M> + 'static, C: Actor<M> + 'static>(
+        self,
+        replica: impl Fn() -> R,
+        client: impl Fn(usize, u64, Vec<ScriptOp>) -> C,
+    ) -> DriveOutcome {
+        let mut sim = Sim::new(self.cfg);
+        for _ in 0..self.servers {
+            sim.add_node(Box::new(replica()));
+        }
+        for (i, script) in self.scripts.into_iter().enumerate() {
+            sim.add_node(Box::new(client(i, i as u64 + 1, script)));
+        }
+        drive(sim, self.horizon, self.monitor)
+    }
+}
+
+/// Materialize `scheme` — its kernel composition, on a
+/// consistent-hashing ring for [`Scheme::Sharded`] — into a concrete
+/// actor deployment and drive it. This is the single deployment path
+/// every [`Scheme`] goes through: one arm per `(update site, propagation
+/// policy)` pair, naming the replica and the client built from the
+/// composition.
 ///
-/// `guarantees` applies only to multi-master eventual compositions
-/// (other protocols enforce their guarantees server-side); `placement`
-/// applies where the protocol has a per-client replica choice (causal
-/// and primary clients are always sticky, Paxos clients always talk to
-/// the leader's group).
-#[allow(clippy::too_many_arguments)]
-fn run_composition(
-    cfg: SimConfig,
-    comp: &Composition,
-    guarantees: Guarantees,
-    placement: ClientPlacement,
-    scripts: Vec<Vec<ScriptOp>>,
-    trace: &simnet::SharedTrace,
-    horizon: SimTime,
-    monitor: Option<&mut dyn FnMut(SimTime)>,
-) -> DriveOutcome {
-    let n = comp.replicas;
-    match (comp.update, &comp.propagation) {
-        (
-            UpdateSite::MultiMaster,
-            PropagationPolicy::EagerBroadcast { .. } | PropagationPolicy::AntiEntropyGossip(_),
-        ) => {
-            let (eager, gossip, eager_acks) = match comp.propagation {
-                PropagationPolicy::EagerBroadcast { acks, gossip } => (true, gossip, acks),
-                PropagationPolicy::AntiEntropyGossip(g) => (false, Some(g), 0),
-                _ => unreachable!(),
-            };
-            let mode = comp.resolution.conflict_mode();
-            let ecfg = EventualConfig {
-                replicas: n,
-                eager,
-                gossip,
-                mode,
-                eager_acks,
-                durability: comp.durability,
-            };
-            let mut sim = Sim::new(cfg);
-            for _ in 0..n {
-                sim.add_node(Box::new(EventualReplica::new(ecfg.clone())));
-            }
-            for (i, script) in scripts.into_iter().enumerate() {
-                let policy = match placement {
-                    ClientPlacement::Sticky => TargetPolicy::Sticky(NodeId((i % n) as u32)),
-                    ClientPlacement::Random => TargetPolicy::Random,
-                };
-                sim.add_node(Box::new(EventualClient::new(
-                    i as u64 + 1,
-                    script,
-                    trace.clone(),
-                    n,
-                    policy,
-                    guarantees,
-                    mode,
-                )));
-            }
-            drive(sim, horizon, monitor)
+/// Guarantees apply only to multi-master eventual compositions (other
+/// protocols enforce theirs server-side); placement applies where the
+/// protocol has a per-client replica choice (causal and primary clients
+/// are always sticky, Paxos clients always talk to the leader's group).
+/// On a ring every node coordinates (Dynamo-style, per-key preference
+/// lists from the ring) and client `i` sticks to node `i % nodes`.
+fn deploy(scheme: &Scheme, trace: &SharedTrace, launch: Launch) -> DriveOutcome {
+    let (comp, guarantees, placement, ring) = match scheme {
+        Scheme::Sharded { inner, nodes, vnodes, .. } => (
+            inner.clone(),
+            Guarantees::none(),
+            ClientPlacement::Sticky,
+            Some(initial_ring(inner, *nodes, *vnodes)),
+        ),
+        _ => {
+            let (comp, guarantees, placement) = scheme.normalize();
+            (comp, guarantees, placement, None)
         }
-        (
-            UpdateSite::Coordinator,
-            &PropagationPolicy::QuorumFanout { r, w, read_repair, spares },
-        ) => {
-            let qcfg = QuorumConfig {
-                r,
-                w,
-                read_repair,
-                sloppy: spares > 0,
-                spares,
-                ..QuorumConfig::majority(n)
-            };
-            let mut sim = Sim::new(cfg);
-            for _ in 0..qcfg.total_nodes() {
-                sim.add_node(Box::new(QuorumNode::new(qcfg)));
-            }
-            for (i, script) in scripts.into_iter().enumerate() {
-                let home = match placement {
-                    ClientPlacement::Sticky => Some(NodeId((i % n) as u32)),
-                    ClientPlacement::Random => None,
-                };
-                sim.add_node(Box::new(QuorumClient::new(
-                    i as u64 + 1,
-                    script,
-                    trace.clone(),
-                    n,
-                    home,
-                )));
-            }
-            drive(sim, horizon, monitor)
+    };
+    let (comp, n) = (&comp, comp.replicas);
+    // The nodes a session may address: the home replicas, or every node
+    // of a ring (never the dedicated spares of a flat sloppy quorum).
+    let addressable = ring.as_ref().map_or(n, |_| launch.servers);
+    let home = |i: usize| NodeId((i % addressable) as u32);
+    let sticky = |i: usize| TargetPolicy::Sticky(home(i));
+    let placed = |i: usize| match placement {
+        ClientPlacement::Sticky => sticky(i),
+        ClientPlacement::Random => TargetPolicy::Random,
+    };
+    let t = || trace.clone();
+    match (comp.update, &comp.propagation, &ring) {
+        (Site::MultiMaster, Prop::EagerBroadcast { .. } | Prop::AntiEntropyGossip(_), None) => {
+            launch.run(
+                || EventualReplica::new(comp),
+                |i, s, script| EventualClient::new(s, script, t(), comp, placed(i), guarantees),
+            )
         }
-        (UpdateSite::PrimaryCopy, &PropagationPolicy::PrimaryShip { ship, failover }) => {
-            let pcfg = match ship {
-                ShipMode::Sync => PrimaryConfig::sync_all(n),
-                ShipMode::Async { interval } => PrimaryConfig::async_lag(n, interval),
-            };
-            let pcfg = if failover { pcfg.with_failover() } else { pcfg };
-            run_primary(cfg, pcfg, scripts, trace, horizon, monitor)
+        (Site::Coordinator, Prop::QuorumFanout { .. }, _) => launch.run(
+            || QuorumNode::new(comp, ring.clone()),
+            |i, s, script| QuorumClient::new(s, script, t(), addressable, placed(i)),
+        ),
+        (Site::PrimaryCopy, Prop::PrimaryShip { .. }, None) => launch.run(
+            || PrimaryReplica::new(comp),
+            |i, s, script| PrimaryClient::new(s, script, t(), comp, sticky(i)),
+        ),
+        (Site::ConsensusGroup, Prop::ConsensusLog, None) => {
+            launch.run(|| PaxosNode::new(n), |_, s, script| PaxosClient::new(s, script, t(), n))
         }
-        (UpdateSite::ConsensusGroup, PropagationPolicy::ConsensusLog) => {
-            let pcfg = PaxosConfig::new(n);
-            let mut sim = Sim::new(cfg);
-            for _ in 0..n {
-                sim.add_node(Box::new(PaxosNode::new(pcfg)));
-            }
-            for (i, script) in scripts.into_iter().enumerate() {
-                sim.add_node(Box::new(PaxosClient::new(i as u64 + 1, script, trace.clone(), n)));
-            }
-            drive(sim, horizon, monitor)
-        }
-        (UpdateSite::MultiMaster, PropagationPolicy::CausalBroadcast) => {
-            let mut sim = Sim::new(cfg);
-            for _ in 0..n {
-                sim.add_node(Box::new(CausalReplica::new(n)));
-            }
-            for (i, script) in scripts.into_iter().enumerate() {
-                sim.add_node(Box::new(CausalClient::new(
-                    i as u64 + 1,
-                    script,
-                    trace.clone(),
-                    NodeId((i % n) as u32),
-                )));
-            }
-            drive(sim, horizon, monitor)
-        }
+        (Site::MultiMaster, Prop::CausalBroadcast, None) => launch.run(
+            || CausalReplica::new(n),
+            |i, s, script| CausalClient::new(s, script, t(), home(i)),
+        ),
         _ => panic!(
-            "composition {} pairs an update site with a propagation policy the kernel \
-             has no materialization for",
-            comp.label()
+            "{}: the kernel has no materialization for this update site / propagation \
+             policy pair (ring sharding runs coordinator/quorum compositions only)",
+            scheme.label()
         ),
     }
-}
-
-/// Materialize a [`Scheme::Sharded`] deployment: a consistent-hashing
-/// ring of `nodes` physical nodes (each with `vnodes` virtual nodes)
-/// running the inner quorum composition per key. Clients stick to node
-/// `i % nodes` as their coordinator; any node can coordinate any key
-/// (Dynamo-style), with per-key preference lists from the ring.
-#[allow(clippy::too_many_arguments)]
-fn run_sharded(
-    cfg: SimConfig,
-    comp: &Composition,
-    nodes: usize,
-    vnodes: usize,
-    scripts: Vec<Vec<ScriptOp>>,
-    trace: &simnet::SharedTrace,
-    horizon: SimTime,
-    monitor: Option<&mut dyn FnMut(SimTime)>,
-) -> DriveOutcome {
-    let n = comp.replicas;
-    match (comp.update, &comp.propagation) {
-        (
-            UpdateSite::Coordinator,
-            &PropagationPolicy::QuorumFanout { r, w, read_repair, spares },
-        ) => {
-            let qcfg = QuorumConfig {
-                r,
-                w,
-                read_repair,
-                sloppy: spares > 0,
-                spares,
-                ..QuorumConfig::majority(n)
-            };
-            let scfg = ShardedConfig::new(qcfg, nodes, vnodes);
-            let mut sim = Sim::new(cfg);
-            for node in scfg.build_nodes() {
-                sim.add_node(Box::new(node));
-            }
-            for (i, script) in scripts.into_iter().enumerate() {
-                sim.add_node(Box::new(QuorumClient::new(
-                    i as u64 + 1,
-                    script,
-                    trace.clone(),
-                    nodes,
-                    Some(NodeId((i % nodes) as u32)),
-                )));
-            }
-            drive(sim, horizon, monitor)
-        }
-        _ => panic!(
-            "ring sharding runs a coordinator/quorum composition per key; {} has no \
-             sharded materialization",
-            comp.label()
-        ),
-    }
-}
-
-fn run_primary(
-    cfg: SimConfig,
-    pcfg: PrimaryConfig,
-    scripts: Vec<Vec<ScriptOp>>,
-    trace: &simnet::SharedTrace,
-    horizon: SimTime,
-    monitor: Option<&mut dyn FnMut(SimTime)>,
-) -> DriveOutcome {
-    let n = pcfg.replicas;
-    let mut sim = Sim::new(cfg);
-    for _ in 0..n {
-        sim.add_node(Box::new(PrimaryReplica::new(pcfg)));
-    }
-    for (i, script) in scripts.into_iter().enumerate() {
-        sim.add_node(Box::new(PrimaryClient::new(
-            i as u64 + 1,
-            script,
-            trace.clone(),
-            pcfg,
-            ReadFrom::Replica(NodeId((i % n) as u32)),
-        )));
-    }
-    drive(sim, horizon, monitor)
 }
 
 /// Run the simulation to its horizon. With a recorder attached or a
@@ -516,6 +385,7 @@ fn drive<M: simnet::MsgMeta>(
 mod tests {
     use super::*;
     use consistency::{check_session_guarantees, check_trace_linearizable};
+    use replication::kernel::Composition;
     use simnet::Duration;
     use simnet::OpKind;
     use workload::{Arrival, KeyDistribution, OpMix};

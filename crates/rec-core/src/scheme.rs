@@ -1,11 +1,12 @@
 //! Points in the replication design space.
 //!
-//! A [`Scheme`] is what experiments name: either one of the legacy
-//! protocol presets or an explicit kernel [`Composition`]. Every legacy
-//! preset maps to a canonical composition via [`Scheme::normalize`], and
-//! the runner materializes *only* compositions — so a legacy scheme and
-//! its composition are byte-identical at the same seed by construction
-//! (and `tests/scheme_parity.rs` proves it).
+//! A [`Scheme`] is what experiments name: either one of the named
+//! protocol presets or an explicit kernel [`Composition`]. Every preset
+//! maps to a canonical composition via [`Scheme::normalize`], and the
+//! runner deploys *only* compositions — replicas and clients are
+//! constructed from the composition itself — so a preset and its
+//! composition are byte-identical at the same seed by construction (and
+//! `tests/scheme_parity.rs` proves it).
 
 use replication::common::Guarantees;
 use replication::eventual::ConflictMode;
@@ -342,7 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn legacy_schemes_normalize_to_their_canonical_compositions() {
+    fn presets_normalize_to_their_canonical_compositions() {
         let (comp, _, _) = Scheme::eventual(3).normalize();
         assert_eq!(comp, Composition::eventual_lww(3));
         let (comp, _, _) = Scheme::quorum(3, 2, 2).normalize();

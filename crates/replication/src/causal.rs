@@ -13,7 +13,7 @@
 //! reintroduces anomalies, which is exactly what experiment E3
 //! demonstrates on the `eventual` protocol.
 
-use crate::common::{ClientCore, OpOutcome, ScriptOp, TimerAction};
+use crate::common::{ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient};
 use crate::kernel::durability::WalState;
 use crate::kernel::propagation::PeerCache;
 use crate::kernel::telemetry::{ProbeVersions, Probed};
@@ -142,16 +142,6 @@ impl CausalReplica {
             delayed_applies: 0,
             peer_cache: PeerCache::default(),
         }
-    }
-
-    /// The local store.
-    pub fn store(&self) -> &MvStore {
-        &self.store
-    }
-
-    /// The applied version vector.
-    pub fn applied(&self) -> &VersionVector {
-        &self.applied
     }
 
     fn deps_satisfied(&self, w: &CausalWrite) -> bool {
@@ -298,71 +288,62 @@ impl Actor<Msg> for CausalReplica {
     }
 }
 
-/// A sticky client for the causal protocol.
-pub struct CausalClient {
-    core: ClientCore,
+/// The causal protocol as a client speaks it: everything at `home`.
+pub struct CausalSession {
     home: NodeId,
 }
+
+/// A sticky client for the causal protocol.
+pub type CausalClient = SessionClient<CausalSession>;
 
 impl CausalClient {
     /// Create a client attached to `home`.
     pub fn new(session: u64, script: Vec<ScriptOp>, trace: SharedTrace, home: NodeId) -> Self {
-        CausalClient {
-            core: ClientCore::new(session, script, trace, Duration::from_millis(500)),
-            home,
-        }
+        SessionClient::with_protocol(session, script, trace, CausalSession { home })
     }
 }
 
-impl Actor<Msg> for CausalClient {
-    fn role(&self) -> &'static str {
-        "client"
+impl ClientProtocol for CausalSession {
+    type Msg = Msg;
+    const OP_TIMEOUT: Duration = Duration::from_millis(500);
+
+    fn target(&mut self, _ctx: &mut Context<Msg>) -> NodeId {
+        self.home
     }
 
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.core.start(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, tag: u64) {
-        let home = self.home;
-        match self.core.handle_timer(ctx, tag, home) {
-            TimerAction::Issue(op) => {
-                let msg = match op.kind {
-                    OpKind::Read => Msg::Get { op_id: op.op_id, key: op.key },
-                    OpKind::Write => Msg::Put {
-                        op_id: op.op_id,
-                        key: op.key,
-                        value: op.value.expect("write without value"),
-                    },
-                };
-                ctx.send(home, msg);
-            }
-            TimerAction::TimedOut(_) | TimerAction::None => {}
+    fn request(&self, op: IssueOp) -> Msg {
+        match op.kind {
+            OpKind::Read => Msg::Get { op_id: op.op_id, key: op.key },
+            OpKind::Write => Msg::Put {
+                op_id: op.op_id,
+                key: op.key,
+                value: op.value.expect("write without value"),
+            },
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+    fn on_reply(
+        &mut self,
+        _ctx: &mut Context<Msg>,
+        _from: NodeId,
+        msg: Msg,
+        _in_flight: Option<IssueOp>,
+    ) -> Reply {
         match msg {
-            Msg::GetResp { op_id, value, stamp, version_ts } => {
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome {
-                        ok: true,
-                        values: value.into_iter().collect(),
-                        stamp,
-                        version_ts: version_ts.map(SimTime::from_micros),
-                    },
-                );
-            }
-            Msg::PutResp { op_id, stamp } => {
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome { ok: true, values: vec![], stamp: Some(stamp), version_ts: None },
-                );
-            }
-            _ => {}
+            Msg::GetResp { op_id, value, stamp, version_ts } => Reply::Done(
+                op_id,
+                OpOutcome {
+                    ok: true,
+                    values: value.into_iter().collect(),
+                    stamp,
+                    version_ts: version_ts.map(SimTime::from_micros),
+                },
+            ),
+            Msg::PutResp { op_id, stamp } => Reply::Done(
+                op_id,
+                OpOutcome { ok: true, values: vec![], stamp: Some(stamp), version_ts: None },
+            ),
+            _ => Reply::Ignore,
         }
     }
 }
@@ -370,6 +351,7 @@ impl Actor<Msg> for CausalClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::unique_value;
     use simnet::{optrace, LatencyModel, Sim, SimConfig};
 
     fn build(replicas: usize, clients: Vec<CausalClient>, seed: u64) -> Sim<Msg> {
@@ -402,7 +384,7 @@ mod tests {
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.records()[1].value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(t.records()[1].value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]
@@ -468,8 +450,8 @@ mod tests {
         let mut sim = build(2, vec![writer, reader], 7);
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
-        let v_k1 = ClientCore::unique_value(1, 1);
-        let v_k2 = ClientCore::unique_value(1, 2);
+        let v_k1 = unique_value(1, 1);
+        let v_k2 = unique_value(1, 2);
         // Scan reader's ops in order: once k2's new value is visible, the
         // *next* read of k1 must return k1's new value.
         let mut saw_k2 = false;

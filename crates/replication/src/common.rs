@@ -1,16 +1,19 @@
-//! Shared client plumbing for all protocols.
+//! The one client actor, shared by all protocols.
 //!
-//! A protocol's client actor owns a [`ClientCore`]: a scripted session
-//! that issues operations (with think-time gaps), arms per-operation
-//! timeouts, and records every completion — success or timeout — into the
-//! shared operation trace. The protocol actor supplies only the
-//! protocol-specific envelope (message types, replica choice).
+//! A [`SessionClient`] is a scripted session: it issues operations (with
+//! think-time gaps), arms per-operation timeouts, and records every
+//! completion — success or timeout — into the shared operation trace.
+//! What differs between protocols is a [`ClientProtocol`]: which replica
+//! to address, how an operation looks on the wire, and how a reply reads
+//! back as an [`OpOutcome`]. `EventualClient` … `CausalClient` are names
+//! for `SessionClient<…>` with that protocol's implementation.
 
 use kvstore::Key;
 use obs::TsMetric;
 use serde::{Deserialize, Serialize};
 use simnet::{
-    Context, Duration, NodeId, OpKind, OpRecord, SharedTrace, SimTime, SpanId, SpanStatus,
+    Actor, Context, Duration, MsgMeta, NodeId, OpKind, OpRecord, SharedTrace, SimTime, SpanId,
+    SpanStatus,
 };
 
 /// One scripted client operation.
@@ -67,11 +70,6 @@ impl Guarantees {
     pub fn any_read_guarantee(&self) -> bool {
         self.read_your_writes || self.monotonic_reads
     }
-
-    /// True if any write-side guarantee is on.
-    pub fn any_write_guarantee(&self) -> bool {
-        self.monotonic_writes || self.writes_follow_reads
-    }
 }
 
 /// What a completed operation looked like to the client.
@@ -94,19 +92,29 @@ impl OpOutcome {
     }
 }
 
-/// What the core asks the protocol wrapper to do after a timer fires.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TimerAction {
-    /// Issue this operation now (send the protocol request).
-    Issue(IssueOp),
-    /// The pending operation timed out and has been recorded; nothing to
-    /// send (the wrapper may cancel protocol state for the op id).
-    TimedOut(u64),
-    /// Not a client-core timer / nothing to do.
-    None,
+/// Which replica a session addresses, per operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetPolicy {
+    /// Always the same ("home" / nearest) replica.
+    Sticky(NodeId),
+    /// A uniformly random replica per operation (load-balanced anycast —
+    /// the setting where session-guarantee violations show up).
+    Random,
 }
 
-/// A fully-described operation to issue.
+impl TargetPolicy {
+    /// The replica to address now, among servers `0..servers`. `Random`
+    /// draws from the actor's RNG on every call.
+    pub fn pick<M>(self, ctx: &mut Context<M>, servers: usize) -> NodeId {
+        match self {
+            TargetPolicy::Sticky(n) => n,
+            TargetPolicy::Random => NodeId(ctx.rng().index(servers) as u32),
+        }
+    }
+}
+
+/// A fully-described operation to issue; also what a protocol hook is
+/// told about the operation in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueOp {
     /// Trace-unique op id (also used to match responses).
@@ -117,188 +125,182 @@ pub struct IssueOp {
     pub key: Key,
     /// For writes: the globally unique value to write.
     pub value: Option<u64>,
+    /// How often it has been re-issued (0 on the first attempt).
+    pub retries: u32,
+}
+
+/// What a delivered message means for the session.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Reply {
+    /// Operation `.0` finished with this outcome (ignored if that
+    /// operation already timed out).
+    Done(u64, OpOutcome),
+    /// Re-issue the operation in flight to this replica.
+    Retry(NodeId),
+    /// Not for the session (late, or handled inside the hook).
+    Ignore,
+}
+
+/// The protocol-specific part of a client session. A new protocol is one
+/// replica actor, one implementation of this trait and one runner arm.
+pub trait ClientProtocol {
+    /// The protocol's wire messages.
+    type Msg: MsgMeta;
+
+    /// How long the session waits for an operation, retries included,
+    /// before recording it as failed.
+    const OP_TIMEOUT: Duration;
+
+    /// The replica the session addresses now.
+    fn target(&mut self, ctx: &mut Context<Self::Msg>) -> NodeId;
+
+    /// `op` as this protocol's request message.
+    fn request(&self, op: IssueOp) -> Self::Msg;
+
+    /// Send `op` (a first issue or a retry). `target` is what
+    /// [`ClientProtocol::target`] or the retry chose and what the trace
+    /// row records; a protocol that routes some requests elsewhere or
+    /// guards each attempt with a timer overrides this.
+    fn issue(&mut self, ctx: &mut Context<Self::Msg>, op: IssueOp, target: NodeId) {
+        ctx.send(target, self.request(op));
+    }
+
+    /// Read a delivered message.
+    fn on_reply(
+        &mut self,
+        ctx: &mut Context<Self::Msg>,
+        from: NodeId,
+        msg: Self::Msg,
+        in_flight: Option<IssueOp>,
+    ) -> Reply;
+
+    /// A timer the protocol set itself (any tag below `u64::MAX / 2`)
+    /// fired; `Some(replica)` re-issues the operation in flight there.
+    fn on_timer(
+        &mut self,
+        _ctx: &mut Context<Self::Msg>,
+        _tag: u64,
+        _in_flight: Option<IssueOp>,
+    ) -> Option<NodeId> {
+        None
+    }
 }
 
 #[derive(Debug)]
 struct Pending {
-    op_id: u64,
-    kind: OpKind,
-    key: Key,
-    value: Option<u64>,
+    op: IssueOp,
     invoked: SimTime,
     replica: NodeId,
     timeout_timer: u64,
-    retries: u32,
     /// Root span of the operation's trace, closed at completion/timeout.
     span: SpanId,
 }
 
-/// Scripted-session state machine shared by every protocol's client actor.
+/// A scripted client session speaking protocol `P`.
 #[derive(Debug)]
-pub struct ClientCore {
+pub struct SessionClient<P> {
+    proto: P,
     session: u64,
     script: Vec<ScriptOp>,
     next_idx: usize,
     trace: SharedTrace,
     pending: Option<Pending>,
-    timeout: Duration,
-    issued: u64,
 }
 
-/// Timer tags used by the core (protocol wrappers must not reuse these).
+/// Session timer tags; a protocol's own tags stay below `TAG_TIMEOUT_BASE`.
 const TAG_ISSUE: u64 = u64::MAX;
 const TAG_TIMEOUT_BASE: u64 = u64::MAX / 2;
 
-impl ClientCore {
-    /// Create a session that will replay `script`.
-    pub fn new(session: u64, script: Vec<ScriptOp>, trace: SharedTrace, timeout: Duration) -> Self {
-        ClientCore { session, script, next_idx: 0, trace, pending: None, timeout, issued: 0 }
+/// Globally unique value for `session`'s `op_id` (sessions are assumed
+/// < 2^32 and ops per session < 2^32).
+pub fn unique_value(session: u64, op_id: u64) -> u64 {
+    (session << 32) | (op_id & 0xffff_ffff)
+}
+
+impl<P: ClientProtocol> SessionClient<P> {
+    /// A session that will replay `script` over `proto`.
+    pub fn with_protocol(
+        session: u64,
+        script: Vec<ScriptOp>,
+        trace: SharedTrace,
+        proto: P,
+    ) -> Self {
+        SessionClient { proto, session, script, next_idx: 0, trace, pending: None }
     }
 
-    /// The session id.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
-
-    /// True once every scripted op has completed (or timed out).
-    pub fn done(&self) -> bool {
-        self.next_idx >= self.script.len() && self.pending.is_none()
-    }
-
-    /// Globally unique value for this session's `op_id` (sessions are
-    /// assumed < 2^32 and ops per session < 2^32).
-    pub fn unique_value(session: u64, op_id: u64) -> u64 {
-        (session << 32) | (op_id & 0xffff_ffff)
-    }
-
-    /// Decode the writing session from a unique value.
-    pub fn session_of_value(value: u64) -> u64 {
-        value >> 32
-    }
-
-    /// Schedule the first operation. Call from `Actor::on_start`.
-    pub fn start<M>(&mut self, ctx: &mut Context<M>) {
-        self.schedule_next(ctx);
-    }
-
-    fn schedule_next<M>(&mut self, ctx: &mut Context<M>) {
+    fn schedule_next(&mut self, ctx: &mut Context<P::Msg>) {
         if let Some(op) = self.script.get(self.next_idx) {
             ctx.set_timer(Duration::from_micros(op.gap_us), TAG_ISSUE);
         }
     }
 
-    /// Handle a timer. Returns what the protocol wrapper should do.
-    /// `replica` is the target the wrapper will send to (recorded for the
-    /// trace); the wrapper passes its current choice in.
-    pub fn handle_timer<M>(
-        &mut self,
-        ctx: &mut Context<M>,
-        tag: u64,
-        replica: NodeId,
-    ) -> TimerAction {
-        if tag == TAG_ISSUE {
-            let Some(&op) = self.script.get(self.next_idx) else {
-                return TimerAction::None;
-            };
-            self.next_idx += 1;
-            self.issued += 1;
-            let op_id = self.issued;
-            let value = (op.kind == OpKind::Write).then(|| Self::unique_value(self.session, op_id));
-            // Every client operation roots a new trace; the timeout timer
-            // (and the wrapper's protocol send, which happens after this
-            // returns) then carry its context through the envelope.
-            let span = ctx.start_trace(match op.kind {
-                OpKind::Read => "op_read",
-                OpKind::Write => "op_write",
-            });
-            let timer = ctx.set_timer(self.timeout, TAG_TIMEOUT_BASE + op_id);
-            self.pending = Some(Pending {
-                op_id,
-                kind: op.kind,
-                key: op.key,
-                value,
-                invoked: ctx.now(),
-                replica,
-                timeout_timer: timer,
-                retries: 0,
-                span,
-            });
-            TimerAction::Issue(IssueOp { op_id, kind: op.kind, key: op.key, value })
-        } else if tag >= TAG_TIMEOUT_BASE {
-            let op_id = tag - TAG_TIMEOUT_BASE;
-            match &self.pending {
-                Some(p) if p.op_id == op_id => {
-                    ctx.span_close(p.span, SpanStatus::Failed);
-                    self.record(ctx, OpOutcome::failed());
-                    self.schedule_next(ctx);
-                    TimerAction::TimedOut(op_id)
-                }
-                _ => TimerAction::None,
-            }
-        } else {
-            TimerAction::None
-        }
+    fn in_flight(&self) -> Option<IssueOp> {
+        self.pending.as_ref().map(|p| p.op)
     }
 
-    /// Re-issue the pending operation (used by retry-based guarantee
-    /// enforcement and failover). Returns the op to send, or `None` if
-    /// nothing is pending. The retry keeps the original invocation time so
-    /// the recorded latency includes every attempt.
-    pub fn retry<M>(&mut self, ctx: &mut Context<M>, replica: NodeId) -> Option<IssueOp> {
-        let p = self.pending.as_mut()?;
-        p.retries += 1;
-        p.replica = replica;
-        // Re-enter the operation's trace so the wrapper's re-send carries
-        // it even when the triggering callback was untraced (failover
-        // timers, stale responses).
+    /// Issue the next scripted operation to `target`.
+    fn issue_next(&mut self, ctx: &mut Context<P::Msg>, target: NodeId) {
+        let Some(&next) = self.script.get(self.next_idx) else { return };
+        self.next_idx += 1;
+        // Op ids count the session's operations from 1.
+        let op_id = self.next_idx as u64;
+        let value = (next.kind == OpKind::Write).then(|| unique_value(self.session, op_id));
+        let op = IssueOp { op_id, kind: next.kind, key: next.key, value, retries: 0 };
+        // Every client operation roots a new trace; the timeout timer and
+        // the protocol's request then carry its context through the
+        // envelope.
+        let span = ctx.start_trace(match op.kind {
+            OpKind::Read => "op_read",
+            OpKind::Write => "op_write",
+        });
+        let timeout_timer = ctx.set_timer(P::OP_TIMEOUT, TAG_TIMEOUT_BASE + op_id);
+        // The row records `target`, the replica this session addresses,
+        // not where the protocol then routes the request: a primary-copy
+        // write goes to the primary yet records the session's read
+        // replica. Checkers only consult a *read's* replica (the node
+        // that served it); a write's is pinned as is by
+        // `tests/trace_golden.rs` and the benchmark digests.
+        self.pending =
+            Some(Pending { op, invoked: ctx.now(), replica: target, timeout_timer, span });
+        self.proto.issue(ctx, op, target);
+    }
+
+    /// Re-issue the pending operation to `target` (guarantee enforcement,
+    /// leader redirect, failover). The retry keeps the original
+    /// invocation time so the recorded latency includes every attempt.
+    fn retry(&mut self, ctx: &mut Context<P::Msg>, target: NodeId) {
+        let Some(p) = self.pending.as_mut() else { return };
+        p.op.retries += 1;
+        p.replica = target;
+        // Re-enter the operation's trace so the re-send carries it even
+        // when the triggering callback was untraced (attempt timers,
+        // stale responses).
         ctx.resume_span(p.span);
-        Some(IssueOp { op_id: p.op_id, kind: p.kind, key: p.key, value: p.value })
-    }
-
-    /// Number of retries the pending op has had.
-    pub fn pending_retries(&self) -> u32 {
-        self.pending.as_ref().map(|p| p.retries).unwrap_or(0)
-    }
-
-    /// The pending op id, if any.
-    pub fn pending_op(&self) -> Option<u64> {
-        self.pending.as_ref().map(|p| p.op_id)
-    }
-
-    /// The pending op's key, if any.
-    pub fn pending_key(&self) -> Option<Key> {
-        self.pending.as_ref().map(|p| p.key)
+        let op = p.op;
+        self.proto.issue(ctx, op, target);
     }
 
     /// Complete the pending operation with `outcome` (ignores op ids that
-    /// already timed out). Cancels the timeout timer, records the trace
-    /// row, and schedules the next scripted op.
-    pub fn complete<M>(&mut self, ctx: &mut Context<M>, op_id: u64, outcome: OpOutcome) -> bool {
-        match &self.pending {
-            Some(p) if p.op_id == op_id => {
-                ctx.cancel_timer(p.timeout_timer);
-                ctx.span_close(
-                    p.span,
-                    if outcome.ok { SpanStatus::Ok } else { SpanStatus::Failed },
-                );
-                if outcome.ok && p.kind == OpKind::Read && ctx.recorder().is_enabled() {
-                    // Windowed consistency telemetry: how many acknowledged
-                    // writes the read missed, and how far behind it ran.
-                    let (missed, lag_us) =
-                        self.trace.borrow().read_staleness(p.key, p.invoked, &outcome.values);
-                    let now_us = ctx.now().as_micros();
-                    ctx.recorder().sample(now_us, TsMetric::StalenessVersions, missed);
-                    ctx.recorder().sample(now_us, TsMetric::VisibilityLagUs, lag_us);
-                }
-                self.record(ctx, outcome);
-                self.schedule_next(ctx);
-                true
-            }
-            _ => false,
+    /// already timed out): cancel the timeout, record the trace row,
+    /// schedule the next scripted op.
+    fn complete(&mut self, ctx: &mut Context<P::Msg>, op_id: u64, outcome: OpOutcome) {
+        let Some(p) = self.pending.as_ref().filter(|p| p.op.op_id == op_id) else { return };
+        ctx.cancel_timer(p.timeout_timer);
+        ctx.span_close(p.span, if outcome.ok { SpanStatus::Ok } else { SpanStatus::Failed });
+        if outcome.ok && p.op.kind == OpKind::Read && ctx.recorder().is_enabled() {
+            // Windowed consistency telemetry: how many acknowledged
+            // writes the read missed, and how far behind it ran.
+            let (missed, lag_us) =
+                self.trace.borrow().read_staleness(p.op.key, p.invoked, &outcome.values);
+            let now_us = ctx.now().as_micros();
+            ctx.recorder().sample(now_us, TsMetric::StalenessVersions, missed);
+            ctx.recorder().sample(now_us, TsMetric::VisibilityLagUs, lag_us);
         }
+        self.record(ctx, outcome);
+        self.schedule_next(ctx);
     }
 
-    fn record<M>(&mut self, ctx: &mut Context<M>, outcome: OpOutcome) {
+    fn record(&mut self, ctx: &mut Context<P::Msg>, outcome: OpOutcome) {
         let now = ctx.now();
         let p = self.pending.take().expect("record without pending op");
         // Mirror the trace row into the event stream so online monitors
@@ -311,16 +313,16 @@ impl ClientCore {
                 now.as_micros(),
                 obs::EventKind::OpComplete {
                     session: self.session,
-                    op: p.op_id,
-                    key: p.key,
-                    kind: match p.kind {
+                    op: p.op.op_id,
+                    key: p.op.key,
+                    kind: match p.op.kind {
                         OpKind::Read => obs::ClientOpKind::Read,
                         OpKind::Write => obs::ClientOpKind::Write,
                     },
                     ok: outcome.ok,
                     invoked_us: p.invoked.as_micros(),
                     replica: p.replica.0 as u64,
-                    value: p.value,
+                    value: p.op.value,
                     values: outcome.values.clone(),
                     stamp: outcome.stamp,
                     version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
@@ -329,10 +331,10 @@ impl ClientCore {
         }
         self.trace.borrow_mut().push(OpRecord {
             session: self.session,
-            op_id: p.op_id,
-            key: p.key,
-            kind: p.kind,
-            value_written: p.value,
+            op_id: p.op.op_id,
+            key: p.op.key,
+            kind: p.op.kind,
+            value_written: p.op.value,
             value_read: outcome.values,
             invoked: p.invoked,
             completed: now,
@@ -344,7 +346,47 @@ impl ClientCore {
     }
 }
 
-/// Convert a workload script (`(gap_us, WorkloadOp, key)`) into client-core
+impl<P: ClientProtocol> Actor<P::Msg> for SessionClient<P> {
+    fn role(&self) -> &'static str {
+        "client"
+    }
+
+    fn on_start(&mut self, ctx: &mut Context<P::Msg>) {
+        self.schedule_next(ctx);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<P::Msg>, _id: u64, tag: u64) {
+        if tag < TAG_TIMEOUT_BASE {
+            if let Some(target) = self.proto.on_timer(ctx, tag, self.in_flight()) {
+                self.retry(ctx, target);
+            }
+            return;
+        }
+        // Chosen on every session timer, although a timeout has no use
+        // for it: a `Random` session's draw sequence is part of the
+        // seeded run (`tests/trace_golden.rs`).
+        let target = self.proto.target(ctx);
+        if tag == TAG_ISSUE {
+            self.issue_next(ctx, target);
+        } else if let Some(p) =
+            self.pending.as_ref().filter(|p| p.op.op_id == tag - TAG_TIMEOUT_BASE)
+        {
+            ctx.span_close(p.span, SpanStatus::Failed);
+            self.record(ctx, OpOutcome::failed());
+            self.schedule_next(ctx);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<P::Msg>, from: NodeId, msg: P::Msg) {
+        match self.proto.on_reply(ctx, from, msg, self.in_flight()) {
+            Reply::Done(op_id, outcome) => self.complete(ctx, op_id, outcome),
+            Reply::Retry(target) => self.retry(ctx, target),
+            Reply::Ignore => {}
+        }
+    }
+}
+
+/// Convert a workload script (`(gap_us, WorkloadOp, key)`) into session
 /// script ops, expanding read-modify-writes into a read followed
 /// immediately by a write.
 pub fn expand_script(ops: &[(u64, workload_op::WorkloadOp, Key)]) -> Vec<ScriptOp> {
@@ -375,24 +417,22 @@ pub mod workload_op {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{optrace, Actor, Sim, SimConfig};
+    use simnet::{optrace, Sim, SimConfig};
 
     #[test]
     fn unique_values_encode_session() {
-        let v = ClientCore::unique_value(7, 3);
-        assert_eq!(ClientCore::session_of_value(v), 7);
-        assert_ne!(ClientCore::unique_value(1, 1), ClientCore::unique_value(1, 2));
-        assert_ne!(ClientCore::unique_value(1, 1), ClientCore::unique_value(2, 1));
+        let v = unique_value(7, 3);
+        assert_eq!(v >> 32, 7);
+        assert_ne!(unique_value(1, 1), unique_value(1, 2));
+        assert_ne!(unique_value(1, 1), unique_value(2, 1));
     }
 
     #[test]
     fn guarantees_flags() {
         assert!(!Guarantees::none().any_read_guarantee());
         assert!(Guarantees::all().any_read_guarantee());
-        assert!(Guarantees::all().any_write_guarantee());
         let ryw = Guarantees { read_your_writes: true, ..Guarantees::none() };
         assert!(ryw.any_read_guarantee());
-        assert!(!ryw.any_write_guarantee());
     }
 
     #[test]
@@ -406,16 +446,16 @@ mod tests {
         assert_eq!(script[2].key, 2);
     }
 
-    /// A self-contained echo "protocol" to drive the core end to end: the
-    /// client sends (op_id, key) to a server that echoes it back; every
-    /// odd op is dropped so timeouts are exercised.
+    /// A self-contained echo "protocol" to drive the session end to end:
+    /// the client sends (op_id, key) to a server that echoes it back;
+    /// every even op is dropped so timeouts are exercised.
     #[derive(Debug, Clone)]
     enum TestMsg {
         Req { op_id: u64, drop: bool },
         Resp { op_id: u64 },
     }
 
-    impl simnet::MsgMeta for TestMsg {}
+    impl MsgMeta for TestMsg {}
 
     struct Server;
     impl Actor<TestMsg> for Server {
@@ -428,47 +468,51 @@ mod tests {
         }
     }
 
-    struct TestClient {
-        core: ClientCore,
+    struct Echo {
         server: NodeId,
     }
-    impl Actor<TestMsg> for TestClient {
-        fn on_start(&mut self, ctx: &mut Context<TestMsg>) {
-            self.core.start(ctx);
+    impl ClientProtocol for Echo {
+        type Msg = TestMsg;
+        const OP_TIMEOUT: Duration = Duration::from_millis(50);
+
+        fn target(&mut self, _ctx: &mut Context<TestMsg>) -> NodeId {
+            self.server
         }
-        fn on_timer(&mut self, ctx: &mut Context<TestMsg>, _id: u64, tag: u64) {
-            match self.core.handle_timer(ctx, tag, self.server) {
-                TimerAction::Issue(op) => {
-                    ctx.send(
-                        self.server,
-                        TestMsg::Req { op_id: op.op_id, drop: op.op_id % 2 == 0 },
-                    );
-                }
-                TimerAction::TimedOut(_) | TimerAction::None => {}
-            }
+
+        fn request(&self, op: IssueOp) -> TestMsg {
+            TestMsg::Req { op_id: op.op_id, drop: op.op_id.is_multiple_of(2) }
         }
-        fn on_message(&mut self, ctx: &mut Context<TestMsg>, _from: NodeId, msg: TestMsg) {
-            if let TestMsg::Resp { op_id } = msg {
-                self.core.complete(
-                    ctx,
+
+        fn on_reply(
+            &mut self,
+            _ctx: &mut Context<TestMsg>,
+            _from: NodeId,
+            msg: TestMsg,
+            _in_flight: Option<IssueOp>,
+        ) -> Reply {
+            match msg {
+                TestMsg::Resp { op_id } => Reply::Done(
                     op_id,
                     OpOutcome { ok: true, values: vec![], stamp: None, version_ts: None },
-                );
+                ),
+                TestMsg::Req { .. } => Reply::Ignore,
             }
         }
     }
 
     #[test]
-    fn core_drives_script_with_timeouts() {
+    fn session_drives_script_with_timeouts() {
         let trace = optrace::shared_trace();
         let script: Vec<ScriptOp> =
             (0..6).map(|i| ScriptOp { gap_us: 100, kind: OpKind::Read, key: i }).collect();
         let mut sim: Sim<TestMsg> = Sim::new(SimConfig::default().seed(3));
         let server = sim.add_node(Box::new(Server));
-        sim.add_node(Box::new(TestClient {
-            core: ClientCore::new(1, script, trace.clone(), Duration::from_millis(50)),
-            server,
-        }));
+        sim.add_node(Box::new(SessionClient::with_protocol(
+            1,
+            script,
+            trace.clone(),
+            Echo { server },
+        )));
         sim.run_until(SimTime::from_secs(5));
         let t = trace.borrow();
         assert_eq!(t.len(), 6, "all ops recorded");

@@ -1,13 +1,14 @@
 //! Asynchronous multi-master replication ("eventual consistency proper").
 //!
 //! Every replica accepts reads and writes locally and propagates updates
-//! by eager one-way broadcast ([`EventualConfig::eager`]) and/or periodic
-//! push-pull anti-entropy gossip ([`EventualConfig::gossip`]). This is
-//! the kernel's multi-master replica: storage and merges come from
+//! by eager one-way broadcast ([`PropagationPolicy::EagerBroadcast`])
+//! and/or periodic push-pull anti-entropy gossip
+//! ([`PropagationPolicy::AntiEntropyGossip`]). This is the kernel's
+//! multi-master replica: storage and merges come from
 //! [`crate::kernel::resolution::ResolvingStore`], crash behaviour from
 //! [`crate::kernel::durability`], and gossip/ack mechanics from
 //! [`crate::kernel::propagation`]. Conflicts are resolved by the
-//! configured [`ConflictMode`]:
+//! composition's [`ConflictMode`]:
 //!
 //! * [`ConflictMode::Lww`] — last-writer-wins on Lamport stamps (loses one
 //!   of two concurrent writes; experiment E6 counts how many).
@@ -16,23 +17,26 @@
 //! * [`ConflictMode::Counter`] — values are PN-counters merged as CRDTs
 //!   (writes are increments; nothing is ever lost).
 //!
-//! Two kernel knobs extend the legacy protocol into new compositions:
-//! [`EventualConfig::eager_acks`] withholds the client ack until that
-//! many peers confirm durable application (a synchronous flavour of
-//! update-anywhere), and [`EventualConfig::durability`] chooses what an
-//! amnesia crash erases (the legacy protocol persists exactly the
-//! adopted LWW versions; `FsyncedState` keeps everything).
+//! Two more axes of the [`Composition`] apply: `EagerBroadcast::acks`
+//! withholds the client ack until that many peers confirm durable
+//! application (a synchronous flavour of update-anywhere), and the
+//! [`DurabilityPolicy`] chooses what an amnesia crash erases (`WalReplay`
+//! persists exactly the adopted LWW versions; `FsyncedState` keeps
+//! everything).
 //!
 //! Clients are scripted sessions ([`EventualClient`]) that can enforce the
 //! four Bayou session guarantees client-side (see
 //! [`crate::common::Guarantees`]): read floors with bounded retries for
 //! RYW/MR, Lamport-stamp piggybacking for MW/WFR.
 
-use crate::common::{ClientCore, Guarantees, IssueOp, OpOutcome, ScriptOp, TimerAction};
+use crate::common::{
+    ClientProtocol, Guarantees, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient, TargetPolicy,
+};
 use crate::kernel::durability::{DurabilityPolicy, WalState};
-use crate::kernel::propagation::{AckTracker, Gossip, PeerCache};
+use crate::kernel::propagation::{AckTracker, Gossip, PeerCache, PropagationPolicy};
 use crate::kernel::resolution::{Digests, ResolvingStore, WriteEffect};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
+use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::Key;
 use obs::EventKind;
@@ -41,41 +45,6 @@ use std::collections::BTreeMap;
 
 pub use crate::kernel::propagation::GossipConfig;
 pub use crate::kernel::resolution::{ConflictMode, Item};
-
-/// Configuration for one eventual-consistency deployment.
-#[derive(Debug, Clone)]
-pub struct EventualConfig {
-    /// Number of replicas (node ids `0..replicas`).
-    pub replicas: usize,
-    /// Eagerly broadcast each write to all peers (asynchronously).
-    pub eager: bool,
-    /// Periodic anti-entropy; `None` disables gossip.
-    pub gossip: Option<GossipConfig>,
-    /// Conflict policy.
-    pub mode: ConflictMode,
-    /// Peer acks required before the client's write is acknowledged
-    /// (requires [`EventualConfig::eager`]; 0 = legacy fire-and-forget).
-    pub eager_acks: usize,
-    /// What survives an amnesia crash. The legacy protocol is
-    /// [`DurabilityPolicy::WalReplay`]: adopted LWW versions are logged
-    /// and replayed; sibling and counter state is modeled volatile
-    /// (anti-entropy refills it from peers).
-    pub durability: DurabilityPolicy,
-}
-
-impl EventualConfig {
-    /// Eager broadcast + gossip every 50 ms, LWW: a sensible default.
-    pub fn default_lww(replicas: usize) -> Self {
-        EventualConfig {
-            replicas,
-            eager: true,
-            gossip: Some(GossipConfig { interval: Duration::from_millis(50), fanout: 1 }),
-            mode: ConflictMode::Lww,
-            eager_acks: 0,
-            durability: DurabilityPolicy::WalReplay,
-        }
-    }
-}
 
 /// Protocol messages.
 #[derive(Debug, Clone)]
@@ -190,7 +159,19 @@ struct PendingWrite {
 
 /// A replica actor.
 pub struct EventualReplica {
-    cfg: EventualConfig,
+    replicas: usize,
+    /// Eagerly broadcast each write to all peers.
+    eager: bool,
+    /// Peer acks required before the client's write is acknowledged
+    /// (only with `eager`; 0 = fire-and-forget).
+    eager_acks: usize,
+    /// Periodic anti-entropy; `None` disables gossip.
+    gossip: Option<GossipConfig>,
+    mode: ConflictMode,
+    /// What survives an amnesia crash. Under `WalReplay` adopted LWW
+    /// versions are logged and replayed; sibling and counter state is
+    /// modeled volatile (anti-entropy refills it from peers).
+    durability: DurabilityPolicy,
     store: Probed<ResolvingStore>,
     /// Durable log of adopted LWW versions; replayed on amnesia restart
     /// under [`DurabilityPolicy::WalReplay`].
@@ -204,13 +185,24 @@ pub struct EventualReplica {
 }
 
 impl EventualReplica {
-    /// Create a replica (its node id is assigned by the simulator; the
-    /// replica learns it from the context on first callback).
-    pub fn new(cfg: EventualConfig) -> Self {
-        let store = Probed::new(ResolvingStore::new(cfg.mode.policy()));
+    /// Create a replica of a multi-master `EagerBroadcast` or
+    /// `AntiEntropyGossip` composition (its node id is assigned by the
+    /// simulator; the replica learns it from the context on first
+    /// callback).
+    pub fn new(comp: &Composition) -> Self {
+        let (eager, eager_acks, gossip) = match comp.propagation {
+            PropagationPolicy::EagerBroadcast { acks, gossip } => (true, acks, gossip),
+            PropagationPolicy::AntiEntropyGossip(g) => (false, 0, Some(g)),
+            _ => panic!("{} is not an eager/gossip multi-master composition", comp.label()),
+        };
         EventualReplica {
-            cfg,
-            store,
+            replicas: comp.replicas,
+            eager,
+            eager_acks,
+            gossip,
+            mode: comp.resolution.conflict_mode(),
+            durability: comp.durability,
+            store: Probed::new(ResolvingStore::new(comp.resolution)),
             dur: WalState::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
@@ -219,32 +211,14 @@ impl EventualReplica {
         }
     }
 
-    /// Read access to the LWW store (experiments check convergence).
-    pub fn lww_store(&self) -> Option<&kvstore::MvStore> {
-        self.store.lww()
-    }
-
-    /// Read access to the sibling store.
-    pub fn sibling_store(&self) -> Option<&kvstore::SiblingStore> {
-        self.store.siblings()
-    }
-
-    /// Counter value for `key` (counter mode).
-    pub fn counter_value(&self, key: Key) -> Option<i64> {
-        self.store.counter_value(key)
-    }
-
     /// Whether adopted LWW versions go to the WAL under the configured
     /// durability policy.
     fn wal_enabled(&self) -> bool {
-        matches!(
-            self.cfg.durability,
-            DurabilityPolicy::WalReplay | DurabilityPolicy::CheckpointedWal
-        )
+        matches!(self.durability, DurabilityPolicy::WalReplay | DurabilityPolicy::CheckpointedWal)
     }
 
     fn gossip(&self) -> Option<Gossip> {
-        self.cfg.gossip.map(|g| Gossip::new(g, TAG_GOSSIP))
+        self.gossip.map(|g| Gossip::new(g, TAG_GOSSIP))
     }
 
     /// Log and record a local write's durable/observable effect.
@@ -319,11 +293,11 @@ impl EventualReplica {
         let out =
             self.store.write_local(me, key, value, observed, &client_ctx, now_us, &mut self.clock);
         self.apply_effect(ctx, out.effect);
-        let all_peers = self.peer_cache.take(self.cfg.replicas, me);
-        let need = if self.cfg.eager { self.cfg.eager_acks.min(all_peers.len()) } else { 0 };
+        let all_peers = self.peer_cache.take(self.replicas, me);
+        let need = if self.eager { self.eager_acks.min(all_peers.len()) } else { 0 };
         if need == 0 {
             ctx.send(from, Msg::PutResp { op_id, stamp: out.stamp });
-            if self.cfg.eager {
+            if self.eager {
                 // Still inside the replica span, so the eager fan-out is
                 // part of the write's span tree. The last peer takes the
                 // item buffer itself instead of a clone — this fan-out is
@@ -363,7 +337,7 @@ impl EventualReplica {
 
     fn start_gossip_round(&mut self, ctx: &mut Context<Msg>) {
         let me = ctx.self_id();
-        let all_peers = self.peer_cache.take(self.cfg.replicas, me);
+        let all_peers = self.peer_cache.take(self.replicas, me);
         if all_peers.is_empty() {
             self.peer_cache.restore(all_peers);
             return;
@@ -413,12 +387,12 @@ impl Actor<Msg> for EventualReplica {
             // In-flight ack coordination is always volatile: affected
             // clients time out and retry.
             self.pending.clear();
-            match self.cfg.durability {
+            match self.durability {
                 // Everything applied was fsynced before acknowledgement;
                 // the store survives as-is.
                 DurabilityPolicy::FsyncedState => {}
                 DurabilityPolicy::WalReplay | DurabilityPolicy::CheckpointedWal => {
-                    match self.cfg.mode {
+                    match self.mode {
                         // LWW versions are durable: rebuild store and
                         // clock from the WAL.
                         ConflictMode::Lww => {
@@ -494,21 +468,14 @@ impl Actor<Msg> for EventualReplica {
     }
 }
 
-/// Which replica a client targets per operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TargetPolicy {
-    /// Always the same ("home" / nearest) replica.
-    Sticky(NodeId),
-    /// A uniformly random replica per operation (load-balanced anycast —
-    /// the setting where session-guarantee violations show up).
-    Random,
-}
-
 const TAG_RETRY: u64 = 2;
+/// Bounded retries per read for guarantee enforcement.
+const MAX_RETRIES: u32 = 20;
 
-/// A scripted client session for the eventual protocol.
-pub struct EventualClient {
-    core: ClientCore,
+/// The eventual protocol as a client speaks it: read floors with bounded
+/// retries for RYW/MR, Lamport-stamp piggybacking for MW/WFR, per-key
+/// causal contexts in sibling mode.
+pub struct EventualSession {
     replicas: usize,
     policy: TargetPolicy,
     guarantees: Guarantees,
@@ -519,66 +486,39 @@ pub struct EventualClient {
     observed: (u64, u64),
     /// Per-key causal contexts (sibling mode).
     contexts: BTreeMap<Key, VersionVector>,
-    /// Bounded retries per read for guarantee enforcement.
-    max_retries: u32,
-    /// Count of guarantee-driven retries performed (exported metric).
-    pub guarantee_retries: u64,
-    current_target: NodeId,
 }
 
+/// A scripted client session for the eventual protocol.
+pub type EventualClient = SessionClient<EventualSession>;
+
 impl EventualClient {
-    /// Create a client session.
-    #[allow(clippy::too_many_arguments)] // deployment parameters, named at the call site
+    /// Create a client session of the deployment `comp` describes.
     pub fn new(
         session: u64,
         script: Vec<ScriptOp>,
         trace: SharedTrace,
-        replicas: usize,
+        comp: &Composition,
         policy: TargetPolicy,
         guarantees: Guarantees,
-        mode: ConflictMode,
     ) -> Self {
-        let start_target = match policy {
-            TargetPolicy::Sticky(n) => n,
-            TargetPolicy::Random => NodeId(0),
-        };
-        EventualClient {
-            core: ClientCore::new(session, script, trace, Duration::from_millis(500)),
-            replicas,
-            policy,
-            guarantees,
-            mode,
-            floors: BTreeMap::new(),
-            observed: (0, 0),
-            contexts: BTreeMap::new(),
-            max_retries: 20,
-            guarantee_retries: 0,
-            current_target: start_target,
-        }
-    }
-
-    fn pick_target(&mut self, ctx: &mut Context<Msg>) -> NodeId {
-        match self.policy {
-            TargetPolicy::Sticky(n) => n,
-            TargetPolicy::Random => NodeId(ctx.rng().index(self.replicas) as u32),
-        }
-    }
-
-    fn send_op(&mut self, ctx: &mut Context<Msg>, op: IssueOp, target: NodeId) {
-        self.current_target = target;
-        let msg = match op.kind {
-            OpKind::Read => Msg::Get { op_id: op.op_id, key: op.key },
-            OpKind::Write => Msg::Put {
-                op_id: op.op_id,
-                key: op.key,
-                value: op.value.expect("write without value"),
-                observed: self.observed,
-                ctx: self.contexts.get(&op.key).cloned().unwrap_or_default(),
+        SessionClient::with_protocol(
+            session,
+            script,
+            trace,
+            EventualSession {
+                replicas: comp.replicas,
+                policy,
+                guarantees,
+                mode: comp.resolution.conflict_mode(),
+                floors: BTreeMap::new(),
+                observed: (0, 0),
+                contexts: BTreeMap::new(),
             },
-        };
-        ctx.send(target, msg);
+        )
     }
+}
 
+impl EventualSession {
     /// Does `stamp` satisfy the session's floor for `key`?
     fn floor_met(&self, key: Key, stamp: Option<(u64, u64)>) -> bool {
         match self.floors.get(&key) {
@@ -588,46 +528,59 @@ impl EventualClient {
     }
 }
 
-impl Actor<Msg> for EventualClient {
-    fn role(&self) -> &'static str {
-        "client"
+impl ClientProtocol for EventualSession {
+    type Msg = Msg;
+    const OP_TIMEOUT: Duration = Duration::from_millis(500);
+
+    fn target(&mut self, ctx: &mut Context<Msg>) -> NodeId {
+        self.policy.pick(ctx, self.replicas)
     }
 
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.core.start(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, tag: u64) {
-        if tag == TAG_RETRY {
-            let target = self.pick_target(ctx);
-            if let Some(op) = self.core.retry(ctx, target) {
-                self.send_op(ctx, op, target);
-            }
-            return;
-        }
-        let target = self.pick_target(ctx);
-        match self.core.handle_timer(ctx, tag, target) {
-            TimerAction::Issue(op) => self.send_op(ctx, op, target),
-            TimerAction::TimedOut(_) | TimerAction::None => {}
+    fn request(&self, op: IssueOp) -> Msg {
+        match op.kind {
+            OpKind::Read => Msg::Get { op_id: op.op_id, key: op.key },
+            OpKind::Write => Msg::Put {
+                op_id: op.op_id,
+                key: op.key,
+                value: op.value.expect("write without value"),
+                observed: self.observed,
+                ctx: self.contexts.get(&op.key).cloned().unwrap_or_default(),
+            },
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+    fn on_timer(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        tag: u64,
+        _in_flight: Option<IssueOp>,
+    ) -> Option<NodeId> {
+        (tag == TAG_RETRY).then(|| self.target(ctx))
+    }
+
+    fn on_reply(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        _from: NodeId,
+        msg: Msg,
+        in_flight: Option<IssueOp>,
+    ) -> Reply {
+        // A response for anything but the operation in flight is late
+        // (that operation timed out).
+        let pending = |op_id| in_flight.filter(|p| p.op_id == op_id);
         match msg {
             Msg::GetResp { op_id, values, stamp, version_ts, ctx: read_ctx } => {
-                if self.core.pending_op() != Some(op_id) {
-                    return; // late response for a timed-out op
-                }
-                let key = self.core.pending_key().expect("pending read has a key");
+                let Some(IssueOp { key, retries, .. }) = pending(op_id) else {
+                    return Reply::Ignore;
+                };
                 // Guarantee enforcement: retry while below the floor.
                 if self.guarantees.any_read_guarantee()
                     && self.mode == ConflictMode::Lww
                     && !self.floor_met(key, stamp)
-                    && self.core.pending_retries() < self.max_retries
+                    && retries < MAX_RETRIES
                 {
-                    self.guarantee_retries += 1;
                     ctx.set_timer(Duration::from_millis(2), TAG_RETRY);
-                    return;
+                    return Reply::Ignore;
                 }
                 if self.mode == ConflictMode::Siblings {
                     self.contexts.insert(key, read_ctx);
@@ -641,22 +594,13 @@ impl Actor<Msg> for EventualClient {
                         self.observed = self.observed.max(s);
                     }
                 }
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome {
-                        ok: true,
-                        values,
-                        stamp,
-                        version_ts: version_ts.map(SimTime::from_micros),
-                    },
-                );
+                let version_ts = version_ts.map(SimTime::from_micros);
+                Reply::Done(op_id, OpOutcome { ok: true, values, stamp, version_ts })
             }
             Msg::PutResp { op_id, stamp } => {
-                if self.core.pending_op() != Some(op_id) {
-                    return;
-                }
-                let key = self.core.pending_key().expect("pending write has a key");
+                let Some(IssueOp { key, .. }) = pending(op_id) else {
+                    return Reply::Ignore;
+                };
                 if self.guarantees.read_your_writes {
                     let f = self.floors.entry(key).or_insert((0, 0));
                     *f = (*f).max(stamp);
@@ -664,13 +608,12 @@ impl Actor<Msg> for EventualClient {
                 if self.guarantees.monotonic_writes {
                     self.observed = self.observed.max(stamp);
                 }
-                self.core.complete(
-                    ctx,
+                Reply::Done(
                     op_id,
                     OpOutcome { ok: true, values: vec![], stamp: Some(stamp), version_ts: None },
-                );
+                )
             }
-            _ => {}
+            _ => Reply::Ignore,
         }
     }
 }
@@ -678,16 +621,18 @@ impl Actor<Msg> for EventualClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::unique_value;
+    use crate::kernel::ResolutionPolicy;
     use simnet::{optrace, LatencyModel, Sim, SimConfig};
 
-    fn build_sim(cfg: EventualConfig, clients: Vec<EventualClient>, seed: u64) -> Sim<Msg> {
+    fn build_sim(cfg: &Composition, clients: Vec<EventualClient>, seed: u64) -> Sim<Msg> {
         let mut sim = Sim::new(
             SimConfig::default()
                 .seed(seed)
                 .latency(LatencyModel::Constant(Duration::from_millis(5))),
         );
         for _ in 0..cfg.replicas {
-            sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+            sim.add_node(Box::new(EventualReplica::new(cfg)));
         }
         for c in clients {
             sim.add_node(Box::new(c));
@@ -702,23 +647,22 @@ mod tests {
     #[test]
     fn write_then_read_same_replica() {
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig::default_lww(3);
+        let cfg = Composition::eventual_lww(3);
         let client = EventualClient::new(
             1,
             script(&[(OpKind::Write, 7), (OpKind::Read, 7)]),
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Lww,
         );
-        let mut sim = build_sim(cfg, vec![client], 1);
+        let mut sim = build_sim(&cfg, vec![client], 1);
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
         assert_eq!(t.len(), 2);
         let read = &t.records()[1];
         assert!(read.ok);
-        assert_eq!(read.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(read.value_read, vec![unique_value(1, 1)]);
         assert!(read.stamp.is_some());
     }
 
@@ -727,15 +671,14 @@ mod tests {
         // Eager-only (no gossip): a write at replica 0 must be readable at
         // every other replica shortly after one network delay.
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig { gossip: None, ..EventualConfig::default_lww(3) };
+        let cfg = Composition::eventual(3, true, None, ResolutionPolicy::LwwRegister);
         let writer = EventualClient::new(
             1,
             script(&[(OpKind::Write, 1)]),
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Lww,
         );
         let mut clients = vec![writer];
         for (s, replica) in [(2u64, 1u32), (3, 2)] {
@@ -743,13 +686,12 @@ mod tests {
                 s,
                 vec![ScriptOp { gap_us: 100_000, kind: OpKind::Read, key: 1 }],
                 trace.clone(),
-                3,
+                &cfg,
                 TargetPolicy::Sticky(NodeId(replica)),
                 Guarantees::none(),
-                ConflictMode::Lww,
             ));
         }
-        let mut sim = build_sim(cfg, clients, 2);
+        let mut sim = build_sim(&cfg, clients, 2);
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         let reads: Vec<_> = t.records().iter().filter(|r| r.kind == OpKind::Read).collect();
@@ -757,7 +699,7 @@ mod tests {
         for r in reads {
             assert_eq!(
                 r.value_read,
-                vec![ClientCore::unique_value(1, 1)],
+                vec![unique_value(1, 1)],
                 "replica {} did not receive the eager broadcast",
                 r.replica
             );
@@ -767,21 +709,17 @@ mod tests {
     #[test]
     fn gossip_propagates_without_eager() {
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig {
-            eager: false,
-            gossip: Some(GossipConfig { interval: Duration::from_millis(20), fanout: 2 }),
-            ..EventualConfig::default_lww(3)
-        };
+        let gossip = GossipConfig { interval: Duration::from_millis(20), fanout: 2 };
+        let cfg = Composition::eventual(3, false, Some(gossip), ResolutionPolicy::LwwRegister);
         // Writer writes at replica 0; reader reads key at replica 2 after
         // plenty of gossip rounds.
         let writer = EventualClient::new(
             1,
             script(&[(OpKind::Write, 5)]),
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Lww,
         );
         let mut reader_script = vec![ScriptOp { gap_us: 500_000, kind: OpKind::Read, key: 5 }];
         reader_script.push(ScriptOp { gap_us: 1_000, kind: OpKind::Read, key: 5 });
@@ -789,19 +727,18 @@ mod tests {
             2,
             reader_script,
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(2)),
             Guarantees::none(),
-            ConflictMode::Lww,
         );
-        let mut sim = build_sim(cfg, vec![writer, reader], 3);
+        let mut sim = build_sim(&cfg, vec![writer, reader], 3);
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
         let reads: Vec<_> = t.records().iter().filter(|r| r.kind == OpKind::Read).collect();
         assert_eq!(reads.len(), 2);
         assert_eq!(
             reads[0].value_read,
-            vec![ClientCore::unique_value(1, 1)],
+            vec![unique_value(1, 1)],
             "gossip must have propagated the write within 500ms"
         );
     }
@@ -809,16 +746,15 @@ mod tests {
     #[test]
     fn floor_mechanism() {
         // Unit-level check of the RYW/MR floor predicate.
-        let trace = optrace::shared_trace();
-        let mut c = EventualClient::new(
-            1,
-            vec![],
-            trace,
-            2,
-            TargetPolicy::Sticky(NodeId(0)),
-            Guarantees::all(),
-            ConflictMode::Lww,
-        );
+        let mut c = EventualSession {
+            replicas: 2,
+            policy: TargetPolicy::Sticky(NodeId(0)),
+            guarantees: Guarantees::all(),
+            mode: ConflictMode::Lww,
+            floors: BTreeMap::new(),
+            observed: (0, 0),
+            contexts: BTreeMap::new(),
+        };
         assert!(c.floor_met(1, None));
         c.floors.insert(1, (5, 0));
         assert!(!c.floor_met(1, Some((4, 9))));
@@ -833,11 +769,8 @@ mod tests {
         // gossip-only propagation. With RYW on, every read that follows a
         // write of the same key must return a stamp >= the write's stamp.
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig {
-            eager: false,
-            gossip: Some(GossipConfig { interval: Duration::from_millis(10), fanout: 1 }),
-            ..EventualConfig::default_lww(3)
-        };
+        let gossip = GossipConfig { interval: Duration::from_millis(10), fanout: 1 };
+        let cfg = Composition::eventual(3, false, Some(gossip), ResolutionPolicy::LwwRegister);
         let mut ops = Vec::new();
         for _ in 0..10 {
             ops.push((OpKind::Write, 7));
@@ -847,12 +780,11 @@ mod tests {
             1,
             script(&ops),
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Random,
             Guarantees { read_your_writes: true, ..Guarantees::none() },
-            ConflictMode::Lww,
         );
-        let mut sim = build_sim(cfg, vec![client], 11);
+        let mut sim = build_sim(&cfg, vec![client], 11);
         sim.run_until(SimTime::from_secs(10));
         let t = trace.borrow();
         assert_eq!(t.len(), 20, "all ops completed");
@@ -873,39 +805,33 @@ mod tests {
     #[test]
     fn counter_mode_sums_concurrent_increments() {
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig {
-            eager: true,
-            gossip: Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
-            mode: ConflictMode::Counter,
-            ..EventualConfig::default_lww(3)
-        };
+        let gossip = GossipConfig { interval: Duration::from_millis(10), fanout: 2 };
+        let cfg = Composition::eventual(3, true, Some(gossip), ResolutionPolicy::CrdtMerge);
         // Three sessions increment the same counter key at three replicas;
         // a final read must see the sum (increment amount = the unique
         // value, so expected sum = sum of unique values).
         let mut clients = Vec::new();
         let mut expected: i64 = 0;
         for s in 1..=3u64 {
-            expected += ClientCore::unique_value(s, 1) as i64;
+            expected += unique_value(s, 1) as i64;
             clients.push(EventualClient::new(
                 s,
                 script(&[(OpKind::Write, 9)]),
                 trace.clone(),
-                3,
+                &cfg,
                 TargetPolicy::Sticky(NodeId((s - 1) as u32)),
                 Guarantees::none(),
-                ConflictMode::Counter,
             ));
         }
         clients.push(EventualClient::new(
             4,
             vec![ScriptOp { gap_us: 300_000, kind: OpKind::Read, key: 9 }],
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(1)),
             Guarantees::none(),
-            ConflictMode::Counter,
         ));
-        let mut sim = build_sim(cfg, clients, 5);
+        let mut sim = build_sim(&cfg, clients, 5);
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
         let read = t.records().iter().find(|r| r.kind == OpKind::Read).expect("read recorded");
@@ -915,41 +841,34 @@ mod tests {
     #[test]
     fn sibling_mode_exposes_concurrent_writes() {
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig {
-            eager: true,
-            gossip: Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
-            mode: ConflictMode::Siblings,
-            replicas: 2,
-            ..EventualConfig::default_lww(2)
-        };
+        let gossip = GossipConfig { interval: Duration::from_millis(10), fanout: 2 };
+        let cfg =
+            Composition::eventual(2, true, Some(gossip), ResolutionPolicy::VersionVectorSiblings);
         let w1 = EventualClient::new(
             1,
             script(&[(OpKind::Write, 4)]),
             trace.clone(),
-            2,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Siblings,
         );
         let w2 = EventualClient::new(
             2,
             script(&[(OpKind::Write, 4)]),
             trace.clone(),
-            2,
+            &cfg,
             TargetPolicy::Sticky(NodeId(1)),
             Guarantees::none(),
-            ConflictMode::Siblings,
         );
         let reader = EventualClient::new(
             3,
             vec![ScriptOp { gap_us: 200_000, kind: OpKind::Read, key: 4 }],
             trace.clone(),
-            2,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Siblings,
         );
-        let mut sim = build_sim(cfg, vec![w1, w2, reader], 6);
+        let mut sim = build_sim(&cfg, vec![w1, w2, reader], 6);
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
         let read = t.records().iter().find(|r| r.kind == OpKind::Read).unwrap();
@@ -957,7 +876,7 @@ mod tests {
         vals.sort_unstable();
         assert_eq!(
             vals,
-            vec![ClientCore::unique_value(1, 1), ClientCore::unique_value(2, 1)],
+            vec![unique_value(1, 1), unique_value(2, 1)],
             "both concurrent writes must surface as siblings"
         );
     }
@@ -967,27 +886,25 @@ mod tests {
         // acks = replicas - 1: by the time the client sees PutResp, every
         // replica holds the write, so an immediate read anywhere is fresh.
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig { eager_acks: 2, ..EventualConfig::default_lww(3) };
+        let cfg = Composition::mm_eager_acked(3);
         let writer = EventualClient::new(
             1,
             script(&[(OpKind::Write, 7), (OpKind::Read, 7)]),
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Lww,
         );
         // A remote reader that reads right after the writer's ack window.
         let reader = EventualClient::new(
             2,
             vec![ScriptOp { gap_us: 50_000, kind: OpKind::Read, key: 7 }],
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(2)),
             Guarantees::none(),
-            ConflictMode::Lww,
         );
-        let mut sim = build_sim(cfg, vec![writer, reader], 9);
+        let mut sim = build_sim(&cfg, vec![writer, reader], 9);
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
         assert_eq!(t.len(), 3, "all ops completed");
@@ -996,7 +913,7 @@ mod tests {
         for r in t.records().iter().filter(|r| r.kind == OpKind::Read) {
             assert_eq!(
                 r.value_read,
-                vec![ClientCore::unique_value(1, 1)],
+                vec![unique_value(1, 1)],
                 "replica {} must hold the write before the client ack",
                 r.replica
             );
@@ -1011,13 +928,9 @@ mod tests {
         // any gossip refill (gossip is disabled here on a 1-replica
         // deployment so the only possible source is the fsynced state).
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig {
-            replicas: 1,
-            eager: false,
-            gossip: None,
-            mode: ConflictMode::Counter,
-            eager_acks: 0,
+        let cfg = Composition {
             durability: DurabilityPolicy::FsyncedState,
+            ..Composition::eventual(1, false, None, ResolutionPolicy::CrdtMerge)
         };
         let client = EventualClient::new(
             1,
@@ -1026,10 +939,9 @@ mod tests {
                 ScriptOp { gap_us: 2_000_000, kind: OpKind::Read, key: 3 },
             ],
             trace.clone(),
-            1,
+            &cfg,
             TargetPolicy::Sticky(NodeId(0)),
             Guarantees::none(),
-            ConflictMode::Counter,
         );
         let mut sim = Sim::new(
             SimConfig::default()
@@ -1041,7 +953,7 @@ mod tests {
                     SimTime::from_millis(900),
                 )),
         );
-        sim.add_node(Box::new(EventualReplica::new(cfg)));
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
         sim.add_node(Box::new(client));
         sim.run_until(SimTime::from_secs(4));
         let t = trace.borrow();
@@ -1049,7 +961,7 @@ mod tests {
         assert!(read.ok);
         assert_eq!(
             read.value_read,
-            vec![ClientCore::unique_value(1, 1)],
+            vec![unique_value(1, 1)],
             "fsynced counter state must survive the amnesia crash"
         );
     }

@@ -21,7 +21,7 @@ pub enum DurabilityPolicy {
     Volatile,
     /// A WAL of adopted versions survives; replay rebuilds the store and
     /// the Lamport clock. State the WAL does not capture (sibling sets,
-    /// CRDT state in the legacy eventual protocol) is volatile.
+    /// CRDT state in the eventual protocol) is volatile.
     WalReplay,
     /// WAL plus a periodic checkpoint snapshot survive (the primary-copy
     /// log-shipping discipline: the log is truncated at each checkpoint

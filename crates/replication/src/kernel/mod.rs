@@ -14,14 +14,15 @@
 //!
 //! The protocol modules (`eventual`, `quorum`, `primary`, `causal`,
 //! `paxos`) are built from these shared layers, and a [`Composition`]
-//! names one point of the product space. The five legacy schemes each
-//! have a canonical composition ([`Composition::eventual_lww`],
-//! [`Composition::quorum`], …) that constructs *the same actors* — the
-//! parity test in `tests/scheme_parity.rs` proves legacy and composed
-//! runs are byte-identical at the same seed. New points of the space
-//! (e.g. [`Composition::mm_gossip_crdt`],
+//! names one point of the product space. It is the configuration:
+//! replicas and clients are constructed from it directly, and
+//! `rec-core`'s named scheme presets are shorthands for the canonical
+//! constructors below ([`Composition::eventual_lww`],
+//! [`Composition::quorum`], …) — `tests/scheme_parity.rs` proves a
+//! preset and its composition run byte-identically at the same seed.
+//! Points no preset names (e.g. [`Composition::mm_gossip_crdt`],
 //! [`Composition::mm_eager_acked`]) are reachable without writing a new
-//! protocol monolith.
+//! protocol.
 
 pub mod durability;
 pub mod propagation;
@@ -55,10 +56,10 @@ pub enum UpdateSite {
 
 /// One point in the design space: a replica kernel configuration.
 ///
-/// `Composition` is a *description*; `rec-core`'s runner materializes it
-/// into the concrete actor deployment. The five legacy schemes are
-/// canonical compositions (constructors below), and new compositions
-/// reuse the same layers.
+/// `Composition` is a *description*, and the only one the replication
+/// layer takes: each protocol's replica and client constructors read
+/// their parameters from it, and `rec-core`'s runner picks those
+/// constructors by `(update, propagation)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Composition {
     /// Replica count (node ids `0..replicas`; spares follow).
@@ -74,9 +75,8 @@ pub struct Composition {
 }
 
 impl Composition {
-    /// The canonical composition of the legacy eventual scheme:
-    /// multi-master, eager broadcast and/or gossip, pluggable
-    /// resolution, WAL-replay durability.
+    /// Eventual consistency proper: multi-master, eager broadcast
+    /// and/or gossip, pluggable resolution, WAL-replay durability.
     pub fn eventual(
         replicas: usize,
         eager: bool,
@@ -99,7 +99,7 @@ impl Composition {
         }
     }
 
-    /// Legacy eventual with LWW resolution and the default eager+gossip
+    /// Eventual with LWW resolution and the default eager + 50 ms gossip
     /// propagation.
     pub fn eventual_lww(replicas: usize) -> Self {
         Composition::eventual(
@@ -110,8 +110,8 @@ impl Composition {
         )
     }
 
-    /// The canonical composition of the legacy quorum scheme
-    /// (`spares == 0`) and sloppy quorum (`spares > 0`).
+    /// Dynamo-style N/R/W quorums: strict (`spares == 0`) or sloppy with
+    /// hinted handoff (`spares > 0`).
     pub fn quorum(n: usize, r: usize, w: usize, read_repair: bool, spares: usize) -> Self {
         Composition {
             replicas: n,
@@ -122,7 +122,8 @@ impl Composition {
         }
     }
 
-    /// The canonical composition of the legacy primary-copy schemes.
+    /// Primary copy with sync or async log shipping, optionally with
+    /// view-change failover.
     pub fn primary(replicas: usize, ship: ShipMode, failover: bool) -> Self {
         Composition {
             replicas,
@@ -133,7 +134,7 @@ impl Composition {
         }
     }
 
-    /// The canonical composition of the legacy Paxos scheme.
+    /// A Multi-Paxos replicated log.
     pub fn paxos(nodes: usize) -> Self {
         Composition {
             replicas: nodes,
@@ -144,7 +145,7 @@ impl Composition {
         }
     }
 
-    /// The canonical composition of the legacy causal scheme.
+    /// COPS-style causal+ multi-master.
     pub fn causal(replicas: usize) -> Self {
         Composition {
             replicas,
@@ -155,11 +156,11 @@ impl Composition {
         }
     }
 
-    /// **New composition**: multi-master, anti-entropy gossip only, CRDT
-    /// counter merge, fsynced state. No legacy scheme offers this point:
-    /// counter state survives amnesia crashes (the legacy eventual
-    /// protocol models non-LWW state as volatile), so sticky sessions
-    /// read monotonically inflating values even under crash storms.
+    /// Multi-master, anti-entropy gossip only, CRDT counter merge,
+    /// fsynced state. No scheme preset names this point: counter state
+    /// survives amnesia crashes (under `WalReplay` non-LWW state is
+    /// modeled volatile), so sticky sessions read monotonically
+    /// inflating values even under crash storms.
     pub fn mm_gossip_crdt(replicas: usize) -> Self {
         Composition {
             replicas,
@@ -173,9 +174,9 @@ impl Composition {
         }
     }
 
-    /// **New composition**: multi-master eager broadcast that withholds
-    /// the client ack until **all** peers have durably applied the write
-    /// (`acks = replicas - 1`), LWW resolution, WAL durability. A
+    /// Multi-master eager broadcast that withholds the client ack until
+    /// **all** peers have durably applied the write (`acks = replicas -
+    /// 1`), LWW resolution, WAL durability. No scheme preset names it. A
     /// synchronous flavour of update-anywhere: every acknowledged write
     /// is on every replica, so local reads are never stale — at the cost
     /// of writes failing when any peer is unreachable.

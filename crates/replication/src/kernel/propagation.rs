@@ -16,7 +16,7 @@ use std::collections::BTreeSet;
 pub enum PropagationPolicy {
     /// Writes are pushed to every peer as they happen; `acks` peers must
     /// confirm durable application before the client is acknowledged
-    /// (`acks == 0` is the legacy fire-and-forget broadcast). Optional
+    /// (`acks == 0` is fire-and-forget broadcast). Optional
     /// background gossip heals whatever the broadcast missed.
     EagerBroadcast {
         /// Peer acks required before the client ack (0 = none).

@@ -31,8 +31,8 @@ pub enum ResolutionPolicy {
     CrdtMerge,
 }
 
-/// Conflict-resolution policy of the eventual protocol — the legacy
-/// client-facing name for [`ResolutionPolicy`].
+/// Conflict-resolution policy of the eventual protocol — the name the
+/// `Scheme::Eventual` preset spells a [`ResolutionPolicy`] with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConflictMode {
     /// Last-writer-wins on `(Lamport counter, replica)` stamps.
@@ -55,7 +55,7 @@ impl ConflictMode {
 }
 
 impl ResolutionPolicy {
-    /// The legacy [`ConflictMode`] naming this policy.
+    /// The [`ConflictMode`] naming this policy.
     pub fn conflict_mode(self) -> ConflictMode {
         match self {
             ResolutionPolicy::LwwRegister => ConflictMode::Lww,
@@ -207,22 +207,6 @@ impl ResolvingStore {
             if s.key_count() == 0 {
                 *s = SiblingStore::new(me.0 as u64);
             }
-        }
-    }
-
-    /// Read access to the LWW store (experiments check convergence).
-    pub fn lww(&self) -> Option<&MvStore> {
-        match self {
-            ResolvingStore::Lww(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// Read access to the sibling store.
-    pub fn siblings(&self) -> Option<&SiblingStore> {
-        match self {
-            ResolvingStore::Sib(s) => Some(s),
-            _ => None,
         }
     }
 

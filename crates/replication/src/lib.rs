@@ -1,8 +1,7 @@
 //! # replication — the protocols the tutorial taxonomizes
 //!
-//! One module per point in the design space, each implemented as
-//! deterministic `simnet` actors (replicas *and* clients are state
-//! machines):
+//! One module per protocol family, each a deterministic `simnet` replica
+//! actor plus the protocol's side of the one client actor:
 //!
 //! | Module | Scheme | Where writes go | Propagation | Consistency |
 //! |---|---|---|---|---|
@@ -16,13 +15,18 @@
 //! durability ([`kernel::durability`]), propagation mechanics
 //! ([`kernel::propagation`]), and conflict resolution
 //! ([`kernel::resolution`]). A [`kernel::Composition`] names one point
-//! of the durability × propagation × resolution space; the five legacy
-//! schemes are canonical compositions, and new compositions reuse the
-//! same layers without a new protocol monolith.
+//! of the update site × propagation × resolution × durability space and
+//! is the only configuration this crate takes: replicas and clients are
+//! constructed from it, and what no deployment varies (timeouts,
+//! heartbeats) is a constant of the module that uses it.
 //!
-//! Shared client plumbing lives in [`common`]: scripted sessions that
-//! issue reads/writes, time out, and record every operation into the
-//! `simnet` op-trace that the `consistency` crate's checkers consume.
+//! The client is [`common::SessionClient`], one generic actor: a
+//! scripted session that issues reads/writes, times out, and records
+//! every operation into the `simnet` op-trace the `consistency` crate's
+//! checkers consume. Each protocol module implements
+//! [`common::ClientProtocol`] for it (target choice, request/reply
+//! mapping, its private hooks). A new protocol is one replica actor, one
+//! `ClientProtocol` impl and one arm in `rec-core`'s runner.
 #![deny(missing_docs)]
 
 pub mod causal;
@@ -34,6 +38,5 @@ pub mod primary;
 pub mod quorum;
 pub mod sharded;
 
-pub use common::{ClientCore, Guarantees, OpOutcome, ScriptOp};
+pub use common::{Guarantees, OpOutcome, ScriptOp, SessionClient, TargetPolicy};
 pub use kernel::Composition;
-pub use sharded::ShardedConfig;

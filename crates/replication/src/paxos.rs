@@ -16,13 +16,13 @@
 //! Clients submit to their believed leader and follow `NotLeader` hints /
 //! timeouts with round-robin retry.
 
-use crate::common::{ClientCore, IssueOp, OpOutcome, ScriptOp, TimerAction};
+use crate::common::{ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient};
 use crate::kernel::propagation::{AckTracker, PeerCache};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::LamportTimestamp;
 use kvstore::{Key, MvStore, Value};
 use obs::{EventKind, QuorumKind};
-use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
+use simnet::{Actor, Context, Duration, NodeId, SharedTrace, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
 
 /// A ballot number: `(round, node)` — totally ordered, node breaks ties.
@@ -148,39 +148,18 @@ enum Role {
     Leader,
 }
 
-/// Configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PaxosConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Leader heartbeat interval.
-    pub heartbeat: Duration,
-    /// Election timeout base (randomized up to 2x).
-    pub election_timeout: Duration,
-}
-
-impl PaxosConfig {
-    /// Sensible defaults for an `n`-node group.
-    pub fn new(nodes: usize) -> Self {
-        PaxosConfig {
-            nodes,
-            heartbeat: Duration::from_millis(25),
-            election_timeout: Duration::from_millis(150),
-        }
-    }
-
-    /// Majority size.
-    pub fn majority(&self) -> usize {
-        self.nodes / 2 + 1
-    }
-}
+/// Leader heartbeat interval.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+/// Election timeout base (randomized up to 2x).
+const ELECTION_TIMEOUT: Duration = Duration::from_millis(150);
 
 const TAG_HEARTBEAT: u64 = 1;
 const TAG_ELECTION: u64 = 2;
 
 /// A Paxos node.
 pub struct PaxosNode {
-    cfg: PaxosConfig,
+    /// Group size.
+    nodes: usize,
     role: Role,
     /// Highest ballot promised (acceptor).
     promised: Ballot,
@@ -221,10 +200,10 @@ pub struct PaxosNode {
 }
 
 impl PaxosNode {
-    /// Create a node.
-    pub fn new(cfg: PaxosConfig) -> Self {
+    /// Create a node of a `nodes`-strong group.
+    pub fn new(nodes: usize) -> Self {
         PaxosNode {
-            cfg,
+            nodes,
             role: Role::Follower,
             promised: (0, 0),
             accepted: BTreeMap::new(),
@@ -234,7 +213,7 @@ impl PaxosNode {
             my_ballot: (0, 0),
             next_slot: 1,
             p2: BTreeMap::new(),
-            p1: AckTracker::new(cfg.majority()),
+            p1: AckTracker::new(nodes / 2 + 1),
             p1_adopted: BTreeMap::new(),
             leader_hint: None,
             election_timer: None,
@@ -245,26 +224,16 @@ impl PaxosNode {
         }
     }
 
-    /// The applied state machine (tests inspect it).
-    pub fn store(&self) -> &MvStore {
-        &self.store
-    }
-
-    /// Whether this node currently leads.
-    pub fn is_leader(&self) -> bool {
-        self.role == Role::Leader
-    }
-
-    /// Number of committed slots.
-    pub fn committed_count(&self) -> usize {
-        self.committed.len()
+    /// Majority size.
+    fn majority(&self) -> usize {
+        self.nodes / 2 + 1
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Context<Msg>) {
         if let Some(t) = self.election_timer.take() {
             ctx.cancel_timer(t);
         }
-        let base = self.cfg.election_timeout.as_micros();
+        let base = ELECTION_TIMEOUT.as_micros();
         let jitter = ctx.rng().below(base.max(1));
         self.election_timer =
             Some(ctx.set_timer(Duration::from_micros(base + jitter), TAG_ELECTION));
@@ -275,11 +244,11 @@ impl PaxosNode {
         self.role = Role::Candidate;
         let round = self.promised.0.max(self.my_ballot.0) + 1;
         self.my_ballot = (round, me.0 as u64);
-        self.p1 = AckTracker::new(self.cfg.majority());
+        self.p1 = AckTracker::new(self.majority());
         self.p1.ack(me); // self-promise
         self.p1_adopted = self.accepted.clone();
         self.promised = self.my_ballot;
-        let peers = self.peer_cache.take(self.cfg.nodes, me);
+        let peers = self.peer_cache.take(self.nodes, me);
         for &p in &peers {
             ctx.send(p, Msg::Prepare { ballot: self.my_ballot });
         }
@@ -305,17 +274,17 @@ impl PaxosNode {
                 self.propose_in_slot(ctx, slot, entry.cmd);
             }
         }
-        ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
+        ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
     }
 
     fn propose_in_slot(&mut self, ctx: &mut Context<Msg>, slot: u64, cmd: Command) {
         let me = ctx.self_id();
         // Self-accept.
         self.accepted.insert(slot, AcceptedEntry { ballot: self.my_ballot, cmd: cmd.clone() });
-        let mut tracker = AckTracker::new(self.cfg.majority());
+        let mut tracker = AckTracker::new(self.majority());
         tracker.ack(me);
         self.p2.insert(slot, tracker);
-        let peers = self.peer_cache.take(self.cfg.nodes, me);
+        let peers = self.peer_cache.take(self.nodes, me);
         for &p in &peers {
             ctx.send(p, Msg::Accept { ballot: self.my_ballot, slot, cmd: cmd.clone() });
         }
@@ -328,7 +297,7 @@ impl PaxosNode {
             return;
         }
         let acks = self.p2.get(&slot).map(AckTracker::count).unwrap_or(0);
-        if acks < self.cfg.majority() || self.committed.contains_key(&slot) {
+        if acks < self.majority() || self.committed.contains_key(&slot) {
             return;
         }
         let Some(entry) = self.accepted.get(&slot) else {
@@ -340,11 +309,11 @@ impl PaxosNode {
             kind: if cmd.value.is_some() { QuorumKind::Write } else { QuorumKind::Read },
             waited_us: ctx.now().as_micros().saturating_sub(cmd.issued_at),
             acks: acks as u64,
-            needed: self.cfg.majority() as u64,
+            needed: self.majority() as u64,
         });
         self.committed.insert(slot, cmd.clone());
         let me = ctx.self_id();
-        let peers = self.peer_cache.take(self.cfg.nodes, me);
+        let peers = self.peer_cache.take(self.nodes, me);
         for &p in &peers {
             ctx.send(p, Msg::Commit { slot, cmd: cmd.clone() });
         }
@@ -414,7 +383,7 @@ impl Actor<Msg> for PaxosNode {
             // order — without re-answering clients.
             self.role = Role::Follower;
             self.abandon_proposals(ctx);
-            self.p1 = AckTracker::new(self.cfg.majority());
+            self.p1 = AckTracker::new(self.majority());
             self.p1_adopted.clear();
             self.p2.clear();
             self.leader_hint = None;
@@ -430,7 +399,7 @@ impl Actor<Msg> for PaxosNode {
         // heartbeat chain, everyone else re-arms the election timer.
         self.election_timer = None;
         if self.role == Role::Leader {
-            ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
+            ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
         } else {
             self.reset_election_timer(ctx);
         }
@@ -450,7 +419,7 @@ impl Actor<Msg> for PaxosNode {
         match tag {
             TAG_HEARTBEAT if self.role == Role::Leader => {
                 let me = ctx.self_id();
-                let peers = self.peer_cache.take(self.cfg.nodes, me);
+                let peers = self.peer_cache.take(self.nodes, me);
                 for &p in &peers {
                     ctx.send(p, Msg::Heartbeat { ballot: self.my_ballot });
                 }
@@ -469,7 +438,7 @@ impl Actor<Msg> for PaxosNode {
                         .take(32),
                 );
                 for (slot, cmd) in sweep.drain(..) {
-                    let majority = self.cfg.majority();
+                    let majority = self.majority();
                     self.p2.entry(slot).or_insert_with(|| {
                         let mut tracker = AckTracker::new(majority);
                         tracker.ack(me);
@@ -494,7 +463,7 @@ impl Actor<Msg> for PaxosNode {
                 }
                 self.cmd_scratch = sweep;
                 self.peer_cache.restore(peers);
-                ctx.set_timer(self.cfg.heartbeat, TAG_HEARTBEAT);
+                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
             }
             TAG_ELECTION => {
                 if Some(id) != self.election_timer {
@@ -591,7 +560,7 @@ impl Actor<Msg> for PaxosNode {
             }
             Msg::Accepted { ballot, slot } => {
                 if self.role == Role::Leader && ballot == self.my_ballot {
-                    let majority = self.cfg.majority();
+                    let majority = self.majority();
                     let tracker = self.p2.entry(slot).or_insert_with(|| AckTracker::new(majority));
                     if tracker.ack(from) {
                         self.maybe_commit(ctx, slot);
@@ -631,19 +600,21 @@ impl Actor<Msg> for PaxosNode {
     }
 }
 
-/// A scripted client that tracks the leader.
+/// The Paxos protocol as a client speaks it: track the leader.
 ///
 /// Each attempt is guarded by a short attempt timer: if the believed
 /// leader does not answer (crashed, partitioned, or mid-election), the
 /// client rotates to the next node and retries, up to the overall
 /// operation timeout. This is what lets sessions survive failover.
-pub struct PaxosClient {
-    core: ClientCore,
+pub struct PaxosSession {
     nodes: usize,
     believed_leader: NodeId,
 }
 
-/// Attempt-timer tag space (well below the client-core tag space).
+/// A scripted client that tracks the leader.
+pub type PaxosClient = SessionClient<PaxosSession>;
+
+/// Attempt-timer tag space (well below the session's own tag space).
 const TAG_ATTEMPT_BASE: u64 = 1_000_000;
 /// Per-attempt patience before rotating to another node.
 const ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
@@ -651,62 +622,59 @@ const ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
 impl PaxosClient {
     /// Create a client session.
     pub fn new(session: u64, script: Vec<ScriptOp>, trace: SharedTrace, nodes: usize) -> Self {
-        PaxosClient {
-            core: ClientCore::new(session, script, trace, Duration::from_secs(4)),
-            nodes,
-            believed_leader: NodeId(0),
-        }
-    }
-
-    fn send_op(&mut self, ctx: &mut Context<Msg>, op: IssueOp) {
-        let msg = match op.kind {
-            OpKind::Read => Msg::Request { op_id: op.op_id, key: op.key, value: None },
-            OpKind::Write => Msg::Request {
-                op_id: op.op_id,
-                key: op.key,
-                value: Some(op.value.expect("write without value")),
-            },
-        };
-        ctx.send(self.believed_leader, msg);
-        ctx.set_timer(ATTEMPT_TIMEOUT, TAG_ATTEMPT_BASE + op.op_id);
+        let proto = PaxosSession { nodes, believed_leader: NodeId(0) };
+        SessionClient::with_protocol(session, script, trace, proto)
     }
 }
 
-impl Actor<Msg> for PaxosClient {
-    fn role(&self) -> &'static str {
-        "client"
+impl PaxosSession {
+    fn rotate(&self) -> NodeId {
+        NodeId((self.believed_leader.0 + 1) % self.nodes as u32)
+    }
+}
+
+impl ClientProtocol for PaxosSession {
+    type Msg = Msg;
+    const OP_TIMEOUT: Duration = Duration::from_secs(4);
+
+    fn target(&mut self, _ctx: &mut Context<Msg>) -> NodeId {
+        self.believed_leader
     }
 
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.core.start(ctx);
+    fn request(&self, op: IssueOp) -> Msg {
+        // A write carries its value; a read goes through the log as `None`.
+        Msg::Request { op_id: op.op_id, key: op.key, value: op.value }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, tag: u64) {
-        if (TAG_ATTEMPT_BASE..TAG_ATTEMPT_BASE + 1_000_000).contains(&tag) {
-            let op_id = tag - TAG_ATTEMPT_BASE;
-            if self.core.pending_op() == Some(op_id) {
-                // No answer: rotate and retry.
-                self.believed_leader = NodeId((self.believed_leader.0 + 1) % self.nodes as u32);
-                let target = self.believed_leader;
-                if let Some(op) = self.core.retry(ctx, target) {
-                    self.send_op(ctx, op);
-                }
-            }
-            return;
-        }
-        let leader = self.believed_leader;
-        match self.core.handle_timer(ctx, tag, leader) {
-            TimerAction::Issue(op) => self.send_op(ctx, op),
-            TimerAction::TimedOut(_) | TimerAction::None => {}
-        }
+    fn issue(&mut self, ctx: &mut Context<Msg>, op: IssueOp, target: NodeId) {
+        ctx.send(target, self.request(op));
+        ctx.set_timer(ATTEMPT_TIMEOUT, TAG_ATTEMPT_BASE + op.op_id);
     }
 
-    fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+    fn on_timer(
+        &mut self,
+        _ctx: &mut Context<Msg>,
+        tag: u64,
+        in_flight: Option<IssueOp>,
+    ) -> Option<NodeId> {
+        // No answer to this attempt of the operation still in flight:
+        // rotate and retry.
+        in_flight.filter(|p| tag == TAG_ATTEMPT_BASE + p.op_id)?;
+        self.believed_leader = self.rotate();
+        Some(self.believed_leader)
+    }
+
+    fn on_reply(
+        &mut self,
+        _ctx: &mut Context<Msg>,
+        from: NodeId,
+        msg: Msg,
+        in_flight: Option<IssueOp>,
+    ) -> Reply {
         match msg {
             Msg::Response { op_id, ok, value, stamp, version_ts } => {
                 self.believed_leader = from;
-                self.core.complete(
-                    ctx,
+                Reply::Done(
                     op_id,
                     OpOutcome {
                         ok,
@@ -714,22 +682,15 @@ impl Actor<Msg> for PaxosClient {
                         stamp: Some(stamp),
                         version_ts: version_ts.map(SimTime::from_micros),
                     },
-                );
+                )
             }
-            Msg::NotLeader { op_id, hint } => {
-                if self.core.pending_op() != Some(op_id) {
-                    return;
-                }
+            Msg::NotLeader { op_id, hint } if in_flight.is_some_and(|p| p.op_id == op_id) => {
                 // Follow the hint (or round-robin) and retry.
-                self.believed_leader = hint
-                    .filter(|h| *h != self.believed_leader)
-                    .unwrap_or(NodeId((self.believed_leader.0 + 1) % self.nodes as u32));
-                let target = self.believed_leader;
-                if let Some(op) = self.core.retry(ctx, target) {
-                    self.send_op(ctx, op);
-                }
+                self.believed_leader =
+                    hint.filter(|h| *h != self.believed_leader).unwrap_or(self.rotate());
+                Reply::Retry(self.believed_leader)
             }
-            _ => {}
+            _ => Reply::Ignore,
         }
     }
 }
@@ -737,7 +698,8 @@ impl Actor<Msg> for PaxosClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
+    use crate::common::unique_value;
+    use simnet::{optrace, FaultSchedule, LatencyModel, OpKind, Sim, SimConfig};
 
     fn build(
         nodes: usize,
@@ -745,7 +707,6 @@ mod tests {
         seed: u64,
         faults: FaultSchedule,
     ) -> Sim<Msg> {
-        let cfg = PaxosConfig::new(nodes);
         let mut sim = Sim::new(
             SimConfig::default()
                 .seed(seed)
@@ -753,7 +714,7 @@ mod tests {
                 .faults(faults),
         );
         for _ in 0..nodes {
-            sim.add_node(Box::new(PaxosNode::new(cfg)));
+            sim.add_node(Box::new(PaxosNode::new(nodes)));
         }
         for c in clients {
             sim.add_node(Box::new(c));
@@ -776,7 +737,7 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.records().iter().all(|r| r.ok));
         let read = &t.records()[1];
-        assert_eq!(read.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(read.value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]
@@ -794,7 +755,7 @@ mod tests {
         let t = trace.borrow();
         let read = t.records().iter().find(|r| r.kind == OpKind::Read).unwrap();
         assert!(read.ok);
-        assert_eq!(read.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(read.value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]

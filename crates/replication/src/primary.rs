@@ -1,15 +1,16 @@
 //! Primary-copy replication: one master, log-shipping backups.
 //!
 //! All writes execute at the primary, which appends to its write-ahead log
-//! and replicates the log suffix to backups. Two propagation modes:
+//! and replicates the log suffix to backups. Two propagation modes
+//! ([`ShipMode`]):
 //!
-//! * [`PrimaryMode::Sync`] — the primary acknowledges a write only after
-//!   `acks_required` backups have durably applied it (the classic
+//! * [`ShipMode::Sync`] — the primary acknowledges a write only after
+//!   every backup has durably applied it (the classic
 //!   synchronous-replication latency cost measured in E10). If the
 //!   backups are unreachable, writes *block and fail* — the CP corner of
 //!   CAP (E4).
-//! * [`PrimaryMode::Async`] — the primary acknowledges immediately and
-//!   ships the log every `ship_interval`; backups lag by up to one
+//! * [`ShipMode::Async`] — the primary acknowledges immediately and
+//!   ships the log every `interval`; backups lag by up to one
 //!   interval plus network delay — the staleness window E9 sweeps.
 //!
 //! Reads are served locally by *any* replica (that is the whole point of
@@ -17,7 +18,7 @@
 //! read policies reject a backup whose applied timestamp is too old
 //! (enforced client-side via the returned stamp, measured in E9).
 //!
-//! **Failover** is optional ([`PrimaryConfig::failover`]): when enabled,
+//! **Failover** is optional (`PrimaryShip::failover`): when enabled,
 //! backups track primary heartbeats and run a round-robin view change
 //! (view `v` is led by node `v mod n`, Viewstamped-Replication style);
 //! the successor promotes itself after a silence proportional to its
@@ -28,92 +29,34 @@
 //! Async-mode failover can lose the un-replicated log tail, exactly as
 //! real asynchronous replication does.
 
-use crate::common::{ClientCore, OpOutcome, ScriptOp, TimerAction};
+use crate::common::{
+    ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient, TargetPolicy,
+};
 use crate::kernel::durability::WalState;
-use crate::kernel::propagation::PeerCache;
+use crate::kernel::propagation::{PeerCache, PropagationPolicy, ShipMode};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
+use crate::kernel::Composition;
 use clocks::LamportTimestamp;
 use kvstore::{Key, LogRecord, MvStore, Value};
 use obs::{EventKind, QuorumKind};
 use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
 
-/// Propagation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PrimaryMode {
-    /// Ack after `acks_required` backups applied the write.
-    Sync {
-        /// Number of backup acks required before the client ack.
-        acks_required: usize,
-    },
-    /// Ack immediately; ship the log every `ship_interval`.
-    Async {
-        /// Log-shipping interval (the replication-lag knob).
-        ship_interval: Duration,
-    },
-}
+/// Primary-side wait before failing a sync write.
+const WRITE_TIMEOUT: Duration = Duration::from_millis(250);
+/// How often a sync primary re-ships, so dropped `Append`s (loss, healed
+/// partitions) eventually land.
+const SYNC_RESHIP_INTERVAL: Duration = Duration::from_millis(50);
+/// Primary heartbeat interval (failover mode).
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(25);
+/// Base silence before the next-in-line backup promotes itself.
+const FAILOVER_TIMEOUT: Duration = Duration::from_millis(150);
 
-/// View-change (failover) configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FailoverConfig {
-    /// Primary heartbeat interval.
-    pub heartbeat: Duration,
-    /// Base silence before the next-in-line backup promotes itself.
-    pub timeout: Duration,
-}
-
-/// Deployment configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct PrimaryConfig {
-    /// Number of replicas; node 0 is the initial primary (view 0).
-    pub replicas: usize,
-    /// Propagation mode.
-    pub mode: PrimaryMode,
-    /// Primary-side wait before failing a sync write.
-    pub write_timeout: Duration,
-    /// View-change failover; `None` = static primary (writes fail while
-    /// the primary is down).
-    pub failover: Option<FailoverConfig>,
-}
-
-impl PrimaryConfig {
-    /// Synchronous replication to all backups.
-    pub fn sync_all(replicas: usize) -> Self {
-        PrimaryConfig {
-            replicas,
-            mode: PrimaryMode::Sync { acks_required: replicas.saturating_sub(1) },
-            write_timeout: Duration::from_millis(250),
-            failover: None,
-        }
-    }
-
-    /// Enable round-robin view-change failover with default timings.
-    pub fn with_failover(mut self) -> Self {
-        self.failover = Some(FailoverConfig {
-            heartbeat: Duration::from_millis(25),
-            timeout: Duration::from_millis(150),
-        });
-        self
-    }
-
-    /// Asynchronous log shipping with the given lag.
-    pub fn async_lag(replicas: usize, ship_interval: Duration) -> Self {
-        PrimaryConfig {
-            replicas,
-            mode: PrimaryMode::Async { ship_interval },
-            write_timeout: Duration::from_millis(250),
-            failover: None,
-        }
-    }
-
-    /// The initial primary's node id (view 0 → node 0).
-    pub fn primary(&self) -> NodeId {
-        NodeId(0)
-    }
-
-    /// The primary of a given view (round-robin).
-    pub fn primary_of_view(&self, view: u64) -> NodeId {
-        NodeId((view % self.replicas as u64) as u32)
+/// The `(ship mode, failover)` of a `PrimaryShip` composition.
+fn primary_ship(comp: &Composition) -> (ShipMode, bool) {
+    match comp.propagation {
+        PropagationPolicy::PrimaryShip { ship, failover } => (ship, failover),
+        _ => panic!("{} is not a primary-copy composition", comp.label()),
     }
 }
 
@@ -223,9 +166,14 @@ const TAG_HEARTBEAT: u64 = 2;
 const TAG_FAILOVER_CHECK: u64 = 3;
 const TAG_WRITE_TIMEOUT_BASE: u64 = 1_000;
 
-/// A primary-copy replica. Node 0 acts as primary; the rest are backups.
+/// A primary-copy replica. Node 0 is the initial primary (view 0); the
+/// rest are backups.
 pub struct PrimaryReplica {
-    cfg: PrimaryConfig,
+    replicas: usize,
+    ship: ShipMode,
+    /// View-change failover; off = static primary (writes fail while the
+    /// primary is down).
+    failover: bool,
     store: Probed<MvStore>,
     /// Checkpointed log: `dur.wal` is truncated at each checkpoint and
     /// recovery replays the tail over the snapshot.
@@ -248,8 +196,6 @@ pub struct PrimaryReplica {
     view: u64,
     /// When the current primary was last heard from (µs).
     last_heartbeat_us: u64,
-    /// Count of view changes this node performed (exported metric).
-    pub promotions: u64,
     /// Reusable fan-out peer list (membership is fixed for a run).
     peer_cache: PeerCache,
     /// Primary: reusable scratch for the ack-driven quorum sweep.
@@ -257,10 +203,13 @@ pub struct PrimaryReplica {
 }
 
 impl PrimaryReplica {
-    /// Create a replica.
-    pub fn new(cfg: PrimaryConfig) -> Self {
+    /// Create a replica of a `PrimaryShip` composition.
+    pub fn new(comp: &Composition) -> Self {
+        let (ship, failover) = primary_ship(comp);
         PrimaryReplica {
-            cfg,
+            replicas: comp.replicas,
+            ship,
+            failover,
             store: Probed::new(MvStore::new()),
             dur: WalState::new(),
             applied_seq: 0,
@@ -270,25 +219,23 @@ impl PrimaryReplica {
             durable_snapshot: None,
             view: 0,
             last_heartbeat_us: 0,
-            promotions: 0,
             peer_cache: PeerCache::default(),
             ready_scratch: Vec::new(),
         }
     }
 
-    /// The primary this replica currently believes in.
-    pub fn current_primary(&self) -> NodeId {
-        self.cfg.primary_of_view(self.view)
+    /// The primary this replica currently believes in (round-robin by
+    /// view).
+    fn current_primary(&self) -> NodeId {
+        NodeId((self.view % self.replicas as u64) as u32)
     }
 
-    /// The local store (tests check staleness/convergence).
-    pub fn store(&self) -> &MvStore {
-        &self.store
-    }
-
-    /// Highest contiguously applied log sequence.
-    pub fn applied_seq(&self) -> u64 {
-        self.applied_seq
+    /// How often this replica ships its log while it is primary.
+    fn ship_interval(&self) -> Duration {
+        match self.ship {
+            ShipMode::Async { interval } => interval,
+            ShipMode::Sync => SYNC_RESHIP_INTERVAL,
+        }
     }
 
     fn ship_to(&mut self, ctx: &mut Context<Msg>, backup: NodeId) {
@@ -327,26 +274,25 @@ impl PrimaryReplica {
     /// Promote this backup to primary of the smallest view it leads.
     fn promote(&mut self, ctx: &mut Context<Msg>) {
         let me = ctx.self_id();
-        let n = self.cfg.replicas as u64;
+        let n = self.replicas as u64;
         let mut v = self.view + 1;
         while v % n != me.0 as u64 {
             v += 1;
         }
         self.view = v;
-        self.promotions += 1;
         // Continue the sequence space from what this replica applied; any
         // un-replicated tail of the old primary is lost (async semantics).
         self.checkpoint_and_reset_log();
         self.acked.clear();
         self.reorder.clear();
-        let peers = self.peer_cache.take(self.cfg.replicas, me);
+        let peers = self.peer_cache.take(self.replicas, me);
         for &b in &peers {
             ctx.send(b, Msg::Heartbeat { view: self.view });
         }
         self.peer_cache.restore(peers);
         ctx.set_timer(Duration::from_micros(1), TAG_SHIP);
-        if let Some(f) = self.cfg.failover {
-            ctx.set_timer(f.heartbeat, TAG_HEARTBEAT);
+        if self.failover {
+            ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
         }
     }
 
@@ -375,25 +321,25 @@ impl PrimaryReplica {
         let appended = self.dur.log(ctx, key, val, ts, now_us);
         debug_assert_eq!(appended, seq);
         self.store.put(key, Value::from_u64(value), ts, now_us);
-        match self.cfg.mode {
-            PrimaryMode::Sync { acks_required } => {
+        match self.ship {
+            ShipMode::Sync => {
                 self.pending.insert(
                     seq,
                     PendingWrite { client: reply_to, op_id, done: false, issued_at: now_us, span },
                 );
                 // Span still active: the synchronous log-ship fan-out and
                 // the write timeout below carry it.
-                let backups = self.peer_cache.take(self.cfg.replicas, me);
+                let backups = self.peer_cache.take(self.replicas, me);
                 for &b in &backups {
                     self.ship_to(ctx, b);
                 }
                 self.peer_cache.restore(backups);
-                ctx.set_timer(self.cfg.write_timeout, TAG_WRITE_TIMEOUT_BASE + seq);
-                if acks_required == 0 {
+                ctx.set_timer(WRITE_TIMEOUT, TAG_WRITE_TIMEOUT_BASE + seq);
+                if self.replicas <= 1 {
                     self.try_finish_write(ctx, seq);
                 }
             }
-            PrimaryMode::Async { .. } => {
+            ShipMode::Async { .. } => {
                 ctx.send(reply_to, Msg::PutResp { op_id, ok: true, stamp: (seq, 0) });
                 ctx.span_close(span, SpanStatus::Ok);
             }
@@ -401,9 +347,8 @@ impl PrimaryReplica {
     }
 
     fn try_finish_write(&mut self, ctx: &mut Context<Msg>, seq: u64) {
-        let PrimaryMode::Sync { acks_required } = self.cfg.mode else {
-            return;
-        };
+        // A sync write needs every backup's ack.
+        let acks_required = self.replicas.saturating_sub(1);
         let acks = self.acked.values().filter(|&&a| a >= seq).count();
         let quorum = match self.pending.get(&seq) {
             Some(p) => !p.done && acks >= acks_required,
@@ -462,8 +407,8 @@ impl PrimaryReplica {
             // (its chain ended at promotion).
             self.checkpoint_and_reset_log();
             self.acked.clear();
-            if let Some(f) = self.cfg.failover {
-                ctx.set_timer(f.timeout, TAG_FAILOVER_CHECK);
+            if self.failover {
+                ctx.set_timer(FAILOVER_TIMEOUT, TAG_FAILOVER_CHECK);
             }
         }
         true
@@ -476,20 +421,14 @@ impl Actor<Msg> for PrimaryReplica {
     }
 
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        if ctx.self_id() == self.cfg.primary() {
-            if let PrimaryMode::Async { ship_interval } = self.cfg.mode {
-                ctx.set_timer(ship_interval, TAG_SHIP);
-            } else {
-                // Sync mode still retries shipping periodically so dropped
-                // Appends (loss, healed partitions) eventually land.
-                ctx.set_timer(Duration::from_millis(50), TAG_SHIP);
+        if ctx.self_id() == NodeId(0) {
+            ctx.set_timer(self.ship_interval(), TAG_SHIP);
+            if self.failover {
+                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
             }
-            if let Some(f) = self.cfg.failover {
-                ctx.set_timer(f.heartbeat, TAG_HEARTBEAT);
-            }
-        } else if let Some(f) = self.cfg.failover {
+        } else if self.failover {
             self.last_heartbeat_us = ctx.now().as_micros();
-            ctx.set_timer(f.timeout, TAG_FAILOVER_CHECK);
+            ctx.set_timer(FAILOVER_TIMEOUT, TAG_FAILOVER_CHECK);
         }
     }
 
@@ -511,16 +450,12 @@ impl Actor<Msg> for PrimaryReplica {
         // the periodic chains for whatever role the durable view implies.
         self.last_heartbeat_us = ctx.now().as_micros();
         if self.is_primary(me) {
-            let interval = match self.cfg.mode {
-                PrimaryMode::Async { ship_interval } => ship_interval,
-                PrimaryMode::Sync { .. } => Duration::from_millis(50),
-            };
-            ctx.set_timer(interval, TAG_SHIP);
-            if let Some(f) = self.cfg.failover {
-                ctx.set_timer(f.heartbeat, TAG_HEARTBEAT);
+            ctx.set_timer(self.ship_interval(), TAG_SHIP);
+            if self.failover {
+                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
             }
-        } else if let Some(f) = self.cfg.failover {
-            ctx.set_timer(f.timeout, TAG_FAILOVER_CHECK);
+        } else if self.failover {
+            ctx.set_timer(FAILOVER_TIMEOUT, TAG_FAILOVER_CHECK);
         }
     }
 
@@ -530,48 +465,43 @@ impl Actor<Msg> for PrimaryReplica {
             if !self.is_primary(me) {
                 return; // demoted: stop shipping (timer chain ends)
             }
-            let backups = self.peer_cache.take(self.cfg.replicas, me);
+            let backups = self.peer_cache.take(self.replicas, me);
             for &b in &backups {
                 self.ship_to(ctx, b);
             }
             self.peer_cache.restore(backups);
-            let interval = match self.cfg.mode {
-                PrimaryMode::Async { ship_interval } => ship_interval,
-                PrimaryMode::Sync { .. } => Duration::from_millis(50),
-            };
-            ctx.set_timer(interval, TAG_SHIP);
+            ctx.set_timer(self.ship_interval(), TAG_SHIP);
         } else if tag == TAG_HEARTBEAT {
             let me = ctx.self_id();
             if !self.is_primary(me) {
                 return; // demoted: stop heartbeating
             }
-            let peers = self.peer_cache.take(self.cfg.replicas, me);
+            let peers = self.peer_cache.take(self.replicas, me);
             let view = self.view;
             for &b in &peers {
                 ctx.send(b, Msg::Heartbeat { view });
             }
             self.peer_cache.restore(peers);
-            if let Some(f) = self.cfg.failover {
-                ctx.set_timer(f.heartbeat, TAG_HEARTBEAT);
+            if self.failover {
+                ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
             }
         } else if tag == TAG_FAILOVER_CHECK {
             let me = ctx.self_id();
-            let Some(f) = self.cfg.failover else { return };
             if self.is_primary(me) {
                 return; // became primary: the check chain ends
             }
             // How many views ahead is my next turn? Wait proportionally,
             // so successors contend in order instead of racing.
-            let n = self.cfg.replicas as u64;
+            let n = self.replicas as u64;
             let mut steps = 1u64;
             while (self.view + steps) % n != me.0 as u64 {
                 steps += 1;
             }
             let silence = ctx.now().as_micros().saturating_sub(self.last_heartbeat_us);
-            if silence > f.timeout.as_micros().saturating_mul(steps) {
+            if silence > FAILOVER_TIMEOUT.as_micros().saturating_mul(steps) {
                 self.promote(ctx);
             } else {
-                ctx.set_timer(f.timeout, TAG_FAILOVER_CHECK);
+                ctx.set_timer(FAILOVER_TIMEOUT, TAG_FAILOVER_CHECK);
             }
         } else if tag >= TAG_WRITE_TIMEOUT_BASE {
             let seq = tag - TAG_WRITE_TIMEOUT_BASE;
@@ -603,7 +533,7 @@ impl Actor<Msg> for PrimaryReplica {
                         value: v.and_then(|x| x.value.as_u64()),
                         stamp: v.map(|x| (x.ts.counter, x.ts.actor)),
                         version_ts: v.map(|x| x.written_at),
-                        applied_seq: self.applied_seq(),
+                        applied_seq: self.applied_seq,
                     },
                 );
                 ctx.span_close(span, SpanStatus::Ok);
@@ -677,108 +607,87 @@ impl Actor<Msg> for PrimaryReplica {
     }
 }
 
-/// Where a primary-copy client sends reads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadFrom {
-    /// Always the primary (fresh, but no read scale-out).
-    Primary,
-    /// A fixed backup (models a geo-local replica).
-    Replica(NodeId),
-    /// A random replica per read.
-    AnyReplica,
+/// The primary-copy protocol as a client speaks it: reads at the
+/// session's replica, writes to the primary.
+pub struct PrimarySession {
+    replicas: usize,
+    failover: bool,
+    /// Where reads go: a fixed replica (a geo-local backup, or node 0 for
+    /// fresh reads without scale-out) or a random one per read.
+    read_from: TargetPolicy,
 }
 
 /// A scripted client for primary-copy deployments.
-pub struct PrimaryClient {
-    core: ClientCore,
-    cfg: PrimaryConfig,
-    read_from: ReadFrom,
-}
+pub type PrimaryClient = SessionClient<PrimarySession>;
 
 impl PrimaryClient {
-    /// Create a client session.
+    /// Create a client session of the deployment `comp` describes.
     pub fn new(
         session: u64,
         script: Vec<ScriptOp>,
         trace: SharedTrace,
-        cfg: PrimaryConfig,
-        read_from: ReadFrom,
+        comp: &Composition,
+        read_from: TargetPolicy,
     ) -> Self {
-        PrimaryClient {
-            core: ClientCore::new(session, script, trace, Duration::from_millis(800)),
-            cfg,
-            read_from,
-        }
-    }
-
-    fn read_target(&self, ctx: &mut Context<Msg>) -> NodeId {
-        match self.read_from {
-            ReadFrom::Primary => self.cfg.primary(),
-            ReadFrom::Replica(n) => n,
-            ReadFrom::AnyReplica => NodeId(ctx.rng().index(self.cfg.replicas) as u32),
-        }
+        let proto =
+            PrimarySession { replicas: comp.replicas, failover: primary_ship(comp).1, read_from };
+        SessionClient::with_protocol(session, script, trace, proto)
     }
 }
 
-impl Actor<Msg> for PrimaryClient {
-    fn role(&self) -> &'static str {
-        "client"
+impl ClientProtocol for PrimarySession {
+    type Msg = Msg;
+    const OP_TIMEOUT: Duration = Duration::from_millis(800);
+
+    fn target(&mut self, ctx: &mut Context<Msg>) -> NodeId {
+        self.read_from.pick(ctx, self.replicas)
     }
 
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.core.start(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, tag: u64) {
-        let read_target = self.read_target(ctx);
-        // Record the replica the op will actually hit: primary for writes.
-        let provisional = read_target;
-        match self.core.handle_timer(ctx, tag, provisional) {
-            TimerAction::Issue(op) => match op.kind {
-                OpKind::Read => ctx.send(read_target, Msg::Get { op_id: op.op_id, key: op.key }),
-                OpKind::Write => {
-                    // With failover enabled, route via the local replica,
-                    // which forwards to whatever primary its view names;
-                    // static deployments go straight to node 0.
-                    let target =
-                        if self.cfg.failover.is_some() { read_target } else { self.cfg.primary() };
-                    ctx.send(
-                        target,
-                        Msg::Put {
-                            op_id: op.op_id,
-                            key: op.key,
-                            value: op.value.expect("write without value"),
-                            reply_to: NodeId(u32::MAX),
-                        },
-                    );
-                }
+    fn request(&self, op: IssueOp) -> Msg {
+        match op.kind {
+            OpKind::Read => Msg::Get { op_id: op.op_id, key: op.key },
+            OpKind::Write => Msg::Put {
+                op_id: op.op_id,
+                key: op.key,
+                value: op.value.expect("write without value"),
+                reply_to: NodeId(u32::MAX),
             },
-            TimerAction::TimedOut(_) | TimerAction::None => {}
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+    fn issue(&mut self, ctx: &mut Context<Msg>, op: IssueOp, read_target: NodeId) {
+        // With failover enabled, a write is routed via the session's
+        // replica, which forwards to whatever primary its view names;
+        // static deployments go straight to node 0.
+        let to = match op.kind {
+            OpKind::Write if !self.failover => NodeId(0),
+            _ => read_target,
+        };
+        ctx.send(to, self.request(op));
+    }
+
+    fn on_reply(
+        &mut self,
+        _ctx: &mut Context<Msg>,
+        _from: NodeId,
+        msg: Msg,
+        _in_flight: Option<IssueOp>,
+    ) -> Reply {
         match msg {
-            Msg::PutResp { op_id, ok, stamp } => {
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome { ok, values: vec![], stamp: Some(stamp), version_ts: None },
-                );
-            }
-            Msg::GetResp { op_id, value, stamp, version_ts, applied_seq: _ } => {
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome {
-                        ok: true,
-                        values: value.into_iter().collect(),
-                        stamp,
-                        version_ts: version_ts.map(SimTime::from_micros),
-                    },
-                );
-            }
-            _ => {}
+            Msg::PutResp { op_id, ok, stamp } => Reply::Done(
+                op_id,
+                OpOutcome { ok, values: vec![], stamp: Some(stamp), version_ts: None },
+            ),
+            Msg::GetResp { op_id, value, stamp, version_ts, applied_seq: _ } => Reply::Done(
+                op_id,
+                OpOutcome {
+                    ok: true,
+                    values: value.into_iter().collect(),
+                    stamp,
+                    version_ts: version_ts.map(SimTime::from_micros),
+                },
+            ),
+            _ => Reply::Ignore,
         }
     }
 }
@@ -786,10 +695,11 @@ impl Actor<Msg> for PrimaryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::unique_value;
     use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
 
     fn build(
-        cfg: PrimaryConfig,
+        cfg: &Composition,
         clients: Vec<PrimaryClient>,
         seed: u64,
         faults: FaultSchedule,
@@ -816,28 +726,40 @@ mod tests {
     #[test]
     fn sync_write_then_backup_read_is_fresh() {
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::sync_all(3);
-        let writer = PrimaryClient::new(1, one_write(), trace.clone(), cfg, ReadFrom::Primary);
+        let cfg = Composition::primary(3, ShipMode::Sync, false);
+        let writer = PrimaryClient::new(
+            1,
+            one_write(),
+            trace.clone(),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
         let reader = PrimaryClient::new(
             2,
             vec![ScriptOp { gap_us: 100_000, kind: OpKind::Read, key: 1 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(2)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(2)),
         );
-        let mut sim = build(cfg, vec![writer, reader], 1, FaultSchedule::none());
+        let mut sim = build(&cfg, vec![writer, reader], 1, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         let read = t.records().iter().find(|r| r.kind == OpKind::Read).unwrap();
-        assert_eq!(read.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(read.value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]
     fn sync_write_latency_includes_backup_round_trip() {
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::sync_all(3);
-        let writer = PrimaryClient::new(1, one_write(), trace.clone(), cfg, ReadFrom::Primary);
-        let mut sim = build(cfg, vec![writer], 2, FaultSchedule::none());
+        let cfg = Composition::primary(3, ShipMode::Sync, false);
+        let writer = PrimaryClient::new(
+            1,
+            one_write(),
+            trace.clone(),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
+        let mut sim = build(&cfg, vec![writer], 2, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         let w = &t.records()[0];
@@ -849,9 +771,19 @@ mod tests {
     #[test]
     fn async_write_acks_after_one_hop() {
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::async_lag(3, Duration::from_millis(100));
-        let writer = PrimaryClient::new(1, one_write(), trace.clone(), cfg, ReadFrom::Primary);
-        let mut sim = build(cfg, vec![writer], 3, FaultSchedule::none());
+        let cfg = Composition::primary(
+            3,
+            ShipMode::Async { interval: Duration::from_millis(100) },
+            false,
+        );
+        let writer = PrimaryClient::new(
+            1,
+            one_write(),
+            trace.clone(),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
+        let mut sim = build(&cfg, vec![writer], 3, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         let w = &t.records()[0];
@@ -863,32 +795,43 @@ mod tests {
     #[test]
     fn async_backup_read_is_stale_within_lag_window() {
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::async_lag(2, Duration::from_millis(200));
-        let writer = PrimaryClient::new(1, one_write(), trace.clone(), cfg, ReadFrom::Primary);
+        let cfg = Composition::primary(
+            2,
+            ShipMode::Async { interval: Duration::from_millis(200) },
+            false,
+        );
+        let writer = PrimaryClient::new(
+            1,
+            one_write(),
+            trace.clone(),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
         // Read the backup 20ms after the write: inside the 200ms shipping
         // window, so it must miss the write.
         let early_reader = PrimaryClient::new(
             2,
             vec![ScriptOp { gap_us: 30_000, kind: OpKind::Read, key: 1 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(1)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(1)),
         );
         // Read again at 600ms: shipped by now.
         let late_reader = PrimaryClient::new(
             3,
             vec![ScriptOp { gap_us: 600_000, kind: OpKind::Read, key: 1 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(1)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(1)),
         );
-        let mut sim = build(cfg, vec![writer, early_reader, late_reader], 4, FaultSchedule::none());
+        let mut sim =
+            build(&cfg, vec![writer, early_reader, late_reader], 4, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(2));
         let t = trace.borrow();
         let early = t.records().iter().find(|r| r.session == 2).unwrap();
         let late = t.records().iter().find(|r| r.session == 3).unwrap();
         assert!(early.value_read.is_empty(), "early read saw {:?}", early.value_read);
-        assert_eq!(late.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(late.value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]
@@ -896,15 +839,15 @@ mod tests {
         // A write injected at a *backup* must be forwarded to the primary,
         // applied there, and become visible to a later read at the primary.
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::sync_all(3);
+        let cfg = Composition::primary(3, ShipMode::Sync, false);
         let reader = PrimaryClient::new(
             1,
             vec![ScriptOp { gap_us: 300_000, kind: OpKind::Read, key: 7 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Primary,
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
         );
-        let mut sim = build(cfg, vec![reader], 5, FaultSchedule::none());
+        let mut sim = build(&cfg, vec![reader], 5, FaultSchedule::none());
         let injector = NodeId(cfg.replicas as u32); // the reader client's node id
         sim.inject_at(
             SimTime::from_millis(1),
@@ -925,7 +868,8 @@ mod tests {
         // then leads view 1) must succeed, and a later read at replica 1
         // must see it.
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::async_lag(3, Duration::from_millis(50)).with_failover();
+        let cfg =
+            Composition::primary(3, ShipMode::Async { interval: Duration::from_millis(50) }, true);
         let faults = FaultSchedule::none().crash(
             NodeId(0),
             SimTime::from_millis(200),
@@ -935,23 +879,23 @@ mod tests {
             1,
             vec![ScriptOp { gap_us: 1_500_000, kind: OpKind::Write, key: 4 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(1)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(1)),
         );
         let reader = PrimaryClient::new(
             2,
             vec![ScriptOp { gap_us: 3_000_000, kind: OpKind::Read, key: 4 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(1)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(1)),
         );
-        let mut sim = build(cfg, vec![writer, reader], 31, faults);
+        let mut sim = build(&cfg, vec![writer, reader], 31, faults);
         sim.run_until(SimTime::from_secs(5));
         let t = trace.borrow();
         let w = t.records().iter().find(|r| r.kind == OpKind::Write).unwrap();
         let rd = t.records().iter().find(|r| r.kind == OpKind::Read).unwrap();
         assert!(w.ok, "write after failover must succeed");
-        assert_eq!(rd.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(rd.value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]
@@ -960,7 +904,8 @@ mod tests {
         // recovers, is demoted by the higher view, and receives the state
         // (snapshot + log): a late read at replica 0 sees the write.
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::async_lag(3, Duration::from_millis(50)).with_failover();
+        let cfg =
+            Composition::primary(3, ShipMode::Async { interval: Duration::from_millis(50) }, true);
         let faults = FaultSchedule::none().crash(
             NodeId(0),
             SimTime::from_millis(200),
@@ -970,23 +915,23 @@ mod tests {
             1,
             vec![ScriptOp { gap_us: 1_500_000, kind: OpKind::Write, key: 7 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(1)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(1)),
         );
         let reader_at_old_primary = PrimaryClient::new(
             2,
             vec![ScriptOp { gap_us: 4_000_000, kind: OpKind::Read, key: 7 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(0)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
         );
-        let mut sim = build(cfg, vec![writer, reader_at_old_primary], 32, faults);
+        let mut sim = build(&cfg, vec![writer, reader_at_old_primary], 32, faults);
         sim.run_until(SimTime::from_secs(6));
         let t = trace.borrow();
         let rd = t.records().iter().find(|r| r.kind == OpKind::Read).unwrap();
         assert_eq!(
             rd.value_read,
-            vec![ClientCore::unique_value(1, 1)],
+            vec![unique_value(1, 1)],
             "recovered ex-primary must be caught up by the new primary"
         );
     }
@@ -994,30 +939,35 @@ mod tests {
     #[test]
     fn primary_crash_blocks_writes_but_backups_serve_reads() {
         let trace = optrace::shared_trace();
-        let cfg = PrimaryConfig::sync_all(3);
+        let cfg = Composition::primary(3, ShipMode::Sync, false);
         let faults = FaultSchedule::none().crash(
             NodeId(0),
             SimTime::from_millis(50),
             SimTime::from_secs(60),
         );
         // Write before the crash; write after the crash; read after.
-        let early_writer =
-            PrimaryClient::new(1, one_write(), trace.clone(), cfg, ReadFrom::Primary);
+        let early_writer = PrimaryClient::new(
+            1,
+            one_write(),
+            trace.clone(),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
         let late_writer = PrimaryClient::new(
             2,
             vec![ScriptOp { gap_us: 200_000, kind: OpKind::Write, key: 2 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Primary,
+            &cfg,
+            TargetPolicy::Sticky(NodeId(0)),
         );
         let reader = PrimaryClient::new(
             3,
             vec![ScriptOp { gap_us: 500_000, kind: OpKind::Read, key: 1 }],
             trace.clone(),
-            cfg,
-            ReadFrom::Replica(NodeId(1)),
+            &cfg,
+            TargetPolicy::Sticky(NodeId(1)),
         );
-        let mut sim = build(cfg, vec![early_writer, late_writer, reader], 6, faults);
+        let mut sim = build(&cfg, vec![early_writer, late_writer, reader], 6, faults);
         sim.run_until(SimTime::from_secs(3));
         let t = trace.borrow();
         let w1 = t.records().iter().find(|r| r.session == 1).unwrap();
@@ -1026,6 +976,6 @@ mod tests {
         assert!(w1.ok, "pre-crash write succeeds");
         assert!(!w2.ok, "write during primary crash must fail (no failover)");
         assert!(rd.ok, "backup still serves reads");
-        assert_eq!(rd.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(rd.value_read, vec![unique_value(1, 1)]);
     }
 }

@@ -11,82 +11,24 @@
 //! Optional read repair pushes the newest version to stale replicas after
 //! every read (ablation in E1).
 
-use crate::common::{ClientCore, IssueOp, OpOutcome, ScriptOp, TimerAction};
+use crate::common::{
+    ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient, TargetPolicy,
+};
 use crate::kernel::durability::WalState;
+use crate::kernel::propagation::PropagationPolicy;
 use crate::kernel::ring::Ring;
 use crate::kernel::telemetry::{ProbeVersions, Probed};
+use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp};
 use kvstore::{Key, MvStore, Value};
 use obs::{Counter, EventKind, QuorumKind};
 use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
 
-/// Quorum configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuorumConfig {
-    /// Number of home replicas (the strict preference list).
-    pub n: usize,
-    /// Read quorum size.
-    pub r: usize,
-    /// Write quorum size.
-    pub w: usize,
-    /// Push the newest version to stale replicas after each read.
-    pub read_repair: bool,
-    /// How long a coordinator waits for a quorum before failing the op.
-    pub op_timeout: Duration,
-    /// Sloppy quorum: when home replicas don't ack in time, hand the
-    /// write to spare nodes (ids `n..n+spares`) which store a *hint* and
-    /// deliver it to the real owner when it becomes reachable (Dynamo's
-    /// hinted handoff). Write availability goes up; reads can miss hinted
-    /// writes until delivery — exactly the tutorial's trade.
-    pub sloppy: bool,
-    /// Number of spare (hint-holding) nodes in the deployment.
-    pub spares: usize,
-    /// How often spares retry delivering their hints.
-    pub handoff_interval: Duration,
-}
-
-impl QuorumConfig {
-    /// A strict majority quorum over `n` replicas (`r = w = n/2 + 1`).
-    pub fn majority(n: usize) -> Self {
-        let q = n / 2 + 1;
-        QuorumConfig {
-            n,
-            r: q,
-            w: q,
-            read_repair: true,
-            op_timeout: Duration::from_millis(250),
-            sloppy: false,
-            spares: 0,
-            handoff_interval: Duration::from_millis(100),
-        }
-    }
-
-    /// The classic eventually-consistent configuration `R = W = 1`.
-    pub fn one_one(n: usize) -> Self {
-        QuorumConfig { r: 1, w: 1, ..Self::majority(n) }
-    }
-
-    /// A sloppy majority quorum with `spares` hint-holding nodes.
-    pub fn sloppy_majority(n: usize, spares: usize) -> Self {
-        QuorumConfig { sloppy: true, spares, ..Self::majority(n) }
-    }
-
-    /// Total nodes in the deployment (home replicas + spares).
-    pub fn total_nodes(&self) -> usize {
-        self.n + self.spares
-    }
-
-    /// Whether read and write quorums are guaranteed to intersect.
-    pub fn intersecting(&self) -> bool {
-        self.r + self.w > self.n
-    }
-
-    fn validate(&self) {
-        assert!(self.n >= 1 && self.r >= 1 && self.w >= 1, "quorum sizes must be positive");
-        assert!(self.r <= self.n && self.w <= self.n, "quorum sizes cannot exceed n");
-    }
-}
+/// How long a coordinator waits for a quorum before failing the op.
+const OP_TIMEOUT: Duration = Duration::from_millis(250);
+/// How often a node holding hints retries delivering them.
+const HANDOFF_INTERVAL: Duration = Duration::from_millis(100);
 
 /// A replicated version in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -277,7 +219,20 @@ const TAG_OPTIMEOUT_BASE: u64 = 1_000_000;
 
 /// A quorum node: storage replica + coordinator.
 pub struct QuorumNode {
-    cfg: QuorumConfig,
+    /// Number of home replicas (the strict preference list).
+    n: usize,
+    /// Read quorum size.
+    r: usize,
+    /// Write quorum size.
+    w: usize,
+    /// Push the newest version to stale replicas after each read.
+    read_repair: bool,
+    /// Sloppy quorum when non-zero: if home replicas don't ack in time,
+    /// hand the write to this many spare nodes, which store a *hint* and
+    /// deliver it to the real owner when it becomes reachable (Dynamo's
+    /// hinted handoff). Write availability goes up; reads can miss hinted
+    /// writes until delivery — exactly the tutorial's trade.
+    spares: usize,
     store: Probed<MvStore>,
     /// Durable log of every version this replica has adopted. On an
     /// amnesia restart the store is rebuilt by replaying it.
@@ -285,16 +240,15 @@ pub struct QuorumNode {
     clock: LamportClock,
     pending: BTreeMap<u64, PendingOp>,
     next_req: u64,
-    /// Number of read-repair pushes sent (exported metric).
-    pub repairs_sent: u64,
     /// Spare role: undelivered hints (hint id → target, key, version).
     hints: BTreeMap<u64, (NodeId, Key, WireVersion)>,
     next_hint: u64,
-    /// Hints successfully handed off (exported metric).
-    pub hints_delivered: u64,
     /// Sharded mode: the consistent-hashing ring mapping each key to its
-    /// preference list. `None` = classic mode (every node replicates the
-    /// whole keyspace, spares are the dedicated tail ids `n..n+spares`).
+    /// preference list; every node is replica, coordinator, *and*
+    /// potential spare for some keys, and `spares` counts the ring
+    /// successors past the preference list a sloppy write may fall
+    /// through to. `None` = classic mode (every node replicates the whole
+    /// keyspace, spares are the dedicated tail ids `n..n+spares`).
     ring: Option<Ring>,
     /// Ring mode: whether the lazy hint-retry timer chain is running.
     /// (Classic spares keep a perpetual chain instead.)
@@ -305,39 +259,37 @@ pub struct QuorumNode {
 }
 
 impl QuorumNode {
-    /// Create a node.
-    pub fn new(cfg: QuorumConfig) -> Self {
-        cfg.validate();
+    /// Create a node of a `QuorumFanout` composition, in sharded mode
+    /// when given the cluster's `ring` (whose replication factor must be
+    /// the composition's N).
+    pub fn new(comp: &Composition, ring: Option<Ring>) -> Self {
+        let PropagationPolicy::QuorumFanout { r, w, read_repair, spares } = comp.propagation else {
+            panic!("{} is not a quorum composition", comp.label());
+        };
+        let n = comp.replicas;
+        assert!(n >= 1 && r >= 1 && w >= 1, "quorum sizes must be positive");
+        assert!(r <= n && w <= n, "quorum sizes cannot exceed n");
+        assert!(
+            ring.as_ref().is_none_or(|ring| ring.replication() == n),
+            "ring replication factor must equal the quorum's N"
+        );
         QuorumNode {
-            cfg,
+            n,
+            r,
+            w,
+            read_repair,
+            spares,
             store: Probed::new(MvStore::new()),
             dur: WalState::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
             next_req: 0,
-            repairs_sent: 0,
             hints: BTreeMap::new(),
             next_hint: 0,
-            hints_delivered: 0,
-            ring: None,
+            ring,
             hint_timer_armed: false,
             homes_scratch: Vec::new(),
         }
-    }
-
-    /// Create a node in sharded mode: `ring` maps each key to its
-    /// preference list, `cfg.n` is the per-key replication factor (must
-    /// match the ring's), and `cfg.spares` is the number of preference-
-    /// list spares a sloppy write may fall through to. Every node is
-    /// replica, coordinator, *and* potential spare for some keys.
-    pub fn with_ring(cfg: QuorumConfig, ring: Ring) -> Self {
-        assert_eq!(ring.replication(), cfg.n, "ring replication factor must equal the quorum's N");
-        QuorumNode { ring: Some(ring), ..QuorumNode::new(cfg) }
-    }
-
-    /// The local store (integration tests check convergence).
-    pub fn store(&self) -> &MvStore {
-        &self.store
     }
 
     /// The key's home replicas in ascending node-id order: the ring's
@@ -357,7 +309,7 @@ impl QuorumNode {
                 ring.owners_into(key, &mut out);
                 out.sort_unstable_by_key(|n| n.0);
             }
-            None => out.extend((0..self.cfg.n as u32).map(NodeId)),
+            None => out.extend((0..self.n as u32).map(NodeId)),
         }
         out
     }
@@ -392,7 +344,7 @@ impl QuorumNode {
         // timeout below all carry this coordinator span.
         let span = ctx.span_open("quorum_read");
         let homes = self.take_homes(key);
-        let mut responses = Vec::with_capacity(self.cfg.n);
+        let mut responses = Vec::with_capacity(self.n);
         if homes.contains(&me) {
             responses.push((me, self.local_version(key)));
         }
@@ -401,7 +353,7 @@ impl QuorumNode {
             op_id,
             key,
             responses,
-            needed: self.cfg.r,
+            needed: self.r,
             done: false,
             winner: None,
             issued_at: ctx.now().as_micros(),
@@ -412,7 +364,7 @@ impl QuorumNode {
             ctx.send(peer, Msg::RGet { req_id, key });
         }
         self.restore_homes(homes);
-        ctx.set_timer(self.cfg.op_timeout, TAG_OPTIMEOUT_BASE + req_id);
+        ctx.set_timer(OP_TIMEOUT, TAG_OPTIMEOUT_BASE + req_id);
         self.try_finish_read(ctx, req_id);
     }
 
@@ -447,7 +399,7 @@ impl QuorumNode {
                 version,
                 acks: usize::from(is_owner),
                 acked_from: if is_owner { vec![me] } else { Vec::new() },
-                needed: self.cfg.w,
+                needed: self.w,
                 stamp: ts,
                 done: false,
                 hinted: false,
@@ -459,11 +411,11 @@ impl QuorumNode {
             ctx.send(peer, Msg::RPut { req_id, key, version });
         }
         self.restore_homes(homes);
-        ctx.set_timer(self.cfg.op_timeout, TAG_OPTIMEOUT_BASE + req_id);
-        if self.cfg.sloppy && self.cfg.spares > 0 {
+        ctx.set_timer(OP_TIMEOUT, TAG_OPTIMEOUT_BASE + req_id);
+        if self.spares > 0 {
             // If home acks don't arrive promptly, hand off to spares.
             ctx.set_timer(
-                Duration::from_micros(self.cfg.op_timeout.as_micros() / 3),
+                Duration::from_micros(OP_TIMEOUT.as_micros() / 3),
                 TAG_SLOPPY_BASE + req_id,
             );
         }
@@ -508,11 +460,10 @@ impl QuorumNode {
             None => Vec::new(),
         };
         ctx.send(client, Msg::GetResp { op_id, ok: true, version: newest });
-        if self.cfg.read_repair {
+        if self.read_repair {
             if let Some(best) = newest {
                 let me = ctx.self_id();
                 for node in stale {
-                    self.repairs_sent += 1;
                     ctx.recorder().count_node(me.0 as u64, Counter::ReadRepairs, 1);
                     if node == me {
                         self.apply_version(ctx, key, best);
@@ -598,9 +549,9 @@ impl QuorumNode {
         }
         let spares: Vec<NodeId> = match &self.ring {
             // Sharded mode: the next distinct nodes on the key's walk.
-            Some(ring) => ring.spares(key, self.cfg.spares),
+            Some(ring) => ring.spares(key, self.spares),
             // Classic mode: the dedicated spare tail.
-            None => (self.cfg.n as u32..self.cfg.total_nodes() as u32).map(NodeId).collect(),
+            None => (self.n as u32..(self.n + self.spares) as u32).map(NodeId).collect(),
         };
         if !spares.is_empty() {
             for (i, &target) in missing.iter().enumerate() {
@@ -626,11 +577,11 @@ impl Actor<Msg> for QuorumNode {
     }
 
     fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        if self.ring.is_none() && ctx.self_id().index() >= self.cfg.n {
+        if self.ring.is_none() && ctx.self_id().index() >= self.n {
             // Classic spare role: periodically retry hint delivery. In
             // ring mode any node can hold hints, so the retry chain is
             // armed lazily on the first hint instead.
-            ctx.set_timer(self.cfg.handoff_interval, TAG_HINT_RETRY);
+            ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
         }
     }
 
@@ -663,13 +614,13 @@ impl Actor<Msg> for QuorumNode {
         // A crash killed every pending timer, so the hint-retry chain
         // must be re-armed in both recovery modes.
         if self.ring.is_none() {
-            if me.index() >= self.cfg.n {
-                ctx.set_timer(self.cfg.handoff_interval, TAG_HINT_RETRY);
+            if me.index() >= self.n {
+                ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
             }
         } else {
             self.hint_timer_armed = !self.hints.is_empty();
             if self.hint_timer_armed {
-                ctx.set_timer(self.cfg.handoff_interval, TAG_HINT_RETRY);
+                ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
             }
         }
     }
@@ -747,9 +698,9 @@ impl Actor<Msg> for QuorumNode {
             }
             if self.ring.is_none() {
                 // Classic spare: perpetual retry chain.
-                ctx.set_timer(self.cfg.handoff_interval, TAG_HINT_RETRY);
+                ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
             } else if !self.hints.is_empty() {
-                ctx.set_timer(self.cfg.handoff_interval, TAG_HINT_RETRY);
+                ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
             } else {
                 // Ring mode: let the chain die once every hint drained;
                 // the next HintedPut re-arms it.
@@ -778,7 +729,7 @@ impl Actor<Msg> for QuorumNode {
                     self.pending.get_mut(&req_id)
                 {
                     responses.push((from, version));
-                    if *done && self.cfg.read_repair {
+                    if *done && self.read_repair {
                         // Async read repair: a response arriving after the
                         // quorum still tells us whether that replica lags.
                         match (*winner, version) {
@@ -804,7 +755,6 @@ impl Actor<Msg> for QuorumNode {
                     }
                 }
                 if let Some((key, version, node)) = late_repair {
-                    self.repairs_sent += 1;
                     ctx.recorder().count_node(ctx.self_id().0 as u64, Counter::ReadRepairs, 1);
                     ctx.send(node, Msg::Repair { key, version });
                 }
@@ -833,7 +783,7 @@ impl Actor<Msg> for QuorumNode {
                 ctx.recorder().count_node(ctx.self_id().0 as u64, Counter::HintsStored, 1);
                 if self.ring.is_some() && !self.hint_timer_armed {
                     self.hint_timer_armed = true;
-                    ctx.set_timer(self.cfg.handoff_interval, TAG_HINT_RETRY);
+                    ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
                 }
                 ctx.send(from, Msg::HintAck { req_id });
                 ctx.span_close(span, SpanStatus::Ok);
@@ -850,7 +800,6 @@ impl Actor<Msg> for QuorumNode {
             }
             Msg::HintDeliverAck { hint_id } => {
                 if self.hints.remove(&hint_id).is_some() {
-                    self.hints_delivered += 1;
                     ctx.recorder().count_node(ctx.self_id().0 as u64, Counter::HintsDrained, 1);
                 }
             }
@@ -864,86 +813,72 @@ impl Actor<Msg> for QuorumNode {
     }
 }
 
-/// A scripted client for the quorum protocol.
-pub struct QuorumClient {
-    core: ClientCore,
-    n: usize,
-    /// `None` = random coordinator per op; `Some(id)` = sticky.
-    home: Option<NodeId>,
+/// The quorum protocol as a client speaks it: one request to a
+/// coordinator, one response.
+pub struct QuorumSession {
+    /// Addressable coordinators `0..servers`.
+    servers: usize,
+    policy: TargetPolicy,
 }
 
+/// A scripted client for the quorum protocol.
+pub type QuorumClient = SessionClient<QuorumSession>;
+
 impl QuorumClient {
-    /// Create a client session.
+    /// Create a client session whose coordinator per operation is
+    /// `policy`'s choice among nodes `0..servers`.
     pub fn new(
         session: u64,
         script: Vec<ScriptOp>,
         trace: SharedTrace,
-        n: usize,
-        home: Option<NodeId>,
+        servers: usize,
+        policy: TargetPolicy,
     ) -> Self {
-        QuorumClient {
-            core: ClientCore::new(session, script, trace, Duration::from_millis(800)),
-            n,
-            home,
-        }
+        SessionClient::with_protocol(session, script, trace, QuorumSession { servers, policy })
+    }
+}
+
+impl ClientProtocol for QuorumSession {
+    type Msg = Msg;
+    const OP_TIMEOUT: Duration = Duration::from_millis(800);
+
+    fn target(&mut self, ctx: &mut Context<Msg>) -> NodeId {
+        self.policy.pick(ctx, self.servers)
     }
 
-    fn target(&self, ctx: &mut Context<Msg>) -> NodeId {
-        self.home.unwrap_or_else(|| NodeId(ctx.rng().index(self.n) as u32))
-    }
-
-    fn send_op(&mut self, ctx: &mut Context<Msg>, op: IssueOp, target: NodeId) {
-        let msg = match op.kind {
+    fn request(&self, op: IssueOp) -> Msg {
+        match op.kind {
             OpKind::Read => Msg::Get { op_id: op.op_id, key: op.key },
             OpKind::Write => Msg::Put {
                 op_id: op.op_id,
                 key: op.key,
                 value: op.value.expect("write without value"),
             },
-        };
-        ctx.send(target, msg);
-    }
-}
-
-impl Actor<Msg> for QuorumClient {
-    fn role(&self) -> &'static str {
-        "client"
-    }
-
-    fn on_start(&mut self, ctx: &mut Context<Msg>) {
-        self.core.start(ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, tag: u64) {
-        let target = self.target(ctx);
-        match self.core.handle_timer(ctx, tag, target) {
-            TimerAction::Issue(op) => self.send_op(ctx, op, target),
-            TimerAction::TimedOut(_) | TimerAction::None => {}
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+    fn on_reply(
+        &mut self,
+        _ctx: &mut Context<Msg>,
+        _from: NodeId,
+        msg: Msg,
+        _in_flight: Option<IssueOp>,
+    ) -> Reply {
         match msg {
-            Msg::GetResp { op_id, ok, version } => {
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome {
-                        ok,
-                        values: version.map(|v| v.value).into_iter().collect(),
-                        stamp: version.map(|v| (v.ts.counter, v.ts.actor)),
-                        version_ts: version.map(|v| SimTime::from_micros(v.written_at)),
-                    },
-                );
-            }
-            Msg::PutResp { op_id, ok, stamp } => {
-                self.core.complete(
-                    ctx,
-                    op_id,
-                    OpOutcome { ok, values: vec![], stamp: Some(stamp), version_ts: None },
-                );
-            }
-            _ => {}
+            Msg::GetResp { op_id, ok, version } => Reply::Done(
+                op_id,
+                OpOutcome {
+                    ok,
+                    values: version.map(|v| v.value).into_iter().collect(),
+                    stamp: version.map(|v| (v.ts.counter, v.ts.actor)),
+                    version_ts: version.map(|v| SimTime::from_micros(v.written_at)),
+                },
+            ),
+            Msg::PutResp { op_id, ok, stamp } => Reply::Done(
+                op_id,
+                OpOutcome { ok, values: vec![], stamp: Some(stamp), version_ts: None },
+            ),
+            _ => Reply::Ignore,
         }
     }
 }
@@ -951,10 +886,15 @@ impl Actor<Msg> for QuorumClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::unique_value;
     use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
 
+    fn majority(n: usize) -> Composition {
+        Composition::quorum(n, n / 2 + 1, n / 2 + 1, true, 0)
+    }
+
     fn build(
-        cfg: QuorumConfig,
+        cfg: &Composition,
         clients: Vec<QuorumClient>,
         seed: u64,
         faults: FaultSchedule,
@@ -965,8 +905,8 @@ mod tests {
                 .latency(LatencyModel::Constant(Duration::from_millis(5)))
                 .faults(faults),
         );
-        for _ in 0..cfg.total_nodes() {
-            sim.add_node(Box::new(QuorumNode::new(cfg)));
+        for _ in 0..cfg.server_node_count() {
+            sim.add_node(Box::new(QuorumNode::new(cfg, None)));
         }
         for c in clients {
             sim.add_node(Box::new(c));
@@ -981,23 +921,27 @@ mod tests {
     #[test]
     fn majority_quorum_read_sees_prior_write() {
         let trace = optrace::shared_trace();
-        let cfg = QuorumConfig::majority(3);
-        assert!(cfg.intersecting());
-        let writer =
-            QuorumClient::new(1, script(&[(OpKind::Write, 9)]), trace.clone(), 3, Some(NodeId(0)));
+        let cfg = majority(3);
+        let writer = QuorumClient::new(
+            1,
+            script(&[(OpKind::Write, 9)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
         let reader = QuorumClient::new(
             2,
             vec![ScriptOp { gap_us: 100_000, kind: OpKind::Read, key: 9 }],
             trace.clone(),
             3,
-            Some(NodeId(1)),
+            TargetPolicy::Sticky(NodeId(1)),
         );
-        let mut sim = build(cfg, vec![writer, reader], 1, FaultSchedule::none());
+        let mut sim = build(&cfg, vec![writer, reader], 1, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         let read = t.records().iter().find(|r| r.kind == OpKind::Read).unwrap();
         assert!(read.ok);
-        assert_eq!(read.value_read, vec![ClientCore::unique_value(1, 1)]);
+        assert_eq!(read.value_read, vec![unique_value(1, 1)]);
     }
 
     #[test]
@@ -1010,17 +954,13 @@ mod tests {
         let mut witness = None;
         for seed in 0..100u64 {
             let trace = optrace::shared_trace();
-            let cfg = QuorumConfig {
-                read_repair: false,
-                op_timeout: Duration::from_millis(250),
-                ..QuorumConfig::one_one(3)
-            };
+            let cfg = Composition::quorum(3, 1, 1, false, 0);
             let writer = QuorumClient::new(
                 1,
                 script(&[(OpKind::Write, 9)]),
                 trace.clone(),
                 3,
-                Some(NodeId(0)),
+                TargetPolicy::Sticky(NodeId(0)),
             );
             // Probe every 2ms: any probe invoked after the write ack that
             // still sees nothing is a stale-after-ack witness.
@@ -1029,15 +969,15 @@ mod tests {
                 (0..40).map(|_| ScriptOp { gap_us: 2_000, kind: OpKind::Read, key: 9 }).collect(),
                 trace.clone(),
                 3,
-                Some(NodeId(1)),
+                TargetPolicy::Sticky(NodeId(1)),
             );
             let mut sim =
                 Sim::new(SimConfig::default().seed(seed).latency(LatencyModel::Uniform {
                     min: Duration::from_millis(1),
                     max: Duration::from_millis(30),
                 }));
-            for _ in 0..cfg.n {
-                sim.add_node(Box::new(QuorumNode::new(cfg)));
+            for _ in 0..cfg.replicas {
+                sim.add_node(Box::new(QuorumNode::new(&cfg, None)));
             }
             sim.add_node(Box::new(writer));
             sim.add_node(Box::new(reader));
@@ -1064,9 +1004,14 @@ mod tests {
     #[test]
     fn read_repair_spreads_version_to_all_replicas() {
         let trace = optrace::shared_trace();
-        let cfg = QuorumConfig { read_repair: true, ..QuorumConfig::majority(3) };
-        let writer =
-            QuorumClient::new(1, script(&[(OpKind::Write, 3)]), trace.clone(), 3, Some(NodeId(0)));
+        let cfg = Composition::quorum(3, 1, 2, true, 0);
+        let writer = QuorumClient::new(
+            1,
+            script(&[(OpKind::Write, 3)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
         // One repaired read, then an R=1-style late probe at each
         // coordinator: after repair every replica must serve the value.
         let reader = QuorumClient::new(
@@ -1074,7 +1019,7 @@ mod tests {
             vec![ScriptOp { gap_us: 100_000, kind: OpKind::Read, key: 3 }],
             trace.clone(),
             3,
-            Some(NodeId(1)),
+            TargetPolicy::Sticky(NodeId(1)),
         );
         let mut probes = Vec::new();
         for (s, node) in [(3u64, 0u32), (4, 1), (5, 2)] {
@@ -1083,18 +1028,18 @@ mod tests {
                 vec![ScriptOp { gap_us: 400_000, kind: OpKind::Read, key: 3 }],
                 trace.clone(),
                 3,
-                Some(NodeId(node)),
+                TargetPolicy::Sticky(NodeId(node)),
             ));
         }
         let mut clients = vec![writer, reader];
         clients.extend(probes);
-        let mut sim = build(QuorumConfig { r: 1, ..cfg }, clients, 3, FaultSchedule::none());
+        let mut sim = build(&cfg, clients, 3, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(1));
         let t = trace.borrow();
         for r in t.records().iter().filter(|r| r.session >= 3) {
             assert_eq!(
                 r.value_read,
-                vec![ClientCore::unique_value(1, 1)],
+                vec![unique_value(1, 1)],
                 "replica behind coordinator for session {} still stale",
                 r.session
             );
@@ -1104,7 +1049,7 @@ mod tests {
     #[test]
     fn minority_partition_blocks_majority_quorum_ops() {
         let trace = optrace::shared_trace();
-        let cfg = QuorumConfig::majority(3);
+        let cfg = majority(3);
         // Side A holds node 0 *and* its client (node 3); the fine client
         // (node 4) stays with the majority.
         let faults = FaultSchedule::none().partition(
@@ -1112,11 +1057,21 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_secs(10),
         );
-        let blocked =
-            QuorumClient::new(1, script(&[(OpKind::Write, 1)]), trace.clone(), 3, Some(NodeId(0)));
-        let fine =
-            QuorumClient::new(2, script(&[(OpKind::Write, 2)]), trace.clone(), 3, Some(NodeId(1)));
-        let mut sim = build(cfg, vec![blocked, fine], 4, faults);
+        let blocked = QuorumClient::new(
+            1,
+            script(&[(OpKind::Write, 1)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
+        let fine = QuorumClient::new(
+            2,
+            script(&[(OpKind::Write, 2)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(1)),
+        );
+        let mut sim = build(&cfg, vec![blocked, fine], 4, faults);
         sim.run_until(SimTime::from_secs(5));
         let t = trace.borrow();
         let by_session = |s: u64| t.records().iter().find(|r| r.session == s).unwrap();
@@ -1127,8 +1082,7 @@ mod tests {
     #[test]
     fn coordinator_timeout_produces_client_failure_quickly() {
         let trace = optrace::shared_trace();
-        let cfg =
-            QuorumConfig { op_timeout: Duration::from_millis(100), ..QuorumConfig::majority(3) };
+        let cfg = majority(3);
         // The client (node 3) sits on node 0's side of the cut so its
         // request reaches the coordinator, whose op timeout then fires.
         let faults = FaultSchedule::none().partition(
@@ -1136,9 +1090,14 @@ mod tests {
             SimTime::ZERO,
             SimTime::from_secs(10),
         );
-        let c =
-            QuorumClient::new(1, script(&[(OpKind::Read, 1)]), trace.clone(), 3, Some(NodeId(0)));
-        let mut sim = build(cfg, vec![c], 5, faults);
+        let c = QuorumClient::new(
+            1,
+            script(&[(OpKind::Read, 1)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
+        let mut sim = build(&cfg, vec![c], 5, faults);
         sim.run_until(SimTime::from_secs(5));
         let t = trace.borrow();
         let r = &t.records()[0];
@@ -1150,18 +1109,28 @@ mod tests {
     fn r1w1_is_available_in_both_partition_sides() {
         // CAP in one test: R=W=1 keeps serving on both sides of a cut.
         let trace = optrace::shared_trace();
-        let cfg = QuorumConfig::one_one(3);
+        let cfg = Composition::quorum(3, 1, 1, true, 0);
         // The minority client (node 3) is co-located with node 0.
         let faults = FaultSchedule::none().partition(
             vec![NodeId(0), NodeId(3)],
             SimTime::ZERO,
             SimTime::from_secs(10),
         );
-        let minority =
-            QuorumClient::new(1, script(&[(OpKind::Write, 1)]), trace.clone(), 3, Some(NodeId(0)));
-        let majority =
-            QuorumClient::new(2, script(&[(OpKind::Write, 1)]), trace.clone(), 3, Some(NodeId(1)));
-        let mut sim = build(cfg, vec![minority, majority], 6, faults);
+        let minority = QuorumClient::new(
+            1,
+            script(&[(OpKind::Write, 1)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
+        let majority = QuorumClient::new(
+            2,
+            script(&[(OpKind::Write, 1)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(1)),
+        );
+        let mut sim = build(&cfg, vec![minority, majority], 6, faults);
         sim.run_until(SimTime::from_secs(5));
         let t = trace.borrow();
         assert!(t.records().iter().all(|r| r.ok), "R=W=1 stays available everywhere");
@@ -1174,12 +1143,8 @@ mod tests {
         // hinted handoff to the spare (node 3).
         let run = |sloppy: bool| {
             let trace = optrace::shared_trace();
-            let cfg = if sloppy {
-                QuorumConfig::sloppy_majority(3, 1)
-            } else {
-                QuorumConfig::majority(3)
-            };
-            let total = cfg.total_nodes();
+            let cfg = Composition::quorum(3, 2, 2, true, usize::from(sloppy));
+            let total = cfg.server_node_count();
             // Side A: coordinator 0, the spare (if any), and the client.
             let mut side_a = vec![NodeId(0), NodeId(total as u32)];
             if sloppy {
@@ -1192,9 +1157,9 @@ mod tests {
                 script(&[(OpKind::Write, 9)]),
                 trace.clone(),
                 3,
-                Some(NodeId(0)),
+                TargetPolicy::Sticky(NodeId(0)),
             );
-            let mut sim = build(cfg, vec![client], 21, faults);
+            let mut sim = build(&cfg, vec![client], 21, faults);
             sim.run_until(SimTime::from_secs(3));
             let t = trace.borrow();
             t.records()[0].ok
@@ -1209,15 +1174,20 @@ mod tests {
         // spare hands the version to the real owners, and an R=1 read at
         // node 1 sees it.
         let trace = optrace::shared_trace();
-        let cfg = QuorumConfig { r: 1, w: 2, ..QuorumConfig::sloppy_majority(3, 1) };
-        let total = cfg.total_nodes();
+        let cfg = Composition::quorum(3, 1, 2, true, 1);
+        let total = cfg.server_node_count();
         let faults = FaultSchedule::none().partition(
             vec![NodeId(0), NodeId(3), NodeId(total as u32)],
             SimTime::ZERO,
             SimTime::from_secs(2),
         );
-        let writer =
-            QuorumClient::new(1, script(&[(OpKind::Write, 9)]), trace.clone(), 3, Some(NodeId(0)));
+        let writer = QuorumClient::new(
+            1,
+            script(&[(OpKind::Write, 9)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
         // Read at node 1, 4 seconds in (partition healed at 2s, handoff
         // retries every 100ms).
         let reader = QuorumClient::new(
@@ -1225,9 +1195,9 @@ mod tests {
             vec![ScriptOp { gap_us: 4_000_000, kind: OpKind::Read, key: 9 }],
             trace.clone(),
             3,
-            Some(NodeId(1)),
+            TargetPolicy::Sticky(NodeId(1)),
         );
-        let mut sim = build(cfg, vec![writer, reader], 22, faults);
+        let mut sim = build(&cfg, vec![writer, reader], 22, faults);
         sim.run_until(SimTime::from_secs(6));
         let t = trace.borrow();
         let write = t.records().iter().find(|r| r.kind == OpKind::Write).unwrap();
@@ -1235,7 +1205,7 @@ mod tests {
         assert!(write.ok, "hinted write succeeds during the outage");
         assert_eq!(
             read.value_read,
-            vec![ClientCore::unique_value(1, 1)],
+            vec![unique_value(1, 1)],
             "hint must be delivered to the home replica after the heal"
         );
     }
@@ -1243,6 +1213,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot exceed n")]
     fn invalid_quorum_config_panics() {
-        QuorumNode::new(QuorumConfig { r: 4, w: 1, ..QuorumConfig::majority(3) });
+        QuorumNode::new(&Composition::quorum(3, 4, 1, true, 0), None);
     }
 }

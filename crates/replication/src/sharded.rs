@@ -5,9 +5,9 @@
 //! single-shard analysis but cannot say anything about cluster-scale
 //! effects: membership churn, rebalancing cost, or how sloppy-quorum
 //! availability behaves when spares are *other data-carrying nodes*
-//! rather than dedicated hint parks. This module composes the
-//! [`Ring`](crate::kernel::ring::Ring) consistent-hashing layer with
-//! [`QuorumNode`] to model a Dynamo-style cluster:
+//! rather than dedicated hint parks. This module composes the [`Ring`]
+//! consistent-hashing layer with [`crate::quorum::QuorumNode`] to model
+//! a Dynamo-style cluster:
 //!
 //! - every physical node owns the keys whose hash walk reaches it first,
 //! - each key's preference list is its first `n` distinct owners,
@@ -18,107 +18,80 @@
 //!
 //! See `docs/RING.md` for the layout, hint lifecycle, and churn model.
 
-use crate::quorum::{QuorumConfig, QuorumNode};
+use crate::kernel::Composition;
 use simnet::NodeId;
 
 pub use crate::kernel::ring::Ring;
 
-/// Configuration for a ring-sharded quorum cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardedConfig {
-    /// Per-key quorum parameters. `quorum.n` is the preference-list
-    /// size; `quorum.spares` is how many ring successors past the
-    /// preference list a sloppy write may fall through to.
-    pub quorum: QuorumConfig,
-    /// Number of physical nodes in the cluster.
-    pub nodes: usize,
-    /// Virtual nodes per physical node on the hash ring.
-    pub vnodes: usize,
+/// Panics unless a cluster of `nodes` physical nodes can host `inner`'s
+/// preference lists.
+fn check_cluster(inner: &Composition, nodes: usize) {
+    assert!(
+        nodes >= inner.replicas,
+        "ring cluster must have at least as many nodes ({nodes}) as the preference list ({})",
+        inner.replicas
+    );
+    assert!(
+        nodes <= u32::MAX as usize,
+        "ring cluster of {nodes} nodes exceeds compact u32 NodeId addressing (max {})",
+        u32::MAX
+    );
 }
 
-impl ShardedConfig {
-    /// A sharded cluster with the given quorum parameters.
-    ///
-    /// Panics if the cluster is smaller than the preference list or if
-    /// `vnodes` is zero.
-    pub fn new(quorum: QuorumConfig, nodes: usize, vnodes: usize) -> Self {
-        let cfg = ShardedConfig { quorum, nodes, vnodes };
-        cfg.validate();
-        cfg
-    }
-
-    /// Panics if the configuration is internally inconsistent.
-    pub fn validate(&self) {
-        assert!(
-            self.nodes >= self.quorum.n,
-            "ring cluster must have at least as many nodes ({}) as the preference list ({})",
-            self.nodes,
-            self.quorum.n
-        );
-        assert!(
-            self.nodes <= u32::MAX as usize,
-            "ring cluster of {} nodes exceeds compact u32 NodeId addressing (max {})",
-            self.nodes,
-            u32::MAX
-        );
-        assert!(self.vnodes >= 1, "ring needs at least one virtual node per physical node");
-    }
-
-    /// The initial ring over nodes `0..nodes`.
-    pub fn ring(&self) -> Ring {
-        Ring::new(self.quorum.n, self.vnodes, (0..self.nodes as u32).map(NodeId))
-    }
-
-    /// Build one [`QuorumNode`] per physical node, all sharing the
-    /// initial ring view.
-    pub fn build_nodes(&self) -> Vec<QuorumNode> {
-        let ring = self.ring();
-        (0..self.nodes).map(|_| QuorumNode::with_ring(self.quorum, ring.clone())).collect()
-    }
-
-    /// Human-readable label, e.g. `ring(20x16,R2W2+2)`.
-    pub fn label(&self) -> String {
-        let q = &self.quorum;
-        let sloppy = if q.sloppy { format!("+{}", q.spares) } else { String::new() };
-        format!("ring({}x{},R{}W{}{})", self.nodes, self.vnodes, q.r, q.w, sloppy)
-    }
+/// The initial ring of a sharded cluster: nodes `0..nodes` with `vnodes`
+/// points each, preference lists of `inner.replicas` owners. Every
+/// [`crate::quorum::QuorumNode`] of the cluster starts from a clone of
+/// it.
+///
+/// Panics if the cluster is smaller than the preference list or
+/// ([`Ring::new`]) if `vnodes` is zero.
+pub fn initial_ring(inner: &Composition, nodes: usize, vnodes: usize) -> Ring {
+    check_cluster(inner, nodes);
+    Ring::new(inner.replicas, vnodes, (0..nodes as u32).map(NodeId))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{ClientCore, ScriptOp};
+    use crate::common::{unique_value, ScriptOp, TargetPolicy};
+    use crate::quorum::{Msg, QuorumClient, QuorumNode};
 
     #[test]
-    fn config_accepts_node_count_at_u32_boundary() {
-        // Construction must not panic: u32::MAX nodes are addressable
-        // with compact ids. (Only validates the config; no cluster of
-        // this size is built.)
-        let cfg = ShardedConfig {
-            quorum: QuorumConfig::majority(3),
-            nodes: u32::MAX as usize,
-            vnodes: 8,
-        };
-        cfg.validate();
+    fn cluster_accepts_node_count_at_u32_boundary() {
+        // Must not panic: u32::MAX nodes are addressable with compact
+        // ids. (Only validates; no cluster of this size is built.)
+        check_cluster(&Composition::quorum(3, 2, 2, true, 0), u32::MAX as usize);
     }
 
     #[test]
     #[should_panic(expected = "exceeds compact u32 NodeId addressing")]
-    fn config_rejects_node_count_above_u32() {
-        let cfg = ShardedConfig {
-            quorum: QuorumConfig::majority(3),
-            nodes: u32::MAX as usize + 1,
-            vnodes: 8,
-        };
-        cfg.validate();
+    fn cluster_rejects_node_count_above_u32() {
+        check_cluster(&Composition::quorum(3, 2, 2, true, 0), u32::MAX as usize + 1);
     }
-    use crate::quorum::{Msg, QuorumClient};
+
+    /// A test cluster: the per-key quorum composition, the physical node
+    /// count and the virtual nodes per physical node.
+    struct Cluster {
+        inner: Composition,
+        nodes: usize,
+        vnodes: usize,
+    }
+
+    impl Cluster {
+        fn new(spares: usize, nodes: usize, vnodes: usize) -> Self {
+            Cluster { inner: Composition::quorum(3, 2, 2, true, spares), nodes, vnodes }
+        }
+
+        fn ring(&self) -> Ring {
+            initial_ring(&self.inner, self.nodes, self.vnodes)
+        }
+    }
     use kvstore::Key;
     use obs::Counter;
     use simnet::{optrace, Duration, FaultSchedule, LatencyModel, OpKind, Sim, SimConfig, SimTime};
 
     fn build(
-        cfg: ShardedConfig,
+        cfg: &Cluster,
         clients: Vec<QuorumClient>,
         seed: u64,
         faults: FaultSchedule,
@@ -131,8 +104,9 @@ mod tests {
                 .faults(faults)
                 .recorder(recorder),
         );
-        for node in cfg.build_nodes() {
-            sim.add_node(Box::new(node));
+        let ring = cfg.ring();
+        for _ in 0..cfg.nodes {
+            sim.add_node(Box::new(QuorumNode::new(&cfg.inner, Some(ring.clone()))));
         }
         for c in clients {
             sim.add_node(Box::new(c));
@@ -146,7 +120,7 @@ mod tests {
 
     #[test]
     fn ring_write_lands_on_owners_and_read_finds_it() {
-        let cfg = ShardedConfig::new(QuorumConfig::majority(3), 8, 16);
+        let cfg = Cluster::new(0, 8, 16);
         let trace = optrace::shared_trace();
         let keys: Vec<Key> = (0..10).collect();
         let writer = QuorumClient::new(
@@ -154,7 +128,7 @@ mod tests {
             script(&keys.iter().map(|&k| (OpKind::Write, k)).collect::<Vec<_>>()),
             trace.clone(),
             cfg.nodes,
-            None,
+            TargetPolicy::Random,
         );
         let reader = QuorumClient::new(
             2,
@@ -169,10 +143,10 @@ mod tests {
                 .collect(),
             trace.clone(),
             cfg.nodes,
-            None,
+            TargetPolicy::Random,
         );
         let mut sim =
-            build(cfg, vec![writer, reader], 7, FaultSchedule::none(), obs::Recorder::disabled());
+            build(&cfg, vec![writer, reader], 7, FaultSchedule::none(), obs::Recorder::disabled());
         sim.run_until(SimTime::from_secs(2));
 
         // Every read observes the prior write for its key.
@@ -180,7 +154,7 @@ mod tests {
         for (i, _) in keys.iter().enumerate() {
             let read = t.records().iter().filter(|r| r.kind == OpKind::Read).nth(i).unwrap();
             assert!(read.ok, "ring read {i} failed");
-            assert_eq!(read.value_read, vec![ClientCore::unique_value(1, i as u64 + 1)]);
+            assert_eq!(read.value_read, vec![unique_value(1, i as u64 + 1)]);
         }
 
         // And the stored versions live exactly on the ring owners.
@@ -201,7 +175,7 @@ mod tests {
         // Partition two of the key's three owners away so the write
         // quorum (W=2) cannot be met from homes alone; the sloppy write
         // must park hints on ring spares, then drain them after the heal.
-        let cfg = ShardedConfig::new(QuorumConfig::sloppy_majority(3, 2), 6, 8);
+        let cfg = Cluster::new(2, 6, 8);
         let key: Key = 3;
         let owners = cfg.ring().owners(key);
         let cut = owners[0];
@@ -217,10 +191,10 @@ mod tests {
             script(&[(OpKind::Write, key)]),
             trace.clone(),
             cfg.nodes,
-            Some(coordinator),
+            TargetPolicy::Sticky(coordinator),
         );
         let recorder = obs::Recorder::enabled();
-        let mut sim = build(cfg, vec![writer], 5, faults, recorder.clone());
+        let mut sim = build(&cfg, vec![writer], 5, faults, recorder.clone());
         sim.run_until(SimTime::from_secs(8));
 
         let t = trace.borrow();
@@ -239,13 +213,13 @@ mod tests {
         // The partitioned owner ends up holding the value.
         // (key_versions was consumed by drop; re-run to inspect.)
         let mut sim2 = build(
-            cfg,
+            &cfg,
             vec![QuorumClient::new(
                 1,
                 script(&[(OpKind::Write, key)]),
                 optrace::shared_trace(),
                 cfg.nodes,
-                Some(coordinator),
+                TargetPolicy::Sticky(coordinator),
             )],
             5,
             FaultSchedule::none().partition(
@@ -264,7 +238,7 @@ mod tests {
 
     #[test]
     fn membership_leave_rebalances_keys_to_new_owners() {
-        let cfg = ShardedConfig::new(QuorumConfig::majority(3), 6, 8);
+        let cfg = Cluster::new(0, 6, 8);
         let key: Key = 11;
         let old_ring = cfg.ring();
         let owners = old_ring.owners(key);
@@ -281,11 +255,11 @@ mod tests {
             script(&[(OpKind::Write, key)]),
             trace.clone(),
             cfg.nodes,
-            Some(owners[1]),
+            TargetPolicy::Sticky(owners[1]),
         );
         let faults = FaultSchedule::none().membership(SimTime::from_millis(500), leaver, false);
         let recorder = obs::Recorder::enabled();
-        let mut sim = build(cfg, vec![writer], 9, faults, recorder.clone());
+        let mut sim = build(&cfg, vec![writer], 9, faults, recorder.clone());
         sim.run_until(SimTime::from_secs(3));
 
         // The new owner received the key via a rebalance push.

@@ -161,7 +161,6 @@ msg_meta_opaque!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, (), String)
 /// touching the protocol message types.
 enum Effect<M> {
     Send { to: NodeId, msg: M, trace: u64, span: u64 },
-    SendLocal { to: NodeId, msg: M, after: Duration, trace: u64, span: u64 },
     Timer { id: u64, after: Duration, tag: u64, trace: u64, span: u64 },
     CancelTimer { id: u64 },
 }
@@ -245,14 +244,6 @@ impl<'a, M> Context<'a, M> {
     pub fn send(&mut self, to: NodeId, msg: M) {
         let (trace, span) = (self.active_trace, self.active_span);
         self.effects.push(Effect::Send { to, msg, trace, span });
-    }
-
-    /// Deliver `msg` to `to` after exactly `after`, bypassing the network
-    /// model and faults. Used for intra-process handoff (e.g. a client
-    /// co-located with its replica) and for self-messages.
-    pub fn send_local(&mut self, to: NodeId, msg: M, after: Duration) {
-        let (trace, span) = (self.active_trace, self.active_span);
-        self.effects.push(Effect::SendLocal { to, msg, after, trace, span });
     }
 
     /// Set a one-shot timer; returns its id (usable with
@@ -557,16 +548,6 @@ impl<M> Sim<M> {
         out
     }
 
-    /// Borrow an actor (e.g. to read results after the run).
-    pub fn node(&self, id: NodeId) -> &dyn Actor<M> {
-        self.actors[id.index()].as_ref()
-    }
-
-    /// Borrow an actor mutably.
-    pub fn node_mut(&mut self, id: NodeId) -> &mut dyn Actor<M> {
-        self.actors[id.index()].as_mut()
-    }
-
     fn start_if_needed(&mut self) {
         if self.started {
             return;
@@ -721,22 +702,6 @@ impl<M> Sim<M> {
                         EventPayload::Deliver { from: id, to, msg, trace, span },
                     );
                 }
-                Effect::SendLocal { to, msg, after, trace, span } => {
-                    self.recorder.record(
-                        self.now.as_micros(),
-                        EventKind::MessageSent {
-                            from: id.0 as u64,
-                            to: to.0 as u64,
-                            bytes: Self::msg_bytes(),
-                            trace,
-                            span,
-                        },
-                    );
-                    self.queue.push(
-                        self.now + after,
-                        EventPayload::Deliver { from: id, to, msg, trace, span },
-                    );
-                }
                 Effect::Timer { id: tid, after, tag, trace, span } => {
                     self.queue.push(
                         self.now + after,
@@ -749,11 +714,6 @@ impl<M> Sim<M> {
             }
         }
         self.effects_scratch = effects;
-    }
-
-    /// Consume the simulator and return the actors (to extract results).
-    pub fn into_actors(mut self) -> Vec<Box<dyn Actor<M>>> {
-        std::mem::take(&mut self.actors)
     }
 }
 
@@ -906,17 +866,6 @@ impl<M: MsgMeta> Sim<M> {
         // so back-to-back `run_until` calls observe monotonic time.
         if self.now < deadline {
             self.now = deadline;
-        }
-        n
-    }
-
-    /// Run until the event queue is fully drained (use only with workloads
-    /// that terminate; gossip protocols with periodic timers never drain).
-    pub fn run_to_quiescence(&mut self, max_events: u64) -> u64 {
-        self.start_if_needed();
-        let mut n = 0;
-        while n < max_events && self.step() {
-            n += 1;
         }
         n
     }

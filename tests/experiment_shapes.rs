@@ -148,41 +148,39 @@ fn e10_shape_synchrony_costs_round_trips() {
 /// exercises the full replication stack.)
 #[test]
 fn e6_shape_crdt_counters_lose_nothing() {
-    use rethinking_ec::replication::common::{ClientCore, Guarantees, ScriptOp};
-    use rethinking_ec::replication::eventual::{
-        ConflictMode, EventualClient, EventualConfig, EventualReplica, GossipConfig, TargetPolicy,
-    };
+    use rethinking_ec::replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
+    use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig};
+    use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
     use rethinking_ec::simnet::{optrace, NodeId, OpKind, Sim, SimConfig};
 
     let trace = optrace::shared_trace();
-    let cfg = EventualConfig {
-        eager: true,
-        gossip: Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
-        mode: ConflictMode::Counter,
-        ..EventualConfig::default_lww(3)
-    };
+    let cfg = Composition::eventual(
+        3,
+        true,
+        Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
+        ResolutionPolicy::CrdtMerge,
+    );
     let mut sim = Sim::new(SimConfig::default().seed(6).latency(LatencyModel::Uniform {
         min: Duration::from_millis(1),
         max: Duration::from_millis(15),
     }));
     for _ in 0..3 {
-        sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
     let mut expected: u64 = 0;
     for s in 1..=4u64 {
         let script: Vec<ScriptOp> =
             (0..10).map(|_| ScriptOp { gap_us: 1_000, kind: OpKind::Write, key: 0 }).collect();
         for op in 1..=10u64 {
-            expected += ClientCore::unique_value(s, op);
+            expected += unique_value(s, op);
         }
         sim.add_node(Box::new(EventualClient::new(
             s,
             script,
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId((s as u32 - 1) % 3)),
             Guarantees::none(),
-            ConflictMode::Counter,
         )));
     }
     // Late readers at every replica agree on the exact total.
@@ -191,10 +189,9 @@ fn e6_shape_crdt_counters_lose_nothing() {
             s,
             vec![ScriptOp { gap_us: 2_000_000, kind: OpKind::Read, key: 0 }],
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(home as u32)),
             Guarantees::none(),
-            ConflictMode::Counter,
         )));
     }
     sim.run_until(SimTime::from_secs(10));

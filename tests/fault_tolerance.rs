@@ -5,7 +5,6 @@ use rethinking_ec::core::metrics::availability_timeline;
 use rethinking_ec::core::scheme::ClientPlacement;
 use rethinking_ec::core::{Experiment, Scheme};
 use rethinking_ec::replication::common::Guarantees;
-use rethinking_ec::replication::eventual::ConflictMode;
 use rethinking_ec::simnet::{Duration, FaultSchedule, LatencyModel, NodeId, OpKind, SimTime};
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
 
@@ -150,18 +149,18 @@ fn gossip_repairs_divergence_after_partition_heals() {
     // partition (guaranteed divergence), and after the heal late pollers
     // at every replica must observe identical values — the formal
     // convergence predicate, client-observed.
-    use rethinking_ec::replication::common::ScriptOp;
-    use rethinking_ec::replication::eventual::{
-        EventualClient, EventualConfig, EventualReplica, GossipConfig, TargetPolicy,
-    };
+    use rethinking_ec::replication::common::{ScriptOp, TargetPolicy};
+    use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig};
+    use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
     use rethinking_ec::simnet::{optrace, Sim, SimConfig};
 
     let trace = optrace::shared_trace();
-    let cfg = EventualConfig {
-        eager: true,
-        gossip: Some(GossipConfig { interval: Duration::from_millis(50), fanout: 2 }),
-        ..EventualConfig::default_lww(3)
-    };
+    let cfg = Composition::eventual(
+        3,
+        true,
+        Some(GossipConfig { interval: Duration::from_millis(50), fanout: 2 }),
+        ResolutionPolicy::LwwRegister,
+    );
     let mut sim = Sim::new(
         SimConfig::default()
             .seed(6)
@@ -177,7 +176,7 @@ fn gossip_repairs_divergence_after_partition_heals() {
             )),
     );
     for _ in 0..3 {
-        sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
     // Two writers hammer the same keys on opposite partition sides.
     for (session, home) in [(1u64, 0u32), (2, 1)] {
@@ -187,10 +186,9 @@ fn gossip_repairs_divergence_after_partition_heals() {
             session,
             script,
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(home)),
             Guarantees::none(),
-            ConflictMode::Lww,
         )));
     }
     // Late pollers at every replica read every key at t = 8s.
@@ -201,10 +199,9 @@ fn gossip_repairs_divergence_after_partition_heals() {
             session,
             script,
             trace.clone(),
-            3,
+            &cfg,
             TargetPolicy::Sticky(NodeId(home)),
             Guarantees::none(),
-            ConflictMode::Lww,
         )));
     }
     sim.run_until(SimTime::from_secs(60));

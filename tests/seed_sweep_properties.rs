@@ -138,10 +138,9 @@ fn causal_sessions_keep_read_your_writes_under_random_faults() {
 
 #[test]
 fn eventual_store_converges_after_fault_horizon() {
-    use rethinking_ec::replication::common::{Guarantees, ScriptOp};
-    use rethinking_ec::replication::eventual::{
-        ConflictMode, EventualClient, EventualConfig, EventualReplica, GossipConfig, TargetPolicy,
-    };
+    use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
+    use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig};
+    use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
     use rethinking_ec::simnet::{optrace, OpKind, Sim, SimConfig};
 
     const KEYS: u64 = 5;
@@ -152,11 +151,12 @@ fn eventual_store_converges_after_fault_horizon() {
         // pollers at every replica read every key at t = 12s, after the
         // fault horizon (all faults heal by t = 10s).
         let trace = optrace::shared_trace();
-        let cfg = EventualConfig {
-            eager: true,
-            gossip: Some(GossipConfig { interval: Duration::from_millis(50), fanout: 2 }),
-            ..EventualConfig::default_lww(3)
-        };
+        let cfg = Composition::eventual(
+            3,
+            true,
+            Some(GossipConfig { interval: Duration::from_millis(50), fanout: 2 }),
+            ResolutionPolicy::LwwRegister,
+        );
         let rec = RecorderSpec::Counters.make();
         let mut sim = Sim::new(
             SimConfig::default()
@@ -169,7 +169,7 @@ fn eventual_store_converges_after_fault_horizon() {
                 .recorder(rec.clone()),
         );
         for _ in 0..3 {
-            sim.add_node(Box::new(EventualReplica::new(cfg.clone())));
+            sim.add_node(Box::new(EventualReplica::new(&cfg)));
         }
         for (session, home) in [(1u64, 0usize), (2, 1)] {
             let script: Vec<ScriptOp> = (0..30)
@@ -179,10 +179,9 @@ fn eventual_store_converges_after_fault_horizon() {
                 session,
                 script,
                 trace.clone(),
-                3,
+                &cfg,
                 TargetPolicy::Sticky(NodeId(home as u32)),
                 Guarantees::none(),
-                ConflictMode::Lww,
             )));
         }
         for (session, home) in [(10u64, 0usize), (11, 1), (12, 2)] {
@@ -193,10 +192,9 @@ fn eventual_store_converges_after_fault_horizon() {
                 session,
                 script,
                 trace.clone(),
-                3,
+                &cfg,
                 TargetPolicy::Sticky(NodeId(home as u32)),
                 Guarantees::none(),
-                ConflictMode::Lww,
             )));
         }
         sim.run_until(SimTime::from_secs(90));
