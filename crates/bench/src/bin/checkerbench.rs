@@ -70,7 +70,6 @@ fn main() {
 fn run_stream(n: u64, window_ms: u64) -> (usize, u64) {
     let mut verifier = StreamVerifier::new(StreamConfig {
         window: Some(Duration::from_millis(window_ms)),
-        retain_samples: false,
         ..StreamConfig::default()
     });
     let mut last_write: Vec<Option<LastWrite>> = vec![None; KEYS as usize];

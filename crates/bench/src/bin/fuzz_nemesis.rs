@@ -10,13 +10,6 @@
 //! Flags: `--seeds N` schedules per scheme, `--jobs N` workers,
 //! `--intensity light|medium|heavy`, `--base-seed N`, `--no-shrink`.
 //!
-//! `--stream` runs a *differential* campaign instead: every cell is
-//! judged twice — by the materialized batch checkers over the finished
-//! trace and by the streaming checkers fed online during the run — and
-//! the process exits non-zero iff any cell disagrees (verdict mismatch
-//! or non-byte-identical reports). Results land in
-//! `results/fuzz_differential.json`.
-//!
 //! `--replay <reproducer.json>` runs a single shrunk reproducer (the
 //! `FuzzCase` JSON embedded in the campaign report) instead of a
 //! campaign; with `--trace-out <path>` the replay emits its full JSONL
@@ -31,20 +24,17 @@
 
 use bench::{reject_args, save_json, take_value, usage_exit, Obs};
 use obs::Recorder;
-use rec_core::fuzz::{
-    campaign, differential_campaign, run_case_recorded, FuzzCase, FuzzScheme, Verdict,
-};
+use rec_core::fuzz::{campaign, run_case_recorded, FuzzCase, FuzzScheme};
 use std::path::PathBuf;
 
 const USAGE: &str = "[--seeds N] [--jobs N] [--intensity light|medium|heavy] [--base-seed N] \
-                     [--no-shrink] [--stream] [--replay FILE] [--trace-out PATH]";
+                     [--no-shrink] [--replay FILE] [--trace-out PATH]";
 
 fn main() {
     let (obs, rest) = Obs::from_args();
     let mut intensity = "heavy".to_string();
     let mut base_seed = 0u64;
     let mut shrink = true;
-    let mut stream = false;
     let mut replay: Option<PathBuf> = None;
     let mut args = rest.into_iter();
     while let Some(a) = args.next() {
@@ -57,8 +47,6 @@ fn main() {
             replay = Some(PathBuf::from(p));
         } else if a == "--no-shrink" {
             shrink = false;
-        } else if a == "--stream" {
-            stream = true;
         } else {
             reject_args(&[a], USAGE);
         }
@@ -66,11 +54,6 @@ fn main() {
 
     if let Some(path) = replay {
         replay_case(&path, obs.trace_out.as_deref());
-        return;
-    }
-
-    if stream {
-        differential_run(obs.seeds, base_seed, &intensity, obs.jobs);
         return;
     }
 
@@ -88,52 +71,6 @@ fn main() {
     );
     if unexpected > 0 {
         eprintln!("FAIL: guarantees broke where they were expected to hold; reproducers in results/fuzz_nemesis.json");
-        std::process::exit(1);
-    }
-}
-
-/// Run the batch-vs-stream differential campaign and exit non-zero on
-/// any divergence. The summary table is `--jobs`-invariant, like the
-/// plain campaign's.
-fn differential_run(seeds: u64, base_seed: u64, intensity: &str, jobs: usize) {
-    let cells = differential_campaign(&FuzzScheme::ALL, seeds, base_seed, intensity, jobs);
-    println!(
-        "differential fuzz campaign: profile={intensity} base_seed={base_seed} runs={}",
-        cells.len()
-    );
-    println!("{:<22} {:>5} {:>10} {:>9}", "scheme", "runs", "violations", "diverged");
-    let mut diverged = 0usize;
-    for scheme in FuzzScheme::ALL {
-        let rows: Vec<_> = cells.iter().filter(|c| c.scheme == scheme).collect();
-        if rows.is_empty() {
-            continue;
-        }
-        let violations = rows.iter().filter(|c| c.outcome.batch != Verdict::Pass).count();
-        let bad = rows.iter().filter(|c| !c.outcome.agree()).count();
-        diverged += bad;
-        println!("{:<22} {:>5} {:>10} {:>9}", scheme.label(), rows.len(), violations, bad);
-    }
-    save_json("fuzz_differential", &cells);
-    let expected =
-        cells.iter().filter(|c| c.scheme.violation_expected() && c.outcome.batch != Verdict::Pass);
-    println!(
-        "{} runs, {} expected violation(s) (positive control), {} diverged",
-        cells.len(),
-        expected.count(),
-        diverged
-    );
-    for cell in cells.iter().filter(|c| !c.outcome.agree()) {
-        eprintln!(
-            "UNEXPECTED: {} seed={} batch={:?} stream={:?} reports_match={}",
-            cell.scheme.label(),
-            cell.seed,
-            cell.outcome.batch,
-            cell.outcome.stream,
-            cell.outcome.reports_match
-        );
-    }
-    if diverged > 0 {
-        eprintln!("FAIL: streaming checkers diverged from the batch oracle; see results/fuzz_differential.json");
         std::process::exit(1);
     }
 }

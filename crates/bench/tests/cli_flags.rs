@@ -9,12 +9,15 @@ use std::process::Command;
 fn bad_flags_exit_2_and_leave_results_untouched() {
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let e1 = env!("CARGO_BIN_EXE_e1_quorum_staleness");
+    let fuzz = env!("CARGO_BIN_EXE_fuzz_nemesis");
     let checkerbench = env!("CARGO_BIN_EXE_checkerbench");
     for (exe, stem, bad, args) in [
         (e1, "e1_quorum_staleness", "--job", &["--job", "8"][..]),
         (e1, "e1_quorum_staleness", "--seed=5", &["--seed=5"]),
         (e1, "e1_quorum_staleness", "--jobs", &["--seeds", "2", "--jobs"]),
-        (env!("CARGO_BIN_EXE_fuzz_nemesis"), "fuzz_nemesis", "--sream", &["--seeds=1", "--sream"]),
+        (fuzz, "fuzz_nemesis", "--sream", &["--seeds=1", "--sream"]),
+        // The retired batch-vs-stream campaign flag is an unknown flag now.
+        (fuzz, "fuzz_nemesis", "--stream", &["--stream", "--seeds", "1"]),
         (env!("CARGO_BIN_EXE_profile_protos"), "profile_protos", "--job", &["--smoke", "--job=1"]),
         (checkerbench, "checkerbench", "--ops", &["--ops=abc"]),
         (checkerbench, "checkerbench", "--window-ms", &["--ops", "10", "--window-ms="]),

@@ -7,10 +7,14 @@
 //! replica served them. The checker reports disagreeing keys and the
 //! replicas involved, and separately reports keys that were never read
 //! after quiescence (unverifiable, not necessarily diverged).
+//!
+//! The criterion is written once, as [`ConvergenceStream`];
+//! [`check_convergence`] is that operator folded over a finished trace.
 
+use crate::stream::{fold, StreamChecker, StreamViolation, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, OpKind, OpTrace, SimTime};
-use std::collections::BTreeMap;
+use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One key's post-quiescence disagreement.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,43 +46,122 @@ impl ConvergenceReport {
     }
 }
 
-/// Check convergence over a trace: after the last acknowledged write plus
-/// `grace`, every successful read of a key must return the same value
-/// set. Returns `None` if the trace contains no acknowledged writes
-/// (nothing to converge on).
+/// The convergence checker, one completed operation at a time
+/// (feed-order contract in [`crate::stream`]).
+///
+/// Classifying a read needs the *final* quiescence point (last write ack
+/// plus grace), which looks inherently offline. But each acknowledged
+/// write *moves* quiescence past everything already seen: every stored
+/// post-quiescence view was invoked at or before its own completion,
+/// which precedes the new write's ack, which precedes the new quiescence
+/// point (strictly, since grace > 0). So a write simply clears all
+/// stored views, and what survives to the end is exactly the set of
+/// reads invoked after the final quiescence point. Clearing is counted
+/// as eviction.
+///
+/// The written-key set and post-quiescence views are bounded by the
+/// keyspace, not the trace length; watermark advances have nothing
+/// further to evict.
+#[derive(Debug)]
+pub struct ConvergenceStream {
+    grace: Duration,
+    last_write_ack: Option<SimTime>,
+    written: BTreeSet<u64>,
+    /// Per key: sorted value set -> example replica that served it.
+    views: BTreeMap<u64, BTreeMap<Vec<u64>, u32>>,
+    evicted: u64,
+}
+
+impl ConvergenceStream {
+    /// A convergence stream with the given propagation grace period.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grace` is zero: clear-on-write is only exact when
+    /// quiescence falls strictly after the clearing write's ack.
+    pub fn new(grace: Duration) -> Self {
+        assert!(grace > Duration::ZERO, "convergence checking requires a non-zero grace period");
+        ConvergenceStream {
+            grace,
+            last_write_ack: None,
+            written: BTreeSet::new(),
+            views: BTreeMap::new(),
+            evicted: 0,
+        }
+    }
+
+    /// The quiescence estimate so far (last write ack + grace).
+    pub fn quiescence_at(&self) -> Option<SimTime> {
+        self.last_write_ack.map(|t| t + self.grace)
+    }
+
+    /// Classify every written key from the surviving views. `None` if no
+    /// write was ever acknowledged.
+    pub fn report(&self) -> Option<ConvergenceReport> {
+        let quiescence_at = self.quiescence_at()?;
+        let mut report = ConvergenceReport { quiescence_at, ..Default::default() };
+        for &key in &self.written {
+            match self.views.get(&key) {
+                None => report.unverified_keys += 1,
+                Some(v) if v.len() == 1 => report.converged_keys += 1,
+                Some(v) => report.diverged.push(Divergence {
+                    key,
+                    views: v.iter().map(|(vals, rep)| (vals.clone(), *rep)).collect(),
+                }),
+            }
+        }
+        Some(report)
+    }
+}
+
+impl StreamChecker for ConvergenceStream {
+    fn name(&self) -> &'static str {
+        "convergence"
+    }
+
+    fn feed(&mut self, op: &OpRecord, _out: &mut Vec<StreamViolation>) {
+        if !op.ok {
+            return;
+        }
+        match op.kind {
+            OpKind::Write => {
+                self.written.insert(op.key);
+                self.last_write_ack =
+                    Some(self.last_write_ack.map_or(op.completed, |t| t.max(op.completed)));
+                // Quiescence just moved strictly past every stored view.
+                self.evicted += self.views.values().map(|v| v.len() as u64).sum::<u64>();
+                self.views.clear();
+            }
+            OpKind::Read => {
+                if let Some(q) = self.quiescence_at() {
+                    if op.invoked >= q {
+                        let mut vals = op.value_read.clone();
+                        vals.sort_unstable();
+                        self.views.entry(op.key).or_default().entry(vals).or_insert(op.replica.0);
+                    }
+                }
+            }
+        }
+    }
+
+    fn advance(&mut self, _wm: Watermark) {}
+
+    fn events_evicted(&self) -> u64 {
+        self.evicted
+    }
+}
+
+/// Check convergence over a finished trace: after the last acknowledged
+/// write plus `grace`, every successful read of a key must return the
+/// same value set. This is [`ConvergenceStream`] folded over the trace.
+/// Returns `None` if the trace contains no acknowledged writes (nothing
+/// to converge on).
+///
+/// # Panics
+///
+/// Panics if `grace` is zero (see [`ConvergenceStream::new`]).
 pub fn check_convergence(trace: &OpTrace, grace: Duration) -> Option<ConvergenceReport> {
-    let last_write_ack =
-        trace.successful().filter(|r| r.kind == OpKind::Write).map(|r| r.completed).max()?;
-    let quiescence_at = last_write_ack + grace;
-
-    // Keys that were ever written (only these can diverge meaningfully).
-    let mut written: Vec<u64> =
-        trace.successful().filter(|r| r.kind == OpKind::Write).map(|r| r.key).collect();
-    written.sort_unstable();
-    written.dedup();
-
-    // Post-quiescence views per key: sorted value set -> example replica.
-    let mut views: BTreeMap<u64, BTreeMap<Vec<u64>, u32>> = BTreeMap::new();
-    for r in trace.successful() {
-        if r.kind == OpKind::Read && r.invoked >= quiescence_at {
-            let mut vals = r.value_read.clone();
-            vals.sort_unstable();
-            views.entry(r.key).or_default().entry(vals).or_insert(r.replica.0);
-        }
-    }
-
-    let mut report = ConvergenceReport { quiescence_at, ..Default::default() };
-    for key in written {
-        match views.get(&key) {
-            None => report.unverified_keys += 1,
-            Some(v) if v.len() == 1 => report.converged_keys += 1,
-            Some(v) => report.diverged.push(Divergence {
-                key,
-                views: v.iter().map(|(vals, rep)| (vals.clone(), *rep)).collect(),
-            }),
-        }
-    }
-    Some(report)
+    fold(trace, ConvergenceStream::new(grace)).report()
 }
 
 /// One key's owner-set disagreement at the end of a run.
@@ -181,6 +264,14 @@ mod tests {
     #[test]
     fn empty_trace_has_nothing_to_converge() {
         assert!(check_convergence(&OpTrace::new(), Duration::from_millis(10)).is_none());
+    }
+
+    #[test]
+    fn zero_grace_is_rejected() {
+        let mut t = OpTrace::new();
+        t.push(write(1, 10));
+        let result = std::panic::catch_unwind(|| check_convergence(&t, Duration::ZERO));
+        assert!(result.is_err());
     }
 
     #[test]

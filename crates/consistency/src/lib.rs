@@ -21,10 +21,13 @@
 //! * [`attribution`] — given the structured simulation event log
 //!   (`obs`), *why* was a guarantee violated: partition, crash, message
 //!   loss, or pure replication lag?
-//! * [`stream`] — the same checkers as incremental streaming operators
-//!   with watermark-driven state eviction, so arbitrarily long runs
-//!   verify online in flat memory (the materialized checkers above stay
-//!   the executable reference oracle; see `docs/CHECKERS.md`).
+//! * [`stream`] — how the session, staleness, convergence and monotonic
+//!   checkers are driven. Each states its guarantee once, as an
+//!   incremental operator with watermark-driven state eviction; the
+//!   whole-trace functions fold it over a finished trace, and
+//!   [`StreamVerifier`] feeds all four online so arbitrarily long runs
+//!   verify in flat memory. The reference they are held to is the
+//!   all-pairs oracle under `tests/oracle/` (see `docs/CHECKERS.md`).
 //!
 //! Conventions shared by all checkers: every write carries a globally
 //! unique value, so a read unambiguously identifies the write it observed;
@@ -46,16 +49,16 @@ pub use attribution::{
 };
 pub use causal::{check_causal, CausalReport};
 pub use convergence::{
-    check_convergence, check_owner_convergence, ConvergenceReport, Divergence,
+    check_convergence, check_owner_convergence, ConvergenceReport, ConvergenceStream, Divergence,
     OwnerConvergenceReport, OwnerDivergence,
 };
 pub use linearizability::{
     check_linearizable_register_bounded, check_trace_linearizable, Interval, LinCheckError, RegOp,
 };
-pub use monotonic::{check_monotonic_values, MonotonicValueReport};
-pub use session::{check_session_guarantees, SessionReport};
-pub use staleness::{measure_staleness, StalenessReport};
+pub use monotonic::{check_monotonic_values, MonotonicStream, MonotonicValueReport};
+pub use session::{check_session_guarantees, SessionReport, SessionStream};
+pub use staleness::{measure_staleness, StalenessReport, StalenessStream};
 pub use stream::{
-    ConvergenceStream, MonotonicStream, SessionStream, StalenessStream, StreamChecker,
-    StreamConfig, StreamReports, StreamVerifier, StreamViolation, ViolationKind, Watermark,
+    StreamChecker, StreamConfig, StreamReports, StreamVerifier, StreamViolation, ViolationKind,
+    Watermark,
 };

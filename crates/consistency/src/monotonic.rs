@@ -15,11 +15,16 @@
 //! A read that returns nothing after the session has observed a non-zero
 //! value is the degenerate backwards step (the counter "reset to 0") and
 //! counts as a violation. Only successful operations participate, in
-//! per-session issue order (`op_id`), matching the other checkers.
+//! the same order as the session checker ([`crate::session`]).
+//!
+//! The definition is written once, as [`MonotonicStream`];
+//! [`check_monotonic_values`] is that operator folded over a finished
+//! trace.
 
+use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{OpKind, OpTrace};
-use std::collections::BTreeMap;
+use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Outcome of the value-monotonicity check for one trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -47,35 +52,87 @@ impl MonotonicValueReport {
     }
 }
 
-/// The scalar a read observed: the sum of its returned values (a counter
-/// read returns a single element; an empty read sums to 0).
-fn observed(values: &[u64]) -> u64 {
-    values.iter().sum()
+/// The value-monotonicity checker, one completed operation at a time
+/// (feed-order contract in [`crate::stream`]).
+///
+/// State is one `(floor, last_touch)` per `(session, key)`. Eviction of
+/// idle floors means a later read re-establishes a (lower) floor, so
+/// bounded runs can only miss regressions, never invent them.
+#[derive(Debug)]
+pub struct MonotonicStream {
+    window: Option<Duration>,
+    floors: BTreeMap<(u64, u64), (u64, SimTime)>,
+    report: MonotonicValueReport,
+    evicted: u64,
 }
 
-/// Check that per-session, per-key read values never decrease.
-pub fn check_monotonic_values(trace: &OpTrace) -> MonotonicValueReport {
-    let mut report = MonotonicValueReport::default();
-    for session in trace.sessions() {
-        let mut ops: Vec<_> = trace.session(session).filter(|r| r.ok).collect();
-        ops.sort_by_key(|r| r.op_id);
-        let mut floor: BTreeMap<u64, u64> = BTreeMap::new(); // key -> max value read
-        for op in ops {
-            if op.kind != OpKind::Read {
-                continue;
-            }
-            let v = observed(&op.value_read);
-            if let Some(&f) = floor.get(&op.key) {
-                report.checked += 1;
-                if v < f {
-                    report.violations += 1;
-                }
-            }
-            let f = floor.entry(op.key).or_insert(v);
-            *f = (*f).max(v);
+impl MonotonicStream {
+    /// A value-monotonicity stream; `window: None` never evicts.
+    pub fn new(window: Option<Duration>) -> Self {
+        MonotonicStream {
+            window,
+            floors: BTreeMap::new(),
+            report: MonotonicValueReport::default(),
+            evicted: 0,
         }
     }
-    report
+
+    /// The accumulated report.
+    pub fn report(&self) -> &MonotonicValueReport {
+        &self.report
+    }
+
+    /// Consume the stream, yielding the final report.
+    pub fn into_report(self) -> MonotonicValueReport {
+        self.report
+    }
+}
+
+impl StreamChecker for MonotonicStream {
+    fn name(&self) -> &'static str {
+        "monotonic"
+    }
+
+    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
+        if !op.ok || op.kind != OpKind::Read {
+            return;
+        }
+        // The scalar observed: a counter read returns a single element;
+        // an empty read sums to 0.
+        let v: u64 = op.value_read.iter().sum();
+        match self.floors.entry((op.session, op.key)) {
+            Entry::Occupied(mut e) => {
+                let (floor, touch) = e.get_mut();
+                self.report.checked += 1;
+                if v < *floor {
+                    self.report.violations += 1;
+                    out.push(StreamViolation::of(ViolationKind::ValueRegression, op));
+                }
+                *floor = (*floor).max(v);
+                *touch = op.completed;
+            }
+            Entry::Vacant(e) => {
+                e.insert((v, op.completed));
+            }
+        }
+    }
+
+    fn advance(&mut self, wm: Watermark) {
+        let Some(cut) = cutoff(wm, self.window) else { return };
+        let before = self.floors.len();
+        self.floors.retain(|_, &mut (_, touch)| touch >= cut);
+        self.evicted += (before - self.floors.len()) as u64;
+    }
+
+    fn events_evicted(&self) -> u64 {
+        self.evicted
+    }
+}
+
+/// Check that per-session, per-key read values never decrease over a
+/// finished trace: the unbounded [`MonotonicStream`] folded over it.
+pub fn check_monotonic_values(trace: &OpTrace) -> MonotonicValueReport {
+    fold(trace, MonotonicStream::new(None)).into_report()
 }
 
 #[cfg(test)]

@@ -17,12 +17,19 @@
 //! floor the session holds for that key (RYW/MR) since an installed
 //! version disappeared from the session's view.
 //!
-//! Only successful operations participate. Operations are examined in
-//! per-session issue order (`op_id`), which equals completion order for
-//! the closed-loop clients used in the experiments.
+//! Only successful operations participate. The definition is over
+//! per-session issue order (`op_id`); the checker examines operations in
+//! `(completed, session, op_id)` order, which is the same order for the
+//! closed-loop clients used in the experiments (an op completes before
+//! the session issues the next).
+//!
+//! The guarantees are written once, as [`SessionStream`]: it judges one
+//! completed operation at a time, and [`check_session_guarantees`] is
+//! that operator folded over a finished trace.
 
+use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{OpKind, OpTrace};
+use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
 use std::collections::BTreeMap;
 
 /// Violation counts for one trace.
@@ -82,65 +89,142 @@ impl SessionReport {
     }
 }
 
-/// Check all four session guarantees over a trace.
-pub fn check_session_guarantees(trace: &OpTrace) -> SessionReport {
-    let mut report = SessionReport::default();
-    for session in trace.sessions() {
-        let mut ops: Vec<_> = trace.session(session).filter(|r| r.ok).collect();
-        ops.sort_by_key(|r| r.op_id);
+/// Per-session floors for the four guarantees.
+#[derive(Debug, Default)]
+struct SessionState {
+    write_floor: BTreeMap<u64, (u64, u64)>, // key -> own write stamp
+    read_floor: BTreeMap<u64, (u64, u64)>,  // key -> last read stamp
+    last_write_stamp: Option<(u64, u64)>,
+    max_read_stamp: Option<(u64, u64)>,
+    last_touch: SimTime,
+}
 
-        let mut write_floor: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // key -> own write stamp
-        let mut read_floor: BTreeMap<u64, (u64, u64)> = BTreeMap::new(); // key -> last read stamp
-        let mut last_write_stamp: Option<(u64, u64)> = None;
-        let mut max_read_stamp: Option<(u64, u64)> = None;
+impl SessionState {
+    fn entries(&self) -> u64 {
+        self.write_floor.len() as u64
+            + self.read_floor.len() as u64
+            + self.last_write_stamp.is_some() as u64
+            + self.max_read_stamp.is_some() as u64
+    }
+}
 
-        for op in ops {
-            match op.kind {
-                OpKind::Read => {
-                    // RYW.
-                    if let Some(&w) = write_floor.get(&op.key) {
-                        report.ryw_checked += 1;
-                        if op.stamp.map(|s| s < w).unwrap_or(true) {
-                            report.ryw_violations += 1;
-                        }
-                    }
-                    // MR.
-                    if let Some(&f) = read_floor.get(&op.key) {
-                        report.mr_checked += 1;
-                        if op.stamp.map(|s| s < f).unwrap_or(true) {
-                            report.mr_violations += 1;
-                        }
-                    }
-                    if let Some(s) = op.stamp {
-                        let f = read_floor.entry(op.key).or_insert(s);
-                        *f = (*f).max(s);
-                        max_read_stamp = Some(max_read_stamp.map_or(s, |m: (u64, u64)| m.max(s)));
+/// The session-guarantee checker, one completed operation at a time
+/// (feed-order contract in [`crate::stream`]).
+///
+/// State is per session: two per-key stamp floors plus two scalar
+/// stamps. Eviction drops whole sessions idle for longer than the
+/// window; a session that writes again after eviction restarts with
+/// empty floors, so bounded runs can only miss checks, never invent
+/// violations.
+#[derive(Debug)]
+pub struct SessionStream {
+    window: Option<Duration>,
+    sessions: BTreeMap<u64, SessionState>,
+    report: SessionReport,
+    evicted: u64,
+}
+
+impl SessionStream {
+    /// A session-guarantee stream; `window: None` never evicts.
+    pub fn new(window: Option<Duration>) -> Self {
+        SessionStream {
+            window,
+            sessions: BTreeMap::new(),
+            report: SessionReport::default(),
+            evicted: 0,
+        }
+    }
+
+    /// The accumulated report.
+    pub fn report(&self) -> &SessionReport {
+        &self.report
+    }
+
+    /// Consume the stream, yielding the final report.
+    pub fn into_report(self) -> SessionReport {
+        self.report
+    }
+}
+
+impl StreamChecker for SessionStream {
+    fn name(&self) -> &'static str {
+        "session"
+    }
+
+    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
+        if !op.ok {
+            return;
+        }
+        let st = self.sessions.entry(op.session).or_default();
+        st.last_touch = op.completed;
+        match op.kind {
+            OpKind::Read => {
+                if let Some(&w) = st.write_floor.get(&op.key) {
+                    self.report.ryw_checked += 1;
+                    if op.stamp.map(|s| s < w).unwrap_or(true) {
+                        self.report.ryw_violations += 1;
+                        out.push(StreamViolation::of(ViolationKind::ReadYourWrites, op));
                     }
                 }
-                OpKind::Write => {
-                    let Some(s) = op.stamp else { continue };
-                    // MW.
-                    if let Some(prev) = last_write_stamp {
-                        report.mw_checked += 1;
-                        if s < prev {
-                            report.mw_violations += 1;
-                        }
+                if let Some(&f) = st.read_floor.get(&op.key) {
+                    self.report.mr_checked += 1;
+                    if op.stamp.map(|s| s < f).unwrap_or(true) {
+                        self.report.mr_violations += 1;
+                        out.push(StreamViolation::of(ViolationKind::MonotonicReads, op));
                     }
-                    // WFR.
-                    if let Some(r) = max_read_stamp {
-                        report.wfr_checked += 1;
-                        if s < r {
-                            report.wfr_violations += 1;
-                        }
-                    }
-                    last_write_stamp = Some(last_write_stamp.map_or(s, |p: (u64, u64)| p.max(s)));
-                    let f = write_floor.entry(op.key).or_insert(s);
+                }
+                if let Some(s) = op.stamp {
+                    let f = st.read_floor.entry(op.key).or_insert(s);
                     *f = (*f).max(s);
+                    st.max_read_stamp = Some(st.max_read_stamp.map_or(s, |m: (u64, u64)| m.max(s)));
                 }
+            }
+            OpKind::Write => {
+                let Some(s) = op.stamp else { return };
+                if let Some(prev) = st.last_write_stamp {
+                    self.report.mw_checked += 1;
+                    if s < prev {
+                        self.report.mw_violations += 1;
+                        out.push(StreamViolation::of(ViolationKind::MonotonicWrites, op));
+                    }
+                }
+                if let Some(r) = st.max_read_stamp {
+                    self.report.wfr_checked += 1;
+                    if s < r {
+                        self.report.wfr_violations += 1;
+                        out.push(StreamViolation::of(ViolationKind::WritesFollowReads, op));
+                    }
+                }
+                st.last_write_stamp = Some(st.last_write_stamp.map_or(s, |p: (u64, u64)| p.max(s)));
+                let f = st.write_floor.entry(op.key).or_insert(s);
+                *f = (*f).max(s);
             }
         }
     }
-    report
+
+    fn advance(&mut self, wm: Watermark) {
+        let Some(cut) = cutoff(wm, self.window) else { return };
+        let mut dropped = 0;
+        self.sessions.retain(|_, st| {
+            if st.last_touch < cut {
+                dropped += st.entries();
+                false
+            } else {
+                true
+            }
+        });
+        self.evicted += dropped;
+    }
+
+    fn events_evicted(&self) -> u64 {
+        self.evicted
+    }
+}
+
+/// Check all four session guarantees over a finished trace: the
+/// unbounded [`SessionStream`] folded over it.
+pub fn check_session_guarantees(trace: &OpTrace) -> SessionReport {
+    fold(trace, SessionStream::new(None)).into_report()
 }
 
 #[cfg(test)]

@@ -13,9 +13,15 @@
 //! `probability of staleness = stale / (stale + fresh)` is the quantity
 //! the PBS paper plots against (N, R, W); experiment E1 regenerates that
 //! table on the quorum protocol.
+//!
+//! The definition is written once, as [`StalenessStream`]: it classifies
+//! one completed read at a time against the writes acknowledged so far,
+//! and [`measure_staleness`] is that operator folded over a finished
+//! trace.
 
+use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{OpKind, OpTrace, SimTime};
+use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
 use std::collections::BTreeMap;
 
 /// An acknowledged write: completion time and version stamp.
@@ -68,50 +74,119 @@ impl StalenessReport {
     }
 }
 
-/// Measure staleness over a trace.
-pub fn measure_staleness(trace: &OpTrace) -> StalenessReport {
-    // Index acknowledged writes per key: (completed, stamp).
-    let mut writes_per_key: BTreeMap<u64, Vec<AckedWrite>> = BTreeMap::new();
-    for r in trace.successful() {
-        if r.kind == OpKind::Write {
-            if let Some(s) = r.stamp {
-                writes_per_key.entry(r.key).or_default().push((r.completed, s));
+/// The staleness meter, one completed operation at a time (feed-order
+/// contract in [`crate::stream`]).
+///
+/// State is the per-key index of acknowledged writes `(completed,
+/// stamp)`, kept sorted by construction (feed order is completion
+/// order). Eviction drops writes acknowledged before the window; a read
+/// can then only miss *fewer* acked writes than an unbounded run sees,
+/// so bounded runs under-count staleness and never over-count.
+///
+/// The per-read `k_staleness` / `t_staleness_ms` samples grow with the
+/// number of stale reads, so only an unbounded stream (`window: None`)
+/// keeps them; a windowed one is flat-memory and reports the scalar
+/// counts alone.
+#[derive(Debug)]
+pub struct StalenessStream {
+    window: Option<Duration>,
+    writes: BTreeMap<u64, Vec<AckedWrite>>,
+    report: StalenessReport,
+    evicted: u64,
+}
+
+impl StalenessStream {
+    /// A staleness stream; `window: None` never evicts.
+    pub fn new(window: Option<Duration>) -> Self {
+        StalenessStream {
+            window,
+            writes: BTreeMap::new(),
+            report: StalenessReport::default(),
+            evicted: 0,
+        }
+    }
+
+    /// The accumulated report.
+    pub fn report(&self) -> &StalenessReport {
+        &self.report
+    }
+
+    /// Consume the stream, yielding the final report.
+    pub fn into_report(self) -> StalenessReport {
+        self.report
+    }
+}
+
+impl StreamChecker for StalenessStream {
+    fn name(&self) -> &'static str {
+        "staleness"
+    }
+
+    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
+        if !op.ok {
+            return;
+        }
+        match op.kind {
+            OpKind::Write => {
+                if let Some(s) = op.stamp {
+                    self.writes.entry(op.key).or_default().push((op.completed, s));
+                }
+            }
+            OpKind::Read => {
+                let Some(ws) = self.writes.get(&op.key) else {
+                    self.report.unclassified_reads += 1;
+                    return;
+                };
+                // Writes acknowledged strictly before the read was
+                // invoked: a prefix, since the index is completion-sorted.
+                let acked = &ws[..ws.partition_point(|&(c, _)| c < op.invoked)];
+                if acked.is_empty() {
+                    self.report.unclassified_reads += 1;
+                    return;
+                }
+                let returned = op.stamp.unwrap_or((0, 0));
+                let missed = acked.iter().filter(|&&(_, s)| s > returned);
+                let (k, oldest) = missed.fold((0u64, None::<SimTime>), |(k, oldest), &(c, _)| {
+                    (k + 1, Some(oldest.map_or(c, |o| o.min(c))))
+                });
+                match oldest {
+                    None => self.report.fresh_reads += 1,
+                    Some(oldest_missed_ack) => {
+                        self.report.stale_reads += 1;
+                        if self.window.is_none() {
+                            self.report.k_staleness.push(k);
+                            self.report.t_staleness_ms.push(
+                                op.invoked.saturating_since(oldest_missed_ack).as_millis_f64(),
+                            );
+                        }
+                        out.push(StreamViolation::of(ViolationKind::StaleRead, op));
+                    }
+                }
             }
         }
     }
-    for ws in writes_per_key.values_mut() {
-        ws.sort_unstable();
+
+    fn advance(&mut self, wm: Watermark) {
+        let Some(cut) = cutoff(wm, self.window) else { return };
+        let mut dropped = 0;
+        self.writes.retain(|_, ws| {
+            let keep_from = ws.partition_point(|&(c, _)| c < cut);
+            dropped += keep_from as u64;
+            ws.drain(..keep_from);
+            !ws.is_empty()
+        });
+        self.evicted += dropped;
     }
 
-    let mut report = StalenessReport::default();
-    for r in trace.successful() {
-        if r.kind != OpKind::Read {
-            continue;
-        }
-        let Some(ws) = writes_per_key.get(&r.key) else {
-            report.unclassified_reads += 1;
-            continue;
-        };
-        // Writes acknowledged strictly before the read was invoked.
-        let acked: Vec<&AckedWrite> = ws.iter().take_while(|(c, _)| *c < r.invoked).collect();
-        if acked.is_empty() {
-            report.unclassified_reads += 1;
-            continue;
-        }
-        let returned = r.stamp.unwrap_or((0, 0));
-        let missed: Vec<&&AckedWrite> = acked.iter().filter(|(_, s)| *s > returned).collect();
-        if missed.is_empty() {
-            report.fresh_reads += 1;
-        } else {
-            report.stale_reads += 1;
-            report.k_staleness.push(missed.len() as u64);
-            let oldest_missed_ack = missed.iter().map(|(c, _)| *c).min().expect("non-empty");
-            report
-                .t_staleness_ms
-                .push(r.invoked.saturating_since(oldest_missed_ack).as_millis_f64());
-        }
+    fn events_evicted(&self) -> u64 {
+        self.evicted
     }
-    report
+}
+
+/// Measure staleness over a finished trace: the unbounded
+/// [`StalenessStream`] folded over it.
+pub fn measure_staleness(trace: &OpTrace) -> StalenessReport {
+    fold(trace, StalenessStream::new(None)).into_report()
 }
 
 #[cfg(test)]

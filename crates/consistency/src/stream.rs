@@ -1,24 +1,30 @@
-//! Streaming, bounded-memory consistency checking.
+//! Driving the checkers: the operator contract, the fold, the verifier.
 //!
-//! The materialized checkers ([`crate::session`], [`crate::staleness`],
-//! [`crate::monotonic`], [`crate::convergence`]) each walk a fully
-//! resident [`simnet::OpTrace`], which caps verifiable run length at
-//! whatever fits in memory. This module re-expresses them as **incremental
-//! streaming operators**: each [`StreamChecker`] consumes one completed
-//! operation at a time, flags violations online, and — when given a
-//! bounded window — evicts state the advancing [`Watermark`] proves it
-//! will never need again.
+//! Each of [`crate::session`], [`crate::staleness`], [`crate::monotonic`]
+//! and [`crate::convergence`] states its guarantee **once**, as an
+//! incremental operator: a [`StreamChecker`] that consumes one completed
+//! operation at a time, flags violations as they appear, and — when
+//! given a bounded window — evicts state the advancing [`Watermark`]
+//! proves it will never need again. There are two ways to drive one:
 //!
-//! The materialized checkers remain the executable reference oracle:
-//! with an unbounded window (`window: None`), feeding a trace in
-//! completion order produces reports **identical** to the batch
-//! checkers' (`tests/checker_stream_parity.rs` enforces this
-//! byte-for-byte across every scheme family). With a bounded window the
-//! operators run in flat memory and can only *under*-report: eviction
-//! drops old floors and old acknowledged writes, so every violation the
-//! bounded checker flags is one the oracle flags too, and violations
-//! whose evidence lies inside the window are still caught
-//! (`tests/checker_stream_properties.rs`).
+//! * **over a finished trace** — `check_session_guarantees`,
+//!   `measure_staleness`, `check_monotonic_values` and
+//!   `check_convergence` fold the unbounded operator (`window: None`)
+//!   over a resident [`simnet::OpTrace`];
+//! * **online** — a [`StreamVerifier`] bundles all four behind one feed
+//!   point, fed while the run executes (`Experiment::run_monitored`) or
+//!   from a JSONL log (`tracequery check --stream`), in flat memory
+//!   when windowed.
+//!
+//! Both run the same code, so they agree by construction. What says the
+//! code is *right* is a third, independent statement of each guarantee:
+//! the all-pairs oracle under `tests/oracle/`, compared three ways by
+//! `tests/checker_stream_parity.rs` and
+//! `tests/checker_stream_properties.rs`. With a bounded window the
+//! operators can only *under*-report: eviction drops old floors and old
+//! acknowledged writes, so every violation a bounded run flags is one an
+//! unbounded run flags too, and violations whose evidence lies inside
+//! the window are still caught (same property suite).
 //!
 //! # Feed-order contract
 //!
@@ -43,14 +49,13 @@
 //! silently lossy. Semantics per checker are documented in
 //! `docs/CHECKERS.md`.
 
-use crate::convergence::{ConvergenceReport, Divergence};
-use crate::monotonic::MonotonicValueReport;
-use crate::session::SessionReport;
-use crate::staleness::StalenessReport;
+use crate::convergence::{ConvergenceReport, ConvergenceStream};
+use crate::monotonic::{MonotonicStream, MonotonicValueReport};
+use crate::session::{SessionReport, SessionStream};
+use crate::staleness::{StalenessReport, StalenessStream};
 use obs::{Counter, Recorder};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, OpKind, OpRecord, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use simnet::{Duration, OpRecord, OpTrace, SimTime};
 
 /// A virtual-time watermark: the feeder's promise that every operation
 /// fed from now on has `completed >= t`.
@@ -117,12 +122,22 @@ pub struct StreamViolation {
     pub t_us: u64,
 }
 
+impl StreamViolation {
+    /// `op` violated `kind`, found at the op's completion.
+    pub(crate) fn of(kind: ViolationKind, op: &OpRecord) -> Self {
+        StreamViolation {
+            kind,
+            session: op.session,
+            op_id: op.op_id,
+            key: op.key,
+            t_us: op.completed.as_micros(),
+        }
+    }
+}
+
 /// An incremental consistency checker over the completed-operation
-/// stream.
-///
-/// Implementations mirror one materialized checker each and must agree
-/// with it exactly when never asked to evict (unbounded window); see the
-/// module docs for the feed-order contract.
+/// stream. Each implementation is the one definition of its guarantee;
+/// see the module docs for the feed-order contract.
 pub trait StreamChecker {
     /// The checker's stable name (used in logs and `tracequery`).
     fn name(&self) -> &'static str;
@@ -142,491 +157,47 @@ pub trait StreamChecker {
 
 /// Eviction cutoff for a watermark under an optional window: state last
 /// touched before the returned time is reclaimable.
-fn cutoff(wm: Watermark, window: Option<Duration>) -> Option<SimTime> {
+pub(crate) fn cutoff(wm: Watermark, window: Option<Duration>) -> Option<SimTime> {
     window.map(|w| SimTime::from_micros(wm.t.as_micros().saturating_sub(w.0)))
 }
 
-// ---------------------------------------------------------------------------
-// Session guarantees
-// ---------------------------------------------------------------------------
-
-/// Per-session floors for the four Bayou session guarantees.
-#[derive(Debug, Default)]
-struct SessionState {
-    write_floor: BTreeMap<u64, (u64, u64)>,
-    read_floor: BTreeMap<u64, (u64, u64)>,
-    last_write_stamp: Option<(u64, u64)>,
-    max_read_stamp: Option<(u64, u64)>,
-    last_touch: SimTime,
+/// Feed a finished trace through `checker` in the feed-order contract's
+/// `(completed, session, op_id)` order and hand the checker back — how
+/// the whole-trace entry points drive their operator. A trace already in
+/// that order (anything a run produced) is walked in place; a hand-built
+/// one is fed through a sorted vector of references.
+pub(crate) fn fold<C: StreamChecker>(trace: &OpTrace, mut checker: C) -> C {
+    let order = |r: &OpRecord| (r.completed, r.session, r.op_id);
+    let mut flagged = Vec::new();
+    let mut feed = |op: &OpRecord| {
+        checker.feed(op, &mut flagged);
+        flagged.clear(); // the report carries the counts; keep memory flat
+    };
+    let records = trace.records();
+    if records.windows(2).all(|w| order(&w[0]) <= order(&w[1])) {
+        records.iter().for_each(&mut feed);
+    } else {
+        let mut sorted: Vec<&OpRecord> = records.iter().collect();
+        sorted.sort_by_key(|r| order(r));
+        sorted.into_iter().for_each(&mut feed);
+    }
+    checker
 }
-
-impl SessionState {
-    fn entries(&self) -> u64 {
-        self.write_floor.len() as u64
-            + self.read_floor.len() as u64
-            + self.last_write_stamp.is_some() as u64
-            + self.max_read_stamp.is_some() as u64
-    }
-}
-
-/// Streaming form of [`crate::session::check_session_guarantees`].
-///
-/// State is per session: two per-key stamp floors plus two scalar
-/// stamps. Eviction drops whole sessions idle for longer than the
-/// window; a session that writes again after eviction restarts with
-/// empty floors, so bounded runs can only miss checks, never invent
-/// violations.
-#[derive(Debug)]
-pub struct SessionStream {
-    window: Option<Duration>,
-    sessions: BTreeMap<u64, SessionState>,
-    report: SessionReport,
-    evicted: u64,
-}
-
-impl SessionStream {
-    /// A session-guarantee stream; `window: None` never evicts (exact
-    /// batch parity).
-    pub fn new(window: Option<Duration>) -> Self {
-        SessionStream {
-            window,
-            sessions: BTreeMap::new(),
-            report: SessionReport::default(),
-            evicted: 0,
-        }
-    }
-
-    /// The accumulated report (identical to the batch checker's when
-    /// unbounded and fed in order).
-    pub fn report(&self) -> &SessionReport {
-        &self.report
-    }
-
-    /// Consume the stream, yielding the final report.
-    pub fn into_report(self) -> SessionReport {
-        self.report
-    }
-}
-
-impl StreamChecker for SessionStream {
-    fn name(&self) -> &'static str {
-        "session"
-    }
-
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
-        if !op.ok {
-            return;
-        }
-        let st = self.sessions.entry(op.session).or_default();
-        st.last_touch = op.completed;
-        let violation = |kind| StreamViolation {
-            kind,
-            session: op.session,
-            op_id: op.op_id,
-            key: op.key,
-            t_us: op.completed.as_micros(),
-        };
-        match op.kind {
-            OpKind::Read => {
-                if let Some(&w) = st.write_floor.get(&op.key) {
-                    self.report.ryw_checked += 1;
-                    if op.stamp.map(|s| s < w).unwrap_or(true) {
-                        self.report.ryw_violations += 1;
-                        out.push(violation(ViolationKind::ReadYourWrites));
-                    }
-                }
-                if let Some(&f) = st.read_floor.get(&op.key) {
-                    self.report.mr_checked += 1;
-                    if op.stamp.map(|s| s < f).unwrap_or(true) {
-                        self.report.mr_violations += 1;
-                        out.push(violation(ViolationKind::MonotonicReads));
-                    }
-                }
-                if let Some(s) = op.stamp {
-                    let f = st.read_floor.entry(op.key).or_insert(s);
-                    *f = (*f).max(s);
-                    st.max_read_stamp = Some(st.max_read_stamp.map_or(s, |m: (u64, u64)| m.max(s)));
-                }
-            }
-            OpKind::Write => {
-                let Some(s) = op.stamp else { return };
-                if let Some(prev) = st.last_write_stamp {
-                    self.report.mw_checked += 1;
-                    if s < prev {
-                        self.report.mw_violations += 1;
-                        out.push(violation(ViolationKind::MonotonicWrites));
-                    }
-                }
-                if let Some(r) = st.max_read_stamp {
-                    self.report.wfr_checked += 1;
-                    if s < r {
-                        self.report.wfr_violations += 1;
-                        out.push(violation(ViolationKind::WritesFollowReads));
-                    }
-                }
-                st.last_write_stamp = Some(st.last_write_stamp.map_or(s, |p: (u64, u64)| p.max(s)));
-                let f = st.write_floor.entry(op.key).or_insert(s);
-                *f = (*f).max(s);
-            }
-        }
-    }
-
-    fn advance(&mut self, wm: Watermark) {
-        let Some(cut) = cutoff(wm, self.window) else { return };
-        let mut dropped = 0;
-        self.sessions.retain(|_, st| {
-            if st.last_touch < cut {
-                dropped += st.entries();
-                false
-            } else {
-                true
-            }
-        });
-        self.evicted += dropped;
-    }
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Staleness
-// ---------------------------------------------------------------------------
-
-/// Streaming form of [`crate::staleness::measure_staleness`].
-///
-/// State is the per-key index of acknowledged writes `(completed,
-/// stamp)`, kept sorted by construction (feed order is completion
-/// order). Eviction drops writes acknowledged before the window; a read
-/// can then only miss *fewer* acked writes than the oracle sees, so
-/// bounded runs under-count staleness and never over-count.
-///
-/// `retain_samples: false` drops the per-read `k_staleness` /
-/// `t_staleness_ms` sample vectors (which grow with the number of stale
-/// reads) for true flat-memory monitoring; the scalar counts are always
-/// kept.
-/// Per-key acknowledged-write index entries: `(ack time, stamp)`,
-/// completion-sorted by construction.
-type KeyWrites = Vec<(SimTime, (u64, u64))>;
-
-#[derive(Debug)]
-pub struct StalenessStream {
-    window: Option<Duration>,
-    retain_samples: bool,
-    writes: BTreeMap<u64, KeyWrites>,
-    report: StalenessReport,
-    evicted: u64,
-}
-
-impl StalenessStream {
-    /// A staleness stream; `window: None` never evicts.
-    pub fn new(window: Option<Duration>, retain_samples: bool) -> Self {
-        StalenessStream {
-            window,
-            retain_samples,
-            writes: BTreeMap::new(),
-            report: StalenessReport::default(),
-            evicted: 0,
-        }
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> &StalenessReport {
-        &self.report
-    }
-
-    /// Consume the stream, yielding the final report.
-    pub fn into_report(self) -> StalenessReport {
-        self.report
-    }
-}
-
-impl StreamChecker for StalenessStream {
-    fn name(&self) -> &'static str {
-        "staleness"
-    }
-
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
-        if !op.ok {
-            return;
-        }
-        match op.kind {
-            OpKind::Write => {
-                if let Some(s) = op.stamp {
-                    self.writes.entry(op.key).or_default().push((op.completed, s));
-                }
-            }
-            OpKind::Read => {
-                let Some(ws) = self.writes.get(&op.key) else {
-                    self.report.unclassified_reads += 1;
-                    return;
-                };
-                // Writes acknowledged strictly before the read was
-                // invoked; the index is completion-sorted, so this is
-                // the same prefix the batch checker's `take_while`
-                // selects.
-                let acked = &ws[..ws.partition_point(|&(c, _)| c < op.invoked)];
-                if acked.is_empty() {
-                    self.report.unclassified_reads += 1;
-                    return;
-                }
-                let returned = op.stamp.unwrap_or((0, 0));
-                let missed = acked.iter().filter(|&&(_, s)| s > returned);
-                let (k, oldest) = missed.fold((0u64, None::<SimTime>), |(k, oldest), &(c, _)| {
-                    (k + 1, Some(oldest.map_or(c, |o| o.min(c))))
-                });
-                match oldest {
-                    None => self.report.fresh_reads += 1,
-                    Some(oldest_missed_ack) => {
-                        self.report.stale_reads += 1;
-                        if self.retain_samples {
-                            self.report.k_staleness.push(k);
-                            self.report.t_staleness_ms.push(
-                                op.invoked.saturating_since(oldest_missed_ack).as_millis_f64(),
-                            );
-                        }
-                        out.push(StreamViolation {
-                            kind: ViolationKind::StaleRead,
-                            session: op.session,
-                            op_id: op.op_id,
-                            key: op.key,
-                            t_us: op.completed.as_micros(),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self, wm: Watermark) {
-        let Some(cut) = cutoff(wm, self.window) else { return };
-        let mut dropped = 0;
-        self.writes.retain(|_, ws| {
-            let keep_from = ws.partition_point(|&(c, _)| c < cut);
-            dropped += keep_from as u64;
-            ws.drain(..keep_from);
-            !ws.is_empty()
-        });
-        self.evicted += dropped;
-    }
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Monotonic values
-// ---------------------------------------------------------------------------
-
-/// Streaming form of [`crate::monotonic::check_monotonic_values`].
-///
-/// State is one `(floor, last_touch)` per `(session, key)`. Eviction of
-/// idle floors means a later read re-establishes a (lower) floor, so
-/// bounded runs can only miss regressions, never invent them.
-#[derive(Debug)]
-pub struct MonotonicStream {
-    window: Option<Duration>,
-    floors: BTreeMap<(u64, u64), (u64, SimTime)>,
-    report: MonotonicValueReport,
-    evicted: u64,
-}
-
-impl MonotonicStream {
-    /// A value-monotonicity stream; `window: None` never evicts.
-    pub fn new(window: Option<Duration>) -> Self {
-        MonotonicStream {
-            window,
-            floors: BTreeMap::new(),
-            report: MonotonicValueReport::default(),
-            evicted: 0,
-        }
-    }
-
-    /// The accumulated report.
-    pub fn report(&self) -> &MonotonicValueReport {
-        &self.report
-    }
-
-    /// Consume the stream, yielding the final report.
-    pub fn into_report(self) -> MonotonicValueReport {
-        self.report
-    }
-}
-
-impl StreamChecker for MonotonicStream {
-    fn name(&self) -> &'static str {
-        "monotonic"
-    }
-
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
-        if !op.ok || op.kind != OpKind::Read {
-            return;
-        }
-        let v: u64 = op.value_read.iter().sum();
-        match self.floors.entry((op.session, op.key)) {
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                let (floor, touch) = e.get_mut();
-                self.report.checked += 1;
-                if v < *floor {
-                    self.report.violations += 1;
-                    out.push(StreamViolation {
-                        kind: ViolationKind::ValueRegression,
-                        session: op.session,
-                        op_id: op.op_id,
-                        key: op.key,
-                        t_us: op.completed.as_micros(),
-                    });
-                }
-                *floor = (*floor).max(v);
-                *touch = op.completed;
-            }
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((v, op.completed));
-            }
-        }
-    }
-
-    fn advance(&mut self, wm: Watermark) {
-        let Some(cut) = cutoff(wm, self.window) else { return };
-        let before = self.floors.len();
-        self.floors.retain(|_, &mut (_, touch)| touch >= cut);
-        self.evicted += (before - self.floors.len()) as u64;
-    }
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Convergence
-// ---------------------------------------------------------------------------
-
-/// Streaming form of [`crate::convergence::check_convergence`].
-///
-/// The batch checker needs the *final* quiescence point (last write ack
-/// plus grace) before it can classify any read, which looks inherently
-/// offline. The streaming form exploits that each acknowledged write
-/// *moves* quiescence past everything already seen: every stored
-/// post-quiescence view was invoked at or before its own completion,
-/// which precedes the new write's ack, which precedes the new quiescence
-/// point (strictly, since grace > 0). So a write simply clears all
-/// stored views — exactly reproducing the batch classification while
-/// holding only post-quiescence state. Clearing is counted as eviction.
-///
-/// The written-key set and post-quiescence views are bounded by the
-/// keyspace, not the trace length; watermark advances have nothing
-/// further to evict.
-#[derive(Debug)]
-pub struct ConvergenceStream {
-    grace: Duration,
-    last_write_ack: Option<SimTime>,
-    written: BTreeSet<u64>,
-    views: BTreeMap<u64, BTreeMap<Vec<u64>, u32>>,
-    evicted: u64,
-}
-
-impl ConvergenceStream {
-    /// A convergence stream with the given propagation grace period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grace` is zero: the clear-on-write equivalence proof
-    /// needs quiescence strictly after the clearing write's ack.
-    pub fn new(grace: Duration) -> Self {
-        assert!(grace > Duration::ZERO, "ConvergenceStream requires a non-zero grace period");
-        ConvergenceStream {
-            grace,
-            last_write_ack: None,
-            written: BTreeSet::new(),
-            views: BTreeMap::new(),
-            evicted: 0,
-        }
-    }
-
-    /// The quiescence estimate so far (last write ack + grace).
-    pub fn quiescence_at(&self) -> Option<SimTime> {
-        self.last_write_ack.map(|t| t + self.grace)
-    }
-
-    /// Classify every written key from the surviving views, exactly as
-    /// the batch checker does at the same quiescence point. `None` if no
-    /// write was ever acknowledged.
-    pub fn report(&self) -> Option<ConvergenceReport> {
-        let quiescence_at = self.quiescence_at()?;
-        let mut report = ConvergenceReport { quiescence_at, ..Default::default() };
-        for &key in &self.written {
-            match self.views.get(&key) {
-                None => report.unverified_keys += 1,
-                Some(v) if v.len() == 1 => report.converged_keys += 1,
-                Some(v) => report.diverged.push(Divergence {
-                    key,
-                    views: v.iter().map(|(vals, rep)| (vals.clone(), *rep)).collect(),
-                }),
-            }
-        }
-        Some(report)
-    }
-}
-
-impl StreamChecker for ConvergenceStream {
-    fn name(&self) -> &'static str {
-        "convergence"
-    }
-
-    fn feed(&mut self, op: &OpRecord, _out: &mut Vec<StreamViolation>) {
-        if !op.ok {
-            return;
-        }
-        match op.kind {
-            OpKind::Write => {
-                self.written.insert(op.key);
-                self.last_write_ack =
-                    Some(self.last_write_ack.map_or(op.completed, |t| t.max(op.completed)));
-                // Quiescence just moved strictly past every stored view.
-                self.evicted += self.views.values().map(|v| v.len() as u64).sum::<u64>();
-                self.views.clear();
-            }
-            OpKind::Read => {
-                if let Some(q) = self.quiescence_at() {
-                    if op.invoked >= q {
-                        let mut vals = op.value_read.clone();
-                        vals.sort_unstable();
-                        self.views.entry(op.key).or_default().entry(vals).or_insert(op.replica.0);
-                    }
-                }
-            }
-        }
-    }
-
-    fn advance(&mut self, _wm: Watermark) {}
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Verifier bundle
-// ---------------------------------------------------------------------------
 
 /// Configuration for a [`StreamVerifier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Eviction window; `None` never evicts (exact batch parity).
+    /// Eviction window; `None` never evicts, and the reports equal the
+    /// whole-trace entry points'. A windowed verifier also drops the
+    /// per-read staleness samples (see [`StalenessStream`]).
     pub window: Option<Duration>,
     /// Convergence grace period (must be non-zero).
     pub grace: Duration,
-    /// Keep the per-read staleness sample vectors (needed for batch
-    /// parity; turn off for flat-memory monitoring).
-    pub retain_samples: bool,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig { window: None, grace: Duration::from_millis(500), retain_samples: true }
+        StreamConfig { window: None, grace: Duration::from_millis(500) }
     }
 }
 
@@ -634,11 +205,11 @@ impl Default for StreamConfig {
 /// online violation log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamReports {
-    /// Session-guarantee report (batch-identical when unbounded).
+    /// Session-guarantee report.
     pub session: SessionReport,
-    /// Staleness report (batch-identical when unbounded).
+    /// Staleness report (no per-read samples when windowed).
     pub staleness: StalenessReport,
-    /// Value-monotonicity report (batch-identical when unbounded).
+    /// Value-monotonicity report.
     pub monotonic: MonotonicValueReport,
     /// Convergence report; `None` if no write was acknowledged.
     pub convergence: Option<ConvergenceReport>,
@@ -667,7 +238,7 @@ impl StreamVerifier {
     pub fn new(config: StreamConfig) -> Self {
         StreamVerifier {
             session: SessionStream::new(config.window),
-            staleness: StalenessStream::new(config.window, config.retain_samples),
+            staleness: StalenessStream::new(config.window),
             monotonic: MonotonicStream::new(config.window),
             convergence: ConvergenceStream::new(config.grace),
             violations: Vec::new(),
@@ -778,7 +349,7 @@ mod tests {
     use crate::monotonic::check_monotonic_values;
     use crate::session::check_session_guarantees;
     use crate::staleness::measure_staleness;
-    use simnet::{NodeId, OpTrace};
+    use simnet::{NodeId, OpKind};
 
     #[allow(clippy::too_many_arguments)]
     fn op(
@@ -832,21 +403,84 @@ mod tests {
         }
     }
 
+    fn whole_trace_reports(trace: &OpTrace, grace: Duration) -> StreamReports {
+        StreamReports {
+            session: check_session_guarantees(trace),
+            staleness: measure_staleness(trace),
+            monotonic: check_monotonic_values(trace),
+            convergence: check_convergence(trace, grace),
+            violations: Vec::new(),
+            events_evicted: 0,
+        }
+    }
+
+    /// The reports on the anomalous trace, worked out by hand from the
+    /// definitions — not from either way of driving the operators.
     #[test]
-    fn unbounded_stream_matches_batch_reports_exactly() {
+    fn reports_on_the_anomalous_trace_are_the_hand_derived_ones() {
         let trace = anomalous_trace();
         let grace = Duration::from_millis(500);
+        let expected = StreamReports {
+            // Session 1 misses its own write; session 2 re-reads (10,0).
+            session: SessionReport {
+                ryw_checked: 1,
+                ryw_violations: 1,
+                mr_checked: 1,
+                ..SessionReport::default()
+            },
+            // The (4,0) reads at 30 ms and 610 ms each miss the one write
+            // acked at 10 ms.
+            staleness: StalenessReport {
+                fresh_reads: 3,
+                stale_reads: 2,
+                unclassified_reads: 0,
+                k_staleness: vec![1, 1],
+                t_staleness_ms: vec![20.0, 600.0],
+            },
+            monotonic: MonotonicValueReport { checked: 1, violations: 1 },
+            // Quiescence at 10 + 500 ms; the reads at 600 and 610 disagree.
+            convergence: Some(ConvergenceReport {
+                converged_keys: 0,
+                diverged: vec![crate::Divergence {
+                    key: 5,
+                    views: vec![(vec![4], 1), (vec![10], 0)],
+                }],
+                unverified_keys: 0,
+                quiescence_at: SimTime::from_millis(510),
+            }),
+            violations: Vec::new(),
+            events_evicted: 0,
+        };
+        assert_eq!(whole_trace_reports(&trace, grace), expected);
+
         let mut v = StreamVerifier::new(StreamConfig { grace, ..StreamConfig::default() });
         feed_all(&mut v, &trace);
-        let reports = v.finish();
-        assert_eq!(reports.session, check_session_guarantees(&trace));
-        assert_eq!(reports.staleness, measure_staleness(&trace));
-        assert_eq!(reports.monotonic, check_monotonic_values(&trace));
-        assert_eq!(reports.convergence, check_convergence(&trace, grace));
-        assert_eq!(
-            reports.events_evicted, 0,
-            "unbounded run with one leading write evicts nothing"
-        );
+        let online = v.finish();
+        assert_eq!(online.violations.len(), 5, "RYW, 2 stale, regression, divergence");
+        assert_eq!(StreamReports { violations: Vec::new(), ..online }, expected);
+    }
+
+    /// The whole-trace entry points accept records in any order: pushed
+    /// in reverse completion order, with completion times that tie
+    /// across sessions, they report what they report once the trace is
+    /// sorted.
+    #[test]
+    fn fold_sorts_a_hand_built_out_of_order_trace() {
+        let mut t = OpTrace::new();
+        t.push(op(4, 1, 5, OpKind::Read, Some((4, 0)), vec![4], 610, 611, 1));
+        t.push(op(3, 1, 5, OpKind::Read, Some((10, 0)), vec![10], 600, 611, 0));
+        t.push(op(2, 2, 5, OpKind::Read, Some((10, 0)), vec![4], 30, 31, 1));
+        t.push(op(1, 2, 5, OpKind::Read, Some((4, 0)), vec![4], 30, 31, 1));
+        t.push(op(2, 1, 5, OpKind::Read, Some((10, 0)), vec![10], 19, 20, 0));
+        t.push(op(1, 1, 5, OpKind::Write, Some((10, 0)), vec![], 9, 10, 0));
+        let grace = Duration::from_millis(500);
+        let unsorted = whole_trace_reports(&t, grace);
+        assert_eq!(unsorted.session.ryw_violations, 1, "the trace must not be vacuous");
+        assert_eq!(unsorted.staleness.k_staleness, vec![1, 1]);
+        assert!(!unsorted.convergence.as_ref().expect("one acked write").converged());
+        t.sort_by_completion();
+        assert_eq!(t.records()[0].kind, OpKind::Write, "sorting moved the write first");
+        assert_eq!(whole_trace_reports(&t, grace), unsorted);
     }
 
     #[test]
@@ -927,12 +561,6 @@ mod tests {
         let reports = v.finish();
         assert_eq!(reports.session.ryw_violations, 1);
         assert_eq!(reports.staleness.stale_reads, 1);
-    }
-
-    #[test]
-    fn convergence_stream_requires_nonzero_grace() {
-        let result = std::panic::catch_unwind(|| ConvergenceStream::new(Duration::ZERO));
-        assert!(result.is_err());
     }
 
     #[test]

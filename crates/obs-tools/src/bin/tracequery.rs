@@ -220,9 +220,6 @@ fn check_stream(rest: &[String]) {
     let path = path.unwrap_or_else(|| usage_error("check --stream takes <trace.jsonl | ->"));
     let config = consistency::StreamConfig {
         window: window_ms.map(simnet::Duration::from_millis),
-        // The per-read staleness sample vectors grow with the trace;
-        // a bounded window asks for flat memory, so drop them there.
-        retain_samples: window_ms.is_none(),
         ..consistency::StreamConfig::default()
     };
     let mut checker = StreamTraceChecker::new(config);

@@ -70,7 +70,10 @@ pub fn find_profile(doc: &Value) -> Option<&Value> {
 }
 
 /// Parse a results document into flattened profile rows (scheme-major,
-/// preserving the deterministic export order).
+/// preserving the deterministic export order). A handler row with a
+/// missing or mistyped field is an error naming the scheme, the row's
+/// index and the field — never a row of empty strings and zeros, which
+/// `profquery diff` would report as "no differences".
 pub fn parse_profile(text: &str) -> Result<Vec<ProfRow>, String> {
     let doc = serde_json::parse_value(text).map_err(|e| format!("invalid JSON: {e:?}"))?;
     let profile = find_profile(&doc).ok_or_else(|| {
@@ -93,18 +96,23 @@ pub fn parse_profile(text: &str) -> Result<Vec<ProfRow>, String> {
             .get("handlers")
             .and_then(|h| h.as_array())
             .ok_or_else(|| format!("scheme {label:?} missing `handlers` array"))?;
-        for h in handlers {
-            let s = |k: &str| h.get(k).and_then(|v| v.as_str()).unwrap_or_default().to_string();
-            let u = |k: &str| h.get(k).and_then(|v| v.as_u64()).unwrap_or(0);
+        for (i, h) in handlers.iter().enumerate() {
+            let bad = |k: &str, want: &str| format!("scheme {label:?} handler {i}: `{k}` {want}");
+            let field = |k: &str| h.get(k).ok_or_else(|| bad(k, "is missing"));
+            let s = |k: &str| {
+                field(k)?.as_str().map(str::to_string).ok_or_else(|| bad(k, "is not a string"))
+            };
+            let u =
+                |k: &str| field(k)?.as_u64().ok_or_else(|| bad(k, "is not an unsigned integer"));
             rows.push(ProfRow {
                 scheme: label.clone(),
-                role: s("role"),
-                handler: s("handler"),
-                variant: s("variant"),
-                invocations: u("invocations"),
-                alloc_bytes: u("alloc_bytes"),
-                alloc_count: u("alloc_count"),
-                time_total_ns: u("time_total_ns"),
+                role: s("role")?,
+                handler: s("handler")?,
+                variant: s("variant")?,
+                invocations: u("invocations")?,
+                alloc_bytes: u("alloc_bytes")?,
+                alloc_count: u("alloc_count")?,
+                time_total_ns: u("time_total_ns")?,
             });
         }
     }
@@ -243,6 +251,35 @@ mod tests {
 
         assert!(parse_profile(r#"{"rows": []}"#).is_err());
         assert!(parse_profile("not json").is_err());
+    }
+
+    #[test]
+    fn malformed_handler_rows_are_errors_naming_the_field() {
+        let missing = sample_doc().replace(r#""alloc_bytes": 512, "#, "");
+        let err = parse_profile(&missing).expect_err("a row without alloc_bytes");
+        assert_eq!(err, r#"scheme "causal" handler 0: `alloc_bytes` is missing"#);
+
+        let mistyped = sample_doc().replace(r#""invocations": 7,"#, r#""invocations": "7","#);
+        let err = parse_profile(&mistyped).expect_err("a string where an integer belongs");
+        assert_eq!(err, r#"scheme "paxos" handler 1: `invocations` is not an unsigned integer"#);
+
+        let no_role = sample_doc().replace(r#""role": "client", "#, "");
+        let err = parse_profile(&no_role).expect_err("a row without role");
+        assert_eq!(err, r#"scheme "causal" handler 0: `role` is missing"#);
+
+        let numeric_role = sample_doc().replace(r#""role": "client""#, r#""role": 3"#);
+        let err = parse_profile(&numeric_role).expect_err("an integer where a string belongs");
+        assert_eq!(err, r#"scheme "causal" handler 0: `role` is not a string"#);
+    }
+
+    /// The checked-in baseline profile must keep parsing under the
+    /// strict row reader.
+    #[test]
+    fn checked_in_baseline_profile_parses() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/profile_protos.json");
+        let text = std::fs::read_to_string(path).expect("results/profile_protos.json reads");
+        let rows = parse_profile(&text).expect("baseline profile parses");
+        assert!(rows.len() > 50, "baseline profile shrank to {} rows", rows.len());
     }
 
     #[test]

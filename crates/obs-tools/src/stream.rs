@@ -13,8 +13,9 @@
 //! Events in a log are time-ordered but ops completing in the same
 //! microsecond may be interleaved arbitrarily; [`StreamTraceChecker`]
 //! buffers one timestamp's worth of records and sorts the tie group by
-//! `(session, op_id)` before feeding, which restores the exact order
-//! the batch oracle sees (`OpTrace::sort_by_completion`).
+//! `(session, op_id)` before feeding, which restores the feed-order
+//! contract's order (`OpTrace::sort_by_completion`) — the one the
+//! whole-trace checkers fold a finished trace in.
 
 use consistency::{StreamConfig, StreamReports, StreamVerifier, StreamViolation};
 use obs::{ClientOpKind, EventKind, TracedEvent};

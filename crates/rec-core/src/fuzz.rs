@@ -23,8 +23,8 @@ use crate::grid::par_map;
 use crate::runner::{Experiment, RunResult};
 use crate::scheme::{ClientPlacement, Scheme};
 use consistency::{
-    check_convergence, check_monotonic_values, check_session_guarantees, check_trace_linearizable,
-    measure_staleness, LinCheckError, StreamConfig, StreamReports, StreamVerifier,
+    check_monotonic_values, check_session_guarantees, check_trace_linearizable, measure_staleness,
+    LinCheckError,
 };
 use replication::common::Guarantees;
 use replication::eventual::ConflictMode;
@@ -320,145 +320,6 @@ fn judge(case: &FuzzCase, result: &RunResult) -> Verdict {
     }
 }
 
-/// Batch-vs-stream comparison for one fuzz case.
-///
-/// `reports_match` is the strong property: the streaming checkers'
-/// reports, serialized to JSON, are byte-identical to the materialized
-/// batch reports computed from the full trace (unbounded window). The
-/// verdict pair is the weaker scheme-level summary of the same data.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DifferentialOutcome {
-    /// Verdict from the materialized batch checkers.
-    pub batch: Verdict,
-    /// Verdict from the streaming checkers fed online during the run.
-    pub stream: Verdict,
-    /// Whether the four streaming reports serialize byte-identically to
-    /// their batch counterparts.
-    pub reports_match: bool,
-}
-
-impl DifferentialOutcome {
-    /// True when stream and batch fully agree.
-    pub fn agree(&self) -> bool {
-        self.batch == self.stream && self.reports_match
-    }
-}
-
-/// Run one case through *both* checker pipelines: the streaming verifier
-/// fed op-by-op while the simulation runs (via the runner's monitor
-/// hook), and the materialized batch checkers over the finished trace.
-///
-/// The monitor hook is read-only, so the simulated execution — and hence
-/// the batch verdict — is identical to [`run_case`]'s; the differential
-/// campaign holds the fuzzer to that.
-pub fn run_case_differential(case: &FuzzCase) -> DifferentialOutcome {
-    let mut verifier = StreamVerifier::new(StreamConfig::default());
-    let result = Experiment::new(case.scheme.to_scheme())
-        .workload(fuzz_workload())
-        .latency(LatencyModel::lan())
-        .faults(nemesis::to_schedule(&case.events))
-        .seed(case.seed)
-        .horizon(SimTime::from_millis(FUZZ_HORIZON_MS))
-        .run_monitored(&mut |ops, _now| verifier.feed_slice(ops));
-    let batch = judge(case, &result);
-    let reports = verifier.finish();
-    let stream = judge_stream(case, &result, &reports);
-    let grace = StreamConfig::default().grace;
-    let reports_match = {
-        let batch_json = serde_json::to_string(&(
-            check_session_guarantees(&result.trace),
-            measure_staleness(&result.trace),
-            check_monotonic_values(&result.trace),
-            check_convergence(&result.trace, grace),
-        ))
-        .expect("batch reports serialize");
-        let stream_json = serde_json::to_string(&(
-            &reports.session,
-            &reports.staleness,
-            &reports.monotonic,
-            &reports.convergence,
-        ))
-        .expect("stream reports serialize");
-        batch_json == stream_json
-    };
-    DifferentialOutcome { batch, stream, reports_match }
-}
-
-/// Judge a case from the *streaming* reports.
-///
-/// Linearizability has no streaming operator — deciding it online would
-/// need the full per-key history the window exists to evict — so
-/// `Expectation::Linearizable` falls back to the materialized batch
-/// checker over the finished trace. Every other expectation reads the
-/// same count the batch judge reads, but from the incremental reports.
-fn judge_stream(case: &FuzzCase, result: &RunResult, reports: &StreamReports) -> Verdict {
-    match case.scheme.expectation() {
-        Expectation::Linearizable => judge(case, result),
-        Expectation::NoStaleReads => {
-            if reports.staleness.stale_reads == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Violation {
-                    kind: ViolationKind::StaleReads,
-                    count: reports.staleness.stale_reads,
-                }
-            }
-        }
-        Expectation::ReadYourWrites => {
-            if reports.session.ryw_violations == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Violation {
-                    kind: ViolationKind::ReadYourWrites,
-                    count: reports.session.ryw_violations,
-                }
-            }
-        }
-        Expectation::MonotonicReads => {
-            if reports.monotonic.violations == 0 {
-                Verdict::Pass
-            } else {
-                Verdict::Violation {
-                    kind: ViolationKind::MonotonicReads,
-                    count: reports.monotonic.violations,
-                }
-            }
-        }
-    }
-}
-
-/// One differential campaign cell.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DifferentialCell {
-    /// Scheme under test.
-    pub scheme: FuzzScheme,
-    /// The seed.
-    pub seed: u64,
-    /// Batch-vs-stream comparison for this cell.
-    pub outcome: DifferentialOutcome,
-}
-
-/// Run a differential campaign: every `(scheme, seed)` cell through
-/// [`run_case_differential`] on the shared worker pool. Cells are laid
-/// out scheme-major and reassembled by index, so — like [`campaign`] —
-/// the result (and its JSON) is byte-identical for any `jobs` value.
-pub fn differential_campaign(
-    schemes: &[FuzzScheme],
-    seeds: u64,
-    base_seed: u64,
-    profile_name: &str,
-    jobs: usize,
-) -> Vec<DifferentialCell> {
-    let profile = IntensityProfile::by_name(profile_name)
-        .unwrap_or_else(|| panic!("unknown intensity profile {profile_name:?}"));
-    let cells: Vec<(FuzzScheme, u64)> =
-        schemes.iter().flat_map(|&s| (0..seeds).map(move |i| (s, base_seed + i))).collect();
-    par_map(&cells, jobs, |_, &(scheme, seed)| {
-        let case = generate_case(scheme, seed, &profile);
-        DifferentialCell { scheme, seed, outcome: run_case_differential(&case) }
-    })
-}
-
 /// Shrink a violating case to a minimal fault schedule by delta debugging
 /// (Zeller's ddmin) over whole nemesis windows.
 ///
@@ -692,33 +553,6 @@ mod tests {
             let case = FuzzCase { scheme, seed: 5, events: vec![] };
             assert_eq!(run_case(&case), Verdict::Pass, "{} must pass quiet", scheme.label());
         }
-    }
-
-    #[test]
-    fn differential_agrees_on_quiet_and_noisy_cases() {
-        // Quiet cells: every pipeline must agree that nothing broke.
-        for scheme in [FuzzScheme::MajorityQuorum, FuzzScheme::EventualSticky] {
-            let case = FuzzCase { scheme, seed: 2, events: vec![] };
-            let d = run_case_differential(&case);
-            assert!(d.agree(), "{} quiet: {d:?}", scheme.label());
-            assert_eq!(d.batch, run_case(&case), "{} monitored run perturbed", scheme.label());
-        }
-        // Positive control under a generated nemesis schedule: whatever
-        // the batch checkers find, the stream must find identically.
-        let case = generate_case(FuzzScheme::PartialQuorum, 1, &IntensityProfile::medium());
-        let d = run_case_differential(&case);
-        assert!(d.agree(), "partial-quorum differential: {d:?}");
-        assert_eq!(d.batch, run_case(&case));
-    }
-
-    #[test]
-    fn differential_campaign_is_jobs_invariant() {
-        let schemes = [FuzzScheme::EventualSticky, FuzzScheme::PartialQuorum];
-        let a = differential_campaign(&schemes, 2, 40, "light", 1);
-        let b = differential_campaign(&schemes, 2, 40, "light", 4);
-        assert_eq!(a, b);
-        assert_eq!(serde_json::to_string(&a).unwrap(), serde_json::to_string(&b).unwrap());
-        assert!(a.iter().all(|c| c.outcome.agree()), "{a:?}");
     }
 
     #[test]

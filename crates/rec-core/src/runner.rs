@@ -647,7 +647,7 @@ mod tests {
     }
 
     #[test]
-    fn streaming_checkers_agree_with_batch_on_a_monitored_run() {
+    fn online_verifier_agrees_with_the_whole_trace_fold_on_a_monitored_run() {
         use consistency::{StreamConfig, StreamVerifier, Watermark};
         let exp = Experiment::new(Scheme::eventual(3)).workload(tiny_workload()).seed(8);
         let mut verifier = StreamVerifier::new(StreamConfig::default());

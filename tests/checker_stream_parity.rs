@@ -1,25 +1,29 @@
-//! Differential batch-vs-stream verification.
+//! Three-way checker verification on simulated runs.
 //!
-//! The streaming checkers (`consistency::stream`) promise *exact*
-//! agreement with the materialized batch checkers when run unbounded:
-//! same reports, byte for byte, on every scheme family, under faults.
-//! This suite is that promise, held at integration scale:
+//! Each guarantee has one definition in `crates/consistency` (a stream
+//! operator) and two ways to drive it, so "whole-trace ≡ online" holds
+//! by construction and proves nothing about the definition. What this
+//! suite holds the definition to is the independent all-pairs oracle in
+//! `tests/oracle/`, three ways at once:
 //!
-//! * every fuzz scheme family × two seeds under a crash-amnesia +
-//!   partition nemesis, streaming reports serialized against batch
-//!   reports — any byte of drift fails;
-//! * the differential fuzz campaign (`rec_core::fuzz`) is `--jobs`
-//!   invariant: the same cells judged on 1 worker and 4 workers must
-//!   produce identical JSON, and every cell must agree with its batch
-//!   oracle.
+//! ```text
+//! oracle(trace)  ≡  check_*(trace)  ≡  StreamVerifier fed by run_monitored
+//! ```
+//!
+//! on every fuzz scheme family × two seeds under a crash-amnesia +
+//! partition nemesis, and on every checked-in `tests/corpus/`
+//! reproducer. The third leg also pins that the slices `run_monitored`
+//! hands a live monitor arrive in the feed-order contract's order.
+
+mod oracle;
 
 use rethinking_ec::consistency::{
     check_convergence, check_monotonic_values, check_session_guarantees, measure_staleness,
     StreamConfig, StreamVerifier,
 };
-use rethinking_ec::core::fuzz::{differential_campaign, FuzzScheme};
+use rethinking_ec::core::fuzz::{fuzz_workload, FuzzCase, FuzzScheme, FUZZ_HORIZON_MS};
 use rethinking_ec::core::Experiment;
-use rethinking_ec::simnet::{Duration, FaultSchedule, LatencyModel, NodeId, SimTime};
+use rethinking_ec::simnet::{nemesis, Duration, FaultSchedule, LatencyModel, NodeId, SimTime};
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
 
 fn workload() -> WorkloadSpec {
@@ -35,84 +39,84 @@ fn workload() -> WorkloadSpec {
 
 /// The scheme_parity nemesis: one replica suffers crash-amnesia
 /// mid-run, another is partitioned off for a window.
-fn nemesis() -> FaultSchedule {
+fn faults() -> FaultSchedule {
     FaultSchedule::none()
         .crash_amnesia(NodeId(1), SimTime::from_millis(800), SimTime::from_millis(1_400))
         .partition(vec![NodeId(0)], SimTime::from_secs(3), SimTime::from_secs(5))
 }
 
-/// Every scheme family × seed cell: the unbounded streaming checkers,
-/// fed op-by-op while the simulation runs, must produce reports that
-/// serialize byte-identically to the batch checkers' reports over the
-/// finished trace — identical violation sets, not just verdicts.
+/// Run `experiment` with an unbounded verifier attached and require the
+/// oracle, the whole-trace checkers and the online verifier to produce
+/// equal reports. Returns how many violations the run contained.
+fn assert_three_way(experiment: &Experiment, label: &str) -> usize {
+    let config = StreamConfig::default();
+    let mut verifier = StreamVerifier::new(config);
+    let result = experiment.run_monitored(&mut |ops, _now| verifier.feed_slice(ops));
+    let online = verifier.finish();
+    let trace = &result.trace;
+
+    let reference = oracle::reports(trace, config.grace);
+    let whole_trace = (
+        check_session_guarantees(trace),
+        measure_staleness(trace),
+        check_monotonic_values(trace),
+        check_convergence(trace, config.grace),
+    );
+    assert_eq!(whole_trace, reference, "{label}: whole-trace checkers disagree with the oracle");
+    let violations = online.violations.len();
+    assert_eq!(
+        (online.session, online.staleness, online.monotonic, online.convergence),
+        reference,
+        "{label}: online verifier disagrees with the oracle"
+    );
+    violations
+}
+
 #[test]
-fn stream_reports_are_byte_identical_to_batch_for_every_scheme_family() {
+fn oracle_whole_trace_and_online_agree_for_every_scheme_family() {
+    let mut violations = 0;
     for fs in FuzzScheme::ALL {
         for seed in [11u64, 42] {
-            let mut verifier = StreamVerifier::new(StreamConfig::default());
-            let result = Experiment::new(fs.to_scheme())
+            let experiment = Experiment::new(fs.to_scheme())
                 .workload(workload())
                 .latency(LatencyModel::Uniform {
                     min: Duration::from_millis(1),
                     max: Duration::from_millis(8),
                 })
-                .faults(nemesis())
+                .faults(faults())
                 .seed(seed)
-                .horizon(SimTime::from_secs(20))
-                .run_monitored(&mut |ops, _now| verifier.feed_slice(ops));
-            let reports = verifier.finish();
-            let grace = StreamConfig::default().grace;
-            let batch = serde_json::to_string(&(
-                check_session_guarantees(&result.trace),
-                measure_staleness(&result.trace),
-                check_monotonic_values(&result.trace),
-                check_convergence(&result.trace, grace),
-            ))
-            .expect("batch reports serialize");
-            let stream = serde_json::to_string(&(
-                &reports.session,
-                &reports.staleness,
-                &reports.monotonic,
-                &reports.convergence,
-            ))
-            .expect("stream reports serialize");
-            assert_eq!(
-                stream,
-                batch,
-                "{} seed {seed}: streaming reports diverged from the batch oracle",
-                fs.label()
-            );
-            assert_eq!(reports.events_evicted, 0, "unbounded verifier must evict nothing");
+                .horizon(SimTime::from_secs(20));
+            violations += assert_three_way(&experiment, &format!("{} seed {seed}", fs.label()));
         }
     }
+    // Agreement on clean runs would say little about the definitions.
+    assert!(violations >= 100, "sweep too clean: {violations} violations over 16 runs");
 }
 
-/// The differential campaign judges every cell twice (batch and
-/// stream); its result must be byte-identical for any worker count and
-/// every cell must agree.
+/// Every checked-in fuzz reproducer, replayed as `rec_core::fuzz` runs
+/// it: the three reports agree, and the case still shows the violation
+/// it was shrunk to.
 #[test]
-fn differential_campaign_is_jobs_invariant_and_agrees() {
-    let a = differential_campaign(&FuzzScheme::ALL, 2, 7, "medium", 1);
-    let b = differential_campaign(&FuzzScheme::ALL, 2, 7, "medium", 4);
-    let a_json = serde_json::to_string(&a).expect("campaign serializes");
-    let b_json = serde_json::to_string(&b).expect("campaign serializes");
-    assert_eq!(a_json, b_json, "differential campaign must be --jobs invariant");
-    for cell in &a {
-        assert!(
-            cell.outcome.agree(),
-            "{} seed {}: batch={:?} stream={:?} reports_match={}",
-            cell.scheme.label(),
-            cell.seed,
-            cell.outcome.batch,
-            cell.outcome.stream,
-            cell.outcome.reports_match
-        );
+fn oracle_whole_trace_and_online_agree_on_the_corpus() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .expect("tests/corpus exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    entries.sort();
+    assert!(entries.len() >= 3, "corpus shrank to {} reproducers", entries.len());
+    for path in entries {
+        let json = std::fs::read_to_string(&path).expect("corpus file reads");
+        let case: FuzzCase = serde_json::from_str(&json)
+            .unwrap_or_else(|e| panic!("{} is not a FuzzCase: {e}", path.display()));
+        let experiment = Experiment::new(case.scheme.to_scheme())
+            .workload(fuzz_workload())
+            .latency(LatencyModel::lan())
+            .faults(nemesis::to_schedule(&case.events))
+            .seed(case.seed)
+            .horizon(SimTime::from_millis(FUZZ_HORIZON_MS));
+        let violations = assert_three_way(&experiment, &path.display().to_string());
+        assert!(violations > 0, "{}: reproducer no longer violates anything", path.display());
     }
-    // The positive control must actually violate, or the differential
-    // suite is only ever comparing clean runs.
-    assert!(
-        a.iter().any(|c| c.scheme.violation_expected()
-            && c.outcome.batch != rethinking_ec::core::fuzz::Verdict::Pass),
-        "partial quorum never violated: the nemesis lost its teeth"
-    );
 }

@@ -1,19 +1,23 @@
-//! Property tests for the streaming checkers on randomized synthetic
-//! op traces, plus corpus regression.
+//! Property tests for the checkers on randomized synthetic op traces.
 //!
 //! For 100 LCG-derived traces (deliberately anomalous: reads may
 //! observe arbitrarily old versions, so staleness, session, and
-//! monotonicity violations all occur naturally):
+//! monotonicity violations all occur naturally, and a tail of reads
+//! after quiescence disagrees often enough to exercise convergence):
 //!
-//! * **unbounded = exact**: a windowless streaming run reproduces the
-//!   batch reports field-for-field;
+//! * **three-way exact**: the all-pairs oracle (`tests/oracle/`), the
+//!   whole-trace checkers and a windowless `StreamVerifier` produce
+//!   equal reports;
 //! * **bounded = subset**: a windowed run never *invents* a violation —
 //!   every flagged violation also appears in the unbounded run
 //!   (eviction only drops floors and evidence, it cannot fabricate
 //!   them), and violations whose evidence sits inside the watermark
-//!   window are still caught;
-//! * every checked-in fuzz reproducer in `tests/corpus/` still trips
-//!   its streaming checker, in agreement with the batch verdict.
+//!   window are still caught.
+//!
+//! The same three-way comparison on simulated runs and on the
+//! `tests/corpus/` reproducers is `checker_stream_parity`.
+
+mod oracle;
 
 use rethinking_ec::consistency::{
     check_convergence, check_monotonic_values, check_session_guarantees, measure_staleness,
@@ -27,55 +31,59 @@ fn lcg(state: &mut u64) -> u64 {
 }
 
 /// A randomized trace where reads observe a uniformly random *earlier*
-/// write to their key — old versions included — so violations of every
-/// streaming kind arise across the seed sweep.
+/// write to their key — old versions included — and one write in eight
+/// is stamped a few counters in the past (a replica with a slow clock),
+/// so violations of every kind arise across the seed sweep. Sixty mixed
+/// operations, then twelve reads starting exactly at the convergence
+/// quiescence point, a quarter of which return two sibling values in
+/// either order.
 fn synth_trace(seed: u64) -> OpTrace {
+    let grace_ms = StreamConfig::default().grace.as_micros() / 1_000;
     let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(seed | 1);
     let mut t = OpTrace::new();
     let mut history: Vec<Vec<(u64, (u64, u64))>> = vec![Vec::new(); 4];
     let mut now_ms = 0u64;
-    for i in 0..60u64 {
-        now_ms += 1 + lcg(&mut s) % 25;
+    let mut last_write_acked_ms = 0u64;
+    for i in 0..72u64 {
+        let settled = i >= 60;
+        now_ms =
+            if i == 60 { last_write_acked_ms + grace_ms } else { now_ms + 1 + lcg(&mut s) % 25 };
         let session = lcg(&mut s) % 4;
         let key = lcg(&mut s) % 4;
-        let write = lcg(&mut s).is_multiple_of(2);
-        let rec = if write || history[key as usize].is_empty() {
-            let value = i + 1;
-            let stamp = (i + 1, session);
-            history[key as usize].push((value, stamp));
-            OpRecord {
-                session,
-                op_id: i,
-                key,
-                kind: OpKind::Write,
-                value_written: Some(value),
-                value_read: vec![],
-                invoked: SimTime::from_millis(now_ms),
-                completed: SimTime::from_millis(now_ms + 1),
-                replica: NodeId((lcg(&mut s) % 3) as u32),
-                ok: true,
-                version_ts: None,
-                stamp: Some(stamp),
-            }
+        let hist = &mut history[key as usize];
+        let write = !settled && (lcg(&mut s).is_multiple_of(2) || hist.is_empty());
+        let (value_read, stamp) = if write {
+            let lag = if lcg(&mut s).is_multiple_of(8) { lcg(&mut s) % 10 } else { 0 };
+            // The op index as the actor keeps lagging stamps unique.
+            let stamp = ((i + 1).saturating_sub(lag), i);
+            hist.push((i + 1, stamp));
+            last_write_acked_ms = now_ms + 1;
+            (vec![], Some(stamp))
+        } else if hist.is_empty() {
+            (vec![], None)
         } else {
-            let hist = &history[key as usize];
             let (value, stamp) = hist[(lcg(&mut s) as usize) % hist.len()];
-            OpRecord {
-                session,
-                op_id: i,
-                key,
-                kind: OpKind::Read,
-                value_written: None,
-                value_read: vec![value],
-                invoked: SimTime::from_millis(now_ms),
-                completed: SimTime::from_millis(now_ms + 1),
-                replica: NodeId((lcg(&mut s) % 3) as u32),
-                ok: true,
-                version_ts: None,
-                stamp: Some(stamp),
+            if settled && lcg(&mut s).is_multiple_of(4) {
+                let (sibling, sibling_stamp) = hist[(lcg(&mut s) as usize) % hist.len()];
+                (vec![value, sibling], Some(stamp.max(sibling_stamp)))
+            } else {
+                (vec![value], Some(stamp))
             }
         };
-        t.push(rec);
+        t.push(OpRecord {
+            session,
+            op_id: i,
+            key,
+            kind: if write { OpKind::Write } else { OpKind::Read },
+            value_written: write.then_some(i + 1),
+            value_read,
+            invoked: SimTime::from_millis(now_ms),
+            completed: SimTime::from_millis(now_ms + 1),
+            replica: NodeId((lcg(&mut s) % 3) as u32),
+            ok: true,
+            version_ts: None,
+            stamp,
+        });
     }
     t.sort_by_completion();
     t
@@ -87,25 +95,38 @@ fn key_of(v: &rethinking_ec::consistency::StreamViolation) -> (u8, u64, u64, u64
 }
 
 #[test]
-fn unbounded_stream_is_exact_on_100_random_traces() {
+fn oracle_whole_trace_and_unbounded_stream_agree_on_100_random_traces() {
     let grace = StreamConfig::default().grace;
     let mut total_violations = 0usize;
+    let mut diverged_keys = 0usize;
     for seed in 0..100u64 {
         let trace = synth_trace(seed);
+        let reference = oracle::reports(&trace, grace);
+        let whole_trace = (
+            check_session_guarantees(&trace),
+            measure_staleness(&trace),
+            check_monotonic_values(&trace),
+            check_convergence(&trace, grace),
+        );
+        assert_eq!(whole_trace, reference, "seed {seed}: whole-trace checkers vs oracle");
+
         let mut v = StreamVerifier::new(StreamConfig::default());
         for r in trace.records() {
             v.feed(r);
         }
-        let reports = v.finish();
-        assert_eq!(reports.session, check_session_guarantees(&trace), "seed {seed}");
-        assert_eq!(reports.staleness, measure_staleness(&trace), "seed {seed}");
-        assert_eq!(reports.monotonic, check_monotonic_values(&trace), "seed {seed}");
-        assert_eq!(reports.convergence, check_convergence(&trace, grace), "seed {seed}");
-        total_violations += reports.violations.len();
+        let online = v.finish();
+        total_violations += online.violations.len();
+        diverged_keys += online.convergence.as_ref().map_or(0, |c| c.diverged.len());
+        assert_eq!(
+            (online.session, online.staleness, online.monotonic, online.convergence),
+            reference,
+            "seed {seed}: unbounded stream vs oracle"
+        );
     }
     // The sweep must actually exercise the checkers, not vacuously pass
     // on 100 clean traces.
     assert!(total_violations > 100, "sweep too clean: {total_violations} violations in 100 traces");
+    assert!(diverged_keys > 100, "settled reads too agreeable: {diverged_keys} diverged keys");
 }
 
 #[test]
@@ -164,35 +185,4 @@ fn bounded_window_never_invents_violations_on_100_random_traces() {
         );
     }
     assert!(evicted_somewhere, "window never evicted: the bounded property was not exercised");
-}
-
-/// Every checked-in fuzz reproducer must still trip its *streaming*
-/// checker, and the streaming verdict must agree with the batch verdict
-/// it was shrunk against.
-#[test]
-fn corpus_reproducers_still_trip_the_streaming_checkers() {
-    use rethinking_ec::core::fuzz::{run_case_differential, FuzzCase, Verdict};
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
-    let mut checked = 0;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .expect("tests/corpus exists")
-        .map(|e| e.expect("readable entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    entries.sort();
-    for path in entries {
-        let json = std::fs::read_to_string(&path).expect("corpus file reads");
-        let case: FuzzCase = serde_json::from_str(&json)
-            .unwrap_or_else(|e| panic!("{} is not a FuzzCase: {e}", path.display()));
-        let outcome = run_case_differential(&case);
-        assert!(outcome.agree(), "{}: stream diverged from batch: {outcome:?}", path.display());
-        assert_ne!(
-            outcome.stream,
-            Verdict::Pass,
-            "{}: reproducer no longer trips the streaming checker",
-            path.display()
-        );
-        checked += 1;
-    }
-    assert!(checked >= 3, "corpus shrank to {checked} reproducers");
 }
