@@ -35,6 +35,18 @@ impl GCounter {
     pub fn of_actor(&self, actor: ActorId) -> u64 {
         self.counts.get(&actor).copied().unwrap_or(0)
     }
+
+    /// The lattice order, decided by comparison alone: `self.leq(other)`
+    /// iff merging `self` into `other` leaves `other` as it is.
+    ///
+    /// Structural on purpose: every actor entry of `self`, a zero count
+    /// included, must be present in `other` with a count at least as
+    /// large, because [`CvRdt::merge`] would otherwise add the entry and
+    /// `other` would no longer compare equal to its old self.
+    pub fn leq(&self, other: &Self) -> bool {
+        self.counts.len() <= other.counts.len()
+            && self.counts.iter().all(|(a, c)| other.counts.get(a).is_some_and(|o| o >= c))
+    }
 }
 
 impl CvRdt for GCounter {
@@ -72,6 +84,13 @@ impl PnCounter {
     /// The counter's value (may be negative).
     pub fn value(&self) -> i64 {
         self.p.value() as i64 - self.n.value() as i64
+    }
+
+    /// The lattice order, structural like [`GCounter::leq`]:
+    /// `self.leq(other)` iff merging `self` into `other` leaves `other`
+    /// as it is.
+    pub fn leq(&self, other: &Self) -> bool {
+        self.p.leq(&other.p) && self.n.leq(&other.n)
     }
 }
 

@@ -22,6 +22,18 @@ pub struct Sibling {
     pub written_at: u64,
 }
 
+/// The joint causal context of a sibling set: the join of every
+/// sibling's dot and of everything its writer had seen. Borrows the
+/// siblings; no value is cloned.
+pub fn joint_context(siblings: &[Sibling]) -> VersionVector {
+    let mut context = VersionVector::new();
+    for s in siblings {
+        context.merge(&s.dvv.context);
+        context.observe(s.dvv.dot.actor, s.dvv.dot.counter);
+    }
+    context
+}
+
 /// Per-key state.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 struct Entry {
@@ -56,15 +68,11 @@ impl SiblingStore {
 
     /// Read `key`: all current siblings plus their joint context.
     pub fn read(&self, key: Key) -> ReadResult {
-        let mut context = VersionVector::new();
-        let mut values = Vec::new();
-        if let Some(e) = self.entries.get(&key) {
-            for s in &e.siblings {
-                context.merge(&s.dvv.event_set());
-                values.push(s.value.clone());
-            }
+        let siblings = self.siblings(key);
+        ReadResult {
+            values: siblings.iter().map(|s| s.value.clone()).collect(),
+            context: joint_context(siblings),
         }
-        ReadResult { values, context }
     }
 
     /// Write `value` to `key` with the client's causal `context`. Siblings
@@ -119,6 +127,11 @@ impl SiblingStore {
     /// Iterate all keys.
     pub fn keys(&self) -> impl Iterator<Item = Key> + '_ {
         self.entries.keys().copied()
+    }
+
+    /// Every key with its current siblings, ascending by key.
+    pub fn iter(&self) -> impl Iterator<Item = (Key, &[Sibling])> {
+        self.entries.iter().map(|(&k, e)| (k, e.siblings.as_slice()))
     }
 
     /// Number of keys.

@@ -7,7 +7,12 @@
 //! multi-master replica: storage and merges come from
 //! [`crate::kernel::resolution::ResolvingStore`], crash behaviour from
 //! [`crate::kernel::durability`], and gossip/ack mechanics from
-//! [`crate::kernel::propagation`]. Conflicts are resolved by the
+//! [`crate::kernel::propagation`]. An anti-entropy exchange is three
+//! messages — `SyncReq` (the initiator's digest), `SyncResp` (what the
+//! responder has beyond it, plus its own digest), `SyncPush` (the
+//! reverse fill, when there is one) — and ships snapshots, not copies:
+//! digests and counter state are shared by reference count (see
+//! [`crate::kernel::resolution`]). Conflicts are resolved by the
 //! composition's [`ConflictMode`]:
 //!
 //! * [`ConflictMode::Lww`] — last-writer-wins on Lamport stamps (loses one
@@ -34,7 +39,7 @@ use crate::common::{
 };
 use crate::kernel::durability::{DurabilityPolicy, WalState};
 use crate::kernel::propagation::{AckTracker, Gossip, PeerCache, PropagationPolicy};
-use crate::kernel::resolution::{Digests, ResolvingStore, WriteEffect};
+use crate::kernel::resolution::{Digest, DigestCache, ResolvingStore, WriteEffect};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
@@ -107,9 +112,9 @@ pub enum Msg {
     SyncReq {
         /// `(key, latest stamp)` for LWW; `(key, context summary)` is
         /// carried via `vv_digest` for sibling mode.
-        digest: Vec<(Key, LamportTimestamp)>,
+        digest: Digest<LamportTimestamp>,
         /// Sibling-mode digest: per-key joint event sets.
-        vv_digest: Vec<(Key, VersionVector)>,
+        vv_digest: Digest<VersionVector>,
     },
     /// Gossip round 2: items the responder has that the initiator lacks,
     /// plus the responder's digest for the reverse fill.
@@ -117,9 +122,9 @@ pub enum Msg {
         /// Items newer at the responder.
         items: Vec<Item>,
         /// Responder's digest.
-        digest: Vec<(Key, LamportTimestamp)>,
+        digest: Digest<LamportTimestamp>,
         /// Responder's sibling-mode digest.
-        vv_digest: Vec<(Key, VersionVector)>,
+        vv_digest: Digest<VersionVector>,
     },
     /// Gossip round 3: reverse fill.
     SyncPush {
@@ -173,6 +178,9 @@ pub struct EventualReplica {
     /// modeled volatile (anti-entropy refills it from peers).
     durability: DurabilityPolicy,
     store: Probed<ResolvingStore>,
+    /// The store's anti-entropy digests, kept while the store's
+    /// generation stands.
+    digests: DigestCache,
     /// Durable log of adopted LWW versions; replayed on amnesia restart
     /// under [`DurabilityPolicy::WalReplay`].
     dur: WalState,
@@ -203,6 +211,7 @@ impl EventualReplica {
             mode: comp.resolution.conflict_mode(),
             durability: comp.durability,
             store: Probed::new(ResolvingStore::new(comp.resolution)),
+            digests: DigestCache::default(),
             dur: WalState::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
@@ -345,7 +354,9 @@ impl EventualReplica {
         let gossip = self.gossip().expect("gossip round without gossip config");
         let fanout = gossip.cfg.fanout.min(all_peers.len());
         ctx.record(EventKind::AntiEntropyRound { node: me.0 as u64, fanout: fanout as u64 });
-        let (digest, vv_digest): Digests = self.store.digest();
+        // One snapshot for the whole fan-out: a target costs two
+        // reference counts.
+        let (digest, vv_digest) = self.digests.get(&self.store);
         for target in gossip.choose_targets(ctx, &all_peers) {
             ctx.send(target, Msg::SyncReq { digest: digest.clone(), vv_digest: vv_digest.clone() });
         }
@@ -447,7 +458,7 @@ impl Actor<Msg> for EventualReplica {
             }
             Msg::SyncReq { digest, vv_digest } => {
                 let items = self.store.missing_at_remote(&digest, &vv_digest);
-                let (my_digest, my_vv) = self.store.digest();
+                let (my_digest, my_vv) = self.digests.get(&self.store);
                 ctx.send(from, Msg::SyncResp { items, digest: my_digest, vv_digest: my_vv });
             }
             Msg::SyncResp { items, digest, vv_digest } => {
@@ -623,7 +634,17 @@ mod tests {
     use super::*;
     use crate::common::unique_value;
     use crate::kernel::ResolutionPolicy;
-    use simnet::{optrace, LatencyModel, Sim, SimConfig};
+    use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Recorded message `bytes` are `size_of::<Msg>()` (see
+    /// `docs/METRICS.md`), so the enum's size is part of every pinned
+    /// event log.
+    #[test]
+    fn msg_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Msg>(), 96);
+    }
 
     fn build_sim(cfg: &Composition, clients: Vec<EventualClient>, seed: u64) -> Sim<Msg> {
         let mut sim = Sim::new(
@@ -920,9 +941,67 @@ mod tests {
         }
     }
 
+    /// Stands in for replica 1: writes key 7 at replica 0, then asks it
+    /// for its digest on every timer and keeps the keys it answers with.
+    struct DigestProbe {
+        answers: Rc<RefCell<Vec<Vec<Key>>>>,
+    }
+
+    impl Actor<Msg> for DigestProbe {
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            let put = Msg::Put {
+                op_id: 1,
+                key: 7,
+                value: 70,
+                observed: (0, 0),
+                ctx: VersionVector::new(),
+            };
+            ctx.send(NodeId(0), put);
+            for at_ms in [100, 400] {
+                ctx.set_timer(Duration::from_millis(at_ms), 0);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, _tag: u64) {
+            let (digest, vv_digest) = ResolvingStore::new(ResolutionPolicy::LwwRegister).digest();
+            ctx.send(NodeId(0), Msg::SyncReq { digest, vv_digest });
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<Msg>, _from: NodeId, msg: Msg) {
+            if let Msg::SyncResp { digest, .. } = msg {
+                self.answers.borrow_mut().push(digest.iter().map(|&(k, _)| k).collect());
+            }
+        }
+    }
+
+    #[test]
+    fn amnesia_recovery_answers_with_the_post_recovery_digest() {
+        // The first SyncReq fills the replica's digest cache; the crash
+        // then empties the volatile store. A cache that outlived the
+        // replacement would advertise key 7 again.
+        let cfg = Composition {
+            durability: DurabilityPolicy::Volatile,
+            ..Composition::eventual(2, true, None, ResolutionPolicy::LwwRegister)
+        };
+        let answers = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Sim::new(
+            SimConfig::default()
+                .seed(8)
+                .latency(LatencyModel::Constant(Duration::from_millis(5)))
+                .faults(FaultSchedule::none().crash_amnesia(
+                    NodeId(0),
+                    SimTime::from_millis(200),
+                    SimTime::from_millis(300),
+                )),
+        );
+        sim.add_node(Box::new(EventualReplica::new(&cfg)));
+        sim.add_node(Box::new(DigestProbe { answers: answers.clone() }));
+        sim.run_until(SimTime::from_secs(1));
+        assert_eq!(*answers.borrow(), vec![vec![7], vec![]]);
+    }
+
     #[test]
     fn fsynced_counter_state_survives_amnesia() {
-        use simnet::FaultSchedule;
         // Durable-CRDT composition: a counter incremented before a crash
         // with amnesia must read back its full value afterwards without
         // any gossip refill (gossip is disabled here on a 1-replica

@@ -9,13 +9,40 @@
 //! store also knows how to summarize itself for anti-entropy
 //! ([`ResolvingStore::digest`] / [`ResolvingStore::missing_at_remote`])
 //! so propagation policies stay resolution-agnostic.
+//!
+//! # What an exchange copies
+//!
+//! On the wire nothing is spared: a digest names every key, and
+//! counters have no cheap digest, so CRDT gossip ships the full state of
+//! every key in both directions. On the host — one address space, one
+//! thread per simulation — none of that is a copy:
+//!
+//! * A [`Digest`] is an immutable snapshot behind an `Rc`. A
+//!   [`DigestCache`] rebuilds it at most once per store generation, so a
+//!   fan-out, and every `SyncReq` answered before the next change, is a
+//!   reference count.
+//! * A digest is ascending by key by construction (only the store's
+//!   ordered scan makes one), so `missing_at_remote` walks store and
+//!   digest in lock-step and allocates nothing but its result.
+//! * Counter state is copy-on-write: [`Item::Counter`] carries the
+//!   store's own `Rc<PnCounter>`, and `apply` decides by comparison
+//!   ([`PnCounter::leq`]) whether a merge would change anything — the
+//!   same state or a smaller one is dropped, a larger one is adopted by
+//!   reference, and only concurrent states are merged, copying the
+//!   counter first if someone else still holds it.
+//!
+//! What is still O(keys) per exchange is one pointer-cheap pass: the
+//! scan, and for counters an item buffer of references.
 
-use super::telemetry::{ChangedKeys, ProbeVersions};
+use super::telemetry::{ChangedKeys, ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use crdt::{CvRdt, PnCounter};
-use kvstore::{siblings::Sibling, Key, MvStore, SiblingStore, Value};
+use kvstore::siblings::{joint_context, Sibling};
+use kvstore::{Key, MvStore, SiblingStore, Value};
 use simnet::NodeId;
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Deref;
+use std::rc::Rc;
 
 /// How conflicts resolve (the resolution axis of a
 /// [`super::Composition`]).
@@ -66,7 +93,7 @@ impl ResolutionPolicy {
 }
 
 /// One replicated data item in flight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Item {
     /// An LWW version.
     Lww {
@@ -90,13 +117,75 @@ pub enum Item {
     Counter {
         /// Key.
         key: Key,
-        /// Counter state.
-        state: PnCounter,
+        /// Counter state, shared with the sender's store until either
+        /// side changes it.
+        state: Rc<PnCounter>,
     },
 }
 
+/// An anti-entropy digest: an immutable snapshot of one `(key, summary)`
+/// pair per stored key, ascending by key, shared by reference count.
+///
+/// Only [`ResolvingStore::digest`] makes one, from an ordered scan of
+/// the store, so the merge-join in [`ResolvingStore::missing_at_remote`]
+/// can rely on the order.
+#[derive(Debug)]
+pub struct Digest<S>(Rc<[(Key, S)]>);
+
+impl<S> Clone for Digest<S> {
+    fn clone(&self) -> Self {
+        Digest(Rc::clone(&self.0))
+    }
+}
+
+impl<S> Deref for Digest<S> {
+    type Target = [(Key, S)];
+    fn deref(&self) -> &[(Key, S)] {
+        &self.0
+    }
+}
+
 /// LWW and sibling-mode gossip digests, paired.
-pub type Digests = (Vec<(Key, LamportTimestamp)>, Vec<(Key, VersionVector)>);
+pub type Digests = (Digest<LamportTimestamp>, Digest<VersionVector>);
+
+/// A store's [`Digests`], rebuilt at most once per store generation
+/// ([`Probed::generation`]): every fan-out target of a gossip round and
+/// every `SyncReq` answered before the next change get the same
+/// snapshot.
+#[derive(Debug, Default)]
+pub struct DigestCache(Option<(u64, Digests)>);
+
+impl DigestCache {
+    /// The digests of `store` as it is now.
+    pub fn get(&mut self, store: &Probed<ResolvingStore>) -> Digests {
+        let generation = store.generation();
+        match &self.0 {
+            Some((at, digests)) if *at == generation => digests.clone(),
+            _ => {
+                let digests = store.digest();
+                self.0 = Some((generation, digests.clone()));
+                digests
+            }
+        }
+    }
+}
+
+/// Lock-step lookup into an ascending digest, for callers that ask for
+/// ascending keys: the two cursors of a merge-join.
+struct DigestCursor<'a, S>(&'a [(Key, S)]);
+
+impl<'a, S> DigestCursor<'a, S> {
+    /// The digest's summary for `key`, if it has one. `key` must not be
+    /// below the key of an earlier call.
+    fn seek(&mut self, key: Key) -> Option<&'a S> {
+        let below = self.0.iter().take_while(|(k, _)| *k < key).count();
+        self.0 = &self.0[below..];
+        match self.0.first() {
+            Some((k, summary)) if *k == key => Some(summary),
+            _ => None,
+        }
+    }
+}
 
 /// What a local read returned, in wire shape.
 #[derive(Debug, Clone)]
@@ -172,8 +261,10 @@ pub enum ResolvingStore {
     Lww(MvStore),
     /// Dotted-version-vector sibling sets.
     Sib(SiblingStore),
-    /// PN-counter per key, merged as a CRDT.
-    Crdt(BTreeMap<Key, PnCounter>),
+    /// PN-counter per key, merged as a CRDT. Copy-on-write: a counter
+    /// is shared with the items that ship it and with the replicas that
+    /// adopted it, and copied by the first of them to change it.
+    Crdt(BTreeMap<Key, Rc<PnCounter>>),
 }
 
 impl ResolvingStore {
@@ -311,10 +402,10 @@ impl ResolvingStore {
             }
             ResolvingStore::Crdt(m) => {
                 let c = m.entry(key).or_default();
-                c.increment(me.0 as u64, value);
+                Rc::make_mut(c).increment(me.0 as u64, value);
                 WriteOutcome {
                     stamp: (0, 0),
-                    items: vec![Item::Counter { key, state: c.clone() }],
+                    items: vec![Item::Counter { key, state: Rc::clone(c) }],
                     effect: WriteEffect::None,
                 }
             }
@@ -357,16 +448,24 @@ impl ResolvingStore {
                 }
                 (ResolvingStore::Crdt(m), Item::Counter { key, state }) => match m.entry(key) {
                     Entry::Vacant(slot) => {
-                        slot.insert(PnCounter::default()).merge(&state);
+                        slot.insert(state);
                         changed.mark(key);
                     }
+                    // A join-semilattice decides by comparison what a
+                    // merge would do: nothing below, adoption above, and
+                    // only concurrent states need the merge (and the
+                    // copy, if the counter is shared).
                     Entry::Occupied(mut slot) => {
-                        let e = slot.get_mut();
-                        let before = e.clone();
-                        e.merge(&state);
-                        if *e != before {
-                            changed.mark(key);
+                        let mine = slot.get_mut();
+                        if Rc::ptr_eq(mine, &state) || state.leq(mine) {
+                            continue;
                         }
+                        if mine.leq(&state) {
+                            *mine = state;
+                        } else {
+                            Rc::make_mut(mine).merge(&state);
+                        }
+                        changed.mark(key);
                     }
                 },
                 // Policy mismatch: a deployment bug; drop the item.
@@ -376,29 +475,33 @@ impl ResolvingStore {
         out
     }
 
-    /// This store's anti-entropy digest.
+    /// This store's anti-entropy digest, built by one ordered scan.
+    /// Replicas ask a [`DigestCache`] instead, which calls this once per
+    /// store generation.
     pub fn digest(&self) -> Digests {
-        match self {
-            ResolvingStore::Lww(s) => (s.scan(..).map(|(k, v)| (k, v.ts)).collect(), Vec::new()),
+        let (lww, sib) = match self {
+            ResolvingStore::Lww(s) => (s.scan(..).map(|(k, v)| (k, v.ts)).collect(), Rc::default()),
             ResolvingStore::Sib(s) => {
-                (Vec::new(), s.keys().map(|k| (k, s.read(k).context)).collect())
+                (Rc::default(), s.iter().map(|(k, sibs)| (k, joint_context(sibs))).collect())
             }
             // Counters have no cheap digest; gossip ships full state.
-            ResolvingStore::Crdt(_) => (Vec::new(), Vec::new()),
-        }
+            ResolvingStore::Crdt(_) => (Rc::default(), Rc::default()),
+        };
+        (Digest(lww), Digest(sib))
     }
 
-    /// Items this store has that the remote digest lacks.
+    /// Items this store has that the remote digest lacks: a merge-join
+    /// of the store's ordered scan with the (ordered) digest.
     pub fn missing_at_remote(
         &self,
-        digest: &[(Key, LamportTimestamp)],
-        vv_digest: &[(Key, VersionVector)],
+        digest: &Digest<LamportTimestamp>,
+        vv_digest: &Digest<VersionVector>,
     ) -> Vec<Item> {
         match self {
             ResolvingStore::Lww(s) => {
-                let remote: BTreeMap<Key, LamportTimestamp> = digest.iter().copied().collect();
+                let mut remote = DigestCursor(digest);
                 s.scan(..)
-                    .filter(|(k, v)| remote.get(k).map(|&ts| v.ts > ts).unwrap_or(true))
+                    .filter(|(k, v)| remote.seek(*k).is_none_or(|&ts| v.ts > ts))
                     .map(|(k, v)| Item::Lww {
                         key: k,
                         value: v.value.as_u64().unwrap_or(0),
@@ -408,22 +511,21 @@ impl ResolvingStore {
                     .collect()
             }
             ResolvingStore::Sib(s) => {
-                let remote: BTreeMap<Key, &VersionVector> =
-                    vv_digest.iter().map(|(k, vv)| (*k, vv)).collect();
+                let mut remote = DigestCursor(vv_digest);
                 let mut items = Vec::new();
-                for k in s.keys().collect::<Vec<_>>() {
-                    for sib in s.siblings(k) {
-                        let unseen =
-                            remote.get(&k).map(|vv| !sib.dvv.covered_by(vv)).unwrap_or(true);
-                        if unseen {
+                for (k, sibs) in s.iter() {
+                    let seen = remote.seek(k);
+                    for sib in sibs {
+                        if seen.is_none_or(|vv| !sib.dvv.covered_by(vv)) {
                             items.push(Item::Sib { key: k, sibling: sib.clone() });
                         }
                     }
                 }
                 items
             }
+            // Every key, every time; what is shipped is a reference.
             ResolvingStore::Crdt(m) => {
-                m.iter().map(|(&k, c)| Item::Counter { key: k, state: c.clone() }).collect()
+                m.iter().map(|(&k, c)| Item::Counter { key: k, state: Rc::clone(c) }).collect()
             }
         }
     }
@@ -489,11 +591,38 @@ mod tests {
         let mut store = ResolvingStore::new(ResolutionPolicy::CrdtMerge);
         let mut clock = LamportClock::new();
         let mut changed = ChangedKeys::default();
-        store.apply(vec![Item::Counter { key: 9, state: a.clone() }], &mut clock, &mut changed);
-        store.apply(vec![Item::Counter { key: 9, state: b.clone() }], &mut clock, &mut changed);
+        for state in [&a, &b] {
+            let item = Item::Counter { key: 9, state: Rc::new(state.clone()) };
+            store.apply(vec![item], &mut clock, &mut changed);
+        }
         let mut direct = a.clone();
         direct.merge(&b);
         assert_eq!(store.counter_value(9), Some(direct.value()));
+    }
+
+    #[test]
+    fn digest_is_rebuilt_once_per_store_generation() {
+        let mut store = Probed::new(ResolvingStore::new(ResolutionPolicy::LwwRegister));
+        let mut cache = DigestCache::default();
+        let mut clock = LamportClock::new();
+        let mut write = |store: &mut Probed<ResolvingStore>, key| {
+            store.write_local(NodeId(0), key, 1, (0, 0), &VersionVector::new(), 0, &mut clock);
+        };
+        let keys = |d: &Digests| d.0.iter().map(|&(k, _)| k).collect::<Vec<_>>();
+        let same_snapshot = |a: &Digests, b: &Digests| a.0.as_ptr() == b.0.as_ptr();
+
+        write(&mut store, 3);
+        let first = cache.get(&store);
+        assert_eq!(keys(&first), [3]);
+        assert!(same_snapshot(&cache.get(&store), &first), "no change: no rebuild");
+        store.drain_changed_versions(&mut |_, _| {});
+        assert!(same_snapshot(&cache.get(&store), &first), "a drain is not a change");
+
+        write(&mut store, 4);
+        assert_eq!(keys(&cache.get(&store)), [3, 4]);
+        store.reset();
+        assert_eq!(keys(&cache.get(&store)), [0u64; 0], "a replaced store is a new generation");
+        assert_eq!(keys(&first), [3], "a snapshot in flight is immutable");
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! Always on, and bounded: the set holds each key at most once, so it
 //! never outgrows the store's key count even when nothing drains it
 //! (runs without a recorder never probe).
+//!
+//! The same funnel counts the store's *generation*
+//! ([`Probed::generation`]): every mark and every whole-store
+//! replacement moves it, a drain does not. What is derived from the
+//! whole store — the anti-entropy digest — is kept until the generation
+//! moves, so no caller has to remember to invalidate it and an amnesia
+//! restart cannot advertise the store it lost.
 
 use super::resolution::{ApplyOutcome, Item, ResolvingStore, WriteOutcome};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
@@ -47,14 +54,21 @@ impl ProbeVersions for MvStore {
     }
 }
 
-/// The keys a store changed since they were last drained.
+/// The keys a store changed since they were last drained, and how many
+/// times it changed at all.
 #[derive(Debug, Default)]
-pub struct ChangedKeys(BTreeSet<Key>);
+pub struct ChangedKeys {
+    keys: BTreeSet<Key>,
+    /// Bumped by every mark and every whole-store replacement, and never
+    /// reset: a drain empties `keys` and leaves this alone.
+    generation: u64,
+}
 
 impl ChangedKeys {
     /// Remember that `key`'s version may have changed.
     pub fn mark(&mut self, key: Key) {
-        self.0.insert(key);
+        self.keys.insert(key);
+        self.generation += 1;
     }
 }
 
@@ -85,7 +99,16 @@ impl<S: ProbeVersions> Probed<S> {
     }
 
     fn mark_all(&mut self) {
-        self.changed.0.extend(self.store.key_versions().into_iter().map(|(k, _)| k));
+        self.changed.keys.extend(self.store.key_versions().into_iter().map(|(k, _)| k));
+    }
+
+    /// The store's generation: two reads of the store that see the same
+    /// generation see the same contents. Every mutation goes through a
+    /// method of this wrapper that moves it, so whatever is derived from
+    /// the store (the anti-entropy digest,
+    /// [`super::resolution::DigestCache`]) can be kept until it moves.
+    pub fn generation(&self) -> u64 {
+        self.changed.generation
     }
 
     /// Replace the whole store (amnesia recovery: a WAL replay, or a
@@ -95,12 +118,15 @@ impl<S: ProbeVersions> Probed<S> {
         self.mark_all();
         self.store = store;
         self.mark_all();
+        // `mark_all` fills the key set directly; a replacement is one
+        // change whatever the two stores hold.
+        self.changed.generation += 1;
     }
 
     /// [`simnet::Actor::drain_changed_versions`] for the actor owning
     /// this store.
     pub fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
-        for key in std::mem::take(&mut self.changed.0) {
+        for key in std::mem::take(&mut self.changed.keys) {
             sink(key, self.store.key_version(key));
         }
     }
@@ -198,6 +224,6 @@ mod tests {
                 put(&mut s, key, round * 100 + key, round);
             }
         }
-        assert_eq!(s.changed.0.len(), 8);
+        assert_eq!(s.changed.keys.len(), 8);
     }
 }
