@@ -66,6 +66,21 @@ impl SiblingStore {
         SiblingStore { replica, issued: 0, entries: BTreeMap::new() }
     }
 
+    /// Mint dots as `replica` from the next write on, for an owner that
+    /// learns its id only after it built the store.
+    pub fn set_replica(&mut self, replica: u64) {
+        self.replica = replica;
+    }
+
+    /// The store a replica restarts with after losing its state: empty,
+    /// but continuing this one's dot sequence. The dot counter has to
+    /// outlive the state it numbered — a replica that issued `(r, 1)`
+    /// again would see the new write dropped as a duplicate by every
+    /// peer that still holds the old one.
+    pub fn restarted(&self) -> SiblingStore {
+        SiblingStore { replica: self.replica, issued: self.issued, entries: BTreeMap::new() }
+    }
+
     /// Read `key`: all current siblings plus their joint context.
     pub fn read(&self, key: Key) -> ReadResult {
         let siblings = self.siblings(key);

@@ -268,10 +268,10 @@ pub enum ResolvingStore {
 }
 
 impl ResolvingStore {
-    /// An empty store under `policy`. For siblings, the dot-minting
-    /// actor id is patched on first use ([`ResolvingStore::ensure_actor`]);
-    /// the `u64::MAX` placeholder is safe because `SiblingStore::new`
-    /// only fixes that id.
+    /// An empty store under `policy`. A sibling store is built before
+    /// its replica knows its node id; the `u64::MAX` placeholder never
+    /// mints a dot, because [`ResolvingStore::write_local`] names the
+    /// writing node on every write.
     pub fn new(policy: ResolutionPolicy) -> Self {
         match policy {
             ResolutionPolicy::LwwRegister => ResolvingStore::Lww(MvStore::new()),
@@ -291,13 +291,14 @@ impl ResolvingStore {
         }
     }
 
-    /// Fix the sibling store's dot-minting id to this node before its
-    /// first write (no-op for other policies or once keys exist).
-    pub fn ensure_actor(&mut self, me: NodeId) {
-        if let ResolvingStore::Sib(s) = self {
-            if s.key_count() == 0 {
-                *s = SiblingStore::new(me.0 as u64);
-            }
+    /// The store an amnesia restart begins with: empty, under the same
+    /// policy. A sibling store keeps its dot counter, the one scalar
+    /// modelled durable whatever the durability policy (as a Paxos
+    /// acceptor's promised ballot is): see [`SiblingStore::restarted`].
+    pub fn restarted(&self) -> Self {
+        match self {
+            ResolvingStore::Sib(s) => ResolvingStore::Sib(s.restarted()),
+            other => ResolvingStore::new(other.policy()),
         }
     }
 
@@ -363,7 +364,6 @@ impl ResolvingStore {
         now_us: u64,
         clock: &mut LamportClock,
     ) -> WriteOutcome {
-        self.ensure_actor(me);
         match self {
             ResolvingStore::Lww(s) => {
                 // Piggybacked session stamp keeps MW/WFR ordering: tick
@@ -383,6 +383,10 @@ impl ResolvingStore {
                 }
             }
             ResolvingStore::Sib(s) => {
+                // Dots are minted as the writing node, whatever the store
+                // already holds: a replica may have applied replicated
+                // siblings before its first local write.
+                s.set_replica(me.0 as u64);
                 let before = s.siblings(key).len();
                 s.write(key, Value::from_u64(value), client_ctx, now_us);
                 let after = s.siblings(key).len();
@@ -623,6 +627,46 @@ mod tests {
         store.reset();
         assert_eq!(keys(&cache.get(&store)), [0u64; 0], "a replaced store is a new generation");
         assert_eq!(keys(&first), [3], "a snapshot in flight is immutable");
+    }
+
+    /// The dot of the one sibling a local write ships.
+    fn minted(out: &WriteOutcome) -> (clocks::Dot, Vec<Item>) {
+        match out.items.as_slice() {
+            [Item::Sib { sibling, .. }] => (sibling.dvv.dot, out.items.clone()),
+            other => panic!("a sibling write ships one sibling, not {other:?}"),
+        }
+    }
+
+    #[test]
+    fn replicas_that_apply_before_their_first_write_mint_their_own_dots() {
+        // B and C hold a replicated sibling before either writes. If they
+        // minted under the construction-time placeholder, both would
+        // issue the same dot and the second of two concurrent writes
+        // would be dropped as a duplicate.
+        let new_store = || ResolvingStore::new(ResolutionPolicy::VersionVectorSiblings);
+        let (mut a, mut b, mut c) = (new_store(), new_store(), new_store());
+        let mut clock = LamportClock::new();
+        let mut changed = ChangedKeys::default();
+        let blind = VersionVector::new();
+        let key = 5;
+
+        let (_, seed) = minted(&a.write_local(NodeId(0), key, 100, (0, 0), &blind, 0, &mut clock));
+        b.apply(seed.clone(), &mut clock, &mut changed);
+        c.apply(seed, &mut clock, &mut changed);
+        let ctx = b.read(key).ctx;
+        let (dot_b, from_b) =
+            minted(&b.write_local(NodeId(1), key, 200, (0, 0), &ctx, 0, &mut clock));
+        let (dot_c, from_c) =
+            minted(&c.write_local(NodeId(2), key, 300, (0, 0), &ctx, 0, &mut clock));
+        assert_eq!((dot_b.actor, dot_c.actor), (1, 2), "dots carry the writing node's id");
+
+        b.apply(from_c, &mut clock, &mut changed);
+        c.apply(from_b, &mut clock, &mut changed);
+        for store in [&b, &c] {
+            let mut values = store.read(key).values;
+            values.sort_unstable();
+            assert_eq!(values, [200, 300], "both concurrent writes survive as siblings");
+        }
     }
 
     #[test]

@@ -166,9 +166,10 @@ impl Probed<ResolvingStore> {
     }
 
     /// Restart from empty under the same policy (volatile-state
-    /// amnesia).
+    /// amnesia); see [`ResolvingStore::restarted`] for the one thing
+    /// that survives.
     pub fn reset(&mut self) {
-        self.replace(ResolvingStore::new(self.store.policy()));
+        self.replace(self.store.restarted());
     }
 }
 
@@ -214,6 +215,38 @@ mod tests {
         replayed.put(5, Value::from_u64(50), LamportTimestamp::new(1, 0), 0);
         s.replace(replayed);
         assert_eq!(drained(&mut s), vec![(1, None), (2, Some(20)), (5, Some(50))]);
+    }
+
+    #[test]
+    fn an_amnesia_restart_does_not_recycle_dots() {
+        use crate::kernel::resolution::ResolutionPolicy;
+        // A client reads 100 at A, A loses its state, the client
+        // overwrites with 101 quoting what it read. Had A restarted its
+        // dot counter, the overwrite would carry the dot of the write it
+        // supersedes, and B — still holding that write — would drop it
+        // as a duplicate and never converge.
+        let new_store =
+            || Probed::new(ResolvingStore::new(ResolutionPolicy::VersionVectorSiblings));
+        let (mut a, mut b) = (new_store(), new_store());
+        let mut clock = LamportClock::new();
+        let dot_of = |items: &[Item]| match items {
+            [Item::Sib { sibling, .. }] => sibling.dvv.dot,
+            other => panic!("a sibling write ships one sibling, not {other:?}"),
+        };
+        let key = 9;
+
+        let first =
+            a.write_local(NodeId(0), key, 100, (0, 0), &VersionVector::new(), 0, &mut clock);
+        b.apply(first.items.clone(), &mut clock);
+        let read_ctx = a.read(key).ctx;
+        a.reset();
+        assert!(a.read(key).values.is_empty(), "the state is gone");
+
+        let second = a.write_local(NodeId(0), key, 101, (0, 0), &read_ctx, 0, &mut clock);
+        assert_ne!(dot_of(&second.items), dot_of(&first.items), "a dot names one write, ever");
+        b.apply(second.items, &mut clock);
+        assert_eq!(b.read(key).values, [101], "the overwrite supersedes what it quoted");
+        assert_eq!(a.read(key).values, [101]);
     }
 
     #[test]
