@@ -223,37 +223,38 @@ fn check_stream(rest: &[String]) {
         ..consistency::StreamConfig::default()
     };
     let mut checker = StreamTraceChecker::new(config);
-    let mut feed = |line: &str, lineno: usize| {
-        if line.trim().is_empty() {
-            return;
-        }
-        let ev = parse_line(line, lineno).unwrap_or_else(|e| {
-            eprintln!("tracequery: {path}: {e}");
-            std::process::exit(1);
-        });
-        checker.observe(&ev);
-    };
-    if path == "-" {
-        let stdin = std::io::stdin();
-        for (i, line) in stdin.lock().lines().enumerate() {
-            let line = line.unwrap_or_else(|e| {
-                eprintln!("tracequery: stdin: {e}");
-                std::process::exit(1);
-            });
-            feed(&line, i + 1);
-        }
+    let (shown, mut input): (&str, Box<dyn BufRead>) = if path == "-" {
+        ("stdin", Box::new(std::io::stdin().lock()))
     } else {
         let file = std::fs::File::open(&path).unwrap_or_else(|e| {
             eprintln!("tracequery: cannot read {path}: {e}");
             std::process::exit(1);
         });
-        for (i, line) in std::io::BufReader::new(file).lines().enumerate() {
-            let line = line.unwrap_or_else(|e| {
-                eprintln!("tracequery: {path}: {e}");
+        (&path, Box::new(std::io::BufReader::new(file)))
+    };
+    // One buffer for every line.
+    let mut line = String::new();
+    for lineno in 1.. {
+        line.clear();
+        match input.read_line(&mut line) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                eprintln!("tracequery: {shown}: {e}");
                 std::process::exit(1);
-            });
-            feed(&line, i + 1);
+            }
         }
+        // Without its line end, as `parse_jsonl` splits a document: `\n`
+        // or `\r\n`, and a last line may go without.
+        let text = line.lines().next().unwrap_or_default();
+        if text.trim().is_empty() {
+            continue;
+        }
+        let ev = parse_line(text, lineno).unwrap_or_else(|e| {
+            eprintln!("tracequery: {path}: {e}");
+            std::process::exit(1);
+        });
+        checker.observe(&ev);
     }
     let (ops, reports) = checker.finish();
     emit(&render_stream_report(ops, &reports));

@@ -382,6 +382,71 @@ pub struct TracedEvent {
     pub kind: EventKind,
 }
 
+/// Append `value` in decimal: the digits are laid out in a stack buffer
+/// and copied over in one piece, so nothing is allocated per integer.
+fn push_u64(out: &mut String, mut value: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Append `,"name":value`; the punctuation around a literal name is
+/// joined to it at compile time, so it goes out in one piece.
+macro_rules! field {
+    ($out:expr, $name:literal, $value:expr) => {{
+        $out.push_str(concat!(",\"", $name, "\":"));
+        push_u64($out, $value);
+    }};
+}
+
+/// Append `[a,b,...]`.
+fn push_u64_array(out: &mut String, values: &[u64]) {
+    out.push('[');
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_u64(out, *v);
+    }
+    out.push(']');
+}
+
+/// Append `text` as the inside of a JSON string. A step name is an
+/// identifier in every protocol the lab ships, and then this is one
+/// `push_str`; a name with a quote, a backslash or a control character
+/// in it is escaped the way `serde`'s string encoder escapes it.
+fn push_escaped(out: &mut String, text: &str) {
+    let clean = |b: u8| b != b'"' && b != b'\\' && b >= 0x20;
+    if text.bytes().all(clean) {
+        out.push_str(text);
+        return;
+    }
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if c < ' ' => {
+                out.push_str("\\u00");
+                for nibble in [c as u32 >> 4, c as u32 & 0xf] {
+                    out.push(char::from_digit(nibble, 16).expect("a nibble is a hex digit"));
+                }
+            }
+            c => out.push(c),
+        }
+    }
+}
+
 impl TracedEvent {
     /// Encode as one JSONL line (no trailing newline).
     ///
@@ -389,105 +454,100 @@ impl TracedEvent {
     /// declaration order) so identical event sequences produce
     /// byte-identical logs.
     pub fn to_json_line(&self) -> String {
-        fn field(s: &mut String, name: &str, value: u64) {
-            s.push_str(",\"");
-            s.push_str(name);
-            s.push_str("\":");
-            s.push_str(&value.to_string());
-        }
-        let mut s = String::with_capacity(96);
-        s.push_str("{\"seq\":");
-        s.push_str(&self.seq.to_string());
-        s.push_str(",\"t_us\":");
-        s.push_str(&self.t_us.to_string());
-        s.push_str(",\"type\":\"");
-        s.push_str(self.kind.type_name());
-        s.push('"');
+        let mut line = String::with_capacity(128);
+        self.write_json_line(&mut line);
+        line
+    }
+
+    /// Append the line [`TracedEvent::to_json_line`] returns to `out`,
+    /// allocating nothing if `out` has the room.
+    pub fn write_json_line(&self, out: &mut String) {
+        out.push_str("{\"seq\":");
+        push_u64(out, self.seq);
+        out.push_str(",\"t_us\":");
+        push_u64(out, self.t_us);
+        out.push_str(",\"type\":\"");
+        out.push_str(self.kind.type_name());
+        out.push('"');
         match &self.kind {
             EventKind::MessageSent { from, to, bytes, trace, span }
             | EventKind::MessageDelivered { from, to, bytes, trace, span } => {
-                field(&mut s, "from", *from);
-                field(&mut s, "to", *to);
-                field(&mut s, "bytes", *bytes);
-                field(&mut s, "trace", *trace);
-                field(&mut s, "span", *span);
+                field!(out, "from", *from);
+                field!(out, "to", *to);
+                field!(out, "bytes", *bytes);
+                field!(out, "trace", *trace);
+                field!(out, "span", *span);
             }
             EventKind::MessageDropped { from, to, reason, trace, span } => {
-                field(&mut s, "from", *from);
-                field(&mut s, "to", *to);
-                s.push_str(",\"reason\":\"");
-                s.push_str(reason.name());
-                s.push('"');
-                field(&mut s, "trace", *trace);
-                field(&mut s, "span", *span);
+                field!(out, "from", *from);
+                field!(out, "to", *to);
+                out.push_str(",\"reason\":\"");
+                out.push_str(reason.name());
+                out.push('"');
+                field!(out, "trace", *trace);
+                field!(out, "span", *span);
             }
             EventKind::AntiEntropyRound { node, fanout } => {
-                field(&mut s, "node", *node);
-                field(&mut s, "fanout", *fanout);
+                field!(out, "node", *node);
+                field!(out, "fanout", *fanout);
             }
             EventKind::QuorumWait { node, kind, waited_us, acks, needed } => {
-                field(&mut s, "node", *node);
-                s.push_str(",\"kind\":\"");
-                s.push_str(kind.name());
-                s.push('"');
-                field(&mut s, "waited_us", *waited_us);
-                field(&mut s, "acks", *acks);
-                field(&mut s, "needed", *needed);
+                field!(out, "node", *node);
+                out.push_str(",\"kind\":\"");
+                out.push_str(kind.name());
+                out.push('"');
+                field!(out, "waited_us", *waited_us);
+                field!(out, "acks", *acks);
+                field!(out, "needed", *needed);
             }
             EventKind::ConflictDetected { node, key, siblings } => {
-                field(&mut s, "node", *node);
-                field(&mut s, "key", *key);
-                field(&mut s, "siblings", *siblings);
+                field!(out, "node", *node);
+                field!(out, "key", *key);
+                field!(out, "siblings", *siblings);
             }
             EventKind::ConflictResolved { node, key, survivors } => {
-                field(&mut s, "node", *node);
-                field(&mut s, "key", *key);
-                field(&mut s, "survivors", *survivors);
+                field!(out, "node", *node);
+                field!(out, "key", *key);
+                field!(out, "survivors", *survivors);
             }
             EventKind::WalAppend { node, key, bytes } => {
-                field(&mut s, "node", *node);
-                field(&mut s, "key", *key);
-                field(&mut s, "bytes", *bytes);
+                field!(out, "node", *node);
+                field!(out, "key", *key);
+                field!(out, "bytes", *bytes);
             }
             EventKind::PartitionStart { island } => {
-                s.push_str(",\"island\":[");
-                for (i, n) in island.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&n.to_string());
-                }
-                s.push(']');
+                out.push_str(",\"island\":");
+                push_u64_array(out, island);
             }
             EventKind::PartitionHeal => {}
             EventKind::Crash { node } | EventKind::Recover { node } => {
-                field(&mut s, "node", *node);
+                field!(out, "node", *node);
             }
             EventKind::MembershipChange { node, join } => {
-                field(&mut s, "node", *node);
-                s.push_str(",\"join\":");
-                s.push_str(if *join { "true" } else { "false" });
+                field!(out, "node", *node);
+                out.push_str(",\"join\":");
+                out.push_str(if *join { "true" } else { "false" });
             }
             EventKind::WalReplay { node, records } => {
-                field(&mut s, "node", *node);
-                field(&mut s, "records", *records);
+                field!(out, "node", *node);
+                field!(out, "records", *records);
             }
             EventKind::SpanOpen { trace, span, parent, node, name } => {
-                field(&mut s, "trace", *trace);
-                field(&mut s, "span", *span);
-                field(&mut s, "parent", *parent);
-                field(&mut s, "node", *node);
-                s.push_str(",\"name\":\"");
-                s.push_str(name);
-                s.push('"');
+                field!(out, "trace", *trace);
+                field!(out, "span", *span);
+                field!(out, "parent", *parent);
+                field!(out, "node", *node);
+                out.push_str(",\"name\":\"");
+                push_escaped(out, name);
+                out.push('"');
             }
             EventKind::SpanClose { trace, span, node, status } => {
-                field(&mut s, "trace", *trace);
-                field(&mut s, "span", *span);
-                field(&mut s, "node", *node);
-                s.push_str(",\"status\":\"");
-                s.push_str(status.name());
-                s.push('"');
+                field!(out, "trace", *trace);
+                field!(out, "span", *span);
+                field!(out, "node", *node);
+                out.push_str(",\"status\":\"");
+                out.push_str(status.name());
+                out.push('"');
             }
             EventKind::OpComplete {
                 session,
@@ -502,43 +562,33 @@ impl TracedEvent {
                 stamp,
                 version_ts_us,
             } => {
-                field(&mut s, "session", *session);
-                field(&mut s, "op", *op);
-                field(&mut s, "key", *key);
-                s.push_str(",\"kind\":\"");
-                s.push_str(kind.name());
-                s.push('"');
-                s.push_str(",\"ok\":");
-                s.push_str(if *ok { "true" } else { "false" });
-                field(&mut s, "invoked_us", *invoked_us);
-                field(&mut s, "replica", *replica);
+                field!(out, "session", *session);
+                field!(out, "op", *op);
+                field!(out, "key", *key);
+                out.push_str(",\"kind\":\"");
+                out.push_str(kind.name());
+                out.push('"');
+                out.push_str(",\"ok\":");
+                out.push_str(if *ok { "true" } else { "false" });
+                field!(out, "invoked_us", *invoked_us);
+                field!(out, "replica", *replica);
                 // Optional fields are omitted when absent; the parser
                 // reads by name, so presence is the None/Some signal.
                 if let Some(v) = value {
-                    field(&mut s, "value", *v);
+                    field!(out, "value", *v);
                 }
-                s.push_str(",\"values\":[");
-                for (i, v) in values.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    s.push_str(&v.to_string());
-                }
-                s.push(']');
+                out.push_str(",\"values\":");
+                push_u64_array(out, values);
                 if let Some((ctr, actor)) = stamp {
-                    s.push_str(",\"stamp\":[");
-                    s.push_str(&ctr.to_string());
-                    s.push(',');
-                    s.push_str(&actor.to_string());
-                    s.push(']');
+                    out.push_str(",\"stamp\":");
+                    push_u64_array(out, &[*ctr, *actor]);
                 }
                 if let Some(ts) = version_ts_us {
-                    field(&mut s, "version_ts_us", *ts);
+                    field!(out, "version_ts_us", *ts);
                 }
             }
         }
-        s.push('}');
-        s
+        out.push('}');
     }
 }
 
@@ -639,5 +689,43 @@ mod tests {
             let line = TracedEvent { seq: 0, t_us: 0, kind }.to_json_line();
             assert!(line.contains(&format!("\"type\":\"{tag}\"")), "{line}");
         }
+    }
+
+    /// A step name is written as a JSON string, not pasted between
+    /// quotes: `json.loads` must take the line whatever the name holds.
+    #[test]
+    fn span_names_are_escaped() {
+        let line = |name| {
+            let kind = EventKind::SpanOpen { trace: 1, span: 2, parent: 0, node: 3, name };
+            TracedEvent { seq: 0, t_us: 0, kind }.to_json_line()
+        };
+        let head =
+            r#"{"seq":0,"t_us":0,"type":"span_open","trace":1,"span":2,"parent":0,"node":3,"#;
+        assert_eq!(line("op_read"), format!(r#"{head}"name":"op_read"}}"#));
+        assert_eq!(line("naïve/é😀"), format!(r#"{head}"name":"naïve/é😀"}}"#));
+        assert_eq!(line("we\"ird\\st\nep"), format!(r#"{head}"name":"we\"ird\\st\nep"}}"#));
+        assert_eq!(
+            line("\r\t\u{0}\u{1f}\u{7f}"),
+            format!(r#"{head}"name":"\r\t\u0000\u001f{}"}}"#, '\u{7f}')
+        );
+        // The escapes are the ones `serde`'s encoder writes.
+        for name in ["we\"ird\\st\nep", "\r\t\u{0}\u{1f}\u{7f}", "plain"] {
+            let quoted = serde_json::to_string(name).unwrap();
+            assert!(line(name).ends_with(&format!("\"name\":{quoted}}}")), "{name:?}");
+        }
+    }
+
+    #[test]
+    fn integers_are_written_in_full() {
+        for value in [0, 1, 9, 10, 99, 100, 12_345, u64::MAX - 1, u64::MAX] {
+            let mut out = String::from("x");
+            push_u64(&mut out, value);
+            assert_eq!(out, format!("x{value}"));
+        }
+        let ev = TracedEvent { seq: u64::MAX, t_us: 0, kind: EventKind::Crash { node: u64::MAX } };
+        let mut out = String::from("kept|");
+        ev.write_json_line(&mut out);
+        assert_eq!(out, format!("kept|{}", ev.to_json_line()));
+        assert!(out.ends_with(r#""type":"crash","node":18446744073709551615}"#));
     }
 }

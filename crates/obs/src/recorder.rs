@@ -1,6 +1,8 @@
 //! The [`Recorder`] handle — the single entry point components use to
 //! emit observability data.
 
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::sync::{Arc, Mutex};
 
 use crate::counters::{Counter, CounterSet};
@@ -12,6 +14,12 @@ use crate::timeseries::{TimeSeries, TsMetric};
 
 /// Default cap on retained events when the event log is enabled.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 20;
+
+/// What [`Recorder::export_jsonl`] reserves per event. A line of a
+/// protocol run is 110 bytes in the mean (`obs.export_bytes_per_event`
+/// in the ledger), so this is room to spare that is never written to;
+/// a log of longer lines grows the buffer as any `String` grows.
+const EXPORT_LINE_BYTES: usize = 128;
 
 #[derive(Debug)]
 struct ObsCore {
@@ -360,51 +368,65 @@ impl Recorder {
         }
     }
 
+    /// Run `f` on the retained events, in sequence order (none when the
+    /// event log is disabled), under the core's lock.
+    fn with_events<R>(&self, f: impl FnOnce(&[TracedEvent]) -> R) -> R {
+        match &self.core {
+            Some(core) => f(core.lock().unwrap().events.as_deref().unwrap_or_default()),
+            None => f(&[]),
+        }
+    }
+
     /// Run `f` over every retained event, in sequence order.
     ///
     /// Returns the number of events visited (0 when the event log is
     /// disabled). Checkers use this to attribute violations without
     /// cloning the log.
-    pub fn for_each_event<F: FnMut(&TracedEvent)>(&self, mut f: F) -> usize {
-        match &self.core {
-            Some(core) => {
-                let core = core.lock().unwrap();
-                match &core.events {
-                    Some(events) => {
-                        for ev in events {
-                            f(ev);
-                        }
-                        events.len()
-                    }
-                    None => 0,
-                }
-            }
-            None => 0,
-        }
+    pub fn for_each_event<F: FnMut(&TracedEvent)>(&self, f: F) -> usize {
+        self.with_events(|events| {
+            events.iter().for_each(f);
+            events.len()
+        })
     }
 
     /// Clone out the retained event log (empty if disabled).
     pub fn events(&self) -> Vec<TracedEvent> {
-        let mut out = Vec::new();
-        self.for_each_event(|ev| out.push(ev.clone()));
-        out
+        self.with_events(<[TracedEvent]>::to_vec)
     }
 
     /// Serialize the retained event log as JSONL (one event per line,
     /// trailing newline after each). Byte-identical across runs that
     /// produce identical event sequences.
+    ///
+    /// Every line is appended in place to one buffer reserved from the
+    /// event count, so the export allocates a handful of times, not per
+    /// event or per field.
     pub fn export_jsonl(&self) -> String {
-        let mut out = String::new();
-        self.for_each_event(|ev| {
-            out.push_str(&ev.to_json_line());
-            out.push('\n');
-        });
-        out
+        self.with_events(|events| {
+            let mut out = String::with_capacity(events.len() * EXPORT_LINE_BYTES);
+            for ev in events {
+                ev.write_json_line(&mut out);
+                out.push('\n');
+            }
+            out
+        })
     }
 
-    /// Write the JSONL event log to `path`.
+    /// Write the JSONL event log to `path`: the bytes of
+    /// [`Recorder::export_jsonl`], streamed a line at a time so the log
+    /// is never held in memory as text.
     pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        std::fs::write(path, self.export_jsonl())
+        let mut file = BufWriter::new(File::create(path)?);
+        let mut line = String::new();
+        self.with_events(|events| {
+            events.iter().try_for_each(|ev| {
+                line.clear();
+                ev.write_json_line(&mut line);
+                line.push('\n');
+                file.write_all(line.as_bytes())
+            })
+        })?;
+        file.flush()
     }
 }
 
@@ -574,5 +596,30 @@ mod tests {
         assert_eq!(rec.export_jsonl().lines().count(), 2);
         // Counters still see every event.
         assert_eq!(report.counter(Counter::Crashes), 5);
+    }
+
+    #[test]
+    fn write_jsonl_streams_the_bytes_of_export_jsonl() {
+        let rec = Recorder::with_event_log();
+        for i in 0..300 {
+            rec.record(i, EventKind::Crash { node: i });
+            rec.record(i, EventKind::PartitionStart { island: vec![i, i + 1] });
+            let name = if i % 2 == 0 { "op_read" } else { "we\"ird\\st\nep" };
+            rec.record(i, EventKind::SpanOpen { trace: i, span: i, parent: 0, node: 0, name });
+        }
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("obs_write_jsonl_{}.jsonl", std::process::id()));
+        rec.write_jsonl(&path).unwrap();
+        let written = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(written, rec.export_jsonl().into_bytes());
+        assert_eq!(written.iter().filter(|&&b| b == b'\n').count(), 900);
+
+        // A recorder without a log still leaves a file, an empty one.
+        Recorder::enabled().write_jsonl(&path).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
+        std::fs::remove_file(&path).unwrap();
+        // And a path that cannot be created is an error, not a panic.
+        assert!(rec.write_jsonl(&dir.join("no_such_dir").join("x.jsonl")).is_err());
     }
 }

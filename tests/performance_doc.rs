@@ -131,7 +131,17 @@ fn clippy_hotpath_ci_job_matches_the_doc() {
         .split("\n\n")
         .next()
         .unwrap();
-    for krate in ["simnet", "replication", "rec-core", "obs", "crdt", "kvstore", "clocks"] {
+    for krate in [
+        "simnet",
+        "replication",
+        "rec-core",
+        "obs",
+        "crdt",
+        "kvstore",
+        "clocks",
+        "obs-tools",
+        "consistency",
+    ] {
         assert!(
             gate.contains(&format!("-p {krate} ")) && gated.contains(&format!("`{krate}`")),
             "`{krate}` must be linted by the clippy-hotpath job and named in PERFORMANCE.md"
