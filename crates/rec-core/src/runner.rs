@@ -18,7 +18,7 @@ use replication::kernel::{PropagationPolicy as Prop, UpdateSite as Site};
 use replication::paxos::{PaxosClient, PaxosNode};
 use replication::primary::{PrimaryClient, PrimaryReplica};
 use replication::quorum::{QuorumClient, QuorumNode};
-use replication::sharded::initial_ring;
+use replication::sharded::{check_membership, initial_ring};
 use simnet::{
     optrace, Actor, FaultSchedule, LatencyModel, MsgMeta, NodeId, OpTrace, SharedTrace, Sim,
     SimConfig, SimRng, SimTime,
@@ -200,13 +200,14 @@ impl Experiment {
             self.recorder.set_profile_scheme(&self.scheme.label());
         }
         let mut faults = self.faults.clone();
-        if let Scheme::Sharded { churn, .. } = &self.scheme {
+        if let Scheme::Sharded { churn, nodes, .. } = &self.scheme {
             // Churn rides the compiled fault pipeline, so membership
             // events interleave deterministically with partitions and
             // crashes (identical across `--jobs`).
             for &(at, node, join) in &churn.events {
                 faults = faults.membership(at, node, join);
             }
+            check_membership(*nodes, faults.membership_events());
         }
         let launch = Launch {
             cfg: SimConfig::default()
@@ -699,5 +700,33 @@ mod tests {
         let writes = res.trace.records().iter().filter(|r| r.kind == OpKind::Write).count();
         assert!(reads > 0 && writes > 0);
         assert_eq!(reads + writes, 60);
+    }
+
+    fn ring_of_eight(churn: crate::scheme::ChurnPlan) -> Experiment {
+        let inner = Composition::quorum(3, 2, 2, true, 2);
+        Experiment::new(Scheme::Sharded { inner, nodes: 8, vnodes: 8, churn })
+            .workload(tiny_workload())
+            .seed(7)
+    }
+
+    /// `NodeId(8)` of an 8-node cluster is client 0. Unchecked, it joined
+    /// the ring as an owner that never answers a replica request, and
+    /// sloppy quorums hid it: every op of the run still came back `ok`.
+    #[test]
+    #[should_panic(expected = "membership event at 100.000ms (join of node 8) does not name a \
+                               server: the ring cluster has 8 nodes (ids 0..8)")]
+    fn a_churn_event_cannot_join_a_client_to_the_ring() {
+        let events = vec![(SimTime::from_millis(100), NodeId(8), true)];
+        ring_of_eight(crate::scheme::ChurnPlan { events }).run();
+    }
+
+    /// Unchecked, the first rebalancing push to the ghost owner indexed
+    /// past the simulator's actor table.
+    #[test]
+    #[should_panic(expected = "(join of node 5000) does not name a server")]
+    fn a_fault_schedule_cannot_join_a_node_nobody_deployed() {
+        let faults =
+            FaultSchedule::none().membership(SimTime::from_millis(100), NodeId(5000), true);
+        ring_of_eight(crate::scheme::ChurnPlan::none()).faults(faults).run();
     }
 }

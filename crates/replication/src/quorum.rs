@@ -16,7 +16,7 @@ use crate::common::{
 };
 use crate::kernel::durability::WalState;
 use crate::kernel::propagation::PropagationPolicy;
-use crate::kernel::ring::Ring;
+use crate::kernel::ring::{rebalance_pushes, Ring};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp};
@@ -629,51 +629,24 @@ impl Actor<Msg> for QuorumNode {
         // Classic mode has no ring to rebalance; membership events are
         // meaningless there.
         let Some(ring) = self.ring.as_mut() else { return };
+        // A handle, not a table: the first node to see this change
+        // builds the next snapshot, every other node adopts it.
         let old = ring.clone();
         let changed = if join { ring.join(node) } else { ring.leave(node) };
         if !changed {
             return;
         }
-        let new_ring = ring.clone();
         let me = ctx.self_id();
-        // Deterministic rebalancing: for each locally stored key, one
-        // designated sender — the lowest-id previous owner still in the
-        // ring (falling back to the lowest-id previous owner, which for a
-        // leave is the departing node itself: still a live actor, merely
-        // retiring) — pushes the version to every owner the key *gained*.
-        // Repair is idempotent LWW apply, so duplicates and reorderings
-        // are harmless; under a partition the push is simply lost, and
-        // read repair picks up the slack after the heal.
-        let mut moves: Vec<(Key, WireVersion, NodeId)> = Vec::new();
-        let mut rebalanced = 0u64;
-        for (key, v) in self.store.scan(..) {
-            let old_owners = old.owners(key);
-            let sender = old_owners
-                .iter()
-                .copied()
-                .filter(|o| new_ring.contains(*o))
-                .min_by_key(|o| o.0)
-                .or_else(|| old_owners.iter().copied().min_by_key(|o| o.0));
-            if sender != Some(me) {
-                continue;
-            }
-            let gained: Vec<NodeId> =
-                new_ring.owners(key).into_iter().filter(|o| !old_owners.contains(o)).collect();
-            if gained.is_empty() {
-                continue;
-            }
-            rebalanced += 1;
-            let version = WireVersion {
-                value: v.value.as_u64().unwrap_or(0),
-                ts: v.ts,
-                written_at: v.written_at,
-            };
-            moves.extend(gained.into_iter().map(|target| (key, version, target)));
-        }
+        let keys = self.store.scan(..).map(|(key, _)| key);
+        let (pushes, rebalanced) = rebalance_pushes(&old, ring, node, me, keys);
         if rebalanced > 0 {
             ctx.recorder().count_node(me.0 as u64, Counter::RebalancedKeys, rebalanced);
         }
-        for (key, version, target) in moves {
+        // Repair is idempotent LWW apply, so duplicates and reorderings
+        // are harmless; under a partition the push is simply lost, and
+        // read repair picks up the slack after the heal.
+        for (key, target) in pushes {
+            let version = self.local_version(key).expect("a scanned key has a version");
             ctx.send(target, Msg::Repair { key, version });
         }
     }

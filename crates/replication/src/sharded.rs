@@ -16,10 +16,18 @@
 //! - membership changes rebalance only the keys whose preference list
 //!   actually changed (the consistent-hashing guarantee).
 //!
+//! The cluster holds one point table per membership epoch, not one per
+//! node: [`initial_ring`] builds the first, every node takes a clone of
+//! the handle, and on a change the first node to hear of it builds the
+//! next table while the others adopt it ([`Ring`]'s module docs). What a
+//! change costs the host is then one table plus one ring walk per stored
+//! key, whatever the cluster size; `tests/ring_membership_allocs.rs`
+//! counts it.
+//!
 //! See `docs/RING.md` for the layout, hint lifecycle, and churn model.
 
 use crate::kernel::Composition;
-use simnet::NodeId;
+use simnet::{NodeId, SimTime};
 
 pub use crate::kernel::ring::Ring;
 
@@ -38,10 +46,27 @@ fn check_cluster(inner: &Composition, nodes: usize) {
     );
 }
 
+/// Panics unless every `(time, node, join)` membership event names one
+/// of the cluster's `nodes` servers. The ring takes any id it is told
+/// joined: `NodeId(nodes)` is the first *client* actor, which would
+/// become an owner that never answers a replica request, and an id past
+/// the last actor is a message to nobody.
+pub fn check_membership(nodes: usize, events: &[(SimTime, NodeId, bool)]) {
+    for &(at, node, join) in events {
+        assert!(
+            node.index() < nodes,
+            "membership event at {at} ({} of node {}) does not name a server: \
+             the ring cluster has {nodes} nodes (ids 0..{nodes})",
+            if join { "join" } else { "leave" },
+            node.0
+        );
+    }
+}
+
 /// The initial ring of a sharded cluster: nodes `0..nodes` with `vnodes`
 /// points each, preference lists of `inner.replicas` owners. Every
 /// [`crate::quorum::QuorumNode`] of the cluster starts from a clone of
-/// it.
+/// it — a handle on the same point table, not a copy of it.
 ///
 /// Panics if the cluster is smaller than the preference list or
 /// ([`Ring::new`]) if `vnodes` is zero.

@@ -183,6 +183,12 @@ impl FaultSchedule {
         self
     }
 
+    /// The `(time, node, join)` membership transitions, in the order
+    /// they were added.
+    pub fn membership_events(&self) -> &[(SimTime, NodeId, bool)] {
+        &self.membership
+    }
+
     /// Flatten the schedule into `(time, event)` pairs for the event queue.
     pub fn compile(&self) -> Vec<(SimTime, FaultEvent)> {
         let mut out = Vec::new();

@@ -65,6 +65,34 @@ fn quoted_ledger_names_exist_in_benchmark_json() {
     }
 }
 
+/// Every phase record ends on "what holds it in place": test files that
+/// turn its claims into tier-1 assertions. A guard the doc names must
+/// exist, or the record promises a rail that is not there.
+#[test]
+fn quoted_test_files_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let quoted: std::collections::BTreeSet<&str> = DOC
+        .split('`')
+        .skip(1)
+        .step_by(2)
+        .filter(|token| token.ends_with(".rs") && token.contains("tests/"))
+        .collect();
+    assert!(quoted.len() >= 10, "the phase records name their guards: {quoted:?}");
+    for path in quoted {
+        assert!(root.join(path).is_file(), "docs/PERFORMANCE.md names `{path}`: no such file");
+    }
+    let phase_8 = DOC.split("\n## Phase 8").nth(1).expect("PERFORMANCE.md lost its Phase 8");
+    let phase_8 = phase_8.split("\n## ").next().unwrap();
+    for guard in [
+        "tests/ring_membership_allocs.rs",
+        "tests/ring_rebalance.rs",
+        "tests/oracle/ring_rebalance.rs",
+        "tests/ring_properties.rs",
+    ] {
+        assert!(phase_8.contains(guard), "the Phase 8 record must name `{guard}`");
+    }
+}
+
 /// The Phase 2 (data-plane) section must exist, carry the before/after
 /// `profquery diff` evidence, and quote only handler cells that exist
 /// in the checked-in profile artifact — the doc's claims stay tied to

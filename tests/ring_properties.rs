@@ -1,10 +1,16 @@
 //! Property battery for the consistent-hashing ring (satellite of the
 //! ring-sharding PR): ownership cardinality, minimal remapping on
 //! membership change, join/leave/rejoin identity, and determinism of
-//! preference lists — each over 100 random seeds.
+//! preference lists — each over 100 random seeds. A `Ring` is a handle
+//! on a shared immutable snapshot that remembers its successor; the
+//! last four properties hold it to value semantics (a ring is what
+//! `Ring::new` over its member set is, a clone never sees a later
+//! change) and the memo to being only a memo (a hit shares the table, a
+//! miss is as correct as a hit, and history is not kept alive).
 
 use rethinking_ec::replication::sharded::Ring;
 use rethinking_ec::simnet::{NodeId, SimRng};
+use std::collections::BTreeSet;
 
 const SEEDS: u64 = 100;
 const KEYS: u64 = 512;
@@ -166,5 +172,161 @@ fn spares_extend_the_preference_list_without_overlap() {
                 assert!(!owners.contains(s), "seed {seed} key {key}: spare {} is an owner", s.0);
             }
         }
+    }
+}
+
+/// `ring` is the ring `Ring::new` builds over `members`: equal as a
+/// value, and the same owners and spares for 1 000 keys.
+fn assert_is_fresh_ring_over(ring: &Ring, members: &BTreeSet<u32>, seed: u64) {
+    let fresh = Ring::new(ring.replication(), ring.vnodes(), members.iter().copied().map(NodeId));
+    assert_eq!(*ring, fresh, "seed {seed}: not the ring of its member set");
+    let mut rng = SimRng::new(seed ^ 0x0dd_ba11);
+    for _ in 0..1_000 {
+        let key = rng.below(u64::MAX);
+        assert_eq!(ring.owners(key), fresh.owners(key), "seed {seed} key {key}: owners");
+        assert_eq!(ring.spares(key, 2), fresh.spares(key, 2), "seed {seed} key {key}: spares");
+    }
+}
+
+#[test]
+fn any_change_sequence_lands_on_the_ring_of_the_resulting_member_set() {
+    for seed in 0..SEEDS {
+        let mut ring = random_ring(seed);
+        let mut members: BTreeSet<u32> = ring.members().map(|n| n.0).collect();
+        let mut rng = SimRng::new(seed ^ 0x5e9_0e5);
+        let (mut refused, mut applied) = (0, 0);
+        for _ in 0..40 {
+            // Ids past the initial members make absent leaves and fresh
+            // joins; ids inside make duplicate joins and real leaves.
+            let node = rng.below(members.len() as u64 + 4) as u32;
+            let join = rng.chance(0.5);
+            let before = ring.clone();
+            let changed = if join { ring.join(NodeId(node)) } else { ring.leave(NodeId(node)) };
+            let expected = if join {
+                members.insert(node)
+            } else {
+                // The last member's leave is refused.
+                members.len() > 1 && members.remove(&node)
+            };
+            assert_eq!(changed, expected, "seed {seed}: node {node} join={join}");
+            assert_eq!(changed, ring != before, "seed {seed}: a refused change is no change");
+            if changed {
+                applied += 1;
+            } else {
+                refused += 1;
+            }
+        }
+        assert!(applied > 0 && refused > 0, "seed {seed}: {applied} applied, {refused} refused");
+        assert_is_fresh_ring_over(&ring, &members, seed);
+    }
+}
+
+#[test]
+fn a_clone_taken_before_a_change_never_observes_it() {
+    for seed in 0..SEEDS {
+        let mut ring = random_ring(seed);
+        let members: BTreeSet<u32> = ring.members().map(|n| n.0).collect();
+        let snapshot = ring.clone();
+        let newcomer = NodeId(ring.len() as u32 + 7);
+        assert!(ring.join(newcomer));
+        if ring.len() > 2 {
+            assert!(ring.leave(NodeId(0)));
+        }
+        assert_ne!(snapshot, ring, "seed {seed}");
+        assert!(!snapshot.contains(newcomer), "seed {seed}: the clone saw the join");
+        assert_is_fresh_ring_over(&snapshot, &members, seed);
+    }
+}
+
+#[test]
+fn the_successor_memo_is_shared_on_a_hit_and_harmless_on_a_miss() {
+    for seed in 0..SEEDS {
+        let origin = random_ring(seed);
+        if origin.len() < 3 {
+            continue;
+        }
+        let members: BTreeSet<u32> = origin.members().map(|n| n.0).collect();
+        let without = |gone: &[u32]| -> BTreeSet<u32> {
+            members.iter().copied().filter(|m| !gone.contains(m)).collect()
+        };
+        let mut rng = SimRng::new(seed ^ 0x3e30);
+        let x = rng.index(origin.len()) as u32;
+        let y = (x + 1) % origin.len() as u32;
+
+        // The hit: two handles of one snapshot, the same change — equal,
+        // and one table between them.
+        let (mut a, mut b) = (origin.clone(), origin.clone());
+        assert!(a.shares_table_with(&b));
+        assert!(a.leave(NodeId(x)) && b.leave(NodeId(x)));
+        assert_eq!(a, b, "seed {seed}");
+        assert!(a.shares_table_with(&b), "seed {seed}: the second handle rebuilt the table");
+        assert!(!a.shares_table_with(&origin));
+
+        // The miss: a third handle of the same snapshot applies another
+        // change and gets its own, correct, ring; the first two keep theirs.
+        let mut c = origin.clone();
+        assert!(c.leave(NodeId(y)));
+        assert!(!c.shares_table_with(&a));
+        assert_is_fresh_ring_over(&c, &without(&[y]), seed);
+        assert_is_fresh_ring_over(&a, &without(&[x]), seed);
+
+        // A handle an epoch behind: `c` overwrote the origin's memo, so
+        // a late handle repeating the *first* change builds its own table
+        // rather than adopting the wrong one.
+        let mut late = origin.clone();
+        assert!(late.leave(NodeId(x)));
+        assert_eq!(late, a, "seed {seed}");
+        assert_is_fresh_ring_over(&late, &without(&[x]), seed);
+
+        // A handle two epochs behind: nobody holds the successor the
+        // origin remembers any more, so the memo is dead, not wrong.
+        let (mut ahead, mut behind) = (origin.clone(), origin.clone());
+        assert!(ahead.leave(NodeId(x)) && ahead.join(NodeId(x)));
+        assert!(behind.leave(NodeId(x)));
+        assert_is_fresh_ring_over(&behind, &without(&[x]), seed);
+        assert!(behind.join(NodeId(x)));
+        assert_eq!(behind, origin, "seed {seed}");
+
+        // A handle at a different epoch shares no memo with the origin:
+        // it reaches the same member set by the other order of the same
+        // two leaves, through tables of its own.
+        assert!(a.leave(NodeId(y)) && c.leave(NodeId(x)));
+        assert_eq!(a, c, "seed {seed}: the order of two leaves must not matter");
+        assert!(!a.shares_table_with(&c));
+        assert_is_fresh_ring_over(&a, &without(&[x, y]), seed);
+        assert_eq!(origin.len(), members.len(), "seed {seed}: the origin moved");
+    }
+}
+
+#[test]
+fn churn_on_shared_handles_keeps_no_history_alive() {
+    for seed in 0..SEEDS {
+        let origin = random_ring(seed);
+        if origin.len() < 2 {
+            continue;
+        }
+        // A cluster: every node holds a handle and sees every change.
+        let mut handles: Vec<Ring> = (0..8).map(|_| origin.clone()).collect();
+        let mut tables = vec![origin.table_liveness()];
+        for round in 0..100u32 {
+            let node = NodeId(round % origin.len() as u32);
+            for join in [false, true] {
+                for ring in &mut handles {
+                    assert!(if join { ring.join(node) } else { ring.leave(node) });
+                }
+                assert!(
+                    handles.iter().all(|ring| ring.shares_table_with(&handles[0])),
+                    "seed {seed} round {round}: a change was computed more than once"
+                );
+                tables.push(handles[0].table_liveness());
+            }
+        }
+        assert_eq!(handles[0], origin, "seed {seed}: 100 leave/rejoin rounds are the identity");
+        // 201 epochs were visited; only the one the cluster is at and
+        // the one `origin` still holds are alive.
+        let alive = tables.iter().filter(|alive| alive()).count();
+        assert_eq!(alive, 2, "seed {seed}: {alive} of {} point tables alive", tables.len());
+        drop(origin);
+        assert_eq!(tables.iter().filter(|alive| alive()).count(), 1, "seed {seed}");
     }
 }
