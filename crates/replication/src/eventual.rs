@@ -423,8 +423,10 @@ impl Actor<Msg> for EventualReplica {
                 DurabilityPolicy::Volatile => self.store.reset(),
             }
         }
-        // The crash killed the gossip timer chain; re-arm it with the same
-        // jitter `on_start` uses.
+        // A gossip timer that came due during the outage was discarded,
+        // which ends the chain; re-arm it with the same jitter `on_start`
+        // uses. (One due after the recovery still fires — see
+        // `Actor::on_recover`.)
         if let Some(g) = self.gossip() {
             g.arm_jittered(ctx);
         }

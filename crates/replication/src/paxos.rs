@@ -395,8 +395,10 @@ impl Actor<Msg> for PaxosNode {
                 records: self.apply_index - 1,
             });
         }
-        // The crash killed every timer: a recovered leader must resume its
-        // heartbeat chain, everyone else re-arms the election timer.
+        // The outage discarded every timer that came due during it: a
+        // recovered leader must resume its heartbeat chain, everyone else
+        // re-arms the election timer. (One due after the recovery still
+        // fires — see `Actor::on_recover`.)
         self.election_timer = None;
         if self.role == Role::Leader {
             ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);

@@ -446,8 +446,12 @@ impl Actor<Msg> for PrimaryReplica {
             self.store.replace(self.dur.replay(ctx, self.durable_snapshot.as_ref(), None));
             self.applied_seq = self.dur.wal.last_seq();
         }
-        // The simulator dropped all pending timers at crash time; re-arm
-        // the periodic chains for whatever role the durable view implies.
+        // The simulator discarded every timer that came due during the
+        // outage, which breaks a periodic chain; re-arm the chains for
+        // whatever role the durable view implies. (A timer due *after*
+        // the recovery was not discarded: after an outage shorter than
+        // the interval the old chain runs on beside the new one —
+        // ROADMAP item 1(b).)
         self.last_heartbeat_us = ctx.now().as_micros();
         if self.is_primary(me) {
             ctx.set_timer(self.ship_interval(), TAG_SHIP);

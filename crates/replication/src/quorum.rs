@@ -611,8 +611,10 @@ impl Actor<Msg> for QuorumNode {
             self.hints.clear();
             self.store.replace(self.dur.replay(ctx, None, Some(&mut self.clock)));
         }
-        // A crash killed every pending timer, so the hint-retry chain
-        // must be re-armed in both recovery modes.
+        // The outage discarded every timer that came due during it, so
+        // the hint-retry chain must be re-armed in both recovery modes.
+        // (One due after the recovery still fires — see
+        // `Actor::on_recover`.)
         if self.ring.is_none() {
             if me.index() >= self.n {
                 ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);

@@ -147,6 +147,16 @@ impl<M> EventQueue<M> {
         self.len() == 0
     }
 
+    /// Heap bytes of the `(time, seq, slot)` key buffers the queue owns
+    /// right now, by capacity: pending keys plus what bucket recycling
+    /// keeps for reuse, which is bounded whatever has gone through
+    /// (`docs/PERFORMANCE.md`, "Timing-wheel architecture"). The
+    /// envelope slab, which stays at the high-water mark of pending
+    /// events by design, is not counted. A diagnostic.
+    pub fn key_buffer_bytes(&self) -> usize {
+        self.wheel.key_buffer_bytes()
+    }
+
     /// Number of pending `Deliver` events — the messages currently "in
     /// flight" in the simulated network. O(1): maintained incrementally
     /// on push/pop (debug builds cross-check it against a full walk of

@@ -10,7 +10,6 @@
 use crate::sim::NodeId;
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// A network partition: nodes in `side_a` cannot exchange messages with any
 /// node *not* in `side_a` while the partition is active. (Messages within a
@@ -40,8 +39,8 @@ pub enum FaultEvent {
         /// The id given at `PartitionStart`.
         id: usize,
     },
-    /// Crash a node: it loses in-flight timers and drops incoming messages
-    /// until recovery.
+    /// Crash a node: until recovery it drops incoming messages and the
+    /// timers that come due (a timer due after the recovery still fires).
     Crash {
         /// The node to crash.
         node: NodeId,
@@ -217,13 +216,42 @@ impl FaultSchedule {
     }
 }
 
+/// A set of nodes as one bit per node id: ids are dense and start at 0
+/// (see [`NodeId`]), so membership is a shift and a mask. The network
+/// asks on every send and every delivery.
+#[derive(Debug, Default)]
+struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn insert(&mut self, node: NodeId) {
+        let word = node.index() / 64;
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        self.words[word] |= 1 << (node.index() % 64);
+    }
+
+    fn remove(&mut self, node: NodeId) {
+        if let Some(word) = self.words.get_mut(node.index() / 64) {
+            *word &= !(1 << (node.index() % 64));
+        }
+    }
+
+    #[inline]
+    fn contains(&self, node: NodeId) -> bool {
+        self.words.get(node.index() / 64).is_some_and(|word| word & (1 << (node.index() % 64)) != 0)
+    }
+}
+
 /// Live fault state maintained by the simulator while running.
 #[derive(Debug)]
 pub struct FaultState {
     /// Active partitions, by id, as the side-A membership set.
-    active_partitions: Vec<(usize, HashSet<u32>)>,
+    active_partitions: Vec<(usize, NodeSet)>,
     /// Currently crashed nodes.
-    crashed: HashSet<u32>,
+    crashed: NodeSet,
     /// Current message-loss probability.
     pub loss_rate: f64,
     /// Current latency multiplier in percent (100 = nominal).
@@ -234,7 +262,7 @@ impl Default for FaultState {
     fn default() -> Self {
         FaultState {
             active_partitions: Vec::new(),
-            crashed: HashSet::new(),
+            crashed: NodeSet::default(),
             loss_rate: 0.0,
             latency_factor_pct: 100,
         }
@@ -246,16 +274,20 @@ impl FaultState {
     pub fn apply(&mut self, ev: &FaultEvent) {
         match ev {
             FaultEvent::PartitionStart { id, side_a } => {
-                self.active_partitions.push((*id, side_a.iter().map(|n| n.0).collect()));
+                let mut side = NodeSet::default();
+                for node in side_a {
+                    side.insert(*node);
+                }
+                self.active_partitions.push((*id, side));
             }
             FaultEvent::PartitionEnd { id } => {
                 self.active_partitions.retain(|(pid, _)| pid != id);
             }
             FaultEvent::Crash { node } => {
-                self.crashed.insert(node.0);
+                self.crashed.insert(*node);
             }
             FaultEvent::Recover { node, .. } => {
-                self.crashed.remove(&node.0);
+                self.crashed.remove(*node);
             }
             FaultEvent::SetLossRate { p } => {
                 self.loss_rate = *p;
@@ -271,12 +303,12 @@ impl FaultState {
 
     /// Whether a message from `a` to `b` is cut by any active partition.
     pub fn is_partitioned(&self, a: NodeId, b: NodeId) -> bool {
-        self.active_partitions.iter().any(|(_, side)| side.contains(&a.0) != side.contains(&b.0))
+        self.active_partitions.iter().any(|(_, side)| side.contains(a) != side.contains(b))
     }
 
     /// Whether `node` is currently crashed.
     pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed.contains(&node.0)
+        self.crashed.contains(node)
     }
 }
 
@@ -332,6 +364,24 @@ mod tests {
         assert!(st.is_crashed(NodeId(3)));
         st.apply(&FaultEvent::Recover { node: NodeId(3), amnesia: false });
         assert!(!st.is_crashed(NodeId(3)));
+    }
+
+    #[test]
+    fn crash_and_partition_sets_reach_past_one_word_of_node_ids() {
+        let mut st = FaultState::default();
+        assert!(!st.is_crashed(NodeId(199)), "a node the set never grew to is up");
+        st.apply(&FaultEvent::Recover { node: NodeId(199), amnesia: false });
+        for node in [63, 64, 199] {
+            st.apply(&FaultEvent::Crash { node: NodeId(node) });
+        }
+        st.apply(&FaultEvent::Recover { node: NodeId(64), amnesia: false });
+        let crashed: Vec<u32> = (0..256).filter(|&n| st.is_crashed(NodeId(n))).collect();
+        assert_eq!(crashed, vec![63, 199]);
+        st.apply(&FaultEvent::PartitionStart { id: 0, side_a: vec![NodeId(1), NodeId(130)] });
+        assert!(st.is_partitioned(NodeId(130), NodeId(131)));
+        assert!(st.is_partitioned(NodeId(2), NodeId(1)));
+        assert!(!st.is_partitioned(NodeId(1), NodeId(130)));
+        assert!(!st.is_partitioned(NodeId(131), NodeId(4_000)));
     }
 
     #[test]

@@ -81,7 +81,21 @@ impl SimRng {
     /// `median` is the 50th percentile of the resulting distribution (the
     /// underlying normal has `mu = ln(median)`).
     pub fn log_normal(&mut self, median: f64, sigma: f64) -> f64 {
-        (median.max(f64::MIN_POSITIVE).ln() + sigma * self.std_normal()).exp()
+        self.log_normal_from_mu(Self::ln_median(median), sigma)
+    }
+
+    /// `mu = ln(median)` of the log-normal with the given median: the
+    /// part of [`SimRng::log_normal`] that draws nothing, for callers
+    /// that sample one distribution many times.
+    pub fn ln_median(median: f64) -> f64 {
+        median.max(f64::MIN_POSITIVE).ln()
+    }
+
+    /// Log-normal sample given the underlying normal's `mu` (see
+    /// [`SimRng::ln_median`]) and shape `sigma`; the same two draws and
+    /// the same arithmetic as [`SimRng::log_normal`].
+    pub fn log_normal_from_mu(&mut self, mu: f64, sigma: f64) -> f64 {
+        (mu + sigma * self.std_normal()).exp()
     }
 
     /// Exponential sample with the given mean (inter-arrival times).

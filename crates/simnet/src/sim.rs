@@ -9,7 +9,7 @@
 
 use crate::event::{Event, EventPayload, EventQueue};
 use crate::faults::{FaultSchedule, FaultState};
-use crate::latency::LatencyModel;
+use crate::latency::{LatencyModel, LatencySampler};
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
 use obs::{
@@ -17,8 +17,9 @@ use obs::{
     NO_VARIANT,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies an actor in the simulation (replica or client).
 ///
@@ -74,16 +75,21 @@ pub trait Actor<M> {
     /// A timer set via [`Context::set_timer`] has fired.
     fn on_timer(&mut self, _ctx: &mut Context<M>, _timer_id: u64, _tag: u64) {}
 
-    /// The node has crashed (informational; the simulator already suppresses
-    /// its messages and timers).
+    /// The node has crashed (informational; while it is down the
+    /// simulator drops the messages that reach it and the timers that
+    /// come due).
     fn on_crash(&mut self, _ctx: &mut Context<M>) {}
 
     /// The node has recovered from a crash. With `amnesia == false` the
     /// actor's in-memory state survived (fail-pause); with `amnesia ==
     /// true` the actor must treat its volatile state as lost and rebuild
     /// from whatever it models as durable (typically a WAL replay).
-    /// Either way the simulator has already dropped the node's pending
-    /// timers, so periodic timer chains must be re-armed here.
+    /// The simulator discards a timer only if it comes *due while the
+    /// node is down*: a periodic chain whose next link fell into the
+    /// outage is broken and must be re-armed here, but a timer armed
+    /// before the crash and due after the recovery still fires — an
+    /// actor that re-arms unconditionally runs two chains after a crash
+    /// shorter than its interval (`timers_due_after_recovery_still_fire`).
     fn on_recover(&mut self, _ctx: &mut Context<M>, _amnesia: bool) {}
 
     /// Cluster membership changed: `node` joined (`join == true`) or
@@ -165,6 +171,35 @@ enum Effect<M> {
     CancelTimer { id: u64 },
 }
 
+/// Hashes the serial ids the simulator mints itself (span ids, timer
+/// ids) with one multiply and a fold in place of SipHash: every span
+/// open and close and every timer that fires looks one up. Serial ids
+/// spread perfectly over the low bits a table indexes by; the fold
+/// brings the product's well-mixed high bits down for `trace_base`
+/// offsets that share their low bits. Not for keys from outside the
+/// program.
+#[derive(Default)]
+struct SerialIdHasher(u64);
+
+impl Hasher for SerialIdHasher {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("serial ids hash as one u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        let mixed = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = mixed ^ (mixed >> 32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type SerialIdState = BuildHasherDefault<SerialIdHasher>;
+
 /// One currently-open trace span (value of the open-span table).
 struct OpenSpan {
     trace: u64,
@@ -178,9 +213,9 @@ struct OpenSpan {
 struct SpanBook {
     next_trace_id: u64,
     next_span_id: u64,
-    /// Open spans by span id (`BTreeMap` so shutdown abandonment walks
-    /// them in a deterministic order).
-    open: BTreeMap<u64, OpenSpan>,
+    /// Open spans by span id. Unordered: shutdown sorts whatever is
+    /// still open by id before it abandons it.
+    open: HashMap<u64, OpenSpan, SerialIdState>,
 }
 
 impl SpanBook {
@@ -188,7 +223,7 @@ impl SpanBook {
         // 0 is reserved for "no trace/span"; `base` offsets a grid
         // cell's ids into its own range so a concatenated multi-cell
         // trace file still has globally unique trace/span ids.
-        SpanBook { next_trace_id: base + 1, next_span_id: base + 1, open: BTreeMap::new() }
+        SpanBook { next_trace_id: base + 1, next_span_id: base + 1, open: HashMap::default() }
     }
 }
 
@@ -417,10 +452,10 @@ pub struct Sim<M> {
     queue: EventQueue<M>,
     now: SimTime,
     rng: SimRng,
-    latency: LatencyModel,
+    latency: LatencySampler,
     faults: FaultState,
     next_timer_id: u64,
-    cancelled_timers: HashSet<u64>,
+    cancelled_timers: HashSet<u64, SerialIdState>,
     /// Reusable effects buffer handed to each [`Context`]: callbacks
     /// append into it and the drained capacity is kept, so the steady
     /// state of the event loop performs no per-callback allocation.
@@ -441,6 +476,9 @@ pub struct Sim<M> {
 impl<M> Sim<M> {
     /// Create a simulator from a config. Add actors with
     /// [`Sim::add_node`], then drive it with [`Sim::run_until`].
+    ///
+    /// Panics, naming the field, on a malformed
+    /// [`LatencyModel::GeoMatrix`] (the model may have come from JSON).
     pub fn new(config: SimConfig) -> Self {
         let mut queue = EventQueue::new();
         for (at, ev) in config.faults.compile() {
@@ -451,10 +489,10 @@ impl<M> Sim<M> {
             queue,
             now: SimTime::ZERO,
             rng: SimRng::new(config.seed),
-            latency: config.latency,
+            latency: config.latency.compile(),
             faults: FaultState::default(),
             next_timer_id: 0,
-            cancelled_timers: HashSet::new(),
+            cancelled_timers: HashSet::default(),
             effects_scratch: Vec::new(),
             started: false,
             dropped_messages: 0,
@@ -524,6 +562,13 @@ impl<M> Sim<M> {
     /// O(1): the queue maintains the count on push/pop.
     pub fn inflight_messages(&self) -> u64 {
         self.queue.deliver_count() as u64
+    }
+
+    /// Heap bytes of the key buffers the event queue owns right now
+    /// ([`EventQueue::key_buffer_bytes`]): a diagnostic for what a
+    /// simulator that has been through a burst still pins.
+    pub fn queue_key_buffer_bytes(&self) -> usize {
+        self.queue.key_buffer_bytes()
     }
 
     /// Drain every actor's [`Actor::drain_changed_versions`] report
@@ -923,9 +968,11 @@ impl<M> Drop for Sim<M> {
                 );
             }
         }
-        // BTreeMap order: abandonment closes fire in span-id order,
-        // keeping shutdown tails byte-identical across runs.
-        for (span, open) in std::mem::take(&mut self.spans.open) {
+        // Abandonment closes fire in span-id order, keeping shutdown
+        // tails byte-identical across runs.
+        let mut abandoned: Vec<_> = self.spans.open.drain().collect();
+        abandoned.sort_unstable_by_key(|&(span, _)| span);
+        for (span, open) in abandoned {
             self.recorder.record(
                 now_us,
                 EventKind::SpanClose {
@@ -1092,6 +1139,26 @@ mod tests {
         sim.add_node(Box::new(TimerUser { fired: fired.clone(), cancel_second: true }));
         sim.run_until(SimTime::from_millis(100));
         assert_eq!(*fired.borrow(), vec![1]);
+    }
+
+    /// What a crash does to timers, pinned as it is: a timer is
+    /// discarded when it comes *due* while its node is down, not when
+    /// the node crashes. One armed before a short outage and due after
+    /// it fires as if nothing had happened — next to whatever chain
+    /// `on_recover` re-armed.
+    #[test]
+    fn timers_due_after_recovery_still_fire() {
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let faults = FaultSchedule::none().crash(
+            NodeId(0),
+            SimTime::from_millis(5),
+            SimTime::from_millis(15),
+        );
+        let mut sim: Sim<u32> = Sim::new(SimConfig::default().faults(faults));
+        // Armed at 0: tag 1 due at 10 ms (during the outage), tag 2 at 20 ms.
+        sim.add_node(Box::new(TimerUser { fired: fired.clone(), cancel_second: false }));
+        sim.run_until(SimTime::from_millis(100));
+        assert_eq!(*fired.borrow(), vec![2]);
     }
 
     #[test]

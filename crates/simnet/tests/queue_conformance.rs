@@ -8,10 +8,13 @@
 //! point the `Sim` uses (`push`, `pop`, `pop_if_at_most`, `peek_time`,
 //! `len`, `deliver_count`) over near-future scatter, same-tick bursts,
 //! far-future timers beyond the wheel span and pushes below a
-//! pre-drained cursor, and require identical observations. The rest
-//! pins the slab's no-aliasing guarantee and, at the simulator level,
-//! timer cancel/re-arm determinism and injection below a pre-drained
-//! tick.
+//! pre-drained cursor, and require identical observations. Four
+//! scripted cases aim at bucket recycling (a drained bucket keeps its
+//! buffer, up to a bound): refills while the previous contents are
+//! still being served, cascades into just-drained slots, and a burst
+//! past the bound followed by a sparse tail. The rest pins the slab's
+//! no-aliasing guarantee and, at the simulator level, timer
+//! cancel/re-arm determinism and injection below a pre-drained tick.
 
 use simnet::event::{EventPayload, EventQueue};
 use simnet::sim::NodeId;
@@ -188,6 +191,133 @@ fn randomized_schedules_match_the_model_and_pop_in_ascending_time_then_seq() {
             );
         }
     }
+}
+
+/// The queue and the model side by side for the scripted recycling
+/// cases: every push goes to both, every pop is compared.
+#[derive(Default)]
+struct Lockstep {
+    q: EventQueue<u64>,
+    model: Model,
+    tag: u64,
+}
+
+impl Lockstep {
+    fn push(&mut self, at: u64) {
+        // Alternate kinds so `deliver_count` is exercised too.
+        let deliver = self.tag.is_multiple_of(2);
+        if deliver {
+            push_deliver(&mut self.q, at, self.tag);
+        } else {
+            push_timer(&mut self.q, at, self.tag);
+        }
+        self.model.push(at, self.tag, deliver);
+        self.tag += 1;
+    }
+
+    fn pop(&mut self) -> Option<Popped> {
+        let got = pop_key(&mut self.q);
+        assert_eq!(got, self.model.pop(), "pop diverged from the model");
+        assert_eq!(self.q.len(), self.model.len());
+        assert_eq!(self.q.deliver_count(), self.model.deliver_count());
+        got
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+        assert_eq!(self.model.len(), 0);
+    }
+}
+
+#[test]
+fn a_bucket_refilled_while_its_previous_contents_are_still_in_the_batch() {
+    let mut l = Lockstep::default();
+    for _ in 0..3 {
+        l.push(50);
+    }
+    // Drains tick 50 into the batch; two of its keys are still there.
+    l.pop();
+    // The same level-0 slot takes new keys for the same tick (they must
+    // follow the batch) and, one rotation on, for tick 50 + 64.
+    l.push(50);
+    l.push(50 + 64);
+    l.push(50);
+    l.pop();
+    l.push(50);
+    l.drain();
+}
+
+#[test]
+fn a_cascade_into_a_slot_that_was_just_drained() {
+    let mut l = Lockstep::default();
+    // Tick 5 drains level-0 slot 5; tick 69 waits in level-1 slot 1 and
+    // cascades into level-0 slot 5; tick 69 + 4096 waits in level 2 and
+    // cascades through level-1 slot 1 into level-0 slot 5 again.
+    for at in [5, 5, 69, 69 + 4096, 69, 69 + 4096, 5] {
+        l.push(at);
+    }
+    l.pop();
+    l.pop();
+    l.push(69); // into the slot tick 5 just left
+    l.drain();
+    // And once more through the same slots, now that each has a buffer.
+    let base = 2 * 4096;
+    for at in [5, 69, 69 + 4096, 69, 5] {
+        l.push(base + at);
+    }
+    l.drain();
+}
+
+#[test]
+fn same_tick_pushes_mid_drain_after_a_recycle() {
+    let mut l = Lockstep::default();
+    // Round one gives tick slot 10 a buffer; the later rounds reuse it
+    // (ticks 10 + 64k share level-0 slot 10), each pushing into the
+    // slot while its tick is half-served.
+    for round in 0..4u64 {
+        let at = 10 + 64 * round;
+        for _ in 0..3 {
+            l.push(at);
+        }
+        l.pop();
+        l.push(at);
+        l.push(at);
+        l.pop();
+        l.pop();
+        l.push(at);
+        l.drain();
+    }
+}
+
+#[test]
+fn a_burst_past_the_retention_bound_followed_by_a_sparse_tail() {
+    let mut l = Lockstep::default();
+    // 3 000 keys on one tick and 6 000 across one level-1 slot: both
+    // buffers grow past what a drained bucket may keep.
+    for _ in 0..3_000 {
+        l.push(100);
+    }
+    for i in 0..6_000 {
+        l.push(128 + i % 64);
+    }
+    // Serve half of it with sparse pushes landing in between, into the
+    // slots the burst is going through.
+    for i in 0..4_500u64 {
+        let (at, ..) = l.pop().expect("burst pending");
+        if i.is_multiple_of(500) {
+            l.push(at);
+            l.push(at + 64);
+        }
+    }
+    l.drain();
+    // The tail: the same slots again, a key or two each, after their
+    // oversized buffers were let go.
+    for at in [4_196, 4_196, 4_224, 4_260, 4_224 + 64, 1 << 20] {
+        l.push(at);
+    }
+    l.pop();
+    l.push(4_196);
+    l.drain();
 }
 
 /// Slab reuse must never alias a live envelope: every pushed payload

@@ -91,6 +91,19 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_8.contains(guard), "the Phase 8 record must name `{guard}`");
     }
+    let phase_9 = DOC.split("\n## Phase 9").nth(1).expect("PERFORMANCE.md lost its Phase 9");
+    let phase_9 = phase_9.split("\n## ").next().unwrap();
+    for guard in ["tests/sim_dispatch_allocs.rs", "crates/simnet/tests/queue_conformance.rs"] {
+        assert!(phase_9.contains(guard), "the Phase 9 record must name `{guard}`");
+    }
+    // The architecture section's "allocation-free" sentence cites its guard.
+    let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
+    let wheel = wheel.split("\n## ").next().unwrap();
+    assert!(
+        wheel.contains("allocation-free in steady state")
+            && wheel.contains("tests/sim_dispatch_allocs.rs"),
+        "\"allocation-free in steady state\" must cite tests/sim_dispatch_allocs.rs"
+    );
 }
 
 /// The Phase 2 (data-plane) section must exist, carry the before/after
