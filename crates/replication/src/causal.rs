@@ -354,6 +354,14 @@ mod tests {
     use crate::common::unique_value;
     use simnet::{optrace, LatencyModel, Sim, SimConfig};
 
+    /// Recorded message `bytes` are `size_of::<Msg>()` (see
+    /// `docs/METRICS.md`), so the enum's size is part of every pinned
+    /// event log.
+    #[test]
+    fn msg_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Msg>(), 88);
+    }
+
     fn build(replicas: usize, clients: Vec<CausalClient>, seed: u64) -> Sim<Msg> {
         let mut sim = Sim::new(SimConfig::default().seed(seed).latency(LatencyModel::Uniform {
             min: Duration::from_millis(2),

@@ -11,8 +11,9 @@
 //! messages — `SyncReq` (the initiator's digest), `SyncResp` (what the
 //! responder has beyond it, plus its own digest), `SyncPush` (the
 //! reverse fill, when there is one) — and ships snapshots, not copies:
-//! digests and counter state are shared by reference count (see
-//! [`crate::kernel::resolution`]). Conflicts are resolved by the
+//! digests and counter state are shared by reference count, and what a
+//! receiver does with them follows what differs, not what was shipped
+//! (see [`crate::kernel::resolution`]). Conflicts are resolved by the
 //! composition's [`ConflictMode`]:
 //!
 //! * [`ConflictMode::Lww`] — last-writer-wins on Lamport stamps (loses one
@@ -39,7 +40,9 @@ use crate::common::{
 };
 use crate::kernel::durability::{DurabilityPolicy, WalState};
 use crate::kernel::propagation::{AckTracker, Gossip, PeerCache, PropagationPolicy};
-use crate::kernel::resolution::{Digest, DigestCache, ResolvingStore, WriteEffect};
+use crate::kernel::resolution::{
+    Digest, DigestCache, Items, JoinedSnapshots, ResolvingStore, WriteEffect,
+};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
@@ -97,7 +100,7 @@ pub enum Msg {
     /// Eager asynchronous replication of fresh writes.
     Replicate {
         /// Items to apply.
-        items: Vec<Item>,
+        items: Items,
         /// When set, the receiver confirms durable application with a
         /// [`Msg::ReplicateAck`] carrying this request id (the
         /// eager-acked composition; `None` is fire-and-forget).
@@ -120,7 +123,7 @@ pub enum Msg {
     /// plus the responder's digest for the reverse fill.
     SyncResp {
         /// Items newer at the responder.
-        items: Vec<Item>,
+        items: Items,
         /// Responder's digest.
         digest: Digest<LamportTimestamp>,
         /// Responder's sibling-mode digest.
@@ -129,7 +132,7 @@ pub enum Msg {
     /// Gossip round 3: reverse fill.
     SyncPush {
         /// Items newer at the initiator.
-        items: Vec<Item>,
+        items: Items,
     },
 }
 
@@ -178,9 +181,11 @@ pub struct EventualReplica {
     /// modeled volatile (anti-entropy refills it from peers).
     durability: DurabilityPolicy,
     store: Probed<ResolvingStore>,
-    /// The store's anti-entropy digests, kept while the store's
-    /// generation stands.
+    /// The store's anti-entropy digests and, for counters, its state
+    /// snapshot, kept while the store's generation stands.
     digests: DigestCache,
+    /// The state snapshots the store has joined already, by sender.
+    joined: JoinedSnapshots,
     /// Durable log of adopted LWW versions; replayed on amnesia restart
     /// under [`DurabilityPolicy::WalReplay`].
     dur: WalState,
@@ -212,6 +217,7 @@ impl EventualReplica {
             durability: comp.durability,
             store: Probed::new(ResolvingStore::new(comp.resolution)),
             digests: DigestCache::default(),
+            joined: JoinedSnapshots::default(),
             dur: WalState::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
@@ -249,10 +255,15 @@ impl EventualReplica {
         }
     }
 
-    /// Apply replicated items and log whatever the WAL must capture;
+    /// Apply what `from` shipped and log whatever the WAL must capture;
     /// returns the keys left with concurrent siblings.
-    fn apply_and_log(&mut self, ctx: &mut Context<Msg>, items: Vec<Item>) -> Vec<(Key, u64)> {
-        let out = self.store.apply(items, &mut self.clock);
+    fn apply_and_log(
+        &mut self,
+        ctx: &mut Context<Msg>,
+        from: NodeId,
+        items: &Items,
+    ) -> Vec<(Key, u64)> {
+        let out = self.joined.apply(&mut self.store, from, items, &mut self.clock);
         if self.wal_enabled() {
             for (key, value, ts, written_at) in out.adopted {
                 self.dur.log(ctx, key, value, ts, written_at);
@@ -302,6 +313,7 @@ impl EventualReplica {
         let out =
             self.store.write_local(me, key, value, observed, &client_ctx, now_us, &mut self.clock);
         self.apply_effect(ctx, out.effect);
+        let items = Items::Built(out.items);
         let all_peers = self.peer_cache.take(self.replicas, me);
         let need = if self.eager { self.eager_acks.min(all_peers.len()) } else { 0 };
         if need == 0 {
@@ -313,9 +325,9 @@ impl EventualReplica {
                 // the write hot path.
                 if let Some((&last, rest)) = all_peers.split_last() {
                     for &p in rest {
-                        ctx.send(p, Msg::Replicate { items: out.items.clone(), ack: None });
+                        ctx.send(p, Msg::Replicate { items: items.clone(), ack: None });
                     }
-                    ctx.send(last, Msg::Replicate { items: out.items, ack: None });
+                    ctx.send(last, Msg::Replicate { items, ack: None });
                 }
             }
         } else {
@@ -335,9 +347,9 @@ impl EventualReplica {
             // As above: move the buffer into the final send.
             if let Some((&last, rest)) = all_peers.split_last() {
                 for &p in rest {
-                    ctx.send(p, Msg::Replicate { items: out.items.clone(), ack: Some(req) });
+                    ctx.send(p, Msg::Replicate { items: items.clone(), ack: Some(req) });
                 }
-                ctx.send(last, Msg::Replicate { items: out.items, ack: Some(req) });
+                ctx.send(last, Msg::Replicate { items, ack: Some(req) });
             }
         }
         self.peer_cache.restore(all_peers);
@@ -442,7 +454,7 @@ impl Actor<Msg> for EventualReplica {
                 // Traced when the originating write was (envelope context);
                 // inert for untraced background traffic.
                 let span = ctx.span_open("replicate_apply");
-                let conflicts = self.apply_and_log(ctx, items);
+                let conflicts = self.apply_and_log(ctx, from, &items);
                 Self::record_conflicts(ctx, conflicts);
                 if let Some(req) = ack {
                     // The WAL append above is the durable point; confirm.
@@ -459,20 +471,22 @@ impl Actor<Msg> for EventualReplica {
                 }
             }
             Msg::SyncReq { digest, vv_digest } => {
-                let items = self.store.missing_at_remote(&digest, &vv_digest);
+                // The answer carries this generation's digest anyway; taken
+                // first, it is also what the join reads.
                 let (my_digest, my_vv) = self.digests.get(&self.store);
+                let items = self.digests.missing_at_remote(&self.store, &digest, &vv_digest);
                 ctx.send(from, Msg::SyncResp { items, digest: my_digest, vv_digest: my_vv });
             }
             Msg::SyncResp { items, digest, vv_digest } => {
-                let conflicts = self.apply_and_log(ctx, items);
+                let conflicts = self.apply_and_log(ctx, from, &items);
                 Self::record_conflicts(ctx, conflicts);
-                let back = self.store.missing_at_remote(&digest, &vv_digest);
+                let back = self.digests.missing_at_remote(&self.store, &digest, &vv_digest);
                 if !back.is_empty() {
                     ctx.send(from, Msg::SyncPush { items: back });
                 }
             }
             Msg::SyncPush { items } => {
-                let conflicts = self.apply_and_log(ctx, items);
+                let conflicts = self.apply_and_log(ctx, from, &items);
                 Self::record_conflicts(ctx, conflicts);
             }
             // Responses are client-side messages; a replica ignores them.

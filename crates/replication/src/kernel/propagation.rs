@@ -142,8 +142,10 @@ impl Gossip {
     }
 
     /// Arm the first round at a random offset within one interval
-    /// (desynchronizes replicas; also used after a crash killed the
-    /// timer chain).
+    /// (desynchronizes replicas). Also what `on_recover` calls: a crash
+    /// ends the chain only if its timer came due during the outage, so
+    /// after a short one this starts a second chain beside the first
+    /// (see `simnet::Actor::on_recover`).
     pub fn arm_jittered<M>(&self, ctx: &mut Context<M>) {
         let jitter = ctx.rng().below(self.cfg.interval.as_micros().max(1));
         ctx.set_timer(Duration::from_micros(jitter), self.tag);

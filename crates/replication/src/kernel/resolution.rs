@@ -7,7 +7,7 @@
 //! state (wired to `crates/crdt`; `tests/crdt_semilattice.rs`
 //! cross-checks the store's merges against direct CRDT merges). The
 //! store also knows how to summarize itself for anti-entropy
-//! ([`ResolvingStore::digest`] / [`ResolvingStore::missing_at_remote`])
+//! ([`ResolvingStore::digest`] / [`DigestCache::missing_at_remote`])
 //! so propagation policies stay resolution-agnostic.
 //!
 //! # What an exchange copies
@@ -22,17 +22,29 @@
 //!   fan-out, and every `SyncReq` answered before the next change, is a
 //!   reference count.
 //! * A digest is ascending by key by construction (only the store's
-//!   ordered scan makes one), so `missing_at_remote` walks store and
-//!   digest in lock-step and allocates nothing but its result.
+//!   ordered scan makes one), so what a remote digest lacks is a
+//!   lock-step walk of two sorted slices — the store's own digest of
+//!   this generation against the remote one — that touches the store
+//!   only for the keys that differ and allocates nothing but its result.
 //! * Counter state is copy-on-write: [`Item::Counter`] carries the
 //!   store's own `Rc<PnCounter>`, and `apply` decides by comparison
 //!   ([`PnCounter::leq`]) whether a merge would change anything — the
 //!   same state or a smaller one is dropped, a larger one is adopted by
 //!   reference, and only concurrent states are merged, copying the
 //!   counter first if someone else still holds it.
+//! * A counter store's whole state is shipped as one [`Items::Snapshot`]
+//!   per store generation, kept next to the digests: every message that
+//!   carries it holds a reference to the same buffer, and `apply` walks
+//!   it in lock-step with the store, so a state the receiver already
+//!   holds costs a pointer comparison per key and no tree descent.
 //!
-//! What is still O(keys) per exchange is one pointer-cheap pass: the
-//! scan, and for counters an item buffer of references.
+//! * A snapshot a store has already joined from a peer is not walked
+//!   again ([`JoinedSnapshots`]): between two replacements a store only
+//!   grows, so a quiet exchange costs reference counts and nothing else.
+//!
+//! What is still O(keys) is one scan per store generation, for the
+//! digest or the snapshot, and for a snapshot not seen before that one
+//! pointer-cheap pass.
 
 use super::telemetry::{ChangedKeys, ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
@@ -123,11 +135,34 @@ pub enum Item {
     },
 }
 
+/// The item buffer of a state-carrying message (`Replicate`, `SyncResp`,
+/// `SyncPush`); read through `Deref` as a slice.
+#[derive(Debug, Clone)]
+pub enum Items {
+    /// Built for one receiver: a fresh write, or what one remote digest
+    /// lacks. Empty (every quiet LWW answer) allocates nothing.
+    Built(Vec<Item>),
+    /// The sender's whole state as of one store generation
+    /// ([`DigestCache::missing_at_remote`]): one buffer behind every
+    /// message that ships that generation.
+    Snapshot(Rc<[Item]>),
+}
+
+impl Deref for Items {
+    type Target = [Item];
+    fn deref(&self) -> &[Item] {
+        match self {
+            Items::Built(items) => items,
+            Items::Snapshot(items) => items,
+        }
+    }
+}
+
 /// An anti-entropy digest: an immutable snapshot of one `(key, summary)`
 /// pair per stored key, ascending by key, shared by reference count.
 ///
 /// Only [`ResolvingStore::digest`] makes one, from an ordered scan of
-/// the store, so the merge-join in [`ResolvingStore::missing_at_remote`]
+/// the store, so the merge-joins in [`DigestCache::missing_at_remote`]
 /// can rely on the order.
 #[derive(Debug)]
 pub struct Digest<S>(Rc<[(Key, S)]>);
@@ -148,26 +183,151 @@ impl<S> Deref for Digest<S> {
 /// LWW and sibling-mode gossip digests, paired.
 pub type Digests = (Digest<LamportTimestamp>, Digest<VersionVector>);
 
-/// A store's [`Digests`], rebuilt at most once per store generation
-/// ([`Probed::generation`]): every fan-out target of a gossip round and
-/// every `SyncReq` answered before the next change get the same
-/// snapshot.
+/// What anti-entropy derives from a whole store — its [`Digests`] and,
+/// for counters, the [`Items::Snapshot`] of its state — each built at
+/// most once per store generation ([`Probed::generation`]): every
+/// fan-out target of a gossip round and every exchange answered before
+/// the next change get the same buffers. Everything here asks the store
+/// for its generation first, so nothing derived from a store that has
+/// since changed, or been lost to an amnesia restart, is ever used.
 #[derive(Debug, Default)]
-pub struct DigestCache(Option<(u64, Digests)>);
+pub struct DigestCache {
+    /// The generation whatever is cached below was derived at.
+    generation: u64,
+    digests: Option<Digests>,
+    state: Option<Rc<[Item]>>,
+}
 
 impl DigestCache {
+    /// Drop what was derived from another generation of `store`.
+    fn sync(&mut self, store: &Probed<ResolvingStore>) {
+        if self.generation != store.generation() {
+            *self = DigestCache { generation: store.generation(), digests: None, state: None };
+        }
+    }
+
     /// The digests of `store` as it is now.
     pub fn get(&mut self, store: &Probed<ResolvingStore>) -> Digests {
-        let generation = store.generation();
-        match &self.0 {
-            Some((at, digests)) if *at == generation => digests.clone(),
-            _ => {
-                let digests = store.digest();
-                self.0 = Some((generation, digests.clone()));
-                digests
+        self.sync(store);
+        self.digests.get_or_insert_with(|| store.digest()).clone()
+    }
+
+    /// Items `store` has that the remote digests lack.
+    ///
+    /// LWW: a merge-join of the store's own `(key, stamp)` sequence with
+    /// the remote digest that fetches from the store only the keys that
+    /// differ. The own side is this generation's digest whenever one has
+    /// been built — found here, by generation, never handed in — and two
+    /// equal digests miss nothing. Siblings: a merge-join of the store's
+    /// ordered scan with the remote digest. Counters have no digest:
+    /// every key, every time, as a reference to the generation's one
+    /// snapshot.
+    pub fn missing_at_remote(
+        &mut self,
+        store: &Probed<ResolvingStore>,
+        digest: &Digest<LamportTimestamp>,
+        vv_digest: &Digest<VersionVector>,
+    ) -> Items {
+        match &**store {
+            ResolvingStore::Lww(s) => {
+                self.sync(store);
+                Items::Built(match &self.digests {
+                    Some((own, _)) if own[..] == digest[..] => Vec::new(),
+                    Some((own, _)) => lww_newer_than(s, own.iter().copied(), digest),
+                    // No digest of this generation yet — an apply has just
+                    // changed the store. Walking the store costs what
+                    // building one would, without the buffer, and the
+                    // next change would throw it away unread.
+                    None => lww_newer_than(s, s.scan(..).map(|(k, v)| (k, v.ts)), digest),
+                })
+            }
+            ResolvingStore::Sib(s) => {
+                let mut remote = DigestCursor(vv_digest);
+                let mut items = Vec::new();
+                for (k, sibs) in s.iter() {
+                    let seen = remote.seek(k);
+                    for sib in sibs {
+                        if seen.is_none_or(|vv| !sib.dvv.covered_by(vv)) {
+                            items.push(Item::Sib { key: k, sibling: sib.clone() });
+                        }
+                    }
+                }
+                Items::Built(items)
+            }
+            ResolvingStore::Crdt(m) => {
+                self.sync(store);
+                let snapshot = self.state.get_or_insert_with(|| {
+                    m.iter().map(|(&k, c)| Item::Counter { key: k, state: Rc::clone(c) }).collect()
+                });
+                Items::Snapshot(Rc::clone(snapshot))
             }
         }
     }
+}
+
+/// The last state snapshot a store joined from each peer. Joining is
+/// idempotent and a store between two replacements only grows, so a
+/// snapshot already joined has nothing left to give: in a quiet system
+/// every exchange ships the one snapshot of an unchanged generation, and
+/// the receiver need not walk it again.
+///
+/// A snapshot is recognised by the reference held here — the buffer
+/// cannot be freed and its address reused while it is remembered — and
+/// everything is forgotten when the store has been replaced since
+/// ([`Probed::epoch`]): a store restarted from empty must be refilled by
+/// the very snapshot it joined before the crash.
+#[derive(Debug, Default)]
+pub struct JoinedSnapshots {
+    /// The store epoch the entries below were joined under.
+    epoch: u64,
+    last: BTreeMap<NodeId, Rc<[Item]>>,
+}
+
+impl JoinedSnapshots {
+    /// [`Probed::apply`] of what `from` shipped, unless it is a snapshot
+    /// `store` has joined already.
+    pub fn apply(
+        &mut self,
+        store: &mut Probed<ResolvingStore>,
+        from: NodeId,
+        items: &Items,
+        clock: &mut LamportClock,
+    ) -> ApplyOutcome {
+        let Items::Snapshot(snapshot) = items else {
+            return store.apply(items, clock);
+        };
+        if self.epoch != store.epoch() {
+            self.epoch = store.epoch();
+            self.last.clear();
+        }
+        if self.last.get(&from).is_some_and(|joined| Rc::ptr_eq(joined, snapshot)) {
+            return ApplyOutcome::default();
+        }
+        let out = store.apply(items, clock);
+        self.last.insert(from, Rc::clone(snapshot));
+        out
+    }
+}
+
+/// The latest versions of `s` that `remote` lacks or holds older, where
+/// `own` yields `s`'s `(key, latest stamp)` pairs ascending by key.
+fn lww_newer_than(
+    s: &MvStore,
+    own: impl Iterator<Item = (Key, LamportTimestamp)>,
+    remote: &[(Key, LamportTimestamp)],
+) -> Vec<Item> {
+    let mut remote = DigestCursor(remote);
+    own.filter(|(k, ts)| remote.seek(*k).is_none_or(|r| ts > r))
+        .map(|(key, _)| {
+            let v = s.get(key).expect("its own digest names stored keys only");
+            Item::Lww {
+                key,
+                value: v.value.as_u64().unwrap_or(0),
+                ts: v.ts,
+                written_at: v.written_at,
+            }
+        })
+        .collect()
 }
 
 /// Lock-step lookup into an ascending digest, for callers that ask for
@@ -419,20 +579,19 @@ impl ResolvingStore {
     /// Apply replicated items, resolving by policy. LWW adoptions are
     /// returned for the caller's WAL, conflict keys for its events; the
     /// keys whose state changed are marked in `changed` (replicas reach
-    /// this through [`super::telemetry::Probed::apply`]).
-    // A guard with a side effect (clippy's collapse suggestion) would be
-    // worse than the nested `if`.
-    #[allow(clippy::collapsible_match)]
+    /// this through [`super::telemetry::Probed::apply`]). An item of
+    /// another policy is a deployment bug and is dropped.
     pub fn apply(
         &mut self,
-        items: Vec<Item>,
+        items: &[Item],
         clock: &mut LamportClock,
         changed: &mut ChangedKeys,
     ) -> ApplyOutcome {
         let mut out = ApplyOutcome::default();
-        for item in items {
-            match (&mut *self, item) {
-                (ResolvingStore::Lww(s), Item::Lww { key, value, ts, written_at }) => {
+        match self {
+            ResolvingStore::Lww(s) => {
+                for item in items {
+                    let &Item::Lww { key, value, ts, written_at } = item else { continue };
                     // Keep the Lamport clock ahead of everything stored.
                     clock.observe(ts, 0);
                     let v = Value::from_u64(value);
@@ -441,40 +600,20 @@ impl ResolvingStore {
                         changed.mark(key);
                     }
                 }
-                (ResolvingStore::Sib(s), Item::Sib { key, sibling }) => {
-                    if s.apply_remote(key, sibling) {
-                        changed.mark(key);
-                        let n = s.siblings(key).len();
+            }
+            ResolvingStore::Sib(s) => {
+                for item in items {
+                    let Item::Sib { key, sibling } = item else { continue };
+                    if s.apply_remote(*key, sibling.clone()) {
+                        changed.mark(*key);
+                        let n = s.siblings(*key).len();
                         if n > 1 {
-                            out.conflicts.push((key, n as u64));
+                            out.conflicts.push((*key, n as u64));
                         }
                     }
                 }
-                (ResolvingStore::Crdt(m), Item::Counter { key, state }) => match m.entry(key) {
-                    Entry::Vacant(slot) => {
-                        slot.insert(state);
-                        changed.mark(key);
-                    }
-                    // A join-semilattice decides by comparison what a
-                    // merge would do: nothing below, adoption above, and
-                    // only concurrent states need the merge (and the
-                    // copy, if the counter is shared).
-                    Entry::Occupied(mut slot) => {
-                        let mine = slot.get_mut();
-                        if Rc::ptr_eq(mine, &state) || state.leq(mine) {
-                            continue;
-                        }
-                        if mine.leq(&state) {
-                            *mine = state;
-                        } else {
-                            Rc::make_mut(mine).merge(&state);
-                        }
-                        changed.mark(key);
-                    }
-                },
-                // Policy mismatch: a deployment bug; drop the item.
-                _ => {}
             }
+            ResolvingStore::Crdt(m) => join_counters(m, items, changed),
         }
         out
     }
@@ -493,44 +632,63 @@ impl ResolvingStore {
         };
         (Digest(lww), Digest(sib))
     }
+}
 
-    /// Items this store has that the remote digest lacks: a merge-join
-    /// of the store's ordered scan with the (ordered) digest.
-    pub fn missing_at_remote(
-        &self,
-        digest: &Digest<LamportTimestamp>,
-        vv_digest: &Digest<VersionVector>,
-    ) -> Vec<Item> {
-        match self {
-            ResolvingStore::Lww(s) => {
-                let mut remote = DigestCursor(digest);
-                s.scan(..)
-                    .filter(|(k, v)| remote.seek(*k).is_none_or(|&ts| v.ts > ts))
-                    .map(|(k, v)| Item::Lww {
-                        key: k,
-                        value: v.value.as_u64().unwrap_or(0),
-                        ts: v.ts,
-                        written_at: v.written_at,
-                    })
-                    .collect()
-            }
-            ResolvingStore::Sib(s) => {
-                let mut remote = DigestCursor(vv_digest);
-                let mut items = Vec::new();
-                for (k, sibs) in s.iter() {
-                    let seen = remote.seek(k);
-                    for sib in sibs {
-                        if seen.is_none_or(|vv| !sib.dvv.covered_by(vv)) {
-                            items.push(Item::Sib { key: k, sibling: sib.clone() });
-                        }
-                    }
+/// Join `theirs` into `mine`; whether `mine` changed. A join-semilattice
+/// decides by comparison what a merge would do: nothing below, adoption
+/// above, and only concurrent states need the merge (and the copy, if
+/// the counter is shared).
+fn join_counter(mine: &mut Rc<PnCounter>, theirs: &Rc<PnCounter>) -> bool {
+    if Rc::ptr_eq(mine, theirs) || theirs.leq(mine) {
+        return false;
+    }
+    if mine.leq(theirs) {
+        *mine = Rc::clone(theirs);
+    } else {
+        Rc::make_mut(mine).merge(theirs);
+    }
+    true
+}
+
+/// Join shipped counter states into `counters`: a merge-join of the
+/// buffer with the map's own ascending walk, so a key both sides hold
+/// costs a step of each and — when the receiver already shares the
+/// state — one pointer comparison.
+///
+/// Nothing is assumed of the buffer. An item the walk cannot place —
+/// its key is not stored, or lies at or behind a key the walk has
+/// consumed (an unsorted or repeating buffer) — is set aside and applied
+/// afterwards by map lookup, in buffer order, so a key's items are joined
+/// in the order they were shipped whichever path takes them.
+fn join_counters(
+    counters: &mut BTreeMap<Key, Rc<PnCounter>>,
+    items: &[Item],
+    changed: &mut ChangedKeys,
+) {
+    let mut unplaced = Vec::new();
+    let mut stored = counters.iter_mut().peekable();
+    for item in items {
+        let Item::Counter { key, state } = item else { continue };
+        while stored.next_if(|(k, _)| **k < *key).is_some() {}
+        match stored.next_if(|(k, _)| **k == *key) {
+            Some((_, mine)) => {
+                if join_counter(mine, state) {
+                    changed.mark(*key);
                 }
-                items
             }
-            // Every key, every time; what is shipped is a reference.
-            ResolvingStore::Crdt(m) => {
-                m.iter().map(|(&k, c)| Item::Counter { key: k, state: Rc::clone(c) }).collect()
+            None => unplaced.push((*key, state)),
+        }
+    }
+    for (key, state) in unplaced {
+        let changes = match counters.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(Rc::clone(state));
+                true
             }
+            Entry::Occupied(mut slot) => join_counter(slot.get_mut(), state),
+        };
+        if changes {
+            changed.mark(key);
         }
     }
 }
@@ -597,7 +755,7 @@ mod tests {
         let mut changed = ChangedKeys::default();
         for state in [&a, &b] {
             let item = Item::Counter { key: 9, state: Rc::new(state.clone()) };
-            store.apply(vec![item], &mut clock, &mut changed);
+            store.apply(&[item], &mut clock, &mut changed);
         }
         let mut direct = a.clone();
         direct.merge(&b);
@@ -651,8 +809,8 @@ mod tests {
         let key = 5;
 
         let (_, seed) = minted(&a.write_local(NodeId(0), key, 100, (0, 0), &blind, 0, &mut clock));
-        b.apply(seed.clone(), &mut clock, &mut changed);
-        c.apply(seed, &mut clock, &mut changed);
+        b.apply(&seed, &mut clock, &mut changed);
+        c.apply(&seed, &mut clock, &mut changed);
         let ctx = b.read(key).ctx;
         let (dot_b, from_b) =
             minted(&b.write_local(NodeId(1), key, 200, (0, 0), &ctx, 0, &mut clock));
@@ -660,8 +818,8 @@ mod tests {
             minted(&c.write_local(NodeId(2), key, 300, (0, 0), &ctx, 0, &mut clock));
         assert_eq!((dot_b.actor, dot_c.actor), (1, 2), "dots carry the writing node's id");
 
-        b.apply(from_c, &mut clock, &mut changed);
-        c.apply(from_b, &mut clock, &mut changed);
+        b.apply(&from_c, &mut clock, &mut changed);
+        c.apply(&from_b, &mut clock, &mut changed);
         for store in [&b, &c] {
             let mut values = store.read(key).values;
             values.sort_unstable();

@@ -18,7 +18,10 @@
 //! replacement moves it, a drain does not. What is derived from the
 //! whole store — the anti-entropy digest — is kept until the generation
 //! moves, so no caller has to remember to invalidate it and an amnesia
-//! restart cannot advertise the store it lost.
+//! restart cannot advertise the store it lost. Replacements alone are
+//! counted as the store's *epoch* ([`Probed::epoch`]): what is known
+//! *about* the store rather than derived from it — which shipped
+//! snapshots it has joined — holds until the epoch moves.
 
 use super::resolution::{ApplyOutcome, Item, ResolvingStore, WriteOutcome};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
@@ -62,6 +65,8 @@ pub struct ChangedKeys {
     /// Bumped by every mark and every whole-store replacement, and never
     /// reset: a drain empties `keys` and leaves this alone.
     generation: u64,
+    /// Whole-store replacements so far.
+    epoch: u64,
 }
 
 impl ChangedKeys {
@@ -111,6 +116,15 @@ impl<S: ProbeVersions> Probed<S> {
         self.changed.generation
     }
 
+    /// How many times the whole store was replaced. Between two
+    /// replacements a store under a merging policy only ever grows, so
+    /// what it is known to have joined
+    /// ([`super::resolution::JoinedSnapshots`]) stays joined; across one,
+    /// nothing is known.
+    pub fn epoch(&self) -> u64 {
+        self.changed.epoch
+    }
+
     /// Replace the whole store (amnesia recovery: a WAL replay, or a
     /// restart from empty). Keys of either generation count as changed,
     /// so keys the new store lacks are reported as gone.
@@ -121,6 +135,7 @@ impl<S: ProbeVersions> Probed<S> {
         // `mark_all` fills the key set directly; a replacement is one
         // change whatever the two stores hold.
         self.changed.generation += 1;
+        self.changed.epoch += 1;
     }
 
     /// [`simnet::Actor::drain_changed_versions`] for the actor owning
@@ -161,7 +176,7 @@ impl Probed<ResolvingStore> {
     }
 
     /// [`ResolvingStore::apply`], marking the keys whose state changed.
-    pub fn apply(&mut self, items: Vec<Item>, clock: &mut LamportClock) -> ApplyOutcome {
+    pub fn apply(&mut self, items: &[Item], clock: &mut LamportClock) -> ApplyOutcome {
         self.store.apply(items, clock, &mut self.changed)
     }
 
@@ -237,14 +252,14 @@ mod tests {
 
         let first =
             a.write_local(NodeId(0), key, 100, (0, 0), &VersionVector::new(), 0, &mut clock);
-        b.apply(first.items.clone(), &mut clock);
+        b.apply(&first.items, &mut clock);
         let read_ctx = a.read(key).ctx;
         a.reset();
         assert!(a.read(key).values.is_empty(), "the state is gone");
 
         let second = a.write_local(NodeId(0), key, 101, (0, 0), &read_ctx, 0, &mut clock);
         assert_ne!(dot_of(&second.items), dot_of(&first.items), "a dot names one write, ever");
-        b.apply(second.items, &mut clock);
+        b.apply(&second.items, &mut clock);
         assert_eq!(b.read(key).values, [101], "the overwrite supersedes what it quoted");
         assert_eq!(a.read(key).values, [101]);
     }

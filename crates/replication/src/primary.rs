@@ -702,6 +702,14 @@ mod tests {
     use crate::common::unique_value;
     use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
 
+    /// Recorded message `bytes` are `size_of::<Msg>()` (see
+    /// `docs/METRICS.md`), so the enum's size is part of every pinned
+    /// event log.
+    #[test]
+    fn msg_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Msg>(), 72);
+    }
+
     fn build(
         cfg: &Composition,
         clients: Vec<PrimaryClient>,

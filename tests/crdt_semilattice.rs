@@ -24,7 +24,7 @@ use rethinking_ec::crdt::{
 };
 use rethinking_ec::kvstore::{Key, MvStore, SiblingStore, Value};
 use rethinking_ec::replication::kernel::resolution::{
-    Digest, Item, ResolutionPolicy, ResolvingStore,
+    Digest, DigestCache, Item, ResolutionPolicy, ResolvingStore,
 };
 use rethinking_ec::replication::kernel::Probed;
 use rethinking_ec::simnet::NodeId;
@@ -210,7 +210,7 @@ proptest! {
             let mut store = Probed::new(ResolvingStore::new(ResolutionPolicy::CrdtMerge));
             for i in order {
                 let state = Rc::new(states[i].clone());
-                store.apply(vec![Item::Counter { key, state }], &mut clock);
+                store.apply(&[Item::Counter { key, state }], &mut clock);
             }
             prop_assert_eq!(store.counter_value(key).unwrap_or(0), direct.value());
         }
@@ -368,12 +368,13 @@ fn missing_by_map_lookup(
 }
 
 /// Both directions of one exchange between `a` and `b`.
-fn assert_merge_join_matches_map_lookup(a: &ResolvingStore, b: &ResolvingStore) {
-    for (local, remote) in [(a, b), (b, a)] {
+fn assert_merge_join_matches_map_lookup(a: ResolvingStore, b: ResolvingStore) {
+    let (a, b) = (Probed::new(a), Probed::new(b));
+    for (local, remote) in [(&a, &b), (&b, &a)] {
         let (digest, vv_digest) = remote.digest();
         assert_eq!(
-            local.missing_at_remote(&digest, &vv_digest),
-            missing_by_map_lookup(local, &digest, &vv_digest),
+            DigestCache::default().missing_at_remote(local, &digest, &vv_digest)[..],
+            missing_by_map_lookup(local, &digest, &vv_digest)[..],
             "local {local:?}\nremote {remote:?}"
         );
     }
@@ -408,6 +409,7 @@ proptest! {
         let mut clock = LamportClock::new();
         let new_store = || Probed::new(ResolvingStore::new(ResolutionPolicy::CrdtMerge));
         let mut stores = [new_store(), new_store()];
+        let mut caches = [DigestCache::default(), DigestCache::default()];
         let mut oracles = [CloneMergeCompare::default(), CloneMergeCompare::default()];
         let (no_digest, no_vv) = stores[0].digest();
         for (kind, at, key, amount, incs, decs) in ops {
@@ -423,8 +425,8 @@ proptest! {
                 2 | 3 => {
                     let to = 1 - at;
                     for _delivery in 1..kind {
-                        let items = stores[at].missing_at_remote(&no_digest, &no_vv);
-                        stores[to].apply(items, &mut clock);
+                        let items = caches[at].missing_at_remote(&stores[at], &no_digest, &no_vv);
+                        stores[to].apply(&items, &mut clock);
                         let shipped = oracles[at].ship();
                         oracles[to].apply(&shipped);
                     }
@@ -432,7 +434,7 @@ proptest! {
                 // A state from elsewhere.
                 _ => {
                     let state = pn_counter_of(&incs, &decs);
-                    stores[at].apply(vec![Item::Counter { key, state: Rc::new(state.clone()) }], &mut clock);
+                    stores[at].apply(&[Item::Counter { key, state: Rc::new(state.clone()) }], &mut clock);
                     oracles[at].apply(&[(key, state)]);
                 }
             }
@@ -464,7 +466,7 @@ proptest! {
                 }
             }
         }
-        assert_merge_join_matches_map_lookup(&ResolvingStore::Lww(a), &ResolvingStore::Lww(b));
+        assert_merge_join_matches_map_lookup(ResolvingStore::Lww(a), ResolvingStore::Lww(b));
     }
 
     /// Sibling stores after a random history of blind and contextual
@@ -487,6 +489,6 @@ proptest! {
             }
         }
         let [a, b] = reps;
-        assert_merge_join_matches_map_lookup(&ResolvingStore::Sib(a), &ResolvingStore::Sib(b));
+        assert_merge_join_matches_map_lookup(ResolvingStore::Sib(a), ResolvingStore::Sib(b));
     }
 }

@@ -96,6 +96,16 @@ fn quoted_test_files_exist() {
     for guard in ["tests/sim_dispatch_allocs.rs", "crates/simnet/tests/queue_conformance.rs"] {
         assert!(phase_9.contains(guard), "the Phase 9 record must name `{guard}`");
     }
+    let phase_10 = DOC.split("\n## Phase 10").nth(1).expect("PERFORMANCE.md lost its Phase 10");
+    let phase_10 = phase_10.split("\n## ").next().unwrap();
+    for guard in [
+        "tests/anti_entropy.rs",
+        "tests/oracle/anti_entropy.rs",
+        "tests/anti_entropy_allocs.rs",
+        "tests/crdt_semilattice.rs",
+    ] {
+        assert!(phase_10.contains(guard), "the Phase 10 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();
