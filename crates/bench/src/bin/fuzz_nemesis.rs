@@ -24,7 +24,7 @@
 
 use bench::{reject_args, save_json, take_value, usage_exit, Obs};
 use obs::Recorder;
-use rec_core::fuzz::{campaign, run_case_recorded, FuzzCase, FuzzScheme};
+use rec_core::fuzz::{campaign, try_run_case_recorded, FuzzCase, FuzzScheme};
 use std::path::PathBuf;
 
 const USAGE: &str = "[--seeds N] [--jobs N] [--intensity light|medium|heavy] [--base-seed N] \
@@ -78,13 +78,19 @@ fn main() {
 /// Replay one shrunk reproducer with full observability and optionally
 /// export its span-level JSONL trace.
 fn replay_case(path: &std::path::Path, trace_out: Option<&std::path::Path>) {
+    // A file somebody else wrote: whatever is wrong with it is exit 1
+    // and one line naming it, never a panic inside the run.
+    let fail = |what: String| -> ! {
+        eprintln!("fuzz_nemesis: {}: {what}", path.display());
+        std::process::exit(1)
+    };
     let json = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read reproducer {}: {e}", path.display()));
+        .unwrap_or_else(|e| fail(format!("cannot read reproducer: {e}")));
     let case: FuzzCase = serde_json::from_str(&json)
-        .unwrap_or_else(|e| panic!("{} is not a FuzzCase reproducer: {e}", path.display()));
+        .unwrap_or_else(|e| fail(format!("not a FuzzCase reproducer: {e}")));
     let recorder =
         if trace_out.is_some() { Recorder::with_event_log() } else { Recorder::enabled() };
-    let verdict = run_case_recorded(&case, recorder.clone());
+    let verdict = try_run_case_recorded(&case, recorder.clone()).unwrap_or_else(|e| fail(e));
     let report = recorder.report();
     println!(
         "replay: scheme={} seed={} events={} verdict={verdict:?}",

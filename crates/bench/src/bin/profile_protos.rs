@@ -6,7 +6,7 @@
 //! scheme) plus `results/profile_protos.folded` (call-count-weighted
 //! flamegraph stacks). Counts and allocation tallies are
 //! jobs-invariant, so both files are reproducible artifacts; query
-//! them with `profquery` (see `docs/PROFILING.md`).
+//! them with `tracequery prof` (see `docs/PROFILING.md`).
 //!
 //! ```text
 //! cargo run --release --bin profile_protos                  # regenerate the baseline

@@ -64,62 +64,28 @@ pub struct SpanAt {
     pub status: Option<String>,
 }
 
-/// Collect every span in the log, in open order, with close times and
-/// statuses filled in from matching [`EventKind::SpanClose`] events.
-/// The offline trace tools build span trees from this.
+/// Collect every span in the log, in span-id order (ids are allocated
+/// serially, so that is open order too), with close times and statuses
+/// filled in from matching [`EventKind::SpanClose`] events. The offline
+/// trace tools build span trees from this.
 pub fn all_spans(events: &[TracedEvent]) -> Vec<SpanAt> {
-    let mut spans: Vec<SpanAt> = Vec::new();
-    for ev in events {
-        match &ev.kind {
-            EventKind::SpanOpen { trace, span, parent, node, name } => spans.push(SpanAt {
-                trace: *trace,
-                span: *span,
-                parent: *parent,
-                node: *node,
-                name: (*name).to_string(),
-                open_t_us: ev.t_us,
-                close_t_us: None,
-                status: None,
-            }),
-            EventKind::SpanClose { span, status, .. } => {
-                if let Some(s) = spans.iter_mut().rev().find(|s| s.span == *span) {
-                    s.close_t_us = Some(ev.t_us);
-                    s.status = Some(status.name().to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    spans
+    SpanWindow::of_log(events).spans.into_values().collect()
 }
 
 /// The spans in flight at `t_us`: opened at or before it and either
-/// never closed or closed strictly after it. Returned in open order
-/// (which is also span-id order, since ids are allocated serially).
+/// never closed or closed strictly after it, in span-id order.
 pub fn spans_at(events: &[TracedEvent], t_us: u64) -> Vec<SpanAt> {
-    all_spans(events)
-        .into_iter()
-        .filter(|s| s.open_t_us <= t_us && s.close_t_us.is_none_or(|c| c > t_us))
-        .collect()
+    SpanWindow::of_log(events).in_flight_at(t_us)
 }
 
 /// The causal chain of span `span_id`: the span itself followed by its
 /// ancestors up to the trace root (parent links from the span-open
-/// events). Empty if the span is not in the log.
+/// events). Empty if the span is not in the log. Builds the span table
+/// of the whole log: for more than one chain, build it once
+/// ([`SpanWindow::of_log`]) and walk that.
 pub fn causal_chain(events: &[TracedEvent], span_id: u64) -> Vec<SpanAt> {
-    let spans = all_spans(events);
-    let mut chain = Vec::new();
-    let mut cursor = span_id;
-    while cursor != 0 {
-        match spans.iter().find(|s| s.span == cursor) {
-            Some(s) => {
-                cursor = s.parent;
-                chain.push(s.clone());
-            }
-            None => break,
-        }
-    }
-    chain
+    let chain = SpanWindow::of_log(events).causal_chain(span_id);
+    chain.iter().filter_map(ChainLink::span).cloned().collect()
 }
 
 /// One link in a windowed causal chain: either a resident ancestor span
@@ -144,6 +110,14 @@ pub enum ChainLink {
 }
 
 impl ChainLink {
+    /// The span, if this link is a resident one.
+    pub fn span(&self) -> Option<&SpanAt> {
+        match self {
+            ChainLink::Span(s) => Some(s),
+            _ => None,
+        }
+    }
+
     /// One-line description for reports and `tracequery` output.
     pub fn describe(&self) -> String {
         match self {
@@ -156,15 +130,18 @@ impl ChainLink {
     }
 }
 
-/// Bounded-memory span table for **online** attribution.
+/// The span table: every span by id, built event by event, with bounded
+/// memory for **online** attribution.
 ///
-/// [`all_spans`]/[`causal_chain`] assume the full event log is resident,
-/// which the streaming checkers (see [`crate::stream`]) deliberately
-/// avoid. `SpanWindow` keeps only spans that are still open or closed
-/// within the retention window behind the watermark; walking a causal
-/// chain through an evicted ancestor yields an explicit
-/// [`ChainLink::Evicted`] marker instead of a panic or a silently
-/// truncated chain.
+/// The streaming checkers (see [`crate::stream`]) deliberately keep no
+/// full event log, so a `SpanWindow` that is [advanced](Self::advance)
+/// keeps only spans that are still open or closed within the retention
+/// window behind the watermark; walking a causal chain through an
+/// evicted ancestor yields an explicit [`ChainLink::Evicted`] marker
+/// instead of a panic or a silently truncated chain. One that is never
+/// advanced evicts nothing: [`SpanWindow::of_log`] is the table of a
+/// whole log, which [`all_spans`], [`spans_at`] and [`causal_chain`]
+/// read.
 ///
 /// Span ids are allocated serially by the recorder, so an absent id at
 /// or below the highest evicted id is reported as evicted; higher
@@ -182,6 +159,22 @@ impl SpanWindow {
     /// watermark.
     pub fn new(window_us: u64) -> Self {
         SpanWindow { window_us, ..Default::default() }
+    }
+
+    /// The table of a whole log: every span resident.
+    pub fn of_log(events: &[TracedEvent]) -> Self {
+        let mut table = SpanWindow::new(0);
+        for ev in events {
+            table.observe(ev);
+        }
+        table
+    }
+
+    /// The resident spans in flight at `t_us`: opened at or before it
+    /// and either not closed or closed strictly after it.
+    pub fn in_flight_at(&self, t_us: u64) -> Vec<SpanAt> {
+        let in_flight = |s: &&SpanAt| s.open_t_us <= t_us && s.close_t_us.is_none_or(|c| c > t_us);
+        self.spans.values().filter(in_flight).cloned().collect()
     }
 
     /// Observe one event from the log; non-span events are ignored.
@@ -256,6 +249,10 @@ impl SpanWindow {
         let mut cursor = span_id;
         while cursor != 0 {
             match self.spans.get(&cursor) {
+                // No chain is longer than the table: parent links that
+                // loop (a hand-edited log) end the walk here instead of
+                // never ending it.
+                Some(_) if chain.len() == self.spans.len() => break,
                 Some(s) => {
                     chain.push(ChainLink::Span(s.clone()));
                     cursor = s.parent;
@@ -298,6 +295,18 @@ impl ViolationContext {
 /// `window_us` for message drops. Events must be in recording order
 /// (ascending `seq`), which [`obs::Recorder::events`] guarantees.
 pub fn attribute_violation(events: &[TracedEvent], t_us: u64, window_us: u64) -> ViolationContext {
+    attribute_violation_in(events, &SpanWindow::of_log(events), t_us, window_us)
+}
+
+/// [`attribute_violation`] with the log's span table
+/// ([`SpanWindow::of_log`]) built by the caller, once for any number of
+/// violation times and chain walks.
+pub fn attribute_violation_in(
+    events: &[TracedEvent],
+    spans: &SpanWindow,
+    t_us: u64,
+    window_us: u64,
+) -> ViolationContext {
     let mut open_partitions: u64 = 0;
     let mut crashed: Vec<u64> = Vec::new();
     let mut last_ae: Option<u64> = None;
@@ -326,7 +335,7 @@ pub fn attribute_violation(events: &[TracedEvent], t_us: u64, window_us: u64) ->
         drops_by_reason: drops,
         crashed_nodes: crashed,
         since_anti_entropy_us: last_ae.map(|ae| t_us.saturating_sub(ae)),
-        in_flight_spans: spans_at(events, t_us),
+        in_flight_spans: spans.in_flight_at(t_us),
     }
 }
 
@@ -353,8 +362,9 @@ pub fn summarize_attributions(
     window_us: u64,
 ) -> AttributionSummary {
     let mut s = AttributionSummary::default();
+    let spans = SpanWindow::of_log(events);
     for &t in violation_times_us {
-        let ctx = attribute_violation(events, t, window_us);
+        let ctx = attribute_violation_in(events, &spans, t, window_us);
         if ctx.in_partition {
             s.during_partition += 1;
         } else if !ctx.crashed_nodes.is_empty() {
@@ -513,6 +523,17 @@ mod tests {
         // evicted one.
         let ghost = w.causal_chain(99);
         assert_eq!(ghost, vec![ChainLink::Missing { span: 99 }]);
+    }
+
+    /// Parent links that loop (a hand-edited log) end the walk after one
+    /// round instead of never ending it.
+    #[test]
+    fn a_chain_of_looping_parents_ends() {
+        let open =
+            |span, parent| EventKind::SpanOpen { trace: 1, span, parent, node: 0, name: "op" };
+        let events = vec![ev(0, 10, open(1, 2)), ev(1, 20, open(2, 1))];
+        let chain: Vec<u64> = causal_chain(&events, 2).iter().map(|s| s.span).collect();
+        assert_eq!(chain, vec![2, 1]);
     }
 
     #[test]

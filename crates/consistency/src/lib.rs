@@ -44,8 +44,8 @@ pub mod staleness;
 pub mod stream;
 
 pub use attribution::{
-    all_spans, attribute_violation, causal_chain, spans_at, summarize_attributions,
-    AttributionSummary, ChainLink, SpanAt, SpanWindow, ViolationContext,
+    all_spans, attribute_violation, attribute_violation_in, causal_chain, spans_at,
+    summarize_attributions, AttributionSummary, ChainLink, SpanAt, SpanWindow, ViolationContext,
 };
 pub use causal::{check_causal, CausalReport};
 pub use convergence::{

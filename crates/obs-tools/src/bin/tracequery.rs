@@ -1,4 +1,6 @@
-//! `tracequery`: query a JSONL trace exported with `--trace-out`.
+//! `tracequery`: query the artifacts a run leaves behind — the JSONL
+//! trace exported with `--trace-out`, and the `profile` block of a
+//! `--profile` results document.
 //!
 //! ```text
 //! tracequery list    <trace.jsonl>                  one line per trace
@@ -9,6 +11,9 @@
 //! tracequery check   <trace.jsonl>                  span conservation invariants
 //! tracequery check --stream <trace.jsonl> [--window-ms N]
 //!                                                   streaming consistency check
+//! tracequery prof top    <results.json> [--by calls|time|alloc] [-k N]
+//! tracequery prof diff   <old.json> <new.json> [--by calls|alloc]
+//! tracequery prof folded <results.json> [--by calls|time|alloc]
 //! ```
 //!
 //! `check --stream` feeds the log's `op_complete` events through the
@@ -19,13 +24,24 @@
 //! (violations older than the window can then go unreported; see
 //! `docs/CHECKERS.md`).
 //!
-//! Exit codes: `0` success, `1` analysis failure (parse error, unknown
-//! trace id, conservation or consistency violation), `2` usage error.
+//! `prof top` ranks handler cells by the chosen weight. `prof diff`
+//! compares two runs cell-by-cell and prints relative change, biggest
+//! regression first — use jobs-invariant weights (`calls`, `alloc`) to
+//! compare runs from different machines; `time` is host-dependent.
+//! `prof folded` re-emits the profile as flamegraph stacks
+//! (`scheme;role;handler[:variant] weight`), byte-identical to the
+//! `.folded` file the harness writes beside the JSON (see
+//! `docs/PROFILING.md`).
+//!
+//! Exit codes: `0` success, `1` analysis failure (unreadable file,
+//! parse error, no profile block, unknown trace id, conservation or
+//! consistency violation), `2` usage error.
 
-use obs::TracedEvent;
+use consistency::{ChainLink, SpanWindow};
+use obs::FoldWeight;
 use obs_tools::{
-    build_tree, check_spans, chrome_trace, parse_jsonl, parse_line, render_stream_report,
-    render_tree, trace_summaries, StreamTraceChecker,
+    build_tree, check_spans, chrome_trace, diff_rows, parse_jsonl, parse_line, parse_profile,
+    render_stream_report, render_tree, top_rows, trace_summaries, StreamTraceChecker,
 };
 
 const USAGE: &str = "usage:
@@ -34,11 +50,20 @@ const USAGE: &str = "usage:
   tracequery explain <t_us> <trace.jsonl> [--window-us N]
   tracequery chrome  <trace.jsonl> [-o <out.json>]
   tracequery check   <trace.jsonl>
-  tracequery check --stream <trace.jsonl | -> [--window-ms N]";
+  tracequery check --stream <trace.jsonl | -> [--window-ms N]
+  tracequery prof top    <results.json> [--by calls|time|alloc] [-k N]
+  tracequery prof diff   <old.json> <new.json> [--by calls|alloc]
+  tracequery prof folded <results.json> [--by calls|time|alloc]";
 
 fn usage_error(msg: &str) -> ! {
     eprintln!("tracequery: {msg}\n{USAGE}");
     std::process::exit(2);
+}
+
+/// The analysis failed: say why and exit 1.
+fn fail(msg: &str) -> ! {
+    eprintln!("tracequery: {msg}");
+    std::process::exit(1);
 }
 
 /// Write to stdout without panicking on a closed pipe (`tracequery list
@@ -50,15 +75,26 @@ fn emit(text: &str) {
     }
 }
 
-fn load(path: &str) -> Vec<TracedEvent> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("tracequery: cannot read {path}: {e}");
-        std::process::exit(1);
-    });
-    parse_jsonl(&text).unwrap_or_else(|e| {
-        eprintln!("tracequery: {path}: {e}");
-        std::process::exit(1);
-    })
+/// Read `path` and parse it (a trace with [`parse_jsonl`], a results
+/// document with [`parse_profile`]), or exit 1 naming it.
+fn load<T, E: std::fmt::Display>(path: &str, parse: fn(&str) -> Result<T, E>) -> T {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+}
+
+/// The value of `flag` if `arg` is it — `flag=value`, or `flag` with
+/// the value in the next argument, which is then taken from `args`.
+fn take_value<'a>(
+    arg: &'a str,
+    flag: &str,
+    args: &mut impl Iterator<Item = &'a String>,
+) -> Option<&'a str> {
+    if arg == flag {
+        args.next().map(String::as_str)
+    } else {
+        arg.strip_prefix(flag)?.strip_prefix('=')
+    }
 }
 
 fn main() {
@@ -67,7 +103,7 @@ fn main() {
     match cmd {
         "list" => {
             let [path] = &args[1..] else { usage_error("list takes <trace.jsonl>") };
-            let events = load(path);
+            let events = load(path, parse_jsonl);
             let sums = trace_summaries(&events);
             let mut out = format!("{} trace(s)\n", sums.len());
             for s in sums {
@@ -86,30 +122,22 @@ fn main() {
             };
             let trace_id: u64 =
                 trace_id.parse().unwrap_or_else(|_| usage_error("<trace_id> must be an integer"));
-            let events = load(path);
+            let events = load(path, parse_jsonl);
             match build_tree(&events, trace_id) {
                 Some(tree) => emit(&render_tree(&tree)),
-                None => {
-                    eprintln!("tracequery: no spans for trace {trace_id} in {path}");
-                    std::process::exit(1);
-                }
+                None => fail(&format!("no spans for trace {trace_id} in {path}")),
             }
         }
         "explain" => {
-            let (t_us, path) = match &args[1..] {
-                [t, p] | [t, p, ..] => (t, p),
-                _ => usage_error("explain takes <t_us> <trace.jsonl>"),
+            let [t_us, path, flags @ ..] = &args[1..] else {
+                usage_error("explain takes <t_us> <trace.jsonl>")
             };
             let t_us: u64 =
                 t_us.parse().unwrap_or_else(|_| usage_error("<t_us> must be an integer"));
             let mut window_us: u64 = 500_000;
-            let mut rest = args[3..].iter();
-            while let Some(a) = rest.next() {
-                match a
-                    .strip_prefix("--window-us=")
-                    .map(str::to_string)
-                    .or_else(|| (a == "--window-us").then(|| rest.next().cloned()).flatten())
-                {
+            let mut flags = flags.iter();
+            while let Some(a) = flags.next() {
+                match take_value(a, "--window-us", &mut flags) {
                     Some(n) => {
                         window_us =
                             n.parse().unwrap_or_else(|_| usage_error("--window-us expects µs"))
@@ -117,8 +145,10 @@ fn main() {
                     None => usage_error(&format!("unknown flag `{a}`")),
                 }
             }
-            let events = load(path);
-            let ctx = consistency::attribute_violation(&events, t_us, window_us);
+            let events = load(path, parse_jsonl);
+            // One span table for the in-flight spans and every chain.
+            let spans = SpanWindow::of_log(&events);
+            let ctx = consistency::attribute_violation_in(&events, &spans, t_us, window_us);
             let mut out = format!("at t={t_us}µs (window {window_us}µs): {}\n", ctx.verdict());
             for (reason, n) in &ctx.drops_by_reason {
                 out.push_str(&format!("  drops[{reason}] = {n}\n"));
@@ -139,9 +169,8 @@ fn main() {
                 ));
                 // Walk the causal chain from this span to its trace
                 // root: the path the operation took to get here.
-                for (i, link) in
-                    consistency::causal_chain(&events, s.span).iter().enumerate().skip(1)
-                {
+                let chain = spans.causal_chain(s.span);
+                for (i, link) in chain.iter().filter_map(ChainLink::span).enumerate().skip(1) {
                     out.push_str(&format!(
                         "  {:>width$}caused by {} #{} (node {}) opened at {}µs\n",
                         "",
@@ -157,18 +186,15 @@ fn main() {
         }
         "chrome" => {
             let (path, out) = match &args[1..] {
-                [p] => (p.clone(), None),
-                [p, flag, o] if flag == "-o" || flag == "--out" => (p.clone(), Some(o.clone())),
+                [p] => (p, None),
+                [p, flag, o] if flag == "-o" || flag == "--out" => (p, Some(o)),
                 _ => usage_error("chrome takes <trace.jsonl> [-o <out.json>]"),
             };
-            let events = load(&path);
-            let json = chrome_trace(&events);
+            let json = chrome_trace(&load(path, parse_jsonl));
             match out {
                 Some(out) => {
-                    std::fs::write(&out, &json).unwrap_or_else(|e| {
-                        eprintln!("tracequery: cannot write {out}: {e}");
-                        std::process::exit(1);
-                    });
+                    std::fs::write(out, &json)
+                        .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
                     eprintln!("[chrome trace saved to {out}]");
                 }
                 None => emit(&format!("{json}\n")),
@@ -181,13 +207,85 @@ fn main() {
                 return;
             }
             let [path] = rest else { usage_error("check takes <trace.jsonl>") };
-            let report = check_spans(&load(path));
+            let report = check_spans(&load(path, parse_jsonl));
             emit(&format!("{report}\n"));
             if !report.ok() {
                 std::process::exit(1);
             }
         }
+        "prof" => prof(&args[1..]),
         other => usage_error(&format!("unknown command `{other}`")),
+    }
+}
+
+/// `prof top|diff|folded`: the views of a `--profile` results document.
+fn prof(args: &[String]) {
+    let (cmd, rest) = args.split_first().unwrap_or_else(|| usage_error("missing prof command"));
+    let takes = match cmd.as_str() {
+        "top" | "folded" => "<results.json>",
+        "diff" => "<old.json> <new.json>",
+        other => usage_error(&format!("unknown command `prof {other}`")),
+    };
+    let inputs = takes.split(' ').count();
+    if rest.len() < inputs {
+        usage_error(&format!("prof {cmd} takes {takes}"));
+    }
+    let (paths, flags) = rest.split_at(inputs);
+    let mut weight = FoldWeight::Calls;
+    let mut k = 10usize;
+    let mut flags = flags.iter();
+    while let Some(a) = flags.next() {
+        if let Some(by) = take_value(a, "--by", &mut flags) {
+            weight = match by {
+                "calls" => FoldWeight::Calls,
+                "time" => FoldWeight::Time,
+                "alloc" => FoldWeight::AllocBytes,
+                other => usage_error(&format!("--by expects calls|time|alloc, got {other:?}")),
+            };
+        } else if let Some(n) = take_value(a, "-k", &mut flags) {
+            k = n.parse().unwrap_or_else(|_| usage_error("-k expects a positive integer"));
+        } else {
+            usage_error(&format!("unknown flag `{a}`"));
+        }
+    }
+    let reports: Vec<_> = paths.iter().map(|path| load(path, parse_profile)).collect();
+    match cmd.as_str() {
+        "top" => {
+            let mut out = format!(
+                "{:>12}  {:>14}  {:>10}  {:>14}  cell\n",
+                "calls", "alloc_bytes", "allocs", "time_total_ns"
+            );
+            for (scheme, h) in top_rows(&reports[0], weight, k) {
+                out.push_str(&format!(
+                    "{:>12}  {:>14}  {:>10}  {:>14}  {scheme};{}\n",
+                    h.invocations,
+                    h.alloc_bytes,
+                    h.alloc_count,
+                    h.time_total_ns,
+                    h.frame()
+                ));
+            }
+            emit(&out);
+        }
+        "diff" => {
+            let diff = diff_rows(&reports[0], &reports[1], weight);
+            if diff.is_empty() {
+                emit("no differences\n");
+                return;
+            }
+            let mut out = format!("{:>14}  {:>14}  {:>9}  cell\n", "old", "new", "change");
+            for d in &diff {
+                let pct = d.pct();
+                let change =
+                    if pct.is_infinite() { "+new".to_string() } else { format!("{pct:+.1}%") };
+                out.push_str(&format!(
+                    "{:>14}  {:>14}  {:>9}  {};{}\n",
+                    d.old, d.new, change, d.scheme, d.frame
+                ));
+            }
+            emit(&out);
+        }
+        _ => emit(&reports[0].to_folded(weight)),
     }
 }
 
@@ -204,11 +302,7 @@ fn check_stream(rest: &[String]) {
         if a == "--stream" {
             continue;
         }
-        match a
-            .strip_prefix("--window-ms=")
-            .map(str::to_string)
-            .or_else(|| (a == "--window-ms").then(|| it.next().cloned()).flatten())
-        {
+        match take_value(a, "--window-ms", &mut it) {
             Some(n) => {
                 window_ms =
                     Some(n.parse().unwrap_or_else(|_| usage_error("--window-ms expects ms")))
@@ -226,10 +320,8 @@ fn check_stream(rest: &[String]) {
     let (shown, mut input): (&str, Box<dyn BufRead>) = if path == "-" {
         ("stdin", Box::new(std::io::stdin().lock()))
     } else {
-        let file = std::fs::File::open(&path).unwrap_or_else(|e| {
-            eprintln!("tracequery: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
+        let file = std::fs::File::open(&path)
+            .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         (&path, Box::new(std::io::BufReader::new(file)))
     };
     // One buffer for every line.
@@ -239,10 +331,7 @@ fn check_stream(rest: &[String]) {
         match input.read_line(&mut line) {
             Ok(0) => break,
             Ok(_) => {}
-            Err(e) => {
-                eprintln!("tracequery: {shown}: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => fail(&format!("{shown}: {e}")),
         }
         // Without its line end, as `parse_jsonl` splits a document: `\n`
         // or `\r\n`, and a last line may go without.
@@ -250,10 +339,7 @@ fn check_stream(rest: &[String]) {
         if text.trim().is_empty() {
             continue;
         }
-        let ev = parse_line(text, lineno).unwrap_or_else(|e| {
-            eprintln!("tracequery: {path}: {e}");
-            std::process::exit(1);
-        });
+        let ev = parse_line(text, lineno).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         checker.observe(&ev);
     }
     let (ops, reports) = checker.finish();

@@ -39,29 +39,29 @@ pub fn chrome_trace(events: &[TracedEvent]) -> String {
             ("tid", Value::U64(s.node)),
             ("ts", Value::U64(s.open_t_us)),
         ];
-        match s.close_t_us {
+        match s.close_t_us.and_then(|close| close.checked_sub(s.open_t_us)) {
             // A closed span is one complete slice.
-            Some(close) => {
+            Some(dur) => {
                 fields.push(("ph", str_val("X")));
-                fields.push(("dur", Value::U64(close - s.open_t_us)));
+                fields.push(("dur", Value::U64(dur)));
             }
             // An unclosed span (truncated log) renders as a begin event
             // with no end; viewers draw it to the end of the timeline.
+            // So does one whose close is stamped before its open
+            // (reordered or hand-edited lines): it has no duration.
             None => fields.push(("ph", str_val("B"))),
         }
         fields.push(("args", args));
         out.push(obj(fields));
     }
     for ev in events {
-        let (name, node) = match &ev.kind {
-            EventKind::Crash { node } => ("crash", *node),
-            EventKind::Recover { node } => ("recover", *node),
-            EventKind::PartitionStart { .. } => ("partition_start", 0),
-            EventKind::PartitionHeal => ("partition_heal", 0),
+        let node = match &ev.kind {
+            EventKind::Crash { node } | EventKind::Recover { node } => *node,
+            EventKind::PartitionStart { .. } | EventKind::PartitionHeal => 0,
             _ => continue,
         };
         out.push(obj(vec![
-            ("name", str_val(name)),
+            ("name", str_val(ev.kind.type_name())),
             ("cat", str_val("fault")),
             ("ph", str_val("i")),
             // Global scope: the instant line spans every row.
@@ -107,6 +107,32 @@ mod tests {
         let inst = &traced[1];
         assert_eq!(inst.get("ph").and_then(Value::as_str), Some("i"));
         assert_eq!(inst.get("cat").and_then(Value::as_str), Some("fault"));
+    }
+
+    /// A close stamped before its open (reordered or hand-edited lines)
+    /// is no slice with a 2^64 µs `dur`, and no overflow panic.
+    #[test]
+    fn a_span_that_closes_before_it_opens_becomes_a_begin_event() {
+        let events = vec![
+            TracedEvent {
+                seq: 0,
+                t_us: 400,
+                kind: EventKind::SpanOpen { trace: 3, span: 1, parent: 0, node: 2, name: "op" },
+            },
+            TracedEvent {
+                seq: 1,
+                t_us: 100,
+                kind: EventKind::SpanClose { trace: 3, span: 1, node: 2, status: SpanStatus::Ok },
+            },
+        ];
+        let doc = serde_json::parse_value(&chrome_trace(&events)).unwrap();
+        let traced = doc.get("traceEvents").and_then(Value::as_array).unwrap();
+        assert_eq!(traced.len(), 1);
+        assert_eq!(traced[0].get("ph").and_then(Value::as_str), Some("B"));
+        assert_eq!(traced[0].get("ts").and_then(Value::as_u64), Some(400));
+        assert!(traced[0].get("dur").is_none());
+        let status = traced[0].get("args").and_then(|a| a.get("status"));
+        assert_eq!(status.and_then(Value::as_str), Some("ok"));
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The simulator records a structured event log — protocol events plus
 //! causal span open/close pairs (see `docs/METRICS.md` and
 //! `docs/TRACING.md`) — and exports it as one JSON object per line.
-//! This crate is the offline side: [`parse`] reads a JSONL file back
-//! into the same [`obs::TracedEvent`] values the recorder produced,
-//! [`tree`] reconstructs per-operation span trees, [`check`] verifies
+//! This crate is the offline side: it holds analysis only. The decoder
+//! is `obs::event`'s (one table declares both directions of the wire
+//! format there; [`parse`] re-exports it), [`tree`] reconstructs per-operation span trees, [`check`] verifies
 //! the span conservation invariants, [`stream`] runs the incremental
 //! consistency checkers over the `op_complete` events (file or live
 //! pipe, bounded memory), and [`chrome`] converts a trace to Chrome
@@ -23,13 +23,14 @@
 //! ```
 //!
 //! [`prof`] is the offline side of the in-sim handler profiler
-//! (`--profile` runs; see `docs/PROFILING.md`), fronted by the
-//! `profquery` binary:
+//! (`--profile` runs; see `docs/PROFILING.md`): it reads a results
+//! document back into the [`obs::ProfileReport`] that wrote it, for the
+//! same binary's `prof` subcommands:
 //!
 //! ```text
-//! profquery top    results/profile_protos.json           # hottest handlers
-//! profquery diff   old.json new.json                     # regression percentages
-//! profquery folded results/profile_protos.json           # flamegraph stacks
+//! tracequery prof top    results/profile_protos.json     # hottest handlers
+//! tracequery prof diff   old.json new.json               # regression percentages
+//! tracequery prof folded results/profile_protos.json     # flamegraph stacks
 //! ```
 
 #![warn(missing_docs)]
@@ -44,6 +45,6 @@ pub mod tree;
 pub use check::{check_spans, CheckReport};
 pub use chrome::chrome_trace;
 pub use parse::{parse_jsonl, parse_line, ParseError};
-pub use prof::{diff_rows, find_profile, parse_profile, to_folded, top_rows, DiffRow, ProfRow};
+pub use prof::{diff_rows, find_profile, parse_profile, top_rows, DiffRow};
 pub use stream::{op_record, render_stream_report, StreamTraceChecker};
 pub use tree::{build_tree, render_tree, trace_summaries, SpanNode, SpanTree, TraceSummary};

@@ -1,4 +1,4 @@
-//! Typed simulation events and their JSONL encoding.
+//! Typed simulation events and their JSONL wire format.
 //!
 //! Every event names the *cause* of an observable protocol behavior:
 //! which message was dropped and why, which node ran an anti-entropy
@@ -7,296 +7,506 @@
 //! latency spikes, unavailability) to concrete mechanisms.
 //!
 //! The wire format is one JSON object per line (JSONL), documented field
-//! by field in `docs/METRICS.md`. Encoding is hand-written so that the
-//! byte output is a pure function of the event sequence — the
-//! determinism tests compare whole files.
+//! by field in `docs/METRICS.md`, and this module is its one owner: the
+//! `wire_events!` table below declares every event type once — its tag
+//! and its fields in wire order, each with its kind — and [`EventKind`],
+//! [`EventKind::type_name`], the encoder
+//! ([`TracedEvent::write_json_line`]) and the decoder ([`parse_line`],
+//! [`parse_jsonl`]) are all generated from it; the four named enums come
+//! from `wire_names!` the same way. A field or a name is spelled once.
+//!
+//! The encoder appends digits from the stack to the caller's buffer, so
+//! the byte output is a pure function of the event sequence (the
+//! determinism tests compare whole files) and costs no allocation.
+//!
+//! The decoder builds no tree either. One pass of `serde_json`'s lexer
+//! ([`serde_json::visit_fields`]) validates the line and lays its
+//! fields, borrowed from the line, into a fixed-size view; the generated
+//! reader then asks the view for each field by name. A line an encoder
+//! wrote is parsed without touching the heap, apart from the `Vec` of a
+//! non-empty `values` or `island` (`tests/trace_codec_allocs.rs`
+//! counts); so is any other line without an escaped string and with no
+//! more than 14 fields, and the rest take the same path and allocate
+//! what they need. There is one path: nothing selects between a fast
+//! and a careful one.
+//!
+//! The decode contract (stated in `docs/METRICS.md`, pinned by
+//! `tests/trace_codec.rs` against the tree-building parser this
+//! replaced, which lives on as `tests/oracle/trace_parse.rs`): fields in
+//! any order, with any JSON whitespace between tokens, but always the
+//! documented field *set* of the event type, so a malformed or truncated
+//! trace fails loudly instead of silently skewing analysis; unknown
+//! fields validated and ignored, whatever they hold; of a key that
+//! occurs twice the first occurrence counts; an optional field is `Some`
+//! exactly when its key is present; an integer is a run of digits that
+//! fits `u64` (leading zeros and `-0` allowed, fractions and exponents
+//! not). Span names are interned — a `span_open` holds a `&'static str`
+//! — in a table of at most [`MAX_SPAN_NAMES`] names a process.
 
 use crate::counters::Counter;
-use crate::span::SpanStatus;
+use serde_json::{Field, RawArray};
+use std::borrow::Cow;
+use std::collections::BTreeSet;
+use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
-/// Why the network dropped a message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    /// Sender and destination are in different partition islands.
-    Partition,
-    /// Random loss (the fault schedule's loss rate fired).
-    Loss,
-    /// The destination node is crashed.
-    CrashedDestination,
-    /// The simulation ended (horizon reached or torn down) with the
-    /// message still in flight. Without this, in-flight messages would
-    /// silently break the `messages_sent == messages_delivered +
-    /// messages_dropped` conservation identity.
-    Shutdown,
+/// Declare an enum that travels as a name: the variants with their wire
+/// names, `name`, its inverse `from_name`, and `ALL`. `$what` is what
+/// the decoder's error calls a name it does not know.
+macro_rules! wire_names {
+    ($(#[$doc:meta])* $ty:ident, $what:literal {
+        $($(#[$vdoc:meta])* $variant:ident = $name:literal,)*
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vdoc])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
+
+            /// Stable snake_case name used in the JSONL encoding.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+
+            /// The variant that [`Self::name`] writes as `name`.
+            pub fn from_name(name: &str) -> Result<Self, String> {
+                match name {
+                    $($name => Ok($ty::$variant),)*
+                    other => Err(format!(concat!("unknown ", $what, " `{}`"), other)),
+                }
+            }
+        }
+    };
 }
 
-impl DropReason {
-    /// Stable snake_case name used in the JSONL encoding.
-    pub fn name(self) -> &'static str {
-        match self {
-            DropReason::Partition => "partition",
-            DropReason::Loss => "loss",
-            DropReason::CrashedDestination => "crashed_destination",
-            DropReason::Shutdown => "shutdown",
-        }
+wire_names! {
+    /// Why the network dropped a message.
+    DropReason, "drop reason" {
+        /// Sender and destination are in different partition islands.
+        Partition = "partition",
+        /// Random loss (the fault schedule's loss rate fired).
+        Loss = "loss",
+        /// The destination node is crashed.
+        CrashedDestination = "crashed_destination",
+        /// The simulation ended (horizon reached or torn down) with the
+        /// message still in flight. Without this, in-flight messages would
+        /// silently break the `messages_sent == messages_delivered +
+        /// messages_dropped` conservation identity.
+        Shutdown = "shutdown",
     }
 }
 
-/// Whether a quorum operation was a read or a write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuorumKind {
-    /// Read quorum (R acks).
-    Read,
-    /// Write quorum (W acks).
-    Write,
-}
-
-impl QuorumKind {
-    /// Stable snake_case name used in the JSONL encoding.
-    pub fn name(self) -> &'static str {
-        match self {
-            QuorumKind::Read => "read",
-            QuorumKind::Write => "write",
-        }
+wire_names! {
+    /// Whether a quorum operation was a read or a write.
+    QuorumKind, "quorum kind" {
+        /// Read quorum (R acks).
+        Read = "read",
+        /// Write quorum (W acks).
+        Write = "write",
     }
 }
 
-/// Whether a completed client operation was a read or a write.
+wire_names! {
+    /// Whether a completed client operation was a read or a write.
+    ///
+    /// Mirrors the simulator's `OpKind` without importing it — `obs` stays
+    /// independent of `simnet` (see [`EventKind`] docs).
+    ClientOpKind, "op kind" {
+        /// A read operation.
+        Read = "read",
+        /// A write operation.
+        Write = "write",
+    }
+}
+
+wire_names! {
+    /// How a span ended.
+    SpanStatus, "span status" {
+        /// The step completed normally.
+        Ok = "ok",
+        /// The step failed (timeout, quorum not reached, abort).
+        Failed = "failed",
+        /// The run ended (horizon or teardown) with the span still open.
+        /// Mirrors [`DropReason::Shutdown`] for in-flight messages:
+        /// without it, spans open at the horizon would break the
+        /// `spans_opened == spans_closed` conservation identity.
+        Abandoned = "abandoned",
+    }
+}
+
+/// The keys every line opens with, ahead of its event's own fields.
+macro_rules! envelope {
+    (seq) => {
+        "seq"
+    };
+    (t_us) => {
+        "t_us"
+    };
+    (tag) => {
+        "type"
+    };
+}
+
+/// The Rust type of a field of each kind (the kinds are listed at
+/// `wire_events!`).
+macro_rules! wire_type {
+    (int) => { u64 };
+    (flag) => { bool };
+    (named($ty:ident)) => { $ty };
+    (ints($noun:literal)) => { Vec<u64> };
+    (opt_int) => { Option<u64> };
+    (opt_pair) => { Option<(u64, u64)> };
+    (interned) => { &'static str };
+}
+
+/// `,"field":` — the punctuation is joined to the name at compile time,
+/// so it goes out in one piece.
+macro_rules! wire_key {
+    ($field:ident $(, $open:literal)?) => {
+        concat!(",\"", stringify!($field), "\":" $(, $open)?)
+    };
+}
+
+/// Append `,"field":value` to `$out` for the binding `$field` of a
+/// matched variant. An optional field is omitted when absent; the
+/// decoder reads by name, so presence is the `None`/`Some` signal.
+macro_rules! wire_write {
+    (int, $out:ident, $field:ident) => {{
+        $out.push_str(wire_key!($field));
+        push_u64($out, *$field);
+    }};
+    (flag, $out:ident, $field:ident) => {{
+        $out.push_str(wire_key!($field));
+        $out.push_str(if *$field { "true" } else { "false" });
+    }};
+    (named($ty:ident), $out:ident, $field:ident) => {{
+        $out.push_str(wire_key!($field, "\""));
+        $out.push_str($field.name());
+        $out.push('"');
+    }};
+    (ints($noun:literal), $out:ident, $field:ident) => {{
+        $out.push_str(wire_key!($field));
+        push_u64_array($out, $field);
+    }};
+    (opt_int, $out:ident, $field:ident) => {
+        if let Some(value) = $field {
+            $out.push_str(wire_key!($field));
+            push_u64($out, *value);
+        }
+    };
+    (opt_pair, $out:ident, $field:ident) => {
+        if let Some((first, second)) = $field {
+            $out.push_str(wire_key!($field));
+            push_u64_array($out, &[*first, *second]);
+        }
+    };
+    (interned, $out:ident, $field:ident) => {{
+        $out.push_str(wire_key!($field, "\""));
+        push_escaped($out, $field);
+        $out.push('"');
+    }};
+}
+
+/// Read field `$field` out of the [`Line`] `$line`; `$names` interns.
+/// The name is a literal at every call, so [`Line::get`] folds its tag
+/// to a constant.
+macro_rules! wire_read {
+    (int, $line:ident, $names:ident, $field:ident) => {
+        u64_field($line, stringify!($field))?
+    };
+    (flag, $line:ident, $names:ident, $field:ident) => {
+        bool_field($line, stringify!($field))?
+    };
+    (named($ty:ident), $line:ident, $names:ident, $field:ident) => {
+        $ty::from_name(str_field($line, stringify!($field))?)?
+    };
+    (ints($noun:literal), $line:ident, $names:ident, $field:ident) => {
+        u64_array_field($line, stringify!($field), $noun)?
+    };
+    (opt_int, $line:ident, $names:ident, $field:ident) => {
+        opt_u64_field($line, stringify!($field))?
+    };
+    (opt_pair, $line:ident, $names:ident, $field:ident) => {
+        pair_field($line, stringify!($field))?
+    };
+    (interned, $line:ident, $names:ident, $field:ident) => {
+        $names(str_field($line, stringify!($field))?)?
+    };
+}
+
+/// The event table: `Variant = "type_tag" { field: kind, ... }`, fields
+/// in wire order. The kinds, with their Rust type and their JSON form:
 ///
-/// Mirrors the simulator's `OpKind` without importing it — `obs` stays
-/// independent of `simnet` (see [`EventKind`] docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClientOpKind {
-    /// A read operation.
-    Read,
-    /// A write operation.
-    Write,
+/// | kind | type | on the wire |
+/// |---|---|---|
+/// | `int` | `u64` | decimal integer |
+/// | `flag` | `bool` | `true` / `false` |
+/// | `named(E)` | `E`, a `wire_names!` enum | its name, as a string |
+/// | `ints("noun")` | `Vec<u64>` | array of integers (`noun` is what a decode error calls a bad element) |
+/// | `opt_int` | `Option<u64>` | integer, key omitted when `None` |
+/// | `opt_pair` | `Option<(u64, u64)>` | `[counter, actor]`, key omitted when `None` |
+/// | `interned` | `&'static str` | string (interned on decode) |
+macro_rules! wire_events {
+    ($(#[$doc:meta])* $enum:ident {
+        $(
+            $(#[$vdoc:meta])*
+            $variant:ident = $tag:literal $({
+                $($(#[$fdoc:meta])* $field:ident: $kind:ident $(($arg:tt))?,)*
+            })?
+        )*
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $enum {
+            $(
+                $(#[$vdoc])*
+                $variant $({
+                    $($(#[$fdoc])* $field: wire_type!($kind $(($arg))?),)*
+                })?,
+            )*
+        }
+
+        impl $enum {
+            /// Every event type as `(type tag, field names in wire
+            /// order)` — after `seq`, `t_us` and `type`, which every
+            /// line starts with. `docs/METRICS.md` is held to this.
+            pub const WIRE_TABLE: &'static [(&'static str, &'static [&'static str])] =
+                &[$(($tag, &[$($(stringify!($field)),*)?])),*];
+
+            /// Stable snake_case type tag used in the JSONL encoding.
+            pub fn type_name(&self) -> &'static str {
+                match self {
+                    $($enum::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Append `,"field":value` for each field, in wire order.
+            #[inline]
+            fn write_fields(&self, out: &mut String) {
+                match self {
+                    $($enum::$variant { $($($field),*)? } => {
+                        $($(wire_write!($kind $(($arg))?, out, $field);)*)?
+                    })*
+                }
+            }
+
+            /// The event of type `tag` whose fields `line` holds;
+            /// `names` turns a span name into the `&'static str` the
+            /// event holds.
+            fn read_fields(
+                tag: &str,
+                line: &Line,
+                names: &mut impl FnMut(&str) -> Result<&'static str, String>,
+            ) -> Result<$enum, String> {
+                Ok(match tag {
+                    $($tag => $enum::$variant {
+                        $($($field: wire_read!($kind $(($arg))?, line, names, $field),)*)?
+                    },)*
+                    other => return Err(format!("unknown event type `{other}`")),
+                })
+            }
+        }
+    };
 }
 
-impl ClientOpKind {
-    /// Stable snake_case name used in the JSONL encoding.
-    pub fn name(self) -> &'static str {
-        match self {
-            ClientOpKind::Read => "read",
-            ClientOpKind::Write => "write",
+wire_events! {
+    /// A structured simulation event.
+    ///
+    /// Node ids are raw `u64`s (the simulator's `NodeId` index) so that this
+    /// crate stays independent of `simnet` and can also serve non-simulated
+    /// components (e.g. the WAL in a threaded deployment).
+    EventKind {
+        /// A message left `from` bound for `to`. `bytes` is the approximate
+        /// in-memory size of the payload.
+        MessageSent = "message_sent" {
+            /// Sending node.
+            from: int,
+            /// Destination node.
+            to: int,
+            /// Approximate payload size in bytes.
+            bytes: int,
+            /// Trace carrying this message (0 = untraced).
+            trace: int,
+            /// Span active when the message was sent (0 = none).
+            span: int,
+        }
+        /// A message from `from` was delivered to `to`.
+        MessageDelivered = "message_delivered" {
+            /// Sending node.
+            from: int,
+            /// Destination node.
+            to: int,
+            /// Approximate payload size in bytes.
+            bytes: int,
+            /// Trace carrying this message (0 = untraced).
+            trace: int,
+            /// Span active when the message was sent (0 = none).
+            span: int,
+        }
+        /// A message from `from` to `to` was dropped.
+        MessageDropped = "message_dropped" {
+            /// Sending node.
+            from: int,
+            /// Destination node.
+            to: int,
+            /// Why the network dropped it.
+            reason: named(DropReason),
+            /// Trace carrying this message (0 = untraced).
+            trace: int,
+            /// Span active when the message was sent (0 = none).
+            span: int,
+        }
+        /// A replica initiated an anti-entropy (gossip) exchange round.
+        AntiEntropyRound = "anti_entropy_round" {
+            /// The initiating replica.
+            node: int,
+            /// How many peers it contacted this round.
+            fanout: int,
+        }
+        /// A coordinator assembled a quorum: it waited `waited_us` between
+        /// issuing the request and receiving the `needed`-th ack.
+        QuorumWait = "quorum_wait" {
+            /// The coordinating node.
+            node: int,
+            /// Read or write quorum.
+            kind: named(QuorumKind),
+            /// Microseconds from issue to quorum.
+            waited_us: int,
+            /// Acks actually received when the quorum completed.
+            acks: int,
+            /// Acks required (R or W).
+            needed: int,
+        }
+        /// Concurrent versions of `key` were detected at `node`
+        /// (`siblings` ≥ 2 versions with incomparable causality).
+        ConflictDetected = "conflict_detected" {
+            /// The observing node.
+            node: int,
+            /// The key with concurrent versions.
+            key: int,
+            /// Number of concurrent siblings.
+            siblings: int,
+        }
+        /// A conflict on `key` at `node` was resolved down to `survivors`
+        /// version(s) (last-writer-wins, merge, or read-repair).
+        ConflictResolved = "conflict_resolved" {
+            /// The resolving node.
+            node: int,
+            /// The key that was resolved.
+            key: int,
+            /// Versions remaining after resolution.
+            survivors: int,
+        }
+        /// A record was appended to `node`'s write-ahead log.
+        WalAppend = "wal_append" {
+            /// The appending node.
+            node: int,
+            /// The key written.
+            key: int,
+            /// Encoded record size in bytes.
+            bytes: int,
+        }
+        /// A network partition began; `island` lists the nodes cut off from
+        /// the rest.
+        PartitionStart = "partition_start" {
+            /// Nodes in the minority island.
+            island: ints("node"),
+        }
+        /// The current network partition healed.
+        PartitionHeal = "partition_heal"
+        /// `node` crashed (stops processing until recovery).
+        Crash = "crash" {
+            /// The crashed node.
+            node: int,
+        }
+        /// `node` recovered from a crash.
+        Recover = "recover" {
+            /// The recovered node.
+            node: int,
+        }
+        /// Cluster membership changed: `node` joined (`join`) or left the
+        /// logical cluster, triggering deterministic ring rebalancing in
+        /// ring-aware protocols.
+        MembershipChange = "membership_change" {
+            /// The node joining or leaving.
+            node: int,
+            /// `true` = join, `false` = leave.
+            join: flag,
+        }
+        /// `node` rebuilt its store by replaying its write-ahead log after an
+        /// amnesia (state-wiping) restart.
+        WalReplay = "wal_replay" {
+            /// The recovering node.
+            node: int,
+            /// Number of log records replayed into the store.
+            records: int,
+        }
+        /// A trace span opened at `node`. Together with the matching
+        /// [`EventKind::SpanClose`], the pair bounds one step of an
+        /// operation in virtual time; `parent` links the span tree.
+        SpanOpen = "span_open" {
+            /// The trace this span belongs to.
+            trace: int,
+            /// This span's id (unique within the run).
+            span: int,
+            /// Parent span id (0 for a root span).
+            parent: int,
+            /// The node the step ran on.
+            node: int,
+            /// Static step name (e.g. `op_read`, `quorum_write`).
+            name: interned,
+        }
+        /// The span opened by the matching [`EventKind::SpanOpen`] closed.
+        SpanClose = "span_close" {
+            /// The trace this span belongs to.
+            trace: int,
+            /// The closing span's id.
+            span: int,
+            /// The node the step ran on.
+            node: int,
+            /// How the step ended.
+            status: named(SpanStatus),
+        }
+        /// A client operation completed (or timed out) — the event-stream
+        /// mirror of the simulator's `OpRecord`, emitted at completion time
+        /// so the streaming consistency checkers (`consistency::stream`,
+        /// `tracequery check --stream`) can verify guarantees online from
+        /// the JSONL log alone, without a materialized trace.
+        OpComplete = "op_complete" {
+            /// The session (client) that issued the operation.
+            session: int,
+            /// Per-session operation id, in issue order.
+            op: int,
+            /// The key operated on.
+            key: int,
+            /// Read or write.
+            kind: named(ClientOpKind),
+            /// Whether the operation succeeded (false = timeout).
+            ok: flag,
+            /// When the client invoked the operation (simulation µs); the
+            /// event's own `t_us` is the completion time.
+            invoked_us: int,
+            /// The replica that served (or was targeted by) the operation.
+            replica: int,
+            /// For writes: the globally unique value written.
+            value: opt_int,
+            /// For reads: the observed value(s); empty if the key was absent.
+            values: ints("element"),
+            /// Lamport `(counter, actor)` stamp of the version written/read.
+            stamp: opt_pair,
+            /// Origin wall time (µs) of the version a read returned.
+            version_ts_us: opt_int,
         }
     }
-}
-
-/// A structured simulation event.
-///
-/// Node ids are raw `u64`s (the simulator's `NodeId` index) so that this
-/// crate stays independent of `simnet` and can also serve non-simulated
-/// components (e.g. the WAL in a threaded deployment).
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
-    /// A message left `from` bound for `to`. `bytes` is the approximate
-    /// in-memory size of the payload.
-    MessageSent {
-        /// Sending node.
-        from: u64,
-        /// Destination node.
-        to: u64,
-        /// Approximate payload size in bytes.
-        bytes: u64,
-        /// Trace carrying this message (0 = untraced).
-        trace: u64,
-        /// Span active when the message was sent (0 = none).
-        span: u64,
-    },
-    /// A message from `from` was delivered to `to`.
-    MessageDelivered {
-        /// Sending node.
-        from: u64,
-        /// Destination node.
-        to: u64,
-        /// Approximate payload size in bytes.
-        bytes: u64,
-        /// Trace carrying this message (0 = untraced).
-        trace: u64,
-        /// Span active when the message was sent (0 = none).
-        span: u64,
-    },
-    /// A message from `from` to `to` was dropped.
-    MessageDropped {
-        /// Sending node.
-        from: u64,
-        /// Destination node.
-        to: u64,
-        /// Why the network dropped it.
-        reason: DropReason,
-        /// Trace carrying this message (0 = untraced).
-        trace: u64,
-        /// Span active when the message was sent (0 = none).
-        span: u64,
-    },
-    /// A replica initiated an anti-entropy (gossip) exchange round.
-    AntiEntropyRound {
-        /// The initiating replica.
-        node: u64,
-        /// How many peers it contacted this round.
-        fanout: u64,
-    },
-    /// A coordinator assembled a quorum: it waited `waited_us` between
-    /// issuing the request and receiving the `needed`-th ack.
-    QuorumWait {
-        /// The coordinating node.
-        node: u64,
-        /// Read or write quorum.
-        kind: QuorumKind,
-        /// Microseconds from issue to quorum.
-        waited_us: u64,
-        /// Acks actually received when the quorum completed.
-        acks: u64,
-        /// Acks required (R or W).
-        needed: u64,
-    },
-    /// Concurrent versions of `key` were detected at `node`
-    /// (`siblings` ≥ 2 versions with incomparable causality).
-    ConflictDetected {
-        /// The observing node.
-        node: u64,
-        /// The key with concurrent versions.
-        key: u64,
-        /// Number of concurrent siblings.
-        siblings: u64,
-    },
-    /// A conflict on `key` at `node` was resolved down to `survivors`
-    /// version(s) (last-writer-wins, merge, or read-repair).
-    ConflictResolved {
-        /// The resolving node.
-        node: u64,
-        /// The key that was resolved.
-        key: u64,
-        /// Versions remaining after resolution.
-        survivors: u64,
-    },
-    /// A record was appended to `node`'s write-ahead log.
-    WalAppend {
-        /// The appending node.
-        node: u64,
-        /// The key written.
-        key: u64,
-        /// Encoded record size in bytes.
-        bytes: u64,
-    },
-    /// A network partition began; `island` lists the nodes cut off from
-    /// the rest.
-    PartitionStart {
-        /// Nodes in the minority island.
-        island: Vec<u64>,
-    },
-    /// The current network partition healed.
-    PartitionHeal,
-    /// `node` crashed (stops processing until recovery).
-    Crash {
-        /// The crashed node.
-        node: u64,
-    },
-    /// `node` recovered from a crash.
-    Recover {
-        /// The recovered node.
-        node: u64,
-    },
-    /// Cluster membership changed: `node` joined (`join`) or left the
-    /// logical cluster, triggering deterministic ring rebalancing in
-    /// ring-aware protocols.
-    MembershipChange {
-        /// The node joining or leaving.
-        node: u64,
-        /// `true` = join, `false` = leave.
-        join: bool,
-    },
-    /// `node` rebuilt its store by replaying its write-ahead log after an
-    /// amnesia (state-wiping) restart.
-    WalReplay {
-        /// The recovering node.
-        node: u64,
-        /// Number of log records replayed into the store.
-        records: u64,
-    },
-    /// A trace span opened at `node`. Together with the matching
-    /// [`EventKind::SpanClose`], the pair bounds one step of an
-    /// operation in virtual time; `parent` links the span tree.
-    SpanOpen {
-        /// The trace this span belongs to.
-        trace: u64,
-        /// This span's id (unique within the run).
-        span: u64,
-        /// Parent span id (0 for a root span).
-        parent: u64,
-        /// The node the step ran on.
-        node: u64,
-        /// Static step name (e.g. `op_read`, `quorum_write`).
-        name: &'static str,
-    },
-    /// The span opened by the matching [`EventKind::SpanOpen`] closed.
-    SpanClose {
-        /// The trace this span belongs to.
-        trace: u64,
-        /// The closing span's id.
-        span: u64,
-        /// The node the step ran on.
-        node: u64,
-        /// How the step ended.
-        status: SpanStatus,
-    },
-    /// A client operation completed (or timed out) — the event-stream
-    /// mirror of the simulator's `OpRecord`, emitted at completion time
-    /// so the streaming consistency checkers (`consistency::stream`,
-    /// `tracequery check --stream`) can verify guarantees online from
-    /// the JSONL log alone, without a materialized trace.
-    OpComplete {
-        /// The session (client) that issued the operation.
-        session: u64,
-        /// Per-session operation id, in issue order.
-        op: u64,
-        /// The key operated on.
-        key: u64,
-        /// Read or write.
-        kind: ClientOpKind,
-        /// Whether the operation succeeded (false = timeout).
-        ok: bool,
-        /// When the client invoked the operation (simulation µs); the
-        /// event's own `t_us` is the completion time.
-        invoked_us: u64,
-        /// The replica that served (or was targeted by) the operation.
-        replica: u64,
-        /// For writes: the globally unique value written.
-        value: Option<u64>,
-        /// For reads: the observed value(s); empty if the key was absent.
-        values: Vec<u64>,
-        /// Lamport `(counter, actor)` stamp of the version written/read.
-        stamp: Option<(u64, u64)>,
-        /// Origin wall time (µs) of the version a read returned.
-        version_ts_us: Option<u64>,
-    },
 }
 
 impl EventKind {
-    /// Stable snake_case type tag used in the JSONL encoding.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            EventKind::MessageSent { .. } => "message_sent",
-            EventKind::MessageDelivered { .. } => "message_delivered",
-            EventKind::MessageDropped { .. } => "message_dropped",
-            EventKind::AntiEntropyRound { .. } => "anti_entropy_round",
-            EventKind::QuorumWait { .. } => "quorum_wait",
-            EventKind::ConflictDetected { .. } => "conflict_detected",
-            EventKind::ConflictResolved { .. } => "conflict_resolved",
-            EventKind::WalAppend { .. } => "wal_append",
-            EventKind::PartitionStart { .. } => "partition_start",
-            EventKind::PartitionHeal => "partition_heal",
-            EventKind::Crash { .. } => "crash",
-            EventKind::Recover { .. } => "recover",
-            EventKind::MembershipChange { .. } => "membership_change",
-            EventKind::WalReplay { .. } => "wal_replay",
-            EventKind::SpanOpen { .. } => "span_open",
-            EventKind::SpanClose { .. } => "span_close",
-            EventKind::OpComplete { .. } => "op_complete",
-        }
-    }
-
     /// The counters this event implies, as `(counter, node, delta)`
     /// triples; `node = None` updates only the global set.
     ///
@@ -398,15 +608,6 @@ fn push_u64(out: &mut String, mut value: u64) {
     out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
 }
 
-/// Append `,"name":value`; the punctuation around a literal name is
-/// joined to it at compile time, so it goes out in one piece.
-macro_rules! field {
-    ($out:expr, $name:literal, $value:expr) => {{
-        $out.push_str(concat!(",\"", $name, "\":"));
-        push_u64($out, $value);
-    }};
-}
-
 /// Append `[a,b,...]`.
 fn push_u64_array(out: &mut String, values: &[u64]) {
     out.push('[');
@@ -462,134 +663,262 @@ impl TracedEvent {
     /// Append the line [`TracedEvent::to_json_line`] returns to `out`,
     /// allocating nothing if `out` has the room.
     pub fn write_json_line(&self, out: &mut String) {
-        out.push_str("{\"seq\":");
+        out.push_str(concat!("{\"", envelope!(seq), "\":"));
         push_u64(out, self.seq);
-        out.push_str(",\"t_us\":");
+        out.push_str(concat!(",\"", envelope!(t_us), "\":"));
         push_u64(out, self.t_us);
-        out.push_str(",\"type\":\"");
+        out.push_str(concat!(",\"", envelope!(tag), "\":\""));
         out.push_str(self.kind.type_name());
         out.push('"');
-        match &self.kind {
-            EventKind::MessageSent { from, to, bytes, trace, span }
-            | EventKind::MessageDelivered { from, to, bytes, trace, span } => {
-                field!(out, "from", *from);
-                field!(out, "to", *to);
-                field!(out, "bytes", *bytes);
-                field!(out, "trace", *trace);
-                field!(out, "span", *span);
-            }
-            EventKind::MessageDropped { from, to, reason, trace, span } => {
-                field!(out, "from", *from);
-                field!(out, "to", *to);
-                out.push_str(",\"reason\":\"");
-                out.push_str(reason.name());
-                out.push('"');
-                field!(out, "trace", *trace);
-                field!(out, "span", *span);
-            }
-            EventKind::AntiEntropyRound { node, fanout } => {
-                field!(out, "node", *node);
-                field!(out, "fanout", *fanout);
-            }
-            EventKind::QuorumWait { node, kind, waited_us, acks, needed } => {
-                field!(out, "node", *node);
-                out.push_str(",\"kind\":\"");
-                out.push_str(kind.name());
-                out.push('"');
-                field!(out, "waited_us", *waited_us);
-                field!(out, "acks", *acks);
-                field!(out, "needed", *needed);
-            }
-            EventKind::ConflictDetected { node, key, siblings } => {
-                field!(out, "node", *node);
-                field!(out, "key", *key);
-                field!(out, "siblings", *siblings);
-            }
-            EventKind::ConflictResolved { node, key, survivors } => {
-                field!(out, "node", *node);
-                field!(out, "key", *key);
-                field!(out, "survivors", *survivors);
-            }
-            EventKind::WalAppend { node, key, bytes } => {
-                field!(out, "node", *node);
-                field!(out, "key", *key);
-                field!(out, "bytes", *bytes);
-            }
-            EventKind::PartitionStart { island } => {
-                out.push_str(",\"island\":");
-                push_u64_array(out, island);
-            }
-            EventKind::PartitionHeal => {}
-            EventKind::Crash { node } | EventKind::Recover { node } => {
-                field!(out, "node", *node);
-            }
-            EventKind::MembershipChange { node, join } => {
-                field!(out, "node", *node);
-                out.push_str(",\"join\":");
-                out.push_str(if *join { "true" } else { "false" });
-            }
-            EventKind::WalReplay { node, records } => {
-                field!(out, "node", *node);
-                field!(out, "records", *records);
-            }
-            EventKind::SpanOpen { trace, span, parent, node, name } => {
-                field!(out, "trace", *trace);
-                field!(out, "span", *span);
-                field!(out, "parent", *parent);
-                field!(out, "node", *node);
-                out.push_str(",\"name\":\"");
-                push_escaped(out, name);
-                out.push('"');
-            }
-            EventKind::SpanClose { trace, span, node, status } => {
-                field!(out, "trace", *trace);
-                field!(out, "span", *span);
-                field!(out, "node", *node);
-                out.push_str(",\"status\":\"");
-                out.push_str(status.name());
-                out.push('"');
-            }
-            EventKind::OpComplete {
-                session,
-                op,
-                key,
-                kind,
-                ok,
-                invoked_us,
-                replica,
-                value,
-                values,
-                stamp,
-                version_ts_us,
-            } => {
-                field!(out, "session", *session);
-                field!(out, "op", *op);
-                field!(out, "key", *key);
-                out.push_str(",\"kind\":\"");
-                out.push_str(kind.name());
-                out.push('"');
-                out.push_str(",\"ok\":");
-                out.push_str(if *ok { "true" } else { "false" });
-                field!(out, "invoked_us", *invoked_us);
-                field!(out, "replica", *replica);
-                // Optional fields are omitted when absent; the parser
-                // reads by name, so presence is the None/Some signal.
-                if let Some(v) = value {
-                    field!(out, "value", *v);
-                }
-                out.push_str(",\"values\":");
-                push_u64_array(out, values);
-                if let Some((ctr, actor)) = stamp {
-                    out.push_str(",\"stamp\":");
-                    push_u64_array(out, &[*ctr, *actor]);
-                }
-                if let Some(ts) = version_ts_us {
-                    field!(out, "version_ts_us", *ts);
-                }
-            }
-        }
+        self.kind.write_fields(out);
         out.push('}');
     }
+}
+
+/// A trace line that could not be parsed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ParseError {
+    /// 1-based line number in the input.
+    pub line: usize,
+    /// What was wrong with it.
+    pub message: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "line {}: {}", self.line, self.message)
+    }
+}
+
+impl std::error::Error for ParseError {}
+
+/// Distinct span names one process will intern. A run has about twenty;
+/// a log with more than this many is corrupt or hostile, and parsing it
+/// is an error rather than an unbounded leak.
+pub const MAX_SPAN_NAMES: usize = 4096;
+
+/// Intern a step name so the parsed log can share
+/// [`EventKind::SpanOpen`]'s `&'static str` field with in-process
+/// recording. The name set of a run is small and static, so each unique
+/// name leaks exactly once for the life of the process, and no more
+/// than [`MAX_SPAN_NAMES`] of them ever do.
+fn intern(name: &str) -> Result<&'static str, String> {
+    static INTERNED: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    // A panic cannot leave the set half-updated: `insert` is its only
+    // mutation.
+    let mut set = INTERNED.lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(&s) = set.get(name) {
+        return Ok(s);
+    }
+    if set.len() >= MAX_SPAN_NAMES {
+        return Err(format!(
+            "more than {MAX_SPAN_NAMES} distinct span names (the table is shared by every \
+             log this process parses)"
+        ));
+    }
+    let leaked: &'static str = Box::leak(name.into());
+    set.insert(leaked);
+    Ok(leaked)
+}
+
+/// The span names of the document being parsed, so that [`intern`]'s
+/// process-wide lock is taken once per distinct name and not once per
+/// `span_open`. Sorted by length, then by text: most probes of the
+/// search are settled by the lengths alone.
+#[derive(Default)]
+struct DocumentNames(Vec<&'static str>);
+
+impl DocumentNames {
+    fn resolve(&mut self, name: &str) -> Result<&'static str, String> {
+        match self.0.binary_search_by_key(&(name.len(), name), |known| (known.len(), known)) {
+            Ok(at) => Ok(self.0[at]),
+            Err(at) => {
+                let interned = intern(name)?;
+                self.0.insert(at, interned);
+                Ok(interned)
+            }
+        }
+    }
+}
+
+/// Fields of the longest line the encoder writes: an `op_complete` with
+/// every optional present.
+const INLINE_FIELDS: usize = 14;
+
+type Entry<'a> = (Cow<'a, str>, Field<'a>);
+
+/// A key's length and its first and last byte in one word. Keys that
+/// differ here differ, so a lookup compares words and calls the string
+/// comparison on the entry it is about to return and hardly ever on
+/// another (no two field names of one event type share a tag).
+fn tag(key: &str) -> u32 {
+    let bytes = key.as_bytes();
+    let ends = bytes.first().zip(bytes.last());
+    let ends = ends.map_or(0, |(&first, &last)| u32::from(first) << 8 | u32::from(last));
+    (bytes.len() as u32) << 16 | ends
+}
+
+/// The fields of one line in input order, borrowed from it, for lookup
+/// by name. The first [`INLINE_FIELDS`] live in the struct; a line with
+/// more (unknown or repeated ones, then) spills the rest to the heap
+/// rather than dropping them. Made once per document and refilled per
+/// line, so a line costs neither its set-up nor its tear-down.
+struct Line<'a> {
+    inline: [Entry<'a>; INLINE_FIELDS],
+    /// [`tag`] of each key in `inline`.
+    tags: [u32; INLINE_FIELDS],
+    len: usize,
+    spill: Vec<Entry<'a>>,
+}
+
+impl<'a> Line<'a> {
+    fn new() -> Self {
+        Line {
+            inline: std::array::from_fn(|_| (Cow::Borrowed(""), Field::Object)),
+            tags: [0; INLINE_FIELDS],
+            len: 0,
+            spill: Vec::new(),
+        }
+    }
+
+    /// Validate `text` as JSON and hold the fields of its object (a
+    /// document that is not an object has none) in place of the last
+    /// line's.
+    fn scan(&mut self, text: &'a str) -> Result<(), serde_json::Error> {
+        self.len = 0;
+        self.spill.clear();
+        serde_json::visit_fields(text, |key, value| match self.inline.get_mut(self.len) {
+            Some(slot) => {
+                self.tags[self.len] = tag(&key);
+                *slot = (key, value);
+                self.len += 1;
+            }
+            None => self.spill.push((key, value)),
+        })
+    }
+
+    /// The first field called `name`. Inlined, with the `*_field`
+    /// functions between it and `wire_read!`, because every `name` is a
+    /// literal there: its tag folds to a constant and the comparison to
+    /// one of a fixed width.
+    #[inline(always)]
+    fn get(&self, name: &str) -> Option<&Field<'a>> {
+        let wanted = tag(name);
+        for (at, &tag) in self.tags[..self.len].iter().enumerate() {
+            if tag == wanted && self.inline[at].0 == name {
+                return Some(&self.inline[at].1);
+            }
+        }
+        self.spill.iter().find(|(key, _)| key == name).map(|(_, value)| value)
+    }
+}
+
+#[inline(always)]
+fn u64_field(v: &Line, name: &str) -> Result<u64, String> {
+    v.get(name)
+        .and_then(Field::as_u64)
+        .ok_or_else(|| format!("missing or non-integer field `{name}`"))
+}
+
+#[inline(always)]
+fn str_field<'a>(v: &'a Line, name: &str) -> Result<&'a str, String> {
+    v.get(name)
+        .and_then(Field::as_str)
+        .ok_or_else(|| format!("missing or non-string field `{name}`"))
+}
+
+#[inline(always)]
+fn bool_field(v: &Line, name: &str) -> Result<bool, String> {
+    v.get(name)
+        .and_then(Field::as_bool)
+        .ok_or_else(|| format!("missing or non-boolean field `{name}`"))
+}
+
+/// An optional integer field: absent is `None`, present-but-malformed
+/// is an error (a half-written trace must not silently degrade).
+#[inline(always)]
+fn opt_u64_field(v: &Line, name: &str) -> Result<Option<u64>, String> {
+    match v.get(name) {
+        None => Ok(None),
+        Some(f) => f.as_u64().map(Some).ok_or_else(|| format!("non-integer field `{name}`")),
+    }
+}
+
+/// The array field `name`, validated but not yet decoded.
+fn array_field<'a>(v: &Line<'a>, name: &str) -> Result<RawArray<'a>, String> {
+    v.get(name)
+        .and_then(Field::as_array)
+        .ok_or_else(|| format!("missing or non-array field `{name}`"))
+}
+
+/// The elements of array field `name`, in one `Vec` of exactly their
+/// number (so none for an empty array); `element` is what the error
+/// calls one that is not an integer.
+fn u64_array_field(v: &Line, name: &str, element: &str) -> Result<Vec<u64>, String> {
+    let array = array_field(v, name)?;
+    let mut out = Vec::with_capacity(array.len());
+    for item in array.u64s() {
+        out.push(item.ok_or_else(|| format!("non-integer {element} in `{name}`"))?);
+    }
+    Ok(out)
+}
+
+/// An optional `[counter, actor]` pair, decoded straight into its tuple.
+fn pair_field(v: &Line, name: &str) -> Result<Option<(u64, u64)>, String> {
+    if v.get(name).is_none() {
+        return Ok(None);
+    }
+    let mut pair = [0; 2];
+    let mut len = 0;
+    for item in array_field(v, name)?.u64s() {
+        let item = item.ok_or_else(|| format!("non-integer element in `{name}`"))?;
+        if let Some(slot) = pair.get_mut(len) {
+            *slot = item;
+        }
+        len += 1;
+    }
+    match len {
+        2 => Ok(Some((pair[0], pair[1]))),
+        _ => Err(format!("`{name}` must be a [counter, actor] pair")),
+    }
+}
+
+/// Parse `text` through `v`, whatever `v` held before.
+fn parse_line_with<'a>(
+    v: &mut Line<'a>,
+    text: &'a str,
+    line_no: usize,
+    names: &mut impl FnMut(&str) -> Result<&'static str, String>,
+) -> Result<TracedEvent, ParseError> {
+    let err = |message: String| ParseError { line: line_no, message };
+    v.scan(text).map_err(|e| err(e.to_string()))?;
+    Ok(TracedEvent {
+        seq: u64_field(v, envelope!(seq)).map_err(&err)?,
+        t_us: u64_field(v, envelope!(t_us)).map_err(&err)?,
+        kind: str_field(v, envelope!(tag))
+            .and_then(|tag| EventKind::read_fields(tag, v, names))
+            .map_err(&err)?,
+    })
+}
+
+/// Parse one JSONL line (1-based `line_no` is only used for errors).
+pub fn parse_line(text: &str, line_no: usize) -> Result<TracedEvent, ParseError> {
+    parse_line_with(&mut Line::new(), text, line_no, &mut intern)
+}
+
+/// Parse a whole JSONL document (blank lines ignored) into the event
+/// sequence, preserving file order.
+pub fn parse_jsonl(text: &str) -> Result<Vec<TracedEvent>, ParseError> {
+    let mut fields = Line::new();
+    let mut names = DocumentNames::default();
+    let mut events = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        events.push(parse_line_with(&mut fields, line, i + 1, &mut |name| names.resolve(name))?);
+    }
+    Ok(events)
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! allocation, which is plenty for the percentile summaries the
 //! experiments report.
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// The continuous metrics the observability layer tracks as histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -164,7 +164,7 @@ impl Histogram {
 }
 
 /// Percentile summary of a [`Histogram`], exported into `results/*.json`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct HistogramSummary {
     /// Number of observations.
     pub count: u64,
@@ -178,19 +178,6 @@ pub struct HistogramSummary {
     pub p99: u64,
     /// Exact maximum observed value.
     pub max: u64,
-}
-
-impl Serialize for HistogramSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("count".to_string(), Value::U64(self.count)),
-            ("mean".to_string(), Value::F64(self.mean)),
-            ("p50".to_string(), Value::U64(self.p50)),
-            ("p95".to_string(), Value::U64(self.p95)),
-            ("p99".to_string(), Value::U64(self.p99)),
-            ("max".to_string(), Value::U64(self.max)),
-        ])
-    }
 }
 
 #[cfg(test)]

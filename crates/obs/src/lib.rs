@@ -6,7 +6,8 @@
 //! - a **typed event log** ([`EventKind`], [`TracedEvent`]) recording
 //!   what the protocols did and why (message sends/drops, anti-entropy
 //!   rounds, quorum waits, conflicts, WAL appends, faults), exportable
-//!   as deterministic JSONL;
+//!   as deterministic JSONL and read back by [`parse_jsonl`] — one table
+//!   in `event.rs` declares each event type for both directions;
 //! - **counters** ([`Counter`]), global and per node, derived
 //!   automatically from recorded events;
 //! - **histograms** ([`Metric`], [`Histogram`]) for continuous
@@ -25,8 +26,9 @@
 //! `results/*.json`. Field-by-field documentation lives in
 //! `docs/METRICS.md`.
 //!
-//! This crate deliberately depends on nothing in the workspace (node
-//! ids are plain `u64`, times are microsecond `u64`s) so every layer —
+//! This crate deliberately depends on no other crate of the lab, only
+//! on the vendored `serde` / `serde_json` (node ids are plain `u64`,
+//! times are microsecond `u64`s), so every layer —
 //! `simnet`, `kvstore`, `replication`, `txn`, `rec-core` — can report
 //! into it without dependency cycles.
 //!
@@ -73,7 +75,10 @@ mod span;
 mod timeseries;
 
 pub use counters::Counter;
-pub use event::{ClientOpKind, DropReason, EventKind, QuorumKind, TracedEvent};
+pub use event::{
+    parse_jsonl, parse_line, ClientOpKind, DropReason, EventKind, ParseError, QuorumKind,
+    SpanStatus, TracedEvent, MAX_SPAN_NAMES,
+};
 pub use hist::{Histogram, HistogramSummary, Metric};
 pub use prof::{
     alloc_totals, CountingAlloc, FoldWeight, HandlerKind, HandlerProfile, PauseAlloc, Probe,
@@ -81,7 +86,7 @@ pub use prof::{
 };
 pub use recorder::{Recorder, DEFAULT_EVENT_CAP};
 pub use report::{MetricsReport, NodeCounters};
-pub use span::{SpanId, SpanStatus, TraceId};
+pub use span::{SpanId, TraceId};
 pub use timeseries::{
     TimeSeries, TimeSeriesSummary, TsBucket, TsMetric, TsPoint, DEFAULT_TS_BUCKET_US,
 };

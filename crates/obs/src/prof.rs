@@ -20,7 +20,7 @@ use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use serde::{Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::hist::Histogram;
 
@@ -343,7 +343,7 @@ impl Profile {
 }
 
 /// One handler row of an exported profile.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HandlerProfile {
     /// Actor role (`Actor::role`): "replica", "client", ...
     pub role: String,
@@ -375,10 +375,19 @@ impl HandlerProfile {
             format!("{};{}:{}", self.role, self.handler, self.variant)
         }
     }
+
+    /// The measurement selected by `weight`.
+    pub fn weight(&self, weight: FoldWeight) -> u64 {
+        match weight {
+            FoldWeight::Calls => self.invocations,
+            FoldWeight::Time => self.time_total_ns,
+            FoldWeight::AllocBytes => self.alloc_bytes,
+        }
+    }
 }
 
 /// One scheme's handler rows.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchemeProfile {
     /// The scheme label samples were attributed to.
     pub scheme: String,
@@ -388,7 +397,7 @@ pub struct SchemeProfile {
 
 /// The `"profile"` block of a results document (see
 /// `docs/PROFILING.md` for the schema).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ProfileReport {
     /// Per-scheme profiles in scheme-label order.
     pub schemes: Vec<SchemeProfile>,
@@ -414,11 +423,7 @@ impl ProfileReport {
         let mut lines: Vec<String> = Vec::new();
         for scheme in &self.schemes {
             for h in &scheme.handlers {
-                let w = match weight {
-                    FoldWeight::Calls => h.invocations,
-                    FoldWeight::Time => h.time_total_ns,
-                    FoldWeight::AllocBytes => h.alloc_bytes,
-                };
+                let w = h.weight(weight);
                 if w > 0 {
                     lines.push(format!("{};{} {w}", scheme.scheme, h.frame()));
                 }
@@ -450,43 +455,6 @@ impl ProfileReport {
     /// Total invocations across every scheme and handler.
     pub fn total_invocations(&self) -> u64 {
         self.schemes.iter().flat_map(|s| &s.handlers).map(|h| h.invocations).sum()
-    }
-}
-
-impl Serialize for HandlerProfile {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("role".to_string(), Value::String(self.role.clone())),
-            ("handler".to_string(), Value::String(self.handler.clone())),
-            ("variant".to_string(), Value::String(self.variant.clone())),
-            ("invocations".to_string(), Value::U64(self.invocations)),
-            ("alloc_bytes".to_string(), Value::U64(self.alloc_bytes)),
-            ("alloc_count".to_string(), Value::U64(self.alloc_count)),
-            ("time_total_ns".to_string(), Value::U64(self.time_total_ns)),
-            ("time_ns".to_string(), self.time_ns.to_value()),
-            ("bytes_per_call".to_string(), self.bytes_per_call.to_value()),
-        ])
-    }
-}
-
-impl Serialize for SchemeProfile {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("scheme".to_string(), Value::String(self.scheme.clone())),
-            (
-                "handlers".to_string(),
-                Value::Array(self.handlers.iter().map(|h| h.to_value()).collect()),
-            ),
-        ])
-    }
-}
-
-impl Serialize for ProfileReport {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![(
-            "schemes".to_string(),
-            Value::Array(self.schemes.iter().map(|s| s.to_value()).collect()),
-        )])
     }
 }
 

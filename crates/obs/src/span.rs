@@ -43,34 +43,10 @@ impl SpanId {
     }
 }
 
-/// How a span ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanStatus {
-    /// The step completed normally.
-    Ok,
-    /// The step failed (timeout, quorum not reached, abort).
-    Failed,
-    /// The run ended (horizon or teardown) with the span still open.
-    /// Mirrors [`crate::DropReason::Shutdown`] for in-flight messages:
-    /// without it, spans open at the horizon would break the
-    /// `spans_opened == spans_closed` conservation identity.
-    Abandoned,
-}
-
-impl SpanStatus {
-    /// Stable snake_case name used in the JSONL encoding.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanStatus::Ok => "ok",
-            SpanStatus::Failed => "failed",
-            SpanStatus::Abandoned => "abandoned",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SpanStatus;
 
     #[test]
     fn zero_is_none() {

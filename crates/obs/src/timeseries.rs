@@ -205,7 +205,7 @@ impl TsPoint {
 }
 
 /// Export form of a [`TimeSeries`]: bucket width plus non-empty points.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct TimeSeriesSummary {
     /// Bucket width in microseconds.
     pub bucket_us: u64,
@@ -221,18 +221,6 @@ impl Serialize for TsPoint {
             ("sum".to_string(), Value::U64(self.sum)),
             ("mean".to_string(), Value::F64(self.mean())),
             ("max".to_string(), Value::U64(self.max)),
-        ])
-    }
-}
-
-impl Serialize for TimeSeriesSummary {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("bucket_us".to_string(), Value::U64(self.bucket_us)),
-            (
-                "points".to_string(),
-                Value::Array(self.points.iter().map(|p| p.to_value()).collect()),
-            ),
         ])
     }
 }

@@ -260,17 +260,26 @@ pub fn run_case(case: &FuzzCase) -> Verdict {
 /// [`run_case`] with an observability recorder attached, so a replayed
 /// reproducer emits its full event log — span open/close pairs included.
 /// The caller keeps the handle and exports the JSONL trace afterwards
-/// (`fuzz_nemesis --replay ... --trace-out`).
+/// (`fuzz_nemesis --replay ... --trace-out`). Panics on a case
+/// [`try_run_case_recorded`] refuses.
 pub fn run_case_recorded(case: &FuzzCase, recorder: obs::Recorder) -> Verdict {
-    let result = Experiment::new(case.scheme.to_scheme())
+    try_run_case_recorded(case, recorder).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_case_recorded`] for a case read from a file: `Err` naming the
+/// field and the numbers if its events are no schedule
+/// ([`nemesis::try_to_schedule`]) or name nodes the scheme does not
+/// deploy ([`Experiment::check_faults`]) — never a panic inside the run.
+pub fn try_run_case_recorded(case: &FuzzCase, recorder: obs::Recorder) -> Result<Verdict, String> {
+    let experiment = Experiment::new(case.scheme.to_scheme())
         .workload(fuzz_workload())
         .latency(LatencyModel::lan())
-        .faults(nemesis::to_schedule(&case.events))
+        .faults(nemesis::try_to_schedule(&case.events)?)
         .seed(case.seed)
         .horizon(SimTime::from_millis(FUZZ_HORIZON_MS))
-        .recorder(recorder)
-        .run();
-    judge(case, &result)
+        .recorder(recorder);
+    experiment.check_faults()?;
+    Ok(judge(case, &experiment.run()))
 }
 
 /// Judge a finished run against the case's scheme expectation.

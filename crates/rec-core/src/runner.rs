@@ -155,6 +155,15 @@ impl Experiment {
             .collect()
     }
 
+    /// Why the fault schedule cannot run on this deployment (its servers
+    /// plus one client per session), if it cannot — see
+    /// [`FaultSchedule::validate`]. [`Experiment::run`] panics with the
+    /// same words; a harness replaying a file somebody else wrote asks
+    /// first.
+    pub fn check_faults(&self) -> Result<(), String> {
+        self.faults.validate(self.scheme.server_node_count() + self.workload.sessions as usize)
+    }
+
     /// Run the experiment to its horizon and collect the trace.
     pub fn run(&self) -> RunResult {
         self.run_inner(optrace::shared_trace(), None)
@@ -208,6 +217,9 @@ impl Experiment {
                 faults = faults.membership(at, node, join);
             }
             check_membership(*nodes, faults.membership_events());
+        }
+        if let Err(e) = self.check_faults() {
+            panic!("fault schedule: {e}");
         }
         let launch = Launch {
             cfg: SimConfig::default()

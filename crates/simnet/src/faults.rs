@@ -188,6 +188,49 @@ impl FaultSchedule {
         &self.membership
     }
 
+    /// Why this schedule cannot run on `actors` deployed nodes (ids
+    /// `0..actors`), if it cannot: an entry names a node nobody
+    /// deployed, a partition ends before it starts, or a loss rate is
+    /// no probability. The builder methods assert the last two, but a
+    /// deserialised schedule never went through them, and none of them
+    /// knows the node count: the harness checks once, where it does.
+    pub fn validate(&self, actors: usize) -> Result<(), String> {
+        let deployed = |field: &str, i: usize, node: NodeId| {
+            if node.index() < actors {
+                return Ok(());
+            }
+            Err(format!(
+                "{field}[{i}]: node {} is not deployed: the run has {actors} actors \
+                 (ids 0..{actors})",
+                node.0
+            ))
+        };
+        for (i, p) in self.partitions.iter().enumerate() {
+            if p.end < p.start {
+                return Err(format!(
+                    "partitions[{i}]: ends at {} before it starts at {}",
+                    p.end, p.start
+                ));
+            }
+            p.side_a.iter().try_for_each(|&node| deployed("partitions.side_a", i, node))?;
+        }
+        for (i, &(_, node)) in self.crashes.iter().enumerate() {
+            deployed("crashes", i, node)?;
+        }
+        for (i, &(_, node, _)) in self.recoveries.iter().enumerate() {
+            deployed("recoveries", i, node)?;
+        }
+        for (i, &(_, node, _)) in self.membership.iter().enumerate() {
+            deployed("membership", i, node)?;
+        }
+        for (i, &(_, p)) in self.loss_changes.iter().enumerate() {
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!("loss_changes[{i}]: loss rate {p} is outside [0, 1]"));
+            }
+        }
+        Ok(())
+    }
+
     /// Flatten the schedule into `(time, event)` pairs for the event queue.
     pub fn compile(&self) -> Vec<(SimTime, FaultEvent)> {
         let mut out = Vec::new();
@@ -462,5 +505,54 @@ mod tests {
         let json = r#"{"partitions":[],"crashes":[],"recoveries":[],"loss_changes":[],"latency_changes":[]}"#;
         let s: FaultSchedule = serde_json::from_str(json).unwrap();
         assert!(s.compile().is_empty());
+    }
+
+    /// A deserialised schedule went through no builder: what the
+    /// builders assert, and what none of them can know (the node
+    /// count), is checked by `validate`, naming field and numbers.
+    #[test]
+    fn a_deserialised_schedule_is_validated_against_the_deployment() {
+        let schedule = |edits: &[(&str, &str)]| -> FaultSchedule {
+            let mut json = String::from(
+                r#"{"partitions":[],"crashes":[],"recoveries":[],"loss_changes":[],"latency_changes":[],"membership":[]}"#,
+            );
+            for (field, value) in edits {
+                json = json.replace(&format!("\"{field}\":[]"), &format!("\"{field}\":{value}"));
+            }
+            serde_json::from_str(&json).unwrap()
+        };
+        let ok = schedule(&[
+            ("crashes", "[[1000,4]]"),
+            ("recoveries", "[[2000,4,true]]"),
+            ("loss_changes", "[[5,1.0]]"),
+        ]);
+        assert_eq!(ok.validate(5), Ok(()));
+        assert_eq!(
+            ok.validate(4).unwrap_err(),
+            "crashes[0]: node 4 is not deployed: the run has 4 actors (ids 0..4)"
+        );
+        for (field, value, why) in [
+            ("recoveries", "[[1,2,false],[2000,7,true]]", "recoveries[1]: node 7 is not deployed"),
+            ("membership", "[[1,5,true]]", "membership[0]: node 5 is not deployed"),
+            (
+                "partitions",
+                r#"[{"side_a":[0,9],"start":1,"end":2}]"#,
+                "partitions.side_a[0]: node 9 is not deployed",
+            ),
+            (
+                "partitions",
+                r#"[{"side_a":[0],"start":10000,"end":5000}]"#,
+                "partitions[0]: ends at 5.000ms before it starts at 10.000ms",
+            ),
+            (
+                "loss_changes",
+                "[[0,0.5],[9,1.5]]",
+                "loss_changes[1]: loss rate 1.5 is outside [0, 1]",
+            ),
+            ("loss_changes", "[[0,-0.1]]", "loss_changes[0]: loss rate -0.1 is outside [0, 1]"),
+        ] {
+            let err = schedule(&[(field, value)]).validate(5).unwrap_err();
+            assert!(err.starts_with(why), "{field}: {err}");
+        }
     }
 }

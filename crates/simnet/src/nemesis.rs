@@ -274,6 +274,38 @@ pub fn generate(
     events
 }
 
+/// [`to_schedule`] for an event list somebody else wrote (a reproducer
+/// file): `Err` naming the event and the field where `to_schedule`
+/// would panic — a window that ends before it starts, a loss
+/// percentage over 100, a node index or an instant past what the
+/// simulator can address. Whether the nodes it names exist is the
+/// schedule's to answer ([`FaultSchedule::validate`]), once the harness
+/// knows how many were deployed.
+pub fn try_to_schedule(events: &[NemesisEvent]) -> Result<FaultSchedule, String> {
+    const MAX_MS: u64 = u64::MAX / 1_000;
+    for (i, ev) in events.iter().enumerate() {
+        let (from_ms, to_ms) = (ev.from_ms(), ev.to_ms());
+        let nodes: &[usize] = match ev {
+            NemesisEvent::Partition { side_a, .. } => side_a,
+            NemesisEvent::Crash { node, .. } => std::slice::from_ref(node),
+            _ => &[],
+        };
+        let problem = if to_ms < from_ms {
+            format!("to_ms {to_ms} is before from_ms {from_ms}")
+        } else if to_ms > MAX_MS {
+            format!("to_ms {to_ms} is past the last instant the clock holds ({MAX_MS} ms)")
+        } else if let Some(node) = nodes.iter().find(|&&n| n > u32::MAX as usize) {
+            format!("node {node} is past the last addressable node ({})", u32::MAX)
+        } else if let NemesisEvent::LossBurst { pct: pct @ 101.., .. } = ev {
+            format!("pct {pct} is not a percentage (0..=100)")
+        } else {
+            continue;
+        };
+        return Err(format!("events[{i}]: {problem}"));
+    }
+    Ok(to_schedule(events))
+}
+
 /// Compile a nemesis event list (or any subset of one — shrinking relies
 /// on this) into a runnable [`FaultSchedule`].
 pub fn to_schedule(events: &[NemesisEvent]) -> FaultSchedule {

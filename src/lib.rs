@@ -12,9 +12,11 @@
 //!   latency histograms, windowed time series (the metrics contract is
 //!   documented in `docs/METRICS.md`, the span model in
 //!   `docs/TRACING.md`),
-//! * [`obs_tools`] — offline trace analysis and the `tracequery` CLI:
-//!   span-tree reconstruction, violation explanation, span
-//!   conservation checking, Chrome `trace_event` export,
+//! * [`obs_tools`] — offline analysis of a run's artifacts and the one
+//!   CLI in front of it, `tracequery`: span-tree reconstruction,
+//!   violation explanation, span conservation checking, Chrome
+//!   `trace_event` export, top / diff / folded views of a handler
+//!   profile,
 //! * [`clocks`] — Lamport/vector/dotted-version-vector/hybrid clocks,
 //! * [`crdt`] — convergent replicated data types with lattice-law tests,
 //! * [`kvstore`] — the per-replica storage substrate (MVCC + WAL +

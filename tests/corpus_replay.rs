@@ -8,7 +8,11 @@
 //! legitimate protocol change shifts a verdict, re-run the fuzzer and
 //! refresh the corpus file alongside the change.
 
-use rethinking_ec::core::fuzz::{run_case, FuzzCase, Verdict, ViolationKind};
+use rethinking_ec::core::fuzz::{
+    run_case, try_run_case_recorded, FuzzCase, Verdict, ViolationKind,
+};
+use rethinking_ec::obs::Recorder;
+use serde_json::Value;
 
 fn load(name: &str) -> FuzzCase {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus/");
@@ -52,5 +56,120 @@ fn loss_burst_reproducer_still_violates() {
     assert_replays(
         "partial_quorum_loss_burst.json",
         Verdict::Violation { kind: ViolationKind::StaleReads, count: 2 },
+    );
+}
+
+/// `raw` cut short at every byte, with every single byte deleted, and
+/// with the values of every two members of an event (and the seed)
+/// swapped: what a half-written, hand-edited or mis-merged reproducer
+/// looks like.
+fn mutants(raw: &str) -> Vec<String> {
+    let raw = raw.trim_end();
+    let cuts = (0..raw.len()).filter(|&i| raw.is_char_boundary(i));
+    let mut out: Vec<String> = cuts.clone().map(|i| raw[..i].to_string()).collect();
+    out.extend(cuts.filter(|&i| raw.is_char_boundary(i + 1)).map(|i| {
+        let mut s = raw.to_string();
+        s.remove(i);
+        s
+    }));
+    // Every scalar of the document as a path of member names / indices.
+    fn scalars(v: &Value, path: &mut Vec<String>, out: &mut Vec<Vec<String>>) {
+        match v {
+            Value::Object(members) => {
+                for (k, v) in members {
+                    path.push(k.clone());
+                    scalars(v, path, out);
+                    path.pop();
+                }
+            }
+            Value::Array(items) => {
+                for (i, v) in items.iter().enumerate() {
+                    path.push(i.to_string());
+                    scalars(v, path, out);
+                    path.pop();
+                }
+            }
+            _ => out.push(path.clone()),
+        }
+    }
+    fn at<'a>(v: &'a mut Value, path: &[String]) -> &'a mut Value {
+        path.iter().fold(v, |v, step| match v {
+            Value::Object(members) => &mut members.iter_mut().find(|(k, _)| k == step).unwrap().1,
+            Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+            _ => unreachable!("a scalar has no members"),
+        })
+    }
+    let doc = serde_json::parse_value(raw).unwrap();
+    let mut paths = Vec::new();
+    scalars(&doc, &mut Vec::new(), &mut paths);
+    for (i, a) in paths.iter().enumerate() {
+        for b in &paths[i + 1..] {
+            let mut swapped = doc.clone();
+            let (x, y) = (at(&mut swapped, a).clone(), at(&mut swapped, b).clone());
+            *at(&mut swapped, a) = y;
+            *at(&mut swapped, b) = x;
+            out.push(swapped.to_json());
+        }
+    }
+    out
+}
+
+/// ROADMAP 6d for reproducer files: a damaged one is an `Err` naming
+/// what is wrong, or still a schedule and then a run that ends — never
+/// an index past the simulator's actor table, an assertion of a builder
+/// it never went through, or a loss rate that is no probability.
+#[test]
+fn damaged_reproducers_are_errors_or_clean_runs_never_panics() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    let (mut refused, mut ran) = (0, 0);
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let raw = std::fs::read_to_string(&path).unwrap();
+        for mutant in mutants(&raw) {
+            let outcome = std::panic::catch_unwind(|| {
+                let case: FuzzCase = serde_json::from_str(&mutant).map_err(|e| e.to_string())?;
+                try_run_case_recorded(&case, Recorder::disabled())
+            });
+            match outcome {
+                Ok(Ok(_)) => ran += 1,
+                Ok(Err(why)) => {
+                    assert!(!why.is_empty(), "{mutant}");
+                    refused += 1;
+                }
+                Err(_) => panic!("{}: this mutant panicked:\n{mutant}", path.display()),
+            }
+        }
+    }
+    // Both arms are exercised: most cuts are no JSON, most swaps of two
+    // integers are still a schedule.
+    assert!(refused > 300 && ran >= 20, "refused {refused}, ran {ran}");
+}
+
+#[test]
+fn refusals_name_the_field_and_the_numbers() {
+    let refusal = |json: &str| {
+        let case: FuzzCase = serde_json::from_str(json).unwrap();
+        try_run_case_recorded(&case, Recorder::disabled()).unwrap_err()
+    };
+    let case = |event: &str| format!(r#"{{"scheme":"PartialQuorum","seed":0,"events":[{event}]}}"#);
+    assert_eq!(
+        refusal(&case(r#"{"Crash":{"node":9,"from_ms":150,"to_ms":3289,"amnesia":true}}"#)),
+        "crashes[0]: node 9 is not deployed: the run has 6 actors (ids 0..6)"
+    );
+    assert_eq!(
+        refusal(&case(r#"{"Partition":{"side_a":[0,7],"from_ms":58,"to_ms":2365}}"#)),
+        "partitions.side_a[0]: node 7 is not deployed: the run has 6 actors (ids 0..6)"
+    );
+    assert_eq!(
+        refusal(&case(r#"{"Partition":{"side_a":[0,1],"from_ms":2365,"to_ms":58}}"#)),
+        "events[0]: to_ms 58 is before from_ms 2365"
+    );
+    assert_eq!(
+        refusal(&case(r#"{"LossBurst":{"pct":337,"from_ms":22,"to_ms":4254}}"#)),
+        "events[0]: pct 337 is not a percentage (0..=100)"
+    );
+    assert_eq!(
+        refusal(&case(r#"{"Crash":{"node":99999999999,"from_ms":1,"to_ms":2,"amnesia":false}}"#)),
+        "events[0]: node 99999999999 is past the last addressable node (4294967295)"
     );
 }

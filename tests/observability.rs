@@ -13,7 +13,7 @@
 //! `docs/METRICS.md` must list exactly what the code exports.
 
 use rethinking_ec::core::{Experiment, RunResult, Scheme};
-use rethinking_ec::obs::{Counter, Recorder, TsMetric};
+use rethinking_ec::obs::{Counter, EventKind, Recorder, TsMetric};
 use rethinking_ec::obs_tools::check_spans;
 use rethinking_ec::simnet::{Duration, FaultSchedule, LatencyModel, NodeId, SimTime};
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
@@ -253,6 +253,40 @@ fn metrics_doc_lists_exactly_the_exported_counters() {
         documented, exported,
         "the counter table in docs/METRICS.md must list every counter \
          `Counter::name()` exports, in export order — update the doc"
+    );
+}
+
+/// The event table is generated, with the codec, from one declaration
+/// (`obs::event`); the doc is the other place it is written, so a
+/// renamed, added or reordered field must move there too.
+#[test]
+fn metrics_doc_lists_exactly_the_declared_event_table() {
+    let doc = include_str!("../docs/METRICS.md");
+    let section = doc.split("\n### Event types").nth(1).expect("an `Event types` section");
+    let documented: Vec<(&str, Vec<&str>)> = section
+        .lines()
+        .skip_while(|l| !l.starts_with("|---"))
+        .skip(1)
+        .take_while(|l| l.starts_with('|'))
+        .map(|row| {
+            // `| \`type\` | \`field\`, \`field\` (remarks) | prose |`: the
+            // names are what stands between backticks.
+            let mut columns = row.split(" | ");
+            let mut names = |column: &'static str| {
+                let text = columns.next().unwrap_or_else(|| panic!("no {column} column: {row}"));
+                text.split('`').skip(1).step_by(2).collect::<Vec<_>>()
+            };
+            let tag = names("type");
+            assert_eq!(tag.len(), 1, "one type tag a row: {row}");
+            (tag[0], names("fields"))
+        })
+        .collect();
+    let declared: Vec<(&str, Vec<&str>)> =
+        EventKind::WIRE_TABLE.iter().map(|&(tag, fields)| (tag, fields.to_vec())).collect();
+    assert_eq!(
+        documented, declared,
+        "the event table in docs/METRICS.md must list every event type of \
+         `EventKind::WIRE_TABLE` with its fields, in wire order — update the doc"
     );
 }
 

@@ -567,6 +567,80 @@ fn field_errors_keep_their_words() {
     assert_eq!(assert_agree(extra, 1).unwrap().kind, EventKind::PartitionHeal);
 }
 
+/// One table of wire names an enum (`wire_names!` in `obs::event`):
+/// `name` and `from_name` are inverses over `ALL`, no two variants share
+/// a name, and a name outside the table is refused in the words the
+/// tree parser used — `line` carries `NAME` where the enum travels.
+fn assert_wire_names<T: Copy + PartialEq + std::fmt::Debug>(
+    all: &[T],
+    name: fn(T) -> &'static str,
+    from_name: fn(&str) -> Result<T, String>,
+    what: &str,
+    line: &str,
+) {
+    for &variant in all {
+        assert_eq!(from_name(name(variant)), Ok(variant));
+        let parsed = assert_agree(&line.replace("NAME", name(variant)), 1).unwrap();
+        assert!(parsed.to_json_line().contains(&format!("\"{}\"", name(variant))));
+    }
+    let names: BTreeSet<&str> = all.iter().map(|&v| name(v)).collect();
+    assert_eq!(names.len(), all.len(), "two {what}s share a name");
+    for unknown in ["", "no_such", &name(all[0]).to_uppercase()] {
+        let words = format!("unknown {what} `{unknown}`");
+        assert_eq!(from_name(unknown), Err(words.clone()));
+        assert_eq!(assert_agree(&line.replace("NAME", unknown), 9).unwrap_err(), words);
+    }
+}
+
+#[test]
+fn drop_reasons_round_trip_by_name() {
+    let line = r#"{"seq":0,"t_us":0,"type":"message_dropped","from":0,"to":1,"reason":"NAME","trace":0,"span":0}"#;
+    assert_wire_names(
+        DropReason::ALL,
+        DropReason::name,
+        DropReason::from_name,
+        "drop reason",
+        line,
+    );
+}
+
+#[test]
+fn quorum_kinds_round_trip_by_name() {
+    let line = r#"{"seq":0,"t_us":0,"type":"quorum_wait","node":0,"kind":"NAME","waited_us":1,"acks":1,"needed":1}"#;
+    assert_wire_names(
+        QuorumKind::ALL,
+        QuorumKind::name,
+        QuorumKind::from_name,
+        "quorum kind",
+        line,
+    );
+}
+
+#[test]
+fn op_kinds_round_trip_by_name() {
+    let line = r#"{"seq":0,"t_us":0,"type":"op_complete","session":1,"op":2,"key":3,"kind":"NAME","ok":true,"invoked_us":4,"replica":5,"values":[]}"#;
+    assert_wire_names(
+        ClientOpKind::ALL,
+        ClientOpKind::name,
+        ClientOpKind::from_name,
+        "op kind",
+        line,
+    );
+}
+
+#[test]
+fn span_statuses_round_trip_by_name() {
+    let line =
+        r#"{"seq":0,"t_us":0,"type":"span_close","trace":1,"span":1,"node":0,"status":"NAME"}"#;
+    assert_wire_names(
+        SpanStatus::ALL,
+        SpanStatus::name,
+        SpanStatus::from_name,
+        "span status",
+        line,
+    );
+}
+
 // ---------------------------------------------------------------------
 // (c) Truncation and corruption of real logs
 // ---------------------------------------------------------------------
