@@ -10,7 +10,9 @@ pub use obs::{parse_jsonl, parse_line, ParseError, MAX_SPAN_NAMES};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::{ClientOpKind, DropReason, EventKind, QuorumKind, SpanStatus, TracedEvent};
+    use obs::{
+        ClientOpKind, DropReason, EventKind, OpCompletion, QuorumKind, SpanStatus, TracedEvent,
+    };
 
     /// What the decoder's view of a line holds in place.
     const INLINE_FIELDS: usize = 14;
@@ -56,7 +58,7 @@ mod tests {
             },
             EventKind::SpanClose { trace: 1, span: 2, node: 3, status: SpanStatus::Abandoned },
             EventKind::MembershipChange { node: 4, join: true },
-            EventKind::OpComplete {
+            EventKind::OpComplete(Box::new(OpCompletion {
                 session: 2,
                 op: 17,
                 key: 7,
@@ -68,8 +70,8 @@ mod tests {
                 values: vec![3, 9],
                 stamp: Some((9, 1)),
                 version_ts_us: Some(950),
-            },
-            EventKind::OpComplete {
+            })),
+            EventKind::OpComplete(Box::new(OpCompletion {
                 session: 0,
                 op: 3,
                 key: 1,
@@ -81,7 +83,7 @@ mod tests {
                 values: vec![],
                 stamp: None,
                 version_ts_us: None,
-            },
+            })),
         ];
         for (i, kind) in kinds.into_iter().enumerate() {
             let ev = TracedEvent { seq: i as u64, t_us: 10 * i as u64, kind };
@@ -163,11 +165,9 @@ mod tests {
             )
         };
         let ok = parse_line(&op("\"values\":[ 1 , 007,-0 ],\"stamp\":[9,\n8]"), 1).unwrap();
-        let EventKind::OpComplete { values, stamp, value, version_ts_us, .. } = ok.kind else {
-            panic!("not an op_complete")
-        };
+        let EventKind::OpComplete(ok) = ok.kind else { panic!("not an op_complete") };
         assert_eq!(
-            (values, stamp, value, version_ts_us),
+            (ok.values, ok.stamp, ok.value, ok.version_ts_us),
             (vec![1, 7, 0], Some((9, 8)), None, None)
         );
         for (tail, message) in [

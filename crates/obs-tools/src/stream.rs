@@ -24,38 +24,25 @@ use simnet::{NodeId, OpKind, OpRecord, SimTime};
 /// Convert an `op_complete` event back into the operation record the
 /// consistency checkers consume. Every other event kind yields `None`.
 pub fn op_record(ev: &TracedEvent) -> Option<OpRecord> {
-    let EventKind::OpComplete {
-        session,
-        op,
-        key,
-        kind,
-        ok,
-        invoked_us,
-        replica,
-        value,
-        ref values,
-        stamp,
-        version_ts_us,
-    } = ev.kind
-    else {
+    let EventKind::OpComplete(op) = &ev.kind else {
         return None;
     };
     Some(OpRecord {
-        session,
-        op_id: op,
-        key,
-        kind: match kind {
+        session: op.session,
+        op_id: op.op,
+        key: op.key,
+        kind: match op.kind {
             ClientOpKind::Read => OpKind::Read,
             ClientOpKind::Write => OpKind::Write,
         },
-        value_written: value,
-        value_read: values.clone(),
-        invoked: SimTime::from_micros(invoked_us),
+        value_written: op.value,
+        value_read: op.values.clone(),
+        invoked: SimTime::from_micros(op.invoked_us),
         completed: SimTime::from_micros(ev.t_us),
-        replica: NodeId(replica as u32),
-        ok,
-        version_ts: version_ts_us.map(SimTime::from_micros),
-        stamp,
+        replica: NodeId(op.replica),
+        ok: op.ok,
+        version_ts: op.version_ts_us.map(SimTime::from_micros),
+        stamp: op.stamp,
     })
 }
 
@@ -185,12 +172,13 @@ pub fn render_stream_report(ops: u64, reports: &StreamReports) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::OpCompletion;
 
     fn op_event(seq: u64, t_us: u64, session: u64, op: u64, kind: ClientOpKind) -> TracedEvent {
         TracedEvent {
             seq,
             t_us,
-            kind: EventKind::OpComplete {
+            kind: EventKind::OpComplete(Box::new(OpCompletion {
                 session,
                 op,
                 key: 1,
@@ -208,7 +196,7 @@ mod tests {
                 },
                 stamp: Some((op + 1, 0)),
                 version_ts_us: None,
-            },
+            })),
         }
     }
 
@@ -250,15 +238,15 @@ mod tests {
         // A write of value 101, then a read observing it.
         let w = op_event(0, 1_000, 1, 0, ClientOpKind::Write);
         let mut r = op_event(1, 2_000, 1, 1, ClientOpKind::Read);
-        if let EventKind::OpComplete { values, value, .. } = &mut r.kind {
-            *values = vec![100];
-            *value = None;
+        if let EventKind::OpComplete(op) = &mut r.kind {
+            op.values = vec![100];
+            op.value = None;
         }
         // Make the write's value match what the read observes.
         let mut w = w;
-        if let EventKind::OpComplete { value, stamp, .. } = &mut w.kind {
-            *value = Some(100);
-            *stamp = Some((1, 0));
+        if let EventKind::OpComplete(op) = &mut w.kind {
+            op.value = Some(100);
+            op.stamp = Some((1, 0));
         }
         checker.observe(&w);
         checker.observe(&r);

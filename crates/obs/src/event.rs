@@ -23,7 +23,8 @@
 //! ([`serde_json::visit_fields`]) validates the line and lays its
 //! fields, borrowed from the line, into a fixed-size view; the generated
 //! reader then asks the view for each field by name. A line an encoder
-//! wrote is parsed without touching the heap, apart from the `Vec` of a
+//! wrote is parsed without touching the heap, apart from the `Box` an
+//! `op_complete`'s [`OpCompletion`] lives in and the `Vec` of a
 //! non-empty `values` or `island` (`tests/trace_codec_allocs.rs`
 //! counts); so is any other line without an escaped string and with no
 //! more than 14 fields, and the rest take the same path and allocate
@@ -40,8 +41,9 @@
 //! occurs twice the first occurrence counts; an optional field is `Some`
 //! exactly when its key is present; an integer is a run of digits that
 //! fits `u64` (leading zeros and `-0` allowed, fractions and exponents
-//! not). Span names are interned — a `span_open` holds a `&'static str`
-//! — in a table of at most [`MAX_SPAN_NAMES`] names a process.
+//! not), and a `node` field's integer fits `u32`. Span names are
+//! interned — a `span_open` holds a `&'static str` — in a table of at
+//! most [`MAX_SPAN_NAMES`] names a process.
 
 use crate::counters::Counter;
 use serde_json::{Field, RawArray};
@@ -157,6 +159,7 @@ macro_rules! envelope {
 /// `wire_events!`).
 macro_rules! wire_type {
     (int) => { u64 };
+    (node) => { u32 };
     (flag) => { bool };
     (named($ty:ident)) => { $ty };
     (ints($noun:literal)) => { Vec<u64> };
@@ -180,6 +183,10 @@ macro_rules! wire_write {
     (int, $out:ident, $field:ident) => {{
         $out.push_str(wire_key!($field));
         push_u64($out, *$field);
+    }};
+    (node, $out:ident, $field:ident) => {{
+        $out.push_str(wire_key!($field));
+        push_u64($out, u64::from(*$field));
     }};
     (flag, $out:ident, $field:ident) => {{
         $out.push_str(wire_key!($field));
@@ -220,6 +227,9 @@ macro_rules! wire_read {
     (int, $line:ident, $names:ident, $field:ident) => {
         u64_field($line, stringify!($field))?
     };
+    (node, $line:ident, $names:ident, $field:ident) => {
+        node_field($line, stringify!($field))?
+    };
     (flag, $line:ident, $names:ident, $field:ident) => {
         bool_field($line, stringify!($field))?
     };
@@ -241,11 +251,18 @@ macro_rules! wire_read {
 }
 
 /// The event table: `Variant = "type_tag" { field: kind, ... }`, fields
-/// in wire order. The kinds, with their Rust type and their JSON form:
+/// in wire order, then a `; boxed { ... }` group of `Variant =
+/// "type_tag" Payload { field: kind, ... }` whose fields live in a
+/// generated struct `Payload` that the variant holds in a `Box`, so
+/// that a rare wide event does not set the size of every row. Both
+/// groups are one table to the wire: `WIRE_TABLE`, the encoder and the
+/// decoder do not tell them apart. The kinds, with their Rust type and
+/// their JSON form:
 ///
 /// | kind | type | on the wire |
 /// |---|---|---|
 /// | `int` | `u64` | decimal integer |
+/// | `node` | `u32` | decimal integer; one past `u32::MAX` is an error naming the field |
 /// | `flag` | `bool` | `true` / `false` |
 /// | `named(E)` | `E`, a `wire_names!` enum | its name, as a string |
 /// | `ints("noun")` | `Vec<u64>` | array of integers (`noun` is what a decode error calls a bad element) |
@@ -260,7 +277,24 @@ macro_rules! wire_events {
                 $($(#[$fdoc:meta])* $field:ident: $kind:ident $(($arg:tt))?,)*
             })?
         )*
+        ; boxed {
+            $(
+                $(#[$bdoc:meta])*
+                $bvariant:ident = $btag:literal $payload:ident {
+                    $($(#[$bfdoc:meta])* $bfield:ident: $bkind:ident $(($barg:tt))?,)*
+                }
+            )*
+        }
     }) => {
+        $(
+            #[doc = concat!("The fields of [`", stringify!($enum), "::", stringify!($bvariant),
+                "`], which holds them in a `Box`.")]
+            #[derive(Debug, Clone, PartialEq)]
+            pub struct $payload {
+                $($(#[$bfdoc])* pub $bfield: wire_type!($bkind $(($barg))?),)*
+            }
+        )*
+
         $(#[$doc])*
         #[derive(Debug, Clone, PartialEq)]
         pub enum $enum {
@@ -270,19 +304,26 @@ macro_rules! wire_events {
                     $($(#[$fdoc])* $field: wire_type!($kind $(($arg))?),)*
                 })?,
             )*
+            $(
+                $(#[$bdoc])*
+                $bvariant(Box<$payload>),
+            )*
         }
 
         impl $enum {
             /// Every event type as `(type tag, field names in wire
             /// order)` — after `seq`, `t_us` and `type`, which every
             /// line starts with. `docs/METRICS.md` is held to this.
-            pub const WIRE_TABLE: &'static [(&'static str, &'static [&'static str])] =
-                &[$(($tag, &[$($(stringify!($field)),*)?])),*];
+            pub const WIRE_TABLE: &'static [(&'static str, &'static [&'static str])] = &[
+                $(($tag, &[$($(stringify!($field)),*)?]),)*
+                $(($btag, &[$(stringify!($bfield)),*]),)*
+            ];
 
             /// Stable snake_case type tag used in the JSONL encoding.
             pub fn type_name(&self) -> &'static str {
                 match self {
                     $($enum::$variant { .. } => $tag,)*
+                    $($enum::$bvariant(_) => $btag,)*
                 }
             }
 
@@ -292,6 +333,10 @@ macro_rules! wire_events {
                 match self {
                     $($enum::$variant { $($($field),*)? } => {
                         $($(wire_write!($kind $(($arg))?, out, $field);)*)?
+                    })*
+                    $($enum::$bvariant(payload) => {
+                        let $payload { $($bfield),* } = &**payload;
+                        $(wire_write!($bkind $(($barg))?, out, $bfield);)*
                     })*
                 }
             }
@@ -308,6 +353,9 @@ macro_rules! wire_events {
                     $($tag => $enum::$variant {
                         $($($field: wire_read!($kind $(($arg))?, line, names, $field),)*)?
                     },)*
+                    $($btag => $enum::$bvariant(Box::new($payload {
+                        $($bfield: wire_read!($bkind $(($barg))?, line, names, $bfield),)*
+                    })),)*
                     other => return Err(format!("unknown event type `{other}`")),
                 })
             }
@@ -473,35 +521,39 @@ wire_events! {
             /// How the step ended.
             status: named(SpanStatus),
         }
-        /// A client operation completed (or timed out) — the event-stream
-        /// mirror of the simulator's `OpRecord`, emitted at completion time
-        /// so the streaming consistency checkers (`consistency::stream`,
-        /// `tracequery check --stream`) can verify guarantees online from
-        /// the JSONL log alone, without a materialized trace.
-        OpComplete = "op_complete" {
-            /// The session (client) that issued the operation.
-            session: int,
-            /// Per-session operation id, in issue order.
-            op: int,
-            /// The key operated on.
-            key: int,
-            /// Read or write.
-            kind: named(ClientOpKind),
-            /// Whether the operation succeeded (false = timeout).
-            ok: flag,
-            /// When the client invoked the operation (simulation µs); the
-            /// event's own `t_us` is the completion time.
-            invoked_us: int,
-            /// The replica that served (or was targeted by) the operation.
-            replica: int,
-            /// For writes: the globally unique value written.
-            value: opt_int,
-            /// For reads: the observed value(s); empty if the key was absent.
-            values: ints("element"),
-            /// Lamport `(counter, actor)` stamp of the version written/read.
-            stamp: opt_pair,
-            /// Origin wall time (µs) of the version a read returned.
-            version_ts_us: opt_int,
+        ; boxed {
+            /// A client operation completed (or timed out) — the event-stream
+            /// mirror of the simulator's `OpRecord`, emitted at completion time
+            /// so the streaming consistency checkers (`consistency::stream`,
+            /// `tracequery check --stream`) can verify guarantees online from
+            /// the JSONL log alone, without a materialized trace. Recorded
+            /// through [`crate::Recorder::record_op_complete`], which builds
+            /// the payload only for a log that keeps it.
+            OpComplete = "op_complete" OpCompletion {
+                /// The session (client) that issued the operation.
+                session: int,
+                /// Per-session operation id, in issue order.
+                op: int,
+                /// The key operated on.
+                key: int,
+                /// Read or write.
+                kind: named(ClientOpKind),
+                /// Whether the operation succeeded (false = timeout).
+                ok: flag,
+                /// When the client invoked the operation (simulation µs); the
+                /// event's own `t_us` is the completion time.
+                invoked_us: int,
+                /// The replica that served (or was targeted by) the operation.
+                replica: node,
+                /// For writes: the globally unique value written.
+                value: opt_int,
+                /// For reads: the observed value(s); empty if the key was absent.
+                values: ints("element"),
+                /// Lamport `(counter, actor)` stamp of the version written/read.
+                stamp: opt_pair,
+                /// Origin wall time (µs) of the version a read returned.
+                version_ts_us: opt_int,
+            }
         }
     }
 }
@@ -575,7 +627,9 @@ impl EventKind {
             // Operation completions bump no counter: the op trace is the
             // source of truth for operation counts, and the streaming
             // checkers count their own findings (`stream_violations`).
-            EventKind::OpComplete { .. } => [None, None],
+            // `Recorder::record_op_complete` relies on this: it skips
+            // the counters, and builds no event for a log that drops it.
+            EventKind::OpComplete(_) => [None, None],
         };
         pair.into_iter().flatten()
     }
@@ -820,6 +874,15 @@ fn u64_field(v: &Line, name: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing or non-integer field `{name}`"))
 }
 
+/// A node id: an integer that fits `u32`, the simulator's `NodeId`. A
+/// larger one is an error rather than another node.
+#[inline(always)]
+fn node_field(v: &Line, name: &str) -> Result<u32, String> {
+    let id = u64_field(v, name)?;
+    u32::try_from(id)
+        .map_err(|_| format!("field `{name}` is {id}, past the largest node id {}", u32::MAX))
+}
+
 #[inline(always)]
 fn str_field<'a>(v: &'a Line, name: &str) -> Result<&'a str, String> {
     v.get(name)
@@ -925,6 +988,15 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<TracedEvent>, ParseError> {
 mod tests {
     use super::*;
 
+    /// A retained or parsed log is a `Vec` of rows, so the row size is
+    /// what a log costs: the widest unboxed variant (`span_open`, four
+    /// integers and a name) sets it, and `op_complete` is a pointer.
+    #[test]
+    fn event_row_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<EventKind>(), 56);
+        assert_eq!(std::mem::size_of::<TracedEvent>(), 72);
+    }
+
     #[test]
     fn json_lines_are_stable() {
         let ev = TracedEvent {
@@ -999,7 +1071,7 @@ mod tests {
             EventKind::WalReplay { node: 2, records: 5 },
             EventKind::SpanOpen { trace: 1, span: 1, parent: 0, node: 0, name: "op_write" },
             EventKind::SpanClose { trace: 1, span: 1, node: 0, status: SpanStatus::Abandoned },
-            EventKind::OpComplete {
+            EventKind::OpComplete(Box::new(OpCompletion {
                 session: 1,
                 op: 2,
                 key: 7,
@@ -1011,7 +1083,7 @@ mod tests {
                 values: vec![42],
                 stamp: Some((3, 1)),
                 version_ts_us: None,
-            },
+            })),
         ];
         for kind in kinds {
             let tag = kind.type_name();

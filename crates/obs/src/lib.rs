@@ -76,8 +76,8 @@ mod timeseries;
 
 pub use counters::Counter;
 pub use event::{
-    parse_jsonl, parse_line, ClientOpKind, DropReason, EventKind, ParseError, QuorumKind,
-    SpanStatus, TracedEvent, MAX_SPAN_NAMES,
+    parse_jsonl, parse_line, ClientOpKind, DropReason, EventKind, OpCompletion, ParseError,
+    QuorumKind, SpanStatus, TracedEvent, MAX_SPAN_NAMES,
 };
 pub use hist::{Histogram, HistogramSummary, Metric};
 pub use prof::{

@@ -6,13 +6,16 @@ use std::io::{BufWriter, Write};
 use std::sync::{Arc, Mutex};
 
 use crate::counters::{Counter, CounterSet};
-use crate::event::{EventKind, TracedEvent};
+use crate::event::{EventKind, OpCompletion, TracedEvent};
 use crate::hist::{Histogram, Metric};
 use crate::prof::{HandlerKind, PauseAlloc, ProfSample, Profile};
 use crate::report::{MetricsReport, NodeCounters};
 use crate::timeseries::{TimeSeries, TsMetric};
 
-/// Default cap on retained events when the event log is enabled.
+/// Default cap on retained events when the event log is enabled. A
+/// retained event is a 72-byte `TracedEvent` (an `op_complete`, one row
+/// per client operation, adds its boxed payload), so a full log of 2^20
+/// rows holds ≈ 72 MiB of rows.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 20;
 
 /// What [`Recorder::export_jsonl`] reserves per event. A line of a
@@ -89,11 +92,17 @@ impl ObsCore {
             }
             _ => {}
         }
+        self.retain(t_us, || kind);
+    }
+
+    /// Take the next sequence number and, if the event log has room,
+    /// keep the event `kind` builds; only then is `kind` called.
+    fn retain(&mut self, t_us: u64, kind: impl FnOnce() -> EventKind) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if let Some(events) = &mut self.events {
             if events.len() < self.event_cap {
-                events.push(TracedEvent { seq, t_us, kind });
+                events.push(TracedEvent { seq, t_us, kind: kind() });
             } else {
                 self.events_dropped += 1;
             }
@@ -283,12 +292,32 @@ impl Recorder {
 
     /// Record a typed event at virtual time `t_us` (microseconds).
     ///
-    /// This is the one call sites use: it bumps the event's implied
-    /// counters (global and per-node), feeds the relevant histograms,
-    /// and appends to the event log when one is enabled.
+    /// This is the one call sites use for every event but `op_complete`:
+    /// it bumps the event's implied counters (global and per-node), feeds
+    /// the relevant histograms, and appends to the event log when one is
+    /// enabled. An `op_complete` goes through
+    /// [`Recorder::record_op_complete`], which does not build its boxed
+    /// payload for a recorder that would drop it.
     pub fn record(&self, t_us: u64, kind: EventKind) {
         if let Some(core) = &self.core {
             core.lock().unwrap().record(t_us, kind);
+        }
+    }
+
+    /// Record an [`EventKind::OpComplete`] at virtual time `t_us`, built
+    /// by `payload` only if the event log keeps it.
+    ///
+    /// The event takes a sequence number whatever the mode, exactly as
+    /// [`Recorder::record`] would give it, so `events_recorded` and every
+    /// `seq` are the same either way; it implies no counter and no
+    /// histogram. Without an event log, or past its cap (counted in
+    /// `events_dropped`), `payload` is never called, so a counters-only
+    /// run neither allocates the payload's box nor copies the values a
+    /// read returned. `payload` runs under the recorder's lock and must
+    /// not call the recorder.
+    pub fn record_op_complete(&self, t_us: u64, payload: impl FnOnce() -> OpCompletion) {
+        if let Some(core) = &self.core {
+            core.lock().unwrap().retain(t_us, || EventKind::OpComplete(Box::new(payload())));
         }
     }
 
@@ -596,6 +625,52 @@ mod tests {
         assert_eq!(rec.export_jsonl().lines().count(), 2);
         // Counters still see every event.
         assert_eq!(report.counter(Counter::Crashes), 5);
+    }
+
+    fn completion(op: u64) -> OpCompletion {
+        OpCompletion {
+            session: 1,
+            op,
+            key: 7,
+            kind: crate::ClientOpKind::Read,
+            ok: true,
+            invoked_us: 0,
+            replica: 2,
+            value: None,
+            values: vec![op],
+            stamp: None,
+            version_ts_us: None,
+        }
+    }
+
+    /// The payload is built only for a log that keeps it, and the event
+    /// takes its sequence number in every mode, so `events_recorded` and
+    /// every `seq` are what a plain `record` would have made them.
+    #[test]
+    fn op_complete_payloads_are_built_only_for_a_log_that_keeps_them() {
+        let unbuilt = || -> OpCompletion { panic!("payload built for a recorder that drops it") };
+        for rec in [Recorder::disabled(), Recorder::enabled()] {
+            rec.record(0, EventKind::Crash { node: 0 });
+            rec.record_op_complete(1, unbuilt);
+            rec.record(2, EventKind::Recover { node: 0 });
+            assert_eq!(rec.report().events_recorded, if rec.is_enabled() { 3 } else { 0 });
+            assert_eq!(rec.report().events_dropped, 0);
+        }
+
+        let rec = Recorder::with_event_log();
+        rec.set_event_cap(3);
+        rec.record(0, EventKind::Crash { node: 0 });
+        rec.record_op_complete(1, || completion(1));
+        rec.record(2, EventKind::Recover { node: 0 });
+        // At the cap: counted, never built.
+        rec.record_op_complete(3, unbuilt);
+        let report = rec.report();
+        assert_eq!((report.events_recorded, report.events_dropped), (4, 1));
+        let events = rec.events();
+        assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2]);
+        assert_eq!(events[1].kind, EventKind::OpComplete(Box::new(completion(1))));
+        // It implies no counter: the crash and the recovery are all there is.
+        assert_eq!(report.counters.iter().map(|(_, v)| v).sum::<u64>(), 2);
     }
 
     #[test]

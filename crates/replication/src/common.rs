@@ -306,29 +306,24 @@ impl<P: ClientProtocol> SessionClient<P> {
         // Mirror the trace row into the event stream so online monitors
         // (the streaming consistency checkers) can observe completions
         // without access to the in-process SharedTrace. The event owns a
-        // copy of the values read, so it is only built for a recorder
-        // that will take it.
-        if ctx.recorder().is_enabled() {
-            ctx.recorder().record(
-                now.as_micros(),
-                obs::EventKind::OpComplete {
-                    session: self.session,
-                    op: p.op.op_id,
-                    key: p.op.key,
-                    kind: match p.op.kind {
-                        OpKind::Read => obs::ClientOpKind::Read,
-                        OpKind::Write => obs::ClientOpKind::Write,
-                    },
-                    ok: outcome.ok,
-                    invoked_us: p.invoked.as_micros(),
-                    replica: p.replica.0 as u64,
-                    value: p.op.value,
-                    values: outcome.values.clone(),
-                    stamp: outcome.stamp,
-                    version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
-                },
-            );
-        }
+        // copy of the values read, so it is only built for an event log
+        // that will keep it.
+        ctx.recorder().record_op_complete(now.as_micros(), || obs::OpCompletion {
+            session: self.session,
+            op: p.op.op_id,
+            key: p.op.key,
+            kind: match p.op.kind {
+                OpKind::Read => obs::ClientOpKind::Read,
+                OpKind::Write => obs::ClientOpKind::Write,
+            },
+            ok: outcome.ok,
+            invoked_us: p.invoked.as_micros(),
+            replica: p.replica.0,
+            value: p.op.value,
+            values: outcome.values.clone(),
+            stamp: outcome.stamp,
+            version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
+        });
         self.trace.borrow_mut().push(OpRecord {
             session: self.session,
             op_id: p.op.op_id,

@@ -1,0 +1,129 @@
+//! Integration: an `op_complete` event is built only for an event log
+//! that keeps it.
+//!
+//! `EventKind::OpComplete` holds its payload in a `Box`, and the payload
+//! owns a copy of the values a read returned, so building it costs one
+//! or two allocations. `Recorder::record_op_complete` takes the payload
+//! as a closure and runs it only when the event log keeps the event; the
+//! client (`replication::common::SessionClient`) records through it. So a
+//! recorder without a log — the counters-only mode every benchmark sweep
+//! runs in — pays nothing per completed operation, and the event still
+//! takes its sequence number, so `events_recorded` is the same in every
+//! mode. (That the closure is never run without room in a log, and
+//! which `seq` the event takes, is `obs::recorder`'s unit test.) Exact,
+//! not timed: this binary installs [`CountingAlloc`], which tallies per
+//! thread, and a seeded run allocates the same every time.
+
+use rethinking_ec::core::scheme::ClientPlacement;
+use rethinking_ec::core::{Experiment, Scheme};
+use rethinking_ec::obs::{alloc_totals, CountingAlloc, EventKind, Recorder, TsMetric};
+use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
+use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, Msg};
+use rethinking_ec::replication::Composition;
+use rethinking_ec::simnet::{
+    optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime,
+};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocations made by `f` on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let (_, before) = alloc_totals();
+    f();
+    alloc_totals().1 - before
+}
+
+/// One replica, one client: a write, then `reads` reads of the key it
+/// wrote, each of which returns that value.
+fn run_reads(recorder: Recorder, reads: u64) -> (u64, Vec<usize>) {
+    const GAP_US: u64 = 200;
+    let comp = Composition::eventual_lww(1);
+    let trace = optrace::shared_trace();
+    // The time series grow a bucket per 100 ms; sized for the whole run
+    // up front, so the window below measures the client's completions.
+    let end = SimTime::from_millis(2_000);
+    for metric in [TsMetric::StalenessVersions, TsMetric::VisibilityLagUs] {
+        recorder.sample(end.as_micros(), metric, 0);
+    }
+    let mut sim: Sim<Msg> = Sim::new(
+        SimConfig::default()
+            .seed(7)
+            .latency(LatencyModel::Constant(Duration::from_millis(1)))
+            .recorder(recorder),
+    );
+    sim.add_node(Box::new(EventualReplica::new(&comp)));
+    let script = std::iter::once(ScriptOp { gap_us: GAP_US, kind: OpKind::Write, key: 0 })
+        .chain((0..reads).map(|_| ScriptOp { gap_us: GAP_US, kind: OpKind::Read, key: 0 }))
+        .collect();
+    sim.add_node(Box::new(EventualClient::new(
+        1,
+        script,
+        trace.clone(),
+        &comp,
+        TargetPolicy::Sticky(NodeId(0)),
+        Guarantees::none(),
+    )));
+    sim.run_until(SimTime::from_millis(200));
+    let warm = trace.borrow().len();
+    let window = allocations(|| {
+        sim.run_until(end);
+    });
+    let trace = trace.borrow();
+    assert_eq!(trace.len() as u64, reads + 1, "every op completed before the horizon");
+    let read_values = trace.records()[warm..].iter().map(|r| r.value_read.len()).collect();
+    (window, read_values)
+}
+
+/// What a counters-only recorder costs a completed read is what no
+/// recorder costs it: the event it would have built is never built.
+/// Recording eagerly — the payload's box and its copy of the values read,
+/// or the copy alone, as before the payload was boxed — shows here as one
+/// or two allocations for every read in the window.
+#[test]
+fn a_client_completes_reads_without_allocating_for_a_recorder_without_a_log() {
+    const READS: u64 = 600;
+    let (off, values_off) = run_reads(Recorder::disabled(), READS);
+    let (counters, values_on) = run_reads(Recorder::enabled(), READS);
+    assert_eq!(values_off, values_on);
+    assert!(values_on.len() > 300, "{} reads in the window", values_on.len());
+    assert!(values_on.iter().all(|&n| n == 1), "every read returned the value written");
+    assert_eq!(
+        counters,
+        off,
+        "{} reads completed: {counters} allocations with counters, {off} without a recorder",
+        values_on.len()
+    );
+}
+
+/// Every mode numbers the same events: the `op_complete`s a log keeps are
+/// the ones a counters-only recorder counts without building.
+#[test]
+fn events_recorded_does_not_depend_on_the_log() {
+    let run = |recorder: Recorder| {
+        let result = Experiment::new(Scheme::Quorum {
+            n: 3,
+            r: 1,
+            w: 1,
+            read_repair: false,
+            placement: ClientPlacement::Random,
+        })
+        .seed(12)
+        .horizon(SimTime::from_secs(4))
+        .recorder(recorder.clone())
+        .run();
+        (recorder, result.trace.len())
+    };
+    let (counters, ops) = run(Recorder::enabled());
+    let (log, ops_logged) = run(Recorder::with_event_log());
+    assert!(ops > 0);
+    assert_eq!(ops, ops_logged);
+    let recorded = counters.report().events_recorded;
+    assert_eq!(log.report().events_recorded, recorded);
+    let events = log.events();
+    assert_eq!(events.len() as u64, recorded);
+    assert!(events.iter().enumerate().all(|(i, ev)| ev.seq == i as u64));
+    let completions =
+        events.iter().filter(|ev| matches!(ev.kind, EventKind::OpComplete(_))).count();
+    assert_eq!(completions, ops);
+}

@@ -11,13 +11,17 @@
 //!
 //! Never compiled into a crate, and deliberately not kept in step with
 //! the decoder's internals: only a change to the *wire format* (a new
-//! event type or field) belongs here too. The one thing that differs
-//! from the original is that errors and events are the decoder's own
-//! types, so that agreement is one `assert_eq!`. Its intern table has
-//! no cap (`obs_tools::parse::MAX_SPAN_NAMES` is the decoder's).
+//! event type or field) belongs here too. What differs from the
+//! original is that errors and events are the decoder's own types, so
+//! that agreement is one `assert_eq!`, and one deliberate divergence:
+//! the original read `replica` as any `u64` and the tool cast it to a
+//! `u32` node id, so `4294967296` was checked as node 0; a node id past
+//! `u32::MAX` is now an error naming the field ([`node_field`], the one
+//! rule the decoder made stricter on purpose). Its intern table has no
+//! cap (`obs_tools::parse::MAX_SPAN_NAMES` is the decoder's).
 
 use rethinking_ec::obs::{
-    ClientOpKind, DropReason, EventKind, QuorumKind, SpanStatus, TracedEvent,
+    ClientOpKind, DropReason, EventKind, OpCompletion, QuorumKind, SpanStatus, TracedEvent,
 };
 use rethinking_ec::obs_tools::ParseError;
 use serde_json::Value;
@@ -43,6 +47,14 @@ fn u64_field(v: &Value, name: &str) -> Result<u64, String> {
     v.get(name)
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("missing or non-integer field `{name}`"))
+}
+
+/// Deliberate divergence from the original (see the module header): a
+/// node id must fit `u32`.
+fn node_field(v: &Value, name: &str) -> Result<u32, String> {
+    let id = u64_field(v, name)?;
+    u32::try_from(id)
+        .map_err(|_| format!("field `{name}` is {id}, past the largest node id {}", u32::MAX))
 }
 
 fn str_field<'a>(v: &'a Value, name: &str) -> Result<&'a str, String> {
@@ -173,7 +185,7 @@ fn parse_kind(v: &Value) -> Result<EventKind, String> {
                 other => return Err(format!("unknown span status `{other}`")),
             },
         },
-        "op_complete" => EventKind::OpComplete {
+        "op_complete" => EventKind::OpComplete(Box::new(OpCompletion {
             session: u64_field(v, "session")?,
             op: u64_field(v, "op")?,
             key: u64_field(v, "key")?,
@@ -184,7 +196,7 @@ fn parse_kind(v: &Value) -> Result<EventKind, String> {
             },
             ok: bool_field(v, "ok")?,
             invoked_us: u64_field(v, "invoked_us")?,
-            replica: u64_field(v, "replica")?,
+            replica: node_field(v, "replica")?,
             // The encoder omits absent optionals entirely, so presence
             // is the Some/None signal (a present-but-malformed field is
             // still an error).
@@ -201,7 +213,7 @@ fn parse_kind(v: &Value) -> Result<EventKind, String> {
                 }
             },
             version_ts_us: opt_u64_field(v, "version_ts_us")?,
-        },
+        })),
         other => return Err(format!("unknown event type `{other}`")),
     };
     Ok(kind)

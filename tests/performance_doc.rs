@@ -106,6 +106,16 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_10.contains(guard), "the Phase 10 record must name `{guard}`");
     }
+    let phase_11 = DOC.split("\n## Phase 11").nth(1).expect("PERFORMANCE.md lost its Phase 11");
+    let phase_11 = phase_11.split("\n## ").next().unwrap();
+    for guard in [
+        "event_row_size_is_pinned",
+        "tests/trace_codec_allocs.rs",
+        "tests/op_complete_record.rs",
+        "tests/trace_codec.rs",
+    ] {
+        assert!(phase_11.contains(guard), "the Phase 11 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();

@@ -28,7 +28,8 @@ use proptest::prelude::*;
 use rethinking_ec::core::scheme::{ChurnPlan, ClientPlacement};
 use rethinking_ec::core::{Experiment, Scheme};
 use rethinking_ec::obs::{
-    ClientOpKind, DropReason, EventKind, QuorumKind, Recorder, SpanStatus, TracedEvent,
+    ClientOpKind, DropReason, EventKind, OpCompletion, QuorumKind, Recorder, SpanStatus,
+    TracedEvent,
 };
 use rethinking_ec::obs_tools::{parse_jsonl, parse_line};
 use rethinking_ec::replication::common::Guarantees;
@@ -169,20 +170,21 @@ fn kind_after(prev: Option<&EventKind>, d: &mut Draws) -> Option<EventKind> {
             node: d.u64(),
             status: d.pick(&[SpanStatus::Ok, SpanStatus::Failed, SpanStatus::Abandoned]),
         },
-        Some(SpanClose { .. }) => OpComplete {
+        Some(SpanClose { .. }) => OpComplete(Box::new(OpCompletion {
             session: d.u64(),
             op: d.u64(),
             key: d.u64(),
             kind: d.pick(&[ClientOpKind::Read, ClientOpKind::Write]),
             ok: d.flag(),
             invoked_us: d.u64(),
-            replica: d.u64(),
+            // A node id: the low half of a draw, so `u64::MAX` is `u32::MAX`.
+            replica: d.u64() as u32,
             value: d.flag().then(|| d.u64()),
             values: d.vec(),
             stamp: d.flag().then(|| (d.u64(), d.u64())),
             version_ts_us: d.flag().then(|| d.u64()),
-        },
-        Some(OpComplete { .. }) => return None,
+        })),
+        Some(OpComplete(_)) => return None,
     })
 }
 
@@ -244,11 +246,17 @@ fn every_kind_round_trips_at_the_corners() {
     }
     let mut d = Draws::new(vec![u64::MAX]);
     let full = every_kind(&mut d).pop().unwrap();
-    let EventKind::OpComplete { value, values, stamp, version_ts_us, .. } = &full.kind else {
-        panic!("op_complete is declared last")
-    };
-    assert!(value.is_some() && values.len() == 3 && stamp.is_some() && version_ts_us.is_some());
-    assert_eq!(full.to_json_line().matches("18446744073709551615").count(), 14);
+    let EventKind::OpComplete(op) = &full.kind else { panic!("op_complete is declared last") };
+    assert!(
+        op.value.is_some()
+            && op.values.len() == 3
+            && op.stamp.is_some()
+            && op.version_ts_us.is_some()
+    );
+    // Every integer at its maximum: `u64::MAX`, and the replica's `u32::MAX`.
+    let line = full.to_json_line();
+    assert_eq!(line.matches("18446744073709551615").count(), 13);
+    assert!(line.contains("\"replica\":4294967295,"), "{line}");
 }
 
 // ---------------------------------------------------------------------
@@ -520,6 +528,32 @@ fn integer_spellings_are_the_ones_the_tree_parser_took() {
             let e = assert_agree(&line, 5).unwrap_err();
             assert!(e.contains(" at byte "), "{line}: {e}");
         }
+    }
+}
+
+/// A node id fits `u32`, the simulator's `NodeId`: one past it is an
+/// error naming the field, not node 0 (the tree parser cast it). The
+/// decode contract's one deliberate tightening; the oracle states it too.
+#[test]
+fn a_replica_past_the_largest_node_id_is_an_error_naming_it() {
+    let op = |replica: &str| {
+        format!(
+            "{{\"seq\":0,\"t_us\":0,\"type\":\"op_complete\",\"session\":1,\"op\":2,\"key\":3,\
+             \"kind\":\"read\",\"ok\":true,\"invoked_us\":4,\"replica\":{replica},\"values\":[]}}"
+        )
+    };
+    for (text, want) in [("0", 0), ("4294967295", u32::MAX), ("0004294967295", u32::MAX)] {
+        let ev = assert_agree(&op(text), 1).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let EventKind::OpComplete(op) = ev.kind else { panic!("not an op_complete") };
+        assert_eq!(op.replica, want, "{text}");
+    }
+    for text in ["4294967296", "18446744073709551615"] {
+        let e = assert_agree(&op(text), 3).unwrap_err();
+        assert_eq!(e, format!("field `replica` is {text}, past the largest node id 4294967295"));
+    }
+    for text in ["-1", "1.0", "18446744073709551616", "\"7\""] {
+        let e = assert_agree(&op(text), 3).unwrap_err();
+        assert_eq!(e, "missing or non-integer field `replica`", "{text}");
     }
 }
 

@@ -3,7 +3,8 @@
 //! The decoder reads a line through a borrowed view and the encoder
 //! writes digits from the stack into the caller's buffer
 //! (`obs_tools::parse`, `obs::event`), so per line neither allocates
-//! anything but what the event itself owns: the `Vec` of a non-empty
+//! anything but what the event itself owns: the `Box` of an
+//! `op_complete`'s [`OpCompletion`] and the `Vec` of a non-empty
 //! `values` or `island`. A `String` per key, a `to_string()` per
 //! integer or a tree per line — what both directions did before — shows
 //! here as a count, not as a noisy ledger row. Exact, not timed: this
@@ -11,10 +12,11 @@
 //! same input allocates the same every time.
 
 use rethinking_ec::obs::{
-    alloc_totals, ClientOpKind, CountingAlloc, DropReason, EventKind, QuorumKind, Recorder,
-    SpanStatus, TracedEvent,
+    alloc_totals, ClientOpKind, CountingAlloc, DropReason, EventKind, OpCompletion, QuorumKind,
+    Recorder, SpanStatus, TracedEvent,
 };
 use rethinking_ec::obs_tools::{parse_jsonl, parse_line};
+use std::mem::size_of;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -28,7 +30,7 @@ fn allocated<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
 }
 
 fn op(value: Option<u64>, values: Vec<u64>, stamp: Option<(u64, u64)>) -> EventKind {
-    EventKind::OpComplete {
+    EventKind::OpComplete(Box::new(OpCompletion {
         session: 2,
         op: 17,
         key: 7,
@@ -40,6 +42,15 @@ fn op(value: Option<u64>, values: Vec<u64>, stamp: Option<(u64, u64)>) -> EventK
         values,
         stamp,
         version_ts_us: stamp.map(|(counter, _)| counter),
+    }))
+}
+
+/// `(bytes, allocations)` an event of `kind` owns on the heap, besides
+/// the `owned` `u64`s of its array: the box of an `op_complete` payload.
+fn boxed(kind: &EventKind) -> (u64, u64) {
+    match kind {
+        EventKind::OpComplete(_) => (size_of::<OpCompletion>() as u64, 1),
+        _ => (0, 0),
     }
 }
 
@@ -96,6 +107,9 @@ fn events() -> Vec<(TracedEvent, usize)> {
         .collect()
 }
 
+/// Every line but an `op_complete` costs what it did before the payload
+/// was boxed; an `op_complete` costs exactly one allocation more, of
+/// `size_of::<OpCompletion>()`.
 #[test]
 fn a_line_is_decoded_without_allocating_anything_but_its_arrays() {
     let lines: Vec<(String, TracedEvent, usize)> =
@@ -107,9 +121,10 @@ fn a_line_is_decoded_without_allocating_anything_but_its_arrays() {
     for (line, ev, owned) in &lines {
         let (parsed, bytes, count) = allocated(|| parse_line(line, 1));
         assert_eq!(parsed.as_ref(), Ok(ev));
+        let (box_bytes, boxes) = boxed(&ev.kind);
         assert_eq!(
             (bytes, count),
-            (8 * *owned as u64, u64::from(*owned > 0)),
+            (8 * *owned as u64 + box_bytes, u64::from(*owned > 0) + boxes),
             "{line}: {bytes} bytes in {count} allocations"
         );
     }
@@ -137,13 +152,14 @@ fn a_line_is_encoded_in_place() {
 
 /// What a whole log costs does not follow its length: the export is one
 /// buffer, and a parse is the event `Vec` growing plus one `Vec` per
-/// non-empty array. On this log the tree-building codec made 83 813
-/// allocations to write it (8.4 an event) and 142 015 to read it (14.2).
+/// non-empty array and one box per `op_complete` payload. On this log
+/// the tree-building codec made 83 813 allocations to write it (8.4 an
+/// event) and 142 015 to read it (14.2).
 #[test]
 fn a_log_is_exported_and_parsed_in_a_handful_of_allocations() {
     const EVENTS: u64 = 10_000;
     let recorder = Recorder::with_event_log();
-    let mut arrays = 0;
+    let (mut arrays, mut boxes) = (0, 0);
     for i in 0..EVENTS {
         let kind = match i % 5 {
             0 => EventKind::MessageSent {
@@ -162,6 +178,7 @@ fn a_log_is_exported_and_parsed_in_a_handful_of_allocations() {
             }
             _ => op(Some(i), vec![], Some((i, 1))),
         };
+        boxes += boxed(&kind).1;
         recorder.record(i * 100, kind);
     }
     let (jsonl, _, exports) = allocated(|| recorder.export_jsonl());
@@ -174,6 +191,10 @@ fn a_log_is_exported_and_parsed_in_a_handful_of_allocations() {
     assert_eq!(events.len() as u64, EVENTS);
     // Measured: 1 for the export, 14 here — the event `Vec` doubling
     // thirteen times on the way to 10 000 and the document's name cache.
-    let fixed = parses - arrays;
-    assert!(fixed <= 24, "parse_jsonl allocated {fixed} times beside its {arrays} arrays");
+    assert_eq!(boxes, EVENTS / 5);
+    let fixed = parses - arrays - boxes;
+    assert!(
+        fixed <= 24,
+        "parse_jsonl allocated {fixed} times beside its {arrays} arrays and {boxes} payload boxes"
+    );
 }
