@@ -35,11 +35,6 @@ impl LamportClock {
         Self::default()
     }
 
-    /// The current counter value (without ticking).
-    pub fn current(&self) -> u64 {
-        self.counter
-    }
-
     /// Record a local event: tick and return the new timestamp for `actor`.
     pub fn tick(&mut self, actor: ActorId) -> LamportTimestamp {
         self.counter += 1;

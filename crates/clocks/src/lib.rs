@@ -15,20 +15,15 @@
 //! * [`Dot`] / [`DottedVersionVector`] — a version vector plus one explicit
 //!   "dot", resolving the classic sibling-explosion problem of plain
 //!   version vectors in multi-value registers.
-//! * [`HybridClock`] — hybrid logical clocks (physical time + logical
-//!   counter), used when timestamps must be close to real time *and*
-//!   respect causality.
 //!
 //! All clock types are join-semilattices under their merge operation; the
 //! property tests in each module check commutativity, associativity,
 //! idempotence, and monotonicity.
 
-pub mod hlc;
 pub mod lamport;
 pub mod ordering;
 pub mod vector;
 
-pub use hlc::{HybridClock, HybridTimestamp};
 pub use lamport::{LamportClock, LamportTimestamp};
 pub use ordering::CausalOrd;
 pub use vector::{Dot, DottedVersionVector, VectorClock, VersionVector};

@@ -1,7 +1,5 @@
 //! Causal (partial) ordering between clock values.
 
-use std::cmp::Ordering;
-
 /// The outcome of comparing two events under happens-before.
 ///
 /// Unlike [`std::cmp::Ordering`], a fourth case — [`CausalOrd::Concurrent`]
@@ -32,30 +30,6 @@ impl CausalOrd {
         }
     }
 
-    /// Convert to a total order when possible (`None` for concurrent).
-    pub fn to_total(self) -> Option<Ordering> {
-        match self {
-            CausalOrd::Equal => Some(Ordering::Equal),
-            CausalOrd::Before => Some(Ordering::Less),
-            CausalOrd::After => Some(Ordering::Greater),
-            CausalOrd::Concurrent => None,
-        }
-    }
-
-    /// Reverse the direction of the comparison.
-    pub fn reverse(self) -> CausalOrd {
-        match self {
-            CausalOrd::Before => CausalOrd::After,
-            CausalOrd::After => CausalOrd::Before,
-            other => other,
-        }
-    }
-
-    /// True if the left value is dominated by (or equal to) the right.
-    pub fn is_descendant_or_equal(self) -> bool {
-        matches!(self, CausalOrd::Equal | CausalOrd::Before)
-    }
-
     /// True if the two events are concurrent.
     pub fn is_concurrent(self) -> bool {
         matches!(self, CausalOrd::Concurrent)
@@ -75,26 +49,7 @@ mod tests {
     }
 
     #[test]
-    fn to_total_maps_concurrent_to_none() {
-        assert_eq!(CausalOrd::Equal.to_total(), Some(Ordering::Equal));
-        assert_eq!(CausalOrd::Before.to_total(), Some(Ordering::Less));
-        assert_eq!(CausalOrd::After.to_total(), Some(Ordering::Greater));
-        assert_eq!(CausalOrd::Concurrent.to_total(), None);
-    }
-
-    #[test]
-    fn reverse_is_involutive() {
-        for o in [CausalOrd::Equal, CausalOrd::Before, CausalOrd::After, CausalOrd::Concurrent] {
-            assert_eq!(o.reverse().reverse(), o);
-        }
-        assert_eq!(CausalOrd::Before.reverse(), CausalOrd::After);
-    }
-
-    #[test]
     fn predicates() {
-        assert!(CausalOrd::Equal.is_descendant_or_equal());
-        assert!(CausalOrd::Before.is_descendant_or_equal());
-        assert!(!CausalOrd::After.is_descendant_or_equal());
         assert!(CausalOrd::Concurrent.is_concurrent());
         assert!(!CausalOrd::Before.is_concurrent());
     }

@@ -77,13 +77,6 @@ impl VectorClock {
         }
     }
 
-    /// Join returning a new clock.
-    pub fn merged(&self, other: &VectorClock) -> VectorClock {
-        let mut out = self.clone();
-        out.merge(other);
-        out
-    }
-
     /// Compare under happens-before.
     pub fn compare(&self, other: &VectorClock) -> CausalOrd {
         let mut self_gt = false;
@@ -107,16 +100,6 @@ impl VectorClock {
     /// component of `other` (i.e. `self` has seen everything `other` has).
     pub fn dominates(&self, other: &VectorClock) -> bool {
         other.entries.iter().all(|(&a, &c)| self.get(a) >= c)
-    }
-
-    /// True if the two clocks are concurrent.
-    pub fn concurrent(&self, other: &VectorClock) -> bool {
-        self.compare(other).is_concurrent()
-    }
-
-    /// Number of actors with nonzero components.
-    pub fn len(&self) -> usize {
-        self.entries.len()
     }
 
     /// True if no actor has a nonzero component.
@@ -213,40 +196,18 @@ impl DottedVersionVector {
             (false, false) => CausalOrd::Concurrent,
         }
     }
-
-    /// The full event set this DVV represents: context joined with the dot.
-    pub fn event_set(&self) -> VersionVector {
-        let mut vv = self.context.clone();
-        vv.observe(self.dot.actor, self.dot.counter);
-        vv
-    }
-}
-
-/// Reduce a sibling set: keep only causally-maximal values, deduplicating
-/// identical dots.
-///
-/// Obsolescence is judged against each other sibling's *context* (what its
-/// writer had actually seen), never against `context ∪ dot`: a dot
-/// `(r, k)` does not imply its writer saw `(r, k-1)` — blind writes from
-/// the same replica are concurrent, and folding the dot into the coverage
-/// check would silently drop them (the DVV "gap" pitfall).
-pub fn prune_siblings(mut siblings: Vec<DottedVersionVector>) -> Vec<DottedVersionVector> {
-    siblings.sort_by_key(|d| d.dot);
-    siblings.dedup_by_key(|d| d.dot);
-    let keep: Vec<bool> = siblings
-        .iter()
-        .map(|s| {
-            !siblings
-                .iter()
-                .any(|other| other.dot != s.dot && s.compare(other) == CausalOrd::Before)
-        })
-        .collect();
-    siblings.into_iter().zip(keep).filter_map(|(s, k)| k.then_some(s)).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The join of two clocks, through the in-place `merge`.
+    pub(super) fn join(a: &VectorClock, b: &VectorClock) -> VectorClock {
+        let mut m = a.clone();
+        m.merge(b);
+        m
+    }
 
     #[test]
     fn empty_clocks_are_equal() {
@@ -275,7 +236,6 @@ mod tests {
         a.increment(1);
         b.increment(2);
         assert_eq!(a.compare(&b), CausalOrd::Concurrent);
-        assert!(a.concurrent(&b));
         assert!(!a.dominates(&b) && !b.dominates(&a));
     }
 
@@ -283,7 +243,7 @@ mod tests {
     fn merge_is_least_upper_bound() {
         let a = VectorClock::from_pairs([(1, 3), (2, 1)]);
         let b = VectorClock::from_pairs([(1, 1), (3, 4)]);
-        let m = a.merged(&b);
+        let m = join(&a, &b);
         assert_eq!(m, VectorClock::from_pairs([(1, 3), (2, 1), (3, 4)]));
         assert!(m.dominates(&a) && m.dominates(&b));
         assert_eq!(m.total(), 8);
@@ -294,7 +254,7 @@ mod tests {
         let a = VectorClock::from_pairs([(1, 0), (2, 5)]);
         let b = VectorClock::from_pairs([(2, 5)]);
         assert_eq!(a, b);
-        assert_eq!(a.len(), 1);
+        assert_eq!(a.iter().count(), 1);
         let mut c = VectorClock::new();
         c.observe(7, 0);
         assert!(c.is_empty());
@@ -332,37 +292,11 @@ mod tests {
         let v2 = DottedVersionVector::new(Dot::new(2, 1), VectorClock::new());
         assert_eq!(v1.compare(&v2), CausalOrd::Concurrent);
     }
-
-    #[test]
-    fn prune_removes_covered_siblings() {
-        let old = DottedVersionVector::new(Dot::new(1, 1), VectorClock::new());
-        let newer = DottedVersionVector::new(Dot::new(2, 1), VectorClock::from_pairs([(1, 1)]));
-        let concurrent = DottedVersionVector::new(Dot::new(3, 1), VectorClock::new());
-        let pruned = prune_siblings(vec![old.clone(), newer.clone(), concurrent.clone()]);
-        assert!(!pruned.contains(&old));
-        assert!(pruned.contains(&newer));
-        assert!(pruned.contains(&concurrent));
-        assert_eq!(pruned.len(), 2);
-    }
-
-    #[test]
-    fn prune_dedups_identical_dots() {
-        let v = DottedVersionVector::new(Dot::new(1, 1), VectorClock::new());
-        let pruned = prune_siblings(vec![v.clone(), v.clone()]);
-        assert_eq!(pruned.len(), 1);
-    }
-
-    #[test]
-    fn event_set_includes_dot() {
-        let v = DottedVersionVector::new(Dot::new(2, 3), VectorClock::from_pairs([(1, 1)]));
-        let es = v.event_set();
-        assert_eq!(es.get(1), 1);
-        assert_eq!(es.get(2), 3);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::join;
     use super::*;
     use proptest::prelude::*;
 
@@ -374,25 +308,25 @@ mod proptests {
         /// Merge is commutative.
         #[test]
         fn merge_commutative(a in arb_clock(), b in arb_clock()) {
-            prop_assert_eq!(a.merged(&b), b.merged(&a));
+            prop_assert_eq!(join(&a, &b), join(&b, &a));
         }
 
         /// Merge is associative.
         #[test]
         fn merge_associative(a in arb_clock(), b in arb_clock(), c in arb_clock()) {
-            prop_assert_eq!(a.merged(&b).merged(&c), a.merged(&b.merged(&c)));
+            prop_assert_eq!(join(&join(&a, &b), &c), join(&a, &join(&b, &c)));
         }
 
         /// Merge is idempotent.
         #[test]
         fn merge_idempotent(a in arb_clock()) {
-            prop_assert_eq!(a.merged(&a), a);
+            prop_assert_eq!(join(&a, &a), a);
         }
 
         /// Merge is an upper bound of both inputs.
         #[test]
         fn merge_is_upper_bound(a in arb_clock(), b in arb_clock()) {
-            let m = a.merged(&b);
+            let m = join(&a, &b);
             prop_assert!(m.dominates(&a));
             prop_assert!(m.dominates(&b));
         }
@@ -416,7 +350,12 @@ mod proptests {
         /// Comparison is antisymmetric under reversal.
         #[test]
         fn compare_antisymmetric(a in arb_clock(), b in arb_clock()) {
-            prop_assert_eq!(a.compare(&b), b.compare(&a).reverse());
+            let reversed = match b.compare(&a) {
+                CausalOrd::Before => CausalOrd::After,
+                CausalOrd::After => CausalOrd::Before,
+                other => other,
+            };
+            prop_assert_eq!(a.compare(&b), reversed);
         }
 
         /// Incrementing strictly advances the clock.
@@ -425,33 +364,6 @@ mod proptests {
             let mut b = a.clone();
             b.increment(actor);
             prop_assert_eq!(b.compare(&a), CausalOrd::After);
-        }
-
-        /// Pruned sibling sets are pairwise concurrent.
-        #[test]
-        fn pruned_siblings_pairwise_concurrent(
-            dots in proptest::collection::vec((0u64..4, 1u64..5), 1..6),
-            ctxs in proptest::collection::vec(
-                proptest::collection::btree_map(0u64..4, 1u64..5, 0..4), 1..6)
-        ) {
-            let sibs: Vec<DottedVersionVector> = dots
-                .iter()
-                .zip(ctxs.iter().cycle())
-                .map(|(&(a, c), ctx)| {
-                    DottedVersionVector::new(Dot::new(a, c), VectorClock::from_pairs(ctx.clone()))
-                })
-                .collect();
-            let pruned = prune_siblings(sibs);
-            for i in 0..pruned.len() {
-                for j in (i + 1)..pruned.len() {
-                    let ord = pruned[i].compare(&pruned[j]);
-                    prop_assert!(
-                        ord.is_concurrent() || ord == CausalOrd::Equal,
-                        "non-concurrent survivors: {:?} vs {:?} -> {:?}",
-                        pruned[i], pruned[j], ord
-                    );
-                }
-            }
         }
     }
 }

@@ -117,17 +117,6 @@ impl ChainLink {
             _ => None,
         }
     }
-
-    /// One-line description for reports and `tracequery` output.
-    pub fn describe(&self) -> String {
-        match self {
-            ChainLink::Span(s) => format!("span {} ({}) on node {}", s.span, s.name, s.node),
-            ChainLink::Evicted { span, window_us } => {
-                format!("span {span}: evicted, window={window_us}us")
-            }
-            ChainLink::Missing { span } => format!("span {span}: not in log"),
-        }
-    }
 }
 
 /// The span table: every span by id, built event by event, with bounded
@@ -227,16 +216,6 @@ impl SpanWindow {
     /// Total spans evicted so far.
     pub fn events_evicted(&self) -> u64 {
         self.evicted
-    }
-
-    /// Number of spans currently resident.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// True when no spans are resident.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
     }
 
     /// The causal chain of `span_id` from the windowed state: the span
@@ -518,7 +497,6 @@ mod tests {
         assert_eq!(chain.len(), 2);
         assert!(matches!(chain[0], ChainLink::Span(ref s) if s.span == 2));
         assert_eq!(chain[1], ChainLink::Evicted { span: 1, window_us: 100 });
-        assert!(chain[1].describe().contains("evicted, window="));
         // A parent id that was never observed is distinguishable from an
         // evicted one.
         let ghost = w.causal_chain(99);
@@ -545,8 +523,7 @@ mod tests {
             EventKind::SpanOpen { trace: 1, span: 1, parent: 0, node: 0, name: "op" },
         ));
         assert_eq!(w.advance(1_000_000), 0, "open spans are never evicted");
-        assert_eq!(w.len(), 1);
-        assert!(!w.is_empty());
+        assert!(matches!(w.causal_chain(1)[..], [ChainLink::Span(ref s)] if s.span == 1));
     }
 
     #[test]

@@ -33,15 +33,6 @@ pub struct CausalReport {
 }
 
 impl CausalReport {
-    /// Violation rate (0 when nothing was checkable).
-    pub fn rate(&self) -> f64 {
-        if self.checked == 0 {
-            0.0
-        } else {
-            self.violations as f64 / self.checked as f64
-        }
-    }
-
     /// True if no anomaly was found.
     pub fn clean(&self) -> bool {
         self.violations == 0

@@ -61,19 +61,11 @@ pub enum LinCheckError {
 /// Default state budget for the search (~tens of ms of work).
 pub const DEFAULT_SEARCH_BUDGET: u64 = 2_000_000;
 
-/// Check one register history for linearizability with the default
-/// search budget.
+/// Check one register history for linearizability; `None` if the state
+/// budget ran out before a verdict was reached.
 ///
 /// # Panics
-/// If the history exceeds 126 ops or the search budget runs out; use
-/// [`check_linearizable_register_bounded`] for a non-panicking variant.
-pub fn check_linearizable_register(history: &[Interval]) -> bool {
-    check_linearizable_register_bounded(history, DEFAULT_SEARCH_BUDGET)
-        .expect("linearizability search budget exceeded")
-}
-
-/// Check one register history; `None` if the state budget ran out before
-/// a verdict was reached.
+/// If the history exceeds 126 ops.
 pub fn check_linearizable_register_bounded(history: &[Interval], budget: u64) -> Option<bool> {
     let n = history.len();
     assert!(n <= 126, "history too large for the bitmask search");
@@ -191,6 +183,13 @@ mod tests {
 
     fn r(invoke: u64, ret: u64, v: Option<u64>) -> Interval {
         Interval { invoke, ret, op: RegOp::Read(v) }
+    }
+
+    /// The verdict under the default budget, which these histories never
+    /// exhaust.
+    fn check_linearizable_register(history: &[Interval]) -> bool {
+        check_linearizable_register_bounded(history, DEFAULT_SEARCH_BUDGET)
+            .expect("linearizability search budget exceeded")
     }
 
     #[test]

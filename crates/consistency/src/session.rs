@@ -135,11 +135,6 @@ impl SessionStream {
         }
     }
 
-    /// The accumulated report.
-    pub fn report(&self) -> &SessionReport {
-        &self.report
-    }
-
     /// Consume the stream, yielding the final report.
     pub fn into_report(self) -> SessionReport {
         self.report

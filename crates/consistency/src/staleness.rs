@@ -106,11 +106,6 @@ impl StalenessStream {
         }
     }
 
-    /// The accumulated report.
-    pub fn report(&self) -> &StalenessReport {
-        &self.report
-    }
-
     /// Consume the stream, yielding the final report.
     pub fn into_report(self) -> StalenessReport {
         self.report

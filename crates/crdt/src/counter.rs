@@ -1,6 +1,6 @@
 //! Replicated counters.
 
-use crate::{CmRdt, CvRdt};
+use crate::CvRdt;
 use clocks::ActorId;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -29,11 +29,6 @@ impl GCounter {
     /// The counter's value (sum across actors).
     pub fn value(&self) -> u64 {
         self.counts.values().sum()
-    }
-
-    /// This actor's contribution.
-    pub fn of_actor(&self, actor: ActorId) -> u64 {
-        self.counts.get(&actor).copied().unwrap_or(0)
     }
 
     /// The lattice order, decided by comparison alone: `self.leq(other)`
@@ -101,45 +96,6 @@ impl CvRdt for PnCounter {
     }
 }
 
-/// Operations for the op-based counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CounterOp {
-    /// Add `n`.
-    Incr(u64),
-    /// Subtract `n`.
-    Decr(u64),
-}
-
-/// An op-based counter: increments/decrements commute, so any delivery
-/// order works as long as each op arrives exactly once.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OpCounter {
-    value: i64,
-}
-
-impl OpCounter {
-    /// A zero counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The counter's value.
-    pub fn value(&self) -> i64 {
-        self.value
-    }
-}
-
-impl CmRdt for OpCounter {
-    type Op = CounterOp;
-
-    fn apply(&mut self, op: &CounterOp) {
-        match *op {
-            CounterOp::Incr(n) => self.value += n as i64,
-            CounterOp::Decr(n) => self.value -= n as i64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,8 +107,6 @@ mod tests {
         c.increment(2, 2);
         c.increment(1, 1);
         assert_eq!(c.value(), 6);
-        assert_eq!(c.of_actor(1), 4);
-        assert_eq!(c.of_actor(9), 0);
     }
 
     #[test]
@@ -188,21 +142,6 @@ mod tests {
         let m2 = b.clone().merged(&a);
         assert_eq!(m1, m2);
         assert_eq!(m1.value(), 6);
-    }
-
-    #[test]
-    fn op_counter_ops_commute() {
-        let ops = [CounterOp::Incr(3), CounterOp::Decr(1), CounterOp::Incr(4)];
-        let mut fwd = OpCounter::new();
-        let mut rev = OpCounter::new();
-        for op in &ops {
-            fwd.apply(op);
-        }
-        for op in ops.iter().rev() {
-            rev.apply(op);
-        }
-        assert_eq!(fwd.value(), 6);
-        assert_eq!(fwd, rev);
     }
 }
 
@@ -283,26 +222,6 @@ mod proptests {
             let r3 = merge_all(GCounter::new(), &states, &shuffled);
             prop_assert_eq!(&r1, &r2);
             prop_assert_eq!(&r1, &r3);
-        }
-
-        /// Op-based counter: any permutation of ops gives the same value.
-        #[test]
-        fn op_counter_permutation_insensitive(
-            ops in proptest::collection::vec(
-                prop_oneof![ (1u64..20).prop_map(CounterOp::Incr), (1u64..20).prop_map(CounterOp::Decr) ],
-                0..20),
-            rot in 0usize..20,
-        ) {
-            let mut a = OpCounter::new();
-            for op in &ops { a.apply(op); }
-            let mut rotated = ops.clone();
-            if !rotated.is_empty() {
-                let r = rot % rotated.len();
-                rotated.rotate_left(r);
-            }
-            let mut b = OpCounter::new();
-            for op in &rotated { b.apply(op); }
-            prop_assert_eq!(a, b);
         }
     }
 }

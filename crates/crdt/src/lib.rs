@@ -7,9 +7,8 @@
 //! in the same state regardless of delivery order — eventual consistency by
 //! construction rather than by timestamp arbitration.
 //!
-//! This crate provides the classic menagerie, in two flavours:
-//!
-//! **State-based (CvRDTs)** — ship your whole state; receiver joins:
+//! This crate provides the classic menagerie of state-based CRDTs
+//! (CvRDTs) — ship your whole state; the receiver joins:
 //! * [`GCounter`], [`PnCounter`] — grow-only / increment-decrement counters
 //! * [`LwwRegister`] — last-writer-wins register (the "lossy" baseline the
 //!   E6 experiment quantifies)
@@ -20,26 +19,19 @@
 //! * [`Rga`] — a replicated growable array (ordered sequence) for the
 //!   collaborative-list example
 //!
-//! **Op-based (CmRDTs)** — ship operations; requires causal, exactly-once
-//! delivery, which the `replication` crate's causal broadcast provides:
-//! * [`OpCounter`] — commutative increments
-//! * [`OpOrSet`] — observed-remove set as operations (O(1) messages)
-//!
-//! Every state-based type satisfies the semilattice laws (commutativity,
+//! Every type satisfies the semilattice laws (commutativity,
 //! associativity, idempotence) and update inflation; `proptest` suites in
 //! each module check them, and integration tests check *convergence*: any
 //! permutation of pairwise merges reaches the same state.
 
 pub mod counter;
 pub mod map;
-pub mod opset;
 pub mod register;
 pub mod rga;
 pub mod set;
 
-pub use counter::{GCounter, OpCounter, PnCounter};
+pub use counter::{GCounter, PnCounter};
 pub use map::OrMap;
-pub use opset::{OpOrSet, SetOp};
 pub use register::{LwwRegister, MvRegister};
 pub use rga::Rga;
 pub use set::{GSet, OrSet, TwoPSet};
@@ -61,19 +53,6 @@ pub trait CvRdt: Clone {
         self.merge(other);
         self
     }
-}
-
-/// An operation-based (commutative) replicated data type.
-///
-/// `apply` consumes downstream operations. Correctness requires the
-/// delivery layer to provide causal order and exactly-once delivery; the
-/// type itself only promises that *concurrent* operations commute.
-pub trait CmRdt {
-    /// The operation type shipped between replicas.
-    type Op: Clone;
-
-    /// Apply a (locally generated or remotely received) operation.
-    fn apply(&mut self, op: &Self::Op);
 }
 
 #[cfg(test)]

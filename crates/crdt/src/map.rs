@@ -86,16 +86,6 @@ impl<K: Ord + Clone, V: CvRdt + Default> OrMap<K, V> {
         self.presence.contains_key(key)
     }
 
-    /// Number of live keys.
-    pub fn len(&self) -> usize {
-        self.presence.len()
-    }
-
-    /// True if no live keys.
-    pub fn is_empty(&self) -> bool {
-        self.presence.is_empty()
-    }
-
     /// Iterate live `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.presence.keys().filter_map(|k| self.values.get(k).map(|v| (k, v)))
@@ -146,7 +136,7 @@ mod tests {
         m.update(1, "beer", |c| c.increment(1, 2));
         m.update(1, "beer", |c| c.increment(1, 1));
         assert_eq!(m.get(&"beer").unwrap().value(), 3);
-        assert_eq!(m.len(), 1);
+        assert_eq!(m.iter().count(), 1);
         assert!(m.contains_key(&"beer"));
     }
 
@@ -182,7 +172,7 @@ mod tests {
         m.remove(&"beer");
         let merged = m.merged(&stale);
         assert!(!merged.contains_key(&"beer"));
-        assert!(merged.is_empty());
+        assert_eq!(merged.iter().count(), 0);
         assert_eq!(merged.get(&"beer"), None);
     }
 

@@ -34,11 +34,6 @@ impl<T: Clone> LwwRegister<T> {
     pub fn get(&self) -> Option<&T> {
         self.value.as_ref()
     }
-
-    /// The timestamp of the current value.
-    pub fn timestamp(&self) -> LamportTimestamp {
-        self.ts
-    }
 }
 
 impl<T: Clone> CvRdt for LwwRegister<T> {
@@ -81,16 +76,6 @@ impl<T: Clone + PartialEq> MvRegister<T> {
     /// Current sibling values (one if no unresolved concurrency).
     pub fn get(&self) -> Vec<&T> {
         self.siblings.iter().map(|(v, _)| v).collect()
-    }
-
-    /// Number of concurrent siblings.
-    pub fn sibling_count(&self) -> usize {
-        self.siblings.len()
-    }
-
-    /// True if no write has happened.
-    pub fn is_empty(&self) -> bool {
-        self.siblings.is_empty()
     }
 
     fn insert_sibling(&mut self, value: T, vc: VectorClock) {
@@ -181,7 +166,7 @@ mod tests {
         let mut got = m.get();
         got.sort();
         assert_eq!(got, vec![&"alice", &"bob"]);
-        assert_eq!(m.sibling_count(), 2);
+        assert_eq!(m.get().len(), 2);
     }
 
     #[test]
@@ -192,7 +177,7 @@ mod tests {
         a.set(1, "alice");
         b.set(2, "bob");
         let mut merged = a.merged(&b);
-        assert_eq!(merged.sibling_count(), 2);
+        assert_eq!(merged.get().len(), 2);
         // A client that has seen both siblings writes a resolution.
         merged.set(3, "resolved");
         assert_eq!(merged.get(), vec![&"resolved"]);
@@ -211,7 +196,6 @@ mod tests {
         r.set(1, 20);
         r.set(2, 30);
         assert_eq!(r.get(), vec![&30]);
-        assert!(!r.is_empty());
     }
 
     #[test]
@@ -287,7 +271,7 @@ mod proptests {
             ys.sort_unstable();
             prop_assert_eq!(xs, ys);
             let aa = a.clone().merged(&a);
-            prop_assert_eq!(aa.sibling_count(), a.sibling_count());
+            prop_assert_eq!(aa.get().len(), a.get().len());
         }
 
         /// Merging in any association order yields the same sibling values.

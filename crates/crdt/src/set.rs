@@ -28,21 +28,6 @@ impl<T: Ord + Clone> GSet<T> {
         self.items.insert(item);
     }
 
-    /// Membership test.
-    pub fn contains(&self, item: &T) -> bool {
-        self.items.contains(item)
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-
     /// Iterate elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.items.iter()
@@ -90,21 +75,6 @@ impl<T: Ord + Clone> TwoPSet<T> {
     /// Membership: added and not removed.
     pub fn contains(&self, item: &T) -> bool {
         self.added.contains(item) && !self.removed.contains(item)
-    }
-
-    /// Number of live elements.
-    pub fn len(&self) -> usize {
-        self.added.iter().filter(|i| !self.removed.contains(i)).count()
-    }
-
-    /// True if no live elements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate live elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.added.iter().filter(|i| !self.removed.contains(*i))
     }
 }
 
@@ -165,24 +135,9 @@ impl<T: Ord + Clone> OrSet<T> {
         self.entries.contains_key(item)
     }
 
-    /// Number of live elements.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if no live elements.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Iterate live elements in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.entries.keys()
-    }
-
-    /// Number of tombstoned dots (for the metadata-overhead ablation).
-    pub fn tombstone_count(&self) -> usize {
-        self.removed.len()
     }
 }
 
@@ -220,8 +175,6 @@ mod tests {
         a.insert(1);
         b.insert(2);
         let m = a.merged(&b);
-        assert!(m.contains(&1) && m.contains(&2));
-        assert_eq!(m.len(), 2);
         assert_eq!(m.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
     }
 
@@ -232,7 +185,6 @@ mod tests {
         s.remove(&"x");
         s.insert("x"); // too late: tombstone wins
         assert!(!s.contains(&"x"));
-        assert_eq!(s.len(), 0);
     }
 
     #[test]
@@ -298,9 +250,9 @@ mod tests {
         a.insert(0, "x");
         let stale = a.clone();
         a.remove(&"x");
-        let m = a.merged(&stale);
+        let m = a.clone().merged(&stale);
         assert!(!m.contains(&"x"));
-        assert_eq!(m.tombstone_count(), 1);
+        assert_eq!(m, a, "the stale copy adds nothing: one tombstone, no entry");
     }
 
     #[test]

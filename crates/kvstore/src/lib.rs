@@ -5,10 +5,11 @@
 //! multi-version in-memory key-value store with a write-ahead log. The
 //! pieces:
 //!
-//! * [`Value`] — cheap, immutable byte values ([`bytes::Bytes`]) with `u64`
-//!   encode/decode helpers (experiments store unique write ids as values).
+//! * [`Value`] — cheap, immutable byte values (one shared `Arc<[u8]>`)
+//!   with `u64` encode/decode helpers (experiments store unique write ids
+//!   as values).
 //! * [`Version`] / [`MvStore`] — timestamp-ordered version chains per key;
-//!   supports latest reads, snapshot reads at a timestamp, and range scans.
+//!   supports latest reads and range scans.
 //!   This is the store for LWW-arbitrated and primary-copy protocols.
 //! * [`SiblingStore`] — a dotted-version-vector store keeping concurrent
 //!   siblings per key (the Dynamo/Riak model); used by the multi-master

@@ -114,9 +114,10 @@ impl SiblingStore {
     /// if the sibling changed local state.
     ///
     /// Obsolescence is judged by DVV comparison — i.e. against the other
-    /// write's *context*, never `context ∪ dot` (see
-    /// [`clocks::vector::prune_siblings`] for why the dot must stay out of the
-    /// coverage check).
+    /// write's *context*, never `context ∪ dot`: a dot `(r, k)` does not
+    /// imply its writer saw `(r, k-1)`. Blind writes from one replica are
+    /// concurrent, and folding the dot into the coverage check would
+    /// silently drop them (the DVV "gap" pitfall).
     pub fn apply_remote(&mut self, key: Key, sibling: Sibling) -> bool {
         use clocks::CausalOrd;
         let entry = self.entries.entry(key).or_default();
@@ -147,11 +148,6 @@ impl SiblingStore {
     /// Every key with its current siblings, ascending by key.
     pub fn iter(&self) -> impl Iterator<Item = (Key, &[Sibling])> {
         self.entries.iter().map(|(&k, e)| (k, e.siblings.as_slice()))
-    }
-
-    /// Number of keys.
-    pub fn key_count(&self) -> usize {
-        self.entries.len()
     }
 
     /// Total sibling count (metadata-overhead metric: >1 per key means

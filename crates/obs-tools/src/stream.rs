@@ -17,7 +17,7 @@
 //! contract's order (`OpTrace::sort_by_completion`) — the one the
 //! whole-trace checkers fold a finished trace in.
 
-use consistency::{StreamConfig, StreamReports, StreamVerifier, StreamViolation};
+use consistency::{StreamConfig, StreamReports, StreamVerifier};
 use obs::{ClientOpKind, EventKind, TracedEvent};
 use simnet::{NodeId, OpKind, OpRecord, SimTime};
 
@@ -89,21 +89,6 @@ impl StreamTraceChecker {
         self.verifier.feed_slice(&self.pending);
         self.pending.clear();
         self.verifier.violations().len() - before
-    }
-
-    /// Operations ingested so far (including any still buffered).
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Violations flagged so far (excluding the buffered tie group).
-    pub fn violations(&self) -> &[StreamViolation] {
-        self.verifier.violations()
-    }
-
-    /// Events evicted from checker state so far.
-    pub fn events_evicted(&self) -> u64 {
-        self.verifier.events_evicted()
     }
 
     /// Flush the tail, classify convergence, and return every report

@@ -12,7 +12,7 @@
 //!   automatically from recorded events;
 //! - **histograms** ([`Metric`], [`Histogram`]) for continuous
 //!   quantities such as quorum wait times;
-//! - **causal trace/span ids** ([`TraceId`], [`SpanId`]) that group
+//! - **causal span ids** ([`SpanId`]; trace ids are plain `u64`) that group
 //!   every event caused by one client operation into a span tree
 //!   (`span_open`/`span_close` event pairs, documented in
 //!   `docs/TRACING.md`);
@@ -86,7 +86,7 @@ pub use prof::{
 };
 pub use recorder::{Recorder, DEFAULT_EVENT_CAP};
 pub use report::{MetricsReport, NodeCounters};
-pub use span::{SpanId, TraceId};
+pub use span::SpanId;
 pub use timeseries::{
     TimeSeries, TimeSeriesSummary, TsBucket, TsMetric, TsPoint, DEFAULT_TS_BUCKET_US,
 };

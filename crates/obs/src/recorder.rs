@@ -338,13 +338,6 @@ impl Recorder {
         }
     }
 
-    /// Record one observation of a continuous metric.
-    pub fn observe(&self, metric: Metric, value: u64) {
-        if let Some(core) = &self.core {
-            core.lock().unwrap().hists[metric as usize].record(value);
-        }
-    }
-
     /// Fold one time-series sample taken at virtual time `t_us` into
     /// the windowed series for `metric` (see [`TsMetric`] for what each
     /// series measures). Free when the recorder is disabled.

@@ -1,4 +1,4 @@
-//! Exported metrics snapshots ([`MetricsReport`]) and snapshot diffing.
+//! Exported metrics snapshots ([`MetricsReport`]).
 
 use serde::{Serialize, Value};
 
@@ -24,21 +24,20 @@ pub struct NodeCounters {
 ///
 /// # Examples
 ///
-/// Diffing two snapshots isolates the cost of a phase:
+/// A snapshot answers by counter and checks the conservation identity
+/// every run must satisfy:
 ///
 /// ```
 /// use obs::{Counter, EventKind, Recorder};
 ///
 /// let rec = Recorder::enabled();
 /// rec.record(0, EventKind::MessageSent { from: 0, to: 1, bytes: 8, trace: 0, span: 0 });
-/// let before = rec.report();
+/// rec.record(1, EventKind::MessageSent { from: 1, to: 0, bytes: 8, trace: 0, span: 0 });
+/// rec.record(2, EventKind::MessageDelivered { from: 0, to: 1, bytes: 8, trace: 0, span: 0 });
 ///
-/// // ... some phase of the run does more work ...
-/// rec.record(1, EventKind::MessageSent { from: 0, to: 1, bytes: 8, trace: 0, span: 0 });
-/// rec.record(2, EventKind::MessageSent { from: 1, to: 0, bytes: 8, trace: 0, span: 0 });
-///
-/// let delta = rec.report().diff(&before);
-/// assert_eq!(delta.counter(Counter::MessagesSent), 2);
+/// let report = rec.report();
+/// assert_eq!(report.counter(Counter::MessagesSent), 2);
+/// assert_eq!(report.check_message_conservation(), Err((2, 1, 0)));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsReport {
@@ -80,52 +79,6 @@ impl MetricsReport {
             .and_then(|nc| nc.counters.iter().find(|(n, _)| n == name))
             .map(|&(_, v)| v)
             .unwrap_or(0)
-    }
-
-    /// Subtract an earlier snapshot from this one, yielding the
-    /// activity between the two (counters and event totals only;
-    /// histogram summaries and time series are not subtractable and
-    /// are taken from `self`).
-    pub fn diff(&self, earlier: &MetricsReport) -> MetricsReport {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(name, v)| {
-                let prev =
-                    earlier.counters.iter().find(|(n, _)| n == name).map(|&(_, p)| p).unwrap_or(0);
-                (name.clone(), v.saturating_sub(prev))
-            })
-            .collect();
-        let per_node = self
-            .per_node
-            .iter()
-            .map(|nc| {
-                let prev = earlier.per_node.iter().find(|p| p.node == nc.node);
-                NodeCounters {
-                    node: nc.node,
-                    counters: nc
-                        .counters
-                        .iter()
-                        .map(|(name, v)| {
-                            let p = prev
-                                .and_then(|p| p.counters.iter().find(|(n, _)| n == name))
-                                .map(|&(_, p)| p)
-                                .unwrap_or(0);
-                            (name.clone(), v.saturating_sub(p))
-                        })
-                        .collect(),
-                }
-            })
-            .collect();
-        MetricsReport {
-            events_recorded: self.events_recorded.saturating_sub(earlier.events_recorded),
-            events_dropped: self.events_dropped.saturating_sub(earlier.events_dropped),
-            counters,
-            per_node,
-            latencies: self.latencies.clone(),
-            timeseries: self.timeseries.clone(),
-            profile: self.profile.clone(),
-        }
     }
 
     /// The conservation identity every run must satisfy:
@@ -196,7 +149,6 @@ impl Serialize for MetricsReport {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::event::EventKind;
     use crate::Recorder;
 
@@ -208,17 +160,6 @@ mod tests {
         assert_eq!(report.check_message_conservation(), Err((1, 0, 0)));
         rec.record(5, EventKind::MessageDelivered { from: 0, to: 1, bytes: 8, trace: 0, span: 0 });
         assert!(rec.report().check_message_conservation().is_ok());
-    }
-
-    #[test]
-    fn diff_subtracts_counters() {
-        let rec = Recorder::enabled();
-        rec.count_node(0, Counter::WalAppends, 3);
-        let before = rec.report();
-        rec.count_node(0, Counter::WalAppends, 4);
-        let delta = rec.report().diff(&before);
-        assert_eq!(delta.counter(Counter::WalAppends), 4);
-        assert_eq!(delta.node_counter(0, Counter::WalAppends), 4);
     }
 
     #[test]

@@ -7,27 +7,14 @@
 //! nest (each span knows its parent) so the log reconstructs into a
 //! span *tree* per operation.
 //!
-//! Both ids are plain `u64` newtypes allocated by the simulator from a
-//! serial per-run counter, which makes traces a pure function of the
-//! run: the same seed yields byte-identical trace ids regardless of
-//! `--jobs` (see `docs/TRACING.md` for the allocation rules). The value
+//! Both ids are `u64`s (a span id travels as the [`SpanId`] newtype)
+//! allocated by the simulator from a serial per-run counter, which
+//! makes traces a pure function of the run: the same seed yields
+//! byte-identical trace ids regardless of `--jobs` (see
+//! `docs/TRACING.md` for the allocation rules). The value
 //! `0` is reserved to mean "no trace/span" so untraced events (gossip
 //! background traffic, timers outside any operation) can carry an
 //! explicit absent marker in the JSONL output.
-
-/// Identifier of one end-to-end operation trace. `0` means "none".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct TraceId(pub u64);
-
-impl TraceId {
-    /// The reserved "no trace" id.
-    pub const NONE: TraceId = TraceId(0);
-
-    /// Whether this is the reserved "no trace" id.
-    pub fn is_none(self) -> bool {
-        self.0 == 0
-    }
-}
 
 /// Identifier of one span within a trace. `0` means "none".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -50,11 +37,9 @@ mod tests {
 
     #[test]
     fn zero_is_none() {
-        assert!(TraceId::NONE.is_none());
         assert!(SpanId::NONE.is_none());
-        assert!(!TraceId(1).is_none());
         assert!(!SpanId(7).is_none());
-        assert_eq!(TraceId::default(), TraceId::NONE);
+        assert_eq!(SpanId::default(), SpanId::NONE);
     }
 
     #[test]

@@ -99,21 +99,6 @@ impl TimeSeries {
         TimeSeries { bucket_us: bucket_us.max(1), buckets: Vec::new() }
     }
 
-    /// The bucket width in microseconds.
-    pub fn bucket_us(&self) -> u64 {
-        self.bucket_us
-    }
-
-    /// Total samples across all buckets.
-    pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.count).sum()
-    }
-
-    /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.buckets.iter().all(|b| b.count == 0)
-    }
-
     /// Fold one sample taken at virtual time `t_us` into its bucket.
     pub fn record(&mut self, t_us: u64, value: u64) {
         self.record_folded(t_us, 1, value, value);
@@ -241,7 +226,6 @@ mod tests {
         assert_eq!(points[0], TsPoint { t_us: 0, count: 2, sum: 12, max: 7 });
         assert_eq!(points[1], TsPoint { t_us: 1_000, count: 1, sum: 1, max: 1 });
         assert_eq!(points[2], TsPoint { t_us: 5_000, count: 1, sum: 3, max: 3 });
-        assert_eq!(ts.count(), 4);
         assert!((points[0].mean() - 6.0).abs() < 1e-12);
     }
 
@@ -290,7 +274,6 @@ mod tests {
     #[test]
     fn empty_series_exports_no_points() {
         let ts = TimeSeries::default();
-        assert!(ts.is_empty());
         assert!(ts.summary().points.is_empty());
         assert_eq!(ts.summary().bucket_us, DEFAULT_TS_BUCKET_US);
     }

@@ -124,21 +124,6 @@ impl Grid {
         self
     }
 
-    /// Number of seeds each variant runs at.
-    pub fn seeds_per_variant(&self) -> u64 {
-        self.seeds_per_variant
-    }
-
-    /// Total cell count (variants × seeds).
-    pub fn len(&self) -> usize {
-        self.variants.len() * self.seeds_per_variant as usize
-    }
-
-    /// Whether the grid has no cells.
-    pub fn is_empty(&self) -> bool {
-        self.variants.is_empty()
-    }
-
     /// Run every cell on `jobs` workers; results come back in
     /// deterministic grid order (variant-major, then seed index),
     /// independent of `jobs` and of worker scheduling.

@@ -183,18 +183,6 @@ impl Scheme {
         Scheme::Quorum { n, r, w, read_repair: true, placement: ClientPlacement::Random }
     }
 
-    /// A ring-sharded majority quorum (`R = W = n/2 + 1`, read repair
-    /// on) over `nodes` physical nodes with `vnodes` virtual nodes each
-    /// and no churn.
-    pub fn sharded(n: usize, r: usize, w: usize, nodes: usize, vnodes: usize) -> Self {
-        Scheme::Sharded {
-            inner: Composition::quorum(n, r, w, true, 0),
-            nodes,
-            vnodes,
-            churn: ChurnPlan::none(),
-        }
-    }
-
     /// An explicit composition with sticky clients and no client-side
     /// guarantees.
     pub fn composed(comp: Composition) -> Self {

@@ -196,16 +196,6 @@ impl AckTracker {
     pub fn count(&self) -> usize {
         self.from.len()
     }
-
-    /// The nodes that have acked, in id order.
-    pub fn acked(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.from.iter().copied()
-    }
-
-    /// The configured threshold.
-    pub fn need(&self) -> usize {
-        self.need
-    }
 }
 
 #[cfg(test)]

@@ -275,11 +275,6 @@ impl Ring {
         list
     }
 
-    /// True if `node` is one of `key`'s home owners.
-    pub fn is_owner(&self, key: Key, node: NodeId) -> bool {
-        self.owners(key).contains(&node)
-    }
-
     /// Whether the two handles share one point table — what adopting a
     /// memoised successor looks like from outside. Test probe.
     #[doc(hidden)]

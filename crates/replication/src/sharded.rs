@@ -187,7 +187,7 @@ mod tests {
         for (node, key, _) in sim.key_versions() {
             if node.index() < cfg.nodes {
                 assert!(
-                    ring.is_owner(key, node),
+                    ring.owners(key).contains(&node),
                     "node {} stores key {key} it does not own",
                     node.0
                 );

@@ -130,33 +130,6 @@ impl LatencyModel {
             }
         }
     }
-
-    /// The region a node belongs to, if this is a geo model.
-    pub fn region_of(&self, node: NodeId) -> Option<usize> {
-        match self {
-            LatencyModel::GeoMatrix { region_of, .. } => {
-                Some(region_of[node.index() % region_of.len()])
-            }
-            _ => None,
-        }
-    }
-
-    /// Deterministic *expected* one-way latency between two nodes (no
-    /// jitter); used by SLA monitors to seed their predictions.
-    pub fn expected(&self, from: NodeId, to: NodeId) -> Duration {
-        match self {
-            LatencyModel::Constant(d) => *d,
-            LatencyModel::Uniform { min, max } => {
-                Duration::from_micros((min.as_micros() + max.as_micros()) / 2)
-            }
-            LatencyModel::LogNormal { median, .. } => *median,
-            LatencyModel::GeoMatrix { region_of, rtt_ms, .. } => {
-                let ra = region_of[from.index() % region_of.len()];
-                let rb = region_of[to.index() % region_of.len()];
-                Duration::from_millis_f64(rtt_ms[ra][rb] / 2.0)
-            }
-        }
-    }
 }
 
 /// A checked [`LatencyModel`] with its per-model constants worked out
@@ -278,33 +251,6 @@ mod tests {
         }
         assert!(local / 200.0 < 2.0, "local mean {}", local / 200.0);
         assert!(remote / 200.0 > 80.0, "remote mean {}", remote / 200.0);
-    }
-
-    #[test]
-    fn geo_expected_matches_matrix() {
-        let m = LatencyModel::geo_five_regions(5);
-        // us-east <-> eu-west RTT is 75ms, so expected one-way is 37.5ms.
-        let d = m.expected(NodeId(0), NodeId(2));
-        assert_eq!(d, Duration::from_micros(37_500));
-        assert_eq!(m.region_of(NodeId(2)), Some(2));
-        assert_eq!(m.region_of(NodeId(7)), Some(2));
-    }
-
-    #[test]
-    fn expected_for_simple_models() {
-        assert_eq!(
-            LatencyModel::Constant(Duration::from_millis(4)).expected(NodeId(0), NodeId(1)),
-            Duration::from_millis(4)
-        );
-        assert_eq!(
-            LatencyModel::Uniform {
-                min: Duration::from_micros(10),
-                max: Duration::from_micros(30)
-            }
-            .expected(NodeId(0), NodeId(1)),
-            Duration::from_micros(20)
-        );
-        assert_eq!(LatencyModel::lan().expected(NodeId(0), NodeId(1)), Duration::from_micros(500));
     }
 
     /// The sampler is the model's formula with the model-only part

@@ -75,7 +75,7 @@ pub use time::{Duration, SimTime};
 
 // Trace/span vocabulary used by the `Context` tracing API, re-exported
 // so actor implementations need not depend on `obs` directly.
-pub use obs::{SpanId, SpanStatus, TraceId};
+pub use obs::{SpanId, SpanStatus};
 
 /// Compile-time audit of the crate's Send/Sync surface, relied on by the
 /// parallel grid runner in `rec-core`.

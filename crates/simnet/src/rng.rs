@@ -98,12 +98,6 @@ impl SimRng {
         (mu + sigma * self.std_normal()).exp()
     }
 
-    /// Exponential sample with the given mean (inter-arrival times).
-    pub fn exponential(&mut self, mean: f64) -> f64 {
-        let u: f64 = 1.0 - self.inner.random::<f64>();
-        -mean * u.ln()
-    }
-
     /// Pick a uniformly random element index for a slice of length `len`.
     pub fn index(&mut self, len: usize) -> usize {
         assert!(len > 0, "SimRng::index called with empty slice length");
@@ -203,14 +197,6 @@ mod tests {
         let median = samples[n / 2];
         assert!((median - 10.0).abs() < 0.5, "median {median}");
         assert!(samples.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut r = SimRng::new(17);
-        let n = 20_000;
-        let mean = (0..n).map(|_| r.exponential(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 4.0).abs() < 0.2, "mean {mean}");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Small statistics helpers shared by the experiment harnesses.
 //!
 //! Nothing here is clever: percentiles use the nearest-rank method on a
-//! sorted copy, histograms are fixed-width. The experiment binaries print
-//! these as the "rows" of each table.
+//! sorted copy. The experiment binaries print these as the "rows" of each
+//! table.
 
 use serde::{Deserialize, Serialize};
 
@@ -62,40 +62,6 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-/// Nearest-rank percentile of an unsorted sample (sorts a copy).
-pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    percentile_sorted(&sorted, p)
-}
-
-/// An empirical CDF at the given probe points: for each probe `x`, the
-/// fraction of samples `<= x`.
-pub fn ecdf(samples: &[f64], probes: &[f64]) -> Vec<(f64, f64)> {
-    let mut sorted: Vec<f64> = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
-    probes
-        .iter()
-        .map(|&x| {
-            let cnt = sorted.partition_point(|&s| s <= x);
-            (x, if sorted.is_empty() { 0.0 } else { cnt as f64 / sorted.len() as f64 })
-        })
-        .collect()
-}
-
-/// A fixed-width histogram over `[lo, hi)` with `bins` buckets; values
-/// outside the range clamp into the first/last bucket.
-pub fn histogram(samples: &[f64], lo: f64, hi: f64, bins: usize) -> Vec<u64> {
-    assert!(bins > 0 && hi > lo, "bad histogram shape");
-    let mut counts = vec![0u64; bins];
-    let width = (hi - lo) / bins as f64;
-    for &s in samples {
-        let idx = (((s - lo) / width).floor() as i64).clamp(0, bins as i64 - 1) as usize;
-        counts[idx] += 1;
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,30 +86,14 @@ mod tests {
 
     #[test]
     fn percentile_singleton() {
-        assert_eq!(percentile(&[7.0], 0.0), 7.0);
-        assert_eq!(percentile(&[7.0], 50.0), 7.0);
-        assert_eq!(percentile(&[7.0], 100.0), 7.0);
-    }
-
-    #[test]
-    fn ecdf_monotone_and_bounded() {
-        let xs = vec![1.0, 2.0, 3.0, 4.0];
-        let cdf = ecdf(&xs, &[0.0, 1.0, 2.5, 4.0, 9.0]);
-        let ps: Vec<f64> = cdf.iter().map(|&(_, p)| p).collect();
-        assert_eq!(ps, vec![0.0, 0.25, 0.5, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn histogram_counts_and_clamps() {
-        let xs = vec![-1.0, 0.5, 1.5, 2.5, 99.0];
-        let h = histogram(&xs, 0.0, 3.0, 3);
-        assert_eq!(h, vec![2, 1, 2]);
-        assert_eq!(h.iter().sum::<u64>() as usize, xs.len());
+        assert_eq!(percentile_sorted(&[7.0], 0.0), 7.0);
+        assert_eq!(percentile_sorted(&[7.0], 50.0), 7.0);
+        assert_eq!(percentile_sorted(&[7.0], 100.0), 7.0);
     }
 
     #[test]
     #[should_panic(expected = "empty sample")]
     fn percentile_empty_panics() {
-        percentile(&[], 50.0);
+        percentile_sorted(&[], 50.0);
     }
 }

@@ -52,11 +52,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// This time as (possibly fractional) seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Time elapsed since `earlier`, saturating at zero if `earlier` is in
     /// the future.
     pub fn saturating_since(self, earlier: SimTime) -> Duration {
@@ -101,11 +96,6 @@ impl Duration {
     /// This duration as (possibly fractional) seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Saturating multiplication by an integer factor.
-    pub fn saturating_mul(self, k: u64) -> Duration {
-        Duration(self.0.saturating_mul(k))
     }
 }
 
@@ -196,11 +186,5 @@ mod tests {
     fn display_formats_millis() {
         assert_eq!(format!("{}", SimTime::from_micros(1_234)), "1.234ms");
         assert_eq!(format!("{}", Duration::from_micros(10)), "0.010ms");
-    }
-
-    #[test]
-    fn saturating_mul() {
-        assert_eq!(Duration::from_millis(2).saturating_mul(3), Duration::from_millis(6));
-        assert_eq!(Duration(u64::MAX).saturating_mul(2), Duration(u64::MAX));
     }
 }

@@ -95,16 +95,6 @@ impl Monitor {
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &ReplicaView)> {
         self.views.iter().map(|(&i, v)| (NodeId(i), v))
     }
-
-    /// Number of replicas tracked.
-    pub fn len(&self) -> usize {
-        self.views.len()
-    }
-
-    /// True if no replicas are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -150,6 +140,6 @@ mod tests {
         assert_eq!(m.view(NodeId(1)).high_ts, SimTime::from_millis(100));
         assert!(m.view(NodeId(0)).is_primary);
         assert!(!m.view(NodeId(1)).is_primary);
-        assert_eq!(m.len(), 3);
+        assert_eq!(m.iter().count(), 3);
     }
 }

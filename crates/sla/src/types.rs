@@ -18,20 +18,6 @@ pub enum Consistency {
     Eventual,
 }
 
-impl Consistency {
-    /// A strength rank for comparisons (higher = stronger). Bounded ranks
-    /// between session guarantees and eventual, tighter bounds stronger.
-    pub fn rank(&self) -> u32 {
-        match self {
-            Consistency::Strong => 4,
-            Consistency::ReadMyWrites => 3,
-            Consistency::MonotonicReads => 2,
-            Consistency::Bounded(_) => 1,
-            Consistency::Eventual => 0,
-        }
-    }
-}
-
 /// One `(consistency, latency, utility)` triple.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SubSla {
@@ -160,19 +146,6 @@ mod tests {
         assert_eq!(Sla::password().subs().len(), 2);
         assert_eq!(Sla::shopping_cart().subs().len(), 2);
         assert_eq!(Sla::web_app().subs().len(), 3);
-    }
-
-    #[test]
-    fn ranks_order_the_ladder() {
-        assert!(Consistency::Strong.rank() > Consistency::ReadMyWrites.rank());
-        assert!(Consistency::ReadMyWrites.rank() > Consistency::MonotonicReads.rank());
-        assert!(
-            Consistency::MonotonicReads.rank()
-                > Consistency::Bounded(Duration::from_millis(1)).rank()
-        );
-        assert!(
-            Consistency::Bounded(Duration::from_millis(1)).rank() > Consistency::Eventual.rank()
-        );
     }
 
     #[test]

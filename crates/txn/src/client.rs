@@ -39,16 +39,6 @@ pub struct TxnStats {
 }
 
 impl TxnStats {
-    /// Abort rate over finished transactions.
-    pub fn abort_rate(&self) -> f64 {
-        let total = self.committed + self.aborted + self.timed_out;
-        if total == 0 {
-            0.0
-        } else {
-            (self.aborted + self.timed_out) as f64 / total as f64
-        }
-    }
-
     /// Mean commit latency (ms) over committed transactions.
     pub fn mean_commit_ms(&self) -> f64 {
         if self.commit_latency_ms.is_empty() {
@@ -436,8 +426,7 @@ mod tests {
         let mut sim = build(3, vec![c], 2);
         sim.run_until(SimTime::from_secs(2));
         let s = stats.borrow();
-        assert_eq!(s.committed, 1);
-        assert_eq!(s.abort_rate(), 0.0);
+        assert_eq!((s.committed, s.aborted, s.timed_out), (1, 0, 0));
     }
 
     #[test]

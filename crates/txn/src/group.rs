@@ -51,11 +51,6 @@ struct PreparedTxn {
 }
 
 impl Group {
-    /// An empty group.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Current commit position (the snapshot a read phase returns).
     pub fn commit_pos(&self) -> u64 {
         self.commit_pos
@@ -64,11 +59,6 @@ impl Group {
     /// Read keys at the current position.
     pub fn read(&self, keys: &[Key]) -> Vec<(Key, Option<u64>)> {
         keys.iter().map(|&k| (k, self.store.get(k).and_then(|v| v.value.as_u64()))).collect()
-    }
-
-    /// Raw store access (checker support).
-    pub fn store(&self) -> &MvStore {
-        &self.store
     }
 
     /// OCC validation: would a transaction that read `read_keys` at
@@ -154,16 +144,6 @@ impl Group {
         expired
     }
 
-    /// Number of currently held locks.
-    pub fn lock_count(&self) -> usize {
-        self.locks.len()
-    }
-
-    /// Number of prepared (in-doubt) transactions.
-    pub fn prepared_count(&self) -> usize {
-        self.prepared.len()
-    }
-
     fn apply(&mut self, writes: &[(Key, u64)], now_us: u64) -> u64 {
         self.commit_pos += 1;
         let pos = self.commit_pos;
@@ -187,9 +167,15 @@ impl Group {
 mod tests {
     use super::*;
 
+    /// Whether a read of `key` at the current position would hit a
+    /// write lock.
+    fn locked(g: &Group, key: Key) -> bool {
+        g.validate(g.commit_pos(), &[key], &[]) == Err(Conflict::Locked)
+    }
+
     #[test]
     fn read_your_commits() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         assert_eq!(g.commit_pos(), 0);
         g.commit_one(0, &[], &[(1, 100)], 0).unwrap();
         assert_eq!(g.commit_pos(), 1);
@@ -199,7 +185,7 @@ mod tests {
 
     #[test]
     fn occ_aborts_stale_snapshot_conflict() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         let snap = g.commit_pos(); // 0
                                    // Another txn commits a write to key 1 after our snapshot.
         g.commit_one(0, &[], &[(1, 100)], 0).unwrap();
@@ -213,7 +199,7 @@ mod tests {
 
     #[test]
     fn write_write_conflict_detected() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         let snap = g.commit_pos();
         g.commit_one(snap, &[], &[(1, 100)], 0).unwrap();
         let err = g.commit_one(snap, &[], &[(1, 200)], 0).unwrap_err();
@@ -222,7 +208,7 @@ mod tests {
 
     #[test]
     fn fresh_snapshot_commits() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         g.commit_one(0, &[], &[(1, 100)], 0).unwrap();
         let snap = g.commit_pos();
         g.commit_one(snap, &[1], &[(1, 200)], 0).unwrap();
@@ -231,10 +217,10 @@ mod tests {
 
     #[test]
     fn prepare_locks_block_conflicting_commits() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         let snap = g.commit_pos();
         g.prepare(77, snap, &[], &[(1, 100)], 0).unwrap();
-        assert_eq!(g.lock_count(), 1);
+        assert!(locked(&g, 1));
         // A single-group commit touching key 1 hits the lock.
         assert_eq!(g.commit_one(snap, &[1], &[], 0), Err(Conflict::Locked));
         assert_eq!(g.commit_one(snap, &[], &[(1, 5)], 0), Err(Conflict::Locked));
@@ -244,11 +230,11 @@ mod tests {
 
     #[test]
     fn decide_commit_applies_and_unlocks() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         g.prepare(77, 0, &[], &[(1, 100)], 0).unwrap();
         let pos = g.decide(77, true, 10).expect("applied");
         assert_eq!(pos, 1);
-        assert_eq!(g.lock_count(), 0);
+        assert!(!locked(&g, 1));
         assert_eq!(g.read(&[1]), vec![(1, Some(100))]);
         // Duplicate decision is a no-op.
         assert_eq!(g.decide(77, true, 10), None);
@@ -256,31 +242,32 @@ mod tests {
 
     #[test]
     fn decide_abort_drops_and_unlocks() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         g.prepare(77, 0, &[], &[(1, 100)], 0).unwrap();
         assert_eq!(g.decide(77, false, 10), None);
-        assert_eq!(g.lock_count(), 0);
+        assert!(!locked(&g, 1));
         assert_eq!(g.read(&[1]), vec![(1, None)]);
         assert_eq!(g.commit_pos(), 0);
     }
 
     #[test]
     fn lock_expiry_aborts_in_doubt_txns() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         g.prepare(77, 0, &[], &[(1, 100)], 1_000).unwrap();
         g.prepare(88, 0, &[], &[(2, 200)], 5_000).unwrap();
         let expired = g.expire_locks(3_000);
         assert_eq!(expired, vec![77]);
-        assert_eq!(g.prepared_count(), 1);
-        assert_eq!(g.lock_count(), 1);
+        assert!(!locked(&g, 1) && locked(&g, 2));
         assert_eq!(g.read(&[1]), vec![(1, None)]);
+        assert!(g.decide(88, true, 5_000).is_some(), "88 is still prepared");
     }
 
     #[test]
     fn prepare_conflicts_with_prepare() {
-        let mut g = Group::new();
+        let mut g = Group::default();
         g.prepare(77, 0, &[], &[(1, 100)], 0).unwrap();
         assert_eq!(g.prepare(88, 0, &[], &[(1, 200)], 0), Err(Conflict::Locked));
-        assert_eq!(g.prepared_count(), 1);
+        assert!(locked(&g, 1));
+        assert_eq!(g.decide(88, true, 0), None, "88 was never prepared");
     }
 }

@@ -159,11 +159,6 @@ impl GroupNode {
         GroupNode { cfg, groups: BTreeMap::new(), decisions: BTreeMap::new(), expired_aborts: 0 }
     }
 
-    /// Access a group's state (tests / checkers).
-    pub fn group(&self, g: GroupId) -> Option<&Group> {
-        self.groups.get(&g)
-    }
-
     fn group_mut(&mut self, g: GroupId) -> &mut Group {
         self.groups.entry(g).or_default()
     }

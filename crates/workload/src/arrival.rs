@@ -38,12 +38,6 @@ impl Arrival {
             Arrival::Periodic { period_us } => period_us,
         }
     }
-
-    /// True for closed-loop processes (the gap starts at response time, not
-    /// at previous-issue time).
-    pub fn is_closed(&self) -> bool {
-        matches!(self, Arrival::Closed { .. })
-    }
 }
 
 #[cfg(test)]
@@ -59,7 +53,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.next_gap_us(&mut rng), 500);
         }
-        assert!(a.is_closed());
     }
 
     #[test]
@@ -67,7 +60,6 @@ mod tests {
         let a = Arrival::Periodic { period_us: 250 };
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(a.next_gap_us(&mut rng), 250);
-        assert!(!a.is_closed());
     }
 
     #[test]

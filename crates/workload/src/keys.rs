@@ -96,11 +96,6 @@ impl KeySampler {
             }
         }
     }
-
-    /// Size of the key space.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
 }
 
 /// The YCSB Zipfian generator (Gray et al.'s rejection-free algorithm with
@@ -152,17 +147,6 @@ impl ZipfSampler {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
-
-    /// Theoretical probability of rank `k` (for test assertions).
-    pub fn probability(&self, k: u64) -> f64 {
-        assert!(k < self.n);
-        1.0 / ((k + 1) as f64).powf(self.theta) / self.zeta_n
-    }
-
-    /// Access `zeta_theta` (exposed for diagnostics).
-    pub fn skew(&self) -> f64 {
-        self.theta
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +168,6 @@ mod tests {
             seen[s.sample(&mut r) as usize] = true;
         }
         assert!(seen.iter().all(|&x| x));
-        assert_eq!(s.key_space(), 10);
     }
 
     #[test]
@@ -207,21 +190,12 @@ mod tests {
     #[test]
     fn zipfian_empirical_matches_theory_for_rank0() {
         let mut s = ZipfSampler::new(100, 0.9);
-        let p0 = s.probability(0);
+        let p0 = 1.0 / (1..=100).map(|k| 1.0 / (k as f64).powf(0.9)).sum::<f64>();
         let mut r = rng(3);
         let n = 50_000;
         let hits = (0..n).filter(|_| s.sample(&mut r) == 0).count();
         let emp = hits as f64 / n as f64;
         assert!((emp - p0).abs() < 0.02, "empirical {emp:.4} vs theoretical {p0:.4}");
-    }
-
-    #[test]
-    fn zipfian_probabilities_sum_to_one() {
-        let s = ZipfSampler::new(50, 0.5);
-        let total: f64 = (0..50).map(|k| s.probability(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!(s.probability(0) > s.probability(1));
-        assert!((s.skew() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Experiments drive the replicated store with synthetic workloads in the
 //! YCSB tradition: a key-popularity distribution ([`KeyDistribution`],
 //! including the standard Zipfian generator), an operation mix
-//! ([`OpMix`] with the YCSB A–D presets), and an arrival process
+//! ([`OpMix`] with the YCSB A and B presets), and an arrival process
 //! ([`Arrival`]: open/Poisson or closed/think-time). [`WorkloadSpec`]
 //! bundles the three plus the key-space size.
 //!
@@ -13,11 +13,9 @@
 pub mod arrival;
 pub mod keys;
 pub mod mix;
-pub mod sessions;
 pub mod spec;
 
 pub use arrival::Arrival;
 pub use keys::{KeyDistribution, ZipfSampler};
 pub use mix::{OpMix, WorkloadOp};
-pub use sessions::{SessionKind, SessionWorkload};
 pub use spec::WorkloadSpec;

@@ -43,24 +43,9 @@ impl OpMix {
         OpMix::new(0.05, 0.0)
     }
 
-    /// YCSB workload C: read-only.
-    pub fn ycsb_c() -> Self {
-        OpMix::new(0.0, 0.0)
-    }
-
-    /// YCSB workload F: read-modify-write heavy (50% reads / 50% RMW).
-    pub fn ycsb_f() -> Self {
-        OpMix::new(0.0, 0.5)
-    }
-
     /// Write-only (replication-pressure stress).
     pub fn write_only() -> Self {
         OpMix::new(1.0, 0.0)
-    }
-
-    /// Fraction of plain reads.
-    pub fn read_fraction(&self) -> f64 {
-        1.0 - self.write_fraction - self.rmw_fraction
     }
 
     /// Draw the next operation kind.
@@ -86,9 +71,7 @@ mod tests {
     fn presets_have_expected_fractions() {
         assert_eq!(OpMix::ycsb_a().write_fraction, 0.5);
         assert_eq!(OpMix::ycsb_b().write_fraction, 0.05);
-        assert_eq!(OpMix::ycsb_c().read_fraction(), 1.0);
-        assert_eq!(OpMix::ycsb_f().rmw_fraction, 0.5);
-        assert_eq!(OpMix::write_only().read_fraction(), 0.0);
+        assert_eq!(OpMix::write_only().write_fraction, 1.0);
     }
 
     #[test]
@@ -112,7 +95,7 @@ mod tests {
 
     #[test]
     fn read_only_never_writes() {
-        let mix = OpMix::ycsb_c();
+        let mix = OpMix::new(0.0, 0.0);
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         for _ in 0..1000 {
             assert_eq!(mix.sample(&mut rng), WorkloadOp::Read);

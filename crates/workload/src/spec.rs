@@ -91,7 +91,7 @@ mod tests {
 
     #[test]
     fn read_only_mix_yields_read_only_script() {
-        let spec = WorkloadSpec { mix: OpMix::ycsb_c(), ..WorkloadSpec::small() };
+        let spec = WorkloadSpec { mix: OpMix::new(0.0, 0.0), ..WorkloadSpec::small() };
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         assert!(spec.session_script(&mut rng).iter().all(|&(_, op, _)| op == WorkloadOp::Read));
     }

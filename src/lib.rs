@@ -17,7 +17,7 @@
 //!   violation explanation, span conservation checking, Chrome
 //!   `trace_event` export, top / diff / folded views of a handler
 //!   profile,
-//! * [`clocks`] — Lamport/vector/dotted-version-vector/hybrid clocks,
+//! * [`clocks`] — Lamport/vector/dotted-version-vector clocks,
 //! * [`crdt`] — convergent replicated data types with lattice-law tests,
 //! * [`kvstore`] — the per-replica storage substrate (MVCC + WAL +
 //!   DVV sibling store),
