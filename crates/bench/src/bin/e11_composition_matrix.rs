@@ -104,7 +104,7 @@ fn main() {
             |f: &dyn Fn(usize) -> f64| seed_mean(&(0..seeds.len()).map(f).collect::<Vec<_>>());
         rows.push(Row {
             composition: comp.label(),
-            update_site: format!("{:?}", comp.update),
+            update_site: format!("{:?}", comp.update()),
             propagation: format!("{:?}", comp.propagation),
             resolution: format!("{:?}", comp.resolution),
             durability: format!("{:?}", comp.durability),

@@ -10,7 +10,6 @@
 
 use bench::{f1, pct, pm, print_table, seed_stat, Obs, SeedStat};
 use obs::Recorder;
-use rand::RngCore;
 use serde::Serialize;
 use simnet::{Duration, LatencyModel, Sim, SimConfig, SimRng, SimTime};
 use txn::client::{shared_stats, SharedTxnStats};

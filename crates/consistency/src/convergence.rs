@@ -115,10 +115,6 @@ impl ConvergenceStream {
 }
 
 impl StreamChecker for ConvergenceStream {
-    fn name(&self) -> &'static str {
-        "convergence"
-    }
-
     fn feed(&mut self, op: &OpRecord, _out: &mut Vec<StreamViolation>) {
         if !op.ok {
             return;

@@ -75,10 +75,6 @@ impl MonotonicStream {
 }
 
 impl StreamChecker for MonotonicStream {
-    fn name(&self) -> &'static str {
-        "monotonic"
-    }
-
     fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
         if !op.ok || op.kind != OpKind::Read {
             return;

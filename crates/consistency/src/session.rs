@@ -142,10 +142,6 @@ impl SessionStream {
 }
 
 impl StreamChecker for SessionStream {
-    fn name(&self) -> &'static str {
-        "session"
-    }
-
     fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
         if !op.ok {
             return;

@@ -113,10 +113,6 @@ impl StalenessStream {
 }
 
 impl StreamChecker for StalenessStream {
-    fn name(&self) -> &'static str {
-        "staleness"
-    }
-
     fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
         if !op.ok {
             return;

@@ -139,9 +139,6 @@ impl StreamViolation {
 /// stream. Each implementation is the one definition of its guarantee;
 /// see the module docs for the feed-order contract.
 pub trait StreamChecker {
-    /// The checker's stable name (used in logs and `tracequery`).
-    fn name(&self) -> &'static str;
-
     /// Consume one completed operation, appending any violations it
     /// exposes to `out`.
     fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>);

@@ -14,7 +14,7 @@ use obs::{MetricsReport, Recorder, TsMetric, DEFAULT_TS_BUCKET_US};
 use replication::causal::{CausalClient, CausalReplica};
 use replication::common::{expand_script, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica};
-use replication::kernel::{PropagationPolicy as Prop, UpdateSite as Site};
+use replication::kernel::PropagationPolicy as Prop;
 use replication::paxos::{PaxosClient, PaxosNode};
 use replication::primary::{PrimaryClient, PrimaryReplica};
 use replication::quorum::{QuorumClient, QuorumNode};
@@ -288,9 +288,9 @@ impl Launch<'_> {
 /// Materialize `scheme` — its kernel composition, on a
 /// consistent-hashing ring for [`Scheme::Sharded`] — into a concrete
 /// actor deployment and drive it. This is the single deployment path
-/// every [`Scheme`] goes through: one arm per `(update site, propagation
-/// policy)` pair, naming the replica and the client built from the
-/// composition.
+/// every [`Scheme`] goes through: one arm per propagation policy (which
+/// implies the update site, `Composition::update`), naming the replica
+/// and the client built from the composition.
 ///
 /// Guarantees apply only to multi-master eventual compositions (other
 /// protocols enforce theirs server-side); placement applies where the
@@ -322,31 +322,29 @@ fn deploy(scheme: &Scheme, trace: &SharedTrace, launch: Launch) -> DriveOutcome 
         ClientPlacement::Random => TargetPolicy::Random,
     };
     let t = || trace.clone();
-    match (comp.update, &comp.propagation, &ring) {
-        (Site::MultiMaster, Prop::EagerBroadcast { .. } | Prop::AntiEntropyGossip(_), None) => {
-            launch.run(
-                || EventualReplica::new(comp),
-                |i, s, script| EventualClient::new(s, script, t(), comp, placed(i), guarantees),
-            )
-        }
-        (Site::Coordinator, Prop::QuorumFanout { .. }, _) => launch.run(
+    match (&comp.propagation, &ring) {
+        (Prop::EagerBroadcast { .. } | Prop::AntiEntropyGossip(_), None) => launch.run(
+            || EventualReplica::new(comp),
+            |i, s, script| EventualClient::new(s, script, t(), comp, placed(i), guarantees),
+        ),
+        (Prop::QuorumFanout { .. }, _) => launch.run(
             || QuorumNode::new(comp, ring.clone()),
             |i, s, script| QuorumClient::new(s, script, t(), addressable, placed(i)),
         ),
-        (Site::PrimaryCopy, Prop::PrimaryShip { .. }, None) => launch.run(
+        (Prop::PrimaryShip { .. }, None) => launch.run(
             || PrimaryReplica::new(comp),
             |i, s, script| PrimaryClient::new(s, script, t(), comp, sticky(i)),
         ),
-        (Site::ConsensusGroup, Prop::ConsensusLog, None) => {
+        (Prop::ConsensusLog, None) => {
             launch.run(|| PaxosNode::new(n), |_, s, script| PaxosClient::new(s, script, t(), n))
         }
-        (Site::MultiMaster, Prop::CausalBroadcast, None) => launch.run(
+        (Prop::CausalBroadcast, None) => launch.run(
             || CausalReplica::new(n),
             |i, s, script| CausalClient::new(s, script, t(), home(i)),
         ),
         _ => panic!(
-            "{}: the kernel has no materialization for this update site / propagation \
-             policy pair (ring sharding runs coordinator/quorum compositions only)",
+            "{}: the kernel has no materialization for this propagation policy on a ring \
+             (ring sharding runs coordinator/quorum compositions only)",
             scheme.label()
         ),
     }

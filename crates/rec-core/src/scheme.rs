@@ -341,7 +341,7 @@ mod tests {
         let (comp, _, _) = Scheme::Causal { replicas: 3 }.normalize();
         assert_eq!(comp, Composition::causal(3));
         let (comp, _, _) = Scheme::PrimarySync { replicas: 3 }.normalize();
-        assert_eq!(comp.update, UpdateSite::PrimaryCopy);
+        assert_eq!(comp.update(), UpdateSite::PrimaryCopy);
         assert_eq!(comp.durability, DurabilityPolicy::CheckpointedWal);
         assert_eq!(comp.resolution, ResolutionPolicy::LwwRegister);
     }

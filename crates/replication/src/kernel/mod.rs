@@ -59,13 +59,12 @@ pub enum UpdateSite {
 /// `Composition` is a *description*, and the only one the replication
 /// layer takes: each protocol's replica and client constructors read
 /// their parameters from it, and `rec-core`'s runner picks those
-/// constructors by `(update, propagation)`.
+/// constructors by `propagation`, which also implies who accepts
+/// updates ([`Composition::update`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Composition {
     /// Replica count (node ids `0..replicas`; spares follow).
     pub replicas: usize,
-    /// Who accepts updates.
-    pub update: UpdateSite,
     /// How updates propagate between replicas.
     pub propagation: PropagationPolicy,
     /// How concurrent updates reconcile.
@@ -90,13 +89,7 @@ impl Composition {
                 gossip.unwrap_or(GossipConfig { interval: Duration::from_millis(50), fanout: 1 }),
             )
         };
-        Composition {
-            replicas,
-            update: UpdateSite::MultiMaster,
-            propagation,
-            resolution,
-            durability: DurabilityPolicy::WalReplay,
-        }
+        Composition { replicas, propagation, resolution, durability: DurabilityPolicy::WalReplay }
     }
 
     /// Eventual with LWW resolution and the default eager + 50 ms gossip
@@ -115,7 +108,6 @@ impl Composition {
     pub fn quorum(n: usize, r: usize, w: usize, read_repair: bool, spares: usize) -> Self {
         Composition {
             replicas: n,
-            update: UpdateSite::Coordinator,
             propagation: PropagationPolicy::QuorumFanout { r, w, read_repair, spares },
             resolution: ResolutionPolicy::LwwRegister,
             durability: DurabilityPolicy::WalReplay,
@@ -127,7 +119,6 @@ impl Composition {
     pub fn primary(replicas: usize, ship: ShipMode, failover: bool) -> Self {
         Composition {
             replicas,
-            update: UpdateSite::PrimaryCopy,
             propagation: PropagationPolicy::PrimaryShip { ship, failover },
             resolution: ResolutionPolicy::LwwRegister,
             durability: DurabilityPolicy::CheckpointedWal,
@@ -138,7 +129,6 @@ impl Composition {
     pub fn paxos(nodes: usize) -> Self {
         Composition {
             replicas: nodes,
-            update: UpdateSite::ConsensusGroup,
             propagation: PropagationPolicy::ConsensusLog,
             resolution: ResolutionPolicy::LwwRegister,
             durability: DurabilityPolicy::FsyncedState,
@@ -149,7 +139,6 @@ impl Composition {
     pub fn causal(replicas: usize) -> Self {
         Composition {
             replicas,
-            update: UpdateSite::MultiMaster,
             propagation: PropagationPolicy::CausalBroadcast,
             resolution: ResolutionPolicy::LwwRegister,
             durability: DurabilityPolicy::WalReplay,
@@ -164,7 +153,6 @@ impl Composition {
     pub fn mm_gossip_crdt(replicas: usize) -> Self {
         Composition {
             replicas,
-            update: UpdateSite::MultiMaster,
             propagation: PropagationPolicy::AntiEntropyGossip(GossipConfig {
                 interval: Duration::from_millis(25),
                 fanout: 2,
@@ -183,13 +171,25 @@ impl Composition {
     pub fn mm_eager_acked(replicas: usize) -> Self {
         Composition {
             replicas,
-            update: UpdateSite::MultiMaster,
             propagation: PropagationPolicy::EagerBroadcast {
                 acks: replicas.saturating_sub(1),
                 gossip: Some(GossipConfig { interval: Duration::from_millis(50), fanout: 1 }),
             },
             resolution: ResolutionPolicy::LwwRegister,
             durability: DurabilityPolicy::WalReplay,
+        }
+    }
+
+    /// Who accepts updates: the one site each propagation policy
+    /// works with.
+    pub fn update(&self) -> UpdateSite {
+        match self.propagation {
+            PropagationPolicy::EagerBroadcast { .. }
+            | PropagationPolicy::AntiEntropyGossip(_)
+            | PropagationPolicy::CausalBroadcast => UpdateSite::MultiMaster,
+            PropagationPolicy::QuorumFanout { .. } => UpdateSite::Coordinator,
+            PropagationPolicy::PrimaryShip { .. } => UpdateSite::PrimaryCopy,
+            PropagationPolicy::ConsensusLog => UpdateSite::ConsensusGroup,
         }
     }
 
@@ -203,7 +203,7 @@ impl Composition {
 
     /// A short stable label (`update+propagation+resolution`).
     pub fn label(&self) -> String {
-        let update = match self.update {
+        let update = match self.update() {
             UpdateSite::PrimaryCopy => "primary",
             UpdateSite::MultiMaster => "mm",
             UpdateSite::Coordinator => "coord",

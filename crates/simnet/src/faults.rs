@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// A network partition: nodes in `side_a` cannot exchange messages with any
 /// node *not* in `side_a` while the partition is active. (Messages within a
 /// side flow normally.)
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Partition {
     /// One side of the cut.
     pub side_a: Vec<NodeId>,
@@ -73,8 +73,7 @@ pub enum FaultEvent {
     /// cluster. The node's actor stays deployed either way — membership
     /// is a routing-layer notion. Every actor's `on_membership` hook is
     /// invoked so ring-aware protocols rebalance ownership
-    /// deterministically. (Appended last so existing corpus JSON
-    /// round-trips unchanged.)
+    /// deterministically.
     MembershipChange {
         /// The node joining or leaving.
         node: NodeId,
@@ -84,48 +83,15 @@ pub enum FaultEvent {
 }
 
 /// A declarative schedule of faults for one run.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     partitions: Vec<Partition>,
     crashes: Vec<(SimTime, NodeId)>,
     recoveries: Vec<(SimTime, NodeId, bool)>,
     loss_changes: Vec<(SimTime, f64)>,
     latency_changes: Vec<(SimTime, u64)>,
-    /// `(time, node, join)` membership transitions. Defaults to empty
-    /// when absent from JSON (hand-written `Deserialize` below) so
-    /// pre-ring corpus reproducers keep loading.
+    /// `(time, node, join)` membership transitions.
     membership: Vec<(SimTime, NodeId, bool)>,
-}
-
-// Hand-written so the `membership` field — added after the reproducer
-// corpus was pinned — defaults to empty instead of failing on corpus
-// JSON that predates it. Every other field stays required, preserving
-// the derive's strictness.
-impl serde::Deserialize for FaultSchedule {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let obj = v.as_object().ok_or_else(|| serde::Error::custom("expected object"))?;
-        fn req<T: serde::Deserialize>(
-            obj: &[(String, serde::Value)],
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match obj.iter().find(|(k, _)| k == name) {
-                Some((_, v)) => T::from_value(v),
-                None => Err(serde::Error::custom(format!("missing field `{name}`"))),
-            }
-        }
-        let membership = match obj.iter().find(|(k, _)| k == "membership") {
-            Some((_, v)) => Vec::from_value(v)?,
-            None => Vec::new(),
-        };
-        Ok(FaultSchedule {
-            partitions: req(obj, "partitions")?,
-            crashes: req(obj, "crashes")?,
-            recoveries: req(obj, "recoveries")?,
-            loss_changes: req(obj, "loss_changes")?,
-            latency_changes: req(obj, "latency_changes")?,
-            membership,
-        })
-    }
 }
 
 impl FaultSchedule {
@@ -190,10 +156,9 @@ impl FaultSchedule {
 
     /// Why this schedule cannot run on `actors` deployed nodes (ids
     /// `0..actors`), if it cannot: an entry names a node nobody
-    /// deployed, a partition ends before it starts, or a loss rate is
-    /// no probability. The builder methods assert the last two, but a
-    /// deserialised schedule never went through them, and none of them
-    /// knows the node count: the harness checks once, where it does.
+    /// deployed. The builder methods assert everything else, but none
+    /// of them knows the node count: the harness checks once, where it
+    /// does.
     pub fn validate(&self, actors: usize) -> Result<(), String> {
         let deployed = |field: &str, i: usize, node: NodeId| {
             if node.index() < actors {
@@ -206,12 +171,6 @@ impl FaultSchedule {
             ))
         };
         for (i, p) in self.partitions.iter().enumerate() {
-            if p.end < p.start {
-                return Err(format!(
-                    "partitions[{i}]: ends at {} before it starts at {}",
-                    p.end, p.start
-                ));
-            }
             p.side_a.iter().try_for_each(|&node| deployed("partitions.side_a", i, node))?;
         }
         for (i, &(_, node)) in self.crashes.iter().enumerate() {
@@ -222,11 +181,6 @@ impl FaultSchedule {
         }
         for (i, &(_, node, _)) in self.membership.iter().enumerate() {
             deployed("membership", i, node)?;
-        }
-        for (i, &(_, p)) in self.loss_changes.iter().enumerate() {
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("loss_changes[{i}]: loss rate {p} is outside [0, 1]"));
-            }
         }
         Ok(())
     }
@@ -463,8 +417,8 @@ mod tests {
 
     #[test]
     fn fault_events_roundtrip_through_json() {
-        // Reproducer corpus files serialize fault events; the round trip
-        // must preserve the amnesia knob and the latency factor exactly.
+        // The JSON form must preserve the amnesia knob and the latency
+        // factor exactly.
         for ev in [
             FaultEvent::Recover { node: NodeId(3), amnesia: true },
             FaultEvent::Recover { node: NodeId(1), amnesia: false },
@@ -498,61 +452,42 @@ mod tests {
         assert_eq!(evs[3].1, FaultEvent::MembershipChange { node: NodeId(4), join: true });
     }
 
-    #[test]
-    fn pre_ring_schedule_json_still_deserializes() {
-        // Corpus files written before the membership field existed must
-        // keep loading (serde default).
-        let json = r#"{"partitions":[],"crashes":[],"recoveries":[],"loss_changes":[],"latency_changes":[]}"#;
-        let s: FaultSchedule = serde_json::from_str(json).unwrap();
-        assert!(s.compile().is_empty());
-    }
-
-    /// A deserialised schedule went through no builder: what the
-    /// builders assert, and what none of them can know (the node
-    /// count), is checked by `validate`, naming field and numbers.
+    /// No builder knows the node count, so a schedule, built or
+    /// rebuilt from a reproducer, is checked against the deployment by
+    /// `validate`, naming field, index and node.
     #[test]
     fn a_deserialised_schedule_is_validated_against_the_deployment() {
-        let schedule = |edits: &[(&str, &str)]| -> FaultSchedule {
-            let mut json = String::from(
-                r#"{"partitions":[],"crashes":[],"recoveries":[],"loss_changes":[],"latency_changes":[],"membership":[]}"#,
-            );
-            for (field, value) in edits {
-                json = json.replace(&format!("\"{field}\":[]"), &format!("\"{field}\":{value}"));
-            }
-            serde_json::from_str(&json).unwrap()
-        };
-        let ok = schedule(&[
-            ("crashes", "[[1000,4]]"),
-            ("recoveries", "[[2000,4,true]]"),
-            ("loss_changes", "[[5,1.0]]"),
-        ]);
+        let ok = FaultSchedule::none()
+            .crash_amnesia(NodeId(4), t(1), t(2))
+            .partition(vec![NodeId(0), NodeId(4)], t(1), t(2))
+            .membership(t(3), NodeId(4), true)
+            .loss_rate(t(0), 1.0);
         assert_eq!(ok.validate(5), Ok(()));
         assert_eq!(
             ok.validate(4).unwrap_err(),
-            "crashes[0]: node 4 is not deployed: the run has 4 actors (ids 0..4)"
+            "partitions.side_a[0]: node 4 is not deployed: the run has 4 actors (ids 0..4)"
         );
-        for (field, value, why) in [
-            ("recoveries", "[[1,2,false],[2000,7,true]]", "recoveries[1]: node 7 is not deployed"),
-            ("membership", "[[1,5,true]]", "membership[0]: node 5 is not deployed"),
+        let none = FaultSchedule::none;
+        for (schedule, why) in [
             (
-                "partitions",
-                r#"[{"side_a":[0,9],"start":1,"end":2}]"#,
-                "partitions.side_a[0]: node 9 is not deployed",
+                none().crash(NodeId(0), t(1), t(2)).crash(NodeId(5), t(3), t(4)),
+                "crashes[1]: node 5",
             ),
             (
-                "partitions",
-                r#"[{"side_a":[0],"start":10000,"end":5000}]"#,
-                "partitions[0]: ends at 5.000ms before it starts at 10.000ms",
+                none().membership(t(1), NodeId(0), false).membership(t(2), NodeId(7), true),
+                "membership[1]: node 7",
             ),
             (
-                "loss_changes",
-                "[[0,0.5],[9,1.5]]",
-                "loss_changes[1]: loss rate 1.5 is outside [0, 1]",
+                none().partition(vec![NodeId(0)], t(1), t(2)).partition(
+                    vec![NodeId(1), NodeId(9)],
+                    t(3),
+                    t(4),
+                ),
+                "partitions.side_a[1]: node 9",
             ),
-            ("loss_changes", "[[0,-0.1]]", "loss_changes[0]: loss rate -0.1 is outside [0, 1]"),
         ] {
-            let err = schedule(&[(field, value)]).validate(5).unwrap_err();
-            assert!(err.starts_with(why), "{field}: {err}");
+            let err = schedule.validate(5).unwrap_err();
+            assert!(err.starts_with(&format!("{why} is not deployed")), "{err}");
         }
     }
 }

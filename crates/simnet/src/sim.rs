@@ -621,7 +621,8 @@ impl<M> Sim<M> {
 
     /// Like [`Sim::call_actor`] but throws the produced effects away:
     /// used for hooks on crashed nodes (they observe, e.g., membership
-    /// changes but cannot send or arm timers while down).
+    /// changes but cannot send or arm timers while down) and for
+    /// `on_shutdown` at teardown.
     fn call_actor_discard<F>(&mut self, id: NodeId, prof: Option<(HandlerKind, &'static str)>, f: F)
     where
         F: FnOnce(&mut dyn Actor<M>, &mut Context<M>),
@@ -911,28 +912,8 @@ impl<M> Drop for Sim<M> {
         // hints, unshipped batches) before the queue drain below; the
         // hook's effects are discarded — the run is over.
         for i in 0..self.actors.len() {
-            let probe = if self.prof { Some(Probe::start()) } else { None };
-            let mut ctx = Context {
-                now: self.now,
-                self_id: NodeId(i as u32),
-                rng: &mut self.rng,
-                recorder: &self.recorder,
-                next_timer_id: &mut self.next_timer_id,
-                effects: Vec::new(),
-                active_trace: 0,
-                active_span: 0,
-                spans: &mut self.spans,
-            };
-            self.actors[i].on_shutdown(&mut ctx);
-            if let Some(probe) = probe {
-                let sample = probe.finish();
-                self.recorder.prof_record(
-                    self.actors[i].role(),
-                    HandlerKind::Shutdown,
-                    NO_VARIANT,
-                    sample,
-                );
-            }
+            let prof = self.prof_key(HandlerKind::Shutdown, NO_VARIANT);
+            self.call_actor_discard(NodeId(i as u32), prof, |actor, ctx| actor.on_shutdown(ctx));
         }
         while let Some(ev) = self.queue.pop() {
             if let EventPayload::Deliver { from, to, trace, span, .. } = ev.payload {

@@ -1,7 +1,7 @@
 //! Key-popularity distributions.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
+use simnet::SimRng;
 
 /// How keys are chosen from a key space of size `n`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -14,16 +14,6 @@ pub enum KeyDistribution {
         /// Skew parameter in `(0, 1)`.
         theta: f64,
     },
-    /// A fraction `hot_fraction` of the key space receives
-    /// `hot_probability` of the accesses, uniformly within each class.
-    Hotspot {
-        /// Fraction of keys that are "hot" (in `(0, 1]`).
-        hot_fraction: f64,
-        /// Probability an access targets a hot key (in `[0, 1]`).
-        hot_probability: f64,
-    },
-    /// Round-robin over the key space (deterministic scans).
-    Sequential,
 }
 
 impl KeyDistribution {
@@ -32,7 +22,7 @@ impl KeyDistribution {
         KeyDistribution::Zipfian { theta: 0.99 }
     }
 
-    /// Build a stateful sampler for a key space of `n` keys.
+    /// Build a sampler for a key space of `n` keys.
     ///
     /// # Panics
     /// If `n == 0`, or parameters are out of range.
@@ -41,25 +31,12 @@ impl KeyDistribution {
         let kind = match self {
             KeyDistribution::Uniform => SamplerKind::Uniform,
             KeyDistribution::Zipfian { theta } => SamplerKind::Zipfian(ZipfSampler::new(n, *theta)),
-            KeyDistribution::Hotspot { hot_fraction, hot_probability } => {
-                assert!(
-                    (0.0..=1.0).contains(hot_probability),
-                    "hot_probability must be a probability"
-                );
-                assert!(
-                    *hot_fraction > 0.0 && *hot_fraction <= 1.0,
-                    "hot_fraction must be in (0, 1]"
-                );
-                let hot = ((n as f64 * hot_fraction).ceil() as u64).clamp(1, n);
-                SamplerKind::Hotspot { hot, p: *hot_probability }
-            }
-            KeyDistribution::Sequential => SamplerKind::Sequential { next: 0 },
         };
         KeySampler { n, kind }
     }
 }
 
-/// A stateful key sampler (see [`KeyDistribution::sampler`]).
+/// A key sampler (see [`KeyDistribution::sampler`]).
 #[derive(Debug, Clone)]
 pub struct KeySampler {
     n: u64,
@@ -70,30 +47,14 @@ pub struct KeySampler {
 enum SamplerKind {
     Uniform,
     Zipfian(ZipfSampler),
-    Hotspot { hot: u64, p: f64 },
-    Sequential { next: u64 },
 }
 
 impl KeySampler {
     /// Draw the next key in `[0, n)`.
-    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
+    pub fn sample(&mut self, rng: &mut SimRng) -> u64 {
         match &mut self.kind {
-            SamplerKind::Uniform => rng.random_range(0..self.n),
+            SamplerKind::Uniform => rng.below(self.n),
             SamplerKind::Zipfian(z) => z.sample(rng),
-            SamplerKind::Hotspot { hot, p } => {
-                if rng.random::<f64>() < *p {
-                    rng.random_range(0..*hot)
-                } else if *hot < self.n {
-                    rng.random_range(*hot..self.n)
-                } else {
-                    rng.random_range(0..self.n)
-                }
-            }
-            SamplerKind::Sequential { next } => {
-                let k = *next;
-                *next = (*next + 1) % self.n;
-                k
-            }
         }
     }
 }
@@ -135,8 +96,8 @@ impl ZipfSampler {
     }
 
     /// Draw a rank in `[0, n)` (0 = most popular).
-    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> u64 {
-        let u: f64 = rng.random();
+    pub fn sample(&mut self, rng: &mut SimRng) -> u64 {
+        let u = rng.unit();
         let uz = u * self.zeta_n;
         if uz < 1.0 {
             return 0;
@@ -152,11 +113,9 @@ impl ZipfSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
-    fn rng(seed: u64) -> ChaCha8Rng {
-        ChaCha8Rng::seed_from_u64(seed)
+    fn rng(seed: u64) -> SimRng {
+        SimRng::new(seed)
     }
 
     #[test]
@@ -199,42 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn hotspot_concentrates_on_hot_set() {
-        let mut s =
-            KeyDistribution::Hotspot { hot_fraction: 0.1, hot_probability: 0.9 }.sampler(100);
-        let mut r = rng(4);
-        let n = 10_000;
-        let hot_hits = (0..n).filter(|_| s.sample(&mut r) < 10).count();
-        let frac = hot_hits as f64 / n as f64;
-        assert!((frac - 0.9).abs() < 0.03, "hot fraction {frac}");
-    }
-
-    #[test]
-    fn hotspot_all_hot_degenerate() {
-        let mut s =
-            KeyDistribution::Hotspot { hot_fraction: 1.0, hot_probability: 0.5 }.sampler(10);
-        let mut r = rng(5);
-        for _ in 0..100 {
-            assert!(s.sample(&mut r) < 10);
-        }
-    }
-
-    #[test]
-    fn sequential_round_robins() {
-        let mut s = KeyDistribution::Sequential.sampler(3);
-        let mut r = rng(6);
-        let got: Vec<u64> = (0..7).map(|_| s.sample(&mut r)).collect();
-        assert_eq!(got, vec![0, 1, 2, 0, 1, 2, 0]);
-    }
-
-    #[test]
     fn samples_always_in_range() {
-        for dist in [
-            KeyDistribution::Uniform,
-            KeyDistribution::zipfian_default(),
-            KeyDistribution::Hotspot { hot_fraction: 0.2, hot_probability: 0.8 },
-            KeyDistribution::Sequential,
-        ] {
+        for dist in [KeyDistribution::Uniform, KeyDistribution::zipfian_default()] {
             let mut s = dist.sampler(17);
             let mut r = rng(7);
             for _ in 0..500 {

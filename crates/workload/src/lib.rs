@@ -4,11 +4,11 @@
 //! YCSB tradition: a key-popularity distribution ([`KeyDistribution`],
 //! including the standard Zipfian generator), an operation mix
 //! ([`OpMix`] with the YCSB A and B presets), and an arrival process
-//! ([`Arrival`]: open/Poisson or closed/think-time). [`WorkloadSpec`]
+//! ([`Arrival`]: closed loop with a think time). [`WorkloadSpec`]
 //! bundles the three plus the key-space size.
 //!
-//! Everything samples through `rand::Rng`, so feeding a seeded
-//! `simnet::SimRng` makes workloads fully deterministic.
+//! Every sampler draws from a `simnet::SimRng`, so a seeded generator
+//! makes workloads fully deterministic.
 
 pub mod arrival;
 pub mod keys;

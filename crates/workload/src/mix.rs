@@ -1,7 +1,7 @@
 //! Operation mixes.
 
-use rand::Rng;
 use serde::{Deserialize, Serialize};
+use simnet::SimRng;
 
 /// An operation drawn from a mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -49,8 +49,8 @@ impl OpMix {
     }
 
     /// Draw the next operation kind.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> WorkloadOp {
-        let u: f64 = rng.random();
+    pub fn sample(&self, rng: &mut SimRng) -> WorkloadOp {
+        let u = rng.unit();
         if u < self.write_fraction {
             WorkloadOp::Write
         } else if u < self.write_fraction + self.rmw_fraction {
@@ -64,8 +64,6 @@ impl OpMix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn presets_have_expected_fractions() {
@@ -77,7 +75,7 @@ mod tests {
     #[test]
     fn sample_respects_fractions() {
         let mix = OpMix::new(0.3, 0.2);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = SimRng::new(1);
         let n = 30_000;
         let mut counts = [0u64; 3];
         for _ in 0..n {
@@ -96,7 +94,7 @@ mod tests {
     #[test]
     fn read_only_never_writes() {
         let mix = OpMix::new(0.0, 0.0);
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = SimRng::new(2);
         for _ in 0..1000 {
             assert_eq!(mix.sample(&mut rng), WorkloadOp::Read);
         }

@@ -3,8 +3,8 @@
 use crate::arrival::Arrival;
 use crate::keys::{KeyDistribution, KeySampler};
 use crate::mix::{OpMix, WorkloadOp};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
+use simnet::SimRng;
 
 /// A complete workload description for one run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,15 +41,14 @@ impl WorkloadSpec {
         self.sessions as u64 * self.ops_per_session as u64
     }
 
-    /// Build a per-session operation script: `(gap_us, op, key)` triples.
-    ///
-    /// For closed-loop arrivals `gap_us` is think time after the previous
-    /// *response*; for open-loop it is the gap after the previous *issue*.
-    pub fn session_script<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<(u64, WorkloadOp, u64)> {
+    /// Build a per-session operation script: `(gap_us, op, key)` triples,
+    /// where `gap_us` is the think time after the previous *response*.
+    /// Each op draws its kind, then its key, from `rng`.
+    pub fn session_script(&self, rng: &mut SimRng) -> Vec<(u64, WorkloadOp, u64)> {
         let mut sampler: KeySampler = self.distribution.sampler(self.keys);
         (0..self.ops_per_session)
             .map(|_| {
-                let gap = self.arrival.next_gap_us(rng);
+                let gap = self.arrival.next_gap_us();
                 let op = self.mix.sample(rng);
                 let key = sampler.sample(rng);
                 (gap, op, key)
@@ -61,8 +60,6 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn total_ops() {
@@ -73,7 +70,7 @@ mod tests {
     #[test]
     fn script_has_requested_length_and_valid_keys() {
         let spec = WorkloadSpec::small();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut rng = SimRng::new(1);
         let script = spec.session_script(&mut rng);
         assert_eq!(script.len(), 50);
         assert!(script.iter().all(|&(_, _, k)| k < spec.keys));
@@ -82,9 +79,9 @@ mod tests {
     #[test]
     fn script_is_deterministic_per_seed() {
         let spec = WorkloadSpec::small();
-        let s1 = spec.session_script(&mut ChaCha8Rng::seed_from_u64(7));
-        let s2 = spec.session_script(&mut ChaCha8Rng::seed_from_u64(7));
-        let s3 = spec.session_script(&mut ChaCha8Rng::seed_from_u64(8));
+        let s1 = spec.session_script(&mut SimRng::new(7));
+        let s2 = spec.session_script(&mut SimRng::new(7));
+        let s3 = spec.session_script(&mut SimRng::new(8));
         assert_eq!(s1, s2);
         assert_ne!(s1, s3);
     }
@@ -92,7 +89,7 @@ mod tests {
     #[test]
     fn read_only_mix_yields_read_only_script() {
         let spec = WorkloadSpec { mix: OpMix::new(0.0, 0.0), ..WorkloadSpec::small() };
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
+        let mut rng = SimRng::new(2);
         assert!(spec.session_script(&mut rng).iter().all(|&(_, op, _)| op == WorkloadOp::Read));
     }
 

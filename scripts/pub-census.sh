@@ -8,7 +8,8 @@
 # labbench/Cargo.lock are never written. In the copy:
 #
 #  1. every `pub fn` (also `pub const fn` / `pub unsafe fn`) in
-#     crates/*/src, binaries excluded, becomes `pub(crate)`;
+#     crates/*/src and vendor/*/src, binaries excluded, becomes
+#     `pub(crate)`;
 #  2. `cargo check` of every workspace target (bins, examples,
 #     integration tests, unit tests) and of labbench --all-targets;
 #     each definition a privacy error points at is `pub` again; repeat
@@ -50,8 +51,9 @@ os.chdir(tree)
 PUB_FN = re.compile(r'^(\s*)pub ((?:const |unsafe )?fn )')
 narrowed = {}  # (path, line) -> function name
 
-for crate in sorted(os.listdir('crates')):
-    src = os.path.join('crates', crate, 'src')
+for crate in sorted(os.path.join(top, name) for top in ('crates', 'vendor')
+                    for name in os.listdir(top)):
+    src = os.path.join(crate, 'src')
     for dirpath, dirnames, filenames in os.walk(src):
         dirnames[:] = sorted(d for d in dirnames if d != 'bin')
         for fn in sorted(f for f in filenames if f.endswith('.rs')):
@@ -139,6 +141,10 @@ while True:
     sys.stderr.write(f'round {rounds}: {len(named)} restored, '
                      f'{len(narrowed)} still narrowed\n')
 
+def crate_of(path):
+    """`crates/<name>` or `vendor/<name>`: the package directory."""
+    return os.path.join(*path.split(os.sep)[:2])
+
 def unused(args, crate=None):
     found = set()
     diags, at, run = cargo(args)
@@ -148,7 +154,7 @@ def unused(args, crate=None):
         if diag['level'] == 'warning' and (diag.get('code') or {}).get('code') == 'dead_code':
             for s in diag['spans']:
                 found.update(k for k in narrowed_lines(s, at)
-                             if crate is None or k[0].startswith(crate + os.sep))
+                             if crate is None or crate_of(k[0]) == crate)
     return found
 
 never_used = unused(['check', '--workspace'])
@@ -156,11 +162,10 @@ never_used = unused(['check', '--workspace'])
 # other crates it depends on are built without theirs, so only this
 # crate's own warnings count.
 untested = set()
-for crate in sorted({k[0].split(os.sep)[1] for k in never_used}):
-    with open(os.path.join('crates', crate, 'Cargo.toml')) as f:
+for crate in sorted({crate_of(k[0]) for k in never_used}):
+    with open(os.path.join(crate, 'Cargo.toml')) as f:
         package = re.search(r'^name = "([^"]+)"', f.read(), re.M).group(1)
-    untested |= unused(['check', '-p', package, '--lib', '--profile', 'test'],
-                       os.path.join('crates', crate))
+    untested |= unused(['check', '-p', package, '--lib', '--profile', 'test'], crate)
 
 def owner(path, line):
     """The type of the nearest enclosing top-level `impl`, if any."""
