@@ -94,7 +94,7 @@ fn replay_case(path: &std::path::Path, trace_out: Option<&std::path::Path>) {
     let report = recorder.report();
     println!(
         "replay: scheme={} seed={} events={} verdict={verdict:?}",
-        case.scheme.label(),
+        case.scheme.name(),
         case.seed,
         case.events.len()
     );

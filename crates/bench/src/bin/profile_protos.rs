@@ -18,7 +18,7 @@
 use bench::{parse_positive, print_table, reject_args, results_dir, save_json, take_value};
 use obs::{FoldWeight, Recorder};
 use rec_core::fuzz::{fuzz_workload, generate_case, FuzzScheme, FUZZ_HORIZON_MS};
-use rec_core::grid::{Grid, RecorderSpec};
+use rec_core::grid::Grid;
 use rec_core::Experiment;
 use serde::Serialize;
 use simnet::nemesis::{self, IntensityProfile};
@@ -54,7 +54,7 @@ fn main() {
         workload.ops_per_session = if smoke { 40 } else { 400 };
         workload.arrival = workload::Arrival::Closed { think_us: 2_000 };
         grid.push(
-            scheme.label(),
+            scheme.name(),
             Experiment::new(scheme.to_scheme())
                 .workload(workload)
                 .latency(LatencyModel::lan())
@@ -63,7 +63,7 @@ fn main() {
                 .horizon(SimTime::from_millis(FUZZ_HORIZON_MS)),
         );
     }
-    let cells = grid.profile(true).run(jobs, RecorderSpec::Counters);
+    let cells = grid.profile(true).run(jobs, Recorder::enabled);
     let agg = Recorder::enabled();
     for cell in &cells {
         agg.absorb(&cell.recorder);

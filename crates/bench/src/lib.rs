@@ -9,7 +9,6 @@
 //! `EXPERIMENTS.md` ("Parallel grid execution") for the contract.
 
 use obs::Recorder;
-use rec_core::grid::RecorderSpec;
 use rec_core::{default_jobs, par_map, CellResult, Grid};
 use serde::Serialize;
 use std::cell::RefCell;
@@ -109,13 +108,13 @@ impl Obs {
         (obs, rest)
     }
 
-    /// The recorder kind each grid cell runs with: full event log when
-    /// `--trace-out` was given, counters-only otherwise.
-    pub fn cell_recorder_spec(&self) -> RecorderSpec {
+    /// The recorder constructor each grid cell runs with: full event log
+    /// when `--trace-out` was given, counters-only otherwise.
+    pub fn cell_recorder_spec(&self) -> fn() -> Recorder {
         if self.trace_out.is_some() {
-            RecorderSpec::EventLog
+            Recorder::with_event_log
         } else {
-            RecorderSpec::Counters
+            Recorder::enabled
         }
     }
 
@@ -147,14 +146,14 @@ impl Obs {
         R: Send,
         F: Fn(&P, u64, &Recorder) -> R + Sync,
     {
-        let spec = self.cell_recorder_spec();
+        let new_recorder = self.cell_recorder_spec();
         let flat: Vec<(usize, u64)> =
             (0..params.len()).flat_map(|p| (0..self.seeds).map(move |s| (p, s))).collect();
         // Copy the flag out so the worker closure doesn't capture the
         // whole `Obs` (its RefCell trace staging is not Sync).
         let profile = self.profile;
         let mut results: Vec<(Recorder, R)> = par_map(&flat, self.jobs, |_, &(p, s)| {
-            let rec = spec.make();
+            let rec = new_recorder();
             if profile {
                 // Direct-Sim harness: samples key under the default
                 // "sim" scheme label unless the run sets one itself.

@@ -72,37 +72,24 @@ impl Watermark {
     }
 }
 
-/// Which guarantee a streamed operation violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ViolationKind {
-    /// A session read missed its own earlier write (RYW).
-    ReadYourWrites,
-    /// A session read went backwards in stamp order (MR).
-    MonotonicReads,
-    /// A session write was ordered before an earlier one (MW).
-    MonotonicWrites,
-    /// A session write was ordered before something it read (WFR).
-    WritesFollowReads,
-    /// A read missed at least one acknowledged write (PBS staleness).
-    StaleRead,
-    /// A session watched an inflationary value go backwards.
-    ValueRegression,
-    /// Post-quiescence reads of a key disagreed (convergence failure).
-    Divergence,
-}
-
-impl ViolationKind {
-    /// Stable snake_case name for display and JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ViolationKind::ReadYourWrites => "read_your_writes",
-            ViolationKind::MonotonicReads => "monotonic_reads",
-            ViolationKind::MonotonicWrites => "monotonic_writes",
-            ViolationKind::WritesFollowReads => "writes_follow_reads",
-            ViolationKind::StaleRead => "stale_read",
-            ViolationKind::ValueRegression => "value_regression",
-            ViolationKind::Divergence => "divergence",
-        }
+obs::names! {
+    /// Which guarantee a streamed operation violated.
+    #[derive(Serialize, Deserialize)]
+    ViolationKind, "violation kind" {
+        /// A session read missed its own earlier write (RYW).
+        ReadYourWrites = "read_your_writes",
+        /// A session read went backwards in stamp order (MR).
+        MonotonicReads = "monotonic_reads",
+        /// A session write was ordered before an earlier one (MW).
+        MonotonicWrites = "monotonic_writes",
+        /// A session write was ordered before something it read (WFR).
+        WritesFollowReads = "writes_follow_reads",
+        /// A read missed at least one acknowledged write (PBS staleness).
+        StaleRead = "stale_read",
+        /// A session watched an inflationary value go backwards.
+        ValueRegression = "value_regression",
+        /// Post-quiescence reads of a key disagreed (convergence failure).
+        Divergence = "divergence",
     }
 }
 
@@ -492,6 +479,15 @@ mod tests {
         assert!(kinds.contains(&ViolationKind::ValueRegression));
         assert!(kinds.contains(&ViolationKind::Divergence));
         assert!(!reports.convergence.unwrap().converged());
+    }
+
+    #[test]
+    fn violation_kind_names_round_trip() {
+        // Round-tripping every variant also proves the names unique: a
+        // shared name would parse back to the first of its variants.
+        for kind in ViolationKind::ALL {
+            assert_eq!(ViolationKind::from_name(kind.name()), Ok(kind));
+        }
     }
 
     #[test]

@@ -236,12 +236,9 @@ fn prof(args: &[String]) {
     let mut flags = flags.iter();
     while let Some(a) = flags.next() {
         if let Some(by) = take_value(a, "--by", &mut flags) {
-            weight = match by {
-                "calls" => FoldWeight::Calls,
-                "time" => FoldWeight::Time,
-                "alloc" => FoldWeight::AllocBytes,
-                other => usage_error(&format!("--by expects calls|time|alloc, got {other:?}")),
-            };
+            weight = FoldWeight::from_name(by).unwrap_or_else(|_| {
+                usage_error(&format!("--by expects calls|time|alloc, got {by:?}"))
+            });
         } else if let Some(n) = take_value(a, "-k", &mut flags) {
             k = n.parse().unwrap_or_else(|_| usage_error("-k expects a positive integer"));
         } else {

@@ -3,168 +3,93 @@
 //! Counters are a closed enum rather than free-form strings so that a
 //! typo is a compile error, the metrics contract in `docs/METRICS.md`
 //! can enumerate every counter exhaustively, and storage is a flat
-//! array (no hashing on the hot path).
+//! array (no hashing on the hot path). The `names!` table below declares
+//! each counter once, with its export name; `ALL`, `COUNT`, `name` and
+//! `from_name` are generated from it, so a new counter is one line there
+//! (plus its row in `docs/METRICS.md`) and reaches every export and
+//! merge that walks `ALL`.
 
-/// Every counter the observability layer tracks.
-///
-/// Units and semantics for each are documented in `docs/METRICS.md`;
-/// [`Counter::name`] gives the stable snake_case export name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum Counter {
-    /// Messages handed to the network by senders.
-    MessagesSent,
-    /// Messages delivered to a live destination actor.
-    MessagesDelivered,
-    /// Messages dropped (partition, loss, or crashed destination).
-    MessagesDropped,
-    /// Approximate payload bytes handed to the network.
-    BytesSent,
-    /// Approximate payload bytes delivered.
-    BytesDelivered,
-    /// Anti-entropy (gossip) rounds initiated.
-    AntiEntropyRounds,
-    /// Read quorums assembled by coordinators.
-    QuorumReads,
-    /// Write quorums assembled by coordinators.
-    QuorumWrites,
-    /// Read-repair writes pushed to stale replicas.
-    ReadRepairs,
-    /// Concurrent-sibling conflicts detected.
-    ConflictsDetected,
-    /// Conflicts collapsed by LWW, merge, or repair.
-    ConflictsResolved,
-    /// Records appended to write-ahead logs.
-    WalAppends,
-    /// Bytes appended to write-ahead logs.
-    WalBytes,
-    /// Transactions committed.
-    TxnCommits,
-    /// Transactions aborted.
-    TxnAborts,
-    /// Timer events fired by the simulator.
-    TimersFired,
-    /// Network partitions begun.
-    PartitionsStarted,
-    /// Network partitions healed.
-    PartitionsHealed,
-    /// Node crash faults applied.
-    Crashes,
-    /// Node recovery faults applied.
-    Recoveries,
-    /// Recoveries that wiped volatile state (amnesia restarts).
-    AmnesiaRecoveries,
-    /// WAL records replayed into stores during amnesia recovery.
-    WalReplayedRecords,
-    /// Trace spans opened.
-    SpansOpened,
-    /// Trace spans closed (any status, including abandoned).
-    SpansClosed,
-    /// Trace spans closed as abandoned at shutdown (subset of
-    /// `spans_closed`).
-    SpansAbandoned,
-    /// Hinted-handoff hints parked on spare nodes.
-    HintsStored,
-    /// Hints successfully delivered to their home replica and dropped
-    /// from the spare.
-    HintsDrained,
-    /// Hints lost before delivery (amnesia crash of the holder, or still
-    /// undelivered at the run horizon).
-    HintsDropped,
-    /// Keys pushed to new owners during ring membership rebalancing.
-    RebalancedKeys,
-    /// Violations flagged by the online streaming consistency checkers.
-    StreamViolations,
-    /// State entries the streaming checkers evicted at watermark
-    /// advances (bounded-memory operation; see `docs/CHECKERS.md`).
-    CheckerEventsEvicted,
-    /// Actor handler invocations measured by the profiler (0 unless
-    /// profiling is enabled; see `docs/PROFILING.md`).
-    HandlerInvocations,
-    /// Gross bytes allocated inside profiled handlers (0 unless
-    /// profiling is enabled and the binary installs
-    /// [`crate::CountingAlloc`]).
-    AllocBytes,
-}
-
-impl Counter {
-    /// All counters, in export order.
-    pub const ALL: [Counter; 33] = [
-        Counter::MessagesSent,
-        Counter::MessagesDelivered,
-        Counter::MessagesDropped,
-        Counter::BytesSent,
-        Counter::BytesDelivered,
-        Counter::AntiEntropyRounds,
-        Counter::QuorumReads,
-        Counter::QuorumWrites,
-        Counter::ReadRepairs,
-        Counter::ConflictsDetected,
-        Counter::ConflictsResolved,
-        Counter::WalAppends,
-        Counter::WalBytes,
-        Counter::TxnCommits,
-        Counter::TxnAborts,
-        Counter::TimersFired,
-        Counter::PartitionsStarted,
-        Counter::PartitionsHealed,
-        Counter::Crashes,
-        Counter::Recoveries,
-        Counter::AmnesiaRecoveries,
-        Counter::WalReplayedRecords,
-        Counter::SpansOpened,
-        Counter::SpansClosed,
-        Counter::SpansAbandoned,
-        Counter::HintsStored,
-        Counter::HintsDrained,
-        Counter::HintsDropped,
-        Counter::RebalancedKeys,
-        Counter::StreamViolations,
-        Counter::CheckerEventsEvicted,
-        Counter::HandlerInvocations,
-        Counter::AllocBytes,
-    ];
-
-    /// Number of distinct counters.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable snake_case name used in exports and `docs/METRICS.md`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::MessagesSent => "messages_sent",
-            Counter::MessagesDelivered => "messages_delivered",
-            Counter::MessagesDropped => "messages_dropped",
-            Counter::BytesSent => "bytes_sent",
-            Counter::BytesDelivered => "bytes_delivered",
-            Counter::AntiEntropyRounds => "anti_entropy_rounds",
-            Counter::QuorumReads => "quorum_reads",
-            Counter::QuorumWrites => "quorum_writes",
-            Counter::ReadRepairs => "read_repairs",
-            Counter::ConflictsDetected => "conflicts_detected",
-            Counter::ConflictsResolved => "conflicts_resolved",
-            Counter::WalAppends => "wal_appends",
-            Counter::WalBytes => "wal_bytes",
-            Counter::TxnCommits => "txn_commits",
-            Counter::TxnAborts => "txn_aborts",
-            Counter::TimersFired => "timers_fired",
-            Counter::PartitionsStarted => "partitions_started",
-            Counter::PartitionsHealed => "partitions_healed",
-            Counter::Crashes => "crashes",
-            Counter::Recoveries => "recoveries",
-            Counter::AmnesiaRecoveries => "amnesia_recoveries",
-            Counter::WalReplayedRecords => "wal_replayed_records",
-            Counter::SpansOpened => "spans_opened",
-            Counter::SpansClosed => "spans_closed",
-            Counter::SpansAbandoned => "spans_abandoned",
-            Counter::HintsStored => "hints_stored",
-            Counter::HintsDrained => "hints_drained",
-            Counter::HintsDropped => "hints_dropped",
-            Counter::RebalancedKeys => "rebalanced_keys",
-            Counter::StreamViolations => "stream_violations",
-            Counter::CheckerEventsEvicted => "checker_events_evicted",
-            Counter::HandlerInvocations => "handler_invocations",
-            Counter::AllocBytes => "alloc_bytes",
-        }
+names! {
+    /// Every counter the observability layer tracks.
+    ///
+    /// Units and semantics for each are documented in `docs/METRICS.md`;
+    /// [`Counter::name`] gives the stable snake_case export name.
+    #[derive(PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    Counter, "counter" {
+        /// Messages handed to the network by senders.
+        MessagesSent = "messages_sent",
+        /// Messages delivered to a live destination actor.
+        MessagesDelivered = "messages_delivered",
+        /// Messages dropped (partition, loss, or crashed destination).
+        MessagesDropped = "messages_dropped",
+        /// Approximate payload bytes handed to the network.
+        BytesSent = "bytes_sent",
+        /// Approximate payload bytes delivered.
+        BytesDelivered = "bytes_delivered",
+        /// Anti-entropy (gossip) rounds initiated.
+        AntiEntropyRounds = "anti_entropy_rounds",
+        /// Read quorums assembled by coordinators.
+        QuorumReads = "quorum_reads",
+        /// Write quorums assembled by coordinators.
+        QuorumWrites = "quorum_writes",
+        /// Read-repair writes pushed to stale replicas.
+        ReadRepairs = "read_repairs",
+        /// Concurrent-sibling conflicts detected.
+        ConflictsDetected = "conflicts_detected",
+        /// Conflicts collapsed by LWW, merge, or repair.
+        ConflictsResolved = "conflicts_resolved",
+        /// Records appended to write-ahead logs.
+        WalAppends = "wal_appends",
+        /// Bytes appended to write-ahead logs.
+        WalBytes = "wal_bytes",
+        /// Transactions committed.
+        TxnCommits = "txn_commits",
+        /// Transactions aborted.
+        TxnAborts = "txn_aborts",
+        /// Timer events fired by the simulator.
+        TimersFired = "timers_fired",
+        /// Network partitions begun.
+        PartitionsStarted = "partitions_started",
+        /// Network partitions healed.
+        PartitionsHealed = "partitions_healed",
+        /// Node crash faults applied.
+        Crashes = "crashes",
+        /// Node recovery faults applied.
+        Recoveries = "recoveries",
+        /// Recoveries that wiped volatile state (amnesia restarts).
+        AmnesiaRecoveries = "amnesia_recoveries",
+        /// WAL records replayed into stores during amnesia recovery.
+        WalReplayedRecords = "wal_replayed_records",
+        /// Trace spans opened.
+        SpansOpened = "spans_opened",
+        /// Trace spans closed (any status, including abandoned).
+        SpansClosed = "spans_closed",
+        /// Trace spans closed as abandoned at shutdown (subset of
+        /// `spans_closed`).
+        SpansAbandoned = "spans_abandoned",
+        /// Hinted-handoff hints parked on spare nodes.
+        HintsStored = "hints_stored",
+        /// Hints successfully delivered to their home replica and dropped
+        /// from the spare.
+        HintsDrained = "hints_drained",
+        /// Hints lost before delivery (amnesia crash of the holder, or still
+        /// undelivered at the run horizon).
+        HintsDropped = "hints_dropped",
+        /// Keys pushed to new owners during ring membership rebalancing.
+        RebalancedKeys = "rebalanced_keys",
+        /// Violations flagged by the online streaming consistency checkers.
+        StreamViolations = "stream_violations",
+        /// State entries the streaming checkers evicted at watermark
+        /// advances (bounded-memory operation; see `docs/CHECKERS.md`).
+        CheckerEventsEvicted = "checker_events_evicted",
+        /// Actor handler invocations measured by the profiler (0 unless
+        /// profiling is enabled; see `docs/PROFILING.md`).
+        HandlerInvocations = "handler_invocations",
+        /// Gross bytes allocated inside profiled handlers (0 unless
+        /// profiling is enabled and the binary installs
+        /// [`crate::CountingAlloc`]).
+        AllocBytes = "alloc_bytes",
     }
 }
 

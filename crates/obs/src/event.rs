@@ -12,8 +12,9 @@
 //! and its fields in wire order, each with its kind — and [`EventKind`],
 //! [`EventKind::type_name`], the encoder
 //! ([`TracedEvent::write_json_line`]) and the decoder ([`parse_line`],
-//! [`parse_jsonl`]) are all generated from it; the four named enums come
-//! from `wire_names!` the same way. A field or a name is spelled once.
+//! [`parse_jsonl`]) are all generated from it; the four named enums are
+//! `names!` lists, like every other name the lab exports. A field or a
+//! name is spelled once.
 //!
 //! The encoder appends digits from the stack to the caller's buffer, so
 //! the byte output is a pure function of the event sequence (the
@@ -52,42 +53,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::{Mutex, PoisonError};
 
-/// Declare an enum that travels as a name: the variants with their wire
-/// names, `name`, its inverse `from_name`, and `ALL`. `$what` is what
-/// the decoder's error calls a name it does not know.
-macro_rules! wire_names {
-    ($(#[$doc:meta])* $ty:ident, $what:literal {
-        $($(#[$vdoc:meta])* $variant:ident = $name:literal,)*
-    }) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-        pub enum $ty {
-            $($(#[$vdoc])* $variant,)*
-        }
-
-        impl $ty {
-            /// Every variant, in declaration order.
-            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
-
-            /// Stable snake_case name used in the JSONL encoding.
-            pub fn name(self) -> &'static str {
-                match self {
-                    $($ty::$variant => $name,)*
-                }
-            }
-
-            /// The variant that [`Self::name`] writes as `name`.
-            pub fn from_name(name: &str) -> Result<Self, String> {
-                match name {
-                    $($name => Ok($ty::$variant),)*
-                    other => Err(format!(concat!("unknown ", $what, " `{}`"), other)),
-                }
-            }
-        }
-    };
-}
-
-wire_names! {
+names! {
     /// Why the network dropped a message.
     DropReason, "drop reason" {
         /// Sender and destination are in different partition islands.
@@ -104,7 +70,7 @@ wire_names! {
     }
 }
 
-wire_names! {
+names! {
     /// Whether a quorum operation was a read or a write.
     QuorumKind, "quorum kind" {
         /// Read quorum (R acks).
@@ -114,7 +80,7 @@ wire_names! {
     }
 }
 
-wire_names! {
+names! {
     /// Whether a completed client operation was a read or a write.
     ///
     /// Mirrors the simulator's `OpKind` without importing it — `obs` stays
@@ -127,7 +93,7 @@ wire_names! {
     }
 }
 
-wire_names! {
+names! {
     /// How a span ended.
     SpanStatus, "span status" {
         /// The step completed normally.
@@ -264,7 +230,7 @@ macro_rules! wire_read {
 /// | `int` | `u64` | decimal integer |
 /// | `node` | `u32` | decimal integer; one past `u32::MAX` is an error naming the field |
 /// | `flag` | `bool` | `true` / `false` |
-/// | `named(E)` | `E`, a `wire_names!` enum | its name, as a string |
+/// | `named(E)` | `E`, a `names!` enum | its name, as a string |
 /// | `ints("noun")` | `Vec<u64>` | array of integers (`noun` is what a decode error calls a bad element) |
 /// | `opt_int` | `Option<u64>` | integer, key omitted when `None` |
 /// | `opt_pair` | `Option<(u64, u64)>` | `[counter, actor]`, key omitted when `None` |

@@ -5,52 +5,29 @@
 //! `[2^(i-1), 2^i)` (bucket 0 holds the value 0). That gives ~2x
 //! resolution over the full `u64` range with 65 fixed buckets and no
 //! allocation, which is plenty for the percentile summaries the
-//! experiments report.
+//! experiments report. The metrics are one `names!` table ([`Metric`]):
+//! each is declared once, with its export name, and the recorder keeps
+//! one histogram per entry of `Metric::ALL`.
 
 use serde::{Deserialize, Serialize};
 
-/// The continuous metrics the observability layer tracks as histograms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum Metric {
-    /// Microseconds a coordinator waited to assemble a read quorum.
-    QuorumReadWaitUs,
-    /// Microseconds a coordinator waited to assemble a write quorum.
-    QuorumWriteWaitUs,
-    /// Peers contacted per anti-entropy round.
-    AntiEntropyFanout,
-    /// Concurrent siblings present when a conflict was detected.
-    ConflictSiblings,
-    /// Bytes per WAL append.
-    WalAppendBytes,
-    /// Approximate bytes per network message sent.
-    MessageBytes,
-}
-
-impl Metric {
-    /// All metrics, in export order.
-    pub const ALL: [Metric; 6] = [
-        Metric::QuorumReadWaitUs,
-        Metric::QuorumWriteWaitUs,
-        Metric::AntiEntropyFanout,
-        Metric::ConflictSiblings,
-        Metric::WalAppendBytes,
-        Metric::MessageBytes,
-    ];
-
-    /// Number of distinct metrics.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable snake_case name used in exports and `docs/METRICS.md`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Metric::QuorumReadWaitUs => "quorum_read_wait_us",
-            Metric::QuorumWriteWaitUs => "quorum_write_wait_us",
-            Metric::AntiEntropyFanout => "anti_entropy_fanout",
-            Metric::ConflictSiblings => "conflict_siblings",
-            Metric::WalAppendBytes => "wal_append_bytes",
-            Metric::MessageBytes => "message_bytes",
-        }
+names! {
+    /// The continuous metrics the observability layer tracks as histograms.
+    #[derive(PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    Metric, "metric" {
+        /// Microseconds a coordinator waited to assemble a read quorum.
+        QuorumReadWaitUs = "quorum_read_wait_us",
+        /// Microseconds a coordinator waited to assemble a write quorum.
+        QuorumWriteWaitUs = "quorum_write_wait_us",
+        /// Peers contacted per anti-entropy round.
+        AntiEntropyFanout = "anti_entropy_fanout",
+        /// Concurrent siblings present when a conflict was detected.
+        ConflictSiblings = "conflict_siblings",
+        /// Bytes per WAL append.
+        WalAppendBytes = "wal_append_bytes",
+        /// Approximate bytes per network message sent.
+        MessageBytes = "message_bytes",
     }
 }
 

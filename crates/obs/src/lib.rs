@@ -65,6 +65,71 @@
 
 #![warn(missing_docs)]
 
+/// Declare a closed list whose members travel by name: the enum, `ALL`
+/// (every variant in declaration order, an array the macro sizes),
+/// `COUNT`, `name` and its inverse `from_name`. `$what` is what
+/// `from_name`'s error calls a name it does not know. The enum derives
+/// `Debug, Clone, Copy, PartialEq, Eq`; attributes written above the
+/// name (docs, more derives, `#[repr(usize)]`) are passed through.
+///
+/// Every list of names the lab exports is declared once, through this
+/// macro: counters, histogram and time-series metrics, handler kinds,
+/// fold weights, the wire enums, `consistency::ViolationKind` and
+/// `rec_core::fuzz::FuzzScheme`.
+///
+/// ```
+/// obs::names! {
+///     /// A colour.
+///     Colour, "colour" {
+///         /// Red.
+///         Red = "red",
+///         /// Green.
+///         Green = "green",
+///     }
+/// }
+/// assert_eq!(Colour::ALL, [Colour::Red, Colour::Green]);
+/// assert_eq!(Colour::from_name(Colour::Green.name()), Ok(Colour::Green));
+/// assert_eq!(Colour::from_name("blue"), Err("unknown colour `blue`".to_string()));
+/// ```
+#[macro_export]
+macro_rules! names {
+    ($(#[$attr:meta])* $ty:ident, $what:literal {
+        $($(#[$vattr:meta])* $variant:ident = $name:literal,)*
+    }) => {
+        $(#[$attr])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vattr])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration (and export) order.
+            pub const ALL: [$ty; [$($name),*].len()] = [$($ty::$variant),*];
+
+            /// Number of variants.
+            pub const COUNT: usize = Self::ALL.len();
+
+            /// The variant's stable name, as exported.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$variant => $name,)*
+                }
+            }
+
+            /// The variant [`Self::name`] spells `name`.
+            pub fn from_name(name: &str) -> ::std::result::Result<Self, ::std::string::String> {
+                match name {
+                    $($name => ::std::result::Result::Ok($ty::$variant),)*
+                    other => ::std::result::Result::Err(::std::format!(
+                        ::std::concat!("unknown ", $what, " `{}`"),
+                        other
+                    )),
+                }
+            }
+        }
+    };
+}
+
 mod counters;
 mod event;
 mod hist;
@@ -90,3 +155,38 @@ pub use span::SpanId;
 pub use timeseries::{
     TimeSeries, TimeSeriesSummary, TsBucket, TsMetric, TsPoint, DEFAULT_TS_BUCKET_US,
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+    use std::fmt::Debug;
+
+    /// One `names!` list: no two variants share a name, every name is
+    /// snake_case, and `from_name` inverts `name`.
+    fn assert_names<T: Copy + PartialEq + Debug, const N: usize>(
+        all: [T; N],
+        name: fn(T) -> &'static str,
+        from_name: fn(&str) -> Result<T, String>,
+    ) {
+        let names: BTreeSet<&str> = all.iter().map(|&v| name(v)).collect();
+        assert_eq!(names.len(), N, "two variants of {all:?} share a name");
+        for v in all {
+            assert_eq!(from_name(name(v)), Ok(v));
+            assert!(
+                name(v).chars().all(|c| c.is_ascii_lowercase() || c == '_'),
+                "{} is not snake_case",
+                name(v)
+            );
+        }
+    }
+
+    #[test]
+    fn every_names_list_is_unique_and_round_trips() {
+        macro_rules! check {
+            ($($ty:ident),*) => { $(assert_names($ty::ALL, $ty::name, $ty::from_name);)* };
+        }
+        check!(Counter, Metric, TsMetric, HandlerKind, FoldWeight);
+        check!(DropReason, QuorumKind, ClientOpKind, SpanStatus);
+    }
+}

@@ -24,49 +24,25 @@ use serde::{Deserialize, Serialize};
 
 use crate::hist::Histogram;
 
-/// Which actor callback a profiled sample came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum HandlerKind {
-    /// `Actor::on_start`.
-    Start,
-    /// `Actor::on_message`.
-    Message,
-    /// `Actor::on_timer`.
-    Timer,
-    /// `Actor::on_crash`.
-    Crash,
-    /// `Actor::on_recover`.
-    Recover,
-    /// `Actor::on_membership`.
-    Membership,
-    /// `Actor::on_shutdown`.
-    Shutdown,
-}
-
-impl HandlerKind {
-    /// All handler kinds, in export order.
-    pub const ALL: [HandlerKind; 7] = [
-        HandlerKind::Start,
-        HandlerKind::Message,
-        HandlerKind::Timer,
-        HandlerKind::Crash,
-        HandlerKind::Recover,
-        HandlerKind::Membership,
-        HandlerKind::Shutdown,
-    ];
-
-    /// Stable export name (the actor callback's method name).
-    pub fn name(self) -> &'static str {
-        match self {
-            HandlerKind::Start => "on_start",
-            HandlerKind::Message => "on_message",
-            HandlerKind::Timer => "on_timer",
-            HandlerKind::Crash => "on_crash",
-            HandlerKind::Recover => "on_recover",
-            HandlerKind::Membership => "on_membership",
-            HandlerKind::Shutdown => "on_shutdown",
-        }
+names! {
+    /// Which actor callback a profiled sample came from.
+    #[derive(PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    HandlerKind, "handler kind" {
+        /// `Actor::on_start`.
+        Start = "on_start",
+        /// `Actor::on_message`.
+        Message = "on_message",
+        /// `Actor::on_timer`.
+        Timer = "on_timer",
+        /// `Actor::on_crash`.
+        Crash = "on_crash",
+        /// `Actor::on_recover`.
+        Recover = "on_recover",
+        /// `Actor::on_membership`.
+        Membership = "on_membership",
+        /// `Actor::on_shutdown`.
+        Shutdown = "on_shutdown",
     }
 }
 
@@ -403,15 +379,17 @@ pub struct ProfileReport {
     pub schemes: Vec<SchemeProfile>,
 }
 
-/// Which measurement weights a folded-stack export.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoldWeight {
-    /// Invocation counts (jobs-invariant).
-    Calls,
-    /// Total wall nanoseconds (host-dependent).
-    Time,
-    /// Gross allocated bytes (jobs-invariant with [`CountingAlloc`]).
-    AllocBytes,
+names! {
+    /// Which measurement weights a folded-stack export; the names are
+    /// `tracequery prof --by`'s values.
+    FoldWeight, "fold weight" {
+        /// Invocation counts (jobs-invariant).
+        Calls = "calls",
+        /// Total wall nanoseconds (host-dependent).
+        Time = "time",
+        /// Gross allocated bytes (jobs-invariant with [`CountingAlloc`]).
+        AllocBytes = "alloc",
+    }
 }
 
 impl ProfileReport {

@@ -11,49 +11,30 @@
 //! The sampled quantities ([`TsMetric`]) are the consistency signals
 //! the paper treats as a measurable spectrum: staleness of reads,
 //! replica divergence, visibility lag, and in-flight message depth.
+//! They are one `names!` table: each is declared once, with its export
+//! name, and the recorder keeps one series per entry of `TsMetric::ALL`.
 
 use serde::{Serialize, Value};
 
 /// Default virtual-time bucket width: 100 ms.
 pub const DEFAULT_TS_BUCKET_US: u64 = 100_000;
 
-/// The quantities tracked as windowed time series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(usize)]
-pub enum TsMetric {
-    /// Version lag of a completed read: how many committed writes to
-    /// the key the returned version was behind (0 = fresh).
-    StalenessVersions,
-    /// Microseconds between a write committing and a later read first
-    /// observing it (sampled at the observing read).
-    VisibilityLagUs,
-    /// Distinct versions of a key across replicas at a probe instant
-    /// (1 = converged).
-    ReplicaDivergence,
-    /// Messages in flight in the simulated network at a probe instant.
-    InflightDepth,
-}
-
-impl TsMetric {
-    /// All time-series metrics, in export order.
-    pub const ALL: [TsMetric; 4] = [
-        TsMetric::StalenessVersions,
-        TsMetric::VisibilityLagUs,
-        TsMetric::ReplicaDivergence,
-        TsMetric::InflightDepth,
-    ];
-
-    /// Number of distinct time-series metrics.
-    pub const COUNT: usize = Self::ALL.len();
-
-    /// Stable snake_case name used in exports and `docs/METRICS.md`.
-    pub fn name(self) -> &'static str {
-        match self {
-            TsMetric::StalenessVersions => "staleness_versions",
-            TsMetric::VisibilityLagUs => "visibility_lag_us",
-            TsMetric::ReplicaDivergence => "replica_divergence",
-            TsMetric::InflightDepth => "inflight_depth",
-        }
+names! {
+    /// The quantities tracked as windowed time series.
+    #[derive(PartialOrd, Ord, Hash)]
+    #[repr(usize)]
+    TsMetric, "time-series metric" {
+        /// Version lag of a completed read: how many committed writes to
+        /// the key the returned version was behind (0 = fresh).
+        StalenessVersions = "staleness_versions",
+        /// Microseconds between a write committing and a later read first
+        /// observing it (sampled at the observing read).
+        VisibilityLagUs = "visibility_lag_us",
+        /// Distinct versions of a key across replicas at a probe instant
+        /// (1 = converged).
+        ReplicaDivergence = "replica_divergence",
+        /// Messages in flight in the simulated network at a probe instant.
+        InflightDepth = "inflight_depth",
     }
 }
 

@@ -54,38 +54,40 @@ pub fn fuzz_workload() -> WorkloadSpec {
     }
 }
 
-/// The schemes the fuzzer drives, as a compact serializable vocabulary.
-///
-/// Each variant names a *fixed* deployment (replica counts, quorum sizes,
-/// placement), so a reproducer only has to record the variant — no
-/// floats, no nested config — and the JSON encoding stays byte-stable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum FuzzScheme {
-    /// Multi-Paxos, 3 nodes. Expected linearizable even under amnesia.
-    Paxos,
-    /// Majority quorum N=3, R=2, W=2 with read repair. R+W>N: reads must
-    /// intersect the newest acked write.
-    MajorityQuorum,
-    /// Deliberately weak quorum N=3, R=1, W=1. R+W<=N: the seeded
-    /// known-violation target — stale reads are *expected* under
-    /// partitions, and the fuzzer must find and shrink one.
-    PartialQuorum,
-    /// Primary copy with synchronous backup acks, 3 replicas.
-    PrimarySync,
-    /// COPS-style causal+, 3 replicas, sticky sessions.
-    Causal,
-    /// Eventual (eager + gossip, LWW), sticky sessions, no client-side
-    /// guarantee enforcement. Sticky + durable WAL means read-your-writes
-    /// should still hold.
-    EventualSticky,
-    /// Kernel composition: multi-master + anti-entropy gossip + CRDT
-    /// counter merge + fsynced state, 3 replicas. Inflationary state that
-    /// survives amnesia: a session must never watch a counter shrink.
-    MultiMasterCrdt,
-    /// Kernel composition: multi-master eager broadcast that defers the
-    /// client ack until every peer has durably applied (acks = n-1), LWW,
-    /// 3 replicas. Acked writes are everywhere, so no read may be stale.
-    EagerAckedEventual,
+obs::names! {
+    /// The schemes the fuzzer drives, as a compact serializable vocabulary.
+    ///
+    /// Each variant names a *fixed* deployment (replica counts, quorum sizes,
+    /// placement), so a reproducer only has to record the variant — no
+    /// floats, no nested config — and the JSON encoding stays byte-stable.
+    #[derive(Serialize, Deserialize)]
+    FuzzScheme, "fuzz scheme" {
+        /// Multi-Paxos, 3 nodes. Expected linearizable even under amnesia.
+        Paxos = "paxos",
+        /// Majority quorum N=3, R=2, W=2 with read repair. R+W>N: reads must
+        /// intersect the newest acked write.
+        MajorityQuorum = "quorum(N=3,R=2,W=2)",
+        /// Deliberately weak quorum N=3, R=1, W=1. R+W<=N: the seeded
+        /// known-violation target — stale reads are *expected* under
+        /// partitions, and the fuzzer must find and shrink one.
+        PartialQuorum = "quorum(N=3,R=1,W=1)",
+        /// Primary copy with synchronous backup acks, 3 replicas.
+        PrimarySync = "primary-sync",
+        /// COPS-style causal+, 3 replicas, sticky sessions.
+        Causal = "causal",
+        /// Eventual (eager + gossip, LWW), sticky sessions, no client-side
+        /// guarantee enforcement. Sticky + durable WAL means read-your-writes
+        /// should still hold.
+        EventualSticky = "eventual-sticky",
+        /// Kernel composition: multi-master + anti-entropy gossip + CRDT
+        /// counter merge + fsynced state, 3 replicas. Inflationary state that
+        /// survives amnesia: a session must never watch a counter shrink.
+        MultiMasterCrdt = "mm-gossip-crdt",
+        /// Kernel composition: multi-master eager broadcast that defers the
+        /// client ack until every peer has durably applied (acks = n-1), LWW,
+        /// 3 replicas. Acked writes are everywhere, so no read may be stale.
+        EagerAckedEventual = "mm-eager-acked",
+    }
 }
 
 /// What the checker pipeline asserts for a scheme.
@@ -143,18 +145,6 @@ impl Verdict {
 }
 
 impl FuzzScheme {
-    /// Every scheme the fuzzer knows, in campaign order.
-    pub const ALL: [FuzzScheme; 8] = [
-        FuzzScheme::Paxos,
-        FuzzScheme::MajorityQuorum,
-        FuzzScheme::PartialQuorum,
-        FuzzScheme::PrimarySync,
-        FuzzScheme::Causal,
-        FuzzScheme::EventualSticky,
-        FuzzScheme::MultiMasterCrdt,
-        FuzzScheme::EagerAckedEventual,
-    ];
-
     /// The concrete deployment this variant names.
     pub fn to_scheme(self) -> Scheme {
         match self {
@@ -213,20 +203,6 @@ impl FuzzScheme {
     /// any other scheme are real findings and fail CI.
     pub fn violation_expected(self) -> bool {
         matches!(self, FuzzScheme::PartialQuorum)
-    }
-
-    /// A short stable label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            FuzzScheme::Paxos => "paxos",
-            FuzzScheme::MajorityQuorum => "quorum(N=3,R=2,W=2)",
-            FuzzScheme::PartialQuorum => "quorum(N=3,R=1,W=1)",
-            FuzzScheme::PrimarySync => "primary-sync",
-            FuzzScheme::Causal => "causal",
-            FuzzScheme::EventualSticky => "eventual-sticky",
-            FuzzScheme::MultiMasterCrdt => "mm-gossip-crdt",
-            FuzzScheme::EagerAckedEventual => "mm-eager-acked",
-        }
     }
 }
 
@@ -457,7 +433,7 @@ impl CampaignReport {
             let _ = writeln!(
                 out,
                 "{:<22} {:>5} {:>10} {:>9} {:>13}",
-                scheme.label(),
+                scheme.name(),
                 cells.len(),
                 violations,
                 if scheme.violation_expected() { "yes" } else { "no" },
@@ -468,7 +444,7 @@ impl CampaignReport {
             let _ = writeln!(
                 out,
                 "UNEXPECTED: {} seed={} verdict={:?}",
-                case.scheme.label(),
+                case.scheme.name(),
                 case.seed,
                 case.verdict
             );
@@ -531,6 +507,15 @@ mod tests {
     }
 
     #[test]
+    fn scheme_names_round_trip() {
+        // Round-tripping every variant also proves the names unique: a
+        // shared name would parse back to the first of its variants.
+        for scheme in FuzzScheme::ALL {
+            assert_eq!(FuzzScheme::from_name(scheme.name()), Ok(scheme));
+        }
+    }
+
+    #[test]
     fn fuzz_case_roundtrips_through_json() {
         let case = generate_case(FuzzScheme::PartialQuorum, 7, &IntensityProfile::heavy());
         let json = serde_json::to_string(&case).unwrap();
@@ -560,7 +545,7 @@ mod tests {
         // nemesis interferes; anything else is a harness bug, not a find.
         for scheme in [FuzzScheme::MultiMasterCrdt, FuzzScheme::EagerAckedEventual] {
             let case = FuzzCase { scheme, seed: 5, events: vec![] };
-            assert_eq!(run_case(&case), Verdict::Pass, "{} must pass quiet", scheme.label());
+            assert_eq!(run_case(&case), Verdict::Pass, "{} must pass quiet", scheme.name());
         }
     }
 

@@ -22,7 +22,8 @@
 //! cells.
 //!
 //! ```
-//! use rec_core::{Experiment, Grid, RecorderSpec, Scheme};
+//! use obs::Recorder;
+//! use rec_core::{Experiment, Grid, Scheme};
 //! use workload::WorkloadSpec;
 //!
 //! let mut grid = Grid::new();
@@ -32,7 +33,7 @@
 //!         Experiment::new(Scheme::quorum(3, r, w)).workload(WorkloadSpec::small()).seed(42),
 //!     );
 //! }
-//! let cells = grid.seeds(3).run(4, RecorderSpec::Counters);
+//! let cells = grid.seeds(3).run(4, Recorder::enabled);
 //! assert_eq!(cells.len(), 6); // 2 variants x 3 seeds, variant-major
 //! assert_eq!(cells[0].label, "R1W1");
 //! assert_eq!(cells[1].seed, 43); // seeds are base_seed + seed_index
@@ -45,28 +46,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Default worker count: one per available hardware thread.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// Which recorder each grid cell gets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecorderSpec {
-    /// No observability (fastest).
-    Disabled,
-    /// Counters and histograms, no retained event log.
-    Counters,
-    /// Counters plus the full typed event log (for JSONL export).
-    EventLog,
-}
-
-impl RecorderSpec {
-    /// Materialize a fresh recorder of this kind.
-    pub fn make(self) -> Recorder {
-        match self {
-            RecorderSpec::Disabled => Recorder::disabled(),
-            RecorderSpec::Counters => Recorder::enabled(),
-            RecorderSpec::EventLog => Recorder::with_event_log(),
-        }
-    }
 }
 
 /// One cell of a completed grid run.
@@ -124,17 +103,18 @@ impl Grid {
         self
     }
 
-    /// Run every cell on `jobs` workers; results come back in
-    /// deterministic grid order (variant-major, then seed index),
-    /// independent of `jobs` and of worker scheduling.
-    pub fn run(&self, jobs: usize, spec: RecorderSpec) -> Vec<CellResult> {
+    /// Run every cell on `jobs` workers, each with a fresh recorder from
+    /// `recorder` (`Recorder::disabled`, `enabled` or `with_event_log`);
+    /// results come back in deterministic grid order (variant-major,
+    /// then seed index), independent of `jobs` and of worker scheduling.
+    pub fn run(&self, jobs: usize, recorder: fn() -> Recorder) -> Vec<CellResult> {
         // Materialize cell descriptors in grid order.
         let cells: Vec<(usize, u64)> = (0..self.variants.len())
             .flat_map(|v| (0..self.seeds_per_variant).map(move |s| (v, s)))
             .collect();
         par_map(&cells, jobs, |cell_index, &(variant, seed_index)| {
             let (label, base) = &self.variants[variant];
-            let recorder = spec.make();
+            let recorder = recorder();
             // Each cell allocates trace/span ids from its own disjoint
             // range, keyed by grid position (never by scheduling), so a
             // concatenated multi-cell trace file keeps globally unique
@@ -278,7 +258,7 @@ mod tests {
 
     #[test]
     fn grid_order_is_variant_major_with_derived_seeds() {
-        let cells = small_grid().run(4, RecorderSpec::Disabled);
+        let cells = small_grid().run(4, Recorder::disabled);
         assert_eq!(cells.len(), 6);
         let meta: Vec<(usize, u64, u64)> =
             cells.iter().map(|c| (c.variant, c.seed_index, c.seed)).collect();
@@ -289,11 +269,7 @@ mod tests {
     #[test]
     fn parallel_and_serial_grids_agree() {
         let traces = |jobs: usize| -> Vec<OpTrace> {
-            small_grid()
-                .run(jobs, RecorderSpec::Counters)
-                .into_iter()
-                .map(|c| c.result.trace)
-                .collect()
+            small_grid().run(jobs, Recorder::enabled).into_iter().map(|c| c.result.trace).collect()
         };
         let serial = traces(1);
         let parallel = traces(4);
@@ -308,7 +284,7 @@ mod tests {
         let solo = base.clone().run();
         let mut g = Grid::new();
         g.push("only", base);
-        let cells = g.run(2, RecorderSpec::Disabled);
+        let cells = g.run(2, Recorder::disabled);
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].seed, 42);
         assert_eq!(cells[0].result.trace.records(), solo.trace.records());

@@ -43,6 +43,6 @@ pub mod runner;
 pub mod scheme;
 
 pub use fuzz::{CampaignReport, CaseReport, FuzzCase, FuzzScheme, Verdict, ViolationKind};
-pub use grid::{default_jobs, par_map, CellResult, Grid, RecorderSpec};
+pub use grid::{default_jobs, par_map, CellResult, Grid};
 pub use runner::{Experiment, RunResult};
 pub use scheme::{ClientPlacement, Scheme};

@@ -14,11 +14,11 @@
 //! demonstrates on the `eventual` protocol.
 
 use crate::common::{ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient};
-use crate::kernel::durability::WalState;
+use crate::kernel::durability;
 use crate::kernel::propagation::PeerCache;
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
-use kvstore::{Key, MvStore, Value};
+use kvstore::{Key, MvStore, Value, Wal};
 use obs::EventKind;
 use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanStatus};
 use std::collections::BTreeMap;
@@ -106,10 +106,10 @@ pub struct CausalReplica {
     /// `versions`, `my_seq`) is modeled as fsynced alongside each append:
     /// rolling the applied vector back after a restart would break
     /// origin-seq contiguity and wedge dependency buffering forever.
-    /// Appends go through `dur.wal` directly (not `WalState::log`):
+    /// Appends go to the log directly (not `durability::log`):
     /// `apply` has no simulator context, so appends here are un-evented —
     /// the WAL metrics contract covers the store protocols' data path.
-    dur: WalState,
+    wal: Wal,
     clock: LamportClock,
     /// `applied[r]` = how many of replica r's writes have been applied.
     applied: VersionVector,
@@ -133,7 +133,7 @@ impl CausalReplica {
         CausalReplica {
             replicas,
             store: Probed::new(MvStore::new()),
-            dur: WalState::new(),
+            wal: Wal::new(),
             clock: LamportClock::new(),
             applied: VersionVector::new(),
             my_seq: 0,
@@ -162,7 +162,7 @@ impl CausalReplica {
             .is_some_and(|&(o, s)| !(o == w.origin && s < w.seq) && w.deps.get(o) < s);
         self.clock.observe(w.ts, 0);
         if self.store.put(w.key, Value::from_u64(w.value), w.ts, w.written_at) {
-            self.dur.wal.append(w.key, Value::from_u64(w.value), w.ts, w.written_at);
+            self.wal.append(w.key, Value::from_u64(w.value), w.ts, w.written_at);
             self.versions.insert(w.key, (w.origin, w.seq));
         }
         self.applied.observe(w.origin, w.seq);
@@ -207,7 +207,7 @@ impl Actor<Msg> for CausalReplica {
         // causally closed — it merely loses un-applied remote writes,
         // which this protocol (no anti-entropy) also loses to a partition.
         self.buffer.clear();
-        self.store.replace(self.dur.replay(ctx, None, Some(&mut self.clock)));
+        self.store.replace(durability::replay(&self.wal, ctx, None, Some(&mut self.clock)));
     }
 
     fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {

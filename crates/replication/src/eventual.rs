@@ -14,14 +14,16 @@
 //! digests and counter state are shared by reference count, and what a
 //! receiver does with them follows what differs, not what was shipped
 //! (see [`crate::kernel::resolution`]). Conflicts are resolved by the
-//! composition's [`ConflictMode`]:
+//! composition's [`ResolutionPolicy`] (named by a [`ConflictMode`] in
+//! the `Scheme::Eventual` preset):
 //!
-//! * [`ConflictMode::Lww`] — last-writer-wins on Lamport stamps (loses one
-//!   of two concurrent writes; experiment E6 counts how many).
-//! * [`ConflictMode::Siblings`] — dotted-version-vector siblings exposed to
-//!   the client (the Dynamo model).
-//! * [`ConflictMode::Counter`] — values are PN-counters merged as CRDTs
-//!   (writes are increments; nothing is ever lost).
+//! * [`ResolutionPolicy::LwwRegister`] — last-writer-wins on Lamport
+//!   stamps (loses one of two concurrent writes; experiment E6 counts
+//!   how many).
+//! * [`ResolutionPolicy::VersionVectorSiblings`] — dotted-version-vector
+//!   siblings exposed to the client (the Dynamo model).
+//! * [`ResolutionPolicy::CrdtMerge`] — values are PN-counters merged as
+//!   CRDTs (writes are increments; nothing is ever lost).
 //!
 //! Two more axes of the [`Composition`] apply: `EagerBroadcast::acks`
 //! withholds the client ack until that many peers confirm durable
@@ -38,15 +40,15 @@
 use crate::common::{
     ClientProtocol, Guarantees, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient, TargetPolicy,
 };
-use crate::kernel::durability::{DurabilityPolicy, WalState};
+use crate::kernel::durability::{self, DurabilityPolicy};
 use crate::kernel::propagation::{AckTracker, Gossip, PeerCache, PropagationPolicy};
 use crate::kernel::resolution::{
-    Digest, DigestCache, Items, JoinedSnapshots, ResolvingStore, WriteEffect,
+    Digest, DigestCache, Items, JoinedSnapshots, ResolutionPolicy, ResolvingStore, WriteEffect,
 };
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
-use kvstore::Key;
+use kvstore::{Key, Wal};
 use obs::EventKind;
 use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanStatus};
 use std::collections::BTreeMap;
@@ -175,7 +177,6 @@ pub struct EventualReplica {
     eager_acks: usize,
     /// Periodic anti-entropy; `None` disables gossip.
     gossip: Option<GossipConfig>,
-    mode: ConflictMode,
     /// What survives an amnesia crash. Under `WalReplay` adopted LWW
     /// versions are logged and replayed; sibling and counter state is
     /// modeled volatile (anti-entropy refills it from peers).
@@ -188,7 +189,7 @@ pub struct EventualReplica {
     joined: JoinedSnapshots,
     /// Durable log of adopted LWW versions; replayed on amnesia restart
     /// under [`DurabilityPolicy::WalReplay`].
-    dur: WalState,
+    wal: Wal,
     clock: LamportClock,
     /// Eager-acked writes awaiting their peer quorum.
     pending: BTreeMap<u64, PendingWrite>,
@@ -213,12 +214,11 @@ impl EventualReplica {
             eager,
             eager_acks,
             gossip,
-            mode: comp.resolution.conflict_mode(),
             durability: comp.durability,
             store: Probed::new(ResolvingStore::new(comp.resolution)),
             digests: DigestCache::default(),
             joined: JoinedSnapshots::default(),
-            dur: WalState::new(),
+            wal: Wal::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
             next_req: 1,
@@ -242,7 +242,7 @@ impl EventualReplica {
         match effect {
             WriteEffect::Adopted { key, value, ts, written_at } => {
                 if self.wal_enabled() {
-                    self.dur.log(ctx, key, value, ts, written_at);
+                    durability::log(&mut self.wal, ctx, key, value, ts, written_at);
                 }
             }
             WriteEffect::SiblingConflict { key, siblings } => {
@@ -266,7 +266,7 @@ impl EventualReplica {
         let out = self.joined.apply(&mut self.store, from, items, &mut self.clock);
         if self.wal_enabled() {
             for (key, value, ts, written_at) in out.adopted {
-                self.dur.log(ctx, key, value, ts, written_at);
+                durability::log(&mut self.wal, ctx, key, value, ts, written_at);
             }
         }
         out.conflicts
@@ -415,11 +415,12 @@ impl Actor<Msg> for EventualReplica {
                 // the store survives as-is.
                 DurabilityPolicy::FsyncedState => {}
                 DurabilityPolicy::WalReplay | DurabilityPolicy::CheckpointedWal => {
-                    match self.mode {
+                    match self.store.policy() {
                         // LWW versions are durable: rebuild store and
                         // clock from the WAL.
-                        ConflictMode::Lww => {
-                            self.store.replace(ResolvingStore::Lww(self.dur.replay(
+                        ResolutionPolicy::LwwRegister => {
+                            self.store.replace(ResolvingStore::Lww(durability::replay(
+                                &self.wal,
                                 ctx,
                                 None,
                                 Some(&mut self.clock),
@@ -429,7 +430,9 @@ impl Actor<Msg> for EventualReplica {
                         // the replica restarts empty and anti-entropy
                         // refills it from peers — the convergence path
                         // the protocol already has.
-                        ConflictMode::Siblings | ConflictMode::Counter => self.store.reset(),
+                        ResolutionPolicy::VersionVectorSiblings | ResolutionPolicy::CrdtMerge => {
+                            self.store.reset()
+                        }
                     }
                 }
                 DurabilityPolicy::Volatile => self.store.reset(),
@@ -506,7 +509,7 @@ pub struct EventualSession {
     replicas: usize,
     policy: TargetPolicy,
     guarantees: Guarantees,
-    mode: ConflictMode,
+    resolution: ResolutionPolicy,
     /// Per-key stamp floors for RYW/MR retries.
     floors: BTreeMap<Key, (u64, u64)>,
     /// Highest stamp observed (MW/WFR piggyback).
@@ -536,7 +539,7 @@ impl EventualClient {
                 replicas: comp.replicas,
                 policy,
                 guarantees,
-                mode: comp.resolution.conflict_mode(),
+                resolution: comp.resolution,
                 floors: BTreeMap::new(),
                 observed: (0, 0),
                 contexts: BTreeMap::new(),
@@ -602,14 +605,14 @@ impl ClientProtocol for EventualSession {
                 };
                 // Guarantee enforcement: retry while below the floor.
                 if self.guarantees.any_read_guarantee()
-                    && self.mode == ConflictMode::Lww
+                    && self.resolution == ResolutionPolicy::LwwRegister
                     && !self.floor_met(key, stamp)
                     && retries < MAX_RETRIES
                 {
                     ctx.set_timer(Duration::from_millis(2), TAG_RETRY);
                     return Reply::Ignore;
                 }
-                if self.mode == ConflictMode::Siblings {
+                if self.resolution == ResolutionPolicy::VersionVectorSiblings {
                     self.contexts.insert(key, read_ctx);
                 }
                 if let Some(s) = stamp {
@@ -787,7 +790,7 @@ mod tests {
             replicas: 2,
             policy: TargetPolicy::Sticky(NodeId(0)),
             guarantees: Guarantees::all(),
-            mode: ConflictMode::Lww,
+            resolution: ResolutionPolicy::LwwRegister,
             floors: BTreeMap::new(),
             observed: (0, 0),
             contexts: BTreeMap::new(),

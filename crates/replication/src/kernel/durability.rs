@@ -1,8 +1,9 @@
 //! The durability layer: what a replica's state owes to stable storage.
 //!
 //! Every protocol used to carry its own private WAL discipline; the
-//! kernel unifies them as one [`WalState`] wrapper over [`kvstore::Wal`]
-//! plus a [`DurabilityPolicy`] naming what an amnesia crash may erase.
+//! kernel unifies them as a [`DurabilityPolicy`] naming what an amnesia
+//! crash may erase, plus the two evented operations on a replica's
+//! [`kvstore::Wal`]: [`log`] an adopted version and [`replay`] the log.
 //! The simulator models durability, it does not perform real I/O: a
 //! "durable" structure is simply one the actor keeps across
 //! `on_recover(amnesia = true)`, and a volatile one is rebuilt — by WAL
@@ -33,64 +34,45 @@ pub enum DurabilityPolicy {
     FsyncedState,
 }
 
-/// A write-ahead log with the recording discipline every protocol
-/// shares: appends are counted as [`EventKind::WalAppend`], amnesia
-/// replays as [`EventKind::WalReplay`].
-///
-/// The wrapped [`Wal`] is public: protocols with richer log needs
-/// (shipping tails, truncation, sequence math) use it directly and only
-/// route the *evented* operations through the wrapper.
-#[derive(Debug, Default)]
-pub struct WalState {
-    /// The underlying log.
-    pub wal: Wal,
+/// Append one adopted version to `wal`, recording the
+/// [`EventKind::WalAppend`]. Returns the record's sequence number.
+/// Protocols with richer log needs (shipping tails, truncation,
+/// sequence math) use the [`Wal`] directly and route only the evented
+/// operations through here.
+pub fn log<M>(
+    wal: &mut Wal,
+    ctx: &mut Context<M>,
+    key: Key,
+    value: Value,
+    ts: clocks::LamportTimestamp,
+    written_at: u64,
+) -> u64 {
+    ctx.record(EventKind::WalAppend {
+        node: ctx.self_id().0 as u64,
+        key,
+        bytes: value.len() as u64,
+    });
+    wal.append(key, value, ts, written_at)
 }
 
-impl WalState {
-    /// An empty log.
-    pub fn new() -> Self {
-        WalState { wal: Wal::new() }
-    }
-
-    /// Append one adopted version, recording the event. Returns the
-    /// record's sequence number.
-    pub fn log<M>(
-        &mut self,
-        ctx: &mut Context<M>,
-        key: Key,
-        value: Value,
-        ts: clocks::LamportTimestamp,
-        written_at: u64,
-    ) -> u64 {
-        ctx.record(EventKind::WalAppend {
-            node: ctx.self_id().0 as u64,
-            key,
-            bytes: value.len() as u64,
-        });
-        self.wal.append(key, value, ts, written_at)
-    }
-
-    /// Amnesia recovery: rebuild a store from the log (over `snapshot`
-    /// when checkpointing), advance `clock` past every logged stamp so
-    /// fresh writes sort after replayed ones, and record the replay.
-    pub fn replay<M>(
-        &self,
-        ctx: &mut Context<M>,
-        snapshot: Option<&MvStore>,
-        clock: Option<&mut LamportClock>,
-    ) -> MvStore {
-        let store = self.wal.recover(snapshot);
-        if let Some(clock) = clock {
-            for rec in self.wal.tail(0) {
-                clock.observe(rec.ts, 0);
-            }
+/// Amnesia recovery: rebuild a store from `wal` (over `snapshot` when
+/// checkpointing), advance `clock` past every logged stamp so fresh
+/// writes sort after replayed ones, and record the
+/// [`EventKind::WalReplay`].
+pub fn replay<M>(
+    wal: &Wal,
+    ctx: &mut Context<M>,
+    snapshot: Option<&MvStore>,
+    clock: Option<&mut LamportClock>,
+) -> MvStore {
+    let store = wal.recover(snapshot);
+    if let Some(clock) = clock {
+        for rec in wal.tail(0) {
+            clock.observe(rec.ts, 0);
         }
-        ctx.record(EventKind::WalReplay {
-            node: ctx.self_id().0 as u64,
-            records: self.wal.len() as u64,
-        });
-        store
     }
+    ctx.record(EventKind::WalReplay { node: ctx.self_id().0 as u64, records: wal.len() as u64 });
+    store
 }
 
 #[cfg(test)]
@@ -99,8 +81,9 @@ mod tests {
 
     #[test]
     fn wal_state_starts_empty() {
-        let w = WalState::new();
-        assert_eq!(w.wal.len(), 0);
-        assert_eq!(w.wal.next_seq(), 1);
+        let wal = Wal::new();
+        assert_eq!(wal.len(), 0);
+        assert_eq!(wal.next_seq(), 1);
+        assert_eq!(wal.recover(None), MvStore::new());
     }
 }

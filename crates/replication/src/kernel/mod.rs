@@ -30,7 +30,7 @@ pub mod resolution;
 pub mod ring;
 pub mod telemetry;
 
-pub use durability::{DurabilityPolicy, WalState};
+pub use durability::DurabilityPolicy;
 pub use propagation::{peers, AckTracker, Gossip, GossipConfig, PropagationPolicy, ShipMode};
 pub use resolution::{ConflictMode, Item, ReadView, ResolutionPolicy, ResolvingStore, WriteEffect};
 pub use ring::Ring;

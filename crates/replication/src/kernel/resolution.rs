@@ -93,17 +93,6 @@ impl ConflictMode {
     }
 }
 
-impl ResolutionPolicy {
-    /// The [`ConflictMode`] naming this policy.
-    pub fn conflict_mode(self) -> ConflictMode {
-        match self {
-            ResolutionPolicy::LwwRegister => ConflictMode::Lww,
-            ResolutionPolicy::VersionVectorSiblings => ConflictMode::Siblings,
-            ResolutionPolicy::CrdtMerge => ConflictMode::Counter,
-        }
-    }
-}
-
 /// One replicated data item in flight.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Item {
@@ -733,13 +722,15 @@ mod tests {
 
     #[test]
     fn policy_roundtrips_through_conflict_mode() {
-        for p in [
-            ResolutionPolicy::LwwRegister,
-            ResolutionPolicy::VersionVectorSiblings,
-            ResolutionPolicy::CrdtMerge,
-        ] {
-            assert_eq!(p.conflict_mode().policy(), p);
-        }
+        let modes = [ConflictMode::Lww, ConflictMode::Siblings, ConflictMode::Counter];
+        assert_eq!(
+            modes.map(ConflictMode::policy),
+            [
+                ResolutionPolicy::LwwRegister,
+                ResolutionPolicy::VersionVectorSiblings,
+                ResolutionPolicy::CrdtMerge,
+            ]
+        );
     }
 
     #[test]

@@ -32,12 +32,12 @@
 use crate::common::{
     ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient, TargetPolicy,
 };
-use crate::kernel::durability::WalState;
+use crate::kernel::durability;
 use crate::kernel::propagation::{PeerCache, PropagationPolicy, ShipMode};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
 use clocks::LamportTimestamp;
-use kvstore::{Key, LogRecord, MvStore, Value};
+use kvstore::{Key, LogRecord, MvStore, Value, Wal};
 use obs::{EventKind, QuorumKind};
 use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
@@ -175,9 +175,9 @@ pub struct PrimaryReplica {
     /// primary is down).
     failover: bool,
     store: Probed<MvStore>,
-    /// Checkpointed log: `dur.wal` is truncated at each checkpoint and
+    /// Checkpointed log: truncated at each checkpoint, and
     /// recovery replays the tail over the snapshot.
-    dur: WalState,
+    wal: Wal,
     /// Backup: highest contiguously applied seq.
     applied_seq: u64,
     /// Primary: per-backup acked seq.
@@ -211,7 +211,7 @@ impl PrimaryReplica {
             ship,
             failover,
             store: Probed::new(MvStore::new()),
-            dur: WalState::new(),
+            wal: Wal::new(),
             applied_seq: 0,
             acked: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -240,7 +240,7 @@ impl PrimaryReplica {
 
     fn ship_to(&mut self, ctx: &mut Context<Msg>, backup: NodeId) {
         let from = self.acked.get(&backup).copied().unwrap_or(0);
-        if from < self.dur.wal.truncated_through() {
+        if from < self.wal.truncated_through() {
             // The suffix the backup needs predates this primary's log
             // (it was promoted with `reset_to`): install a snapshot.
             let items: Vec<(Key, u64, u64, u64)> = self
@@ -250,10 +250,10 @@ impl PrimaryReplica {
                 .collect();
             ctx.send(
                 backup,
-                Msg::Snapshot { view: self.view, through: self.dur.wal.truncated_through(), items },
+                Msg::Snapshot { view: self.view, through: self.wal.truncated_through(), items },
             );
         }
-        let records = self.dur.wal.tail(from.max(self.dur.wal.truncated_through())).to_vec();
+        let records = self.wal.tail(from.max(self.wal.truncated_through())).to_vec();
         if !records.is_empty() {
             ctx.send(backup, Msg::Append { view: self.view, records });
         }
@@ -264,7 +264,7 @@ impl PrimaryReplica {
     /// discarded prefix contained.
     fn checkpoint_and_reset_log(&mut self) {
         self.durable_snapshot = Some(MvStore::clone(&self.store));
-        self.dur.wal.reset_to(self.applied_seq);
+        self.wal.reset_to(self.applied_seq);
     }
 
     fn is_primary(&self, me: NodeId) -> bool {
@@ -316,9 +316,9 @@ impl PrimaryReplica {
         // Stamp the record with the seq the WAL is about to assign, so a
         // replay rebuilds the store with the exact same timestamps.
         let now_us = ctx.now().as_micros();
-        let seq = self.dur.wal.next_seq();
+        let seq = self.wal.next_seq();
         let ts = LamportTimestamp::new(seq, 0);
-        let appended = self.dur.log(ctx, key, val, ts, now_us);
+        let appended = durability::log(&mut self.wal, ctx, key, val, ts, now_us);
         debug_assert_eq!(appended, seq);
         self.store.put(key, Value::from_u64(value), ts, now_us);
         match self.ship {
@@ -377,7 +377,14 @@ impl PrimaryReplica {
         while let Some(rec) = self.reorder.remove(&(self.applied_seq + 1)) {
             // A backup's apply is durable: the record lands in its own
             // WAL before the store, so an amnesia restart replays it.
-            let seq = self.dur.log(ctx, rec.key, rec.value.clone(), rec.ts, rec.written_at);
+            let seq = durability::log(
+                &mut self.wal,
+                ctx,
+                rec.key,
+                rec.value.clone(),
+                rec.ts,
+                rec.written_at,
+            );
             debug_assert_eq!(seq, rec.seq);
             // Backup stores with the seq as stamp; written_at comes from
             // the record's origin time.
@@ -443,8 +450,13 @@ impl Actor<Msg> for PrimaryReplica {
             }
             self.reorder.clear();
             self.acked.clear();
-            self.store.replace(self.dur.replay(ctx, self.durable_snapshot.as_ref(), None));
-            self.applied_seq = self.dur.wal.last_seq();
+            self.store.replace(durability::replay(
+                &self.wal,
+                ctx,
+                self.durable_snapshot.as_ref(),
+                None,
+            ));
+            self.applied_seq = self.wal.last_seq();
         }
         // The simulator discarded every timer that came due during the
         // outage, which breaks a periodic chain; re-arm the chains for

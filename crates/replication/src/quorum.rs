@@ -14,13 +14,13 @@
 use crate::common::{
     ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient, TargetPolicy,
 };
-use crate::kernel::durability::WalState;
+use crate::kernel::durability;
 use crate::kernel::propagation::PropagationPolicy;
 use crate::kernel::ring::{rebalance_pushes, Ring};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
 use clocks::{LamportClock, LamportTimestamp};
-use kvstore::{Key, MvStore, Value};
+use kvstore::{Key, MvStore, Value, Wal};
 use obs::{Counter, EventKind, QuorumKind};
 use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
@@ -210,12 +210,20 @@ impl PendingOp {
     }
 }
 
-/// Sloppy-quorum sub-timeout tag space.
-const TAG_SLOPPY_BASE: u64 = 500_000;
-/// Spare hint-retry timer tag.
-const TAG_HINT_RETRY: u64 = 7;
+/// Timer tags carry their kind in the low two bits and, for the two
+/// per-request kinds, the request id above them (`timer_tag`), so the
+/// three kinds stay apart whatever the request id.
+const TAG_KIND_BITS: u32 = 2;
+/// Spare hint-retry timer.
+const TAG_HINT_RETRY: u64 = 0;
+/// Sloppy-quorum sub-timeout of one write.
+const TAG_SLOPPY: u64 = 1;
+/// Coordinator timeout of one operation.
+const TAG_OPTIMEOUT: u64 = 2;
 
-const TAG_OPTIMEOUT_BASE: u64 = 1_000_000;
+fn timer_tag(kind: u64, req_id: u64) -> u64 {
+    req_id << TAG_KIND_BITS | kind
+}
 
 /// A quorum node: storage replica + coordinator.
 pub struct QuorumNode {
@@ -236,7 +244,7 @@ pub struct QuorumNode {
     store: Probed<MvStore>,
     /// Durable log of every version this replica has adopted. On an
     /// amnesia restart the store is rebuilt by replaying it.
-    dur: WalState,
+    wal: Wal,
     clock: LamportClock,
     pending: BTreeMap<u64, PendingOp>,
     next_req: u64,
@@ -280,7 +288,7 @@ impl QuorumNode {
             read_repair,
             spares,
             store: Probed::new(MvStore::new()),
-            dur: WalState::new(),
+            wal: Wal::new(),
             clock: LamportClock::new(),
             pending: BTreeMap::new(),
             next_req: 0,
@@ -332,7 +340,7 @@ impl QuorumNode {
         // Log only versions the store actually adopts, so replay rebuilds
         // this exact store.
         if self.store.put(key, value.clone(), v.ts, v.written_at) {
-            self.dur.log(ctx, key, value, v.ts, v.written_at);
+            durability::log(&mut self.wal, ctx, key, value, v.ts, v.written_at);
         }
     }
 
@@ -364,7 +372,7 @@ impl QuorumNode {
             ctx.send(peer, Msg::RGet { req_id, key });
         }
         self.restore_homes(homes);
-        ctx.set_timer(OP_TIMEOUT, TAG_OPTIMEOUT_BASE + req_id);
+        ctx.set_timer(OP_TIMEOUT, timer_tag(TAG_OPTIMEOUT, req_id));
         self.try_finish_read(ctx, req_id);
     }
 
@@ -411,12 +419,12 @@ impl QuorumNode {
             ctx.send(peer, Msg::RPut { req_id, key, version });
         }
         self.restore_homes(homes);
-        ctx.set_timer(OP_TIMEOUT, TAG_OPTIMEOUT_BASE + req_id);
+        ctx.set_timer(OP_TIMEOUT, timer_tag(TAG_OPTIMEOUT, req_id));
         if self.spares > 0 {
             // If home acks don't arrive promptly, hand off to spares.
             ctx.set_timer(
                 Duration::from_micros(OP_TIMEOUT.as_micros() / 3),
-                TAG_SLOPPY_BASE + req_id,
+                timer_tag(TAG_SLOPPY, req_id),
             );
         }
         self.try_finish_write(ctx, req_id);
@@ -609,7 +617,7 @@ impl Actor<Msg> for QuorumNode {
                 );
             }
             self.hints.clear();
-            self.store.replace(self.dur.replay(ctx, None, Some(&mut self.clock)));
+            self.store.replace(durability::replay(&self.wal, ctx, None, Some(&mut self.clock)));
         }
         // The outage discarded every timer that came due during it, so
         // the hint-retry chain must be re-armed in both recovery modes.
@@ -667,24 +675,26 @@ impl Actor<Msg> for QuorumNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<Msg>, _id: u64, tag: u64) {
-        if tag == TAG_HINT_RETRY {
-            for (&hint_id, &(target, key, version)) in &self.hints {
-                ctx.send(target, Msg::HintDeliver { hint_id, key, version });
+        let req_id = tag >> TAG_KIND_BITS;
+        match tag & ((1 << TAG_KIND_BITS) - 1) {
+            TAG_SLOPPY => self.sloppy_handoff(ctx, req_id),
+            TAG_OPTIMEOUT => self.fail_pending(ctx, req_id),
+            TAG_HINT_RETRY => {
+                for (&hint_id, &(target, key, version)) in &self.hints {
+                    ctx.send(target, Msg::HintDeliver { hint_id, key, version });
+                }
+                if self.ring.is_none() {
+                    // Classic spare: perpetual retry chain.
+                    ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
+                } else if !self.hints.is_empty() {
+                    ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
+                } else {
+                    // Ring mode: let the chain die once every hint drained;
+                    // the next HintedPut re-arms it.
+                    self.hint_timer_armed = false;
+                }
             }
-            if self.ring.is_none() {
-                // Classic spare: perpetual retry chain.
-                ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
-            } else if !self.hints.is_empty() {
-                ctx.set_timer(HANDOFF_INTERVAL, TAG_HINT_RETRY);
-            } else {
-                // Ring mode: let the chain die once every hint drained;
-                // the next HintedPut re-arms it.
-                self.hint_timer_armed = false;
-            }
-        } else if (TAG_SLOPPY_BASE..TAG_OPTIMEOUT_BASE).contains(&tag) {
-            self.sloppy_handoff(ctx, tag - TAG_SLOPPY_BASE);
-        } else if tag >= TAG_OPTIMEOUT_BASE {
-            self.fail_pending(ctx, tag - TAG_OPTIMEOUT_BASE);
+            _ => unreachable!("timer tag {tag} names no timer kind"),
         }
     }
 
@@ -882,6 +892,18 @@ mod tests {
         seed: u64,
         faults: FaultSchedule,
     ) -> Sim<Msg> {
+        build_from(cfg, clients, seed, faults, 0)
+    }
+
+    /// [`build`] with every coordinator's last request id preset to
+    /// `next_req`, as after that many operations.
+    fn build_from(
+        cfg: &Composition,
+        clients: Vec<QuorumClient>,
+        seed: u64,
+        faults: FaultSchedule,
+        next_req: u64,
+    ) -> Sim<Msg> {
         let mut sim = Sim::new(
             SimConfig::default()
                 .seed(seed)
@@ -889,7 +911,9 @@ mod tests {
                 .faults(faults),
         );
         for _ in 0..cfg.server_node_count() {
-            sim.add_node(Box::new(QuorumNode::new(cfg, None)));
+            let mut node = QuorumNode::new(cfg, None);
+            node.next_req = next_req;
+            sim.add_node(Box::new(node));
         }
         for c in clients {
             sim.add_node(Box::new(c));
@@ -1119,36 +1143,48 @@ mod tests {
         assert!(t.records().iter().all(|r| r.ok), "R=W=1 stays available everywhere");
     }
 
+    /// Whether one write through coordinator 0 succeeds while home
+    /// replicas 1 and 2 are cut off, with or without one spare, its
+    /// request id the one after `next_req`.
+    fn write_with_homes_down(sloppy: bool, next_req: u64) -> bool {
+        let trace = optrace::shared_trace();
+        let cfg = Composition::quorum(3, 2, 2, true, usize::from(sloppy));
+        let total = cfg.server_node_count();
+        // Side A: coordinator 0, the spare (if any), and the client.
+        let mut side_a = vec![NodeId(0), NodeId(total as u32)];
+        if sloppy {
+            side_a.push(NodeId(3));
+        }
+        let faults = FaultSchedule::none().partition(side_a, SimTime::ZERO, SimTime::from_secs(5));
+        let client = QuorumClient::new(
+            1,
+            script(&[(OpKind::Write, 9)]),
+            trace.clone(),
+            3,
+            TargetPolicy::Sticky(NodeId(0)),
+        );
+        let mut sim = build_from(&cfg, vec![client], 21, faults, next_req);
+        sim.run_until(SimTime::from_secs(3));
+        let t = trace.borrow();
+        t.records()[0].ok
+    }
+
     #[test]
     fn sloppy_quorum_writes_survive_home_replica_outage() {
-        // Home replicas 1 and 2 are cut off; a strict majority write via
-        // coordinator 0 must fail, while a sloppy one succeeds through
-        // hinted handoff to the spare (node 3).
-        let run = |sloppy: bool| {
-            let trace = optrace::shared_trace();
-            let cfg = Composition::quorum(3, 2, 2, true, usize::from(sloppy));
-            let total = cfg.server_node_count();
-            // Side A: coordinator 0, the spare (if any), and the client.
-            let mut side_a = vec![NodeId(0), NodeId(total as u32)];
-            if sloppy {
-                side_a.push(NodeId(3));
-            }
-            let faults =
-                FaultSchedule::none().partition(side_a, SimTime::ZERO, SimTime::from_secs(5));
-            let client = QuorumClient::new(
-                1,
-                script(&[(OpKind::Write, 9)]),
-                trace.clone(),
-                3,
-                TargetPolicy::Sticky(NodeId(0)),
-            );
-            let mut sim = build(&cfg, vec![client], 21, faults);
-            sim.run_until(SimTime::from_secs(3));
-            let t = trace.borrow();
-            t.records()[0].ok
-        };
-        assert!(!run(false), "strict majority must fail with two homes down");
-        assert!(run(true), "sloppy quorum must succeed via hinted handoff");
+        // A strict majority write must fail, while a sloppy one succeeds
+        // through hinted handoff to the spare (node 3).
+        assert!(!write_with_homes_down(false, 0), "strict majority must fail with two homes down");
+        assert!(write_with_homes_down(true, 0), "sloppy quorum must succeed via hinted handoff");
+    }
+
+    #[test]
+    fn sloppy_handoff_fires_at_every_request_id() {
+        // The sub-timeout and the op timeout of one request must never
+        // share a tag range: request 500 000 once armed its handoff in
+        // the op-timeout range, and the handoff never happened.
+        for next_req in [499_998, 499_999, 999_999, 1 << 40] {
+            assert!(write_with_homes_down(true, next_req), "request {}", next_req + 1);
+        }
     }
 
     #[test]

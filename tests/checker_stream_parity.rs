@@ -86,7 +86,7 @@ fn oracle_whole_trace_and_online_agree_for_every_scheme_family() {
                 .faults(faults())
                 .seed(seed)
                 .horizon(SimTime::from_secs(20));
-            violations += assert_three_way(&experiment, &format!("{} seed {seed}", fs.label()));
+            violations += assert_three_way(&experiment, &format!("{} seed {seed}", fs.name()));
         }
     }
     // Agreement on clean runs would say little about the definitions.

@@ -8,7 +8,8 @@
 //! `--trace-out` and the results JSON are built from.
 
 use rethinking_ec::core::scheme::ClientPlacement;
-use rethinking_ec::core::{CellResult, Experiment, Grid, RecorderSpec, Scheme};
+use rethinking_ec::core::{CellResult, Experiment, Grid, Scheme};
+use rethinking_ec::obs::Recorder;
 use rethinking_ec::simnet::{Duration, FaultSchedule, LatencyModel, NodeId, SimTime};
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
 
@@ -74,8 +75,8 @@ fn fingerprint(cells: &[CellResult]) -> Vec<(String, u64, String, String, String
 
 #[test]
 fn grid_results_identical_across_job_counts() {
-    let serial = fingerprint(&mixed_grid().seeds(3).run(1, RecorderSpec::EventLog));
-    let parallel = fingerprint(&mixed_grid().seeds(3).run(8, RecorderSpec::EventLog));
+    let serial = fingerprint(&mixed_grid().seeds(3).run(1, Recorder::with_event_log));
+    let parallel = fingerprint(&mixed_grid().seeds(3).run(8, Recorder::with_event_log));
     assert_eq!(serial.len(), 15, "5 variants x 3 seeds");
     for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
         assert_eq!(s.0, p.0, "cell {i}: label");
@@ -91,8 +92,8 @@ fn repeated_parallel_runs_are_identical() {
     // Two jobs=8 runs: catches results that depend on *which* worker ran
     // a cell or in what order cells finished, which a serial-vs-parallel
     // comparison can miss when the schedule happens to coincide.
-    let a = fingerprint(&mixed_grid().seeds(2).run(8, RecorderSpec::EventLog));
-    let b = fingerprint(&mixed_grid().seeds(2).run(8, RecorderSpec::EventLog));
+    let a = fingerprint(&mixed_grid().seeds(2).run(8, Recorder::with_event_log));
+    let b = fingerprint(&mixed_grid().seeds(2).run(8, Recorder::with_event_log));
     assert_eq!(a, b, "two parallel runs of the same grid disagree");
 }
 
@@ -100,7 +101,7 @@ fn repeated_parallel_runs_are_identical() {
 fn oversubscribed_jobs_clamp_and_stay_deterministic() {
     // More workers than cells: the pool clamps, results stay in grid
     // order.
-    let a = fingerprint(&mixed_grid().seeds(1).run(64, RecorderSpec::Counters));
-    let b = fingerprint(&mixed_grid().seeds(1).run(1, RecorderSpec::Counters));
+    let a = fingerprint(&mixed_grid().seeds(1).run(64, Recorder::enabled));
+    let b = fingerprint(&mixed_grid().seeds(1).run(1, Recorder::enabled));
     assert_eq!(a, b);
 }

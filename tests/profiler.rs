@@ -12,7 +12,7 @@
 //! This test binary installs [`CountingAlloc`] as its global allocator,
 //! so unlike `obs`'s own unit tests the allocation deltas here are real.
 
-use rethinking_ec::core::{CellResult, Experiment, Grid, RecorderSpec, Scheme};
+use rethinking_ec::core::{CellResult, Experiment, Grid, Scheme};
 use rethinking_ec::obs::{
     alloc_totals, Counter, CountingAlloc, FoldWeight, MetricsReport, PauseAlloc, Probe, ProfSample,
     Recorder,
@@ -57,7 +57,7 @@ fn profiled_grid() -> Grid {
 /// order, into one aggregate report — the same aggregation the harness
 /// binaries perform.
 fn merged_report(jobs: usize) -> MetricsReport {
-    let cells: Vec<CellResult> = profiled_grid().seeds(2).run(jobs, RecorderSpec::Counters);
+    let cells: Vec<CellResult> = profiled_grid().seeds(2).run(jobs, Recorder::enabled);
     assert_eq!(cells.len(), 6, "3 schemes x 2 seeds");
     let agg = Recorder::enabled();
     for cell in &cells {
@@ -107,7 +107,7 @@ fn profile_counts_and_alloc_tallies_are_jobs_invariant() {
 
 #[test]
 fn unprofiled_runs_carry_no_profile_block() {
-    let cells = profiled_grid().profile(false).seeds(1).run(2, RecorderSpec::Counters);
+    let cells = profiled_grid().profile(false).seeds(1).run(2, Recorder::enabled);
     for cell in &cells {
         assert!(
             cell.recorder.report().profile.is_none(),

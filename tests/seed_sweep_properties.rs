@@ -15,8 +15,8 @@
 
 use rethinking_ec::consistency::{check_convergence, check_session_guarantees, measure_staleness};
 use rethinking_ec::core::scheme::ClientPlacement;
-use rethinking_ec::core::{default_jobs, par_map, Experiment, RecorderSpec, Scheme};
-use rethinking_ec::obs::Counter;
+use rethinking_ec::core::{default_jobs, par_map, Experiment, Scheme};
+use rethinking_ec::obs::{Counter, Recorder};
 use rethinking_ec::simnet::{Duration, FaultSchedule, LatencyModel, NodeId, SimRng, SimTime};
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
 
@@ -64,7 +64,7 @@ fn base(scheme: Scheme, seed: u64) -> Experiment {
         })
         .workload(sweep_workload())
         .seed(seed)
-        .recorder(RecorderSpec::Counters.make())
+        .recorder(Recorder::enabled())
         .horizon(SimTime::from_secs(30))
 }
 
@@ -157,7 +157,7 @@ fn eventual_store_converges_after_fault_horizon() {
             Some(GossipConfig { interval: Duration::from_millis(50), fanout: 2 }),
             ResolutionPolicy::LwwRegister,
         );
-        let rec = RecorderSpec::Counters.make();
+        let rec = Recorder::enabled();
         let mut sim = Sim::new(
             SimConfig::default()
                 .seed(seed)

@@ -601,7 +601,7 @@ fn field_errors_keep_their_words() {
     assert_eq!(assert_agree(extra, 1).unwrap().kind, EventKind::PartitionHeal);
 }
 
-/// One table of wire names an enum (`wire_names!` in `obs::event`):
+/// One table of wire names an enum (an `obs::names!` list):
 /// `name` and `from_name` are inverses over `ALL`, no two variants share
 /// a name, and a name outside the table is refused in the words the
 /// tree parser used — `line` carries `NAME` where the enum travels.
@@ -630,7 +630,7 @@ fn assert_wire_names<T: Copy + PartialEq + std::fmt::Debug>(
 fn drop_reasons_round_trip_by_name() {
     let line = r#"{"seq":0,"t_us":0,"type":"message_dropped","from":0,"to":1,"reason":"NAME","trace":0,"span":0}"#;
     assert_wire_names(
-        DropReason::ALL,
+        &DropReason::ALL,
         DropReason::name,
         DropReason::from_name,
         "drop reason",
@@ -642,7 +642,7 @@ fn drop_reasons_round_trip_by_name() {
 fn quorum_kinds_round_trip_by_name() {
     let line = r#"{"seq":0,"t_us":0,"type":"quorum_wait","node":0,"kind":"NAME","waited_us":1,"acks":1,"needed":1}"#;
     assert_wire_names(
-        QuorumKind::ALL,
+        &QuorumKind::ALL,
         QuorumKind::name,
         QuorumKind::from_name,
         "quorum kind",
@@ -654,7 +654,7 @@ fn quorum_kinds_round_trip_by_name() {
 fn op_kinds_round_trip_by_name() {
     let line = r#"{"seq":0,"t_us":0,"type":"op_complete","session":1,"op":2,"key":3,"kind":"NAME","ok":true,"invoked_us":4,"replica":5,"values":[]}"#;
     assert_wire_names(
-        ClientOpKind::ALL,
+        &ClientOpKind::ALL,
         ClientOpKind::name,
         ClientOpKind::from_name,
         "op kind",
@@ -667,7 +667,7 @@ fn span_statuses_round_trip_by_name() {
     let line =
         r#"{"seq":0,"t_us":0,"type":"span_close","trace":1,"span":1,"node":0,"status":"NAME"}"#;
     assert_wire_names(
-        SpanStatus::ALL,
+        &SpanStatus::ALL,
         SpanStatus::name,
         SpanStatus::from_name,
         "span status",
