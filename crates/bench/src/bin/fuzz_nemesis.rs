@@ -25,6 +25,7 @@
 use bench::{reject_args, save_json, take_value, usage_exit, Obs};
 use obs::Recorder;
 use rec_core::fuzz::{campaign, try_run_case_recorded, FuzzCase, FuzzScheme};
+use simnet::nemesis::IntensityProfile;
 use std::path::PathBuf;
 
 const USAGE: &str = "[--seeds N] [--jobs N] [--intensity light|medium|heavy] [--base-seed N] \
@@ -50,6 +51,16 @@ fn main() {
         } else {
             reject_args(&[a], USAGE);
         }
+    }
+
+    if IntensityProfile::by_name(&intensity).is_none() {
+        usage_exit(&format!("--intensity expects light|medium|heavy, got `{intensity}`"), USAGE);
+    }
+    if base_seed.checked_add(obs.seeds.saturating_sub(1)).is_none() {
+        usage_exit(
+            &format!("--base-seed {base_seed} with --seeds {} runs past the last u64", obs.seeds),
+            USAGE,
+        );
     }
 
     if let Some(path) = replay {

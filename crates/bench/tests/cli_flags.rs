@@ -18,6 +18,15 @@ fn bad_flags_exit_2_and_leave_results_untouched() {
         (fuzz, "fuzz_nemesis", "--sream", &["--seeds=1", "--sream"]),
         // The retired batch-vs-stream campaign flag is an unknown flag now.
         (fuzz, "fuzz_nemesis", "--stream", &["--stream", "--seeds", "1"]),
+        // A profile `IntensityProfile::by_name` does not know.
+        (fuzz, "fuzz_nemesis", "`extreme`", &["--intensity", "extreme", "--seeds", "1"]),
+        // Case seeds base..base + seeds would run past u64::MAX.
+        (
+            fuzz,
+            "fuzz_nemesis",
+            "18446744073709551615",
+            &["--base-seed", "18446744073709551615", "--seeds", "2"],
+        ),
         (env!("CARGO_BIN_EXE_profile_protos"), "profile_protos", "--job", &["--smoke", "--job=1"]),
         (checkerbench, "checkerbench", "--ops", &["--ops=abc"]),
         (checkerbench, "checkerbench", "--window-ms", &["--ops", "10", "--window-ms="]),

@@ -20,7 +20,7 @@
 //! keeps corpus JSON small and byte-stable.
 
 use crate::grid::par_map;
-use crate::runner::{Experiment, RunResult};
+use crate::runner::Experiment;
 use crate::scheme::{ClientPlacement, Scheme};
 use consistency::{
     check_monotonic_values, check_session_guarantees, check_trace_linearizable, measure_staleness,
@@ -31,13 +31,15 @@ use replication::eventual::ConflictMode;
 use replication::Composition;
 use serde::{Deserialize, Serialize};
 use simnet::nemesis::{self, IntensityProfile, NemesisEvent};
-use simnet::{Duration, LatencyModel, SimTime};
+use simnet::{Duration, LatencyModel, OpTrace, SimTime};
 use workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
 
 /// Virtual-time horizon of every fuzz run, in milliseconds. The nemesis
 /// heals all faults by two thirds of this (its quiet tail), leaving four
-/// seconds of calm — longer than any protocol's client-side op timeout —
-/// so late retries settle before the trace is judged.
+/// seconds of calm — no shorter than any protocol's client-side op
+/// timeout (Paxos's is exactly 4 s) — so late retries settle before the
+/// trace is judged. A judged run ends earlier, once every op has its
+/// row ([`run_case`]); a replay runs to here.
 pub const FUZZ_HORIZON_MS: u64 = 12_000;
 
 /// The fixed workload every fuzz case runs (see module docs for why this
@@ -227,26 +229,34 @@ pub fn generate_case(scheme: FuzzScheme, seed: u64, profile: &IntensityProfile) 
     FuzzCase { scheme, seed, events }
 }
 
-/// Run one case: build the experiment, run it, judge the trace against
-/// the scheme's expectation.
-pub fn run_case(case: &FuzzCase) -> Verdict {
-    run_case_recorded(case, obs::Recorder::disabled())
-}
-
-/// [`run_case`] with an observability recorder attached, so a replayed
-/// reproducer emits its full event log — span open/close pairs included.
-/// The caller keeps the handle and exports the JSONL trace afterwards
-/// (`fuzz_nemesis --replay ... --trace-out`). Panics on a case
+/// Run one case: build the experiment, simulate it until every scripted
+/// op has its trace row (`Experiment::op_trace`, which ends the run
+/// there rather than at the horizon — the verdict reads nothing else),
+/// and judge the trace against the scheme's expectation. Campaign cells
+/// and every shrink candidate go through here. Panics on a case
 /// [`try_run_case_recorded`] refuses.
-pub fn run_case_recorded(case: &FuzzCase, recorder: obs::Recorder) -> Verdict {
-    try_run_case_recorded(case, recorder).unwrap_or_else(|e| panic!("{e}"))
+pub fn run_case(case: &FuzzCase) -> Verdict {
+    let experiment =
+        case_experiment(case, obs::Recorder::disabled()).unwrap_or_else(|e| panic!("{e}"));
+    judge(case, &experiment.op_trace())
 }
 
-/// [`run_case_recorded`] for a case read from a file: `Err` naming the
-/// field and the numbers if its events are no schedule
-/// ([`nemesis::try_to_schedule`]) or name nodes the scheme does not
-/// deploy ([`Experiment::check_faults`]) — never a panic inside the run.
+/// [`run_case`] with an observability recorder attached and the run
+/// driven to the horizon, so a replayed reproducer emits its full event
+/// log — span open/close pairs included — for `fuzz_nemesis --replay
+/// ... --trace-out`; the caller keeps the handle and exports the JSONL
+/// trace afterwards. The verdict is [`run_case`]'s. For a case read from
+/// a file: `Err` naming the field and the numbers if its events are no
+/// schedule ([`nemesis::try_to_schedule`]) or name nodes the scheme does
+/// not deploy ([`Experiment::check_faults`]) — never a panic inside the
+/// run.
 pub fn try_run_case_recorded(case: &FuzzCase, recorder: obs::Recorder) -> Result<Verdict, String> {
+    Ok(judge(case, &case_experiment(case, recorder)?.run().trace))
+}
+
+/// The experiment a case names: its scheme, seed and schedule under the
+/// harness constants, or why its events cannot run.
+fn case_experiment(case: &FuzzCase, recorder: obs::Recorder) -> Result<Experiment, String> {
     let experiment = Experiment::new(case.scheme.to_scheme())
         .workload(fuzz_workload())
         .latency(LatencyModel::lan())
@@ -255,13 +265,13 @@ pub fn try_run_case_recorded(case: &FuzzCase, recorder: obs::Recorder) -> Result
         .horizon(SimTime::from_millis(FUZZ_HORIZON_MS))
         .recorder(recorder);
     experiment.check_faults()?;
-    Ok(judge(case, &experiment.run()))
+    Ok(experiment)
 }
 
-/// Judge a finished run against the case's scheme expectation.
-fn judge(case: &FuzzCase, result: &RunResult) -> Verdict {
+/// Judge a run's op trace against the case's scheme expectation.
+fn judge(case: &FuzzCase, trace: &OpTrace) -> Verdict {
     match case.scheme.expectation() {
-        Expectation::Linearizable => match check_trace_linearizable(&result.trace) {
+        Expectation::Linearizable => match check_trace_linearizable(trace) {
             Ok(()) => Verdict::Pass,
             Err(LinCheckError::NotLinearizable { .. }) => {
                 Verdict::Violation { kind: ViolationKind::NotLinearizable, count: 1 }
@@ -276,7 +286,7 @@ fn judge(case: &FuzzCase, result: &RunResult) -> Verdict {
             Err(LinCheckError::SearchBudgetExceeded { .. }) => Verdict::Pass,
         },
         Expectation::NoStaleReads => {
-            let report = measure_staleness(&result.trace);
+            let report = measure_staleness(trace);
             if report.stale_reads == 0 {
                 Verdict::Pass
             } else {
@@ -284,7 +294,7 @@ fn judge(case: &FuzzCase, result: &RunResult) -> Verdict {
             }
         }
         Expectation::ReadYourWrites => {
-            let report = check_session_guarantees(&result.trace);
+            let report = check_session_guarantees(trace);
             if report.ryw_violations == 0 {
                 Verdict::Pass
             } else {
@@ -295,7 +305,7 @@ fn judge(case: &FuzzCase, result: &RunResult) -> Verdict {
             }
         }
         Expectation::MonotonicReads => {
-            let report = check_monotonic_values(&result.trace);
+            let report = check_monotonic_values(trace);
             if report.violations == 0 {
                 Verdict::Pass
             } else {
@@ -469,8 +479,13 @@ pub fn campaign(
 ) -> CampaignReport {
     let profile = IntensityProfile::by_name(profile_name)
         .unwrap_or_else(|| panic!("unknown intensity profile {profile_name:?}"));
+    let seed = |i: u64| {
+        base_seed.checked_add(i).unwrap_or_else(|| {
+            panic!("campaign seed {base_seed} + {i} overflows u64 ({seeds} seeds asked for)")
+        })
+    };
     let cells: Vec<(FuzzScheme, u64)> =
-        schemes.iter().flat_map(|&s| (0..seeds).map(move |i| (s, base_seed + i))).collect();
+        schemes.iter().flat_map(|&s| (0..seeds).map(move |i| (s, seed(i)))).collect();
     let cases = par_map(&cells, jobs, |_, &(scheme, seed)| {
         let case = generate_case(scheme, seed, &profile);
         let verdict = run_case(&case);
@@ -495,6 +510,7 @@ pub fn campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::Recorder;
 
     #[test]
     fn case_generation_is_deterministic() {
@@ -547,6 +563,72 @@ mod tests {
             let case = FuzzCase { scheme, seed: 5, events: vec![] };
             assert_eq!(run_case(&case), Verdict::Pass, "{} must pass quiet", scheme.name());
         }
+    }
+
+    /// The trace a judged case stops with is the horizon run's, row for
+    /// row, for every scheme over 25 heavy schedules each.
+    #[test]
+    fn a_stopped_case_traces_what_the_horizon_run_traces() {
+        for scheme in FuzzScheme::ALL {
+            for seed in 0..25 {
+                let case = generate_case(scheme, seed, &IntensityProfile::heavy());
+                let experiment = case_experiment(&case, Recorder::disabled()).unwrap();
+                assert_eq!(
+                    experiment.op_trace().records(),
+                    experiment.run().trace.records(),
+                    "{} seed {seed}",
+                    scheme.name()
+                );
+            }
+        }
+    }
+
+    /// `case` run by `op_trace` and by `run`, each with a counting
+    /// recorder: the traces must be equal. Returns the trace's rows and
+    /// the events each run recorded.
+    fn stopped_and_horizon_events(case: &FuzzCase) -> (usize, u64, u64) {
+        let (stopped, horizon) = (Recorder::enabled(), Recorder::enabled());
+        let experiment = |r: &Recorder| case_experiment(case, r.clone()).unwrap();
+        let trace = experiment(&stopped).op_trace();
+        assert_eq!(trace.records(), experiment(&horizon).run().trace.records());
+        (trace.len(), stopped.report().events_recorded, horizon.report().events_recorded)
+    }
+
+    #[test]
+    fn a_stopped_case_records_fewer_events() {
+        for scheme in [FuzzScheme::Paxos, FuzzScheme::MultiMasterCrdt] {
+            let case = generate_case(scheme, 0, &IntensityProfile::heavy());
+            let (_, stopped, horizon) = stopped_and_horizon_events(&case);
+            assert!(
+                stopped < horizon,
+                "{}: {stopped} events, {horizon} to the horizon",
+                scheme.name()
+            );
+        }
+    }
+
+    /// A client crashed for good never ends its pending op, so its run
+    /// cannot stop early: it goes to the horizon like `run` does.
+    #[test]
+    fn a_case_with_a_client_down_for_good_runs_to_the_horizon() {
+        let scheme = FuzzScheme::MajorityQuorum;
+        let client = scheme.server_nodes();
+        let crash = NemesisEvent::Crash {
+            node: client,
+            from_ms: 200,
+            to_ms: 2 * FUZZ_HORIZON_MS,
+            amnesia: false,
+        };
+        let case = FuzzCase { scheme, seed: 1, events: vec![crash] };
+        let (rows, stopped, horizon) = stopped_and_horizon_events(&case);
+        assert!((rows as u64) < fuzz_workload().total_ops(), "every op ended: {rows} rows");
+        assert_eq!(stopped, horizon);
+    }
+
+    #[test]
+    #[should_panic(expected = "campaign seed 18446744073709551615 + 1 overflows u64 (2 seeds")]
+    fn campaign_seeds_past_the_last_u64_panic() {
+        campaign(&[FuzzScheme::Paxos], 2, u64::MAX, "light", 1, false);
     }
 
     #[test]

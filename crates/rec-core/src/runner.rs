@@ -166,7 +166,18 @@ impl Experiment {
 
     /// Run the experiment to its horizon and collect the trace.
     pub fn run(&self) -> RunResult {
-        self.run_inner(optrace::shared_trace(), None)
+        self.run_inner(optrace::shared_trace(), None, false)
+    }
+
+    /// The trace [`Experiment::run`] collects, from a run that ends at
+    /// the first time-series bucket boundary at which every scripted op
+    /// has its row. Each expanded script op ends in exactly one row (its
+    /// completion or its timeout), and only the session clients write
+    /// the trace, so nothing after that boundary can add a row: the
+    /// trace equals `run().trace` row for row. A run in which some op
+    /// never ends (a client crashed for good) runs to the horizon.
+    pub(crate) fn op_trace(&self) -> OpTrace {
+        self.run_inner(optrace::shared_trace(), None, true).trace
     }
 
     /// Run the experiment with a live monitor: at every time-series
@@ -198,10 +209,18 @@ impl Experiment {
             };
             monitor(&slice, now);
         };
-        self.run_inner(trace, Some(&mut hook))
+        self.run_inner(trace, Some(&mut hook), false)
     }
 
-    fn run_inner(&self, trace: SharedTrace, monitor: Option<&mut dyn FnMut(SimTime)>) -> RunResult {
+    /// Deploy and drive the run; with `stop_when_traced`, end it once
+    /// the trace holds a row for every scripted op
+    /// ([`Experiment::op_trace`]).
+    fn run_inner(
+        &self,
+        trace: SharedTrace,
+        monitor: Option<&mut dyn FnMut(SimTime)>,
+        stop_when_traced: bool,
+    ) -> RunResult {
         if self.profile {
             // Must happen before `Sim::new` caches the recorder's
             // profiling flag; the scheme label keys every sample.
@@ -221,6 +240,9 @@ impl Experiment {
         if let Err(e) = self.check_faults() {
             panic!("fault schedule: {e}");
         }
+        let scripts = self.scripts();
+        // Rows, not workload ops: a read-modify-write expands to two.
+        let rows = scripts.iter().map(Vec::len).sum();
         let launch = Launch {
             cfg: SimConfig::default()
                 .seed(self.seed)
@@ -229,9 +251,10 @@ impl Experiment {
                 .recorder(self.recorder.clone())
                 .trace_base(self.trace_base),
             servers: self.scheme.server_node_count(),
-            scripts: self.scripts(),
+            scripts,
             horizon: self.horizon,
             monitor,
+            stop: stop_when_traced.then(|| (trace.clone(), rows)),
         };
         let (delivered, dropped, events, ended, final_versions) =
             deploy(&self.scheme, &trace, launch);
@@ -264,6 +287,9 @@ struct Launch<'a> {
     scripts: Vec<Vec<ScriptOp>>,
     horizon: SimTime,
     monitor: Option<&'a mut dyn FnMut(SimTime)>,
+    /// End the run at the first bucket boundary at which this trace holds
+    /// this many rows; `None` runs to the horizon.
+    stop: Option<(SharedTrace, usize)>,
 }
 
 impl Launch<'_> {
@@ -281,7 +307,7 @@ impl Launch<'_> {
         for (i, script) in self.scripts.into_iter().enumerate() {
             sim.add_node(Box::new(client(i, i as u64 + 1, script)));
         }
-        drive(sim, self.horizon, self.monitor)
+        drive(sim, self.horizon, self.monitor, self.stop)
     }
 }
 
@@ -350,23 +376,25 @@ fn deploy(scheme: &Scheme, trace: &SharedTrace, launch: Launch) -> DriveOutcome 
     }
 }
 
-/// Run the simulation to its horizon. With a recorder attached or a
-/// monitor installed, the run is sliced into probe windows (one per
-/// time-series bucket, so probe samples and client-side staleness
-/// samples share bucket boundaries): at each boundary the driver samples
-/// the in-flight message depth and per-key replica divergence (distinct
-/// versions across nodes, kept up to date by a [`DivergenceProbe`] from
-/// the keys each store changed), and hands the boundary time to the
-/// monitor. A probe drains telemetry-only dirty sets; it never
-/// schedules, reorders or drops an event, so a sliced run is
-/// event-for-event identical to an unsliced one.
+/// Run the simulation to its horizon. With a recorder attached, a
+/// monitor installed or a stop target set, the run is sliced into probe
+/// windows (one per time-series bucket, so probe samples and client-side
+/// staleness samples share bucket boundaries): at each boundary the
+/// driver samples the in-flight message depth and per-key replica
+/// divergence (distinct versions across nodes, kept up to date by a
+/// [`DivergenceProbe`] from the keys each store changed), hands the
+/// boundary time to the monitor, and ends the run if the `stop` trace
+/// holds its target number of rows. A probe drains telemetry-only dirty
+/// sets; it never schedules, reorders or drops an event, so a sliced run
+/// is event-for-event identical to an unsliced one up to where it ends.
 fn drive<M: simnet::MsgMeta>(
     mut sim: Sim<M>,
     horizon: SimTime,
     mut monitor: Option<&mut dyn FnMut(SimTime)>,
+    stop: Option<(SharedTrace, usize)>,
 ) -> DriveOutcome {
     let probing = sim.recorder().is_enabled();
-    if !probing && monitor.is_none() {
+    if !probing && monitor.is_none() && stop.is_none() {
         let events = sim.run_until(horizon);
         let versions = sim.key_versions();
         return (sim.delivered_messages, sim.dropped_messages, events, sim.now(), versions);
@@ -386,6 +414,9 @@ fn drive<M: simnet::MsgMeta>(
         }
         if let Some(m) = monitor.as_deref_mut() {
             m(SimTime::from_micros(t));
+        }
+        if stop.as_ref().is_some_and(|(trace, rows)| trace.borrow().len() == *rows) {
+            break;
         }
     }
     let versions = sim.key_versions();
@@ -655,6 +686,20 @@ mod tests {
         // partition virtual time, so cross-slice order is completion
         // order and within-slice order is enforced by the sort.
         assert_eq!(fed.as_slice(), monitored.trace.records());
+    }
+
+    /// A read-modify-write is two rows, so a run whose mix has them stops
+    /// only once both rows of each are in: early, yet with every row of
+    /// the horizon run.
+    #[test]
+    fn a_stopped_run_waits_for_both_rows_of_every_read_modify_write() {
+        let workload = WorkloadSpec { mix: OpMix::new(0.2, 0.5), ..tiny_workload() };
+        let exp = Experiment::new(Scheme::Paxos { nodes: 3 }).workload(workload.clone()).seed(4);
+        let (stopped, horizon) = (Recorder::enabled(), Recorder::enabled());
+        let trace = exp.clone().recorder(stopped.clone()).op_trace();
+        assert_eq!(trace.records(), exp.recorder(horizon.clone()).run().trace.records());
+        assert!(trace.len() as u64 > workload.total_ops(), "the mix drew no read-modify-write");
+        assert!(stopped.report().events_recorded < horizon.report().events_recorded);
     }
 
     #[test]

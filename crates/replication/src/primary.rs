@@ -463,7 +463,7 @@ impl Actor<Msg> for PrimaryReplica {
         // whatever role the durable view implies. (A timer due *after*
         // the recovery was not discarded: after an outage shorter than
         // the interval the old chain runs on beside the new one —
-        // ROADMAP item 1(b).)
+        // ROADMAP item 2(c).)
         self.last_heartbeat_us = ctx.now().as_micros();
         if self.is_primary(me) {
             ctx.set_timer(self.ship_interval(), TAG_SHIP);

@@ -59,6 +59,24 @@ fn loss_burst_reproducer_still_violates() {
     );
 }
 
+/// `run_case` ends a run once every op has its row; a replay runs to the
+/// horizon. Both must reach the same verdict on every corpus file.
+#[test]
+fn judged_and_replayed_runs_agree_on_every_corpus_file() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/corpus");
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        let case: FuzzCase =
+            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        assert_eq!(
+            Ok(run_case(&case)),
+            try_run_case_recorded(&case, Recorder::disabled()),
+            "{}",
+            path.display()
+        );
+    }
+}
+
 /// `raw` cut short at every byte, with every single byte deleted, and
 /// with the values of every two members of an event (and the seed)
 /// swapped: what a half-written, hand-edited or mis-merged reproducer
