@@ -41,7 +41,7 @@ use consistency::{ChainLink, SpanWindow};
 use obs::FoldWeight;
 use obs_tools::{
     build_tree, check_spans, chrome_trace, diff_rows, parse_jsonl, parse_line, parse_profile,
-    render_stream_report, render_tree, top_rows, trace_summaries, StreamTraceChecker,
+    render_stream_report, render_tree, top_rows, trace_summaries, SeqOrder, StreamTraceChecker,
 };
 
 const USAGE: &str = "usage:
@@ -321,8 +321,10 @@ fn check_stream(rest: &[String]) {
             .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
         (&path, Box::new(std::io::BufReader::new(file)))
     };
-    // One buffer for every line.
+    // One buffer for every line, held to `seq` order as `parse_jsonl`
+    // holds a document.
     let mut line = String::new();
+    let mut order = SeqOrder::default();
     for lineno in 1.. {
         line.clear();
         match input.read_line(&mut line) {
@@ -336,7 +338,9 @@ fn check_stream(rest: &[String]) {
         if text.trim().is_empty() {
             continue;
         }
-        let ev = parse_line(text, lineno).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        let ev = parse_line(text, lineno)
+            .and_then(|ev| order.check(ev.seq, lineno).map(|()| ev))
+            .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
         checker.observe(&ev);
     }
     let (ops, reports) = checker.finish();

@@ -44,7 +44,7 @@ pub mod tree;
 
 pub use check::{check_spans, CheckReport};
 pub use chrome::chrome_trace;
-pub use parse::{parse_jsonl, parse_line, ParseError};
+pub use parse::{parse_jsonl, parse_line, ParseError, SeqOrder};
 pub use prof::{diff_rows, find_profile, parse_profile, top_rows, DiffRow};
 pub use stream::{op_record, render_stream_report, StreamTraceChecker};
 pub use tree::{build_tree, render_tree, trace_summaries, SpanNode, SpanTree, TraceSummary};

@@ -5,7 +5,7 @@
 //! stated there and in `docs/METRICS.md`. This module only keeps the
 //! names the offline tools and `labbench` have always imported.
 
-pub use obs::{parse_jsonl, parse_line, ParseError, MAX_SPAN_NAMES};
+pub use obs::{parse_jsonl, parse_line, ParseError, SeqOrder, MAX_SPAN_NAMES};
 
 #[cfg(test)]
 mod tests {
@@ -14,8 +14,9 @@ mod tests {
         ClientOpKind, DropReason, EventKind, OpCompletion, QuorumKind, SpanStatus, TracedEvent,
     };
 
-    /// What the decoder's view of a line holds in place.
-    const INLINE_FIELDS: usize = 14;
+    /// Fields of the widest line an encoder writes: an `op_complete`
+    /// with every optional present.
+    const WIDEST_LINE: usize = 14;
 
     /// Every event kind must survive an encode → parse round-trip.
     #[test]
@@ -137,11 +138,11 @@ mod tests {
         assert_eq!((e.line, e.message.as_str()), (4, "missing or non-integer field `seq`"));
     }
 
-    /// The view holds `INLINE_FIELDS` fields in place; the ones behind
-    /// them are found all the same.
+    /// A line with more fields than the widest event, unknown ones in
+    /// front: the ones behind them are found all the same.
     #[test]
     fn a_line_with_more_fields_than_the_view_holds_is_not_cut_short() {
-        let padding: String = (0..INLINE_FIELDS + 3).map(|i| format!("\"pad{i}\":{i},")).collect();
+        let padding: String = (0..WIDEST_LINE + 3).map(|i| format!("\"pad{i}\":{i},")).collect();
         let line = format!("{{{padding}\"type\":\"crash\",\"seq\":1,\"node\":5,\"t_us\":2}}");
         let want = TracedEvent { seq: 1, t_us: 2, kind: EventKind::Crash { node: 5 } };
         assert_eq!(parse_line(&line, 1).unwrap(), want);

@@ -67,3 +67,30 @@ fn a_profile_row_without_a_field_is_exit_1_naming_it() {
     }
     std::fs::remove_file(&damaged).unwrap();
 }
+
+/// Two neighbouring lines swapped: `check` and `check --stream` both
+/// exit 1 naming the later line and both `seq` numbers, and neither
+/// panics nor judges the swapped log.
+#[test]
+fn a_log_whose_seq_goes_back_is_exit_1_naming_the_line() {
+    let line = |seq: u64, t_us: u64| {
+        format!(
+            r#"{{"seq":{seq},"t_us":{t_us},"type":"op_complete","session":1,"op":{seq},"key":3,"kind":"write","ok":true,"invoked_us":0,"replica":0,"value":{seq},"values":[]}}"#
+        )
+    };
+    let lines: Vec<String> = (0..4).map(|seq| line(seq, 10 * (seq + 1))).collect();
+    let log = std::env::temp_dir().join(format!("tracequery_cli_{}.jsonl", std::process::id()));
+    let path = log.to_str().unwrap();
+    std::fs::write(&log, lines.join("\n")).unwrap();
+    for args in [&["check", path][..], &["check", "--stream", path]] {
+        assert_eq!(tracequery(args).0, Some(0), "{args:?} on the log as written");
+    }
+    let swapped = [&lines[0], &lines[2], &lines[1], &lines[3]];
+    std::fs::write(&log, swapped.map(String::as_str).join("\n")).unwrap();
+    for args in [&["check", path][..], &["check", "--stream", path]] {
+        let (code, stdout, stderr) = tracequery(args);
+        assert_eq!((code, stdout.as_str()), (Some(1), ""), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("tracequery: {path}: line 3: `seq` 1 after `seq` 2")));
+    }
+    std::fs::remove_file(&log).unwrap();
+}

@@ -16,21 +16,27 @@
 //! `names!` lists, like every other name the lab exports. A field or a
 //! name is spelled once.
 //!
-//! The encoder appends digits from the stack to the caller's buffer, so
-//! the byte output is a pure function of the event sequence (the
-//! determinism tests compare whole files) and costs no allocation.
+//! The encoder appends to the caller's buffer, so the byte output is a
+//! pure function of the event sequence (the determinism tests compare
+//! whole files) and costs no allocation. An integer goes out two digits
+//! at a time: one division by 100 per pair, each pair a slice of a
+//! 200-byte table of `"00"` to `"99"`, nothing to validate.
 //!
 //! The decoder builds no tree either. One pass of `serde_json`'s lexer
-//! ([`serde_json::visit_fields`]) validates the line and lays its
-//! fields, borrowed from the line, into a fixed-size view; the generated
-//! reader then asks the view for each field by name. A line an encoder
-//! wrote is parsed without touching the heap, apart from the `Box` an
-//! `op_complete`'s [`OpCompletion`] lives in and the `Vec` of a
-//! non-empty `values` or `island` (`tests/trace_codec_allocs.rs`
-//! counts); so is any other line without an escaped string and with no
-//! more than 14 fields, and the rest take the same path and allocate
-//! what they need. There is one path: nothing selects between a fast
-//! and a careful one.
+//! ([`serde_json::visit_fields`]) validates the line and puts each
+//! field, borrowed from the line, into the slot of the key it hashes
+//! to. The keys are the ones the table declares, collected and hashed
+//! into buckets of their own at compile time; a key that is none is
+//! validated and never read. Every read of the generated reader names
+//! its field by a literal, so its slot is a constant and a read is one
+//! probe and one comparison of a known width, with no scan of the line's
+//! keys. A line an encoder wrote is parsed without touching the heap,
+//! apart from the `Box` an `op_complete`'s [`OpCompletion`] lives in and
+//! the `Vec` of a non-empty `values` or `island`
+//! (`tests/trace_codec_allocs.rs` counts); so is any other line without
+//! an escaped string, however many fields it has, and the rest take the
+//! same path and allocate what they need. There is one path: nothing
+//! selects between a fast and a careful one.
 //!
 //! The decode contract (stated in `docs/METRICS.md`, pinned by
 //! `tests/trace_codec.rs` against the tree-building parser this
@@ -44,7 +50,8 @@
 //! fits `u64` (leading zeros and `-0` allowed, fractions and exponents
 //! not), and a `node` field's integer fits `u32`. Span names are
 //! interned — a `span_open` holds a `&'static str` — in a table of at
-//! most [`MAX_SPAN_NAMES`] names a process.
+//! most [`MAX_SPAN_NAMES`] names a process. Of a document, the lines
+//! follow the order of their `seq` ([`SeqOrder`]).
 
 use crate::counters::Counter;
 use serde_json::{Field, RawArray};
@@ -121,6 +128,14 @@ macro_rules! envelope {
     };
 }
 
+/// The [`Key`] called `$name`, a constant: a name that is no wire key
+/// fails the build.
+macro_rules! key {
+    ($name:expr) => {
+        const { Key::of($name) }
+    };
+}
+
 /// The Rust type of a field of each kind (the kinds are listed at
 /// `wire_events!`).
 macro_rules! wire_type {
@@ -187,32 +202,31 @@ macro_rules! wire_write {
 }
 
 /// Read field `$field` out of the [`Line`] `$line`; `$names` interns.
-/// The name is a literal at every call, so [`Line::get`] folds its tag
-/// to a constant.
+/// The field's slot is a constant, so a read is one probe.
 macro_rules! wire_read {
     (int, $line:ident, $names:ident, $field:ident) => {
-        u64_field($line, stringify!($field))?
+        u64_field($line, key!(stringify!($field)))?
     };
     (node, $line:ident, $names:ident, $field:ident) => {
-        node_field($line, stringify!($field))?
+        node_field($line, key!(stringify!($field)))?
     };
     (flag, $line:ident, $names:ident, $field:ident) => {
-        bool_field($line, stringify!($field))?
+        bool_field($line, key!(stringify!($field)))?
     };
     (named($ty:ident), $line:ident, $names:ident, $field:ident) => {
-        $ty::from_name(str_field($line, stringify!($field))?)?
+        $ty::from_name(str_field($line, key!(stringify!($field)))?)?
     };
     (ints($noun:literal), $line:ident, $names:ident, $field:ident) => {
-        u64_array_field($line, stringify!($field), $noun)?
+        u64_array_field($line, key!(stringify!($field)), $noun)?
     };
     (opt_int, $line:ident, $names:ident, $field:ident) => {
-        opt_u64_field($line, stringify!($field))?
+        opt_u64_field($line, key!(stringify!($field)))?
     };
     (opt_pair, $line:ident, $names:ident, $field:ident) => {
-        pair_field($line, stringify!($field))?
+        pair_field($line, key!(stringify!($field)))?
     };
     (interned, $line:ident, $names:ident, $field:ident) => {
-        $names(str_field($line, stringify!($field))?)?
+        $names(str_field($line, key!(stringify!($field)))?)?
     };
 }
 
@@ -293,14 +307,17 @@ macro_rules! wire_events {
                 }
             }
 
-            /// Append `,"field":value` for each field, in wire order.
+            /// Append `,"type":"tag"` — one constant per type — and
+            /// `,"field":value` for each field, in wire order.
             #[inline]
             fn write_fields(&self, out: &mut String) {
                 match self {
                     $($enum::$variant { $($($field),*)? } => {
+                        out.push_str(concat!(",\"", envelope!(tag), "\":\"", $tag, "\""));
                         $($(wire_write!($kind $(($arg))?, out, $field);)*)?
                     })*
                     $($enum::$bvariant(payload) => {
+                        out.push_str(concat!(",\"", envelope!(tag), "\":\"", $btag, "\""));
                         let $payload { $($bfield),* } = &**payload;
                         $(wire_write!($bkind $(($barg))?, out, $bfield);)*
                     })*
@@ -612,20 +629,45 @@ pub struct TracedEvent {
     pub kind: EventKind,
 }
 
-/// Append `value` in decimal: the digits are laid out in a stack buffer
-/// and copied over in one piece, so nothing is allocated per integer.
+/// The two decimal digits of every value below 100, `"00"` to `"99"`:
+/// pair `p` is `PAIRS[2 * p..2 * p + 2]`.
+const PAIRS: &str = concat!(
+    "00010203040506070809",
+    "10111213141516171819",
+    "20212223242526272829",
+    "30313233343536373839",
+    "40414243444546474849",
+    "50515253545556575859",
+    "60616263646566676869",
+    "70717273747576777879",
+    "80818283848586878889",
+    "90919293949596979899",
+);
+
+/// The digits of pair `p < 100`.
+#[inline(always)]
+fn pair(p: usize) -> &'static str {
+    &PAIRS[2 * p..2 * p + 2]
+}
+
+/// Append `value` in decimal, two digits at a time: one division by 100
+/// per pair, and each pair copied out of [`PAIRS`], so nothing is
+/// allocated or validated per integer.
 fn push_u64(out: &mut String, mut value: u64) {
-    let mut buf = [0u8; 20];
-    let mut at = buf.len();
-    loop {
-        at -= 1;
-        buf[at] = b'0' + (value % 10) as u8;
-        value /= 10;
-        if value == 0 {
-            break;
-        }
+    // The pairs below the leading one or two digits, least significant
+    // first: `u64::MAX` has twenty digits, so at most nine.
+    let mut low = [0u8; 9];
+    let mut len = 0;
+    while value >= 100 {
+        low[len] = (value % 100) as u8;
+        value /= 100;
+        len += 1;
     }
-    out.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+    let lead = value as usize;
+    out.push_str(if lead < 10 { &pair(lead)[1..] } else { pair(lead) });
+    for &p in low[..len].iter().rev() {
+        out.push_str(pair(usize::from(p)));
+    }
 }
 
 /// Append `[a,b,...]`.
@@ -687,9 +729,6 @@ impl TracedEvent {
         push_u64(out, self.seq);
         out.push_str(concat!(",\"", envelope!(t_us), "\":"));
         push_u64(out, self.t_us);
-        out.push_str(concat!(",\"", envelope!(tag), "\":\""));
-        out.push_str(self.kind.type_name());
-        out.push('"');
         self.kind.write_fields(out);
         out.push('}');
     }
@@ -761,146 +800,287 @@ impl DocumentNames {
     }
 }
 
-/// Fields of the longest line the encoder writes: an `op_complete` with
-/// every optional present.
-const INLINE_FIELDS: usize = 14;
+/// Most wire keys there may be: one bit each in a [`Line`]'s mask.
+const MAX_KEYS: usize = u64::BITS as usize;
+
+/// Whether `a` and `b` are the same string, where `==` is not `const`.
+const fn same(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    if a.len() != b.len() {
+        return false;
+    }
+    let mut i = 0;
+    while i < a.len() {
+        if a[i] != b[i] {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Every key a line is read by — the envelope's, then each event
+/// type's fields in table order, each once — and how many there are.
+/// Derived from `wire_events!` at compile time, so no list of names is
+/// kept beside the table.
+const fn wire_keys() -> ([&'static str; MAX_KEYS], usize) {
+    const fn add(keys: &mut [&'static str; MAX_KEYS], len: usize, key: &'static str) -> usize {
+        let mut k = 0;
+        while k < len {
+            if same(keys[k], key) {
+                return len;
+            }
+            k += 1;
+        }
+        assert!(len < MAX_KEYS, "more wire keys than a line's mask has bits");
+        keys[len] = key;
+        len + 1
+    }
+    let mut keys = [""; MAX_KEYS];
+    let mut len = 0;
+    let envelope = [envelope!(seq), envelope!(t_us), envelope!(tag)];
+    let mut e = 0;
+    while e < envelope.len() {
+        len = add(&mut keys, len, envelope[e]);
+        e += 1;
+    }
+    let table = EventKind::WIRE_TABLE;
+    let mut t = 0;
+    while t < table.len() {
+        let fields = table[t].1;
+        let mut f = 0;
+        while f < fields.len() {
+            len = add(&mut keys, len, fields[f]);
+            f += 1;
+        }
+        t += 1;
+    }
+    (keys, len)
+}
+
+const WIRE_KEYS: ([&str; MAX_KEYS], usize) = wire_keys();
+
+/// The wire keys, in the first [`KEY_COUNT`] places; a key's place here
+/// is its slot in a [`Line`].
+const KEYS: [&str; MAX_KEYS] = WIRE_KEYS.0;
+const KEY_COUNT: usize = WIRE_KEYS.1;
+
+/// `log2` of the buckets [`INDEX`] spreads the keys over: six times as
+/// many buckets as keys or more, so that a [`MULTIPLIER`] that gives
+/// every key a bucket of its own is one of the first few tried, and a
+/// key that is none mostly meets an empty bucket.
+const BUCKET_BITS: u32 = 8;
+const BUCKETS: usize = 1 << BUCKET_BITS;
+const _: () = assert!(6 * KEY_COUNT <= BUCKETS);
+
+/// The bucket `key` hashes to under `multiplier`: its length and its
+/// first, second and last byte in one word (`node` and `name` differ
+/// only in the second), times `multiplier`, cut to the top
+/// [`BUCKET_BITS`].
+const fn hash(key: &str, multiplier: u32) -> usize {
+    let bytes = key.as_bytes();
+    let (first, second, last) = match *bytes {
+        [] => (0, 0, 0),
+        [only] => (only, 0, only),
+        [first, second, ..] => (first, second, bytes[bytes.len() - 1]),
+    };
+    let word =
+        (bytes.len() as u32) << 24 | (first as u32) << 16 | (second as u32) << 8 | last as u32;
+    (word.wrapping_mul(multiplier) >> (u32::BITS - BUCKET_BITS)) as usize
+}
+
+/// Whether no two wire keys share a bucket under `multiplier`.
+const fn spreads_apart(multiplier: u32) -> bool {
+    let mut taken = [false; BUCKETS];
+    let mut k = 0;
+    while k < KEY_COUNT {
+        let b = hash(KEYS[k], multiplier);
+        if taken[b] {
+            return false;
+        }
+        taken[b] = true;
+        k += 1;
+    }
+    true
+}
+
+/// The multiplier [`bucket`] hashes with: the first odd number from
+/// 2^32 / φ on under which every wire key has a bucket of its own,
+/// found at compile time, so a new field needs no new constant.
+const MULTIPLIER: u32 = {
+    let mut multiplier = 0x9E37_79B9_u32;
+    let mut tries = 0;
+    while !spreads_apart(multiplier) {
+        tries += 1;
+        assert!(tries < 1 << 16, "no multiplier gives every wire key a bucket of its own");
+        multiplier = multiplier.wrapping_add(2);
+    }
+    multiplier
+};
+
+const fn bucket(key: &str) -> usize {
+    hash(key, MULTIPLIER)
+}
+
+/// An [`INDEX`] bucket that no wire key hashes to.
+const EMPTY: u8 = u8::MAX;
+
+/// Bucket → slot of the wire key that hashes there, or [`EMPTY`].
+const INDEX: [u8; BUCKETS] = {
+    let mut index = [EMPTY; BUCKETS];
+    let mut k = 0;
+    while k < KEY_COUNT {
+        index[bucket(KEYS[k])] = k as u8;
+        k += 1;
+    }
+    index
+};
+
+/// The slot of the one wire key that `key` could be, or `None` when it
+/// is none.
+const fn slot(key: &str) -> Option<usize> {
+    match INDEX[bucket(key)] {
+        EMPTY => None,
+        at => Some(at as usize),
+    }
+}
+
+/// A wire key and its slot, found at compile time: [`key!`] builds one
+/// in a `const` block, and a name that is no wire key fails the build.
+#[derive(Clone, Copy)]
+struct Key {
+    name: &'static str,
+    slot: usize,
+}
+
+impl Key {
+    const fn of(name: &'static str) -> Key {
+        match slot(name) {
+            Some(slot) if same(KEYS[slot], name) => Key { name, slot },
+            _ => panic!("not a key of any event type"),
+        }
+    }
+}
 
 type Entry<'a> = (Cow<'a, str>, Field<'a>);
 
-/// A key's length and its first and last byte in one word. Keys that
-/// differ here differ, so a lookup compares words and calls the string
-/// comparison on the entry it is about to return and hardly ever on
-/// another (no two field names of one event type share a tag).
-fn tag(key: &str) -> u32 {
-    let bytes = key.as_bytes();
-    let ends = bytes.first().zip(bytes.last());
-    let ends = ends.map_or(0, |(&first, &last)| u32::from(first) << 8 | u32::from(last));
-    (bytes.len() as u32) << 16 | ends
-}
-
-/// The fields of one line in input order, borrowed from it, for lookup
-/// by name. The first [`INLINE_FIELDS`] live in the struct; a line with
-/// more (unknown or repeated ones, then) spills the rest to the heap
-/// rather than dropping them. Made once per document and refilled per
-/// line, so a line costs neither its set-up nor its tear-down.
+/// The fields of one line, borrowed from it, each in the slot of the
+/// wire key it hashes to, so that reading a field is one probe. A key
+/// that hashes to no slot is validated by the lexer and dropped; one
+/// that hashes to a slot it is not the key of holds the slot until that
+/// key comes, and is never read. Made once per document and refilled
+/// per line, so a line costs neither its set-up nor its tear-down.
 struct Line<'a> {
-    inline: [Entry<'a>; INLINE_FIELDS],
-    /// [`tag`] of each key in `inline`.
-    tags: [u32; INLINE_FIELDS],
-    len: usize,
-    spill: Vec<Entry<'a>>,
+    /// Per slot, the key that holds it and its field, where the slot's
+    /// bit is set in `present`.
+    entries: [Entry<'a>; KEY_COUNT],
+    present: u64,
 }
 
 impl<'a> Line<'a> {
     fn new() -> Self {
-        Line {
-            inline: std::array::from_fn(|_| (Cow::Borrowed(""), Field::Object)),
-            tags: [0; INLINE_FIELDS],
-            len: 0,
-            spill: Vec::new(),
-        }
+        Line { entries: std::array::from_fn(|_| (Cow::Borrowed(""), Field::Object)), present: 0 }
     }
 
     /// Validate `text` as JSON and hold the fields of its object (a
     /// document that is not an object has none) in place of the last
     /// line's.
     fn scan(&mut self, text: &'a str) -> Result<(), serde_json::Error> {
-        self.len = 0;
-        self.spill.clear();
-        serde_json::visit_fields(text, |key, value| match self.inline.get_mut(self.len) {
-            Some(slot) => {
-                self.tags[self.len] = tag(&key);
-                *slot = (key, value);
-                self.len += 1;
+        self.present = 0;
+        serde_json::visit_fields(text, |key, value| {
+            let Some(slot) = slot(&key) else { return };
+            let bit = 1 << slot;
+            let entry = &mut self.entries[slot];
+            // The first key to reach a slot holds it. A later one takes
+            // it only if it is the slot's own wire key and the holder
+            // is another key that merely hashes there, so that of the
+            // wire key the first occurrence counts.
+            if self.present & bit == 0 || (key == KEYS[slot] && entry.0 != KEYS[slot]) {
+                self.present |= bit;
+                *entry = (key, value);
             }
-            None => self.spill.push((key, value)),
         })
     }
 
-    /// The first field called `name`. Inlined, with the `*_field`
-    /// functions between it and `wire_read!`, because every `name` is a
-    /// literal there: its tag folds to a constant and the comparison to
-    /// one of a fixed width.
+    /// The first field called `key.name`, if the line has one. Inlined,
+    /// with the `*_field` functions between it and `wire_read!`: the
+    /// slot is a constant there, and the name comparison one of a
+    /// fixed width.
     #[inline(always)]
-    fn get(&self, name: &str) -> Option<&Field<'a>> {
-        let wanted = tag(name);
-        for (at, &tag) in self.tags[..self.len].iter().enumerate() {
-            if tag == wanted && self.inline[at].0 == name {
-                return Some(&self.inline[at].1);
-            }
-        }
-        self.spill.iter().find(|(key, _)| key == name).map(|(_, value)| value)
+    fn get(&self, key: Key) -> Option<&Field<'a>> {
+        let (name, field) = &self.entries[key.slot];
+        (self.present & 1 << key.slot != 0 && name == key.name).then_some(field)
     }
 }
 
 #[inline(always)]
-fn u64_field(v: &Line, name: &str) -> Result<u64, String> {
-    v.get(name)
+fn u64_field(v: &Line, key: Key) -> Result<u64, String> {
+    v.get(key)
         .and_then(Field::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field `{name}`"))
+        .ok_or_else(|| format!("missing or non-integer field `{}`", key.name))
 }
 
 /// A node id: an integer that fits `u32`, the simulator's `NodeId`. A
 /// larger one is an error rather than another node.
 #[inline(always)]
-fn node_field(v: &Line, name: &str) -> Result<u32, String> {
-    let id = u64_field(v, name)?;
+fn node_field(v: &Line, key: Key) -> Result<u32, String> {
+    let id = u64_field(v, key)?;
     u32::try_from(id)
-        .map_err(|_| format!("field `{name}` is {id}, past the largest node id {}", u32::MAX))
+        .map_err(|_| format!("field `{}` is {id}, past the largest node id {}", key.name, u32::MAX))
 }
 
 #[inline(always)]
-fn str_field<'a>(v: &'a Line, name: &str) -> Result<&'a str, String> {
-    v.get(name)
+fn str_field<'a>(v: &'a Line, key: Key) -> Result<&'a str, String> {
+    v.get(key)
         .and_then(Field::as_str)
-        .ok_or_else(|| format!("missing or non-string field `{name}`"))
+        .ok_or_else(|| format!("missing or non-string field `{}`", key.name))
 }
 
 #[inline(always)]
-fn bool_field(v: &Line, name: &str) -> Result<bool, String> {
-    v.get(name)
+fn bool_field(v: &Line, key: Key) -> Result<bool, String> {
+    v.get(key)
         .and_then(Field::as_bool)
-        .ok_or_else(|| format!("missing or non-boolean field `{name}`"))
+        .ok_or_else(|| format!("missing or non-boolean field `{}`", key.name))
 }
 
 /// An optional integer field: absent is `None`, present-but-malformed
 /// is an error (a half-written trace must not silently degrade).
 #[inline(always)]
-fn opt_u64_field(v: &Line, name: &str) -> Result<Option<u64>, String> {
-    match v.get(name) {
+fn opt_u64_field(v: &Line, key: Key) -> Result<Option<u64>, String> {
+    match v.get(key) {
         None => Ok(None),
-        Some(f) => f.as_u64().map(Some).ok_or_else(|| format!("non-integer field `{name}`")),
+        Some(f) => f.as_u64().map(Some).ok_or_else(|| format!("non-integer field `{}`", key.name)),
     }
 }
 
-/// The array field `name`, validated but not yet decoded.
-fn array_field<'a>(v: &Line<'a>, name: &str) -> Result<RawArray<'a>, String> {
-    v.get(name)
+/// The array field `key`, validated but not yet decoded.
+fn array_field<'a>(v: &Line<'a>, key: Key) -> Result<RawArray<'a>, String> {
+    v.get(key)
         .and_then(Field::as_array)
-        .ok_or_else(|| format!("missing or non-array field `{name}`"))
+        .ok_or_else(|| format!("missing or non-array field `{}`", key.name))
 }
 
-/// The elements of array field `name`, in one `Vec` of exactly their
+/// The elements of array field `key`, in one `Vec` of exactly their
 /// number (so none for an empty array); `element` is what the error
 /// calls one that is not an integer.
-fn u64_array_field(v: &Line, name: &str, element: &str) -> Result<Vec<u64>, String> {
-    let array = array_field(v, name)?;
+fn u64_array_field(v: &Line, key: Key, element: &str) -> Result<Vec<u64>, String> {
+    let array = array_field(v, key)?;
     let mut out = Vec::with_capacity(array.len());
     for item in array.u64s() {
-        out.push(item.ok_or_else(|| format!("non-integer {element} in `{name}`"))?);
+        out.push(item.ok_or_else(|| format!("non-integer {element} in `{}`", key.name))?);
     }
     Ok(out)
 }
 
 /// An optional `[counter, actor]` pair, decoded straight into its tuple.
-fn pair_field(v: &Line, name: &str) -> Result<Option<(u64, u64)>, String> {
-    if v.get(name).is_none() {
+fn pair_field(v: &Line, key: Key) -> Result<Option<(u64, u64)>, String> {
+    if v.get(key).is_none() {
         return Ok(None);
     }
     let mut pair = [0; 2];
     let mut len = 0;
-    for item in array_field(v, name)?.u64s() {
-        let item = item.ok_or_else(|| format!("non-integer element in `{name}`"))?;
+    for item in array_field(v, key)?.u64s() {
+        let item = item.ok_or_else(|| format!("non-integer element in `{}`", key.name))?;
         if let Some(slot) = pair.get_mut(len) {
             *slot = item;
         }
@@ -908,7 +1088,7 @@ fn pair_field(v: &Line, name: &str) -> Result<Option<(u64, u64)>, String> {
     }
     match len {
         2 => Ok(Some((pair[0], pair[1]))),
-        _ => Err(format!("`{name}` must be a [counter, actor] pair")),
+        _ => Err(format!("`{}` must be a [counter, actor] pair", key.name)),
     }
 }
 
@@ -922,32 +1102,67 @@ fn parse_line_with<'a>(
     let err = |message: String| ParseError { line: line_no, message };
     v.scan(text).map_err(|e| err(e.to_string()))?;
     Ok(TracedEvent {
-        seq: u64_field(v, envelope!(seq)).map_err(&err)?,
-        t_us: u64_field(v, envelope!(t_us)).map_err(&err)?,
-        kind: str_field(v, envelope!(tag))
+        seq: u64_field(v, key!(envelope!(seq))).map_err(&err)?,
+        t_us: u64_field(v, key!(envelope!(t_us))).map_err(&err)?,
+        kind: str_field(v, key!(envelope!(tag)))
             .and_then(|tag| EventKind::read_fields(tag, v, names))
             .map_err(&err)?,
     })
 }
 
 /// Parse one JSONL line (1-based `line_no` is only used for errors).
+/// A reader that parses a log line by line holds the lines to the order
+/// of their `seq` with a [`SeqOrder`], as [`parse_jsonl`] does.
 pub fn parse_line(text: &str, line_no: usize) -> Result<TracedEvent, ParseError> {
     parse_line_with(&mut Line::new(), text, line_no, &mut intern)
 }
 
 /// Parse a whole JSONL document (blank lines ignored) into the event
-/// sequence, preserving file order.
+/// sequence, preserving file order, which must be the order of `seq`
+/// ([`SeqOrder`]).
 pub fn parse_jsonl(text: &str) -> Result<Vec<TracedEvent>, ParseError> {
     let mut fields = Line::new();
     let mut names = DocumentNames::default();
+    let mut order = SeqOrder::default();
     let mut events = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        events.push(parse_line_with(&mut fields, line, i + 1, &mut |name| names.resolve(name))?);
+        let event = parse_line_with(&mut fields, line, i + 1, &mut |name| names.resolve(name))?;
+        order.check(event.seq, i + 1)?;
+        events.push(event);
     }
     Ok(events)
+}
+
+/// The order of `seq` from line to line. Within one run's log `seq`
+/// increases: it may skip (an event past the log's cap still takes its
+/// number) but never repeats or goes back, so a line that does was
+/// swapped, copied or spliced in. A `seq` of 0 starts the next run, as
+/// in the log of a `--seeds`/`--jobs` grid, which is its cells' logs
+/// one after another, each numbered from 0.
+#[derive(Debug, Default)]
+pub struct SeqOrder {
+    last: Option<u64>,
+}
+
+impl SeqOrder {
+    /// Take the `seq` of the event on 1-based line `line_no`, the next
+    /// event of the log; an error names the line and both numbers.
+    pub fn check(&mut self, seq: u64, line_no: usize) -> Result<(), ParseError> {
+        if let Some(last) = self.last.filter(|&last| seq <= last && seq != 0) {
+            return Err(ParseError {
+                line: line_no,
+                message: format!(
+                    "`seq` {seq} after `seq` {last}: a run's events are numbered in \
+                     increasing order, and only 0 starts the next run"
+                ),
+            });
+        }
+        self.last = Some(seq);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -1094,5 +1309,98 @@ mod tests {
         ev.write_json_line(&mut out);
         assert_eq!(out, format!("kept|{}", ev.to_json_line()));
         assert!(out.ends_with(r#""type":"crash","node":18446744073709551615}"#));
+    }
+
+    fn pushed(value: u64) -> String {
+        let mut out = String::new();
+        push_u64(&mut out, value);
+        out
+    }
+
+    /// Where the digit count changes, and so where the leading digits
+    /// change from one to two or back, at every length a `u64` has.
+    #[test]
+    fn every_digit_count_is_written_in_full() {
+        for (p, digits) in PAIRS.as_bytes().chunks(2).enumerate() {
+            assert_eq!(digits, format!("{p:02}").as_bytes());
+        }
+        for k in 1..=19 {
+            let power = 10u64.pow(k);
+            for value in [power - 1, power, power + 1] {
+                assert_eq!(pushed(value), value.to_string());
+            }
+        }
+        assert_eq!(pushed(u64::MAX), u64::MAX.to_string());
+    }
+
+    proptest::proptest! {
+        /// Random values cut to random lengths, so that odd and even
+        /// digit counts both come up.
+        #[test]
+        fn integers_are_written_as_to_string_writes_them(
+            value in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let value = value >> shift;
+            proptest::prop_assert_eq!(pushed(value), value.to_string());
+        }
+    }
+
+    /// Every key a line is read by has a slot of its own, found through
+    /// its own bucket: no two share either, and nothing else is a key.
+    #[test]
+    fn every_wire_key_has_a_slot_of_its_own() {
+        let mut names = BTreeSet::from([envelope!(seq), envelope!(t_us), envelope!(tag)]);
+        names.extend(EventKind::WIRE_TABLE.iter().flat_map(|(_, fields)| fields.iter().copied()));
+        assert_eq!(names.len(), KEY_COUNT);
+        let mut slots = BTreeSet::new();
+        let mut buckets = BTreeSet::new();
+        for name in names {
+            let at = slot(name).unwrap_or_else(|| panic!("`{name}` hashes to no slot"));
+            assert_eq!(KEYS[at], name);
+            assert!(slots.insert(at), "`{name}` shares slot {at}");
+            assert!(buckets.insert(bucket(name)), "`{name}` shares its bucket");
+        }
+        assert_eq!(slots.len(), KEY_COUNT);
+        assert_eq!(INDEX.iter().filter(|&&at| at != EMPTY).count(), KEY_COUNT);
+    }
+
+    /// A line holding every key once, each with its own value, reads
+    /// each back; so does one whose every key comes after a key that
+    /// merely hashes to its slot, and after itself with another value.
+    #[test]
+    fn a_line_reads_every_key_from_its_own_slot() {
+        // A key of the same length and the same first, second and last
+        // byte hashes to the same bucket.
+        let lookalike = |name: &str| {
+            let mut fake = name.as_bytes().to_vec();
+            if let Some(middle) = fake.get_mut(2..name.len() - 1) {
+                middle.fill(b'#');
+            }
+            String::from_utf8(fake).expect("ASCII")
+        };
+        let mut plain = Vec::new();
+        let mut crowded = Vec::new();
+        for (i, name) in KEYS[..KEY_COUNT].iter().enumerate() {
+            plain.push(format!("\"{name}\":{i}"));
+            let fake = lookalike(name);
+            if fake != *name {
+                assert_eq!(bucket(&fake), bucket(name), "{fake}");
+                crowded.push(format!("\"{fake}\":\"no\""));
+            }
+            crowded.push(format!("\"{name}\":{i}"));
+            crowded.push(format!("\"{name}\":\"later\""));
+        }
+        assert!(crowded.len() > 2 * KEY_COUNT + KEY_COUNT / 2, "{} fields", crowded.len());
+        for fields in [plain, crowded] {
+            let text = format!("{{{}}}", fields.join(","));
+            let mut line = Line::new();
+            line.scan(&text).expect("valid JSON");
+            for (i, name) in KEYS[..KEY_COUNT].iter().enumerate() {
+                let key = Key::of(name);
+                assert_eq!(key.slot, i);
+                assert_eq!(line.get(key).and_then(Field::as_u64), Some(i as u64), "{name}");
+            }
+        }
     }
 }

@@ -142,7 +142,7 @@ mod timeseries;
 pub use counters::Counter;
 pub use event::{
     parse_jsonl, parse_line, ClientOpKind, DropReason, EventKind, OpCompletion, ParseError,
-    QuorumKind, SpanStatus, TracedEvent, MAX_SPAN_NAMES,
+    QuorumKind, SeqOrder, SpanStatus, TracedEvent, MAX_SPAN_NAMES,
 };
 pub use hist::{Histogram, HistogramSummary, Metric};
 pub use prof::{

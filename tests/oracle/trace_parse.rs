@@ -13,12 +13,16 @@
 //! the decoder's internals: only a change to the *wire format* (a new
 //! event type or field) belongs here too. What differs from the
 //! original is that errors and events are the decoder's own types, so
-//! that agreement is one `assert_eq!`, and one deliberate divergence:
-//! the original read `replica` as any `u64` and the tool cast it to a
-//! `u32` node id, so `4294967296` was checked as node 0; a node id past
-//! `u32::MAX` is now an error naming the field ([`node_field`], the one
-//! rule the decoder made stricter on purpose). Its intern table has no
-//! cap (`obs_tools::parse::MAX_SPAN_NAMES` is the decoder's).
+//! that agreement is one `assert_eq!`, and two deliberate divergences,
+//! the rules the decoder made stricter on purpose. The original read
+//! `replica` as any `u64` and the tool cast it to a `u32` node id, so
+//! `4294967296` was checked as node 0; a node id past `u32::MAX` is now
+//! an error naming the field ([`node_field`]). And the original took a
+//! document's lines in any order of `seq`; now a line whose `seq`
+//! repeats or goes back is an error naming both numbers, unless it is 0
+//! and so starts the next run of a concatenated grid log
+//! ([`parse_jsonl`]). Its intern table has no cap
+//! (`obs_tools::parse::MAX_SPAN_NAMES` is the decoder's).
 
 use rethinking_ec::obs::{
     ClientOpKind, DropReason, EventKind, OpCompletion, QuorumKind, SpanStatus, TracedEvent,
@@ -232,13 +236,31 @@ pub fn parse_line(text: &str, line_no: usize) -> Result<TracedEvent, ParseError>
 
 /// Parse a whole JSONL document (blank lines ignored) into the event
 /// sequence, preserving file order.
+///
+/// Deliberate divergence from the original (see the module header): an
+/// event's `seq` must be above the one before it, or 0 — a run's events
+/// are numbered upwards, with gaps where a capped log dropped some, and
+/// a grid log is its cells' runs one after another, each from 0.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TracedEvent>, ParseError> {
-    let mut events = Vec::new();
+    let mut events: Vec<TracedEvent> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        events.push(parse_line(line, i + 1)?);
+        let event = parse_line(line, i + 1)?;
+        if let Some(before) =
+            events.last().filter(|before| event.seq != 0 && event.seq <= before.seq)
+        {
+            return Err(ParseError {
+                line: i + 1,
+                message: format!(
+                    "`seq` {} after `seq` {}: a run's events are numbered in increasing order, \
+                     and only 0 starts the next run",
+                    event.seq, before.seq
+                ),
+            });
+        }
+        events.push(event);
     }
     Ok(events)
 }

@@ -116,6 +116,20 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_11.contains(guard), "the Phase 11 record must name `{guard}`");
     }
+    let phase_13 = DOC.split("\n## Phase 13").nth(1).expect("PERFORMANCE.md lost its Phase 13");
+    let phase_13 = phase_13.split("\n## ").next().unwrap();
+    for guard in [
+        "every_wire_key_has_a_slot_of_its_own",
+        "integers_are_written_as_to_string_writes_them",
+        "tests/trace_codec.rs",
+        "tests/oracle/trace_parse.rs",
+        "tests/trace_codec_allocs.rs",
+        "tests/trace_golden.rs",
+        "obs.export_ns_per_event",
+        "obs-tools.parse_ns_per_event",
+    ] {
+        assert!(phase_13.contains(guard), "the Phase 13 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();

@@ -22,7 +22,8 @@
 //!   is an error or exactly what the oracle makes of it, never a panic
 //!   and never another event;
 //! * **documents** — CRLF line ends, a missing final newline, blank
-//!   lines and a file cut mid-line.
+//!   lines, a file cut mid-line, and lines out of the order of their
+//!   `seq`.
 
 use proptest::prelude::*;
 use rethinking_ec::core::scheme::{ChurnPlan, ClientPlacement};
@@ -601,6 +602,31 @@ fn field_errors_keep_their_words() {
     assert_eq!(assert_agree(extra, 1).unwrap().kind, EventKind::PartitionHeal);
 }
 
+/// Twenty keys no event has — five of them of the length and the first,
+/// second and last byte of a field of the line's own type, as a hash of
+/// those would take them for it — ahead of every field, then each field
+/// again with another value: the decoder agrees with the oracle, and of
+/// each field the first occurrence counts.
+#[test]
+fn unknown_keys_then_repeated_fields_agree_and_the_first_wins() {
+    let lookalikes = ["nope", "tyre", "tribe", "spin", "nave"];
+    let mut members: Vec<String> = lookalikes.iter().map(|k| format!("\"{k}\":\"x\"")).collect();
+    members.extend((0..15).map(|i| format!("\"pad{i}\":[{i},{{\"node\":{i}}}]")));
+    assert_eq!(members.len(), 20);
+    let fields = r#""seq":4,"t_us":9,"type":"span_open","trace":1,"span":2,"parent":0,"node":3,"name":"op_read""#;
+    let again = r#""node":7,"name":"other","seq":"x","type":"crash","trace":null,"span":-1"#;
+    let line = format!("{{{},{fields},{again}}}", members.join(","));
+    let want = TracedEvent {
+        seq: 4,
+        t_us: 9,
+        kind: EventKind::SpanOpen { trace: 1, span: 2, parent: 0, node: 3, name: "op_read" },
+    };
+    assert_eq!(assert_agree(&line, 1), Ok(want));
+    // A lookalike of the right type stands in for no field.
+    let line = r#"{"nope":3,"nave":"op_read","seq":4,"t_us":9,"type":"span_open","trace":1,"span":2,"parent":0,"name":"op_read"}"#;
+    assert_eq!(assert_agree(line, 1).unwrap_err(), "missing or non-integer field `node`");
+}
+
 /// One table of wire names an enum (an `obs::names!` list):
 /// `name` and `from_name` are inverses over `ALL`, no two variants share
 /// a name, and a name outside the table is refused in the words the
@@ -852,4 +878,54 @@ fn documents_split_into_lines_as_they_always_did() {
     let doc = format!("{}\n\n{{broken\n{}\n", lines[0], lines[1]);
     assert_eq!(parse_jsonl(&doc), oracle::parse_jsonl(&doc));
     assert_eq!(parse_jsonl(&doc).unwrap_err().line, 3);
+}
+
+/// A run's lines follow their `seq` upwards; a line that repeats or
+/// goes back is an error on that line naming both numbers, in the
+/// decoder's words and the oracle's. A gap is no error, and neither is
+/// a 0, which starts the next run of a grid log.
+#[test]
+fn a_document_whose_seq_goes_back_or_repeats_is_refused() {
+    let log = &nemesis_logs()[0];
+    let lines: Vec<&str> = log.lines().take(200).collect();
+    let seq = |line: &str| parse_line(line, 1).expect("an exported line").seq;
+    assert!(lines.windows(2).all(|w| seq(w[1]) == seq(w[0]) + 1), "an exported run counts up");
+    let agree = |doc: &str| {
+        let got = parse_jsonl(doc);
+        assert_eq!(got, oracle::parse_jsonl(doc), "{doc}");
+        got
+    };
+    let refused = |doc: &str, line: usize, message: String| {
+        let e = agree(doc).unwrap_err();
+        assert_eq!((e.line, e.message), (line, message));
+    };
+    let words = |seq: usize, before: usize| {
+        format!(
+            "`seq` {seq} after `seq` {before}: a run's events are numbered in increasing order, \
+             and only 0 starts the next run"
+        )
+    };
+
+    // Two neighbours swapped: the later one of the pair is blamed.
+    let mut swapped = lines.clone();
+    swapped.swap(99, 100);
+    refused(&swapped.join("\n"), 101, words(99, 100));
+    // A line copied, next to itself or further on; a blank line between
+    // still counts for the line number.
+    let mut repeated = lines.clone();
+    repeated.insert(51, lines[50]);
+    refused(&repeated.join("\n"), 52, words(50, 50));
+    let doc = format!("{}\n\n{}\n", lines[..120].join("\n"), lines[60]);
+    refused(&doc, 122, words(60, 119));
+    // Gaps: every other line, or a stretch cut out.
+    let sparse: Vec<&str> = lines.iter().step_by(2).copied().collect();
+    assert_eq!(agree(&sparse.join("\n")).unwrap().len(), 100);
+    let cut = format!("{}\n{}", lines[..10].join("\n"), lines[150..].join("\n"));
+    assert_eq!(agree(&cut).unwrap().len(), 60);
+    // A grid log: the same run twice, each numbered from 0.
+    let twice = format!("{0}\n{0}", lines.join("\n"));
+    assert_eq!(agree(&twice).unwrap().len(), 400);
+    // A run that starts anywhere but 0 may follow one only by going up.
+    let spliced = format!("{}\n{}", lines[..100].join("\n"), lines[20..].join("\n"));
+    refused(&spliced, 101, words(20, 99));
 }

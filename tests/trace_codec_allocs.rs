@@ -1,7 +1,7 @@
 //! Integration: what the event-line codec allocates, counted exactly.
 //!
 //! The decoder reads a line through a borrowed view and the encoder
-//! writes digits from the stack into the caller's buffer
+//! writes digit pairs from a static table into the caller's buffer
 //! (`obs_tools::parse`, `obs::event`), so per line neither allocates
 //! anything but what the event itself owns: the `Box` of an
 //! `op_complete`'s [`OpCompletion`] and the `Vec` of a non-empty
@@ -134,6 +134,27 @@ fn a_line_is_decoded_without_allocating_anything_but_its_arrays() {
         " { \"node\" : 2 ,\t\"type\":\"crash\", \"t_us\":1,\"seq\" : 0 , \"x\":[1,{\"y\":\"z\"}] }";
     let (parsed, bytes, count) = allocated(|| parse_line(line, 1));
     assert_eq!(parsed.unwrap().kind, EventKind::Crash { node: 2 });
+    assert_eq!((bytes, count), (0, 0));
+}
+
+/// However many fields a line has: twenty that no event has, some of
+/// them hashing where a field of the line's own type does, then every
+/// field, then every field again. No field is put aside anywhere.
+#[test]
+fn a_line_with_unknown_and_repeated_keys_allocates_nothing() {
+    let unknown: String = ["nope", "tyre", "tribe", "spin", "nave"]
+        .iter()
+        .map(|k| format!("\"{k}\":\"x\","))
+        .chain((0..15).map(|i| format!("\"pad{i}\":[{i},{{\"node\":{i}}}],")))
+        .collect();
+    let fields = r#""seq":4,"t_us":9,"type":"span_open","trace":1,"span":2,"parent":0,"node":3,"name":"op_read""#;
+    let line = format!("{{{unknown}{fields},{fields}}}");
+    parse_line(&line, 1).expect("warm-up");
+    let (parsed, bytes, count) = allocated(|| parse_line(&line, 1));
+    assert_eq!(
+        parsed.unwrap().kind,
+        EventKind::SpanOpen { trace: 1, span: 2, parent: 0, node: 3, name: "op_read" }
+    );
     assert_eq!((bytes, count), (0, 0));
 }
 
