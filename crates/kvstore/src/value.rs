@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A key. Experiments use dense `u64` key spaces; applications that want
@@ -13,49 +14,93 @@ pub type Key = u64;
 /// The experiment suite encodes a globally unique `u64` write id in every
 /// value so that consistency checkers can identify which write a read
 /// observed; [`Value::from_u64`] / [`Value::as_u64`] implement that
-/// convention (little-endian, exactly 8 bytes).
+/// convention (little-endian, exactly 8 bytes). Such an id is kept
+/// inline, without a heap allocation, and cloned as a 16-byte copy; any
+/// other byte string is shared behind an `Arc`. The two forms are one
+/// value: equality, hashing, serialisation and both printed forms go
+/// through [`Value::as_bytes`], so an id and the same 8 bytes read back
+/// by `from_value` are equal and hash alike.
 ///
 /// Serialises as an array of byte numbers and prints as `Value(b"…")`.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize)]
-pub struct Value(Arc<[u8]>);
+#[derive(Clone)]
+pub struct Value(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// A write id's little-endian bytes.
+    Id([u8; 8]),
+    /// Any other byte string, shared.
+    Shared(Arc<[u8]>),
+}
 
 impl Value {
     /// Encode a `u64` write id.
     pub fn from_u64(x: u64) -> Self {
-        Value(Arc::from(x.to_le_bytes().as_slice()))
+        Value(Repr::Id(x.to_le_bytes()))
     }
 
     /// Decode a `u64` write id; `None` if the value is not 8 bytes.
     pub fn as_u64(&self) -> Option<u64> {
-        let arr: [u8; 8] = self.0.as_ref().try_into().ok()?;
+        let arr: [u8; 8] = self.as_bytes().try_into().ok()?;
         Some(u64::from_le_bytes(arr))
     }
 
     /// The raw bytes.
     pub fn as_bytes(&self) -> &[u8] {
-        &self.0
+        match &self.0 {
+            Repr::Id(bytes) => bytes,
+            Repr::Shared(bytes) => bytes,
+        }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.as_bytes().len()
     }
 
     /// True if zero-length.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.as_bytes().is_empty()
+    }
+}
+
+impl Default for Value {
+    fn default() -> Self {
+        Value(Repr::Shared(Arc::default()))
+    }
+}
+
+impl PartialEq for Value {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for Value {}
+
+impl Hash for Value {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl Serialize for Value {
+    fn to_value(&self) -> serde::Value {
+        self.as_bytes().to_value()
     }
 }
 
 impl fmt::Debug for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("Value").field(&format_args!("b\"{}\"", self.0.escape_ascii())).finish()
+        f.debug_tuple("Value")
+            .field(&format_args!("b\"{}\"", self.as_bytes().escape_ascii()))
+            .finish()
     }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        Vec::<u8>::from_value(v).map(|bytes| Value(bytes.into()))
+        Vec::<u8>::from_value(v).map(|bytes| Value(Repr::Shared(bytes.into())))
     }
 }
 
@@ -63,7 +108,7 @@ impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.as_u64() {
             Some(x) => write!(f, "#{x}"),
-            None => write!(f, "{}b", self.0.len()),
+            None => write!(f, "{}b", self.len()),
         }
     }
 }
@@ -76,7 +121,7 @@ impl From<u64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value(Arc::from(s.as_bytes()))
+        Value(Repr::Shared(Arc::from(s.as_bytes())))
     }
 }
 
@@ -113,10 +158,35 @@ mod tests {
 
     #[test]
     fn clone_is_cheap_and_equal() {
-        let v = Value::from_u64(9);
+        // A shared byte string's clone shares its bytes.
+        let v = Value::from("hello");
         let w = v.clone();
         assert_eq!(v, w);
         assert!(std::ptr::eq(v.as_bytes(), w.as_bytes()), "a clone shares the bytes");
+        // A write id is held inline: its clone is a copy of the 16 bytes.
+        let v = Value::from_u64(9);
+        let w = v.clone();
+        assert_eq!(v, w);
+        assert!(matches!(w.0, Repr::Id(_)), "an id clones to an inline id");
+        assert!(!std::ptr::eq(v.as_bytes(), w.as_bytes()), "an id's clone is a copy");
+    }
+
+    #[test]
+    fn an_inline_id_and_its_decoded_bytes_are_one_value() {
+        use std::hash::BuildHasher;
+        let hasher = std::collections::hash_map::RandomState::new();
+        for x in [0u64, 1, 255, 1 << 40, u64::MAX] {
+            let inline = Value::from_u64(x);
+            let decoded = Value::from_value(&inline.to_value()).unwrap();
+            assert!(matches!(decoded.0, Repr::Shared(_)), "from_value shares its bytes");
+            assert_eq!(inline, decoded);
+            assert_eq!(hasher.hash_one(&inline), hasher.hash_one(&decoded));
+            assert_eq!(inline.to_value(), decoded.to_value());
+            assert_eq!(format!("{inline:?}"), format!("{decoded:?}"));
+            assert_eq!(inline.to_string(), decoded.to_string());
+            assert_eq!(decoded.as_u64(), Some(x));
+        }
+        assert_ne!(Value::from_u64(1), Value::from("\u{1}"));
     }
 
     #[test]

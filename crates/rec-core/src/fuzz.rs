@@ -325,9 +325,15 @@ fn judge(case: &FuzzCase, trace: &OpTrace) -> Verdict {
 /// scan order is fixed, so the same input always shrinks to the same
 /// output.
 pub fn shrink_case(case: &FuzzCase) -> FuzzCase {
-    let Some(kind) = run_case(case).kind() else {
-        return case.clone();
-    };
+    match run_case(case).kind() {
+        Some(kind) => shrink_violation(case, kind),
+        None => case.clone(),
+    }
+}
+
+/// [`shrink_case`] for a case already judged to violate with `kind`, so
+/// the case is not simulated again to find out.
+pub(crate) fn shrink_violation(case: &FuzzCase, kind: ViolationKind) -> FuzzCase {
     let still_fails = |events: &[NemesisEvent]| -> bool {
         let candidate = FuzzCase { scheme: case.scheme, seed: case.seed, events: events.to_vec() };
         run_case(&candidate).kind() == Some(kind)
@@ -491,8 +497,8 @@ pub fn campaign(
         let verdict = run_case(&case);
         let reproducer = match verdict {
             Verdict::Pass => None,
-            Verdict::Violation { .. } => {
-                Some(if shrink { shrink_case(&case) } else { case.clone() })
+            Verdict::Violation { kind, .. } => {
+                Some(if shrink { shrink_violation(&case, kind) } else { case.clone() })
             }
         };
         CaseReport {
@@ -623,6 +629,20 @@ mod tests {
         let (rows, stopped, horizon) = stopped_and_horizon_events(&case);
         assert!((rows as u64) < fuzz_workload().total_ops(), "every op ended: {rows} rows");
         assert_eq!(stopped, horizon);
+    }
+
+    /// A campaign shrinks a violation from the verdict its cell already
+    /// has; what it reports must be what `shrink_case`, which judges the
+    /// case again first, makes of the generated case.
+    #[test]
+    fn campaign_reproducers_are_what_shrink_case_makes() {
+        let report = campaign(&[FuzzScheme::PartialQuorum], 12, 0, "heavy", 1, true);
+        let violations = report.violations();
+        assert!(!violations.is_empty(), "the positive control found nothing to shrink");
+        for cell in violations {
+            let generated = generate_case(cell.scheme, cell.seed, &IntensityProfile::heavy());
+            assert_eq!(cell.reproducer, Some(shrink_case(&generated)), "seed {}", cell.seed);
+        }
     }
 
     #[test]

@@ -168,8 +168,14 @@ impl OpTrace {
     }
 
     /// Sort records by completion time (checkers want real-time order).
+    /// Records are appended as ops complete, so a trace is usually in
+    /// order already; then nothing moves and the index stands.
     pub fn sort_by_completion(&mut self) {
-        self.records.sort_by_key(|r| (r.completed, r.session, r.op_id));
+        let order = |r: &OpRecord| (r.completed, r.session, r.op_id);
+        if self.records.is_sorted_by_key(order) {
+            return;
+        }
+        self.records.sort_by_key(order);
         self.reindex();
     }
 

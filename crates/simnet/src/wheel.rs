@@ -54,6 +54,14 @@
 //!   burst (a deep storm's level-1 slots hold thousands of keys each)
 //!   does not pin its high-water mark — at most
 //!   `LEVELS × SLOTS × RETAIN_KEYS` keys of capacity stay behind.
+//!   The key buffers outlive their wheel: they do not depend on `M`,
+//!   so a dropped wheel clears them, applies the same bound to every
+//!   bucket, the batch and the overflow heap, and leaves them in a
+//!   thread-local spare that the next wheel on the thread, of any
+//!   message type, starts from. There is one spare per thread (a
+//!   second wheel dropped replaces it), so a worker that runs case
+//!   after case in fresh simulators pays for its buckets once, and a
+//!   thread keeps at most one wheel's bounded buffers when idle.
 //!
 //! The simulator can briefly advance the cursor *past* pending-push
 //! times: `peek_time` pre-drains the next slot, and a driver may then
@@ -66,6 +74,7 @@ use crate::event::{Event, EventPayload};
 use crate::faults::FaultEvent;
 use crate::sim::NodeId;
 use crate::time::SimTime;
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -167,10 +176,52 @@ impl<M> Slab<M> {
 
 /// Free a drained key buffer that grew past the retention bound.
 #[inline]
-fn release_if_oversized(drained: &mut Vec<Key>) {
+fn release_if_oversized<K>(drained: &mut Vec<K>) {
     debug_assert!(drained.is_empty());
     if drained.capacity() > RETAIN_KEYS {
         *drained = Vec::new();
+    }
+}
+
+/// The key buffers of a wheel: everything it owns that does not depend
+/// on the message type, and so can pass from one wheel to the next.
+struct KeyBuffers {
+    buckets: Vec<Vec<Key>>,
+    batch: VecDeque<Key>,
+    overflow: Vec<Reverse<Key>>,
+}
+
+thread_local! {
+    /// The buffers the last wheel dropped on this thread left behind,
+    /// empty and bounded, for the next wheel to start from.
+    static SPARE: Cell<Option<KeyBuffers>> = const { Cell::new(None) };
+}
+
+impl KeyBuffers {
+    /// The spare, if this thread has one, else fresh buffers.
+    fn take() -> Self {
+        SPARE.try_with(Cell::take).ok().flatten().unwrap_or_else(|| KeyBuffers {
+            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            batch: VecDeque::new(),
+            overflow: Vec::new(),
+        })
+    }
+
+    /// Empty every buffer, free the ones past [`RETAIN_KEYS`] and leave
+    /// the rest as this thread's spare. During thread-local teardown
+    /// there is no spare to leave them in, and they are freed.
+    fn give_back(mut self) {
+        for bucket in &mut self.buckets {
+            bucket.clear();
+            release_if_oversized(bucket);
+        }
+        self.batch.clear();
+        if self.batch.capacity() > RETAIN_KEYS {
+            self.batch = VecDeque::new();
+        }
+        self.overflow.clear();
+        release_if_oversized(&mut self.overflow);
+        let _ = SPARE.try_with(|spare| spare.set(Some(self)));
     }
 }
 
@@ -198,13 +249,16 @@ pub(crate) struct TimingWheel<M> {
 }
 
 impl<M> TimingWheel<M> {
+    /// An empty wheel, on this thread's spare key buffers if a dropped
+    /// wheel left some.
     pub(crate) fn new() -> Self {
+        let KeyBuffers { buckets, batch, overflow } = KeyBuffers::take();
         TimingWheel {
             slab: Slab::new(),
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            buckets,
             occupied: [0; LEVELS],
-            overflow: BinaryHeap::new(),
-            batch: VecDeque::new(),
+            overflow: BinaryHeap::from(overflow),
+            batch,
             cursor: 0,
             floor: 0,
             len: 0,
@@ -341,6 +395,17 @@ impl<M> TimingWheel<M> {
     /// cross-checks [`crate::event::EventQueue`]'s incremental count.
     pub(crate) fn walk_deliver_count(&self) -> usize {
         self.slab.slots.iter().filter(|s| matches!(s, Some(Envelope::Deliver { .. }))).count()
+    }
+}
+
+impl<M> Drop for TimingWheel<M> {
+    fn drop(&mut self) {
+        KeyBuffers {
+            buckets: std::mem::take(&mut self.buckets),
+            batch: std::mem::take(&mut self.batch),
+            overflow: std::mem::take(&mut self.overflow).into_vec(),
+        }
+        .give_back();
     }
 }
 

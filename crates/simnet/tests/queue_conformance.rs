@@ -8,7 +8,10 @@
 //! point the `Sim` uses (`push`, `pop`, `pop_if_at_most`, `peek_time`,
 //! `len`, `deliver_count`) over near-future scatter, same-tick bursts,
 //! far-future timers beyond the wheel span and pushes below a
-//! pre-drained cursor, and require identical observations. Four
+//! pre-drained cursor, and require identical observations — also back
+//! to back on one thread, across two message types and after queues
+//! dropped with events pending, since a dropped queue's key buffers are
+//! the next one's (and bounded, even when dropped at depth). Four
 //! scripted cases aim at bucket recycling (a drained bucket keeps its
 //! buffer, up to a bound): refills while the previous contents are
 //! still being served, cascades into just-drained slots, and a burst
@@ -61,39 +64,74 @@ impl Model {
     }
 }
 
-fn push_timer(q: &mut EventQueue<u64>, at: u64, tag: u64) {
+/// A message the schedules deliver: made from its tag and read back.
+/// Two types, one inline and one owning heap bytes, because queues of
+/// every message type on a thread start from the same spare key buffers.
+trait Msg: Sized {
+    fn from_tag(tag: u64) -> Self;
+    fn tag(&self) -> u64;
+}
+
+impl Msg for u64 {
+    fn from_tag(tag: u64) -> Self {
+        tag
+    }
+    fn tag(&self) -> u64 {
+        *self
+    }
+}
+
+impl Msg for String {
+    fn from_tag(tag: u64) -> Self {
+        tag.to_string()
+    }
+    fn tag(&self) -> u64 {
+        self.parse().expect("a tag")
+    }
+}
+
+fn push_timer<M>(q: &mut EventQueue<M>, at: u64, tag: u64) {
     q.push(
         SimTime::from_micros(at),
         EventPayload::Timer { node: NodeId(0), timer_id: 0, tag, trace: 0, span: 0 },
     );
 }
 
-fn push_deliver(q: &mut EventQueue<u64>, at: u64, tag: u64) {
+fn push_deliver<M: Msg>(q: &mut EventQueue<M>, at: u64, tag: u64) {
+    let msg = M::from_tag(tag);
     q.push(
         SimTime::from_micros(at),
-        EventPayload::Deliver { from: NodeId(0), to: NodeId(1), msg: tag, trace: 0, span: 0 },
+        EventPayload::Deliver { from: NodeId(0), to: NodeId(1), msg, trace: 0, span: 0 },
     );
 }
 
-fn key(ev: simnet::Event<u64>) -> Popped {
+fn key<M: Msg>(ev: simnet::Event<M>) -> Popped {
     match ev.payload {
         EventPayload::Timer { tag, .. } => (ev.at.as_micros(), ev.seq, tag, false),
-        EventPayload::Deliver { msg, .. } => (ev.at.as_micros(), ev.seq, msg, true),
+        EventPayload::Deliver { msg, .. } => (ev.at.as_micros(), ev.seq, msg.tag(), true),
         EventPayload::Fault(_) => panic!("schedules push no faults"),
     }
 }
 
-fn pop_key(q: &mut EventQueue<u64>) -> Option<Popped> {
+fn pop_key<M: Msg>(q: &mut EventQueue<M>) -> Option<Popped> {
     q.pop().map(key)
+}
+
+/// Whether a schedule's queue is drained at the end or dropped with
+/// events still pending.
+#[derive(Clone, Copy, PartialEq)]
+enum End {
+    Drain,
+    DropPending,
 }
 
 /// One randomized schedule: a deterministic (seeded) interleaving of
 /// pushes, pops, deadline pops and peeks over a mix of time horizons,
 /// applied to the queue and the model alike; every observation is
 /// compared as it is made. Returns the queue's pop sequence.
-fn run_schedule(seed: u64) -> Vec<Popped> {
+fn run_schedule<M: Msg>(seed: u64, end: End) -> Vec<Popped> {
     let mut rng = SimRng::new(seed);
-    let mut q: EventQueue<u64> = EventQueue::new();
+    let mut q: EventQueue<M> = EventQueue::new();
     let mut model = Model::default();
     let mut out = Vec::new();
     let mut now = 0u64; // lower bound for new pushes: the last popped time
@@ -169,6 +207,10 @@ fn run_schedule(seed: u64) -> Vec<Popped> {
             "deliver_count diverged (seed {seed}, step {step})"
         );
     }
+    if end == End::DropPending {
+        assert!(!q.is_empty(), "seed {seed} left nothing pending to drop");
+        return out;
+    }
     while let Some(k) = pop_key(&mut q) {
         assert_eq!(Some(k), model.pop(), "drain diverged (seed {seed})");
         out.push(k);
@@ -177,20 +219,65 @@ fn run_schedule(seed: u64) -> Vec<Popped> {
     out
 }
 
+fn assert_ascending(popped: &[Popped], seed: u64) {
+    assert!(!popped.is_empty());
+    for w in popped.windows(2) {
+        assert!(
+            (w[0].0, w[0].1) < (w[1].0, w[1].1),
+            "contract violated (seed {seed}): {:?} popped before {:?}",
+            w[0],
+            w[1]
+        );
+    }
+}
+
 #[test]
 fn randomized_schedules_match_the_model_and_pop_in_ascending_time_then_seq() {
     for seed in 0..200 {
-        let popped = run_schedule(seed);
-        assert!(!popped.is_empty());
-        for w in popped.windows(2) {
-            assert!(
-                (w[0].0, w[0].1) < (w[1].0, w[1].1),
-                "contract violated (seed {seed}): {:?} popped before {:?}",
-                w[0],
-                w[1]
-            );
-        }
+        assert_ascending(&run_schedule::<u64>(seed, End::Drain), seed);
     }
+}
+
+/// A dropped queue leaves its key buffers to the next queue on the
+/// thread, whatever either's message type. Back to back on this test's
+/// thread, each queue after the first starts on the buffers of the one
+/// before — half of them dropped with events still in every part
+/// of the wheel — and must still match the model from its first pop.
+#[test]
+fn back_to_back_queues_on_one_thread_start_clean() {
+    for seed in 0..120 {
+        let popped = match seed % 4 {
+            0 => run_schedule::<u64>(seed, End::Drain),
+            1 => run_schedule::<String>(seed, End::DropPending),
+            2 => run_schedule::<String>(seed, End::Drain),
+            _ => run_schedule::<u64>(seed, End::DropPending),
+        };
+        assert_ascending(&popped, seed);
+    }
+}
+
+/// A queue dropped with a burst pending in its buckets, its batch and
+/// its overflow heap leaves the next queue on the thread no more than
+/// the retention bound: every buffer past 64 keys is freed, not kept.
+#[test]
+fn a_queue_dropped_at_depth_leaves_a_bounded_spare() {
+    const BOUND_BYTES: usize = (384 + 2) * 64 * 24;
+    let mut q: EventQueue<u64> = EventQueue::new();
+    for i in 0..1_000 {
+        push_timer(&mut q, 1, i); // one tick, drained into the batch below
+        push_timer(&mut q, (1 << 40) + i, i); // beyond the wheel span
+    }
+    for i in 0..100_000 {
+        push_timer(&mut q, 2 + i * 617 % 5_000, i);
+    }
+    assert_eq!(q.peek_time(), Some(SimTime::from_micros(1)));
+    let at_depth = q.key_buffer_bytes();
+    assert!(at_depth >= 102_000 * 24, "{at_depth} B cannot hold the pending keys");
+    drop(q);
+    let next: EventQueue<String> = EventQueue::new();
+    let inherited = next.key_buffer_bytes();
+    assert!(inherited > 0, "the next queue starts on the kept buffers");
+    assert!(inherited <= BOUND_BYTES, "the next queue starts on {inherited} B");
 }
 
 /// The queue and the model side by side for the scripted recycling

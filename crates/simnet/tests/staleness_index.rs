@@ -4,6 +4,10 @@
 //! (pushed in completion order, as every client does) both must agree —
 //! on the live trace, on a clone, after `sort_by_completion` reorders
 //! same-instant records, and after a JSON round trip rebuilds the index.
+//! `sort_by_completion` leaves a trace already in order as it is; the
+//! sort it skips is kept here too, and both kinds of trace — in order,
+//! and with same-instant ties out of order — must come out of it as
+//! that sort leaves them.
 
 use proptest::prelude::*;
 use simnet::{NodeId, OpKind, OpRecord, OpTrace, SimTime};
@@ -128,5 +132,43 @@ proptest! {
         assert_agrees(&trace, &reads, "sorted, then pushed");
         let late = [(0u64, last + 50, vec![]), (0, last + 50, vec![0])];
         assert_agrees(&trace, &late, "after the late write");
+    }
+}
+
+/// What `sort_by_completion` did before it skipped traces already in
+/// order: a stable sort of every record, and an index built afresh.
+fn sorted_unconditionally(trace: &OpTrace) -> OpTrace {
+    let mut records = trace.records().to_vec();
+    records.sort_by_key(|r| (r.completed, r.session, r.op_id));
+    let mut sorted = OpTrace::new();
+    for r in records {
+        sorted.push(r);
+    }
+    sorted
+}
+
+proptest! {
+    #[test]
+    fn sorting_equals_the_unconditional_sort(ops in history(), reads in reads()) {
+        let reference = sorted_unconditionally(&build(&ops));
+        // `build` numbers ops in descending order, so its same-instant
+        // ties are out of order; the reference's records are in order.
+        let mut in_order = OpTrace::new();
+        for r in reference.records() {
+            in_order.push(r.clone());
+        }
+        for (mut trace, what) in [(build(&ops), "ties out of order"), (in_order, "in order")] {
+            trace.sort_by_completion();
+            prop_assert_eq!(trace.records(), reference.records(), "{}", what);
+            for (key, at_us, picks) in &reads {
+                let values: Vec<u64> = picks.iter().map(|&i| 1_000 + i as u64).collect();
+                let at = SimTime::from_micros(*at_us);
+                prop_assert_eq!(
+                    trace.read_staleness(*key, at, &values),
+                    reference.read_staleness(*key, at, &values),
+                    "{}: key {} at {} µs having read {:?}", what, key, at_us, values
+                );
+            }
+        }
     }
 }

@@ -75,6 +75,13 @@ fn run_reads(recorder: Recorder, reads: u64) -> (u64, Vec<usize>) {
     (window, read_values)
 }
 
+/// [`run_reads`] on a thread of its own. A simulator starts on the event
+/// queue's key buffers that the last one dropped on its thread left, so
+/// two runs on one thread would not start alike.
+fn run_reads_cold(recorder: Recorder, reads: u64) -> (u64, Vec<usize>) {
+    std::thread::spawn(move || run_reads(recorder, reads)).join().unwrap()
+}
+
 /// What a counters-only recorder costs a completed read is what no
 /// recorder costs it: the event it would have built is never built.
 /// Recording eagerly — the payload's box and its copy of the values read,
@@ -83,8 +90,8 @@ fn run_reads(recorder: Recorder, reads: u64) -> (u64, Vec<usize>) {
 #[test]
 fn a_client_completes_reads_without_allocating_for_a_recorder_without_a_log() {
     const READS: u64 = 600;
-    let (off, values_off) = run_reads(Recorder::disabled(), READS);
-    let (counters, values_on) = run_reads(Recorder::enabled(), READS);
+    let (off, values_off) = run_reads_cold(Recorder::disabled(), READS);
+    let (counters, values_on) = run_reads_cold(Recorder::enabled(), READS);
     assert_eq!(values_off, values_on);
     assert!(values_on.len() > 300, "{} reads in the window", values_on.len());
     assert!(values_on.iter().all(|&n| n == 1), "every read returned the value written");

@@ -130,6 +130,21 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_13.contains(guard), "the Phase 13 record must name `{guard}`");
     }
+    let phase_14 = DOC.split("\n## Phase 14").nth(1).expect("PERFORMANCE.md lost its Phase 14");
+    let phase_14 = phase_14.split("\n## ").next().unwrap();
+    for guard in [
+        "a_second_sim_on_a_thread_starts_warm",
+        "tests/sim_dispatch_allocs.rs",
+        "back_to_back_queues_on_one_thread_start_clean",
+        "crates/simnet/tests/queue_conformance.rs",
+        "an_inline_id_and_its_decoded_bytes_are_one_value",
+        "layout_is_one_shared_pointer",
+        "campaign_reproducers_are_what_shrink_case_makes",
+        "crates/simnet/tests/staleness_index.rs",
+        "fuzz_campaign/work_per_s",
+    ] {
+        assert!(phase_14.contains(guard), "the Phase 14 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();

@@ -14,9 +14,13 @@
 //! counters recorder's, which the kernel calls per event).
 //!
 //! Recycling without a bound would pin a burst's high-water mark: the
-//! third test sends a deep storm's 262 144 messages through and bounds
+//! last test sends a deep storm's 262 144 messages through and bounds
 //! what the queue still owns afterwards (unbounded, it reads 12 196 008 B
-//! against 602 112). Exact, not timed: this binary installs
+//! against 602 112), also in the next simulator on the thread, which
+//! starts on what the burst left behind. That reuse is why a short
+//! run (a fuzz case) does not pay for its wheel's buffers: a second
+//! simulator on a thread allocates exactly what the first did less the
+//! first's key buffers. Exact, not timed: this binary installs
 //! [`CountingAlloc`], and a seeded run allocates the same every time —
 //! and the zeros do not lean on the seed: they held at each of 60 others
 //! when this was written.
@@ -149,16 +153,11 @@ impl Actor<u64> for SpanServer {
     }
 }
 
-#[test]
-fn a_traced_request_reply_loop_allocates_nothing_per_event() {
-    // Four closed-loop clients: four messages in flight — no slot is
-    // ever asked for more than the four keys a buffer starts with — and
-    // 32 root spans open at any time with a server span opening and
-    // closing among them: ids only go up, so an ordered tree of them
-    // keeps splitting its last leaf and merging its first.
+/// Two servers and four closed-loop clients on the LAN model, on a
+/// simulator built for them.
+fn request_loop_sim(recorder: Recorder) -> Sim<u64> {
     let (servers, clients) = (2u32, 4u32);
-    let config =
-        SimConfig::default().seed(12).latency(LatencyModel::lan()).recorder(Recorder::enabled());
+    let config = SimConfig::default().seed(12).latency(LatencyModel::lan()).recorder(recorder);
     let mut sim: Sim<u64> = Sim::new(config);
     for _ in 0..servers {
         sim.add_node(Box::new(SpanServer));
@@ -167,8 +166,51 @@ fn a_traced_request_reply_loop_allocates_nothing_per_event() {
         let server = NodeId(client % servers);
         sim.add_node(Box::new(SpanClient { server, roots: [SpanId::NONE; 8], ops: 0 }));
     }
+    sim
+}
+
+#[test]
+fn a_traced_request_reply_loop_allocates_nothing_per_event() {
+    // Four closed-loop clients: four messages in flight — no slot is
+    // ever asked for more than the four keys a buffer starts with — and
+    // 32 root spans open at any time with a server span opening and
+    // closing among them: ids only go up, so an ordered tree of them
+    // keeps splitting its last leaf and merging its first.
+    let mut sim = request_loop_sim(Recorder::enabled());
     sim.run_until(WARM_UP);
     assert_eq!(steady_state_allocations(&mut sim), 0);
+}
+
+#[test]
+fn a_second_sim_on_a_thread_starts_warm() {
+    // A dropped wheel leaves its key buffers to the next one on its
+    // thread. So of two equal runs in fresh simulators, one after the
+    // other, the second allocates exactly what the first did less the
+    // first's key buffers: in this loop a buffer is allocated once, at
+    // the four keys it starts with (24 B each), and never again. A
+    // thread of its own, so that the first run really starts cold.
+    const FIRST_BUFFER_BYTES: u64 = 4 * 24;
+    std::thread::spawn(|| {
+        // (allocations, bytes, key buffer bytes before, after)
+        let run = || {
+            let mut sim = request_loop_sim(Recorder::disabled());
+            let held = sim.queue_key_buffer_bytes() as u64;
+            let (bytes, count) = alloc_totals();
+            sim.run_until(SimTime::from_secs(2));
+            let (bytes_after, count_after) = alloc_totals();
+            (count_after - count, bytes_after - bytes, held, sim.queue_key_buffer_bytes() as u64)
+        };
+        let (cold, cold_bytes, cold_held, keys) = run();
+        let (warm, warm_bytes, warm_held, warm_keys) = run();
+        assert_eq!(cold_held, 0, "the first simulator on a thread starts cold");
+        assert!(keys > 0);
+        assert_eq!((warm_held, warm_keys), (keys, keys), "the second runs on the first's buffers");
+        assert_eq!(cold_bytes - warm_bytes, keys, "{cold_bytes} B cold, {warm_bytes} B warm");
+        assert_eq!(cold - warm, keys / FIRST_BUFFER_BYTES, "{cold} allocations cold, {warm} warm");
+        assert_eq!(run(), (warm, warm_bytes, keys, keys), "a third run is the second");
+    })
+    .join()
+    .unwrap();
 }
 
 /// Receives and does nothing: the burst only has to drain.
@@ -218,4 +260,12 @@ fn a_drained_deep_burst_leaves_a_bounded_queue_behind() {
     }
     assert_eq!(sim.run_until(SimTime::from_millis(10)), 64);
     assert!(sim.queue_key_buffer_bytes() <= BOUND_BYTES);
+    // What the burst's simulator leaves to the next one on the thread
+    // is held to the same bound. (A `Sim` drains its queue when dropped;
+    // `queue_conformance.rs` drops a bare queue at depth.)
+    drop(sim);
+    let next: Sim<u64> = Sim::new(SimConfig::default().seed(12));
+    let inherited = next.queue_key_buffer_bytes();
+    assert!(inherited > 0, "the next simulator starts on the kept buffers");
+    assert!(inherited <= BOUND_BYTES, "the next simulator starts on {inherited} B");
 }
