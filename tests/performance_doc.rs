@@ -145,6 +145,23 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_14.contains(guard), "the Phase 14 record must name `{guard}`");
     }
+    let phase_15 = DOC.split("\n## Phase 15").nth(1).expect("PERFORMANCE.md lost its Phase 15");
+    let phase_15 = phase_15.split("\n## ").next().unwrap();
+    for guard in [
+        "the_template_reader_takes_every_line_the_encoder_writes",
+        "the_template_reader_declines_what_the_encoder_does_not_write",
+        "every_wire_key_has_a_slot_of_its_own",
+        "every_line_the_template_declines_reads_as_the_oracle_reads_it",
+        "template_read_lines_allocate_what_the_general_decoder_allocates",
+        "tests/trace_codec.rs",
+        "tests/oracle/trace_parse.rs",
+        "tests/trace_codec_allocs.rs",
+        "tests/trace_golden.rs",
+        "obs-tools.parse_ns_per_event",
+        "trace_check/work_per_s",
+    ] {
+        assert!(phase_15.contains(guard), "the Phase 15 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();

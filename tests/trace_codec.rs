@@ -23,7 +23,12 @@
 //!   and never another event;
 //! * **documents** — CRLF line ends, a missing final newline, blank
 //!   lines, a file cut mid-line, and lines out of the order of their
-//!   `seq`.
+//!   `seq`;
+//! * **declined lines** — one single edit of an encoder-written line per
+//!   place the decoder's template reader declines it (a space, a swapped
+//!   or an extra key, an integer it does not read, an escape, a line end
+//!   it does not take, a cut): the line goes to the general decoder,
+//!   and what comes out is still what the oracle makes of it.
 
 use proptest::prelude::*;
 use rethinking_ec::core::scheme::{ChurnPlan, ClientPlacement};
@@ -295,6 +300,12 @@ fn members(line: &str) -> Vec<(String, String)> {
         .collect()
 }
 
+/// `members` put back together as the encoder would join them.
+fn joined(members: &[(String, String)]) -> String {
+    let fields: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+    format!("{{{}}}", fields.join(","))
+}
+
 /// Whitespace JSON allows between any two tokens.
 const SPACES: [&str; 7] = ["", "", "", " ", "\t", "\r\n", " \n\t "];
 
@@ -421,8 +432,7 @@ fn members_splits_what_the_encoder_writes() {
     for ev in every_kind(&mut Draws::new(vec![u64::MAX, 3, 7])) {
         let line = ev.to_json_line();
         let members = members(&line);
-        let joined: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
-        assert_eq!(format!("{{{}}}", joined.join(",")), line);
+        assert_eq!(joined(&members), line);
         assert_eq!(members[2], ("\"type\"".to_string(), format!("\"{}\"", ev.kind.type_name())));
     }
 }
@@ -603,8 +613,8 @@ fn field_errors_keep_their_words() {
 }
 
 /// Twenty keys no event has — five of them of the length and the first,
-/// second and last byte of a field of the line's own type, as a hash of
-/// those would take them for it — ahead of every field, then each field
+/// second and last byte of a field of the line's own type, as a lookup
+/// by those would take them for it — ahead of every field, then each field
 /// again with another value: the decoder agrees with the oracle, and of
 /// each field the first occurrence counts.
 #[test]
@@ -928,4 +938,135 @@ fn a_document_whose_seq_goes_back_or_repeats_is_refused() {
     // A run that starts anywhere but 0 may follow one only by going up.
     let spliced = format!("{}\n{}", lines[..100].join("\n"), lines[20..].join("\n"));
     refused(&spliced, 101, words(20, 99));
+}
+
+// ---------------------------------------------------------------------
+// (e) Where the template reader declines
+// ---------------------------------------------------------------------
+
+/// One event of every kind, numbered from 0 up, as the encoder writes
+/// them: each is a line the template reader takes whole.
+fn canonical_lines() -> Vec<String> {
+    every_kind(&mut Draws::new(vec![3, 14, 15, 92, 65, 35, 89, 79, 0]))
+        .into_iter()
+        .enumerate()
+        .map(|(i, ev)| TracedEvent { seq: i as u64, ..ev }.to_json_line())
+        .collect()
+}
+
+/// `line` with the value of the member called `key` replaced by `value`,
+/// if it has one.
+fn with_value(line: &str, key: &str, value: &str) -> Option<String> {
+    let mut members = members(line);
+    members.iter_mut().find(|(k, _)| k == &format!("\"{key}\""))?.1 = value.to_string();
+    Some(joined(&members))
+}
+
+/// The first letter of the string value of `key` as a `\u` escape: the
+/// same string, spelt as no encoder spells it.
+fn escaped(line: &str, key: &str) -> Option<String> {
+    let members = members(line);
+    let value = &members.iter().find(|(k, _)| k == &format!("\"{key}\""))?.1;
+    let first = value[1..].chars().next().filter(char::is_ascii_alphabetic)?;
+    with_value(line, key, &format!("\"\\u{:04x}{}", first as u32, &value[2..]))
+}
+
+/// One edit of a canonical line, or `None` where it does not apply.
+type Edit = fn(&str) -> Option<String>;
+
+/// One single edit per place the template reader declines a line that
+/// the general decoder still reads, or refuses in its own words.
+const DECLINING_EDITS: [(&str, Edit); 14] = [
+    ("a space after a colon", |line| Some(line.replacen("\":", "\": ", 1))),
+    ("the envelope's keys swapped", |line| {
+        let mut members = members(line);
+        members.swap(0, 1);
+        Some(joined(&members))
+    }),
+    ("two fields swapped", |line| {
+        let mut members = members(line);
+        (members.len() > 4).then(|| {
+            members.swap(3, 4);
+            joined(&members)
+        })
+    }),
+    ("an unknown key inserted", |line| {
+        let mut members = members(line);
+        members.insert(3, ("\"x\"".into(), "1".into()));
+        Some(joined(&members))
+    }),
+    ("a duplicate key appended", |line| {
+        let mut members = members(line);
+        members.push(members[members.len() - 1].clone());
+        Some(joined(&members))
+    }),
+    ("a 20-digit integer", |line| with_value(line, "t_us", "10000000000000000000")),
+    ("the largest integer", |line| with_value(line, "t_us", "18446744073709551615")),
+    ("a leading zero", |line| {
+        let t_us = members(line)[1].1.clone();
+        with_value(line, "t_us", &format!("0{t_us}"))
+    }),
+    ("-0", |line| with_value(line, "t_us", "-0")),
+    ("a replica past u32::MAX", |line| with_value(line, "replica", "4294967296")),
+    ("an escaped tag", |line| escaped(line, "type")),
+    ("an escaped name", |line| escaped(line, "name")),
+    ("the closing brace cut", |line| Some(line[..line.len() - 1].to_string())),
+    ("a line cut in half", |line| Some(line[..line.len() / 2].to_string())),
+];
+
+/// Each single edit of a canonical line, alone and in the middle of a
+/// document of canonical lines, and every way a document's lines may
+/// end: `parse_line` and `parse_jsonl` return what the oracle returns,
+/// as event or as error with its line number.
+#[test]
+fn every_line_the_template_declines_reads_as_the_oracle_reads_it() {
+    let lines = canonical_lines();
+    assert!(lines.iter().all(|line| assert_agree(line, 1).is_ok()));
+    let (mut events, mut errors) = (0, 0);
+    for (what, edit) in DECLINING_EDITS {
+        let mut applied = 0;
+        for (at, line) in lines.iter().enumerate() {
+            let Some(edited) = edit(line) else { continue };
+            assert_ne!(&edited, line, "{what}");
+            applied += 1;
+            match assert_agree(&edited, at + 1) {
+                Ok(_) => events += 1,
+                Err(_) => errors += 1,
+            }
+            let mut doc: Vec<&str> = lines.iter().map(String::as_str).collect();
+            doc[at] = &edited;
+            let doc = doc.join("\n") + "\n";
+            assert_eq!(parse_jsonl(&doc), oracle::parse_jsonl(&doc), "{what}: {edited}");
+        }
+        assert!(applied > 0, "`{what}` applies to no line");
+    }
+    assert!(events > 100 && errors > 30, "{events} events, {errors} errors");
+
+    // How a document's lines end and where it stops.
+    let all: Vec<&str> = lines.iter().map(String::as_str).collect();
+    let events = parse_jsonl(&(all.join("\n") + "\n")).expect("canonical lines");
+    assert_eq!(events.len(), lines.len());
+    for doc in [
+        all.join("\r\n") + "\r\n",
+        all.join("\n"),
+        format!("{}\r\n{}\n", all[..5].join("\n"), all[5..].join("\n")),
+        all.join("\n\n"),
+        format!("{}\n \t\n{}\n", all[..5].join("\n"), all[5..].join("\n")),
+        format!("\n{}\n\n", all.join("\n")),
+    ] {
+        let got = parse_jsonl(&doc);
+        assert_eq!(got, oracle::parse_jsonl(&doc), "{doc:?}");
+        assert_eq!(got.as_ref(), Ok(&events), "{doc:?}");
+        for (n, line) in doc.lines().enumerate() {
+            if !line.trim().is_empty() {
+                let _ = assert_agree(line, n + 1);
+            }
+        }
+    }
+    // A document cut anywhere: the oracle's error, on the oracle's line.
+    let doc = all.join("\n") + "\n";
+    for cut in (0..doc.len()).step_by(7) {
+        let cut_doc = &doc[..cut];
+        assert_eq!(parse_jsonl(cut_doc), oracle::parse_jsonl(cut_doc), "{cut_doc:?}");
+    }
 }

@@ -1,8 +1,9 @@
 //! Integration: what the event-line codec allocates, counted exactly.
 //!
-//! The decoder reads a line through a borrowed view and the encoder
+//! The decoder reads a line in one pass against the bytes the encoder
+//! writes, or, any other line, through a borrowed view, and the encoder
 //! writes digit pairs from a static table into the caller's buffer
-//! (`obs_tools::parse`, `obs::event`), so per line neither allocates
+//! (`obs::event`), so per line neither allocates
 //! anything but what the event itself owns: the `Box` of an
 //! `op_complete`'s [`OpCompletion`] and the `Vec` of a non-empty
 //! `values` or `island`. A `String` per key, a `to_string()` per
@@ -86,6 +87,9 @@ fn events() -> Vec<(TracedEvent, usize)> {
         (EventKind::WalAppend { node: 0, key: 7, bytes: 16 }, 0),
         (EventKind::PartitionStart { island: vec![] }, 0),
         (EventKind::PartitionStart { island: vec![0, 2] }, 2),
+        // Lengths past `Vec`'s growth steps: one allocation all the same.
+        (EventKind::PartitionStart { island: (0..5).collect() }, 5),
+        (EventKind::PartitionStart { island: (0..17).collect() }, 17),
         (EventKind::PartitionHeal, 0),
         (EventKind::Crash { node: 2 }, 0),
         (EventKind::Recover { node: 2 }, 0),
@@ -99,6 +103,8 @@ fn events() -> Vec<(TracedEvent, usize)> {
         (op(None, vec![], None), 0),
         (op(None, vec![3], Some((9, 1))), 1),
         (op(None, vec![3, 9, 27, 81, 243, 729, u64::MAX], Some((9, 1))), 7),
+        (op(None, (1..=5).collect(), Some((9, 1))), 5),
+        (op(None, (1..=17).map(|i| i * 1_000_003).collect(), None), 17),
     ];
     kinds
         .into_iter()
@@ -128,8 +134,8 @@ fn a_line_is_decoded_without_allocating_anything_but_its_arrays() {
             "{line}: {bytes} bytes in {count} allocations"
         );
     }
-    // The same lines respaced and reordered go the same way: there is no
-    // slower path for what an encoder did not write.
+    // A line respaced and reordered goes to the general decoder, which
+    // allocates nothing for it either.
     let line =
         " { \"node\" : 2 ,\t\"type\":\"crash\", \"t_us\":1,\"seq\" : 0 , \"x\":[1,{\"y\":\"z\"}] }";
     let (parsed, bytes, count) = allocated(|| parse_line(line, 1));
@@ -137,8 +143,31 @@ fn a_line_is_decoded_without_allocating_anything_but_its_arrays() {
     assert_eq!((bytes, count), (0, 0));
 }
 
+/// A line the encoder wrote is read by the decoder's template reader;
+/// the same line with one space in front goes to its general decoder.
+/// Both allocate the same, line by line and over a whole document.
+#[test]
+fn template_read_lines_allocate_what_the_general_decoder_allocates() {
+    let lines: Vec<String> = events().iter().map(|(ev, _)| ev.to_json_line()).collect();
+    let doc = lines.join("\n") + "\n";
+    let spaced: String = lines.iter().map(|line| format!(" {line}\n")).collect();
+    parse_jsonl(&doc).expect("warm-up");
+    for line in &lines {
+        let (template, template_bytes, template_count) = allocated(|| parse_line(line, 1));
+        let spaced = format!(" {line}");
+        let (general, general_bytes, general_count) = allocated(|| parse_line(&spaced, 1));
+        assert_eq!(template, general);
+        assert_eq!((template_bytes, template_count), (general_bytes, general_count), "{line}");
+    }
+    let (template, template_bytes, template_count) = allocated(|| parse_jsonl(&doc));
+    let (general, general_bytes, general_count) = allocated(|| parse_jsonl(&spaced));
+    assert_eq!(template.as_ref().map(Vec::len), Ok(lines.len()));
+    assert_eq!(template, general);
+    assert_eq!((template_bytes, template_count), (general_bytes, general_count));
+}
+
 /// However many fields a line has: twenty that no event has, some of
-/// them hashing where a field of the line's own type does, then every
+/// them spelt nearly as a field of the line's own type, then every
 /// field, then every field again. No field is put aside anywhere.
 #[test]
 fn a_line_with_unknown_and_repeated_keys_allocates_nothing() {
