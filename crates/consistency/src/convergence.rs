@@ -13,8 +13,8 @@
 
 use crate::stream::{fold, StreamChecker, StreamViolation, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
-use std::collections::{BTreeMap, BTreeSet};
+use simnet::{Duration, IdHashMap, IdHashSet, OpKind, OpRecord, OpTrace, SimTime};
+use std::collections::BTreeMap;
 
 /// One key's post-quiescence disagreement.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -31,7 +31,8 @@ pub struct Divergence {
 pub struct ConvergenceReport {
     /// Keys read after quiescence that agreed everywhere.
     pub converged_keys: u64,
-    /// Keys read after quiescence with disagreeing views.
+    /// Keys read after quiescence with disagreeing views, by ascending
+    /// key.
     pub diverged: Vec<Divergence>,
     /// Keys with writes but no post-quiescence read (unverifiable).
     pub unverified_keys: u64,
@@ -66,9 +67,11 @@ impl ConvergenceReport {
 pub struct ConvergenceStream {
     grace: Duration,
     last_write_ack: Option<SimTime>,
-    written: BTreeSet<u64>,
-    /// Per key: sorted value set -> example replica that served it.
-    views: BTreeMap<u64, BTreeMap<Vec<u64>, u32>>,
+    written: IdHashSet<u64>,
+    /// Per key: sorted value set -> example replica that served it. The
+    /// inner map is ordered because a [`Divergence`] lists its views in
+    /// value-set order.
+    views: IdHashMap<u64, BTreeMap<Vec<u64>, u32>>,
     evicted: u64,
 }
 
@@ -84,8 +87,8 @@ impl ConvergenceStream {
         ConvergenceStream {
             grace,
             last_write_ack: None,
-            written: BTreeSet::new(),
-            views: BTreeMap::new(),
+            written: IdHashSet::default(),
+            views: IdHashMap::default(),
             evicted: 0,
         }
     }
@@ -95,12 +98,15 @@ impl ConvergenceStream {
         self.last_write_ack.map(|t| t + self.grace)
     }
 
-    /// Classify every written key from the surviving views. `None` if no
-    /// write was ever acknowledged.
+    /// Classify every written key from the surviving views, in ascending
+    /// key order. `None` if no write was ever acknowledged.
     pub fn report(&self) -> Option<ConvergenceReport> {
         let quiescence_at = self.quiescence_at()?;
         let mut report = ConvergenceReport { quiescence_at, ..Default::default() };
-        for &key in &self.written {
+        // The written-key set is unordered: sort it for the report.
+        let mut written: Vec<u64> = self.written.iter().copied().collect();
+        written.sort_unstable();
+        for key in written {
             match self.views.get(&key) {
                 None => report.unverified_keys += 1,
                 Some(v) if v.len() == 1 => report.converged_keys += 1,
@@ -327,6 +333,36 @@ mod tests {
         t.push(read(1, vec![10, 7], 110, 1));
         let r = check_convergence(&t, Duration::from_millis(20)).unwrap();
         assert!(r.converged());
+    }
+
+    #[test]
+    fn diverged_keys_are_listed_by_ascending_key_whatever_the_table_order() {
+        const KEYS: u64 = 1_024;
+        // Keys written in a scrambled order (7 919 is prime, so
+        // `i · 7 919 mod 1 024` visits every residue once), some twice.
+        let key = |i: u64| (i * 7_919) % KEYS;
+        let mut t = OpTrace::new();
+        for i in 0..KEYS + 100 {
+            t.push(write(key(i % KEYS), 10 + i));
+        }
+        // After quiescence every key is read twice, again scrambled; a
+        // key divisible by 3 agrees, every other one disagrees.
+        let settled = 10 + KEYS + 100 + 20;
+        for i in 0..KEYS {
+            let k = key(KEYS - 1 - i);
+            let other = if k % 3 == 0 { k } else { k + 1 };
+            t.push(read(k, vec![k], settled + 2 * i, 0));
+            t.push(read(k, vec![other], settled + 2 * i + 1, 1));
+        }
+        let r = check_convergence(&t, Duration::from_millis(20)).unwrap();
+        let want: Vec<u64> = (0..KEYS).filter(|k| k % 3 != 0).collect();
+        let got: Vec<u64> = r.diverged.iter().map(|d| d.key).collect();
+        assert_eq!(got, want);
+        assert_eq!(r.converged_keys, KEYS - want.len() as u64);
+        assert_eq!(r.unverified_keys, 0);
+        for d in &r.diverged {
+            assert_eq!(d.views, vec![(vec![d.key], 0), (vec![d.key + 1], 1)], "key {}", d.key);
+        }
     }
 
     #[test]

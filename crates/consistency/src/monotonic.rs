@@ -23,8 +23,8 @@
 
 use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
-use std::collections::btree_map::{BTreeMap, Entry};
+use simnet::{Duration, IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
+use std::collections::hash_map::Entry;
 
 /// Outcome of the value-monotonicity check for one trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -52,7 +52,7 @@ impl MonotonicValueReport {
 #[derive(Debug)]
 pub struct MonotonicStream {
     window: Option<Duration>,
-    floors: BTreeMap<(u64, u64), (u64, SimTime)>,
+    floors: IdHashMap<(u64, u64), (u64, SimTime)>,
     report: MonotonicValueReport,
     evicted: u64,
 }
@@ -62,7 +62,7 @@ impl MonotonicStream {
     pub fn new(window: Option<Duration>) -> Self {
         MonotonicStream {
             window,
-            floors: BTreeMap::new(),
+            floors: IdHashMap::default(),
             report: MonotonicValueReport::default(),
             evicted: 0,
         }

@@ -29,8 +29,7 @@
 
 use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
-use std::collections::BTreeMap;
+use simnet::{Duration, IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
 
 /// Violation counts for one trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,8 +91,8 @@ impl SessionReport {
 /// Per-session floors for the four guarantees.
 #[derive(Debug, Default)]
 struct SessionState {
-    write_floor: BTreeMap<u64, (u64, u64)>, // key -> own write stamp
-    read_floor: BTreeMap<u64, (u64, u64)>,  // key -> last read stamp
+    write_floor: IdHashMap<u64, (u64, u64)>, // key -> own write stamp
+    read_floor: IdHashMap<u64, (u64, u64)>,  // key -> last read stamp
     last_write_stamp: Option<(u64, u64)>,
     max_read_stamp: Option<(u64, u64)>,
     last_touch: SimTime,
@@ -119,7 +118,7 @@ impl SessionState {
 #[derive(Debug)]
 pub struct SessionStream {
     window: Option<Duration>,
-    sessions: BTreeMap<u64, SessionState>,
+    sessions: IdHashMap<u64, SessionState>,
     report: SessionReport,
     evicted: u64,
 }
@@ -129,7 +128,7 @@ impl SessionStream {
     pub fn new(window: Option<Duration>) -> Self {
         SessionStream {
             window,
-            sessions: BTreeMap::new(),
+            sessions: IdHashMap::default(),
             report: SessionReport::default(),
             evicted: 0,
         }

@@ -21,8 +21,7 @@
 
 use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, OpKind, OpRecord, OpTrace, SimTime};
-use std::collections::BTreeMap;
+use simnet::{Duration, IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
 
 /// An acknowledged write: completion time and version stamp.
 type AckedWrite = (SimTime, (u64, u64));
@@ -90,7 +89,7 @@ impl StalenessReport {
 #[derive(Debug)]
 pub struct StalenessStream {
     window: Option<Duration>,
-    writes: BTreeMap<u64, Vec<AckedWrite>>,
+    writes: IdHashMap<u64, Vec<AckedWrite>>,
     report: StalenessReport,
     evicted: u64,
 }
@@ -100,7 +99,7 @@ impl StalenessStream {
     pub fn new(window: Option<Duration>) -> Self {
         StalenessStream {
             window,
-            writes: BTreeMap::new(),
+            writes: IdHashMap::default(),
             report: StalenessReport::default(),
             evicted: 0,
         }

@@ -9,7 +9,7 @@
 //! (`tracequery check` exits non-zero).
 
 use obs::{EventKind, SpanStatus, TracedEvent};
-use std::collections::BTreeMap;
+use simnet::{IdHashMap, IdHashSet};
 use std::fmt;
 
 /// Outcome of [`check_spans`] over one trace file.
@@ -25,8 +25,9 @@ pub struct CheckReport {
     pub closed: u64,
     /// Spans closed with status `abandoned` (subset of `closed`).
     pub abandoned: u64,
-    /// Invariant violations, in detection order. Empty means the trace
-    /// is well-formed.
+    /// Invariant violations, in detection order; the spans never closed
+    /// come last, by ascending span id. Empty means the trace is
+    /// well-formed.
     pub errors: Vec<String>,
 }
 
@@ -70,8 +71,8 @@ struct Open {
 ///    truncated or corrupted file).
 pub fn check_spans(events: &[TracedEvent]) -> CheckReport {
     let mut report = CheckReport { events: events.len(), ..CheckReport::default() };
-    let mut open: BTreeMap<u64, Open> = BTreeMap::new();
-    let mut traces: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+    let mut open: IdHashMap<u64, Open> = IdHashMap::default();
+    let mut traces: IdHashSet<u64> = IdHashSet::default();
     for ev in events {
         match &ev.kind {
             EventKind::SpanOpen { trace, span, parent, .. } => {
@@ -137,13 +138,15 @@ pub fn check_spans(events: &[TracedEvent]) -> CheckReport {
             _ => {}
         }
     }
-    for (span, o) in &open {
-        if !o.closed {
-            report.errors.push(format!(
-                "span {span} (trace {}) opened at {}µs and never closed",
-                o.trace, o.t_us
-            ));
-        }
+    // The table is unordered: sort what is left open by span id.
+    let mut unclosed: Vec<(u64, &Open)> =
+        open.iter().filter(|(_, o)| !o.closed).map(|(&span, o)| (span, o)).collect();
+    unclosed.sort_unstable_by_key(|&(span, _)| span);
+    for (span, o) in unclosed {
+        report.errors.push(format!(
+            "span {span} (trace {}) opened at {}µs and never closed",
+            o.trace, o.t_us
+        ));
     }
     report.traces = traces.len();
     report
@@ -152,6 +155,7 @@ pub fn check_spans(events: &[TracedEvent]) -> CheckReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn ev(seq: u64, t_us: u64, kind: EventKind) -> TracedEvent {
         TracedEvent { seq, t_us, kind }
@@ -216,5 +220,66 @@ mod tests {
             ev(1, 20, EventKind::SpanClose { trace: 2, span: 1, node: 0, status: SpanStatus::Ok }),
         ];
         assert!(check_spans(&events).errors[0].contains("trace 2"));
+    }
+
+    #[test]
+    fn unclosed_spans_are_reported_by_ascending_id_whatever_the_table_order() {
+        const SPANS: u64 = 2_000;
+        let open = |seq, span, t_us| TracedEvent {
+            seq,
+            t_us,
+            kind: EventKind::SpanOpen { trace: span % 13 + 1, span, parent: 0, node: 0, name: "x" },
+        };
+        let close = |seq, span, t_us| TracedEvent {
+            seq,
+            t_us,
+            kind: EventKind::SpanClose {
+                trace: span % 13 + 1,
+                span,
+                node: 0,
+                status: SpanStatus::Ok,
+            },
+        };
+        // Span ids 1..=2000 opened in a scrambled order (7 919 is prime,
+        // so `i · 7 919 mod 2 000` visits every residue once).
+        let id = |i: u64| (i * 7_919) % SPANS + 1;
+        let mut events: Vec<TracedEvent> = (0..SPANS).map(|i| open(i, id(i), 10 * i)).collect();
+        let (reopened, closed) = (id(5), id(9));
+        events.push(open(SPANS, reopened, 30_000));
+        events.push(close(SPANS + 1, closed, 30_000));
+        events.push(close(SPANS + 2, closed, 30_010));
+
+        // What an ordered table reports: a reopened span keeps its
+        // second opening, a closed one is not reported.
+        let mut reference: BTreeMap<u64, (u64, u64)> = BTreeMap::new();
+        for ev in &events {
+            match ev.kind {
+                EventKind::SpanOpen { trace, span, .. } => {
+                    reference.insert(span, (trace, ev.t_us));
+                }
+                EventKind::SpanClose { span, .. } => {
+                    reference.remove(&span);
+                }
+                _ => {}
+            }
+        }
+        let never_closed: Vec<String> = reference
+            .iter()
+            .map(|(span, (trace, t_us))| {
+                format!("span {span} (trace {trace}) opened at {t_us}µs and never closed")
+            })
+            .collect();
+        assert_eq!(never_closed.len(), SPANS as usize - 1);
+
+        let report = check_spans(&events);
+        assert_eq!(report.traces, 13);
+        assert_eq!(
+            report.errors[..2],
+            [
+                format!("span {reopened} opened twice (seq={SPANS})"),
+                format!("span {closed} closed twice (seq={})", SPANS + 2),
+            ]
+        );
+        assert_eq!(report.errors[2..], never_closed[..]);
     }
 }

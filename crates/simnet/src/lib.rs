@@ -55,6 +55,7 @@
 
 pub mod event;
 pub mod faults;
+pub mod idhash;
 pub mod latency;
 pub mod nemesis;
 pub mod optrace;
@@ -66,6 +67,7 @@ mod wheel;
 
 pub use event::{Event, EventPayload};
 pub use faults::{FaultEvent, FaultSchedule, Partition};
+pub use idhash::{IdHashMap, IdHashSet};
 pub use latency::LatencyModel;
 pub use nemesis::{IntensityProfile, NemesisEvent};
 pub use optrace::{OpKind, OpRecord, OpTrace, SharedTrace};

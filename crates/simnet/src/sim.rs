@@ -9,6 +9,7 @@
 
 use crate::event::{Event, EventPayload, EventQueue};
 use crate::faults::{FaultSchedule, FaultState};
+use crate::idhash::{IdHashMap, IdHashSet};
 use crate::latency::{LatencyModel, LatencySampler};
 use crate::rng::SimRng;
 use crate::time::{Duration, SimTime};
@@ -16,9 +17,7 @@ use obs::{
     Counter, DropReason, EventKind, HandlerKind, Probe, Recorder, SpanId, SpanStatus, NO_VARIANT,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifies an actor in the simulation (replica or client).
 ///
@@ -170,35 +169,6 @@ enum Effect<M> {
     CancelTimer { id: u64 },
 }
 
-/// Hashes the serial ids the simulator mints itself (span ids, timer
-/// ids) with one multiply and a fold in place of SipHash: every span
-/// open and close and every timer that fires looks one up. Serial ids
-/// spread perfectly over the low bits a table indexes by; the fold
-/// brings the product's well-mixed high bits down for `trace_base`
-/// offsets that share their low bits. Not for keys from outside the
-/// program.
-#[derive(Default)]
-struct SerialIdHasher(u64);
-
-impl Hasher for SerialIdHasher {
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("serial ids hash as one u64");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, id: u64) {
-        let mixed = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = mixed ^ (mixed >> 32);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type SerialIdState = BuildHasherDefault<SerialIdHasher>;
-
 /// One currently-open trace span (value of the open-span table).
 struct OpenSpan {
     trace: u64,
@@ -214,7 +184,7 @@ struct SpanBook {
     next_span_id: u64,
     /// Open spans by span id. Unordered: shutdown sorts whatever is
     /// still open by id before it abandons it.
-    open: HashMap<u64, OpenSpan, SerialIdState>,
+    open: IdHashMap<u64, OpenSpan>,
 }
 
 impl SpanBook {
@@ -222,7 +192,7 @@ impl SpanBook {
         // 0 is reserved for "no trace/span"; `base` offsets a grid
         // cell's ids into its own range so a concatenated multi-cell
         // trace file still has globally unique trace/span ids.
-        SpanBook { next_trace_id: base + 1, next_span_id: base + 1, open: HashMap::default() }
+        SpanBook { next_trace_id: base + 1, next_span_id: base + 1, open: IdHashMap::default() }
     }
 }
 
@@ -441,7 +411,7 @@ pub struct Sim<M> {
     latency: LatencySampler,
     faults: FaultState,
     next_timer_id: u64,
-    cancelled_timers: HashSet<u64, SerialIdState>,
+    cancelled_timers: IdHashSet<u64>,
     /// Reusable effects buffer handed to each [`Context`]: callbacks
     /// append into it and the drained capacity is kept, so the steady
     /// state of the event loop performs no per-callback allocation.
@@ -478,7 +448,7 @@ impl<M> Sim<M> {
             latency: config.latency.compile(),
             faults: FaultState::default(),
             next_timer_id: 0,
-            cancelled_timers: HashSet::default(),
+            cancelled_timers: IdHashSet::default(),
             effects_scratch: Vec::new(),
             started: false,
             dropped_messages: 0,

@@ -7,7 +7,8 @@
 //!
 //! * **three-way exact**: the all-pairs oracle (`tests/oracle/`), the
 //!   whole-trace checkers and a windowless `StreamVerifier` produce
-//!   equal reports;
+//!   equal reports, and the oracle and the verifier equal violation
+//!   lists;
 //! * **bounded = subset**: a windowed run never *invents* a violation —
 //!   every flagged violation also appears in the unbounded run
 //!   (eviction only drops floors and evidence, it cannot fabricate
@@ -101,7 +102,7 @@ fn oracle_whole_trace_and_unbounded_stream_agree_on_100_random_traces() {
     let mut diverged_keys = 0usize;
     for seed in 0..100u64 {
         let trace = synth_trace(seed);
-        let reference = oracle::reports(&trace, grace);
+        let (reference, flagged) = oracle::judge(&trace, grace);
         let whole_trace = (
             check_session_guarantees(&trace),
             measure_staleness(&trace),
@@ -115,6 +116,7 @@ fn oracle_whole_trace_and_unbounded_stream_agree_on_100_random_traces() {
             v.feed(r);
         }
         let online = v.finish();
+        assert!(online.violations == flagged, "seed {seed}: unbounded stream violations vs oracle");
         total_violations += online.violations.len();
         diverged_keys += online.convergence.as_ref().map_or(0, |c| c.diverged.len());
         assert_eq!(

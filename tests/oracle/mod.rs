@@ -12,14 +12,18 @@
 //! in — "earlier in the session" is read off `op_id`. That is O(n²), so
 //! it is for histories of a few hundred operations, which is what the
 //! suites that include this module (`checker_stream_parity`,
-//! `checker_stream_properties`) give it.
+//! `checker_stream_properties`) give it, and for one of 12 000: the run
+//! of labbench's `trace_check` size in `checker_stream_parity`, which
+//! takes it about ten seconds in a debug build.
 //!
-//! It shares with the crate only the *report types*, so that agreement
-//! is one `assert_eq!`. It must never call a `check_*` function or a
-//! `*Stream` operator: its value is that it can disagree with them.
+//! It shares with the crate only the *report types* (the violation
+//! record among them), so that agreement is one `assert_eq!`. It must
+//! never call a `check_*` function or a `*Stream` operator: its value is
+//! that it can disagree with them.
 
 use rethinking_ec::consistency::{
     ConvergenceReport, Divergence, MonotonicValueReport, SessionReport, StalenessReport,
+    StreamViolation, ViolationKind,
 };
 use rethinking_ec::simnet::{Duration, OpKind, OpRecord, OpTrace};
 
@@ -29,10 +33,41 @@ type Stamp = (u64, u64);
 pub type Reports =
     (SessionReport, StalenessReport, MonotonicValueReport, Option<ConvergenceReport>);
 
-/// Every report the oracle can produce for `trace`.
-pub fn reports(trace: &OpTrace, grace: Duration) -> Reports {
+/// Every report the oracle can produce for `trace`, plus every violation
+/// it finds, listed as a stream
+/// verifier flags them: by the violating operation's `(completed,
+/// session, op_id)`, an operation's violations in `ViolationKind::ALL`
+/// order, and the diverged keys last, by key, found at quiescence.
+pub fn judge(trace: &OpTrace, grace: Duration) -> (Reports, Vec<StreamViolation>) {
     let ops: Vec<&OpRecord> = trace.records().iter().filter(|r| r.ok).collect();
-    (session(&ops), staleness(&ops), monotonic(&ops), convergence(&ops, grace))
+    let mut found = Vec::new();
+    let reports = (
+        session(&ops, &mut found),
+        staleness(&ops, &mut found),
+        monotonic(&ops, &mut found),
+        convergence(&ops, grace, &mut found),
+    );
+    let rank = |k: ViolationKind| ViolationKind::ALL.iter().position(|&x| x == k);
+    found.sort_by_key(|(op, v)| {
+        (op.is_none(), op.map(|o| (o.completed, o.session, o.op_id)), rank(v.kind), v.key)
+    });
+    (reports, found.into_iter().map(|(_, v)| v).collect())
+}
+
+/// A violation, with the operation that committed it (`None` for a
+/// divergence, which no single operation commits).
+type Found<'a> = (Option<&'a OpRecord>, StreamViolation);
+
+/// `op` violated `kind`.
+fn flag<'a>(found: &mut Vec<Found<'a>>, kind: ViolationKind, op: &'a OpRecord) {
+    let v = StreamViolation {
+        kind,
+        session: op.session,
+        op_id: op.op_id,
+        key: op.key,
+        t_us: op.completed.as_micros(),
+    };
+    found.push((Some(op), v));
 }
 
 /// The successful operations of `kind` that `op`'s session issued before
@@ -53,25 +88,27 @@ fn issued_before<'a>(
 
 /// One guarantee's verdict on one operation: not in play when nothing
 /// earlier constrains it, violated when it is `behind` any of `earlier`.
+/// Returns whether it was violated.
 fn tally(
     checked: &mut u64,
     violations: &mut u64,
     earlier: &[Stamp],
     behind: impl Fn(Stamp) -> bool,
-) {
+) -> bool {
     if earlier.is_empty() {
-        return;
+        return false;
     }
     *checked += 1;
-    if earlier.iter().any(|&e| behind(e)) {
-        *violations += 1;
-    }
+    let violated = earlier.iter().any(|&e| behind(e));
+    *violations += u64::from(violated);
+    violated
 }
 
 /// The four Bayou guarantees. A read that returned nothing is behind
 /// every version; a write without a stamp installed no version and is
 /// neither judged nor a constraint on later operations.
-fn session(ops: &[&OpRecord]) -> SessionReport {
+fn session<'a>(ops: &[&'a OpRecord], found: &mut Vec<Found<'a>>) -> SessionReport {
+    use ViolationKind::*;
     let mut r = SessionReport::default();
     for &op in ops {
         let stamps = |kind, same_key| -> Vec<Stamp> {
@@ -82,18 +119,26 @@ fn session(ops: &[&OpRecord]) -> SessionReport {
                 let behind = |e: Stamp| got.is_none_or(|s| s < e);
                 // RYW: not behind any own earlier write of this key.
                 let own = stamps(OpKind::Write, true);
-                tally(&mut r.ryw_checked, &mut r.ryw_violations, &own, behind);
+                if tally(&mut r.ryw_checked, &mut r.ryw_violations, &own, behind) {
+                    flag(found, ReadYourWrites, op);
+                }
                 // MR: not behind any own earlier read of this key.
                 let seen = stamps(OpKind::Read, true);
-                tally(&mut r.mr_checked, &mut r.mr_violations, &seen, behind);
+                if tally(&mut r.mr_checked, &mut r.mr_violations, &seen, behind) {
+                    flag(found, MonotonicReads, op);
+                }
             }
             (OpKind::Write, Some(s)) => {
                 // MW: ordered after every own earlier write, any key.
                 let own = stamps(OpKind::Write, false);
-                tally(&mut r.mw_checked, &mut r.mw_violations, &own, |e| s < e);
+                if tally(&mut r.mw_checked, &mut r.mw_violations, &own, |e| s < e) {
+                    flag(found, MonotonicWrites, op);
+                }
                 // WFR: ordered after everything read earlier, any key.
                 let seen = stamps(OpKind::Read, false);
-                tally(&mut r.wfr_checked, &mut r.wfr_violations, &seen, |e| s < e);
+                if tally(&mut r.wfr_checked, &mut r.wfr_violations, &seen, |e| s < e) {
+                    flag(found, WritesFollowReads, op);
+                }
             }
             (OpKind::Write, None) => {}
         }
@@ -104,7 +149,7 @@ fn session(ops: &[&OpRecord]) -> SessionReport {
 /// PBS staleness: a read is judged against the stamped writes of its key
 /// acknowledged strictly before it was invoked; it missed those newer
 /// than what it returned. Samples are listed in read-completion order.
-fn staleness(ops: &[&OpRecord]) -> StalenessReport {
+fn staleness<'a>(ops: &[&'a OpRecord], found: &mut Vec<Found<'a>>) -> StalenessReport {
     let mut r = StalenessReport::default();
     let mut reads: Vec<&OpRecord> =
         ops.iter().copied().filter(|o| o.kind == OpKind::Read).collect();
@@ -125,6 +170,7 @@ fn staleness(ops: &[&OpRecord]) -> StalenessReport {
             r.unclassified_reads += 1;
         } else if let Some(oldest) = missed.iter().map(|w| w.completed).min() {
             r.stale_reads += 1;
+            flag(found, ViolationKind::StaleRead, read);
             r.k_staleness.push(missed.len() as u64);
             r.t_staleness_ms.push(read.invoked.saturating_since(oldest).as_millis_f64());
         } else {
@@ -136,7 +182,7 @@ fn staleness(ops: &[&OpRecord]) -> StalenessReport {
 
 /// Value monotonicity: a read is judged once its session has read the
 /// key before, and must not observe less than any of those reads did.
-fn monotonic(ops: &[&OpRecord]) -> MonotonicValueReport {
+fn monotonic<'a>(ops: &[&'a OpRecord], found: &mut Vec<Found<'a>>) -> MonotonicValueReport {
     let observed = |o: &OpRecord| o.value_read.iter().sum::<u64>();
     let mut r = MonotonicValueReport::default();
     for &read in ops.iter().filter(|o| o.kind == OpKind::Read) {
@@ -146,6 +192,7 @@ fn monotonic(ops: &[&OpRecord]) -> MonotonicValueReport {
             r.checked += 1;
             if earlier.iter().any(|&e| observed(read) < e) {
                 r.violations += 1;
+                flag(found, ViolationKind::ValueRegression, read);
             }
         }
     }
@@ -155,7 +202,11 @@ fn monotonic(ops: &[&OpRecord]) -> MonotonicValueReport {
 /// Convergence: reads invoked at or after (last write ack + grace) must
 /// agree, per written key, on the *set* of values returned. Each distinct
 /// view is reported with the replica that served it first.
-fn convergence(ops: &[&OpRecord], grace: Duration) -> Option<ConvergenceReport> {
+fn convergence(
+    ops: &[&OpRecord],
+    grace: Duration,
+    found: &mut Vec<Found<'_>>,
+) -> Option<ConvergenceReport> {
     let writes = || ops.iter().filter(|o| o.kind == OpKind::Write);
     let quiescence_at = writes().map(|w| w.completed).max()? + grace;
     let as_set = |o: &OpRecord| {
@@ -191,6 +242,14 @@ fn convergence(ops: &[&OpRecord], grace: Duration) -> Option<ConvergenceReport> 
                 };
                 let views = sets.iter().map(|s| (s.clone(), first_server(s))).collect();
                 r.diverged.push(Divergence { key, views });
+                let v = StreamViolation {
+                    kind: ViolationKind::Divergence,
+                    session: 0,
+                    op_id: 0,
+                    key,
+                    t_us: quiescence_at.as_micros(),
+                };
+                found.push((None, v));
             }
         }
     }

@@ -162,6 +162,24 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_15.contains(guard), "the Phase 15 record must name `{guard}`");
     }
+    let phase_16 = DOC.split("\n## Phase 16").nth(1).expect("PERFORMANCE.md lost its Phase 16");
+    let phase_16 = phase_16.split("\n## ").next().unwrap();
+    for guard in [
+        "a_pair_hashes_every_field_in_order",
+        "byte_keys_hash_without_a_panic",
+        "unclosed_spans_are_reported_by_ascending_id_whatever_the_table_order",
+        "diverged_keys_are_listed_by_ascending_key_whatever_the_table_order",
+        "oracle_whole_trace_and_online_agree_at_trace_check_scale",
+        "tests/checker_stream_parity.rs",
+        "tests/checker_stream_properties.rs",
+        "tests/oracle/mod.rs",
+        "tests/checker_stream_memory.rs",
+        "obs-tools.check_spans_ns_per_event",
+        "consistency.stream_ns_per_op",
+        "trace_check/work_per_s",
+    ] {
+        assert!(phase_16.contains(guard), "the Phase 16 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();
