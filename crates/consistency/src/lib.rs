@@ -11,7 +11,8 @@
 //! * [`staleness`] — how stale were reads, in time and in versions
 //!   (k-staleness), PBS-style? Plus bounded-staleness accounting.
 //! * [`linearizability`] — is the per-key register history linearizable
-//!   (Wing & Gong search with memoization)?
+//!   (the exact O(n log n) zone check of Gibbons & Korach, as Golab et al.
+//!   state it)?
 //! * [`causal`] — did any client observe a write without its causal
 //!   dependencies (the COPS photo-ACL anomaly)?
 //! * [`convergence`] — once writes stopped, did replicas actually agree
@@ -53,7 +54,7 @@ pub use convergence::{
     OwnerConvergenceReport, OwnerDivergence,
 };
 pub use linearizability::{
-    check_linearizable_register_bounded, check_trace_linearizable, Interval, LinCheckError, RegOp,
+    check_linearizable_register, check_trace_linearizable, Interval, LinCheckError, RegOp,
 };
 pub use monotonic::{check_monotonic_values, MonotonicStream, MonotonicValueReport};
 pub use session::{check_session_guarantees, SessionReport, SessionStream};

@@ -1,19 +1,39 @@
-//! A Wing & Gong linearizability checker for single-key registers.
+//! Linearizability of single-key register histories, decided exactly by
+//! the zone check.
 //!
-//! Given a history of timed read/write intervals over one register, the
-//! checker searches for a legal linearization: a total order of operations
-//! that (a) respects real-time order (an op that completed before another
-//! was invoked must come first) and (b) makes every read return the value
-//! of the latest preceding write. Unique write values keep the register
-//! state a single `Option<u64>`, and memoization on `(done-set, state)`
-//! keeps the search tractable (Lowe's optimization).
+//! A history of timed read/write intervals over one register is
+//! linearizable if some total order of its operations (a) respects
+//! real-time order — op *a* precedes op *b* iff `a.ret < b.invoke`, so
+//! equal times count as concurrent — and (b) makes every read return the
+//! value of the latest write before it.
 //!
-//! Cost is exponential in the worst case; histories are capped at 126 ops
-//! per key (a `u128` mask), which is ample for the experiment suite's
-//! per-key contention levels.
+//! Every write carries a unique value, so a read names the write it
+//! observed, and for such histories the question is decidable exactly in
+//! O(n log n): Gibbons & Korach (*Testing Shared Memories*, SIAM J.
+//! Comput. 1997), in the zone form of Golab, Li & Shah (*Analyzing
+//! Consistency Properties for Fun and Profit*, PODC 2011).
+//!
+//! * Each write forms a *group* with the reads that returned its value.
+//!   Reads of `None` form the *initial group*, whose virtual write
+//!   precedes everything.
+//! * A read of a value no write in the history wrote, or a read that
+//!   returned before its write was invoked (`r.ret < w.invoke`), fails.
+//! * A group's zone runs between *f*, its earliest response, and *s*, its
+//!   latest invocation. It is *forward* if `f < s` and spans `[f, s]`;
+//!   otherwise it is *backward* and spans `[s, f]`.
+//! * The history is linearizable iff, besides, no two forward zones
+//!   overlap (sorted by *f*: `next.f < prev.s`) and no backward zone
+//!   `[s, f]` lies strictly inside a forward zone `[f_D, s_D]`
+//!   (`f_D < s` and `f < s_D`).
+//!
+//! Unique values are the lab's convention
+//! (`replication::common::unique_value`): a history that writes one value
+//! twice is outside the check's domain, and the check panics on it. The
+//! reference the check is held to is the memoised Wing & Gong search in
+//! `tests/oracle/lin.rs`.
 
-use simnet::{OpKind, OpTrace};
-use std::collections::HashSet;
+use simnet::{IdHashMap, OpKind, OpTrace};
+use std::collections::BTreeMap;
 
 /// A register operation for the checker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,139 +63,104 @@ pub enum LinCheckError {
         /// The offending key.
         key: u64,
     },
-    /// A key had more than 126 operations (mask overflow).
-    HistoryTooLarge {
-        /// The offending key.
-        key: u64,
-        /// Its operation count.
-        ops: usize,
-    },
-    /// The search exceeded its state budget before reaching a verdict
-    /// (highly concurrent histories can be exponentially expensive).
-    SearchBudgetExceeded {
-        /// The offending key.
-        key: u64,
-    },
 }
 
-/// Default state budget for the search (~tens of ms of work).
-pub const DEFAULT_SEARCH_BUDGET: u64 = 2_000_000;
+/// One value's write and the reads that returned it.
+struct Group {
+    /// The write's invocation, once the write is seen.
+    write_invoke: Option<u64>,
+    /// The earliest response in the group (*f*).
+    f: u64,
+    /// The latest invocation in the group (*s*).
+    s: u64,
+}
 
-/// Check one register history for linearizability; `None` if the state
-/// budget ran out before a verdict was reached.
+/// Whether one register history is linearizable.
+///
+/// Zone ends are `Option<u64>`, where `None` is the initial group's
+/// virtual write at −∞: `None` orders before every `Some`.
 ///
 /// # Panics
-/// If the history exceeds 126 ops.
-pub fn check_linearizable_register_bounded(history: &[Interval], budget: u64) -> Option<bool> {
-    let n = history.len();
-    assert!(n <= 126, "history too large for the bitmask search");
-    if n == 0 {
-        return Some(true);
-    }
-    let full: u128 = (1u128 << n) - 1;
-    let mut visited: HashSet<(u128, Option<u64>)> = HashSet::new();
-    let mut budget = budget;
-    search(history, 0, None, full, &mut visited, &mut budget)
-}
-
-fn search(
-    hist: &[Interval],
-    done: u128,
-    state: Option<u64>,
-    full: u128,
-    visited: &mut HashSet<(u128, Option<u64>)>,
-    budget: &mut u64,
-) -> Option<bool> {
-    if done == full {
-        return Some(true);
-    }
-    if *budget == 0 {
-        return None;
-    }
-    *budget -= 1;
-    if !visited.insert((done, state)) {
-        return Some(false);
-    }
-    // An op may linearize next iff no *other* pending op returned before
-    // this op was invoked (real-time order would be violated otherwise).
-    let min_ret = hist
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| done & (1 << i) == 0)
-        .map(|(_, iv)| iv.ret)
-        .min()
-        .expect("pending op exists");
-    for (i, iv) in hist.iter().enumerate() {
-        if done & (1 << i) != 0 || iv.invoke > min_ret {
-            continue;
-        }
-        match iv.op {
-            RegOp::Write(v) => {
-                match search(hist, done | (1 << i), Some(v), full, visited, budget) {
-                    Some(true) => return Some(true),
-                    Some(false) => {}
-                    None => return None,
-                }
+/// If two writes in the history write the same value.
+pub fn check_linearizable_register(history: &[Interval]) -> bool {
+    let mut groups: IdHashMap<u64, Group> = IdHashMap::default();
+    // The latest invocation of a read of `None`.
+    let mut initial_s = None;
+    for iv in history {
+        let value = match iv.op {
+            RegOp::Read(None) => {
+                initial_s = initial_s.max(Some(iv.invoke));
+                continue;
             }
-            RegOp::Read(v) => {
-                if v == state {
-                    match search(hist, done | (1 << i), state, full, visited, budget) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => return None,
-                    }
-                }
-            }
+            RegOp::Read(Some(v)) | RegOp::Write(v) => v,
+        };
+        let g = groups.entry(value).or_insert(Group { write_invoke: None, f: u64::MAX, s: 0 });
+        g.f = g.f.min(iv.ret);
+        g.s = g.s.max(iv.invoke);
+        if let RegOp::Write(_) = iv.op {
+            assert!(g.write_invoke.replace(iv.invoke).is_none(), "value {value} written twice");
         }
     }
-    Some(false)
+    let mut forward: Vec<(Option<u64>, Option<u64>)> =
+        initial_s.map(|s| (None, Some(s))).into_iter().collect();
+    let mut backward = Vec::new();
+    for g in groups.values() {
+        // No write, or a read that returned before the write was invoked
+        // (the write's own response never comes before its invocation).
+        match g.write_invoke {
+            Some(invoke) if g.f >= invoke => {}
+            _ => return false,
+        }
+        if g.f < g.s {
+            forward.push((Some(g.f), Some(g.s)));
+        } else {
+            backward.push((g.s, g.f));
+        }
+    }
+    forward.sort_unstable();
+    if forward.windows(2).any(|z| z[1].0 < z[0].1) {
+        return false;
+    }
+    // Disjoint and sorted by f, the forward zones are sorted by s too, so
+    // the last one that starts before a backward zone reaches furthest.
+    backward.iter().all(|&(s, f)| {
+        let before = forward.partition_point(|&(f_d, _)| f_d < Some(s));
+        before == 0 || Some(f) >= forward[before - 1].1
+    })
 }
 
 /// Check a whole trace: each key's successful ops form one register
-/// history. Reads that returned multiple siblings fail the check (a
+/// history, and keys are judged in ascending order, the first failing
+/// key reported. Reads that returned multiple siblings fail the check (a
 /// register has one value); protocols exposing siblings are not
 /// linearizable by construction.
 pub fn check_trace_linearizable(trace: &OpTrace) -> Result<(), LinCheckError> {
-    let mut keys: Vec<u64> = trace.successful().map(|r| r.key).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    for key in keys {
-        let mut history = Vec::new();
-        let mut multivalue = false;
-        for r in trace.successful().filter(|r| r.key == key) {
-            let op = match r.kind {
-                OpKind::Write => RegOp::Write(r.value_written.expect("write has a value")),
-                OpKind::Read => {
-                    if r.value_read.len() > 1 {
-                        multivalue = true;
-                    }
-                    RegOp::Read(r.value_read.first().copied())
-                }
-            };
-            history.push(Interval {
-                invoke: r.invoked.as_micros(),
-                ret: r.completed.as_micros(),
-                op,
-            });
-        }
-        if multivalue {
-            return Err(LinCheckError::NotLinearizable { key });
-        }
-        if history.len() > 126 {
-            return Err(LinCheckError::HistoryTooLarge { key, ops: history.len() });
-        }
-        match check_linearizable_register_bounded(&history, DEFAULT_SEARCH_BUDGET) {
-            Some(true) => {}
-            Some(false) => return Err(LinCheckError::NotLinearizable { key }),
-            None => return Err(LinCheckError::SearchBudgetExceeded { key }),
-        }
+    // Per key: whether a read returned siblings, and the history.
+    let mut keys: BTreeMap<u64, (bool, Vec<Interval>)> = BTreeMap::new();
+    for r in trace.successful() {
+        let (multivalue, history) = keys.entry(r.key).or_default();
+        let op = match r.kind {
+            OpKind::Write => RegOp::Write(r.value_written.expect("write has a value")),
+            OpKind::Read => {
+                *multivalue |= r.value_read.len() > 1;
+                RegOp::Read(r.value_read.first().copied())
+            }
+        };
+        history.push(Interval { invoke: r.invoked.as_micros(), ret: r.completed.as_micros(), op });
     }
-    Ok(())
+    match keys
+        .iter()
+        .find(|(_, (multivalue, history))| *multivalue || !check_linearizable_register(history))
+    {
+        Some((&key, _)) => Err(LinCheckError::NotLinearizable { key }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::{NodeId, OpRecord, SimTime};
 
     fn w(invoke: u64, ret: u64, v: u64) -> Interval {
         Interval { invoke, ret, op: RegOp::Write(v) }
@@ -185,11 +170,22 @@ mod tests {
         Interval { invoke, ret, op: RegOp::Read(v) }
     }
 
-    /// The verdict under the default budget, which these histories never
-    /// exhaust.
-    fn check_linearizable_register(history: &[Interval]) -> bool {
-        check_linearizable_register_bounded(history, DEFAULT_SEARCH_BUDGET)
-            .expect("linearizability search budget exceeded")
+    /// A successful op of session 1 on `key`.
+    fn record(key: u64, kind: OpKind, val: u64, inv: u64, comp: u64, read: Vec<u64>) -> OpRecord {
+        OpRecord {
+            session: 1,
+            op_id: inv,
+            key,
+            kind,
+            value_written: (kind == OpKind::Write).then_some(val),
+            value_read: read,
+            invoked: SimTime::from_micros(inv),
+            completed: SimTime::from_micros(comp),
+            replica: NodeId(0),
+            ok: true,
+            version_ts: None,
+            stamp: None,
+        }
     }
 
     #[test]
@@ -307,67 +303,54 @@ mod tests {
     }
 
     #[test]
-    fn bounded_search_exhausts_budget_to_none() {
-        // A pile of fully-concurrent writes forces exponential search;
-        // with a tiny budget the checker must give up, not lie.
-        let h: Vec<Interval> = (0..20).map(|i| w(0, 1000, i)).collect();
-        assert_eq!(check_linearizable_register_bounded(&h, 5), None);
-        // Zero budget gives up immediately on any non-empty history...
-        assert_eq!(check_linearizable_register_bounded(&[w(0, 1, 1)], 0), None);
-        // ...but the empty history needs no search at all.
-        assert_eq!(check_linearizable_register_bounded(&[], 0), Some(true));
-    }
-
-    #[test]
-    fn oversized_history_is_rejected_not_searched() {
-        use simnet::{NodeId, OpRecord, SimTime};
-        let mut t = OpTrace::new();
-        for i in 0..127u64 {
-            t.push(OpRecord {
-                session: 1,
-                op_id: i,
-                key: 9,
-                kind: OpKind::Write,
-                value_written: Some(i),
-                value_read: vec![],
-                invoked: SimTime::from_micros(i * 10),
-                completed: SimTime::from_micros(i * 10 + 5),
-                replica: NodeId(0),
-                ok: true,
-                version_ts: None,
-                stamp: None,
-            });
-        }
+    fn long_sequential_history_is_judged() {
+        // 10 000 ops on one key, each write read back before the next.
+        let mut records: Vec<OpRecord> = (0..5_000u64)
+            .flat_map(|i| {
+                let t = i * 40;
+                [
+                    record(9, OpKind::Write, i, t, t + 10, vec![]),
+                    record(9, OpKind::Read, 0, t + 20, t + 30, vec![i]),
+                ]
+            })
+            .collect();
+        let trace = |records: &[OpRecord]| {
+            let mut t = OpTrace::new();
+            records.iter().cloned().for_each(|r| t.push(r));
+            t
+        };
+        assert_eq!(check_trace_linearizable(&trace(&records)), Ok(()));
+        // The last read returns the first write: stale.
+        records[9_999].value_read = vec![0];
         assert_eq!(
-            check_trace_linearizable(&t),
-            Err(LinCheckError::HistoryTooLarge { key: 9, ops: 127 })
+            check_trace_linearizable(&trace(&records)),
+            Err(LinCheckError::NotLinearizable { key: 9 })
         );
     }
 
     #[test]
+    fn many_concurrent_writes_admit_any_final_value() {
+        // 20 writes over one interval, then a read: any of the 20 values
+        // may be the last write, but nothing else may be read.
+        let mut h: Vec<Interval> = (0..20).map(|i| w(0, 1_000, i)).collect();
+        for v in [0, 7, 19] {
+            h.push(r(2_000, 2_010, Some(v)));
+            assert!(check_linearizable_register(&h), "read of {v} must linearize");
+            h.pop();
+        }
+        h.push(r(2_000, 2_010, Some(20)));
+        assert!(!check_linearizable_register(&h));
+    }
+
+    #[test]
     fn trace_level_check_partitions_by_key() {
-        use simnet::{NodeId, OpRecord, SimTime};
         let mut t = OpTrace::new();
-        let mk = |key: u64, kind: OpKind, val: u64, inv: u64, comp: u64, read: Vec<u64>| OpRecord {
-            session: 1,
-            op_id: inv,
-            key,
-            kind,
-            value_written: (kind == OpKind::Write).then_some(val),
-            value_read: read,
-            invoked: SimTime::from_micros(inv),
-            completed: SimTime::from_micros(comp),
-            replica: NodeId(0),
-            ok: true,
-            version_ts: None,
-            stamp: None,
-        };
         // Key 1: fine. Key 2: stale read -> not linearizable.
-        t.push(mk(1, OpKind::Write, 11, 0, 10, vec![]));
-        t.push(mk(1, OpKind::Read, 0, 20, 30, vec![11]));
-        t.push(mk(2, OpKind::Write, 21, 0, 10, vec![]));
-        t.push(mk(2, OpKind::Write, 22, 20, 30, vec![]));
-        t.push(mk(2, OpKind::Read, 0, 40, 50, vec![21]));
+        t.push(record(1, OpKind::Write, 11, 0, 10, vec![]));
+        t.push(record(1, OpKind::Read, 0, 20, 30, vec![11]));
+        t.push(record(2, OpKind::Write, 21, 0, 10, vec![]));
+        t.push(record(2, OpKind::Write, 22, 20, 30, vec![]));
+        t.push(record(2, OpKind::Read, 0, 40, 50, vec![21]));
         assert_eq!(check_trace_linearizable(&t), Err(LinCheckError::NotLinearizable { key: 2 }));
     }
 }

@@ -57,9 +57,6 @@ fn paxos_is_linearizable() {
 #[test]
 fn paxos_under_loss_is_still_linearizable() {
     use rethinking_ec::simnet::FaultSchedule;
-    // Uniform keys keep per-key histories small: loss-induced retries
-    // create long overlapping intervals, and the Wing&Gong search is
-    // exponential in the overlap depth.
     let workload =
         WorkloadSpec { keys: 48, distribution: KeyDistribution::Uniform, ..contended_workload() };
     let res = Experiment::new(Scheme::Paxos { nodes: 3 })
