@@ -9,7 +9,7 @@
 //! mirror image of latency. Multi-seed runs (`--seeds N`) report seed
 //! means with a 95% CI on write p99.
 
-use bench::{f1, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use rec_core::metrics::{latency_summary, throughput_ops_per_sec};
 use rec_core::{Experiment, Grid, Scheme};
 use serde::Serialize;
@@ -59,7 +59,6 @@ fn main() {
     let cells = obs.run_grid(grid);
 
     let mut rows = Vec::new();
-    let mut p99s: Vec<SeedStat> = Vec::new();
     for seeds in cells.chunks(obs.seeds as usize) {
         let lats: Vec<_> = seeds.iter().map(|c| latency_summary(&c.result.trace)).collect();
         let col = |f: &dyn Fn(usize) -> f64| seed_stat(&(0..lats.len()).map(f).collect::<Vec<_>>());
@@ -73,25 +72,6 @@ fn main() {
             availability: col(&|i| seeds[i].result.trace.success_rate()).mean,
             seeds: obs.seeds,
         });
-        p99s.push(p99);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&p99s)
-        .map(|(x, p99)| {
-            vec![
-                x.scheme.clone(),
-                f1(x.write_p50_ms),
-                pm(*p99, f1),
-                f1(x.ops_per_sec),
-                format!("{:.3}", x.availability),
-            ]
-        })
-        .collect();
-    print_table(
-        "E10: cost of synchrony (write-only, LAN, 8 closed-loop clients)",
-        &["scheme", "write p50", "write p99", "ops/s", "avail"],
-        &table,
-    );
     obs.save("e10_sync_cost", &rows);
 }

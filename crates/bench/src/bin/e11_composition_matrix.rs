@@ -18,7 +18,7 @@
 //! (durability), and the checker verdicts (resolution): stale reads,
 //! read-your-writes, and value-monotonic reads.
 
-use bench::{f1, f3, print_table, seed_mean, Obs};
+use bench::{seed_mean, Obs};
 use consistency::{check_monotonic_values, check_session_guarantees, measure_staleness};
 use rec_core::metrics::latency_summary;
 use rec_core::{Experiment, Grid, Scheme};
@@ -123,24 +123,5 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.composition.clone(),
-                f1(r.read_p99_ms),
-                f1(r.write_p99_ms),
-                f3(r.availability),
-                r.stale_reads.map(f1).unwrap_or_else(|| "-".to_string()),
-                r.ryw_violations.map(f1).unwrap_or_else(|| "-".to_string()),
-                r.mr_value_violations.map(f1).unwrap_or_else(|| "-".to_string()),
-            ]
-        })
-        .collect();
-    print_table(
-        "E11: kernel composition matrix under nemesis (amnesia + partition)",
-        &["composition", "read p99", "write p99", "avail", "stale", "ryw-viol", "mr-viol"],
-        &table,
-    );
     obs.save("e11_composition_matrix", &rows);
 }

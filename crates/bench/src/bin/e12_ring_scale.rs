@@ -22,7 +22,7 @@
 //! Like every grid, the run is a pure function of (config, seeds) and
 //! byte-identical across `--jobs` levels.
 
-use bench::{f1, f3, print_table, seed_mean, Obs};
+use bench::{seed_mean, Obs};
 use consistency::{check_owner_convergence, measure_staleness};
 use rec_core::scheme::ChurnPlan;
 use rec_core::{Experiment, Grid, Scheme};
@@ -168,36 +168,5 @@ fn main() {
         });
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.nodes.to_string(),
-                r.churn_events.to_string(),
-                f3(r.availability),
-                f1(r.stale_reads),
-                f1(r.hints_stored),
-                f1(r.hints_drained),
-                f1(r.rebalanced_keys),
-                f1(r.owner_diverged_keys),
-                format!("{}/{}", r.ring_max_keys_per_node, f1(r.ring_mean_keys_per_node)),
-            ]
-        })
-        .collect();
-    print_table(
-        "E12: ring-sharded sloppy quorum vs cluster size and churn (100k-key domain)",
-        &[
-            "nodes",
-            "churn",
-            "avail",
-            "stale",
-            "hints",
-            "drained",
-            "rebalanced",
-            "diverged",
-            "max/mean keys",
-        ],
-        &table,
-    );
     obs.save("e12_ring_scale", &rows);
 }

@@ -8,7 +8,7 @@
 //! pulls staleness down. With `--seeds N` each configuration runs at N
 //! seeds in parallel and the table reports mean ± 95% CI.
 
-use bench::{f3, pct, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use consistency::measure_staleness;
 use rec_core::scheme::ClientPlacement;
 use rec_core::{Experiment, Grid, Scheme};
@@ -72,7 +72,6 @@ fn main() {
     let cells = obs.run_grid(grid);
 
     let mut rows = Vec::new();
-    let mut stales: Vec<SeedStat> = Vec::new();
     for (&(n, r, w, read_repair), seeds) in configs.iter().zip(cells.chunks(obs.seeds as usize)) {
         let reports: Vec<_> = seeds.iter().map(|c| measure_staleness(&c.result.trace)).collect();
         let p_stale = seed_stat(&reports.iter().map(|s| s.p_stale()).collect::<Vec<_>>());
@@ -92,30 +91,7 @@ fn main() {
             reads: reports.iter().map(|s| s.fresh_reads + s.stale_reads).sum(),
             seeds: obs.seeds,
         });
-        stales.push(p_stale);
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&stales)
-        .map(|(x, st)| {
-            vec![
-                x.n.to_string(),
-                x.r.to_string(),
-                x.w.to_string(),
-                if x.read_repair { "yes" } else { "no" }.into(),
-                if x.intersecting { "yes" } else { "no" }.into(),
-                pm(*st, pct),
-                f3(x.mean_k),
-                pct(x.p_t_gt_10ms),
-                x.reads.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "E1: staleness of partial quorums (PBS)",
-        &["N", "R", "W", "repair", "R+W>N", "P(stale)", "mean k", "P(t>10ms)", "reads"],
-        &table,
-    );
     obs.save("e1_quorum_staleness", &rows);
 }

@@ -8,7 +8,7 @@
 //! round trip on *every* op (reads go through the log). Multi-seed runs
 //! (`--seeds N`) report seed means with a 95% CI on read p99.
 
-use bench::{f1, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use rec_core::metrics::latency_summary;
 use rec_core::{Experiment, Grid, Scheme};
 use serde::Serialize;
@@ -61,7 +61,6 @@ fn main() {
     let cells = obs.run_grid(grid);
 
     let mut rows = Vec::new();
-    let mut p99s: Vec<SeedStat> = Vec::new();
     for seeds in cells.chunks(obs.seeds as usize) {
         let lats: Vec<_> = seeds.iter().map(|c| latency_summary(&c.result.trace)).collect();
         let col = |f: &dyn Fn(usize) -> f64| seed_stat(&(0..lats.len()).map(f).collect::<Vec<_>>());
@@ -76,26 +75,6 @@ fn main() {
             availability: col(&|i| seeds[i].result.trace.success_rate()).mean,
             seeds: obs.seeds,
         });
-        p99s.push(read_p99);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&p99s)
-        .map(|(x, p99)| {
-            vec![
-                x.scheme.clone(),
-                f1(x.read_p50_ms),
-                pm(*p99, f1),
-                f1(x.write_p50_ms),
-                f1(x.write_p99_ms),
-                format!("{:.3}", x.availability),
-            ]
-        })
-        .collect();
-    print_table(
-        "E2: latency across the consistency spectrum (5-region geo)",
-        &["scheme", "read p50", "read p99", "write p50", "write p99", "avail"],
-        &table,
-    );
     obs.save("e2_latency_spectrum", &rows);
 }

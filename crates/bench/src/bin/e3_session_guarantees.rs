@@ -8,7 +8,7 @@
 //! nothing measurable for MW/WFR (Lamport piggyback is free). Multi-seed
 //! runs (`--seeds N`) report mean rates with a 95% CI on RYW.
 
-use bench::{f1, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use consistency::check_session_guarantees;
 use rec_core::metrics::latency_summary;
 use rec_core::scheme::ClientPlacement;
@@ -80,7 +80,6 @@ fn main() {
     let cells = obs.run_grid(grid);
 
     let mut rows = Vec::new();
-    let mut ryws: Vec<SeedStat> = Vec::new();
     for (&(label, _, gossip_ms), seeds) in configs.iter().zip(cells.chunks(obs.seeds as usize)) {
         let reps: Vec<_> =
             seeds.iter().map(|c| check_session_guarantees(&c.result.trace)).collect();
@@ -99,29 +98,7 @@ fn main() {
             read_p99_ms: stat(lats.iter().map(|l| l.reads.p99).collect()).mean,
             seeds: obs.seeds,
         });
-        ryws.push(ryw_rate);
     }
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&ryws)
-        .map(|(x, ryw)| {
-            vec![
-                x.config.clone(),
-                x.gossip_ms.to_string(),
-                pm(*ryw, bench::pct),
-                bench::pct(x.mr_rate),
-                bench::pct(x.mw_rate),
-                bench::pct(x.wfr_rate),
-                f1(x.read_p50_ms),
-                f1(x.read_p99_ms),
-            ]
-        })
-        .collect();
-    print_table(
-        "E3: session-guarantee violations and enforcement cost",
-        &["config", "gossip", "RYW", "MR", "MW", "WFR", "read p50", "read p99"],
-        &table,
-    );
     obs.save("e3_session_guarantees", &rows);
 }

@@ -10,7 +10,7 @@
 //! plotted timeline stays the base seed's (window boundaries are
 //! seed-dependent).
 
-use bench::{pct, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use rec_core::metrics::availability_timeline;
 use rec_core::scheme::ClientPlacement;
 use rec_core::{Experiment, Grid, Scheme};
@@ -95,7 +95,6 @@ fn main() {
     let cells = obs.run_grid(grid);
 
     let mut series = Vec::new();
-    let mut stats: Vec<(SeedStat, SeedStat)> = Vec::new();
     for seeds in cells.chunks(obs.seeds as usize) {
         let during_of = |cell: &rec_core::CellResult| -> f64 {
             let timeline = availability_timeline(&cell.result.trace, Duration::from_secs(1));
@@ -122,19 +121,9 @@ fn main() {
             during_partition_ci95: during.ci95,
             seeds: obs.seeds,
         });
-        stats.push((overall, during));
     }
 
-    let table: Vec<Vec<String>> = series
-        .iter()
-        .zip(&stats)
-        .map(|(s, (ov, du))| vec![s.scheme.clone(), pm(*ov, pct), pm(*du, pct)])
-        .collect();
-    print_table(
-        "E4: availability under a 5s partition (replica 0 + its clients cut off)",
-        &["scheme", "overall", "during partition"],
-        &table,
-    );
+    obs.save("e4_partition_availability", &series);
     println!("\nper-second availability during the run (base seed):");
     for s in &series {
         let line: Vec<String> = s
@@ -144,5 +133,4 @@ fn main() {
             .collect();
         println!("{:>28}  {}", s.scheme, line.join(" "));
     }
-    obs.save("e4_partition_availability", &series);
 }

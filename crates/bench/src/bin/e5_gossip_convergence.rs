@@ -8,7 +8,7 @@
 //! shrinks with fanout (epidemic dissemination), with diminishing returns
 //! beyond fanout 2–3.
 
-use bench::{f1, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use obs::Recorder;
 use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
@@ -142,7 +142,6 @@ fn main() {
     });
 
     let mut rows = Vec::new();
-    let mut means: Vec<SeedStat> = Vec::new();
     for (&(replicas, fanout), cells) in params.iter().zip(&results) {
         let mean = seed_stat(&cells.iter().map(|c| c.mean_convergence_ms).collect::<Vec<_>>());
         rows.push(Row {
@@ -155,26 +154,6 @@ fn main() {
             unconverged: cells.iter().map(|c| c.unconverged).sum(),
             seeds: obs.seeds,
         });
-        means.push(mean);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&means)
-        .map(|(x, mean)| {
-            vec![
-                x.replicas.to_string(),
-                x.fanout.to_string(),
-                x.gossip_interval_ms.to_string(),
-                pm(*mean, f1),
-                f1(x.max_convergence_ms),
-                x.unconverged.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "E5: anti-entropy convergence (gossip-only, 50ms rounds)",
-        &["replicas", "fanout", "interval", "mean ms", "max ms", "unconverged"],
-        &table,
-    );
     obs.save("e5_gossip_convergence", &rows);
 }

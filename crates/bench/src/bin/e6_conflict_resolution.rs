@@ -1,18 +1,19 @@
 //! E6 (Table): concurrent-update loss — LWW read-modify-write vs. CRDT
 //! counters.
 //!
-//! `sessions` clients each apply `increments` increments of +1 to one
-//! shared counter key at their local replica of an eventual store.
+//! `writers` clients each apply `INCREMENTS` increments to one shared
+//! counter key at their local replica of an eventual store.
 //!
 //! * **LWW mode**: the increment is a read-modify-write; concurrent RMWs
-//!   overwrite each other and increments vanish.
-//! * **Counter (CRDT) mode**: writes are PN-counter increments merged as
-//!   a semilattice; nothing is ever lost.
+//!   overwrite each other and increments vanish. A row counts writes.
+//! * **Counter (CRDT) mode**: each write adds its unique write id to a
+//!   PN-counter merged as a semilattice; nothing is ever lost. A row
+//!   counts sums of write ids.
 //!
 //! Expected shape: LWW loses more as concurrency rises (tens of percent
 //! with several writers); the CRDT loses exactly zero at every level.
 
-use bench::{pct, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use obs::Recorder;
 use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
@@ -28,7 +29,8 @@ struct Row {
     writers: usize,
     increments_each: u64,
     expected: i64,
-    /// Mean surviving increments across seeds.
+    /// Mean across seeds of the LWW chain length, or of the CRDT
+    /// counter's value (a sum of write ids, like `expected`).
     observed: f64,
     lost: f64,
     loss_rate: f64,
@@ -43,23 +45,14 @@ struct Cell {
     observed: i64,
 }
 
-/// Run the LWW read-modify-write variant: each client alternates
-/// read(counter) / write(counter) — the write is "value+1" only
-/// conceptually; with unique write ids we count *surviving writes*
-/// instead: expected survivors == total writes is impossible under LWW on
-/// one register, so we measure lost increments by having each client do
-/// local RMW cycles and checking how many of the final reads chain back.
-///
-/// Concretely: every client performs `k` write ops; after quiescence the
-/// register holds exactly one winner. Each *overwritten-without-being-
-/// observed* write is a lost update. We approximate the paper's metric by
-/// counting committed increments as "observed by the final value's causal
-/// chain": with LWW there is no chain, so survivors = 1 per concurrent
-/// batch. To keep the measurement honest and simple, the LWW row counts
-/// `lost = total_writes - distinct_values_ever_read_by_anyone_last`,
-/// which for a single register equals `total_writes - 1` under full
-/// concurrency and less under serialization. The CRDT row measures the
-/// true counter value.
+/// The LWW read-modify-write variant. Each client runs `increments`
+/// cycles of read(counter) then write(counter); a write stores the
+/// client's unique write id, and stands for "the value read, plus one".
+/// `expected` is the number of writes. `observed` is the length of the
+/// final read-modify-write chain: start at the write with the highest
+/// stamp, step to the write whose value its session read just before
+/// it, and repeat until a read saw no write. Every write off that chain
+/// is a lost increment.
 fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
     let trace = optrace::shared_trace();
     let replicas = writers.clamp(2, 4);
@@ -148,11 +141,10 @@ fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell 
     for _ in 0..replicas {
         sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
-    // In counter mode a "write" increments by the value field; to add +1
-    // per op we cannot use the unique-value convention, so clients write
-    // and we count ops: expected = writers * increments, and the counter
-    // accumulates unique ids — instead we make each increment +value and
-    // compute expected as the sum of unique ids written.
+    // In counter mode a write adds its value to the counter, and each
+    // write's value is its unique write id, not 1. So `expected` is the
+    // sum of every write id written and `observed` is the counter a late
+    // reader sees: sums of write ids, not increment counts.
     let mut expected: i64 = 0;
     for wtr in 0..writers {
         let script: Vec<ScriptOp> = (0..increments)
@@ -209,7 +201,6 @@ fn main() {
     });
 
     let mut rows = Vec::new();
-    let mut losses: Vec<SeedStat> = Vec::new();
     for (&(_, writers), cells) in params.iter().zip(&results) {
         let expected = cells[0].expected;
         let loss = seed_stat(
@@ -230,27 +221,6 @@ fn main() {
             loss_rate_ci95: loss.ci95,
             seeds: obs.seeds,
         });
-        losses.push(loss);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&losses)
-        .map(|(x, loss)| {
-            vec![
-                x.mode.clone(),
-                x.writers.to_string(),
-                x.increments_each.to_string(),
-                x.expected.to_string(),
-                format!("{:.1}", x.observed),
-                format!("{:.1}", x.lost),
-                pm(*loss, pct),
-            ]
-        })
-        .collect();
-    print_table(
-        "E6: lost updates — LWW read-modify-write vs CRDT counter",
-        &["mode", "writers", "incr each", "expected", "observed", "lost", "loss"],
-        &table,
-    );
     obs.save("e6_conflict_resolution", &rows);
 }

@@ -8,7 +8,7 @@
 //! it goes local when the lag permits and pays the WAN only when
 //! consistency demands it — reproducing Pileus's headline result.
 
-use bench::{f3, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use serde::Serialize;
 use simnet::{Duration, NodeId, SimRng, SimTime};
 use sla::{choose, delivered_utility, Consistency, Monitor, SessionState, Sla};
@@ -153,7 +153,6 @@ fn main() {
         obs.sweep(&params, 31, |&(pi, _, fixed), seed, _rec| run(&portfolios[pi].1, fixed, seed));
 
     let mut rows = Vec::new();
-    let mut utils: Vec<SeedStat> = Vec::new();
     for (&(pi, strategy, _), cells) in params.iter().zip(&results) {
         let util = seed_stat(&cells.iter().map(|c| c.mean_utility).collect::<Vec<_>>());
         rows.push(Row {
@@ -171,25 +170,6 @@ fn main() {
             .mean,
             seeds: obs.seeds,
         });
-        utils.push(util);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&utils)
-        .map(|(x, util)| {
-            vec![
-                x.portfolio.clone(),
-                x.strategy.clone(),
-                pm(*util, f3),
-                f3(x.primary_fraction),
-                format!("{:.1}", x.mean_latency_ms),
-            ]
-        })
-        .collect();
-    print_table(
-        "E7: delivered utility of consistency SLAs (Pileus)",
-        &["portfolio", "strategy", "mean utility", "primary frac", "mean lat ms"],
-        &table,
-    );
     obs.save("e7_sla_utility", &rows);
 }

@@ -8,7 +8,7 @@
 //! with skew; cross-group txns pay ~2x latency (prepare+decide) and the
 //! registrar adds another round trip; single-group aborts stay cheapest.
 
-use bench::{f1, pct, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use obs::Recorder;
 use serde::Serialize;
 use simnet::{Duration, LatencyModel, Sim, SimConfig, SimRng, SimTime};
@@ -131,7 +131,6 @@ fn main() {
     });
 
     let mut rows = Vec::new();
-    let mut aborts: Vec<SeedStat> = Vec::new();
     for (&(cross_group, registrar, theta), cells) in params.iter().zip(&results) {
         let span = match (cross_group, registrar) {
             (false, _) => "1 group".to_string(),
@@ -152,27 +151,6 @@ fn main() {
                 .mean,
             seeds: obs.seeds,
         });
-        aborts.push(abort);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&aborts)
-        .map(|(x, abort)| {
-            vec![
-                x.span.clone(),
-                format!("{:.2}", x.theta),
-                x.clients.to_string(),
-                x.committed.to_string(),
-                (x.aborted + x.timed_out).to_string(),
-                pm(*abort, pct),
-                f1(x.mean_commit_ms),
-            ]
-        })
-        .collect();
-    print_table(
-        "E8: entity-group transactions — contention and group span",
-        &["span", "theta", "clients", "committed", "aborted", "abort rate", "commit ms"],
-        &table,
-    );
     obs.save("e8_entity_groups", &rows);
 }

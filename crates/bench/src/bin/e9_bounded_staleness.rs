@@ -9,7 +9,7 @@
 //! with lag << B nothing is rejected. Multi-seed runs (`--seeds N`)
 //! report seed means with a 95% CI on P(stale).
 
-use bench::{pct, pm, print_table, seed_stat, Obs, SeedStat};
+use bench::{seed_stat, Obs};
 use consistency::measure_staleness;
 use rec_core::{Experiment, Grid, Scheme};
 use serde::Serialize;
@@ -61,7 +61,6 @@ fn main() {
     let cells = obs.run_grid(grid);
 
     let mut rows = Vec::new();
-    let mut stales: Vec<SeedStat> = Vec::new();
     for (&ship_ms, seeds) in ships.iter().zip(cells.chunks(obs.seeds as usize)) {
         let sts: Vec<_> = seeds.iter().map(|c| measure_staleness(&c.result.trace)).collect();
         let stat = |f: &dyn Fn(usize) -> f64| seed_stat(&(0..sts.len()).map(f).collect::<Vec<_>>());
@@ -85,27 +84,6 @@ fn main() {
             p_gt_250: stat(&|i| sts[i].p_staler_than(250.0)).mean,
             seeds: obs.seeds,
         });
-        stales.push(p_stale);
     }
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .zip(&stales)
-        .map(|(x, stale)| {
-            vec![
-                x.ship_ms.to_string(),
-                pm(*stale, pct),
-                format!("{:.1}", x.mean_t_ms),
-                pct(x.p_gt_25),
-                pct(x.p_gt_50),
-                pct(x.p_gt_100),
-                pct(x.p_gt_250),
-            ]
-        })
-        .collect();
-    print_table(
-        "E9: staleness vs replication lag (async primary-copy, backup reads)",
-        &["lag ms", "P(stale)", "mean t ms", "P(t>25)", "P(t>50)", "P(t>100)", "P(t>250)"],
-        &table,
-    );
     obs.save("e9_bounded_staleness", &rows);
 }

@@ -15,7 +15,8 @@
 //!
 //! Flags: `--smoke` (a tenth of the ops per session), `--jobs <n>`.
 
-use bench::{parse_positive, print_table, reject_args, results_dir, save_json, take_value};
+use bench::table::HOT_HANDLERS;
+use bench::{fail, parse_positive, reject_args, results_dir, save_json, take_value, write_or_exit};
 use obs::{FoldWeight, Recorder};
 use rec_core::fuzz::{fuzz_workload, generate_case, FuzzScheme, FUZZ_HORIZON_MS};
 use rec_core::grid::Grid;
@@ -28,6 +29,15 @@ use simnet::{LatencyModel, SimTime};
 const SCHEMA_VERSION: u64 = 1;
 
 const USAGE: &str = "[--smoke] [--jobs N]";
+
+/// One handler's line in the hot-handlers table.
+#[derive(Serialize)]
+struct Hot {
+    frame: String,
+    calls: u64,
+    alloc_bytes: u64,
+    alloc_count: u64,
+}
 
 fn main() {
     let mut smoke = false;
@@ -71,24 +81,21 @@ fn main() {
     let report = agg.report();
     let profile = report.profile.as_ref().expect("profiled grid produces a profile");
 
-    let mut hot: Vec<(String, u64, u64, u64)> = profile
+    let mut hot: Vec<Hot> = profile
         .schemes
         .iter()
         .flat_map(|s| {
-            s.handlers.iter().map(|h| {
-                (format!("{};{}", s.scheme, h.frame()), h.invocations, h.alloc_bytes, h.alloc_count)
+            s.handlers.iter().map(|h| Hot {
+                frame: format!("{};{}", s.scheme, h.frame()),
+                calls: h.invocations,
+                alloc_bytes: h.alloc_bytes,
+                alloc_count: h.alloc_count,
             })
         })
         .collect();
-    hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    let rows: Vec<Vec<String>> = hot
-        .iter()
-        .take(10)
-        .map(|(frame, calls, bytes, count)| {
-            vec![frame.clone(), calls.to_string(), bytes.to_string(), count.to_string()]
-        })
-        .collect();
-    print_table("hot handlers (by calls)", &["frame", "calls", "alloc_bytes", "allocs"], &rows);
+    hot.sort_by(|a, b| b.calls.cmp(&a.calls).then_with(|| a.frame.cmp(&b.frame)));
+    hot.truncate(10);
+    print!("{}", HOT_HANDLERS.text(&hot.to_value()).unwrap_or_else(|e| fail(&e)));
 
     let doc = serde::Value::Object(vec![
         ("schema_version".to_string(), serde::Value::U64(SCHEMA_VERSION)),
@@ -101,11 +108,6 @@ fn main() {
     ]);
     save_json("profile_protos", &doc);
     let path = results_dir().join("profile_protos.folded");
-    match std::fs::write(&path, profile.to_folded(FoldWeight::Calls)) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => {
-            eprintln!("profile_protos: cannot write {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    }
+    write_or_exit(&path, profile.to_folded(FoldWeight::Calls));
+    println!("[saved {}]", path.display());
 }

@@ -1,19 +1,23 @@
-//! Shared plumbing for the experiment harnesses (E1–E10).
+//! Shared plumbing for the experiment harnesses (E1–E12).
 //!
 //! Each `src/bin/e*_*.rs` binary regenerates one table or figure from
 //! `EXPERIMENTS.md`: it builds a grid of config variants, runs every
-//! variant at `--seeds N` seeds on `--jobs N` workers, prints the
-//! seed-aggregated rows to stdout, and drops a machine-readable copy
-//! under `results/<name>.json` so the recorded numbers are diffable
-//! across runs. Results are byte-identical for any `--jobs` value; see
-//! `EXPERIMENTS.md` ("Parallel grid execution") for the contract.
+//! variant at `--seeds N` seeds on `--jobs N` workers, and saves the
+//! seed-aggregated rows as `results/<name>.json` so the recorded numbers
+//! are diffable across runs. Saving also prints the rows as the table
+//! [`table`] declares for `<name>`, with the renderer that generates
+//! EXPERIMENTS.md's tables. Results are byte-identical for any `--jobs`
+//! value; see `EXPERIMENTS.md` ("Parallel grid execution") for the
+//! contract.
 
 use obs::Recorder;
 use rec_core::{default_jobs, par_map, CellResult, Grid};
 use serde::Serialize;
 use std::cell::RefCell;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+pub mod table;
 
 /// Count heap traffic so `--profile` can attribute allocations to
 /// handlers (see `docs/PROFILING.md`). The counting wrapper is two
@@ -188,10 +192,7 @@ impl Obs {
         };
         if self.trace_out.is_some() {
             let jsonl = cell.export_jsonl();
-            let path = self.per_cell_trace_path(idx);
-            if let Err(e) = fs::write(&path, &jsonl) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
+            write_or_exit(&self.per_cell_trace_path(idx), &jsonl);
             self.trace_chunks.borrow_mut().push(jsonl);
         }
     }
@@ -208,21 +209,24 @@ impl Obs {
         base.with_file_name(name)
     }
 
-    /// Save `results/<name>.json` as `{"rows": ..., "metrics": ...}` and
-    /// write the JSONL event trace(s) if `--trace-out` was given (the
-    /// concatenation of all per-cell logs, in grid order). With
+    /// Print `rows` as the table [`table::published`] declares for
+    /// `name`, save `results/<name>.json` as `{"rows": ..., "metrics":
+    /// ...}`, and write the JSONL event trace if `--trace-out` was given
+    /// (the concatenation of all per-cell logs, in grid order). With
     /// `--profile`, a flamegraph stack file lands beside the JSON as
     /// `results/<name>.folded` (call-count weighted, so the checked-in
-    /// file is deterministic; see `docs/PROFILING.md`).
+    /// file is deterministic; see `docs/PROFILING.md`). A row the table
+    /// cannot render, or a file that cannot be written, exits 1.
     pub fn save<T: Serialize>(&self, name: &str, rows: &T) {
+        let rows = rows.to_value();
+        let table = table::published(name)
+            .unwrap_or_else(|| fail(&format!("no table is declared for `{name}`")));
+        print!("{}", table.text(&rows).unwrap_or_else(|e| fail(&e)));
         let report = self.recorder.report();
         if let Some(profile) = &report.profile {
-            let folded = profile.to_folded(obs::FoldWeight::Calls);
             let path = results_dir().join(format!("{name}.folded"));
-            match fs::write(&path, folded) {
-                Ok(()) => println!("[saved {}]", path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
+            write_or_exit(&path, profile.to_folded(obs::FoldWeight::Calls));
+            println!("[saved {}]", path.display());
         }
         let mut metrics = report.to_value();
         if self.summary_only {
@@ -230,18 +234,14 @@ impl Obs {
             strip_profile(&mut metrics);
         }
         let doc = serde::Value::Object(vec![
-            ("rows".to_string(), rows.to_value()),
+            ("rows".to_string(), rows),
             ("metrics".to_string(), metrics),
         ]);
         save_json(name, &doc);
         if let Some(path) = &self.trace_out {
             let cells = self.trace_chunks.borrow();
-            match fs::write(path, cells.concat()) {
-                Ok(()) => {
-                    println!("[trace saved to {} (+{} cell files)]", path.display(), cells.len())
-                }
-                Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-            }
+            write_or_exit(path, cells.concat());
+            println!("[trace saved to {} (+{} cell files)]", path.display(), cells.len());
         }
     }
 }
@@ -276,22 +276,40 @@ pub fn reject_args(rest: &[String], usage: &str) {
 
 /// Print `<bin>: <problem>; usage: <bin> <usage>` to stderr and exit 2.
 pub fn usage_exit(problem: &str, usage: &str) -> ! {
-    let exe = std::env::args().next().unwrap_or_default();
-    let bin = std::path::Path::new(&exe).file_name().and_then(|n| n.to_str()).unwrap_or("bench");
+    let bin = bin_name();
     eprintln!("{bin}: {problem}; usage: {bin} {usage}");
     std::process::exit(2)
 }
 
+/// Print `<bin>: <problem>` to stderr and exit 1: a harness that cannot
+/// produce its output fails rather than exit 0 with a warning.
+pub fn fail(problem: &str) -> ! {
+    eprintln!("{}: {problem}", bin_name());
+    std::process::exit(1)
+}
+
+/// The running binary's file name, for messages.
+fn bin_name() -> String {
+    let exe = std::env::args().next().unwrap_or_default();
+    let name = Path::new(&exe).file_name().and_then(|n| n.to_str());
+    name.unwrap_or("bench").to_string()
+}
+
+/// Write `contents` to `path`, or exit 1 naming the path.
+pub fn write_or_exit(path: &Path, contents: impl AsRef<[u8]>) {
+    if let Err(e) = fs::write(path, contents) {
+        fail(&format!("cannot write {}: {e}", path.display()));
+    }
+}
+
 /// Mean and a 95% confidence half-width over per-seed measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeedStat {
     /// Sample mean.
     pub mean: f64,
     /// 95% CI half-width (normal approximation, `1.96·s/√n`; 0 when
     /// fewer than two samples).
     pub ci95: f64,
-    /// Number of seeds.
-    pub n: u64,
 }
 
 /// Aggregate per-seed values into a [`SeedStat`]. Summation runs in
@@ -299,7 +317,7 @@ pub struct SeedStat {
 pub fn seed_stat(values: &[f64]) -> SeedStat {
     let n = values.len();
     if n == 0 {
-        return SeedStat { mean: 0.0, ci95: 0.0, n: 0 };
+        return SeedStat { mean: 0.0, ci95: 0.0 };
     }
     let mean = values.iter().sum::<f64>() / n as f64;
     let ci95 = if n < 2 {
@@ -308,22 +326,12 @@ pub fn seed_stat(values: &[f64]) -> SeedStat {
         let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (n - 1) as f64;
         1.96 * (var / n as f64).sqrt()
     };
-    SeedStat { mean, ci95, n: n as u64 }
+    SeedStat { mean, ci95 }
 }
 
 /// Mean of per-seed values (seed-order summation, deterministic).
 pub fn seed_mean(values: &[f64]) -> f64 {
     seed_stat(values).mean
-}
-
-/// Format `mean ± ci95` for tables; the `±` part only appears with
-/// multiple seeds, so single-seed tables look exactly as before.
-pub fn pm(stat: SeedStat, fmt: impl Fn(f64) -> String) -> String {
-    if stat.n > 1 {
-        format!("{}±{}", fmt(stat.mean), fmt(stat.ci95))
-    } else {
-        fmt(stat.mean)
-    }
 }
 
 /// Remove the `timeseries` member from a serialized metrics object (the
@@ -341,32 +349,6 @@ pub fn strip_timeseries(metrics: &mut serde::Value) {
 pub fn strip_profile(metrics: &mut serde::Value) {
     if let serde::Value::Object(members) = metrics {
         members.retain(|(k, _)| k != "profile");
-    }
-}
-
-/// Print a fixed-width table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let fmt_row = |cells: &[String]| {
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    println!("{}", fmt_row(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>()));
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-    for row in rows {
-        println!("{}", fmt_row(row));
     }
 }
 
@@ -390,34 +372,13 @@ pub fn results_dir() -> PathBuf {
     fallback
 }
 
-/// Save a serializable result set as JSON.
+/// Save a serializable result set as `results/<name>.json`, or exit 1.
 pub fn save_json<T: Serialize>(name: &str, value: &T) {
     let path = results_dir().join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[saved {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
-
-/// Format a float with 3 decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
-}
-
-/// Format a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
-/// Format a percentage with 1 decimal.
-pub fn pct(x: f64) -> String {
-    format!("{:.1}%", x * 100.0)
+    let json = serde_json::to_string_pretty(value)
+        .unwrap_or_else(|e| fail(&format!("cannot serialize {name}: {e}")));
+    write_or_exit(&path, json);
+    println!("[saved {}]", path.display());
 }
 
 #[cfg(test)]
@@ -425,24 +386,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn formatting_helpers() {
-        assert_eq!(f3(1.23456), "1.235");
-        assert_eq!(f1(1.26), "1.3");
-        assert_eq!(pct(0.1234), "12.3%");
-    }
-
-    #[test]
     fn seed_stat_mean_and_ci() {
         let empty = seed_stat(&[]);
-        assert_eq!((empty.mean, empty.ci95, empty.n), (0.0, 0.0, 0));
+        assert_eq!((empty.mean, empty.ci95), (0.0, 0.0));
         let one = seed_stat(&[4.0]);
-        assert_eq!((one.mean, one.ci95, one.n), (4.0, 0.0, 1));
+        assert_eq!((one.mean, one.ci95), (4.0, 0.0));
         let s = seed_stat(&[1.0, 2.0, 3.0, 4.0]);
         assert!((s.mean - 2.5).abs() < 1e-12);
         // s² = 5/3, ci = 1.96·√(5/3/4) ≈ 1.2655
         assert!((s.ci95 - 1.2655).abs() < 1e-3, "ci {}", s.ci95);
-        assert_eq!(pm(s, f1), "2.5±1.3");
-        assert_eq!(pm(one, f1), "4.0");
     }
 
     #[test]

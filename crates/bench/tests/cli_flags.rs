@@ -46,3 +46,24 @@ fn bad_flags_exit_2_and_leave_results_untouched() {
         assert!(before == state(), "{stem} {args:?} rewrote {}", file.display());
     }
 }
+
+/// A harness that cannot write its output exits 1 naming the path. The
+/// per-cell trace is the first write of a traced run, so the failure
+/// comes before `results/<name>.json` is touched.
+#[test]
+fn an_unwritable_trace_exits_1_and_leaves_results_untouched() {
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/e1_quorum_staleness.json");
+    let state = || (std::fs::read(&file).unwrap(), file.metadata().unwrap().modified().unwrap());
+    let before = state();
+    let missing = Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_flags_no_such_dir");
+    let _ = std::fs::remove_dir_all(&missing);
+    let out = Command::new(env!("CARGO_BIN_EXE_e1_quorum_staleness"))
+        .args(["--summary-only", "--jobs", "2", "--trace-out"])
+        .arg(missing.join("x.jsonl"))
+        .output()
+        .expect("spawn harness bin");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(&*missing.to_string_lossy()), "stderr must name the path: {stderr}");
+    assert!(before == state(), "a failed run rewrote {}", file.display());
+}

@@ -1,6 +1,8 @@
-//! Integration: miniature versions of the E1–E10 experiments asserting
-//! the *shapes* EXPERIMENTS.md records (who wins, what grows with what).
-//! If one of these fails, the experiment write-up is stale.
+//! Integration: miniature versions of the E1, E2, E6, E9 and E10
+//! experiments asserting the *shapes* EXPERIMENTS.md records (who wins,
+//! what grows with what). If one of these fails, the experiment write-up
+//! is stale. `crates/bench/tests/experiments_doc.rs` checks the same
+//! shapes on the committed, full-size results.
 
 use rethinking_ec::consistency::measure_staleness;
 use rethinking_ec::core::metrics::latency_summary;
