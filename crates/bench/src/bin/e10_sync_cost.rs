@@ -56,7 +56,7 @@ fn main() {
                 .horizon(SimTime::from_secs(120)),
         );
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut rows = Vec::new();
     for seeds in cells.chunks(obs.seeds as usize) {

@@ -93,7 +93,7 @@ fn main() {
                 .horizon(SimTime::from_secs(40)),
         );
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let comps = matrix();
     let mut rows = Vec::new();

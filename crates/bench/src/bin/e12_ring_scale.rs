@@ -134,7 +134,7 @@ fn main() {
                 .horizon(SimTime::from_secs(20)),
         );
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut rows = Vec::new();
     for (&(nodes, with_churn), seeds) in variants.iter().zip(cells.chunks(obs.seeds as usize)) {

@@ -69,7 +69,7 @@ fn main() {
     for &(n, r, w, rr) in &configs {
         grid.push(format!("N{n}R{r}W{w}{}", if rr { "+rr" } else { "" }), experiment(n, r, w, rr));
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut rows = Vec::new();
     for (&(n, r, w, read_repair), seeds) in configs.iter().zip(cells.chunks(obs.seeds as usize)) {

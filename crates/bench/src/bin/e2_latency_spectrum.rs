@@ -58,7 +58,7 @@ fn main() {
                 .horizon(simnet::SimTime::from_secs(300)),
         );
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut rows = Vec::new();
     for seeds in cells.chunks(obs.seeds as usize) {

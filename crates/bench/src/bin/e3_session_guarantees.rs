@@ -77,7 +77,7 @@ fn main() {
     for &(label, g, gossip_ms) in &configs {
         grid.push(format!("{label}@{gossip_ms}ms"), experiment(g, gossip_ms));
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut rows = Vec::new();
     for (&(label, _, gossip_ms), seeds) in configs.iter().zip(cells.chunks(obs.seeds as usize)) {

@@ -92,7 +92,7 @@ fn main() {
     for s in schemes {
         grid.push(s.label(), experiment(s));
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut series = Vec::new();
     for seeds in cells.chunks(obs.seeds as usize) {

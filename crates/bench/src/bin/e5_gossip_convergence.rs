@@ -9,7 +9,7 @@
 //! beyond fanout 2–3.
 
 use bench::{seed_stat, Obs};
-use obs::Recorder;
+use rec_core::Grid;
 use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
 use replication::kernel::{Composition, ResolutionPolicy};
@@ -38,7 +38,7 @@ struct Cell {
     unconverged: u64,
 }
 
-fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Recorder) -> Cell {
+fn run(replicas: usize, fanout: usize, interval_ms: u64, cell: SimConfig) -> Cell {
     let trace = optrace::shared_trace();
     let cfg = Composition::eventual(
         replicas,
@@ -46,15 +46,10 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
         Some(GossipConfig { interval: Duration::from_millis(interval_ms), fanout }),
         ResolutionPolicy::LwwRegister,
     );
-    let mut sim = Sim::new(
-        SimConfig::default()
-            .seed(seed)
-            .latency(LatencyModel::Uniform {
-                min: Duration::from_millis(1),
-                max: Duration::from_millis(5),
-            })
-            .recorder(rec.clone()),
-    );
+    let mut sim = Sim::new(cell.latency(LatencyModel::Uniform {
+        min: Duration::from_millis(1),
+        max: Duration::from_millis(5),
+    }));
     for _ in 0..replicas {
         sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
@@ -131,18 +126,20 @@ fn run(replicas: usize, fanout: usize, interval_ms: u64, seed: u64, rec: &Record
 fn main() {
     let (obs, rest) = Obs::from_args();
     bench::reject_args(&rest, Obs::USAGE);
-    let mut params = Vec::new();
-    for &replicas in &[4usize, 8, 16] {
-        for &fanout in &[1usize, 2, 3] {
-            params.push((replicas, fanout));
+    let mut grid = Grid::new();
+    for replicas in [4usize, 8, 16] {
+        for fanout in [1usize, 2, 3] {
+            grid.add(format!("{replicas} replicas, fanout {fanout}"), 2024, (replicas, fanout));
         }
     }
-    let results = obs.sweep(&params, 2024, |&(replicas, fanout), seed, rec| {
-        run(replicas, fanout, 50, seed, rec)
+    let cells = obs.run_grid(grid, |&(replicas, fanout), cell| {
+        (replicas, fanout, run(replicas, fanout, 50, cell))
     });
 
     let mut rows = Vec::new();
-    for (&(replicas, fanout), cells) in params.iter().zip(&results) {
+    for seeds in cells.chunks(obs.seeds as usize) {
+        let (replicas, fanout, _) = seeds[0].result;
+        let cells: Vec<&Cell> = seeds.iter().map(|c| &c.result.2).collect();
         let mean = seed_stat(&cells.iter().map(|c| c.mean_convergence_ms).collect::<Vec<_>>());
         rows.push(Row {
             replicas,

@@ -14,7 +14,7 @@
 //! with several writers); the CRDT loses exactly zero at every level.
 
 use bench::{seed_stat, Obs};
-use obs::Recorder;
+use rec_core::Grid;
 use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
 use replication::kernel::{Composition, ResolutionPolicy};
@@ -53,7 +53,7 @@ struct Cell {
 /// stamp, step to the write whose value its session read just before
 /// it, and repeat until a read saw no write. Every write off that chain
 /// is a lost increment.
-fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
+fn run_lww(writers: usize, increments: u64, cell: SimConfig) -> Cell {
     let trace = optrace::shared_trace();
     let replicas = writers.clamp(2, 4);
     let cfg = Composition::eventual(
@@ -62,15 +62,10 @@ fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
         Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
         ResolutionPolicy::LwwRegister,
     );
-    let mut sim = Sim::new(
-        SimConfig::default()
-            .seed(seed)
-            .latency(LatencyModel::Uniform {
-                min: Duration::from_millis(1),
-                max: Duration::from_millis(15),
-            })
-            .recorder(rec.clone()),
-    );
+    let mut sim = Sim::new(cell.latency(LatencyModel::Uniform {
+        min: Duration::from_millis(1),
+        max: Duration::from_millis(15),
+    }));
     for _ in 0..replicas {
         sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
@@ -120,7 +115,7 @@ fn run_lww(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
     Cell { mode: "LWW (RMW)", expected, observed: chain }
 }
 
-fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell {
+fn run_crdt(writers: usize, increments: u64, cell: SimConfig) -> Cell {
     let trace = optrace::shared_trace();
     let replicas = writers.clamp(2, 4);
     let cfg = Composition::eventual(
@@ -129,15 +124,10 @@ fn run_crdt(writers: usize, increments: u64, seed: u64, rec: &Recorder) -> Cell 
         Some(GossipConfig { interval: Duration::from_millis(10), fanout: 2 }),
         ResolutionPolicy::CrdtMerge,
     );
-    let mut sim = Sim::new(
-        SimConfig::default()
-            .seed(seed)
-            .latency(LatencyModel::Uniform {
-                min: Duration::from_millis(1),
-                max: Duration::from_millis(15),
-            })
-            .recorder(rec.clone()),
-    );
+    let mut sim = Sim::new(cell.latency(LatencyModel::Uniform {
+        min: Duration::from_millis(1),
+        max: Duration::from_millis(15),
+    }));
     for _ in 0..replicas {
         sim.add_node(Box::new(EventualReplica::new(&cfg)));
     }
@@ -187,21 +177,20 @@ const INCREMENTS: u64 = 25;
 fn main() {
     let (obs, rest) = Obs::from_args();
     bench::reject_args(&rest, Obs::USAGE);
-    let mut params = Vec::new();
-    for &writers in &[2usize, 4, 8] {
-        params.push((false, writers)); // LWW
-        params.push((true, writers)); // CRDT
+    let mut grid = Grid::new();
+    for writers in [2usize, 4, 8] {
+        grid.add(format!("LWW, {writers} writers"), 5, (false, writers));
+        grid.add(format!("CRDT, {writers} writers"), 5, (true, writers));
     }
-    let results = obs.sweep(&params, 5, |&(crdt, writers), seed, rec| {
-        if crdt {
-            run_crdt(writers, INCREMENTS, seed, rec)
-        } else {
-            run_lww(writers, INCREMENTS, seed, rec)
-        }
+    let cells = obs.run_grid(grid, |&(crdt, writers), cell| {
+        let run = if crdt { run_crdt } else { run_lww };
+        (writers, run(writers, INCREMENTS, cell))
     });
 
     let mut rows = Vec::new();
-    for (&(_, writers), cells) in params.iter().zip(&results) {
+    for seeds in cells.chunks(obs.seeds as usize) {
+        let writers = seeds[0].result.0;
+        let cells: Vec<&Cell> = seeds.iter().map(|c| &c.result.1).collect();
         let expected = cells[0].expected;
         let loss = seed_stat(
             &cells

@@ -9,6 +9,7 @@
 //! consistency demands it — reproducing Pileus's headline result.
 
 use bench::{seed_stat, Obs};
+use rec_core::Grid;
 use serde::Serialize;
 use simnet::{Duration, NodeId, SimRng, SimTime};
 use sla::{choose, delivered_utility, Consistency, Monitor, SessionState, Sla};
@@ -128,9 +129,10 @@ fn run(sla: &Sla, fixed: Option<NodeId>, seed: u64) -> Cell {
 }
 
 fn main() {
-    // E7 is analytic (no discrete-event simulation), so the recorder only
-    // standardizes the results-file shape; its counters stay zero. The
-    // sweep still parallelizes (portfolio, strategy, seed) cells.
+    // E7 is analytic (no discrete-event simulation): a cell takes only
+    // its seed from the grid, so the recorder only standardizes the
+    // results-file shape and its counters stay zero. The grid still
+    // parallelizes (portfolio, strategy, seed) cells.
     let (obs, rest) = Obs::from_args();
     bench::reject_args(&rest, Obs::USAGE);
     let portfolios: Vec<(&str, Sla)> = vec![
@@ -143,21 +145,22 @@ fn main() {
         ("always-primary", Some(NodeId(0))),
         ("always-local", Some(NodeId(1))),
     ];
-    let mut params = Vec::new();
-    for pi in 0..portfolios.len() {
+    let mut grid = Grid::new();
+    for (portfolio, sla) in &portfolios {
         for &(strategy, fixed) in &strategies {
-            params.push((pi, strategy, fixed));
+            grid.add(*portfolio, 31, (strategy, sla, fixed));
         }
     }
-    let results =
-        obs.sweep(&params, 31, |&(pi, _, fixed), seed, _rec| run(&portfolios[pi].1, fixed, seed));
+    let cells =
+        obs.run_grid(grid, |&(strategy, sla, fixed), cell| (strategy, run(sla, fixed, cell.seed)));
 
     let mut rows = Vec::new();
-    for (&(pi, strategy, _), cells) in params.iter().zip(&results) {
+    for seeds in cells.chunks(obs.seeds as usize) {
+        let cells: Vec<&Cell> = seeds.iter().map(|c| &c.result.1).collect();
         let util = seed_stat(&cells.iter().map(|c| c.mean_utility).collect::<Vec<_>>());
         rows.push(Row {
-            portfolio: portfolios[pi].0.to_string(),
-            strategy: strategy.to_string(),
+            portfolio: seeds[0].label.clone(),
+            strategy: seeds[0].result.0.to_string(),
             mean_utility: util.mean,
             mean_utility_ci95: util.ci95,
             primary_fraction: seed_stat(

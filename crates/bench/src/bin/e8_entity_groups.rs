@@ -9,7 +9,7 @@
 //! registrar adds another round trip; single-group aborts stay cheapest.
 
 use bench::{seed_stat, Obs};
-use obs::Recorder;
+use rec_core::Grid;
 use serde::Serialize;
 use simnet::{Duration, LatencyModel, Sim, SimConfig, SimRng, SimTime};
 use txn::client::{shared_stats, SharedTxnStats};
@@ -41,30 +41,18 @@ struct Cell {
 
 const KEYS_PER_GROUP: u64 = 20;
 
-fn run(
-    cross_group: bool,
-    registrar: usize,
-    theta: f64,
-    clients: usize,
-    seed: u64,
-    rec: &Recorder,
-) -> Cell {
+fn run(cross_group: bool, registrar: usize, theta: f64, clients: usize, cell: SimConfig) -> Cell {
     let nodes = 3usize;
     let cfg = TxnConfig::new(nodes);
-    let mut sim = Sim::new(
-        SimConfig::default()
-            .seed(seed)
-            .latency(LatencyModel::Uniform {
-                min: Duration::from_millis(1),
-                max: Duration::from_millis(8),
-            })
-            .recorder(rec.clone()),
-    );
+    let mut rng = SimRng::new(cell.seed ^ 0xabcd);
+    let mut sim = Sim::new(cell.latency(LatencyModel::Uniform {
+        min: Duration::from_millis(1),
+        max: Duration::from_millis(8),
+    }));
     for _ in 0..nodes {
         sim.add_node(Box::new(GroupNode::new(cfg)));
     }
     let mut all_stats: Vec<SharedTxnStats> = Vec::new();
-    let mut rng = SimRng::new(seed ^ 0xabcd);
     for c in 0..clients {
         let mut zipf = ZipfSampler::new(KEYS_PER_GROUP, theta);
         let stats = shared_stats();
@@ -126,21 +114,26 @@ fn main() {
         params.push((true, 0, theta));
         params.push((true, 2, theta));
     }
-    let results = obs.sweep(&params, 77, |&(cross_group, registrar, theta), seed, rec| {
-        run(cross_group, registrar, theta, CLIENTS, seed, rec)
-    });
-
-    let mut rows = Vec::new();
-    for (&(cross_group, registrar, theta), cells) in params.iter().zip(&results) {
+    let mut grid = Grid::new();
+    for (cross_group, registrar, theta) in params {
         let span = match (cross_group, registrar) {
             (false, _) => "1 group".to_string(),
             (true, 0) => "2 groups (2PC)".to_string(),
             (true, k) => format!("2 groups (2PC+reg{k})"),
         };
+        grid.add(span, 77, (cross_group, registrar, theta));
+    }
+    let cells = obs.run_grid(grid, |&(cross_group, registrar, theta), cell| {
+        (theta, run(cross_group, registrar, theta, CLIENTS, cell))
+    });
+
+    let mut rows = Vec::new();
+    for seeds in cells.chunks(obs.seeds as usize) {
+        let cells: Vec<&Cell> = seeds.iter().map(|c| &c.result.1).collect();
         let abort = seed_stat(&cells.iter().map(|c| c.abort_rate).collect::<Vec<_>>());
         rows.push(Row {
-            span,
-            theta,
+            span: seeds[0].label.clone(),
+            theta: seeds[0].result.0,
             clients: CLIENTS,
             committed: cells.iter().map(|c| c.committed).sum(),
             aborted: cells.iter().map(|c| c.aborted).sum(),

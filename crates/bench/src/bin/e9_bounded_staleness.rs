@@ -58,7 +58,7 @@ fn main() {
             .horizon(SimTime::from_secs(120)),
         );
     }
-    let cells = obs.run_grid(grid);
+    let cells = obs.run_grid(grid, Experiment::run_in);
 
     let mut rows = Vec::new();
     for (&ship_ms, seeds) in ships.iter().zip(cells.chunks(obs.seeds as usize)) {

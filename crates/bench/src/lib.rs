@@ -1,8 +1,11 @@
 //! Shared plumbing for the experiment harnesses (E1–E12).
 //!
 //! Each `src/bin/e*_*.rs` binary regenerates one table or figure from
-//! `EXPERIMENTS.md`: it builds a grid of config variants, runs every
-//! variant at `--seeds N` seeds on `--jobs N` workers, and saves the
+//! `EXPERIMENTS.md`: it builds a [`rec_core::Grid`] of variants, runs
+//! every variant at `--seeds N` seeds on `--jobs N` workers through
+//! [`Obs::run_grid`] (the grid decides each cell's seed, recorder and
+//! trace-id range; a harness that builds its own `Sim` builds it from
+//! the cell's `SimConfig`), and saves the
 //! seed-aggregated rows as `results/<name>.json` so the recorded numbers
 //! are diffable across runs. Saving also prints the rows as the table
 //! [`table`] declares for `<name>`, with the renderer that generates
@@ -11,8 +14,9 @@
 //! contract.
 
 use obs::Recorder;
-use rec_core::{default_jobs, par_map, CellResult, Grid};
+use rec_core::{default_jobs, CellResult, Grid};
 use serde::Serialize;
+use simnet::SimConfig;
 use std::cell::RefCell;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -27,12 +31,13 @@ pub mod table;
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc;
 
 /// Observability and grid wiring shared by every experiment binary:
-/// `--jobs N` / `--seeds N` / `--trace-out <path>` handling, the
-/// parallel sweep drivers ([`Obs::run_grid`], [`Obs::sweep`]), and the
-/// aggregate [`Recorder`] the per-cell metrics fold into.
+/// `--jobs N` / `--seeds N` / `--trace-out <path>` handling, the one
+/// grid driver [`Obs::run_grid`], and the aggregate [`Recorder`] the
+/// per-cell metrics fold into.
 ///
-/// Every grid cell runs with its **own** recorder (no shared lock on
-/// the hot path); after the pool drains, cells are folded into
+/// Every grid cell runs with what [`rec_core::Grid`] gives it — its
+/// seed, its **own** recorder (no shared lock on the hot path) and its
+/// own trace-id range; after the pool drains, cells are folded into
 /// [`Obs::recorder`] in deterministic grid order via
 /// [`Recorder::absorb`], so the `metrics` block of `results/<name>.json`
 /// is independent of `--jobs`. With `--trace-out <path>`, each cell's
@@ -59,10 +64,9 @@ pub struct Obs {
     pub profile: bool,
     /// Where the JSONL event log goes (`--trace-out <path>`), if anywhere.
     pub trace_out: Option<PathBuf>,
-    /// Per-cell JSONL chunks in grid order, for the concatenated export.
+    /// Per-cell JSONL chunks in grid order, for the concatenated export
+    /// (their count names the next per-cell trace file).
     trace_chunks: RefCell<Vec<String>>,
-    /// Cells finished so far (names the next per-cell trace file).
-    cells_done: RefCell<usize>,
 }
 
 impl Obs {
@@ -107,77 +111,33 @@ impl Obs {
             profile,
             trace_out,
             trace_chunks: RefCell::new(Vec::new()),
-            cells_done: RefCell::new(0),
         };
         (obs, rest)
     }
 
-    /// The recorder constructor each grid cell runs with: full event log
-    /// when `--trace-out` was given, counters-only otherwise.
-    pub fn cell_recorder_spec(&self) -> fn() -> Recorder {
-        if self.trace_out.is_some() {
-            Recorder::with_event_log
-        } else {
-            Recorder::enabled
-        }
-    }
-
-    /// Run an experiment [`Grid`] at `--seeds` seeds per variant on
-    /// `--jobs` workers. Results return in deterministic grid order
-    /// (variant-major, then seed) — chunk by `self.seeds` to group a
-    /// variant's seed column. Per-cell metrics are folded into
-    /// [`Obs::recorder`] and per-cell traces staged for [`Obs::save`].
-    pub fn run_grid(&self, grid: Grid) -> Vec<CellResult> {
+    /// Run `grid` at `--seeds` seeds per variant on `--jobs` workers,
+    /// profiling with `--profile` and keeping event logs with
+    /// `--trace-out`: each cell is `run(variant, cell)`, `cell` being the
+    /// [`SimConfig`] the grid gives it ([`rec_core::Experiment::run_in`]
+    /// for an experiment grid, or a closure that builds its own `Sim`).
+    /// Results return in grid order (variant-major, then seed): chunk by
+    /// `self.seeds` to group a variant's seed column. Per-cell metrics are
+    /// folded into [`Obs::recorder`] and per-cell traces staged for
+    /// [`Obs::save`].
+    pub fn run_grid<V, R, F>(&self, grid: Grid<V>, run: F) -> Vec<CellResult<R>>
+    where
+        V: Sync,
+        R: Send,
+        F: Fn(&V, SimConfig) -> R + Sync,
+    {
+        let recorder =
+            if self.trace_out.is_some() { Recorder::with_event_log } else { Recorder::enabled };
         let cells =
-            grid.seeds(self.seeds).profile(self.profile).run(self.jobs, self.cell_recorder_spec());
+            grid.seeds(self.seeds).profile(self.profile).run_cells(self.jobs, recorder, run);
         for cell in &cells {
             self.finish_cell(&cell.recorder);
         }
         cells
-    }
-
-    /// Parallel seed sweep for harnesses that drive `Sim` directly
-    /// instead of going through [`rec_core::Experiment`].
-    ///
-    /// Runs `run(&params[i], base_seed + k, &recorder)` for every
-    /// variant `i` × seed `k` on `--jobs` workers, each call with its
-    /// own fresh recorder, and returns the results grouped per variant
-    /// (`result[i][k]`), independent of scheduling. Metrics and traces
-    /// are folded exactly as in [`Obs::run_grid`].
-    pub fn sweep<P, R, F>(&self, params: &[P], base_seed: u64, run: F) -> Vec<Vec<R>>
-    where
-        P: Sync,
-        R: Send,
-        F: Fn(&P, u64, &Recorder) -> R + Sync,
-    {
-        let new_recorder = self.cell_recorder_spec();
-        let flat: Vec<(usize, u64)> =
-            (0..params.len()).flat_map(|p| (0..self.seeds).map(move |s| (p, s))).collect();
-        // Copy the flag out so the worker closure doesn't capture the
-        // whole `Obs` (its RefCell trace staging is not Sync).
-        let profile = self.profile;
-        let mut results: Vec<(Recorder, R)> = par_map(&flat, self.jobs, |_, &(p, s)| {
-            let rec = new_recorder();
-            if profile {
-                // Direct-Sim harness: samples key under the default
-                // "sim" scheme label unless the run sets one itself.
-                rec.enable_profiling();
-            }
-            let r = run(&params[p], base_seed + s, &rec);
-            (rec, r)
-        });
-        let mut grouped: Vec<Vec<R>> = Vec::with_capacity(params.len());
-        let mut drain = results.drain(..);
-        for _ in 0..params.len() {
-            let mut column = Vec::with_capacity(self.seeds as usize);
-            for _ in 0..self.seeds {
-                let (rec, r) = drain.next().expect("one result per grid cell");
-                self.finish_cell(&rec);
-                column.push(r);
-            }
-            grouped.push(column);
-        }
-        grouped
     }
 
     /// Fold one finished cell into the aggregate: absorb its metrics
@@ -185,13 +145,9 @@ impl Obs {
     /// concatenated export. Called in grid order only.
     fn finish_cell(&self, cell: &Recorder) {
         self.recorder.absorb(cell);
-        let idx = {
-            let mut done = self.cells_done.borrow_mut();
-            *done += 1;
-            *done - 1
-        };
         if self.trace_out.is_some() {
             let jsonl = cell.export_jsonl();
+            let idx = self.trace_chunks.borrow().len();
             write_or_exit(&self.per_cell_trace_path(idx), &jsonl);
             self.trace_chunks.borrow_mut().push(jsonl);
         }

@@ -3,11 +3,14 @@
 //! committed results file, and it sits between `<!-- table: <name> -->`
 //! and `<!-- /table -->`. Every harness must regenerate its committed
 //! file byte for byte, and each experiment's stated shape is checked as
-//! a predicate over the committed rows. Nothing here writes under
-//! `results/`: the harnesses run in a scratch directory of their own.
+//! a predicate over the committed rows. `profile_protos` must count the
+//! calls and allocations its committed profile holds. Nothing here
+//! writes under `results/`: the harnesses run in a scratch directory of
+//! their own.
 
 use bench::table::{Col, Fmt, Table, TABLES};
-use serde::Value;
+use obs::ProfileReport;
+use serde::{Deserialize, Value};
 use std::path::Path;
 
 fn root() -> &'static Path {
@@ -84,6 +87,52 @@ fn every_harness_regenerates_its_committed_results_file() {
         let fresh = std::fs::read(dir.join(&file)).unwrap();
         assert!(fresh == std::fs::read(root().join(&file)).unwrap(), "{file} does not regenerate");
     }
+}
+
+/// A fresh full `profile_protos` run counts what the committed
+/// `results/profile_protos.json` holds: every handler's invocations and
+/// allocation tallies, the columns `tracequery prof diff --by calls` and
+/// `--by alloc` compare. Wall time is host-dependent and not compared.
+#[test]
+fn profile_protos_regenerates_its_committed_calls_and_allocations() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile_protos");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("results")).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_profile_protos"))
+        .args(["--jobs", "2"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn profile_protos");
+    assert!(
+        out.status.success(),
+        "profile_protos failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let counts = |root: &Path| {
+        let path = root.join("results/profile_protos.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = serde_json::parse_value(&text).unwrap();
+        let profile =
+            doc.get("profile").unwrap_or_else(|| panic!("{}: no profile", path.display()));
+        ProfileReport::from_value(profile).unwrap().determinism_key()
+    };
+    let (committed, fresh) = (counts(root()), counts(&dir));
+    let moved: Vec<String> = committed
+        .iter()
+        .zip(&fresh)
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| format!("{};{}: {:?} -> {:?}", a.0, a.1, (a.2, a.3, a.4), (b.2, b.3, b.4)))
+        .collect();
+    assert!(
+        committed.len() == fresh.len() && moved.is_empty(),
+        "results/profile_protos.json is stale ({} vs {} handlers; (calls, alloc bytes, allocs) \
+         moved in {} cells, first {:?}); regenerate it with `cargo run --release --bin \
+         profile_protos`",
+        committed.len(),
+        fresh.len(),
+        moved.len(),
+        &moved[..moved.len().min(3)]
+    );
 }
 
 const DEMO: Table = Table {
@@ -198,6 +247,8 @@ fn the_committed_rows_show_the_shapes_experiments_md_states() {
         let p50 = num(one(&e2, "scheme", wan), "read_p50_ms");
         claim(p50 >= 10.0 * local_p50, "E2: quorum and Paxos reads are ≥10× local reads");
     }
+    let paxos = num(one(&e2, "scheme", "paxos"), "read_p50_ms");
+    claim(paxos > 50.0, "E2: Paxos reads pay a WAN majority commit (> 50 ms)");
     let slowest = e2.iter().map(|r| num(r, "write_p50_ms")).fold(0.0, f64::max);
     let sync = one(&e2, "scheme", "primary-sync");
     claim(num(sync, "write_p50_ms") == slowest, "E2: sync-primary writes are the slowest");
@@ -340,6 +391,12 @@ fn the_committed_rows_show_the_shapes_experiments_md_states() {
         min(of(&one_rtt, "ops_per_sec")) > max(of(&two_rtt, "ops_per_sec")),
         "E10: throughput is the mirror image",
     );
+    // The LAN's one-way median is 0.5 ms, so one round trip is ~1 ms.
+    claim(
+        min(of(&one_rtt, "write_p50_ms")) >= 0.9 && max(of(&one_rtt, "write_p50_ms")) <= 1.2,
+        "E10: async primary and local eventual ack in ~1 RTT",
+    );
+    claim(min(of(&two_rtt, "write_p50_ms")) >= 1.9, "E10: sync, quorum and Paxos pay ~2 RTT");
 
     let e11 = rows("e11_composition_matrix");
     let zero_or_null =

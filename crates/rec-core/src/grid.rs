@@ -1,25 +1,24 @@
 //! Parallel experiment grids.
 //!
 //! Every quantitative claim in the experiment suite is estimated by
-//! sweeping scheme/config variants × seeds through the simulator. Each
-//! [`Experiment`] is a pure function of its struct — the whole sweep is
-//! embarrassingly parallel — so a [`Grid`] runs its cells on a
-//! self-scheduling worker pool and merges the results back **in
-//! deterministic grid order** (variant-major, then seed). The output is
-//! byte-for-byte independent of the worker count:
+//! sweeping variants × seeds through the simulator. A [`Grid`] lays the
+//! cells out (variant-major, then seed), runs them on a self-scheduling
+//! worker pool and hands the results back **in grid order**. One
+//! function, `Grid::cell_config`, decides what a cell gets, as a ready
+//! [`SimConfig`]: its seed (the variant's base seed plus the seed index),
+//! a fresh [`Recorder`] of its own (profiling on when the grid profiles),
+//! and its trace-id base `cell index << 40`, so the cells' event logs
+//! concatenated in grid order keep globally unique trace and span ids.
+//! An [`Experiment`] cell takes those values through
+//! [`Experiment::run_in`]; a closure cell ([`Grid::run_cells`]) builds
+//! its own `Sim` from the config.
 //!
-//! * every cell gets its **own** fresh [`Recorder`], so no cell ever
-//!   observes another cell's events and the hot path takes no shared
-//!   lock;
-//! * workers return `(cell index, result)` pairs that are re-assembled
-//!   by index, so completion order is irrelevant;
-//! * aggregate metrics are folded *after* the pool drains, in grid
-//!   order, via [`Recorder::absorb`] (which is exact and commutative).
-//!
-//! The simulation itself stays strictly serial inside its cell — one
-//! virtual-time event loop per worker — which is the invariant that
-//! keeps per-cell traces reproducible. Parallelism lives only *between*
-//! cells.
+//! The output is byte-for-byte independent of the worker count: each
+//! cell is a pure function of its variant and config, results are
+//! re-assembled by cell index, and aggregate metrics are folded after
+//! the pool drains, in grid order, via [`Recorder::absorb`] (exact and
+//! commutative). The simulation stays strictly serial inside its cell;
+//! parallelism lives only *between* cells.
 //!
 //! ```
 //! use obs::Recorder;
@@ -37,10 +36,17 @@
 //! assert_eq!(cells.len(), 6); // 2 variants x 3 seeds, variant-major
 //! assert_eq!(cells[0].label, "R1W1");
 //! assert_eq!(cells[1].seed, 43); // seeds are base_seed + seed_index
+//!
+//! // A closure cell gets the same values as a ready `SimConfig`.
+//! let mut sweep = Grid::new();
+//! sweep.add("fanout 2", 7, 2usize);
+//! let seeds = sweep.seeds(2).run_cells(1, Recorder::enabled, |_, cell| cell.seed);
+//! assert_eq!(seeds.iter().map(|c| c.result).collect::<Vec<_>>(), [7, 8]);
 //! ```
 
 use crate::runner::{Experiment, RunResult};
 use obs::Recorder;
+use simnet::SimConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: one per available hardware thread.
@@ -50,7 +56,7 @@ pub fn default_jobs() -> usize {
 
 /// One cell of a completed grid run.
 #[derive(Debug)]
-pub struct CellResult {
+pub struct CellResult<R = RunResult> {
     /// Index of the variant this cell belongs to.
     pub variant: usize,
     /// The variant's label.
@@ -60,33 +66,39 @@ pub struct CellResult {
     /// The concrete seed the cell ran with.
     pub seed: u64,
     /// What the run produced.
-    pub result: RunResult,
+    pub result: R,
     /// The cell's private recorder (export per-cell traces from here).
     pub recorder: Recorder,
 }
 
-/// A cartesian product of experiment variants × seeds.
+/// A cartesian product of labelled variants × seeds.
 ///
-/// Variants are labelled base experiments; `seeds(n)` runs each variant
-/// at seeds `base.seed + 0 .. base.seed + n`, so a 1-seed grid
-/// reproduces the variant's original single-seed run exactly.
-#[derive(Debug, Clone, Default)]
-pub struct Grid {
-    variants: Vec<(String, Experiment)>,
+/// `seeds(n)` runs each variant at seeds `base_seed + 0 .. base_seed +
+/// n`, so a 1-seed grid reproduces the variant's single-seed run
+/// exactly. Variants are [`Experiment`]s by default; any other type runs
+/// through [`Grid::run_cells`].
+#[derive(Debug, Clone)]
+pub struct Grid<V = Experiment> {
+    variants: Vec<(String, u64, V)>,
     seeds_per_variant: u64,
     profile: bool,
 }
 
-impl Grid {
-    /// An empty grid (one seed per variant until [`Grid::seeds`]).
-    pub fn new() -> Self {
+impl<V> Default for Grid<V> {
+    fn default() -> Self {
         Grid { variants: Vec::new(), seeds_per_variant: 1, profile: false }
     }
+}
 
-    /// Add a variant. The experiment's own seed becomes the base seed
-    /// for the variant's seed column.
-    pub fn push(&mut self, label: impl Into<String>, experiment: Experiment) {
-        self.variants.push((label.into(), experiment));
+impl<V> Grid<V> {
+    /// An empty grid (one seed per variant until [`Grid::seeds`]).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add a variant whose seed column starts at `base_seed`.
+    pub fn add(&mut self, label: impl Into<String>, base_seed: u64, variant: V) {
+        self.variants.push((label.into(), base_seed, variant));
     }
 
     /// Set the number of seeds per variant (clamped to at least 1).
@@ -103,38 +115,64 @@ impl Grid {
         self
     }
 
-    /// Run every cell on `jobs` workers, each with a fresh recorder from
-    /// `recorder` (`Recorder::disabled`, `enabled` or `with_event_log`);
-    /// results come back in deterministic grid order (variant-major,
-    /// then seed index), independent of `jobs` and of worker scheduling.
-    pub fn run(&self, jobs: usize, recorder: fn() -> Recorder) -> Vec<CellResult> {
-        // Materialize cell descriptors in grid order.
+    /// What cell `index` (in grid order) runs with: `seed`, a fresh
+    /// recorder from `recorder` (profiling on when the grid profiles),
+    /// and trace ids from a range keyed by grid position, never by
+    /// scheduling, so traces stay byte-identical across `--jobs`.
+    fn cell_config(&self, index: usize, seed: u64, recorder: fn() -> Recorder) -> SimConfig {
+        let recorder = recorder();
+        if self.profile {
+            // Before any `Sim::new` caches the recorder's profiling flag.
+            recorder.enable_profiling();
+        }
+        SimConfig::default().seed(seed).recorder(recorder).trace_base((index as u64) << 40)
+    }
+
+    /// Run every cell on `jobs` workers as `run(variant, cell)`, `cell`
+    /// being its [`SimConfig`] with a recorder from `recorder`
+    /// (`Recorder::disabled`, `enabled` or `with_event_log`). Results
+    /// come back in grid order, independent of `jobs` and scheduling.
+    pub fn run_cells<R, F>(
+        &self,
+        jobs: usize,
+        recorder: fn() -> Recorder,
+        run: F,
+    ) -> Vec<CellResult<R>>
+    where
+        V: Sync,
+        R: Send,
+        F: Fn(&V, SimConfig) -> R + Sync,
+    {
         let cells: Vec<(usize, u64)> = (0..self.variants.len())
             .flat_map(|v| (0..self.seeds_per_variant).map(move |s| (v, s)))
             .collect();
-        par_map(&cells, jobs, |cell_index, &(variant, seed_index)| {
-            let (label, base) = &self.variants[variant];
-            let recorder = recorder();
-            // Each cell allocates trace/span ids from its own disjoint
-            // range, keyed by grid position (never by scheduling), so a
-            // concatenated multi-cell trace file keeps globally unique
-            // ids and stays byte-identical across `--jobs` levels.
-            let experiment = base
-                .clone()
-                .seed(base.seed + seed_index)
-                .recorder(recorder.clone())
-                .trace_base((cell_index as u64) << 40)
-                .profile(self.profile || base.profile);
-            let result = experiment.run();
+        par_map(&cells, jobs, |index, &(variant, seed_index)| {
+            let (label, base_seed, v) = &self.variants[variant];
+            let cell = self.cell_config(index, base_seed + seed_index, recorder);
+            let recorder = cell.recorder.clone();
             CellResult {
                 variant,
                 label: label.clone(),
                 seed_index,
-                seed: base.seed + seed_index,
-                result,
+                seed: cell.seed,
+                result: run(v, cell),
                 recorder,
             }
         })
+    }
+}
+
+impl Grid {
+    /// Add an experiment variant; its own seed is the base seed.
+    pub fn push(&mut self, label: impl Into<String>, experiment: Experiment) {
+        let seed = experiment.seed;
+        self.add(label, seed, experiment);
+    }
+
+    /// [`Grid::run_cells`] with every experiment run by
+    /// [`Experiment::run_in`].
+    pub fn run(&self, jobs: usize, recorder: fn() -> Recorder) -> Vec<CellResult> {
+        self.run_cells(jobs, recorder, Experiment::run_in)
     }
 }
 
@@ -197,8 +235,8 @@ where
 /// Compile-time audit that everything a grid worker touches can cross a
 /// thread boundary. `Sim` itself is intentionally **not** `Send` (its
 /// actors share an `Rc<RefCell<OpTrace>>`); each worker constructs and
-/// drops its own `Sim` inside [`Experiment::run`], so only the
-/// experiment *description* needs to be `Send`.
+/// drops its own `Sim` inside its cell, so only the variant and the
+/// cell's [`SimConfig`] need to be `Send`.
 #[allow(dead_code)]
 fn assert_send_audit() {
     fn is_send<T: Send>() {}
@@ -207,6 +245,7 @@ fn assert_send_audit() {
     is_sync::<Experiment>();
     is_send::<RunResult>();
     is_send::<CellResult>();
+    is_send::<SimConfig>();
     is_send::<crate::Scheme>();
     is_send::<obs::Recorder>();
     is_send::<obs::MetricsReport>();

@@ -164,6 +164,15 @@ impl Experiment {
         self.faults.validate(self.scheme.server_node_count() + self.workload.sessions as usize)
     }
 
+    /// Run the experiment in a grid cell: with the seed, recorder and
+    /// trace-id base of `cell` (see `rec_core::grid`), profiling when
+    /// the cell's recorder profiles, and everything else from `self`.
+    pub fn run_in(&self, cell: SimConfig) -> RunResult {
+        let profile = self.profile || cell.recorder.profiling_enabled();
+        let e = self.clone().seed(cell.seed).recorder(cell.recorder).trace_base(cell.trace_base);
+        e.profile(profile).run()
+    }
+
     /// Run the experiment to its horizon and collect the trace.
     pub fn run(&self) -> RunResult {
         self.run_inner(optrace::shared_trace(), None, false)
