@@ -477,13 +477,13 @@ impl Actor<Msg> for EventualReplica {
                 // The answer carries this generation's digest anyway; taken
                 // first, it is also what the join reads.
                 let (my_digest, my_vv) = self.digests.get(&self.store);
-                let items = self.digests.missing_at_remote(&self.store, &digest, &vv_digest);
+                let items = self.digests.missing_at_remote(&self.store, from, &digest, &vv_digest);
                 ctx.send(from, Msg::SyncResp { items, digest: my_digest, vv_digest: my_vv });
             }
             Msg::SyncResp { items, digest, vv_digest } => {
                 let conflicts = self.apply_and_log(ctx, from, &items);
                 Self::record_conflicts(ctx, conflicts);
-                let back = self.digests.missing_at_remote(&self.store, &digest, &vv_digest);
+                let back = self.digests.missing_at_remote(&self.store, from, &digest, &vv_digest);
                 if !back.is_empty() {
                     ctx.send(from, Msg::SyncPush { items: back });
                 }

@@ -37,14 +37,29 @@
 //!   carries it holds a reference to the same buffer, and `apply` walks
 //!   it in lock-step with the store, so a state the receiver already
 //!   holds costs a pointer comparison per key and no tree descent.
-//!
 //! * A snapshot a store has already joined from a peer is not walked
 //!   again ([`JoinedSnapshots`]): between two replacements a store only
 //!   grows, so a quiet exchange costs reference counts and nothing else.
+//! * The same holds for LWW digests: a [`DigestCache`] remembers, per
+//!   peer, the last remote digest its generation was found to have
+//!   nothing to add to, so a quiet peer's repeated `SyncReq` or
+//!   `SyncResp` costs a pointer comparison instead of a digest compare.
 //!
-//! What is still O(keys) is one scan per store generation, for the
-//! digest or the snapshot, and for a snapshot not seen before that one
-//! pointer-cheap pass.
+//! # What is still O(keys)
+//!
+//! One pass per store generation for the digest or the snapshot, into a
+//! buffer allocated once at its exact size ([`MvStore::len`], or the
+//! length of the [`Counters`] buffer). Per remote digest not found
+//! covering the store before, one merge-join: of two slices, or of the
+//! store's ordered scan with the remote digest when no digest of this
+//! generation has been built (an apply has just changed the store). Per
+//! snapshot not joined before, one pointer-cheap walk of the
+//! [`Counters`] slice; a snapshot that brings keys the store lacks
+//! rebuilds the slice once, in one merge, whatever their number.
+//! Counters live in a sorted buffer rather than a tree because every
+//! deployment holds 1 to 1 024 of them: a local write of a new key
+//! shifts the buffer once, and a join that brings new keys copies it
+//! once.
 
 use super::telemetry::{ChangedKeys, ProbeVersions, Probed};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
@@ -52,7 +67,7 @@ use crdt::{CvRdt, PnCounter};
 use kvstore::siblings::{joint_context, Sibling};
 use kvstore::{Key, MvStore, SiblingStore, Value};
 use simnet::NodeId;
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -185,13 +200,22 @@ pub struct DigestCache {
     generation: u64,
     digests: Option<Digests>,
     state: Option<Rc<[Item]>>,
+    /// Per peer, the last remote LWW digest this generation was found to
+    /// hold nothing newer than: asked again about the same digest, the
+    /// answer is still "nothing". Recognised by the reference held here,
+    /// so its buffer cannot be freed and its address reused while it is
+    /// remembered; at most one per peer.
+    covered: Vec<(NodeId, Digest<LamportTimestamp>)>,
 }
 
 impl DigestCache {
     /// Drop what was derived from another generation of `store`.
     fn sync(&mut self, store: &Probed<ResolvingStore>) {
         if self.generation != store.generation() {
-            *self = DigestCache { generation: store.generation(), digests: None, state: None };
+            self.generation = store.generation();
+            self.digests = None;
+            self.state = None;
+            self.covered.clear();
         }
     }
 
@@ -201,26 +225,35 @@ impl DigestCache {
         self.digests.get_or_insert_with(|| store.digest()).clone()
     }
 
-    /// Items `store` has that the remote digests lack.
+    /// Items `store` has that the remote digests, sent by `from`, lack.
     ///
     /// LWW: a merge-join of the store's own `(key, stamp)` sequence with
     /// the remote digest that fetches from the store only the keys that
     /// differ. The own side is this generation's digest whenever one has
     /// been built — found here, by generation, never handed in — and two
-    /// equal digests miss nothing. Siblings: a merge-join of the store's
-    /// ordered scan with the remote digest. Counters have no digest:
-    /// every key, every time, as a reference to the generation's one
-    /// snapshot.
+    /// equal digests miss nothing. A digest from `from` found to miss
+    /// nothing is remembered until the generation moves, so the same
+    /// digest asked about again is answered by a pointer comparison.
+    /// Siblings: a merge-join of the store's ordered scan with the remote
+    /// digest. Counters have no digest: every key, every time, as a
+    /// reference to the generation's one snapshot.
     pub fn missing_at_remote(
         &mut self,
         store: &Probed<ResolvingStore>,
+        from: NodeId,
         digest: &Digest<LamportTimestamp>,
         vv_digest: &Digest<VersionVector>,
     ) -> Items {
         match &**store {
             ResolvingStore::Lww(s) => {
                 self.sync(store);
-                Items::Built(match &self.digests {
+                let remembered = self.covered.iter_mut().find(|(peer, _)| *peer == from);
+                let asked_before =
+                    remembered.as_ref().is_some_and(|(_, d)| Rc::ptr_eq(&d.0, &digest.0));
+                if asked_before {
+                    return Items::Built(Vec::new());
+                }
+                let items = match &self.digests {
                     Some((own, _)) if own[..] == digest[..] => Vec::new(),
                     Some((own, _)) => lww_newer_than(s, own.iter().copied(), digest),
                     // No digest of this generation yet — an apply has just
@@ -228,7 +261,14 @@ impl DigestCache {
                     // building one would, without the buffer, and the
                     // next change would throw it away unread.
                     None => lww_newer_than(s, s.scan(..).map(|(k, v)| (k, v.ts)), digest),
-                })
+                };
+                if items.is_empty() {
+                    match remembered {
+                        Some((_, covered)) => *covered = digest.clone(),
+                        None => self.covered.push((from, digest.clone())),
+                    }
+                }
+                Items::Built(items)
             }
             ResolvingStore::Sib(s) => {
                 let mut remote = DigestCursor(vv_digest);
@@ -245,8 +285,11 @@ impl DigestCache {
             }
             ResolvingStore::Crdt(m) => {
                 self.sync(store);
+                // A slice walk: the snapshot is allocated once, at its size.
                 let snapshot = self.state.get_or_insert_with(|| {
-                    m.iter().map(|(&k, c)| Item::Counter { key: k, state: Rc::clone(c) }).collect()
+                    m.0.iter()
+                        .map(|(k, c)| Item::Counter { key: *k, state: Rc::clone(c) })
+                        .collect()
                 });
                 Items::Snapshot(Rc::clone(snapshot))
             }
@@ -413,7 +456,83 @@ pub enum ResolvingStore {
     /// PN-counter per key, merged as a CRDT. Copy-on-write: a counter
     /// is shared with the items that ship it and with the replicas that
     /// adopted it, and copied by the first of them to change it.
-    Crdt(BTreeMap<Key, Rc<PnCounter>>),
+    Crdt(Counters),
+}
+
+/// A counter store's state: one PN-counter per key, in one buffer
+/// ascending by key. A join walks it as a slice and a snapshot copies it
+/// into a buffer of its size; see the [module docs](self) for why a
+/// buffer and not a tree.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Counters(Vec<(Key, Rc<PnCounter>)>);
+
+impl Counters {
+    /// The counter stored for `key`.
+    pub fn get(&self, key: Key) -> Option<&Rc<PnCounter>> {
+        let at = self.0.binary_search_by_key(&key, |(k, _)| *k).ok()?;
+        Some(&self.0[at].1)
+    }
+
+    /// Every `(key, counter)`, ascending by key.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (Key, &Rc<PnCounter>)> {
+        self.0.iter().map(|(k, c)| (*k, c))
+    }
+
+    /// Whether no key holds a counter.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The counter for `key`, a zero counter inserted in its place if
+    /// there was none.
+    fn get_or_default(&mut self, key: Key) -> &mut Rc<PnCounter> {
+        let at = self.0.binary_search_by_key(&key, |(k, _)| *k).unwrap_or_else(|at| {
+            self.0.insert(at, (key, Rc::default()));
+            at
+        });
+        &mut self.0[at].1
+    }
+
+    /// Join the items a walk could not place, ascending by key and in
+    /// buffer order within a key, in one merge with the stored buffer:
+    /// one new buffer, whatever the number of keys that arrive.
+    fn join_unplaced(&mut self, unplaced: Vec<(Key, &Rc<PnCounter>)>, changed: &mut ChangedKeys) {
+        let stored = std::mem::take(&mut self.0);
+        let mut merged = Vec::with_capacity(stored.len() + unplaced.len());
+        let mut stored = stored.into_iter().peekable();
+        for (key, state) in unplaced {
+            merged.extend(std::iter::from_fn(|| stored.next_if(|(k, _)| *k <= key)));
+            let changes = match merged.last_mut() {
+                Some((k, mine)) if *k == key => join_counter(mine, state),
+                _ => {
+                    merged.push((key, Rc::clone(state)));
+                    true
+                }
+            };
+            if changes {
+                changed.mark(key);
+            }
+        }
+        merged.extend(stored);
+        self.0 = merged;
+    }
+}
+
+/// Pairs in any order; a repeated key keeps its last counter, as
+/// collecting into a map would.
+impl FromIterator<(Key, Rc<PnCounter>)> for Counters {
+    fn from_iter<I: IntoIterator<Item = (Key, Rc<PnCounter>)>>(iter: I) -> Self {
+        let mut pairs: Vec<_> = iter.into_iter().collect();
+        pairs.sort_by_key(|(k, _)| *k);
+        pairs.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                std::mem::swap(later, kept);
+            }
+            repeated
+        });
+        Counters(pairs)
+    }
 }
 
 impl ResolvingStore {
@@ -427,7 +546,7 @@ impl ResolvingStore {
             ResolutionPolicy::VersionVectorSiblings => {
                 ResolvingStore::Sib(SiblingStore::new(u64::MAX))
             }
-            ResolutionPolicy::CrdtMerge => ResolvingStore::Crdt(BTreeMap::new()),
+            ResolutionPolicy::CrdtMerge => ResolvingStore::Crdt(Counters::default()),
         }
     }
 
@@ -454,7 +573,7 @@ impl ResolvingStore {
     /// Counter value for `key` (CRDT policy).
     pub fn counter_value(&self, key: Key) -> Option<i64> {
         match self {
-            ResolvingStore::Crdt(m) => m.get(&key).map(|c| c.value()),
+            ResolvingStore::Crdt(m) => m.get(key).map(|c| c.value()),
             _ => None,
         }
     }
@@ -487,7 +606,7 @@ impl ResolvingStore {
                 }
             }
             ResolvingStore::Crdt(m) => {
-                let v = m.get(&key).map(|c| c.value()).unwrap_or(0);
+                let v = m.get(key).map(|c| c.value()).unwrap_or(0);
                 ReadView {
                     values: vec![v as u64],
                     stamp: None,
@@ -554,7 +673,7 @@ impl ResolvingStore {
                 }
             }
             ResolvingStore::Crdt(m) => {
-                let c = m.entry(key).or_default();
+                let c = m.get_or_default(key);
                 Rc::make_mut(c).increment(me.0 as u64, value);
                 WriteOutcome {
                     stamp: (0, 0),
@@ -612,7 +731,18 @@ impl ResolvingStore {
     /// store generation.
     pub fn digest(&self) -> Digests {
         let (lww, sib) = match self {
-            ResolvingStore::Lww(s) => (s.scan(..).map(|(k, v)| (k, v.ts)).collect(), Rc::default()),
+            ResolvingStore::Lww(s) => {
+                // An iterator of known length (a range mapped) is collected
+                // straight into the shared buffer, allocated once at its
+                // size; a scan's length is unknown to `collect`.
+                let mut scan = s.scan(..);
+                let lww = (0..s.len())
+                    .map(|_| {
+                        scan.next().map(|(k, v)| (k, v.ts)).expect("every key holds a version")
+                    })
+                    .collect();
+                (lww, Rc::default())
+            }
             ResolvingStore::Sib(s) => {
                 (Rc::default(), s.iter().map(|(k, sibs)| (k, joint_context(sibs))).collect())
             }
@@ -640,45 +770,43 @@ fn join_counter(mine: &mut Rc<PnCounter>, theirs: &Rc<PnCounter>) -> bool {
 }
 
 /// Join shipped counter states into `counters`: a merge-join of the
-/// buffer with the map's own ascending walk, so a key both sides hold
+/// buffer with the store's own ascending slice, so a key both sides hold
 /// costs a step of each and — when the receiver already shares the
 /// state — one pointer comparison.
 ///
 /// Nothing is assumed of the buffer. An item the walk cannot place —
 /// its key is not stored, or lies at or behind a key the walk has
-/// consumed (an unsorted or repeating buffer) — is set aside and applied
-/// afterwards by map lookup, in buffer order, so a key's items are joined
-/// in the order they were shipped whichever path takes them.
-fn join_counters(
-    counters: &mut BTreeMap<Key, Rc<PnCounter>>,
-    items: &[Item],
-    changed: &mut ChangedKeys,
-) {
+/// consumed (an unsorted or repeating buffer) — is set aside and joined
+/// afterwards in one merge ([`Counters::join_unplaced`]), sorted by key
+/// but in buffer order within a key, so a key's items are joined in the
+/// order they were shipped whichever path takes them.
+fn join_counters(counters: &mut Counters, items: &[Item], changed: &mut ChangedKeys) {
     let mut unplaced = Vec::new();
-    let mut stored = counters.iter_mut().peekable();
-    for item in items {
+    let mut stored = counters.0.iter_mut().peekable();
+    for (i, item) in items.iter().enumerate() {
         let Item::Counter { key, state } = item else { continue };
-        while stored.next_if(|(k, _)| **k < *key).is_some() {}
-        match stored.next_if(|(k, _)| **k == *key) {
+        while stored.next_if(|(k, _)| *k < *key).is_some() {}
+        match stored.next_if(|(k, _)| *k == *key) {
             Some((_, mine)) => {
                 if join_counter(mine, state) {
                     changed.mark(*key);
                 }
             }
-            None => unplaced.push((*key, state)),
+            None => {
+                if unplaced.capacity() == 0 {
+                    // At most the rest of the buffer: one allocation.
+                    unplaced.reserve_exact(items.len() - i);
+                }
+                unplaced.push((*key, state));
+            }
         }
     }
-    for (key, state) in unplaced {
-        let changes = match counters.entry(key) {
-            Entry::Vacant(slot) => {
-                slot.insert(Rc::clone(state));
-                true
-            }
-            Entry::Occupied(mut slot) => join_counter(slot.get_mut(), state),
-        };
-        if changes {
-            changed.mark(key);
+    if !unplaced.is_empty() {
+        // Stable, and skipped for the sorted buffer a snapshot is.
+        if !unplaced.is_sorted_by_key(|(k, _)| *k) {
+            unplaced.sort_by_key(|(k, _)| *k);
         }
+        counters.join_unplaced(unplaced, changed);
     }
 }
 
@@ -698,7 +826,7 @@ impl ProbeVersions for ResolvingStore {
             ResolvingStore::Sib(s) => {
                 s.keys().map(|k| (k, sibling_fingerprint(s.siblings(k)))).collect()
             }
-            ResolvingStore::Crdt(m) => m.iter().map(|(&k, c)| (k, c.value() as u64)).collect(),
+            ResolvingStore::Crdt(m) => m.iter().map(|(k, c)| (k, c.value() as u64)).collect(),
         }
     }
 
@@ -711,7 +839,7 @@ impl ProbeVersions for ResolvingStore {
                 [] => None,
                 sibs => Some(sibling_fingerprint(sibs)),
             },
-            ResolvingStore::Crdt(m) => m.get(&key).map(|c| c.value() as u64),
+            ResolvingStore::Crdt(m) => m.get(key).map(|c| c.value() as u64),
         }
     }
 }
@@ -776,6 +904,40 @@ mod tests {
         store.reset();
         assert_eq!(keys(&cache.get(&store)), [0u64; 0], "a replaced store is a new generation");
         assert_eq!(keys(&first), [3], "a snapshot in flight is immutable");
+    }
+
+    #[test]
+    fn a_covered_digest_is_remembered_once_per_peer_until_the_store_changes() {
+        let mut clock = LamportClock::new();
+        let mut write = |store: &mut Probed<ResolvingStore>, key| {
+            store.write_local(NodeId(0), key, 1, (0, 0), &VersionVector::new(), 0, &mut clock);
+        };
+        let lww = || Probed::new(ResolvingStore::new(ResolutionPolicy::LwwRegister));
+        let (mut store, mut ahead, mut behind) = (lww(), lww(), lww());
+        write(&mut store, 3);
+        write(&mut ahead, 3);
+        write(&mut ahead, 4);
+        let mut cache = DigestCache::default();
+        let remembered = |cache: &DigestCache| {
+            cache.covered.iter().map(|(peer, d)| (peer.0, d.len())).collect::<Vec<_>>()
+        };
+        let ask = |cache: &mut DigestCache, store: &Probed<_>, peer, remote: &Probed<_>| {
+            let (digest, vv_digest) = ResolvingStore::digest(remote);
+            cache.missing_at_remote(store, NodeId(peer), &digest, &vv_digest).len()
+        };
+
+        assert_eq!(ask(&mut cache, &store, 1, &behind), 1, "the peer lacks key 3");
+        assert_eq!(remembered(&cache), [], "a digest that misses something is not kept");
+        assert_eq!(ask(&mut cache, &store, 1, &ahead), 0);
+        assert_eq!(remembered(&cache), [(1, 2)]);
+        write(&mut behind, 3);
+        assert_eq!(ask(&mut cache, &store, 1, &behind), 0);
+        assert_eq!(remembered(&cache), [(1, 1)], "one digest per peer, the last one");
+        assert_eq!(ask(&mut cache, &store, 2, &ahead), 0);
+        assert_eq!(remembered(&cache), [(1, 1), (2, 2)]);
+        write(&mut store, 5);
+        assert_eq!(ask(&mut cache, &store, 2, &ahead), 1, "key 5 is new since");
+        assert_eq!(remembered(&cache), [], "a new generation forgets them all");
     }
 
     /// The dot of the one sibling a local write ships.

@@ -9,9 +9,11 @@
 //! one: updates, and whole-store replacement on amnesia recovery, can
 //! only go through methods that mark what they touch.
 //!
-//! Always on, and bounded: the set holds each key at most once, so it
-//! never outgrows the store's key count even when nothing drains it
-//! (runs without a recorder never probe).
+//! Always on, and bounded: the keys are a hash set, which holds each key
+//! at most once, so it never outgrows the store's key count even when
+//! nothing drains it (runs without a recorder never probe). A mark is
+//! one hash-set insert; the order the probe sees is made at the drain,
+//! which sorts the keys, so it hears of them ascending as before.
 //!
 //! The same funnel counts the store's *generation*
 //! ([`Probed::generation`]): every mark and every whole-store
@@ -26,8 +28,7 @@
 use super::resolution::{ApplyOutcome, Item, ResolvingStore, WriteOutcome};
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::{Key, MvStore, Value};
-use simnet::NodeId;
-use std::collections::BTreeSet;
+use simnet::{IdHashSet, NodeId};
 use std::ops::Deref;
 
 /// A store the divergence probe can read: per-key version fingerprints
@@ -61,7 +62,10 @@ impl ProbeVersions for MvStore {
 /// times it changed at all.
 #[derive(Debug, Default)]
 pub struct ChangedKeys {
-    keys: BTreeSet<Key>,
+    keys: IdHashSet<Key>,
+    /// Where a drain sorts `keys`; empty between drains, and kept so a
+    /// drain allocates nothing once it has seen the store's key count.
+    sorted: Vec<Key>,
     /// Bumped by every mark and every whole-store replacement, and never
     /// reset: a drain empties `keys` and leaves this alone.
     generation: u64,
@@ -141,7 +145,10 @@ impl<S: ProbeVersions> Probed<S> {
     /// [`simnet::Actor::drain_changed_versions`] for the actor owning
     /// this store.
     pub fn drain_changed_versions(&mut self, sink: &mut dyn FnMut(u64, Option<u64>)) {
-        for key in std::mem::take(&mut self.changed.keys) {
+        let ChangedKeys { keys, sorted, .. } = &mut self.changed;
+        sorted.extend(keys.drain());
+        sorted.sort_unstable();
+        for key in sorted.drain(..) {
             sink(key, self.store.key_version(key));
         }
     }

@@ -4,24 +4,28 @@
 //! `ResolvingStore::apply` joins a shipped counter buffer with the store
 //! in one lock-step walk, `DigestCache::missing_at_remote` joins the
 //! store's own digest with the remote one, counter state is shipped as
-//! one shared snapshot per store generation, and `JoinedSnapshots` skips
-//! a snapshot the store has joined before. Each of those rests on
-//! something the old code did not need — a buffer in key order, a digest
-//! of *this* generation, a snapshot recognised for what it is, a store
-//! that has not been replaced in between — so each is held here to
+//! one shared snapshot per store generation, `JoinedSnapshots` skips
+//! a snapshot the store has joined before, and `DigestCache` answers a
+//! peer's digest it found covering the store before by a pointer
+//! comparison. Each of those rests on something the old code did not
+//! need — a buffer in key order, a digest of *this* generation, a
+//! snapshot or digest recognised for what it is, a store that has not
+//! changed or been replaced in between — so each is held here to
 //! `tests/oracle/anti_entropy.rs`, the per-item `entry` loop and the
 //! store scan, on inputs chosen to break exactly that: buffers that are
 //! shuffled, repeat keys, name only keys the store lacks, share every
 //! state with it, carry items of another policy or nothing at all;
 //! digests asked for after the store moved on; receivers reset between
-//! two deliveries of one snapshot; snapshots freed and built again.
+//! two deliveries of one snapshot; snapshots freed and built again; one
+//! remote digest asked about again after the store was written, applied
+//! to or reset.
 
 use proptest::prelude::*;
 use rethinking_ec::clocks::{LamportClock, LamportTimestamp, VersionVector};
 use rethinking_ec::crdt::PnCounter;
 use rethinking_ec::kvstore::{Key, MvStore, SiblingStore, Value};
 use rethinking_ec::replication::kernel::resolution::{
-    DigestCache, Item, Items, JoinedSnapshots, ResolutionPolicy, ResolvingStore,
+    Counters, DigestCache, Item, Items, JoinedSnapshots, ResolutionPolicy, ResolvingStore,
 };
 use rethinking_ec::replication::kernel::Probed;
 use rethinking_ec::simnet::NodeId;
@@ -51,6 +55,9 @@ fn counter_of(steps: &[(u64, u64, bool)]) -> Rc<PnCounter> {
     Rc::new(c)
 }
 
+/// The peer whose digest a store is asked about.
+const REMOTE: NodeId = NodeId(9);
+
 /// The keys a probed store reports changed since the last drain.
 fn drained(store: &mut Probed<ResolvingStore>) -> BTreeSet<Key> {
     let mut keys = BTreeSet::new();
@@ -60,7 +67,7 @@ fn drained(store: &mut Probed<ResolvingStore>) -> BTreeSet<Key> {
     keys
 }
 
-fn counters(store: &ResolvingStore) -> &BTreeMap<Key, Rc<PnCounter>> {
+fn counters(store: &ResolvingStore) -> &Counters {
     match store {
         ResolvingStore::Crdt(m) => m,
         other => panic!("not a counter store: {other:?}"),
@@ -139,7 +146,7 @@ proptest! {
             items.dedup_by_key(|(k, _)| *k);
         }
         let items: Vec<Item> = items.into_iter().map(|(_, item)| item).collect();
-        assert_apply_matches_the_entry_loop(ResolvingStore::Crdt(store), &items);
+        assert_apply_matches_the_entry_loop(ResolvingStore::Crdt(store.into_iter().collect()), &items);
     }
 
     /// The other two arms changed only in how they are handed their
@@ -215,12 +222,18 @@ fn the_buffers_a_lock_step_walk_could_mishandle() {
     ];
     for (what, items) in cases {
         println!("{what}");
-        assert_apply_matches_the_entry_loop(ResolvingStore::Crdt(store.clone()), &items);
+        assert_apply_matches_the_entry_loop(
+            ResolvingStore::Crdt(store.clone().into_iter().collect()),
+            &items,
+        );
     }
     // The same buffers into an empty store: every key is vacant.
     for n in [0, 1, 5] {
         let keys: Vec<Key> = (0..n).collect();
-        assert_apply_matches_the_entry_loop(ResolvingStore::Crdt(BTreeMap::new()), &ship(&keys, 1));
+        assert_apply_matches_the_entry_loop(
+            ResolvingStore::Crdt(Counters::default()),
+            &ship(&keys, 1),
+        );
     }
 }
 
@@ -277,14 +290,14 @@ proptest! {
                 if warmed {
                     cache.get(&local);
                 }
-                let got = cache.missing_at_remote(&local, &digest, &vv_digest);
+                let got = cache.missing_at_remote(&local, REMOTE, &digest, &vv_digest);
                 prop_assert_eq!(&got[..], &oracle::missing_at_remote(&local, &digest, &vv_digest)[..]);
 
                 // The cache now holds a digest that `late` makes one
                 // generation old (or leaves current, if nothing lands).
                 cache.get(&local);
                 local.apply(&lww_items(&late), &mut clock);
-                let got = cache.missing_at_remote(&local, &digest, &vv_digest);
+                let got = cache.missing_at_remote(&local, REMOTE, &digest, &vv_digest);
                 prop_assert_eq!(&got[..], &oracle::missing_at_remote(&local, &digest, &vv_digest)[..]);
             }
         }
@@ -307,19 +320,19 @@ fn a_counter_snapshot_is_built_once_per_generation_and_never_outlives_its_store(
 
     write(&mut store, 3);
     write(&mut store, 1);
-    let first = cache.missing_at_remote(&store, &no_digest, &no_vv);
+    let first = cache.missing_at_remote(&store, REMOTE, &no_digest, &no_vv);
     assert_eq!(first[..], oracle::missing_at_remote(&store, &no_digest, &no_vv)[..]);
-    let again = cache.missing_at_remote(&store, &no_digest, &no_vv);
+    let again = cache.missing_at_remote(&store, REMOTE, &no_digest, &no_vv);
     assert!(Rc::ptr_eq(&buffer(&first), &buffer(&again)), "no change: one buffer");
 
     write(&mut store, 1);
-    let second = cache.missing_at_remote(&store, &no_digest, &no_vv);
+    let second = cache.missing_at_remote(&store, REMOTE, &no_digest, &no_vv);
     assert!(!Rc::ptr_eq(&buffer(&first), &buffer(&second)), "a change: a new buffer");
     assert_eq!(second[..], oracle::missing_at_remote(&store, &no_digest, &no_vv)[..]);
     assert_ne!(first[..], second[..], "a snapshot in flight is immutable");
 
     store.reset();
-    let after = cache.missing_at_remote(&store, &no_digest, &no_vv);
+    let after = cache.missing_at_remote(&store, REMOTE, &no_digest, &no_vv);
     assert!(after.is_empty(), "an amnesia restart cannot ship the store it lost");
 }
 
@@ -348,7 +361,7 @@ impl Sender {
 
     fn ship(&mut self) -> Items {
         let (no_digest, no_vv) = self.store.digest();
-        self.cache.missing_at_remote(&self.store, &no_digest, &no_vv)
+        self.cache.missing_at_remote(&self.store, REMOTE, &no_digest, &no_vv)
     }
 }
 
@@ -473,6 +486,63 @@ proptest! {
                 _ => receiver.reset(),
             }
             receiver.assert_in_step(&format!("step {step}"));
+        }
+    }
+}
+
+// ---- (e) a remote digest found covering the store before ---------------
+
+proptest! {
+    /// One LWW replica and two peers under a random script of writes,
+    /// applies (new versions, old ones, duplicates) and amnesia resets on
+    /// the replica, applies on the peers, peers catching up with the
+    /// replica, and exchanges. A peer's digest is the one `Rc` its cache
+    /// hands out while its store stands, so a quiet peer asks about the
+    /// same digest again and again, and each exchange asks twice. Every
+    /// answer must be what the digest-free scan finds in the store as it
+    /// is now: a "covered" remembered from before a change fails here.
+    #[test]
+    fn a_remembered_covered_digest_answers_as_the_store_scan(
+        script in proptest::collection::vec(
+            (0u8..8, 0usize..2, 0u64..6, 1u64..6, 0u64..3),
+            0..48,
+        ),
+    ) {
+        let mut local = lww_store(&[]);
+        let mut cache = DigestCache::default();
+        let mut peers = [lww_store(&[]), lww_store(&[])];
+        let mut peer_caches = [DigestCache::default(), DigestCache::default()];
+        let mut clock = LamportClock::new();
+        for (kind, p, key, counter, actor) in script {
+            let shipped = lww_items(&[(key, counter, actor)]);
+            match kind {
+                0 => {
+                    local.apply(&shipped, &mut clock);
+                }
+                1 => {
+                    local.write_local(NodeId(7), key, counter, (0, 0), &VersionVector::new(), 0, &mut clock);
+                }
+                2 => local.reset(),
+                3 => {
+                    cache.get(&local);
+                }
+                4 => {
+                    peers[p].apply(&shipped, &mut clock);
+                }
+                5 => {
+                    let (digest, vv_digest) = peer_caches[p].get(&peers[p]);
+                    let lacking = oracle::missing_at_remote(&local, &digest, &vv_digest);
+                    peers[p].apply(&lacking, &mut clock);
+                }
+                _ => {
+                    let (digest, vv_digest) = peer_caches[p].get(&peers[p]);
+                    for _ in 0..2 {
+                        let got = cache.missing_at_remote(&local, NodeId(p as u32), &digest, &vv_digest);
+                        let want = oracle::missing_at_remote(&local, &digest, &vv_digest);
+                        prop_assert_eq!(&got[..], &want[..]);
+                    }
+                }
+            }
         }
     }
 }

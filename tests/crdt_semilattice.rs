@@ -324,7 +324,7 @@ fn drain(store: &mut Probed<ResolvingStore>) -> Drained {
 
 fn counters(store: &ResolvingStore) -> BTreeMap<Key, PnCounter> {
     match store {
-        ResolvingStore::Crdt(m) => m.iter().map(|(&k, c)| (k, PnCounter::clone(c))).collect(),
+        ResolvingStore::Crdt(m) => m.iter().map(|(k, c)| (k, PnCounter::clone(c))).collect(),
         other => panic!("not a counter store: {other:?}"),
     }
 }
@@ -373,7 +373,7 @@ fn assert_merge_join_matches_map_lookup(a: ResolvingStore, b: ResolvingStore) {
     for (local, remote) in [(&a, &b), (&b, &a)] {
         let (digest, vv_digest) = remote.digest();
         assert_eq!(
-            DigestCache::default().missing_at_remote(local, &digest, &vv_digest)[..],
+            DigestCache::default().missing_at_remote(local, NodeId(1), &digest, &vv_digest)[..],
             missing_by_map_lookup(local, &digest, &vv_digest)[..],
             "local {local:?}\nremote {remote:?}"
         );
@@ -425,7 +425,7 @@ proptest! {
                 2 | 3 => {
                     let to = 1 - at;
                     for _delivery in 1..kind {
-                        let items = caches[at].missing_at_remote(&stores[at], &no_digest, &no_vv);
+                        let items = caches[at].missing_at_remote(&stores[at], NodeId(to as u32), &no_digest, &no_vv);
                         stores[to].apply(&items, &mut clock);
                         let shipped = oracles[at].ship();
                         oracles[to].apply(&shipped);

@@ -17,17 +17,19 @@
 //!
 //! Never compiled into a crate. `apply` is the old loop word for word,
 //! except that it borrows its items (so one buffer can be given to both
-//! sides) and marks into a plain list instead of the crate-private
-//! `ChangedKeys`. `missing_at_remote` is the old scan with the digest
-//! searched from the front for every key, in place of the crate-private
-//! cursor that walked it in step: it does not even rely on the digest's
-//! order.
+//! sides), marks into a plain list instead of the crate-private
+//! `ChangedKeys`, and runs on a `BTreeMap` made from a counter store's
+//! flat buffer and turned back into one afterwards: the map the store
+//! was when the loop was written. `missing_at_remote` is the old scan
+//! with the digest searched from the front for every key, in place of
+//! the crate-private cursor that walked it in step: it does not even
+//! rely on the digest's order.
 
 use rethinking_ec::clocks::{LamportClock, LamportTimestamp, VersionVector};
-use rethinking_ec::crdt::CvRdt;
+use rethinking_ec::crdt::{CvRdt, PnCounter};
 use rethinking_ec::kvstore::{Key, Value};
 use rethinking_ec::replication::kernel::resolution::{ApplyOutcome, Digest, Item, ResolvingStore};
-use std::collections::btree_map::Entry;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::rc::Rc;
 
 /// `ResolvingStore::apply` as it was: every item by itself, in buffer
@@ -42,9 +44,15 @@ pub fn apply(
     marked: &mut Vec<Key>,
 ) -> ApplyOutcome {
     let mut out = ApplyOutcome::default();
+    let mut map: Option<BTreeMap<Key, Rc<PnCounter>>> = match store {
+        ResolvingStore::Crdt(c) => {
+            Some(std::mem::take(c).iter().map(|(k, c)| (k, Rc::clone(c))).collect())
+        }
+        _ => None,
+    };
     for item in items.iter().cloned() {
-        match (&mut *store, item) {
-            (ResolvingStore::Lww(s), Item::Lww { key, value, ts, written_at }) => {
+        match (&mut *store, &mut map, item) {
+            (ResolvingStore::Lww(s), _, Item::Lww { key, value, ts, written_at }) => {
                 clock.observe(ts, 0);
                 let v = Value::from_u64(value);
                 if s.put(key, v.clone(), ts, written_at) {
@@ -52,7 +60,7 @@ pub fn apply(
                     marked.push(key);
                 }
             }
-            (ResolvingStore::Sib(s), Item::Sib { key, sibling }) => {
+            (ResolvingStore::Sib(s), _, Item::Sib { key, sibling }) => {
                 if s.apply_remote(key, sibling) {
                     marked.push(key);
                     let n = s.siblings(key).len();
@@ -61,27 +69,32 @@ pub fn apply(
                     }
                 }
             }
-            (ResolvingStore::Crdt(m), Item::Counter { key, state }) => match m.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(state);
-                    marked.push(key);
-                }
-                Entry::Occupied(mut slot) => {
-                    let mine = slot.get_mut();
-                    if Rc::ptr_eq(mine, &state) || state.leq(mine) {
-                        continue;
+            (ResolvingStore::Crdt(_), Some(m), Item::Counter { key, state }) => {
+                match m.entry(key) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(state);
+                        marked.push(key);
                     }
-                    if mine.leq(&state) {
-                        *mine = state;
-                    } else {
-                        Rc::make_mut(mine).merge(&state);
+                    Entry::Occupied(mut slot) => {
+                        let mine = slot.get_mut();
+                        if Rc::ptr_eq(mine, &state) || state.leq(mine) {
+                            continue;
+                        }
+                        if mine.leq(&state) {
+                            *mine = state;
+                        } else {
+                            Rc::make_mut(mine).merge(&state);
+                        }
+                        marked.push(key);
                     }
-                    marked.push(key);
                 }
-            },
+            }
             // Policy mismatch: a deployment bug; drop the item.
             _ => {}
         }
+    }
+    if let (ResolvingStore::Crdt(c), Some(m)) = (store, map) {
+        *c = m.into_iter().collect();
     }
     out
 }
@@ -123,7 +136,7 @@ pub fn missing_at_remote(
             items
         }
         ResolvingStore::Crdt(m) => {
-            m.iter().map(|(&k, c)| Item::Counter { key: k, state: Rc::clone(c) }).collect()
+            m.iter().map(|(k, c)| Item::Counter { key: k, state: Rc::clone(c) }).collect()
         }
     }
 }

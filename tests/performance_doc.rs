@@ -180,6 +180,23 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_16.contains(guard), "the Phase 16 record must name `{guard}`");
     }
+    let phase_17 = DOC.split("\n## Phase 17").nth(1).expect("PERFORMANCE.md lost its Phase 17");
+    let phase_17 = phase_17.split("\n## ").next().unwrap();
+    for guard in [
+        "a_remembered_covered_digest_answers_as_the_store_scan",
+        "a_covered_digest_is_remembered_once_per_peer_until_the_store_changes",
+        "a_large_snapshot_joins_into_an_empty_counter_store_in_two_allocations",
+        "a_store_of_single_version_keys_allocates_one_version_per_key",
+        "undrained_marks_stay_bounded_by_the_key_count",
+        "tests/anti_entropy.rs",
+        "tests/oracle/anti_entropy.rs",
+        "tests/store_allocs.rs",
+        "tests/anti_entropy_allocs.rs",
+        "tests/crdt_semilattice.rs",
+        "gossip_state/work_per_s",
+    ] {
+        assert!(phase_17.contains(guard), "the Phase 17 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();
