@@ -52,6 +52,8 @@
 //! ```
 
 #![warn(missing_docs)]
+// The one exception is the wheel's prefetch hint (`wheel::prefetch`).
+#![deny(unsafe_code)]
 
 pub mod event;
 pub mod faults;

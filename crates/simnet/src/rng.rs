@@ -9,6 +9,13 @@
 /// "expand 32-byte k", the ChaCha constant words.
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
+/// Words in one ChaCha block.
+const BLOCK_WORDS: usize = 16;
+/// Consecutive blocks computed side by side per refill.
+const LANES: usize = 4;
+/// Words per refill: [`LANES`] blocks, one after another.
+const BUF_WORDS: usize = BLOCK_WORDS * LANES;
+
 /// A seeded, forkable random number generator.
 ///
 /// A ChaCha8 block function (4 constant words, 8 key words, a 64-bit
@@ -17,39 +24,61 @@ const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574]
 /// `EXPERIMENTS.md`, the golden traces and the checked-in results record
 /// concrete numbers for given seeds; `rng::tests::known_answers` pins the
 /// stream.
+///
+/// A refill computes four consecutive blocks, counters `c … c + 3`, as
+/// four lanes of one state, and the generator hands their 64 words out
+/// in block order: the stream is word for word that of one block per
+/// refill, only computed four blocks at a time.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     key: [u32; 8],
-    /// Block counter (words 12–13 of the ChaCha state).
+    /// Block counter (words 12–13 of the ChaCha state) of the first
+    /// block after `buf`.
     counter: u64,
     /// Stream id (words 14–15); [`SimRng::fork`] selects another one
     /// under the same key.
     stream: u64,
-    buf: [u32; 16],
-    /// Next unread word in `buf`; 16 means "buffer exhausted".
+    /// The [`LANES`] blocks before `counter`, in block order.
+    buf: [u32; BUF_WORDS],
+    /// Next unread word in `buf`; [`BUF_WORDS`] means "buffer exhausted".
     idx: usize,
 }
 
+/// One state word of each of the [`LANES`] blocks of a refill.
+type Row = [u32; LANES];
+
+/// One ChaCha quarter round, lane by lane. LLVM keeps the rounds
+/// scalar, four independent lanes interleaved on the integer units; the
+/// same rounds written as whole-row operations, or unrolled in full, ran
+/// slower and were not vectorised either.
 #[inline(always)]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
+fn quarter_round(state: &mut [Row; 16], a: usize, b: usize, c: usize, d: usize) {
+    let [mut ra, mut rb, mut rc, mut rd] = [state[a], state[b], state[c], state[d]];
+    for (((a, b), c), d) in ra.iter_mut().zip(&mut rb).zip(&mut rc).zip(&mut rd) {
+        *a = a.wrapping_add(*b);
+        *d = (*d ^ *a).rotate_left(16);
+        *c = c.wrapping_add(*d);
+        *b = (*b ^ *c).rotate_left(12);
+        *a = a.wrapping_add(*b);
+        *d = (*d ^ *a).rotate_left(8);
+        *c = c.wrapping_add(*d);
+        *b = (*b ^ *c).rotate_left(7);
+    }
+    [state[a], state[b], state[c], state[d]] = [ra, rb, rc, rd];
 }
 
-fn chacha8_block(key: &[u32; 8], counter: u64, stream: u64) -> [u32; 16] {
-    let mut state = [0u32; 16];
-    state[..4].copy_from_slice(&CONSTANTS);
-    state[4..12].copy_from_slice(key);
-    state[12] = counter as u32;
-    state[13] = (counter >> 32) as u32;
-    state[14] = stream as u32;
-    state[15] = (stream >> 32) as u32;
+/// The ChaCha8 blocks `counter … counter + LANES - 1` of `stream`,
+/// written to `out` one block after another.
+fn chacha8_blocks(key: &[u32; 8], counter: u64, stream: u64, out: &mut [u32; BUF_WORDS]) {
+    let mut state: [Row; 16] = [[0; LANES]; 16];
+    for (row, &word) in state.iter_mut().zip(CONSTANTS.iter().chain(key)) {
+        *row = [word; LANES];
+    }
+    let counters: [u64; LANES] = std::array::from_fn(|l| counter.wrapping_add(l as u64));
+    state[12] = counters.map(|c| c as u32);
+    state[13] = counters.map(|c| (c >> 32) as u32);
+    state[14] = [stream as u32; LANES];
+    state[15] = [(stream >> 32) as u32; LANES];
     let initial = state;
     for _ in 0..4 {
         // Column round.
@@ -63,10 +92,19 @@ fn chacha8_block(key: &[u32; 8], counter: u64, stream: u64) -> [u32; 16] {
         quarter_round(&mut state, 2, 7, 8, 13);
         quarter_round(&mut state, 3, 4, 9, 14);
     }
-    for (word, init) in state.iter_mut().zip(initial.iter()) {
-        *word = word.wrapping_add(*init);
+    // Add the input back row by row, then write each lane out as its
+    // block: the row-wise add compiles to one SSE2 `paddd` per row, which
+    // adding lane by lane into the block layout did not.
+    for (row, init) in state.iter_mut().zip(&initial) {
+        for (word, init) in row.iter_mut().zip(init) {
+            *word = word.wrapping_add(*init);
+        }
     }
-    state
+    for (l, block) in out.chunks_exact_mut(BLOCK_WORDS).enumerate() {
+        for (word, row) in block.iter_mut().zip(&state) {
+            *word = row[l];
+        }
+    }
 }
 
 impl SimRng {
@@ -84,31 +122,40 @@ impl SimRng {
             pair[0] = z as u32;
             pair[1] = (z >> 32) as u32;
         }
-        SimRng { key, counter: 0, stream: 0, buf: [0; 16], idx: 16 }
+        SimRng::at_block(key, 0, 0)
+    }
+
+    /// A generator that starts at block `counter` of `stream`.
+    fn at_block(key: [u32; 8], counter: u64, stream: u64) -> Self {
+        SimRng { key, counter, stream, buf: [0; BUF_WORDS], idx: BUF_WORDS }
     }
 
     /// Derive an independent child stream.
     ///
-    /// The child shares the parent's key and block counter under stream
-    /// id `stream + 1` (stream 0 is the parent's), and starts at a fresh
-    /// block: forks with distinct ids are statistically independent and
-    /// reproducible, and a fork depends on how many blocks its parent has
-    /// drawn, not on where it is inside the current one.
+    /// The child shares the parent's key under stream id `stream + 1`
+    /// (stream 0 is the parent's) and starts at a fresh block: the first
+    /// one its parent has not drawn a word from, that is the parent's
+    /// starting block plus ⌈words drawn / 16⌉. Forks with distinct ids
+    /// are statistically independent and reproducible, and a fork
+    /// depends on how many blocks its parent has drawn from, not on where
+    /// it is inside the current one, nor on how many blocks one refill
+    /// computes.
     pub fn fork(&self, stream: u64) -> SimRng {
-        let mut child = self.clone();
-        child.stream = stream.wrapping_add(1);
-        child.idx = 16; // Force a refill from the current counter.
-        child
+        let untouched = ((BUF_WORDS - self.idx) / BLOCK_WORDS) as u64;
+        SimRng::at_block(self.key, self.counter.wrapping_sub(untouched), stream.wrapping_add(1))
     }
 
+    #[cold]
+    #[inline(never)]
     fn refill(&mut self) {
-        self.buf = chacha8_block(&self.key, self.counter, self.stream);
-        self.counter = self.counter.wrapping_add(1);
+        chacha8_blocks(&self.key, self.counter, self.stream, &mut self.buf);
+        self.counter = self.counter.wrapping_add(LANES as u64);
         self.idx = 0;
     }
 
+    #[inline]
     fn next_u32(&mut self) -> u32 {
-        if self.idx >= 16 {
+        if self.idx >= BUF_WORDS {
             self.refill();
         }
         let w = self.buf[self.idx];
@@ -207,6 +254,134 @@ impl SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The generator as it was written first, one ChaCha8 block per
+    /// refill: the reference the four-lane refill is held to.
+    struct OneBlock {
+        key: [u32; 8],
+        counter: u64,
+        stream: u64,
+        buf: [u32; 16],
+        idx: usize,
+    }
+
+    fn chacha8_block(key: &[u32; 8], counter: u64, stream: u64) -> [u32; 16] {
+        fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
+            state[a] = state[a].wrapping_add(state[b]);
+            state[d] = (state[d] ^ state[a]).rotate_left(16);
+            state[c] = state[c].wrapping_add(state[d]);
+            state[b] = (state[b] ^ state[c]).rotate_left(12);
+            state[a] = state[a].wrapping_add(state[b]);
+            state[d] = (state[d] ^ state[a]).rotate_left(8);
+            state[c] = state[c].wrapping_add(state[d]);
+            state[b] = (state[b] ^ state[c]).rotate_left(7);
+        }
+        let mut state = [0u32; 16];
+        state[..4].copy_from_slice(&CONSTANTS);
+        state[4..12].copy_from_slice(key);
+        state[12] = counter as u32;
+        state[13] = (counter >> 32) as u32;
+        state[14] = stream as u32;
+        state[15] = (stream >> 32) as u32;
+        let initial = state;
+        for _ in 0..4 {
+            quarter_round(&mut state, 0, 4, 8, 12);
+            quarter_round(&mut state, 1, 5, 9, 13);
+            quarter_round(&mut state, 2, 6, 10, 14);
+            quarter_round(&mut state, 3, 7, 11, 15);
+            quarter_round(&mut state, 0, 5, 10, 15);
+            quarter_round(&mut state, 1, 6, 11, 12);
+            quarter_round(&mut state, 2, 7, 8, 13);
+            quarter_round(&mut state, 3, 4, 9, 14);
+        }
+        for (word, init) in state.iter_mut().zip(initial.iter()) {
+            *word = word.wrapping_add(*init);
+        }
+        state
+    }
+
+    impl OneBlock {
+        /// The stream `seed` starts, at block 0 of stream 0.
+        fn new(seed: u64) -> Self {
+            OneBlock::at(SimRng::new(seed).key, 0, 0)
+        }
+
+        fn at(key: [u32; 8], counter: u64, stream: u64) -> Self {
+            OneBlock { key, counter, stream, buf: [0; 16], idx: 16 }
+        }
+
+        fn next_u32(&mut self) -> u32 {
+            if self.idx == 16 {
+                self.buf = chacha8_block(&self.key, self.counter, self.stream);
+                self.counter = self.counter.wrapping_add(1);
+                self.idx = 0;
+            }
+            self.idx += 1;
+            self.buf[self.idx - 1]
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            let lo = self.next_u32() as u64;
+            (self.next_u32() as u64) << 32 | lo
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            ((self.next_u64() as u128 * bound as u128) >> 64) as u64
+        }
+
+        fn unit(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn std_normal(&mut self) -> f64 {
+            let u1 = 1.0 - self.unit();
+            let u2 = self.unit();
+            (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
+        }
+    }
+
+    /// Every draw of the four-lane generator equals the one-block
+    /// reference's, over 64 seeds and several refills of mixed draws, and
+    /// a fork at every word offset of the first refill and a half starts
+    /// at the reference's block ⌈words drawn / 16⌉ under stream id + 1.
+    #[test]
+    fn four_lane_refills_draw_the_one_block_stream() {
+        for seed in 0..64u64 {
+            let mut fast = SimRng::new(seed);
+            let mut slow = OneBlock::new(seed);
+            let mut words = 0;
+            let mut op = seed;
+            while words < 4 * BUF_WORDS {
+                op = op.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let (a, b) = match (op >> 33) % 5 {
+                    0 => (fast.next_u32() as u64, slow.next_u32() as u64),
+                    1 => (fast.next_u64(), slow.next_u64()),
+                    2 => (fast.below(1 + op % 1000), slow.below(1 + op % 1000)),
+                    3 => (fast.unit().to_bits(), slow.unit().to_bits()),
+                    _ => (fast.std_normal().to_bits(), slow.std_normal().to_bits()),
+                };
+                assert_eq!(a, b, "seed {seed}, after {words} words");
+                words = (slow.counter as usize - 1) * 16 + slow.idx;
+            }
+
+            for drawn in 0..=96usize {
+                let mut parent = SimRng::new(seed);
+                for _ in 0..drawn {
+                    parent.next_u32();
+                }
+                let mut child = parent.fork(seed);
+                let key = SimRng::new(seed).key;
+                let mut reference = OneBlock::at(key, drawn.div_ceil(16) as u64, seed + 1);
+                for i in 0..BUF_WORDS + 16 {
+                    assert_eq!(
+                        child.next_u32(),
+                        reference.next_u32(),
+                        "seed {seed}: fork after {drawn} words, child word {i}"
+                    );
+                }
+            }
+        }
+    }
 
     /// The stream itself, recorded before the generator moved into this
     /// file: any change to the block function, the seed expansion, the

@@ -43,6 +43,11 @@
 //!   the whole tick. Events pushed *at* the drained tick while the batch
 //!   is being served carry later `seq` values and are picked up by the
 //!   next drain of the same slot, preserving the ordering contract.
+//!   A deep queue's envelopes are far apart in the slab and rarely in
+//!   cache, so each pop asks for the envelope of the key
+//!   [`PREFETCH_AHEAD`] places further down the batch to be loaded
+//!   while the keys before it are served, and a drain asks for the
+//!   first keys of the new batch, which that look-ahead never reaches.
 //!
 //! * **Bucket recycling.** A drained bucket keeps its buffer: a level-0
 //!   slot is drained into the batch in place and a cascading slot is
@@ -91,6 +96,28 @@ const LEVELS: usize = 6;
 /// the protocol workloads and a quarter of a MiB more resident per
 /// simulator, and was not taken.
 const RETAIN_KEYS: usize = 64;
+
+/// How many keys ahead of the one it pops [`TimingWheel::pop`] asks for
+/// an envelope to be pulled into cache: far enough that the load is
+/// done by the time that key pops, near enough that the line is still
+/// there.
+const PREFETCH_AHEAD: usize = 6;
+
+/// Ask the CPU to start loading `target` into cache, without waiting
+/// for it. Compiles to nothing off x86-64.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch<T>(target: &T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch is a hint that never faults, and the address
+    // comes from a live reference, so it is in bounds of an allocation.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>((target as *const T).cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = target;
+}
 
 /// A queue entry: where in time it fires, its tie-break sequence, and
 /// which slab slot holds its envelope. Keys are what the wheel moves
@@ -164,6 +191,14 @@ impl<M> Slab<M> {
                 self.slots.push(Some(env));
                 (self.slots.len() - 1) as u32
             }
+        }
+    }
+
+    /// Start loading slot `i` into cache for a pop a few keys later.
+    #[inline]
+    fn prefetch(&self, i: u32) {
+        if let Some(slot) = self.slots.get(i as usize) {
+            prefetch(slot);
         }
     }
 
@@ -339,6 +374,12 @@ impl<M> TimingWheel<M> {
                 bucket.sort_unstable_by_key(|k| k.seq);
                 debug_assert!(bucket.windows(2).all(|w| w[0].at == w[1].at));
                 self.cursor = bucket[0].at;
+                // The look-ahead in `pop` starts at the key
+                // `PREFETCH_AHEAD` in; the keys before it are asked
+                // for here.
+                for key in bucket.iter().take(PREFETCH_AHEAD) {
+                    self.slab.prefetch(key.slot);
+                }
                 self.batch.extend(bucket.drain(..));
                 release_if_oversized(bucket);
                 return true;
@@ -363,6 +404,9 @@ impl<M> TimingWheel<M> {
             return None;
         }
         let key = self.batch.pop_front().expect("batch filled");
+        if let Some(ahead) = self.batch.get(PREFETCH_AHEAD - 1) {
+            self.slab.prefetch(ahead.slot);
+        }
         self.len -= 1;
         self.floor = key.at;
         let payload = self.slab.remove(key.slot).expand();

@@ -15,7 +15,10 @@
 //! scripted cases aim at bucket recycling (a drained bucket keeps its
 //! buffer, up to a bound): refills while the previous contents are
 //! still being served, cascades into just-drained slots, and a burst
-//! past the bound followed by a sparse tail. The rest pins the slab's
+//! past the bound followed by a sparse tail. One more serves batches
+//! longer than the pop look-ahead (the envelopes a pop asks to have
+//! loaded early), with same-tick pushes behind them and earlier keys
+//! spliced in front. The rest pins the slab's
 //! no-aliasing guarantee and, at the simulator level, timer
 //! cancel/re-arm determinism and injection below a pre-drained tick.
 
@@ -314,6 +317,12 @@ impl Lockstep {
         while self.pop().is_some() {}
         assert_eq!(self.model.len(), 0);
     }
+
+    fn peek(&mut self) -> Option<u64> {
+        let got = self.q.peek_time().map(SimTime::as_micros);
+        assert_eq!(got, self.model.peek_time(), "peek_time diverged from the model");
+        got
+    }
 }
 
 #[test]
@@ -404,6 +413,55 @@ fn a_burst_past_the_retention_bound_followed_by_a_sparse_tail() {
     }
     l.pop();
     l.push(4_196);
+    l.drain();
+}
+
+/// A pop looks a few keys down the batch to have their envelopes
+/// loaded early, and a level-0 drain does the same for the first keys
+/// of the new batch. Neither may change what pops: batches far longer
+/// than the look-ahead, same-tick pushes landing behind a batch that is
+/// being served, and earlier keys spliced in front of a pre-drained
+/// batch all pop as the model does.
+#[test]
+fn batches_longer_than_the_look_ahead_pop_as_the_model_does() {
+    let mut l = Lockstep::default();
+    // 320 keys in one microsecond, served with same-tick pushes in
+    // between: each lands behind the batch and pops with the next drain
+    // of the slot.
+    for _ in 0..320 {
+        l.push(7);
+    }
+    for i in 0..400u64 {
+        l.pop();
+        if i % 3 == 0 {
+            l.push(7);
+        }
+    }
+    l.drain();
+    // A pre-drained batch of 300 keys, then earlier keys injected below
+    // its tick: more of them than the look-ahead, spliced in front, and
+    // one behind them at the batch's own tick.
+    for _ in 0..300 {
+        l.push(1_000);
+    }
+    assert_eq!(l.peek(), Some(1_000));
+    for at in [500, 200, 500, 900, 200, 999, 300, 500, 200, 1_000] {
+        l.push(at);
+    }
+    assert_eq!(l.peek(), Some(200));
+    for _ in 0..5 {
+        l.pop();
+    }
+    l.push(500);
+    l.push(1_000);
+    l.drain();
+    // Long batches on consecutive ticks, each drained while the last
+    // keys of the one before are still in the look-ahead window.
+    for at in 2_000..2_004 {
+        for _ in 0..310 {
+            l.push(at);
+        }
+    }
     l.drain();
 }
 

@@ -197,6 +197,22 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_17.contains(guard), "the Phase 17 record must name `{guard}`");
     }
+    let phase_18 = DOC.split("\n## Phase 18").nth(1).expect("PERFORMANCE.md lost its Phase 18");
+    let phase_18 = phase_18.split("\n## ").next().unwrap();
+    for guard in [
+        "four_lane_refills_draw_the_one_block_stream",
+        "known_answers",
+        "batches_longer_than_the_look_ahead_pop_as_the_model_does",
+        "crates/simnet/tests/queue_conformance.rs",
+        "tests/sim_dispatch_allocs.rs",
+        "tests/trace_golden.rs",
+        "simnet.storm_deep_ns_per_event",
+        "simnet.storm_shallow_ns_per_event",
+        "workload.zipf_sample_ns",
+        "event_storm/work_per_s",
+    ] {
+        assert!(phase_18.contains(guard), "the Phase 18 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();
