@@ -64,9 +64,10 @@ pub struct Obs {
     pub profile: bool,
     /// Where the JSONL event log goes (`--trace-out <path>`), if anywhere.
     pub trace_out: Option<PathBuf>,
-    /// Per-cell JSONL chunks in grid order, for the concatenated export
-    /// (their count names the next per-cell trace file).
-    trace_chunks: RefCell<Vec<String>>,
+    /// Each traced cell's recorder, in grid order, for the concatenated
+    /// export (their count names the next per-cell trace file). A
+    /// recorder holds its log packed, so this is not the logs' text.
+    trace_cells: RefCell<Vec<Recorder>>,
 }
 
 impl Obs {
@@ -110,7 +111,7 @@ impl Obs {
             summary_only,
             profile,
             trace_out,
-            trace_chunks: RefCell::new(Vec::new()),
+            trace_cells: RefCell::new(Vec::new()),
         };
         (obs, rest)
     }
@@ -141,15 +142,15 @@ impl Obs {
     }
 
     /// Fold one finished cell into the aggregate: absorb its metrics
-    /// and, when tracing, write its JSONL and stage it for the
+    /// and, when tracing, write its JSONL and keep its recorder for the
     /// concatenated export. Called in grid order only.
     fn finish_cell(&self, cell: &Recorder) {
         self.recorder.absorb(cell);
         if self.trace_out.is_some() {
-            let jsonl = cell.export_jsonl();
-            let idx = self.trace_chunks.borrow().len();
-            write_or_exit(&self.per_cell_trace_path(idx), &jsonl);
-            self.trace_chunks.borrow_mut().push(jsonl);
+            let idx = self.trace_cells.borrow().len();
+            let path = self.per_cell_trace_path(idx);
+            written_or_exit(&path, cell.write_jsonl(&path));
+            self.trace_cells.borrow_mut().push(cell.clone());
         }
     }
 
@@ -195,8 +196,12 @@ impl Obs {
         ]);
         save_json(name, &doc);
         if let Some(path) = &self.trace_out {
-            let cells = self.trace_chunks.borrow();
-            write_or_exit(path, cells.concat());
+            let cells = self.trace_cells.borrow();
+            // The cells' logs one after another, streamed from each.
+            let written = fs::File::create(path).and_then(|mut file| {
+                cells.iter().try_for_each(|cell| cell.write_jsonl_to(&mut file))
+            });
+            written_or_exit(path, written);
             println!("[trace saved to {} (+{} cell files)]", path.display(), cells.len());
         }
     }
@@ -253,7 +258,12 @@ fn bin_name() -> String {
 
 /// Write `contents` to `path`, or exit 1 naming the path.
 pub fn write_or_exit(path: &Path, contents: impl AsRef<[u8]>) {
-    if let Err(e) = fs::write(path, contents) {
+    written_or_exit(path, fs::write(path, contents));
+}
+
+/// Exit 1 naming `path` if writing it failed.
+fn written_or_exit(path: &Path, written: std::io::Result<()>) {
+    if let Err(e) = written {
         fail(&format!("cannot write {}: {e}", path.display()));
     }
 }

@@ -11,16 +11,19 @@
 //! `wire_events!` table below declares every event type once — its tag
 //! and its fields in wire order, each with its kind — and [`EventKind`],
 //! [`EventKind::type_name`], the encoder
-//! ([`TracedEvent::write_json_line`]) and the decoder ([`parse_line`],
-//! [`parse_jsonl`]) are all generated from it; the four named enums are
-//! `names!` lists, like every other name the lab exports. A field or a
-//! name is spelled once.
+//! ([`TracedEvent::write_json_line`]), the decoder ([`parse_line`],
+//! [`parse_jsonl`]) and the packed form the recorder keeps its log in
+//! (`crate::packed`: packing, unpacking, and writing a line straight
+//! from the packed bytes) are all generated from it; the four named
+//! enums are `names!` lists, like every other name the lab exports. A
+//! field or a name is spelled once.
 //!
 //! The encoder appends to the caller's buffer, so the byte output is a
 //! pure function of the event sequence (the determinism tests compare
 //! whole files) and costs no allocation. An integer goes out two digits
-//! at a time: one division by 100 per pair, each pair a slice of a
-//! 200-byte table of `"00"` to `"99"`, nothing to validate.
+//! at a time: one division by 100 per pair, each pair below the leading
+//! digits a slice of a 200-byte table of `"00"` to `"99"`, nothing to
+//! validate.
 //!
 //! The decoder builds no tree either, and it has two readers. The
 //! *template reader* reads a line in one forward pass against the exact
@@ -70,6 +73,7 @@
 //! follow the order of their `seq` ([`SeqOrder`]).
 
 use crate::counters::Counter;
+use crate::packed::{EventLog, Unpacker};
 use serde_json::{Field, RawArray};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -172,48 +176,119 @@ macro_rules! wire_key {
     };
 }
 
-/// Append `,"field":value` to `$out` for the binding `$field` of a
-/// matched variant. An optional field is omitted when absent; the
-/// decoder reads by name, so presence is the `None`/`Some` signal.
+/// Append `,"field":value` to `$out`, `$value` being field `$field`'s
+/// value as [`wire_row!`] or [`wire_unpack!`] gives it, evaluated once.
+/// An optional field is omitted when absent; the decoder reads by name,
+/// so presence is the `None`/`Some` signal.
 macro_rules! wire_write {
-    (int, $out:ident, $field:ident) => {{
+    (int, $out:ident, $field:ident, $value:expr) => {{
         $out.push_str(wire_key!($field));
-        push_u64($out, *$field);
+        push_u64($out, $value);
     }};
-    (node, $out:ident, $field:ident) => {{
+    (node, $out:ident, $field:ident, $value:expr) => {{
         $out.push_str(wire_key!($field));
-        push_u64($out, u64::from(*$field));
+        push_u64($out, u64::from($value));
     }};
-    (flag, $out:ident, $field:ident) => {{
+    (flag, $out:ident, $field:ident, $value:expr) => {{
         $out.push_str(wire_key!($field));
-        $out.push_str(if *$field { "true" } else { "false" });
+        $out.push_str(if $value { "true" } else { "false" });
     }};
-    (named($ty:ident), $out:ident, $field:ident) => {{
+    (named($ty:ident), $out:ident, $field:ident, $value:expr) => {{
         $out.push_str(wire_key!($field, "\""));
-        $out.push_str($field.name());
+        $out.push_str($value.name());
         $out.push('"');
     }};
-    (ints($noun:literal), $out:ident, $field:ident) => {{
+    (ints($noun:literal), $out:ident, $field:ident, $value:expr) => {{
         $out.push_str(wire_key!($field));
-        push_u64_array($out, $field);
+        push_u64_array($out, $value);
     }};
-    (opt_int, $out:ident, $field:ident) => {
-        if let Some(value) = $field {
+    (opt_int, $out:ident, $field:ident, $value:expr) => {
+        if let Some(value) = $value {
             $out.push_str(wire_key!($field));
-            push_u64($out, *value);
+            push_u64($out, value);
         }
     };
-    (opt_pair, $out:ident, $field:ident) => {
-        if let Some((first, second)) = $field {
+    (opt_pair, $out:ident, $field:ident, $value:expr) => {
+        if let Some((first, second)) = $value {
             $out.push_str(wire_key!($field));
-            push_u64_array($out, &[*first, *second]);
+            push_u64_array($out, [first, second]);
         }
     };
-    (interned, $out:ident, $field:ident) => {{
+    (interned, $out:ident, $field:ident, $value:expr) => {{
         $out.push_str(wire_key!($field, "\""));
-        push_escaped($out, $field);
+        push_escaped($out, $value);
         $out.push('"');
     }};
+}
+
+/// The value `wire_write!` and `wire_pack!` take for the binding
+/// `$field` of a matched variant: a copy, or a list's elements.
+macro_rules! wire_row {
+    (ints($noun:literal), $field:ident) => {
+        $field.iter().copied()
+    };
+    ($kind:ident $(($arg:tt))?, $field:ident) => {
+        *$field
+    };
+}
+
+/// Pack `$value`, a field's value as [`wire_row!`] gives it, into the
+/// [`EventLog`] `$log` (the layout is in [`crate::packed`]).
+macro_rules! wire_pack {
+    (int, $log:ident, $value:expr) => {
+        $log.int($value)
+    };
+    (node, $log:ident, $value:expr) => {
+        $log.int(u64::from($value))
+    };
+    (flag, $log:ident, $value:expr) => {
+        $log.byte(u8::from($value))
+    };
+    (named($ty:ident), $log:ident, $value:expr) => {
+        $log.byte($value as u8)
+    };
+    (ints($noun:literal), $log:ident, $value:expr) => {
+        $log.ints($value)
+    };
+    (opt_int, $log:ident, $value:expr) => {
+        $log.opt_int($value)
+    };
+    (opt_pair, $log:ident, $value:expr) => {
+        $log.opt_pair($value)
+    };
+    (interned, $log:ident, $value:expr) => {
+        $log.name($value)
+    };
+}
+
+/// The next field's value off the [`Unpacker`] `$r`, as `wire_pack!`
+/// packed it: the field's type, but a list's elements as they are read
+/// (`.into()` collects them).
+macro_rules! wire_unpack {
+    (int, $r:ident) => {
+        $r.int()
+    };
+    (node, $r:ident) => {
+        $r.int() as u32
+    };
+    (flag, $r:ident) => {
+        $r.byte() != 0
+    };
+    (named($ty:ident), $r:ident) => {
+        $ty::ALL[usize::from($r.byte())]
+    };
+    (ints($noun:literal), $r:ident) => {
+        $r.ints()
+    };
+    (opt_int, $r:ident) => {
+        $r.opt_int()
+    };
+    (opt_pair, $r:ident) => {
+        $r.opt_pair()
+    };
+    (interned, $r:ident) => {
+        $r.name()
+    };
 }
 
 /// Read field `$field` out of the [`Line`] `$line`; `$names` interns.
@@ -305,21 +380,24 @@ macro_rules! wire_take {
 /// in wire order, then a `; boxed { ... }` group of `Variant =
 /// "type_tag" Payload { field: kind, ... }` whose fields live in a
 /// generated struct `Payload` that the variant holds in a `Box`, so
-/// that a rare wide event does not set the size of every row. Both
-/// groups are one table to the wire: `WIRE_TABLE`, the encoder and the
-/// decoder do not tell them apart. The kinds, with their Rust type and
-/// their JSON form:
+/// that a rare wide event does not set the size of every row (of a
+/// parsed log; the recorder keeps no rows, and packs a payload without
+/// boxing it). Both groups are one table to the wire: `WIRE_TABLE`, the
+/// encoder, the decoder and the packing do not tell them apart; an
+/// event type's place in the table is its tag byte in the packed log.
+/// The kinds, with their Rust type, their JSON form and their packed
+/// form:
 ///
-/// | kind | type | on the wire |
-/// |---|---|---|
-/// | `int` | `u64` | decimal integer |
-/// | `node` | `u32` | decimal integer; one past `u32::MAX` is an error naming the field |
-/// | `flag` | `bool` | `true` / `false` |
-/// | `named(E)` | `E`, a `names!` enum | its name, as a string |
-/// | `ints("noun")` | `Vec<u64>` | array of integers (`noun` is what a decode error calls a bad element) |
-/// | `opt_int` | `Option<u64>` | integer, key omitted when `None` |
-/// | `opt_pair` | `Option<(u64, u64)>` | `[counter, actor]`, key omitted when `None` |
-/// | `interned` | `&'static str` | string (interned on decode) |
+/// | kind | type | on the wire | packed |
+/// |---|---|---|---|
+/// | `int` | `u64` | decimal integer | varint |
+/// | `node` | `u32` | decimal integer; one past `u32::MAX` is an error naming the field | varint |
+/// | `flag` | `bool` | `true` / `false` | one byte |
+/// | `named(E)` | `E`, a `names!` enum | its name, as a string | one byte, its place in `E::ALL` |
+/// | `ints("noun")` | `Vec<u64>` | array of integers (`noun` is what a decode error calls a bad element) | varint length, then varints |
+/// | `opt_int` | `Option<u64>` | integer, key omitted when `None` | presence byte, then a varint |
+/// | `opt_pair` | `Option<(u64, u64)>` | `[counter, actor]`, key omitted when `None` | presence byte, then two varints |
+/// | `interned` | `&'static str` | string (interned on decode) | varint, its place in the log's name table |
 macro_rules! wire_events {
     ($(#[$doc:meta])* $enum:ident {
         $(
@@ -343,6 +421,29 @@ macro_rules! wire_events {
             #[derive(Debug, Clone, PartialEq)]
             pub struct $payload {
                 $($(#[$bfdoc])* pub $bfield: wire_type!($bkind $(($barg))?),)*
+            }
+        )*
+
+        /// The packed log's tag byte of each event type: its place in
+        /// the table.
+        #[derive(Clone, Copy)]
+        enum Tag {
+            $($variant,)*
+            $($bvariant,)*
+        }
+
+        /// Every [`Tag`], at its own place.
+        const TAGS: &[Tag] = &[$(Tag::$variant,)* $(Tag::$bvariant,)*];
+
+        $(
+            impl $payload {
+                /// Append the event that holds this payload to `log` as
+                /// event `seq` at `t_us`, without boxing it.
+                pub(crate) fn pack(&self, seq: u64, t_us: u64, log: &mut EventLog) {
+                    log.open(Tag::$bvariant as u8, seq, t_us);
+                    let $payload { $($bfield),* } = self;
+                    $(wire_pack!($bkind $(($barg))?, log, wire_row!($bkind $(($barg))?, $bfield));)*
+                }
             }
         )*
 
@@ -385,14 +486,66 @@ macro_rules! wire_events {
                 match self {
                     $($enum::$variant { $($($field),*)? } => {
                         out.push_str(concat!(",\"", envelope!(tag), "\":\"", $tag, "\""));
-                        $($(wire_write!($kind $(($arg))?, out, $field);)*)?
+                        $($(wire_write!($kind $(($arg))?, out, $field,
+                            wire_row!($kind $(($arg))?, $field));)*)?
                     })*
                     $($enum::$bvariant(payload) => {
                         out.push_str(concat!(",\"", envelope!(tag), "\":\"", $btag, "\""));
                         let $payload { $($bfield),* } = &**payload;
-                        $(wire_write!($bkind $(($barg))?, out, $bfield);)*
+                        $(wire_write!($bkind $(($barg))?, out, $bfield,
+                            wire_row!($bkind $(($barg))?, $bfield));)*
                     })*
                 }
+            }
+
+            /// Append this event to `log` as event `seq` at `t_us`.
+            pub(crate) fn pack(&self, seq: u64, t_us: u64, log: &mut EventLog) {
+                match self {
+                    $($enum::$variant { $($($field),*)? } => {
+                        log.open(Tag::$variant as u8, seq, t_us);
+                        $($(wire_pack!($kind $(($arg))?, log,
+                            wire_row!($kind $(($arg))?, $field));)*)?
+                    })*
+                    $($enum::$bvariant(payload) => payload.pack(seq, t_us, log),)*
+                }
+            }
+
+            /// The event of type `tag` whose fields `r` is at.
+            pub(crate) fn unpack(tag: u8, r: &mut Unpacker) -> $enum {
+                match TAGS[usize::from(tag)] {
+                    $(Tag::$variant => $enum::$variant {
+                        $($($field: wire_unpack!($kind $(($arg))?, r).into(),)*)?
+                    },)*
+                    $(Tag::$bvariant => $enum::$bvariant(Box::new($payload {
+                        $($bfield: wire_unpack!($bkind $(($barg))?, r).into(),)*
+                    })),)*
+                }
+            }
+
+            /// Append the line [`TracedEvent::write_json_line`] writes for
+            /// event `seq` at `t_us` of type `tag`, whose fields `r` is at,
+            /// straight from the packed bytes.
+            pub(crate) fn write_packed_line(
+                tag: u8,
+                seq: u64,
+                t_us: u64,
+                r: &mut Unpacker,
+                out: &mut String,
+            ) {
+                write_envelope(out, seq, t_us);
+                match TAGS[usize::from(tag)] {
+                    $(Tag::$variant => {
+                        out.push_str(concat!(",\"", envelope!(tag), "\":\"", $tag, "\""));
+                        $($(wire_write!($kind $(($arg))?, out, $field,
+                            wire_unpack!($kind $(($arg))?, r));)*)?
+                    })*
+                    $(Tag::$bvariant => {
+                        out.push_str(concat!(",\"", envelope!(tag), "\":\"", $btag, "\""));
+                        $(wire_write!($bkind $(($barg))?, out, $bfield,
+                            wire_unpack!($bkind $(($barg))?, r));)*
+                    })*
+                }
+                out.push('}');
             }
 
             /// The event of type `tag` whose fields `line` holds;
@@ -753,8 +906,9 @@ fn pair(p: usize) -> &'static str {
 }
 
 /// Append `value` in decimal, two digits at a time: one division by 100
-/// per pair, and each pair copied out of [`PAIRS`], so nothing is
-/// allocated or validated per integer.
+/// per pair, each pair below the leading digits copied out of [`PAIRS`]
+/// and the leading one or two pushed as chars, so nothing is allocated
+/// or validated per integer.
 fn push_u64(out: &mut String, mut value: u64) {
     // The pairs below the leading one or two digits, least significant
     // first: `u64::MAX` has twenty digits, so at most nine.
@@ -765,21 +919,26 @@ fn push_u64(out: &mut String, mut value: u64) {
         value /= 100;
         len += 1;
     }
-    let lead = value as usize;
-    out.push_str(if lead < 10 { &pair(lead)[1..] } else { pair(lead) });
+    // The leading one or two digits go out as chars: a copy of a run
+    // that short would be a call to `memcpy`.
+    let lead = value as u8;
+    if lead >= 10 {
+        out.push(char::from(b'0' + lead / 10));
+    }
+    out.push(char::from(b'0' + lead % 10));
     for &p in low[..len].iter().rev() {
         out.push_str(pair(usize::from(p)));
     }
 }
 
 /// Append `[a,b,...]`.
-fn push_u64_array(out: &mut String, values: &[u64]) {
+fn push_u64_array(out: &mut String, values: impl IntoIterator<Item = u64>) {
     out.push('[');
-    for (i, v) in values.iter().enumerate() {
+    for (i, v) in values.into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        push_u64(out, *v);
+        push_u64(out, v);
     }
     out.push(']');
 }
@@ -827,13 +986,19 @@ impl TracedEvent {
     /// Append the line [`TracedEvent::to_json_line`] returns to `out`,
     /// allocating nothing if `out` has the room.
     pub fn write_json_line(&self, out: &mut String) {
-        out.push_str(concat!("{\"", envelope!(seq), "\":"));
-        push_u64(out, self.seq);
-        out.push_str(concat!(",\"", envelope!(t_us), "\":"));
-        push_u64(out, self.t_us);
+        write_envelope(out, self.seq, self.t_us);
         self.kind.write_fields(out);
         out.push('}');
     }
+}
+
+/// Append `{"seq":seq,"t_us":t_us`, what every line opens with.
+#[inline]
+fn write_envelope(out: &mut String, seq: u64, t_us: u64) {
+    out.push_str(concat!("{\"", envelope!(seq), "\":"));
+    push_u64(out, seq);
+    out.push_str(concat!(",\"", envelope!(t_us), "\":"));
+    push_u64(out, t_us);
 }
 
 /// A trace line that could not be parsed.
@@ -1339,6 +1504,56 @@ mod tests {
     fn event_row_size_is_pinned() {
         assert_eq!(std::mem::size_of::<EventKind>(), 56);
         assert_eq!(std::mem::size_of::<TracedEvent>(), 72);
+    }
+
+    /// What the recorder keeps of an event is its packed bytes
+    /// (`crate::packed`), so these sizes are what a log costs: one event
+    /// of each common type as a protocol run records it, a microsecond
+    /// or so after the one before. `tests/event_log_size.rs` holds whole
+    /// runs to a bound in bytes per event.
+    #[test]
+    fn packed_event_sizes_are_pinned() {
+        let payload = OpCompletion {
+            session: 3,
+            op: 41,
+            key: 1_017,
+            kind: ClientOpKind::Read,
+            ok: true,
+            invoked_us: 2_412_345,
+            replica: 2,
+            value: None,
+            values: vec![90_001],
+            stamp: Some((1_234, 2)),
+            version_ts_us: Some(2_400_017),
+        };
+        let kinds = [
+            EventKind::MessageSent { from: 0, to: 2, bytes: 96, trace: 812, span: 3_301 },
+            EventKind::SpanOpen {
+                trace: 812,
+                span: 3_302,
+                parent: 3_301,
+                node: 2,
+                name: "op_read",
+            },
+            EventKind::SpanClose { trace: 812, span: 3_302, node: 2, status: SpanStatus::Ok },
+            EventKind::QuorumWait {
+                node: 1,
+                kind: QuorumKind::Read,
+                waited_us: 4_100,
+                acks: 2,
+                needed: 2,
+            },
+            EventKind::Crash { node: 1 },
+            EventKind::OpComplete(Box::new(payload)),
+        ];
+        let sizes = kinds.map(|kind| {
+            let mut log = EventLog::default();
+            kind.pack(99, 2_412_000, &mut log);
+            let before = log.packed_bytes();
+            kind.pack(100, 2_412_700, &mut log);
+            log.packed_bytes() - before
+        });
+        assert_eq!(sizes, [11, 12, 10, 10, 5, 29]);
     }
 
     #[test]

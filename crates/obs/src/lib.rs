@@ -5,9 +5,10 @@
 //!
 //! - a **typed event log** ([`EventKind`], [`TracedEvent`]) recording
 //!   what the protocols did and why (message sends/drops, anti-entropy
-//!   rounds, quorum waits, conflicts, WAL appends, faults), exportable
-//!   as deterministic JSONL and read back by [`parse_jsonl`] — one table
-//!   in `event.rs` declares each event type for both directions;
+//!   rounds, quorum waits, conflicts, WAL appends, faults), kept packed
+//!   in memory (about ten bytes an event), exportable as deterministic
+//!   JSONL and read back by [`parse_jsonl`] — one table in `event.rs`
+//!   declares each event type for every direction;
 //! - **counters** ([`Counter`]), global and per node, derived
 //!   automatically from recorded events;
 //! - **histograms** ([`Metric`], [`Histogram`]) for continuous
@@ -133,6 +134,7 @@ macro_rules! names {
 mod counters;
 mod event;
 mod hist;
+mod packed;
 mod prof;
 mod recorder;
 mod report;

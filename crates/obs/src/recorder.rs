@@ -1,21 +1,23 @@
 //! The [`Recorder`] handle — the single entry point components use to
 //! emit observability data.
 
+use std::convert::Infallible;
 use std::fs::File;
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::counters::{Counter, CounterSet};
 use crate::event::{EventKind, OpCompletion, TracedEvent};
 use crate::hist::{Histogram, Metric};
+use crate::packed::EventLog;
 use crate::prof::{HandlerKind, PauseAlloc, ProfSample, Profile};
 use crate::report::{MetricsReport, NodeCounters};
 use crate::timeseries::{TimeSeries, TsMetric};
 
 /// Default cap on retained events when the event log is enabled. A
-/// retained event is a 72-byte `TracedEvent` (an `op_complete`, one row
-/// per client operation, adds its boxed payload), so a full log of 2^20
-/// rows holds ≈ 72 MiB of rows.
+/// retained event is packed (`crate::packed`): 9.5 bytes in the mean
+/// over the runs `tests/trace_golden.rs` pins, 11.3 over `labbench`'s
+/// `trace_check` logs, so a full log of 2^20 events holds 10–12 MiB.
 pub const DEFAULT_EVENT_CAP: usize = 1 << 20;
 
 /// What [`Recorder::export_jsonl`] reserves per event. A line of a
@@ -27,7 +29,7 @@ const EXPORT_LINE_BYTES: usize = 128;
 #[derive(Debug)]
 struct ObsCore {
     /// `Some` iff the event log is enabled.
-    events: Option<Vec<TracedEvent>>,
+    events: Option<EventLog>,
     event_cap: usize,
     /// Events discarded once the cap was hit (counted, never silently lost).
     events_dropped: u64,
@@ -43,7 +45,7 @@ struct ObsCore {
 impl ObsCore {
     fn new(with_events: bool) -> Self {
         ObsCore {
-            events: with_events.then(Vec::new),
+            events: with_events.then(EventLog::default),
             event_cap: DEFAULT_EVENT_CAP,
             events_dropped: 0,
             next_seq: 0,
@@ -92,17 +94,18 @@ impl ObsCore {
             }
             _ => {}
         }
-        self.retain(t_us, || kind);
+        self.retain(|log, seq| kind.pack(seq, t_us, log));
     }
 
     /// Take the next sequence number and, if the event log has room,
-    /// keep the event `kind` builds; only then is `kind` called.
-    fn retain(&mut self, t_us: u64, kind: impl FnOnce() -> EventKind) {
+    /// have `pack` append the event to it under that number; only then
+    /// is `pack` called.
+    fn retain(&mut self, pack: impl FnOnce(&mut EventLog, u64)) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        if let Some(events) = &mut self.events {
-            if events.len() < self.event_cap {
-                events.push(TracedEvent { seq, t_us, kind: kind() });
+        if let Some(log) = &mut self.events {
+            if log.len() < self.event_cap {
+                pack(log, seq);
             } else {
                 self.events_dropped += 1;
             }
@@ -294,9 +297,9 @@ impl Recorder {
     ///
     /// This is the one call sites use for every event but `op_complete`:
     /// it bumps the event's implied counters (global and per-node), feeds
-    /// the relevant histograms, and appends to the event log when one is
-    /// enabled. An `op_complete` goes through
-    /// [`Recorder::record_op_complete`], which does not build its boxed
+    /// the relevant histograms, and packs the event into the event log
+    /// when one is enabled. An `op_complete` goes through
+    /// [`Recorder::record_op_complete`], which does not build its
     /// payload for a recorder that would drop it.
     pub fn record(&self, t_us: u64, kind: EventKind) {
         if let Some(core) = &self.core {
@@ -312,12 +315,12 @@ impl Recorder {
     /// `seq` are the same either way; it implies no counter and no
     /// histogram. Without an event log, or past its cap (counted in
     /// `events_dropped`), `payload` is never called, so a counters-only
-    /// run neither allocates the payload's box nor copies the values a
-    /// read returned. `payload` runs under the recorder's lock and must
-    /// not call the recorder.
+    /// run never copies the values a read returned. A kept payload is
+    /// packed into the log, not boxed. `payload` runs under the
+    /// recorder's lock and must not call the recorder.
     pub fn record_op_complete(&self, t_us: u64, payload: impl FnOnce() -> OpCompletion) {
         if let Some(core) = &self.core {
-            core.lock().unwrap().retain(t_us, || EventKind::OpComplete(Box::new(payload())));
+            core.lock().unwrap().retain(|log, seq| payload().pack(seq, t_us, log));
         }
     }
 
@@ -390,65 +393,78 @@ impl Recorder {
         }
     }
 
-    /// Run `f` on the retained events, in sequence order (none when the
-    /// event log is disabled), under the core's lock.
-    fn with_events<R>(&self, f: impl FnOnce(&[TracedEvent]) -> R) -> R {
-        match &self.core {
-            Some(core) => f(core.lock().unwrap().events.as_deref().unwrap_or_default()),
-            None => f(&[]),
-        }
+    /// Run `f` on the packed event log (an empty one when the event
+    /// log is disabled), under the core's lock.
+    fn with_log<R>(&self, f: impl FnOnce(&EventLog) -> R) -> R {
+        let core = self.core.as_ref().map(|core| core.lock().unwrap());
+        f(core.as_ref().and_then(|core| core.events.as_ref()).unwrap_or(&EventLog::default()))
     }
 
     /// Run `f` over every retained event, in sequence order.
     ///
     /// Returns the number of events visited (0 when the event log is
-    /// disabled). Checkers use this to attribute violations without
-    /// cloning the log.
-    pub fn for_each_event<F: FnMut(&TracedEvent)>(&self, f: F) -> usize {
-        self.with_events(|events| {
-            events.iter().for_each(f);
-            events.len()
+    /// disabled). The log is packed, so each event `f` sees is rebuilt
+    /// for it, and dropped after.
+    pub fn for_each_event<F: FnMut(&TracedEvent)>(&self, mut f: F) -> usize {
+        self.with_log(|log| {
+            log.for_each(|ev| f(&ev));
+            log.len()
         })
     }
 
-    /// Clone out the retained event log (empty if disabled).
+    /// The retained event log, rebuilt as rows (empty if disabled).
     pub fn events(&self) -> Vec<TracedEvent> {
-        self.with_events(<[TracedEvent]>::to_vec)
+        self.with_log(|log| {
+            let mut events = Vec::with_capacity(log.len());
+            log.for_each(|ev| events.push(ev));
+            events
+        })
+    }
+
+    /// Bytes the retained events take in the packed log (0 if
+    /// disabled): the figure `tests/event_log_size.rs` holds to a bound.
+    pub fn event_log_bytes(&self) -> usize {
+        self.with_log(EventLog::packed_bytes)
     }
 
     /// Serialize the retained event log as JSONL (one event per line,
     /// trailing newline after each). Byte-identical across runs that
     /// produce identical event sequences.
     ///
-    /// Every line is appended in place to one buffer reserved from the
-    /// event count, so the export allocates a handful of times, not per
-    /// event or per field.
+    /// Every line is written straight from the packed log into one
+    /// buffer reserved from the event count, so the export allocates
+    /// once, not per event or per field.
     pub fn export_jsonl(&self) -> String {
-        self.with_events(|events| {
-            let mut out = String::with_capacity(events.len() * EXPORT_LINE_BYTES);
-            for ev in events {
-                ev.write_json_line(&mut out);
-                out.push('\n');
-            }
+        self.with_log(|log| {
+            let mut out = String::with_capacity(log.len() * EXPORT_LINE_BYTES);
+            let Ok(()) = log.write_lines(&mut out, |_| Ok::<(), Infallible>(()));
             out
         })
     }
 
     /// Write the JSONL event log to `path`: the bytes of
-    /// [`Recorder::export_jsonl`], streamed a line at a time so the log
-    /// is never held in memory as text.
+    /// [`Recorder::export_jsonl`], through [`Recorder::write_jsonl_to`].
     pub fn write_jsonl(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let mut file = BufWriter::new(File::create(path)?);
-        let mut line = String::new();
-        self.with_events(|events| {
-            events.iter().try_for_each(|ev| {
-                line.clear();
-                ev.write_json_line(&mut line);
-                line.push('\n');
-                file.write_all(line.as_bytes())
+        self.write_jsonl_to(&mut File::create(path)?)
+    }
+
+    /// Write the bytes of [`Recorder::export_jsonl`] to `out`, streamed
+    /// from the packed log in chunks of about 64 KiB, so the log is
+    /// never held in memory as text.
+    pub fn write_jsonl_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        const CHUNK: usize = 64 * 1024;
+        let mut chunk = String::with_capacity(CHUNK + EXPORT_LINE_BYTES);
+        self.with_log(|log| {
+            log.write_lines(&mut chunk, |chunk| {
+                if chunk.len() >= CHUNK {
+                    out.write_all(chunk.as_bytes())?;
+                    chunk.clear();
+                }
+                Ok::<(), std::io::Error>(())
             })
         })?;
-        file.flush()
+        out.write_all(chunk.as_bytes())?;
+        out.flush()
     }
 }
 

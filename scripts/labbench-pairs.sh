@@ -12,6 +12,15 @@
 # ratio change / parent, the pairs the change won, the parent's IQR /
 # median and every run made; `ops_failed` per side.
 #
+# Calibration: before each side of each pair the *parent* binary runs
+# `event_storm` at seed 12 for 2 s, a fixed kernel no change under test
+# makes faster or slower, so its `work_per_s` is how fast the host is at
+# that moment. Per workload the script prints how far it drifted over the
+# round and, per pair, the ratio of the calibration before the change's
+# side to the one before the parent's; a pair whose two calibrations
+# differ by more than the parent's work_per_s IQR / median is flagged
+# (HOST MOVED), which never fails the run.
+#
 # Exit status 1 when a run is not `correct`, fails operations, or a
 # `result_digest` differs between the sides or — at the seeds
 # labbench/BASELINE.json records — from the baseline. Timings never fail it.
@@ -56,15 +65,26 @@ fi
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
-# One run of one side: its `outcome` line, tagged, appended to $runs.
-run_side() { # side bin workload pair
+# The calibration kernel: the parent binary's event_storm, pinned.
+calibration_seed=12
+calibration_seconds=2
+
+# One run: its `outcome` line, tagged `kind side workload pair`, appended
+# to $runs.
+run_one() { # kind side bin workload pair run-workload run-seed run-seconds
     local out
-    out=$("$2" --workload "$3" --seed "$seed" --seconds "$seconds" --trace 0) || {
-        echo "labbench-pairs: $1 side failed on $3 (pair $4)" >&2
+    out=$("$3" --workload "$6" --seed "$7" --seconds "$8" --trace 0) || {
+        echo "labbench-pairs: $1 before/of the $2 side failed on $4 (pair $5)" >&2
         printf '%s\n' "$out" >&2
         exit 1
     }
-    printf '%s %s %s %s\n' "$1" "$3" "$4" "$(printf '%s\n' "$out" | grep '^outcome ' | cut -d' ' -f2-)" >> "$runs"
+    printf '%s %s %s %s %s\n' "$1" "$2" "$4" "$5" "$(printf '%s\n' "$out" | grep '^outcome ' | cut -d' ' -f2-)" >> "$runs"
+}
+
+# One side of a pair, after its calibration.
+run_side() { # side bin workload pair
+    run_one cal "$1" "$parent" "$3" "$4" event_storm "$calibration_seed" "$calibration_seconds"
+    run_one run "$1" "$2" "$3" "$4" "$3" "$seed" "$seconds"
 }
 
 for w in $workloads; do
@@ -80,16 +100,25 @@ for w in $workloads; do
     done
 done
 
-python3 - "$runs" "$root/BENCHMARK.json" "$root/labbench/BASELINE.json" "$seed" "$seconds" <<'PY'
+python3 - "$runs" "$root/BENCHMARK.json" "$root/labbench/BASELINE.json" "$seed" "$seconds" \
+    "$calibration_seed" "$calibration_seconds" <<'PY'
 import json, sys
 
-runs_path, bench_path, baseline_path, seed, seconds = sys.argv[1:]
+runs_path, bench_path, baseline_path, seed, seconds, cal_seed, cal_seconds = sys.argv[1:]
 bench = json.load(open(bench_path))
 baseline = json.load(open(baseline_path)).get("seed_" + seed)
 runs = {}  # workload -> side -> [outcome], in pair order
+cals = {}  # workload -> pair -> side -> calibration work_per_s; and the order they ran in
+cal_order = {}
 for line in open(runs_path):
-    side, workload, _pair, outcome = line.split(" ", 3)
-    runs.setdefault(workload, {"parent": [], "change": []})[side].append(json.loads(outcome))
+    kind, side, workload, pair, outcome = line.split(" ", 4)
+    outcome = json.loads(outcome)
+    if kind == "cal":
+        value = outcome["metrics"]["work_per_s"]["value"]
+        cals.setdefault(workload, {}).setdefault(int(pair), {})[side] = value
+        cal_order.setdefault(workload, []).append(value)
+    else:
+        runs.setdefault(workload, {"parent": [], "change": []})[side].append(outcome)
 
 def quartiles(xs):
     xs = sorted(xs)
@@ -136,6 +165,18 @@ for workload, sides in runs.items():
               f"  parent IQR/median {100 * (p3 - p1) / pm:.1f} %  ({metric['better']} is better)")
         print(f"    parent runs: {' '.join(fmt(x) for x in p)}")
         print(f"    change runs: {' '.join(fmt(x) for x in c)}")
+        if name == "work_per_s":
+            spread = (p3 - p1) / pm
+    order = cal_order[workload]
+    print(f"  calibration (parent event_storm/work_per_s, seed {cal_seed}, {cal_seconds} s before each side):"
+          f" drift over the round {order[-1] / order[0]:.3f} (first {fmt(order[0])}, last {fmt(order[-1])},"
+          f" range {fmt(min(order))} .. {fmt(max(order))})")
+    for pair, by_side in sorted(cals[workload].items()):
+        ratio = by_side["change"] / by_side["parent"]
+        moved = abs(ratio - 1) > spread
+        print(f"    pair {pair}: before parent {fmt(by_side['parent'])}, before change {fmt(by_side['change'])},"
+              f" ratio {ratio:.3f}"
+              f"{f'  HOST MOVED: more than the parent IQR/median {100 * spread:.1f} %' if moved else ''}")
 for line in bad:
     print("FAIL " + line, file=sys.stderr)
 sys.exit(1 if bad else 0)

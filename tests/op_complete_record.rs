@@ -1,22 +1,27 @@
-//! Integration: an `op_complete` event is built only for an event log
-//! that keeps it.
+//! Integration: what recording an event costs, counted exactly.
 //!
-//! `EventKind::OpComplete` holds its payload in a `Box`, and the payload
-//! owns a copy of the values a read returned, so building it costs one
-//! or two allocations. `Recorder::record_op_complete` takes the payload
-//! as a closure and runs it only when the event log keeps the event; the
-//! client (`replication::common::SessionClient`) records through it. So a
+//! The event log keeps each event packed into one byte buffer
+//! (`obs::packed`): an `op_complete` is its payload's fields written
+//! there, not an `OpCompletion` in a box. The payload still owns a copy
+//! of the values a read returned, so building it costs an allocation,
+//! and `Recorder::record_op_complete` takes it as a closure that runs
+//! only when the event log keeps the event; the client
+//! (`replication::common::SessionClient`) records through it. So a
 //! recorder without a log — the counters-only mode every benchmark sweep
 //! runs in — pays nothing per completed operation, and the event still
 //! takes its sequence number, so `events_recorded` is the same in every
 //! mode. (That the closure is never run without room in a log, and
-//! which `seq` the event takes, is `obs::recorder`'s unit test.) Exact,
-//! not timed: this binary installs [`CountingAlloc`], which tallies per
-//! thread, and a seeded run allocates the same every time.
+//! which `seq` the event takes, is `obs::recorder`'s unit test.) A log
+//! with room allocates only when its buffer grows, whatever it records.
+//! Exact, not timed: this binary installs [`CountingAlloc`], which
+//! tallies per thread, and a seeded run allocates the same every time.
 
 use rethinking_ec::core::scheme::ClientPlacement;
 use rethinking_ec::core::{Experiment, Scheme};
-use rethinking_ec::obs::{alloc_totals, CountingAlloc, EventKind, Recorder, TsMetric};
+use rethinking_ec::obs::{
+    alloc_totals, ClientOpKind, CountingAlloc, DropReason, EventKind, OpCompletion, QuorumKind,
+    Recorder, SpanStatus, TsMetric,
+};
 use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
 use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, Msg};
 use rethinking_ec::replication::Composition;
@@ -133,4 +138,96 @@ fn events_recorded_does_not_depend_on_the_log() {
     let completions =
         events.iter().filter(|ev| matches!(ev.kind, EventKind::OpComplete(_))).count();
     assert_eq!(completions, ops);
+}
+
+/// One event of every type but `op_complete` (which
+/// [`completion`] builds), at `i`.
+fn event(i: u64) -> EventKind {
+    let node = i % 5;
+    match i % 16 {
+        0 => EventKind::MessageSent { from: node, to: 1, bytes: 96, trace: i, span: i },
+        1 => EventKind::MessageDelivered { from: 1, to: node, bytes: 96, trace: i, span: i },
+        2 => EventKind::MessageDropped {
+            from: 1,
+            to: node,
+            reason: DropReason::Loss,
+            trace: i,
+            span: i,
+        },
+        3 => EventKind::AntiEntropyRound { node, fanout: 2 },
+        4 => EventKind::QuorumWait {
+            node,
+            kind: QuorumKind::Write,
+            waited_us: i % 9_000,
+            acks: 2,
+            needed: 2,
+        },
+        5 => EventKind::ConflictDetected { node, key: i % 64, siblings: 2 },
+        6 => EventKind::ConflictResolved { node, key: i % 64, survivors: 1 },
+        7 => EventKind::WalAppend { node, key: i % 64, bytes: 24 },
+        8 => EventKind::PartitionStart { island: vec![node, node + 1] },
+        9 => EventKind::PartitionHeal,
+        10 => EventKind::Crash { node },
+        11 => EventKind::Recover { node },
+        12 => EventKind::MembershipChange { node, join: i.is_multiple_of(2) },
+        13 => EventKind::WalReplay { node, records: i % 100 },
+        14 => EventKind::SpanOpen {
+            trace: i,
+            span: i,
+            parent: i - 1,
+            node,
+            name: ["op_read", "op_write", "quorum_read"][i as usize % 3],
+        },
+        _ => EventKind::SpanClose { trace: i, span: i, node, status: SpanStatus::Ok },
+    }
+}
+
+fn completion(i: u64) -> OpCompletion {
+    OpCompletion {
+        session: i % 8,
+        op: i,
+        key: i % 64,
+        kind: ClientOpKind::Read,
+        ok: true,
+        invoked_us: 100 * i,
+        replica: 1,
+        value: None,
+        values: vec![i, i + 1],
+        stamp: Some((i, 1)),
+        version_ts_us: Some(100 * i - 7),
+    }
+}
+
+/// Recording into a log with room allocates only when the log's buffer
+/// (or its table of span names) grows, which at doubling is about
+/// log2 of its size: an event of any type, and an `op_complete` recorded
+/// either way, is packed where a row log pushed a row and boxed the
+/// payload. What each event owns is built before the count and dropped
+/// inside it, which frees and never allocates.
+#[test]
+fn recording_into_a_log_with_room_allocates_only_its_growth() {
+    const ROUNDS: u64 = 20_000;
+    let rec = Recorder::with_event_log();
+    // Size the per-node counter table first.
+    rec.record(0, EventKind::Crash { node: 4 });
+    let mut events = Vec::new();
+    for i in 1..=ROUNDS {
+        events.push((event(i), EventKind::OpComplete(Box::new(completion(i))), completion(i)));
+    }
+    let counted = allocations(|| {
+        for (i, (kind, boxed, payload)) in (1..).zip(events) {
+            rec.record(100 * i, kind);
+            rec.record(100 * i + 1, boxed);
+            rec.record_op_complete(100 * i + 2, move || payload);
+        }
+    });
+    let report = rec.report();
+    assert_eq!((report.events_recorded, report.events_dropped), (3 * ROUNDS + 1, 0));
+    let bytes = rec.event_log_bytes();
+    let doublings = u64::from(usize::BITS - bytes.leading_zeros());
+    assert!(
+        counted <= doublings + 2,
+        "{} events packed into {bytes} B: {counted} allocations, {doublings} doublings",
+        3 * ROUNDS
+    );
 }

@@ -213,6 +213,24 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_18.contains(guard), "the Phase 18 record must name `{guard}`");
     }
+    let phase_19 = DOC.split("\n## Phase 19").nth(1).expect("PERFORMANCE.md lost its Phase 19");
+    let phase_19 = phase_19.split("\n## ").next().unwrap();
+    for guard in [
+        "a_packed_log_gives_back_what_was_packed",
+        "a_recorder_keeps_what_its_cap_lets_in",
+        "packed_event_sizes_are_pinned",
+        "event_row_size_is_pinned",
+        "recording_into_a_log_with_room_allocates_only_its_growth",
+        "export_jsonl_allocates_once_whatever_the_event_count",
+        "tests/event_log_size.rs",
+        "tests/op_complete_record.rs",
+        "tests/trace_codec_allocs.rs",
+        "tests/trace_golden.rs",
+        "obs.eventlog_overhead_ratio",
+        "trace_check/peak_rss_mb",
+    ] {
+        assert!(phase_19.contains(guard), "the Phase 19 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();

@@ -248,3 +248,34 @@ fn a_log_is_exported_and_parsed_in_a_handful_of_allocations() {
         "parse_jsonl allocated {fixed} times beside its {arrays} arrays and {boxes} payload boxes"
     );
 }
+
+/// `export_jsonl` writes every line from the packed log into one buffer
+/// reserved from the event count: one allocation for a log of any
+/// length whose lines are as long as a protocol run's in the mean (an
+/// `op_complete` one line in four here, one in eight in a run), where a
+/// line or an event that allocated would show here as thousands.
+#[test]
+fn export_jsonl_allocates_once_whatever_the_event_count() {
+    for events in [1, 100, 10_000, 100_000] {
+        let recorder = Recorder::with_event_log();
+        for i in 0..events {
+            let (t_us, id) = (5_000_000 + i % 1_000, i % 4_096);
+            let sent = EventKind::MessageSent { from: 0, to: 1, bytes: 96, trace: id, span: id };
+            let open =
+                EventKind::SpanOpen { trace: id, span: id, parent: 0, node: 1, name: "op_read" };
+            let close =
+                EventKind::SpanClose { trace: id, span: id, node: 1, status: SpanStatus::Ok };
+            for kind in [sent, open, close, op(Some(id), vec![id], Some((id, 1)))] {
+                recorder.record(t_us, kind);
+            }
+        }
+        let (jsonl, _, exports) = allocated(|| recorder.export_jsonl());
+        assert_eq!(jsonl.lines().count() as u64, 4 * events);
+        assert!(
+            jsonl.len() as u64 <= 4 * events * 128,
+            "{} B a line",
+            jsonl.len() as u64 / (4 * events)
+        );
+        assert_eq!(exports, 1, "export_jsonl allocated {exports} times for {} events", 4 * events);
+    }
+}
