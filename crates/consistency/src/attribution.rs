@@ -69,110 +69,41 @@ pub struct SpanAt {
 /// filled in from matching [`EventKind::SpanClose`] events. The offline
 /// trace tools build span trees from this.
 pub fn all_spans(events: &[TracedEvent]) -> Vec<SpanAt> {
-    SpanWindow::of_log(events).spans.into_values().collect()
+    SpanTable::of_log(events).spans.into_values().collect()
 }
 
 /// The spans in flight at `t_us`: opened at or before it and either
 /// never closed or closed strictly after it, in span-id order.
 pub fn spans_at(events: &[TracedEvent], t_us: u64) -> Vec<SpanAt> {
-    SpanWindow::of_log(events).in_flight_at(t_us)
+    SpanTable::of_log(events).in_flight_at(t_us)
 }
 
 /// The causal chain of span `span_id`: the span itself followed by its
 /// ancestors up to the trace root (parent links from the span-open
 /// events). Empty if the span is not in the log. Builds the span table
 /// of the whole log: for more than one chain, build it once
-/// ([`SpanWindow::of_log`]) and walk that.
+/// ([`SpanTable::of_log`]) and walk that.
 pub fn causal_chain(events: &[TracedEvent], span_id: u64) -> Vec<SpanAt> {
-    let chain = SpanWindow::of_log(events).causal_chain(span_id);
-    chain.iter().filter_map(ChainLink::span).cloned().collect()
+    SpanTable::of_log(events).causal_chain(span_id)
 }
 
-/// One link in a windowed causal chain: either a resident ancestor span
-/// or an explanation of why it is absent.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChainLink {
-    /// The ancestor is resident in the window.
-    Span(SpanAt),
-    /// The ancestor was evicted at a watermark advance; the chain stops
-    /// here (its own parent is unknowable without the full table).
-    Evicted {
-        /// The evicted span's id.
-        span: u64,
-        /// The retention window that aged it out (µs).
-        window_us: u64,
-    },
-    /// The ancestor never appeared in the observed event stream.
-    Missing {
-        /// The unresolved span id.
-        span: u64,
-    },
-}
-
-impl ChainLink {
-    /// The span, if this link is a resident one.
-    pub fn span(&self) -> Option<&SpanAt> {
-        match self {
-            ChainLink::Span(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-/// The span table: every span by id, built event by event, with bounded
-/// memory for **online** attribution.
-///
-/// The streaming checkers (see [`crate::stream`]) deliberately keep no
-/// full event log, so a `SpanWindow` that is [advanced](Self::advance)
-/// keeps only spans that are still open or closed within the retention
-/// window behind the watermark; walking a causal chain through an
-/// evicted ancestor yields an explicit [`ChainLink::Evicted`] marker
-/// instead of a panic or a silently truncated chain. One that is never
-/// advanced evicts nothing: [`SpanWindow::of_log`] is the table of a
-/// whole log, which [`all_spans`], [`spans_at`] and [`causal_chain`]
-/// read.
-///
-/// Span ids are allocated serially by the recorder, so an absent id at
-/// or below the highest evicted id is reported as evicted; higher
-/// absent ids were never observed.
+/// The span table of a whole log: every span by id, with its bounds and
+/// close status, which [`all_spans`], [`spans_at`], [`causal_chain`] and
+/// `tracequery explain` read.
 #[derive(Debug, Default)]
-pub struct SpanWindow {
-    window_us: u64,
+pub struct SpanTable {
     spans: std::collections::BTreeMap<u64, SpanAt>,
-    max_evicted_span: Option<u64>,
-    evicted: u64,
 }
 
-impl SpanWindow {
-    /// A span table retaining closed spans for `window_us` behind the
-    /// watermark.
-    pub fn new(window_us: u64) -> Self {
-        SpanWindow { window_us, ..Default::default() }
-    }
-
-    /// The table of a whole log: every span resident.
+impl SpanTable {
+    /// The table of `events`; non-span events are ignored, and a close
+    /// without its open is dropped.
     pub fn of_log(events: &[TracedEvent]) -> Self {
-        let mut table = SpanWindow::new(0);
+        let mut table = SpanTable::default();
         for ev in events {
-            table.observe(ev);
-        }
-        table
-    }
-
-    /// The resident spans in flight at `t_us`: opened at or before it
-    /// and either not closed or closed strictly after it.
-    pub fn in_flight_at(&self, t_us: u64) -> Vec<SpanAt> {
-        let in_flight = |s: &&SpanAt| s.open_t_us <= t_us && s.close_t_us.is_none_or(|c| c > t_us);
-        self.spans.values().filter(in_flight).cloned().collect()
-    }
-
-    /// Observe one event from the log; non-span events are ignored.
-    pub fn observe(&mut self, ev: &TracedEvent) {
-        match &ev.kind {
-            EventKind::SpanOpen { trace, span, parent, node, name } => {
-                self.spans.insert(
-                    *span,
-                    SpanAt {
+            match &ev.kind {
+                EventKind::SpanOpen { trace, span, parent, node, name } => {
+                    let open = SpanAt {
                         trace: *trace,
                         span: *span,
                         parent: *parent,
@@ -181,72 +112,38 @@ impl SpanWindow {
                         open_t_us: ev.t_us,
                         close_t_us: None,
                         status: None,
-                    },
-                );
-            }
-            EventKind::SpanClose { span, status, .. } => {
-                if let Some(s) = self.spans.get_mut(span) {
-                    s.close_t_us = Some(ev.t_us);
-                    s.status = Some(status.name().to_string());
+                    };
+                    table.spans.insert(*span, open);
                 }
-            }
-            _ => {}
-        }
-    }
-
-    /// Advance the watermark: spans closed before `t_us - window` are
-    /// evicted (open spans are always retained — they may still close).
-    /// Returns how many were dropped.
-    pub fn advance(&mut self, t_us: u64) -> u64 {
-        let cut = t_us.saturating_sub(self.window_us);
-        let before = self.spans.len();
-        let max_evicted = &mut self.max_evicted_span;
-        self.spans.retain(|&id, s| {
-            let keep = s.close_t_us.is_none_or(|c| c >= cut);
-            if !keep {
-                *max_evicted = Some(max_evicted.map_or(id, |m| m.max(id)));
-            }
-            keep
-        });
-        let dropped = (before - self.spans.len()) as u64;
-        self.evicted += dropped;
-        dropped
-    }
-
-    /// Total spans evicted so far.
-    pub fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// The causal chain of `span_id` from the windowed state: the span
-    /// and its ancestors up to the trace root, ending in an
-    /// [`ChainLink::Evicted`] or [`ChainLink::Missing`] marker if the
-    /// walk leaves the window. Equals [`causal_chain`] (wrapped in
-    /// [`ChainLink::Span`]) whenever nothing on the path was evicted.
-    pub fn causal_chain(&self, span_id: u64) -> Vec<ChainLink> {
-        let mut chain = Vec::new();
-        let mut cursor = span_id;
-        while cursor != 0 {
-            match self.spans.get(&cursor) {
-                // No chain is longer than the table: parent links that
-                // loop (a hand-edited log) end the walk here instead of
-                // never ending it.
-                Some(_) if chain.len() == self.spans.len() => break,
-                Some(s) => {
-                    chain.push(ChainLink::Span(s.clone()));
-                    cursor = s.parent;
-                }
-                None => {
-                    if self.max_evicted_span.is_some_and(|m| cursor <= m) {
-                        chain.push(ChainLink::Evicted { span: cursor, window_us: self.window_us });
-                    } else {
-                        chain.push(ChainLink::Missing { span: cursor });
+                EventKind::SpanClose { span, status, .. } => {
+                    if let Some(s) = table.spans.get_mut(span) {
+                        s.close_t_us = Some(ev.t_us);
+                        s.status = Some(status.name().to_string());
                     }
-                    break;
                 }
+                _ => {}
             }
         }
-        chain
+        table
+    }
+
+    /// The spans in flight at `t_us`: opened at or before it and either
+    /// not closed or closed strictly after it.
+    pub fn in_flight_at(&self, t_us: u64) -> Vec<SpanAt> {
+        let in_flight = |s: &&SpanAt| s.open_t_us <= t_us && s.close_t_us.is_none_or(|c| c > t_us);
+        self.spans.values().filter(in_flight).cloned().collect()
+    }
+
+    /// The causal chain of `span_id`: the span and its ancestors up to
+    /// the trace root. The walk stops at a parent the log never opened.
+    pub fn causal_chain(&self, span_id: u64) -> Vec<SpanAt> {
+        let span = |id: u64| self.spans.get(&id).filter(|_| id != 0);
+        // No chain is longer than the table: parent links that loop (a
+        // hand-edited log) end the walk there instead of never ending it.
+        std::iter::successors(span(span_id), |s| span(s.parent))
+            .take(self.spans.len())
+            .cloned()
+            .collect()
     }
 }
 
@@ -274,15 +171,15 @@ impl ViolationContext {
 /// `window_us` for message drops. Events must be in recording order
 /// (ascending `seq`), which [`obs::Recorder::events`] guarantees.
 pub fn attribute_violation(events: &[TracedEvent], t_us: u64, window_us: u64) -> ViolationContext {
-    attribute_violation_in(events, &SpanWindow::of_log(events), t_us, window_us)
+    attribute_violation_in(events, &SpanTable::of_log(events), t_us, window_us)
 }
 
 /// [`attribute_violation`] with the log's span table
-/// ([`SpanWindow::of_log`]) built by the caller, once for any number of
+/// ([`SpanTable::of_log`]) built by the caller, once for any number of
 /// violation times and chain walks.
 pub fn attribute_violation_in(
     events: &[TracedEvent],
-    spans: &SpanWindow,
+    spans: &SpanTable,
     t_us: u64,
     window_us: u64,
 ) -> ViolationContext {
@@ -316,45 +213,6 @@ pub fn attribute_violation_in(
         since_anti_entropy_us: last_ae.map(|ae| t_us.saturating_sub(ae)),
         in_flight_spans: spans.in_flight_at(t_us),
     }
-}
-
-/// Attribute a batch of violation times and summarize: how many happened
-/// under a partition, with a node down, near drops, or with no fault at
-/// all (pure replication lag).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AttributionSummary {
-    /// Violations with a partition active.
-    pub during_partition: u64,
-    /// Violations with at least one node down (and no partition).
-    pub during_crash: u64,
-    /// Violations preceded by message drops (no partition, no crash).
-    pub near_drops: u64,
-    /// Violations with no fault in sight.
-    pub unattributed: u64,
-}
-
-/// Classify each violation time with [`attribute_violation`] and count
-/// the buckets.
-pub fn summarize_attributions(
-    events: &[TracedEvent],
-    violation_times_us: &[u64],
-    window_us: u64,
-) -> AttributionSummary {
-    let mut s = AttributionSummary::default();
-    let spans = SpanWindow::of_log(events);
-    for &t in violation_times_us {
-        let ctx = attribute_violation_in(events, &spans, t, window_us);
-        if ctx.in_partition {
-            s.during_partition += 1;
-        } else if !ctx.crashed_nodes.is_empty() {
-            s.during_crash += 1;
-        } else if ctx.total_drops() > 0 {
-            s.near_drops += 1;
-        } else {
-            s.unattributed += 1;
-        }
-    }
-    s
 }
 
 #[cfg(test)]
@@ -445,64 +303,6 @@ mod tests {
         assert_eq!(ctx.in_flight_spans.len(), 2);
     }
 
-    #[test]
-    fn windowed_chain_matches_full_table_when_nothing_evicted() {
-        use obs::SpanStatus;
-        let events = vec![
-            ev(0, 100, EventKind::SpanOpen { trace: 1, span: 1, parent: 0, node: 9, name: "op" }),
-            ev(
-                1,
-                200,
-                EventKind::SpanOpen { trace: 1, span: 2, parent: 1, node: 3, name: "replica" },
-            ),
-            ev(2, 300, EventKind::SpanClose { trace: 1, span: 2, node: 3, status: SpanStatus::Ok }),
-        ];
-        let mut w = SpanWindow::new(1_000_000);
-        for e in &events {
-            w.observe(e);
-        }
-        w.advance(400);
-        let windowed = w.causal_chain(2);
-        let full = causal_chain(&events, 2);
-        assert_eq!(windowed.len(), full.len());
-        for (link, span) in windowed.iter().zip(&full) {
-            assert_eq!(link, &ChainLink::Span(span.clone()));
-        }
-        assert_eq!(w.events_evicted(), 0);
-    }
-
-    #[test]
-    fn evicted_cause_is_reported_not_missed() {
-        use obs::SpanStatus;
-        // Root span 1 closes early; its grandchild's violation is
-        // investigated long after the root aged out of the window.
-        let mut w = SpanWindow::new(100);
-        w.observe(&ev(
-            0,
-            10,
-            EventKind::SpanOpen { trace: 1, span: 1, parent: 0, node: 0, name: "op" },
-        ));
-        w.observe(&ev(
-            1,
-            20,
-            EventKind::SpanClose { trace: 1, span: 1, node: 0, status: SpanStatus::Ok },
-        ));
-        w.observe(&ev(
-            2,
-            30,
-            EventKind::SpanOpen { trace: 1, span: 2, parent: 1, node: 3, name: "replica" },
-        ));
-        assert_eq!(w.advance(500), 1, "the closed root ages out");
-        let chain = w.causal_chain(2);
-        assert_eq!(chain.len(), 2);
-        assert!(matches!(chain[0], ChainLink::Span(ref s) if s.span == 2));
-        assert_eq!(chain[1], ChainLink::Evicted { span: 1, window_us: 100 });
-        // A parent id that was never observed is distinguishable from an
-        // evicted one.
-        let ghost = w.causal_chain(99);
-        assert_eq!(ghost, vec![ChainLink::Missing { span: 99 }]);
-    }
-
     /// Parent links that loop (a hand-edited log) end the walk after one
     /// round instead of never ending it.
     #[test]
@@ -514,18 +314,8 @@ mod tests {
         assert_eq!(chain, vec![2, 1]);
     }
 
-    #[test]
-    fn open_spans_survive_eviction() {
-        let mut w = SpanWindow::new(0);
-        w.observe(&ev(
-            0,
-            10,
-            EventKind::SpanOpen { trace: 1, span: 1, parent: 0, node: 0, name: "op" },
-        ));
-        assert_eq!(w.advance(1_000_000), 0, "open spans are never evicted");
-        assert!(matches!(w.causal_chain(1)[..], [ChainLink::Span(ref s)] if s.span == 1));
-    }
-
+    /// The verdict puts each violation in one bucket: under a partition,
+    /// or with no fault in sight (pure replication lag).
     #[test]
     fn summary_buckets_violations() {
         let events = vec![
@@ -533,10 +323,9 @@ mod tests {
             ev(1, 200, EventKind::PartitionHeal),
             ev(2, 900, EventKind::AntiEntropyRound { node: 0, fanout: 1 }),
         ];
-        let s = summarize_attributions(&events, &[150, 1_000], 50);
-        assert_eq!(s.during_partition, 1);
-        assert_eq!(s.unattributed, 1);
+        assert!(attribute_violation(&events, 150, 50).in_partition);
         let ctx = attribute_violation(&events, 1_000, 50);
+        assert_eq!(ctx.verdict(), "no fault active: replication lag alone");
         assert_eq!(ctx.since_anti_entropy_us, Some(100));
     }
 }

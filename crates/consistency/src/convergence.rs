@@ -8,10 +8,11 @@
 //! replicas involved, and separately reports keys that were never read
 //! after quiescence (unverifiable, not necessarily diverged).
 //!
-//! The criterion is written once, as [`ConvergenceStream`];
-//! [`check_convergence`] is that operator folded over a finished trace.
+//! The criterion is written once, as `judge`; [`check_convergence`]
+//! folds it over a finished trace, and [`crate::StreamVerifier`] feeds
+//! it online.
 
-use crate::stream::{fold, StreamChecker, StreamViolation, Watermark};
+use crate::stream::fold;
 use serde::{Deserialize, Serialize};
 use simnet::{Duration, IdHashMap, IdHashSet, OpKind, OpRecord, OpTrace, SimTime};
 use std::collections::BTreeMap;
@@ -47,7 +48,7 @@ impl ConvergenceReport {
     }
 }
 
-/// The convergence checker, one completed operation at a time
+/// Convergence's own state, fed one completed operation at a time
 /// (feed-order contract in [`crate::stream`]).
 ///
 /// Classifying a read needs the *final* quiescence point (last write ack
@@ -61,10 +62,10 @@ impl ConvergenceReport {
 /// as eviction.
 ///
 /// The written-key set and post-quiescence views are bounded by the
-/// keyspace, not the trace length; watermark advances have nothing
+/// keyspace, not the trace length, so watermark advances have nothing
 /// further to evict.
 #[derive(Debug)]
-pub struct ConvergenceStream {
+pub(crate) struct Convergence {
     grace: Duration,
     last_write_ack: Option<SimTime>,
     written: IdHashSet<u64>,
@@ -72,35 +73,33 @@ pub struct ConvergenceStream {
     /// inner map is ordered because a [`Divergence`] lists its views in
     /// value-set order.
     views: IdHashMap<u64, BTreeMap<Vec<u64>, u32>>,
-    evicted: u64,
 }
 
-impl ConvergenceStream {
-    /// A convergence stream with the given propagation grace period.
+impl Convergence {
+    /// Convergence state with the given propagation grace period.
     ///
     /// # Panics
     ///
     /// Panics if `grace` is zero: clear-on-write is only exact when
     /// quiescence falls strictly after the clearing write's ack.
-    pub fn new(grace: Duration) -> Self {
+    pub(crate) fn new(grace: Duration) -> Self {
         assert!(grace > Duration::ZERO, "convergence checking requires a non-zero grace period");
-        ConvergenceStream {
+        Convergence {
             grace,
             last_write_ack: None,
             written: IdHashSet::default(),
             views: IdHashMap::default(),
-            evicted: 0,
         }
     }
 
     /// The quiescence estimate so far (last write ack + grace).
-    pub fn quiescence_at(&self) -> Option<SimTime> {
+    fn quiescence_at(&self) -> Option<SimTime> {
         self.last_write_ack.map(|t| t + self.grace)
     }
 
     /// Classify every written key from the surviving views, in ascending
     /// key order. `None` if no write was ever acknowledged.
-    pub fn report(&self) -> Option<ConvergenceReport> {
+    pub(crate) fn report(&self) -> Option<ConvergenceReport> {
         let quiescence_at = self.quiescence_at()?;
         let mut report = ConvergenceReport { quiescence_at, ..Default::default() };
         // The written-key set is unordered: sort it for the report.
@@ -120,50 +119,48 @@ impl ConvergenceStream {
     }
 }
 
-impl StreamChecker for ConvergenceStream {
-    fn feed(&mut self, op: &OpRecord, _out: &mut Vec<StreamViolation>) {
-        if !op.ok {
-            return;
+/// Judge one completed, successful operation: a write moves quiescence
+/// and clears the stored views, a read invoked after quiescence records
+/// its view. Returns how many views were cleared. Convergence flags
+/// nothing per op; its divergences are found at the end.
+pub(crate) fn judge(state: &mut Convergence, op: &OpRecord) -> u64 {
+    match op.kind {
+        OpKind::Write => {
+            state.written.insert(op.key);
+            state.last_write_ack =
+                Some(state.last_write_ack.map_or(op.completed, |t| t.max(op.completed)));
+            // Quiescence just moved strictly past every stored view.
+            let cleared = state.views.values().map(|v| v.len() as u64).sum();
+            state.views.clear();
+            cleared
         }
-        match op.kind {
-            OpKind::Write => {
-                self.written.insert(op.key);
-                self.last_write_ack =
-                    Some(self.last_write_ack.map_or(op.completed, |t| t.max(op.completed)));
-                // Quiescence just moved strictly past every stored view.
-                self.evicted += self.views.values().map(|v| v.len() as u64).sum::<u64>();
-                self.views.clear();
+        OpKind::Read => {
+            if state.quiescence_at().is_some_and(|q| op.invoked >= q) {
+                let mut vals = op.value_read.clone();
+                vals.sort_unstable();
+                state.views.entry(op.key).or_default().entry(vals).or_insert(op.replica.0);
             }
-            OpKind::Read => {
-                if let Some(q) = self.quiescence_at() {
-                    if op.invoked >= q {
-                        let mut vals = op.value_read.clone();
-                        vals.sort_unstable();
-                        self.views.entry(op.key).or_default().entry(vals).or_insert(op.replica.0);
-                    }
-                }
-            }
+            0
         }
-    }
-
-    fn advance(&mut self, _wm: Watermark) {}
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
     }
 }
 
 /// Check convergence over a finished trace: after the last acknowledged
 /// write plus `grace`, every successful read of a key must return the
-/// same value set. This is [`ConvergenceStream`] folded over the trace.
-/// Returns `None` if the trace contains no acknowledged writes (nothing
-/// to converge on).
+/// same value set. This is `judge` folded over the trace with a state of
+/// its own. Returns `None` if the trace contains no acknowledged writes
+/// (nothing to converge on).
 ///
 /// # Panics
 ///
-/// Panics if `grace` is zero (see [`ConvergenceStream::new`]).
+/// Panics if `grace` is zero: clear-on-write is only exact when
+/// quiescence falls strictly after the clearing write's ack.
 pub fn check_convergence(trace: &OpTrace, grace: Duration) -> Option<ConvergenceReport> {
-    fold(trace, ConvergenceStream::new(grace)).report()
+    let mut state = Convergence::new(grace);
+    fold(trace, |op, _| {
+        judge(&mut state, op);
+    });
+    state.report()
 }
 
 /// One key's owner-set disagreement at the end of a run.

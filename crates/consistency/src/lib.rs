@@ -23,12 +23,14 @@
 //!   (`obs`), *why* was a guarantee violated: partition, crash, message
 //!   loss, or pure replication lag?
 //! * [`stream`] — how the session, staleness, convergence and monotonic
-//!   checkers are driven. Each states its guarantee once, as an
-//!   incremental operator with watermark-driven state eviction; the
-//!   whole-trace functions fold it over a finished trace, and
-//!   [`StreamVerifier`] feeds all four online so arbitrarily long runs
-//!   verify in flat memory. The reference they are held to is the
-//!   all-pairs oracle under `tests/oracle/` (see `docs/CHECKERS.md`).
+//!   checkers are driven. Each states its guarantee once, as a `judge`
+//!   of one completed operation against its own table; the whole-trace
+//!   functions fold their judge over a finished trace, and
+//!   [`StreamVerifier`] — the one owner of every guarantee's table, with
+//!   one watermark-driven eviction — feeds all four online, so
+//!   arbitrarily long runs verify in flat memory. The reference they are
+//!   held to is the all-pairs oracle under `tests/oracle/` (see
+//!   `docs/CHECKERS.md`).
 //!
 //! Conventions shared by all checkers: every write carries a globally
 //! unique value, so a read unambiguously identifies the write it observed;
@@ -45,21 +47,20 @@ pub mod staleness;
 pub mod stream;
 
 pub use attribution::{
-    all_spans, attribute_violation, attribute_violation_in, causal_chain, spans_at,
-    summarize_attributions, AttributionSummary, ChainLink, SpanAt, SpanWindow, ViolationContext,
+    all_spans, attribute_violation, attribute_violation_in, causal_chain, spans_at, SpanAt,
+    SpanTable, ViolationContext,
 };
 pub use causal::{check_causal, CausalReport};
 pub use convergence::{
-    check_convergence, check_owner_convergence, ConvergenceReport, ConvergenceStream, Divergence,
+    check_convergence, check_owner_convergence, ConvergenceReport, Divergence,
     OwnerConvergenceReport, OwnerDivergence,
 };
 pub use linearizability::{
     check_linearizable_register, check_trace_linearizable, Interval, LinCheckError, RegOp,
 };
-pub use monotonic::{check_monotonic_values, MonotonicStream, MonotonicValueReport};
-pub use session::{check_session_guarantees, SessionReport, SessionStream};
-pub use staleness::{measure_staleness, StalenessReport, StalenessStream};
+pub use monotonic::{check_monotonic_values, MonotonicValueReport};
+pub use session::{check_session_guarantees, SessionReport};
+pub use staleness::{measure_staleness, StalenessReport};
 pub use stream::{
-    StreamChecker, StreamConfig, StreamReports, StreamVerifier, StreamViolation, ViolationKind,
-    Watermark,
+    StreamConfig, StreamReports, StreamVerifier, StreamViolation, ViolationKind, Watermark,
 };

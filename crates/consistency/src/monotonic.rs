@@ -17,13 +17,13 @@
 //! counts as a violation. Only successful operations participate, in
 //! the same order as the session checker ([`crate::session`]).
 //!
-//! The definition is written once, as [`MonotonicStream`];
-//! [`check_monotonic_values`] is that operator folded over a finished
-//! trace.
+//! The definition is written once, as `judge`;
+//! [`check_monotonic_values`] folds it over a finished trace, and
+//! [`crate::StreamVerifier`] feeds it online.
 
-use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
+use crate::stream::{fold, StreamViolation, ViolationKind};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
+use simnet::{IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
 use std::collections::hash_map::Entry;
 
 /// Outcome of the value-monotonicity check for one trace.
@@ -43,78 +43,47 @@ impl MonotonicValueReport {
     }
 }
 
-/// The value-monotonicity checker, one completed operation at a time
-/// (feed-order contract in [`crate::stream`]).
-///
-/// State is one `(floor, last_touch)` per `(session, key)`. Eviction of
-/// idle floors means a later read re-establishes a (lower) floor, so
-/// bounded runs can only miss regressions, never invent them.
-#[derive(Debug)]
-pub struct MonotonicStream {
-    window: Option<Duration>,
-    floors: IdHashMap<(u64, u64), (u64, SimTime)>,
-    report: MonotonicValueReport,
-    evicted: u64,
-}
+/// The value-floor table: one `(floor, last_touch)` per `(session, key)`.
+pub(crate) type ValueFloors = IdHashMap<(u64, u64), (u64, SimTime)>;
 
-impl MonotonicStream {
-    /// A value-monotonicity stream; `window: None` never evicts.
-    pub fn new(window: Option<Duration>) -> Self {
-        MonotonicStream {
-            window,
-            floors: IdHashMap::default(),
-            report: MonotonicValueReport::default(),
-            evicted: 0,
-        }
+/// Judge one completed, successful operation (feed-order contract in
+/// [`crate::stream`]): a read is checked against its `(session, key)`
+/// floor, then raises it; the first read of a pair sets the floor.
+pub(crate) fn judge(
+    floors: &mut ValueFloors,
+    report: &mut MonotonicValueReport,
+    op: &OpRecord,
+    out: &mut Vec<StreamViolation>,
+) {
+    if op.kind != OpKind::Read {
+        return;
     }
-
-    /// Consume the stream, yielding the final report.
-    pub fn into_report(self) -> MonotonicValueReport {
-        self.report
-    }
-}
-
-impl StreamChecker for MonotonicStream {
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
-        if !op.ok || op.kind != OpKind::Read {
-            return;
-        }
-        // The scalar observed: a counter read returns a single element;
-        // an empty read sums to 0.
-        let v: u64 = op.value_read.iter().sum();
-        match self.floors.entry((op.session, op.key)) {
-            Entry::Occupied(mut e) => {
-                let (floor, touch) = e.get_mut();
-                self.report.checked += 1;
-                if v < *floor {
-                    self.report.violations += 1;
-                    out.push(StreamViolation::of(ViolationKind::ValueRegression, op));
-                }
-                *floor = (*floor).max(v);
-                *touch = op.completed;
+    // The scalar observed: a counter read returns a single element; an
+    // empty read sums to 0.
+    let v: u64 = op.value_read.iter().sum();
+    match floors.entry((op.session, op.key)) {
+        Entry::Occupied(mut e) => {
+            let (floor, touch) = e.get_mut();
+            report.checked += 1;
+            if v < *floor {
+                report.violations += 1;
+                out.push(StreamViolation::of(ViolationKind::ValueRegression, op));
             }
-            Entry::Vacant(e) => {
-                e.insert((v, op.completed));
-            }
+            *floor = (*floor).max(v);
+            *touch = op.completed;
         }
-    }
-
-    fn advance(&mut self, wm: Watermark) {
-        let Some(cut) = cutoff(wm, self.window) else { return };
-        let before = self.floors.len();
-        self.floors.retain(|_, &mut (_, touch)| touch >= cut);
-        self.evicted += (before - self.floors.len()) as u64;
-    }
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
+        Entry::Vacant(e) => {
+            e.insert((v, op.completed));
+        }
     }
 }
 
 /// Check that per-session, per-key read values never decrease over a
-/// finished trace: the unbounded [`MonotonicStream`] folded over it.
+/// finished trace: `judge` folded over it with a table of its own.
 pub fn check_monotonic_values(trace: &OpTrace) -> MonotonicValueReport {
-    fold(trace, MonotonicStream::new(None)).into_report()
+    let (mut floors, mut report) = (ValueFloors::default(), MonotonicValueReport::default());
+    fold(trace, |op, out| judge(&mut floors, &mut report, op, out));
+    report
 }
 
 #[cfg(test)]

@@ -23,13 +23,14 @@
 //! closed-loop clients used in the experiments (an op completes before
 //! the session issues the next).
 //!
-//! The guarantees are written once, as [`SessionStream`]: it judges one
-//! completed operation at a time, and [`check_session_guarantees`] is
-//! that operator folded over a finished trace.
+//! The guarantees are written once, as `judge`: it judges one
+//! completed operation at a time against its session's floors.
+//! [`check_session_guarantees`] folds it over a finished trace, and
+//! [`crate::StreamVerifier`] feeds it online.
 
-use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
+use crate::stream::{fold, StreamViolation, ViolationKind};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
+use simnet::{IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
 
 /// Violation counts for one trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,16 +91,17 @@ impl SessionReport {
 
 /// Per-session floors for the four guarantees.
 #[derive(Debug, Default)]
-struct SessionState {
+pub(crate) struct SessionState {
     write_floor: IdHashMap<u64, (u64, u64)>, // key -> own write stamp
     read_floor: IdHashMap<u64, (u64, u64)>,  // key -> last read stamp
     last_write_stamp: Option<(u64, u64)>,
     max_read_stamp: Option<(u64, u64)>,
-    last_touch: SimTime,
+    pub(crate) last_touch: SimTime,
 }
 
 impl SessionState {
-    fn entries(&self) -> u64 {
+    /// The floors and stamps held: what evicting the session drops.
+    pub(crate) fn entries(&self) -> u64 {
         self.write_floor.len() as u64
             + self.read_floor.len() as u64
             + self.last_write_stamp.is_some() as u64
@@ -107,114 +109,71 @@ impl SessionState {
     }
 }
 
-/// The session-guarantee checker, one completed operation at a time
-/// (feed-order contract in [`crate::stream`]).
-///
-/// State is per session: two per-key stamp floors plus two scalar
-/// stamps. Eviction drops whole sessions idle for longer than the
-/// window; a session that writes again after eviction restarts with
-/// empty floors, so bounded runs can only miss checks, never invent
-/// violations.
-#[derive(Debug)]
-pub struct SessionStream {
-    window: Option<Duration>,
-    sessions: IdHashMap<u64, SessionState>,
-    report: SessionReport,
-    evicted: u64,
-}
+/// The session table: each session's floors, by session id.
+pub(crate) type Sessions = IdHashMap<u64, SessionState>;
 
-impl SessionStream {
-    /// A session-guarantee stream; `window: None` never evicts.
-    pub fn new(window: Option<Duration>) -> Self {
-        SessionStream {
-            window,
-            sessions: IdHashMap::default(),
-            report: SessionReport::default(),
-            evicted: 0,
-        }
-    }
-
-    /// Consume the stream, yielding the final report.
-    pub fn into_report(self) -> SessionReport {
-        self.report
-    }
-}
-
-impl StreamChecker for SessionStream {
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
-        if !op.ok {
-            return;
-        }
-        let st = self.sessions.entry(op.session).or_default();
-        st.last_touch = op.completed;
-        match op.kind {
-            OpKind::Read => {
-                if let Some(&w) = st.write_floor.get(&op.key) {
-                    self.report.ryw_checked += 1;
-                    if op.stamp.map(|s| s < w).unwrap_or(true) {
-                        self.report.ryw_violations += 1;
-                        out.push(StreamViolation::of(ViolationKind::ReadYourWrites, op));
-                    }
-                }
-                if let Some(&f) = st.read_floor.get(&op.key) {
-                    self.report.mr_checked += 1;
-                    if op.stamp.map(|s| s < f).unwrap_or(true) {
-                        self.report.mr_violations += 1;
-                        out.push(StreamViolation::of(ViolationKind::MonotonicReads, op));
-                    }
-                }
-                if let Some(s) = op.stamp {
-                    let f = st.read_floor.entry(op.key).or_insert(s);
-                    *f = (*f).max(s);
-                    st.max_read_stamp = Some(st.max_read_stamp.map_or(s, |m: (u64, u64)| m.max(s)));
+/// Judge one completed, successful operation against its session's
+/// floors (feed-order contract in [`crate::stream`]): count each check
+/// in `report`, push each violation to `out`, then raise the floors.
+pub(crate) fn judge(
+    sessions: &mut Sessions,
+    report: &mut SessionReport,
+    op: &OpRecord,
+    out: &mut Vec<StreamViolation>,
+) {
+    let st = sessions.entry(op.session).or_default();
+    st.last_touch = op.completed;
+    match op.kind {
+        OpKind::Read => {
+            if let Some(&w) = st.write_floor.get(&op.key) {
+                report.ryw_checked += 1;
+                if op.stamp.map(|s| s < w).unwrap_or(true) {
+                    report.ryw_violations += 1;
+                    out.push(StreamViolation::of(ViolationKind::ReadYourWrites, op));
                 }
             }
-            OpKind::Write => {
-                let Some(s) = op.stamp else { return };
-                if let Some(prev) = st.last_write_stamp {
-                    self.report.mw_checked += 1;
-                    if s < prev {
-                        self.report.mw_violations += 1;
-                        out.push(StreamViolation::of(ViolationKind::MonotonicWrites, op));
-                    }
+            if let Some(&f) = st.read_floor.get(&op.key) {
+                report.mr_checked += 1;
+                if op.stamp.map(|s| s < f).unwrap_or(true) {
+                    report.mr_violations += 1;
+                    out.push(StreamViolation::of(ViolationKind::MonotonicReads, op));
                 }
-                if let Some(r) = st.max_read_stamp {
-                    self.report.wfr_checked += 1;
-                    if s < r {
-                        self.report.wfr_violations += 1;
-                        out.push(StreamViolation::of(ViolationKind::WritesFollowReads, op));
-                    }
-                }
-                st.last_write_stamp = Some(st.last_write_stamp.map_or(s, |p: (u64, u64)| p.max(s)));
-                let f = st.write_floor.entry(op.key).or_insert(s);
+            }
+            if let Some(s) = op.stamp {
+                let f = st.read_floor.entry(op.key).or_insert(s);
                 *f = (*f).max(s);
+                st.max_read_stamp = Some(st.max_read_stamp.map_or(s, |m: (u64, u64)| m.max(s)));
             }
         }
-    }
-
-    fn advance(&mut self, wm: Watermark) {
-        let Some(cut) = cutoff(wm, self.window) else { return };
-        let mut dropped = 0;
-        self.sessions.retain(|_, st| {
-            if st.last_touch < cut {
-                dropped += st.entries();
-                false
-            } else {
-                true
+        OpKind::Write => {
+            let Some(s) = op.stamp else { return };
+            if let Some(prev) = st.last_write_stamp {
+                report.mw_checked += 1;
+                if s < prev {
+                    report.mw_violations += 1;
+                    out.push(StreamViolation::of(ViolationKind::MonotonicWrites, op));
+                }
             }
-        });
-        self.evicted += dropped;
-    }
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
+            if let Some(r) = st.max_read_stamp {
+                report.wfr_checked += 1;
+                if s < r {
+                    report.wfr_violations += 1;
+                    out.push(StreamViolation::of(ViolationKind::WritesFollowReads, op));
+                }
+            }
+            st.last_write_stamp = Some(st.last_write_stamp.map_or(s, |p: (u64, u64)| p.max(s)));
+            let f = st.write_floor.entry(op.key).or_insert(s);
+            *f = (*f).max(s);
+        }
     }
 }
 
-/// Check all four session guarantees over a finished trace: the
-/// unbounded [`SessionStream`] folded over it.
+/// Check all four session guarantees over a finished trace: `judge`
+/// folded over it with a table of its own.
 pub fn check_session_guarantees(trace: &OpTrace) -> SessionReport {
-    fold(trace, SessionStream::new(None)).into_report()
+    let (mut sessions, mut report) = (Sessions::default(), SessionReport::default());
+    fold(trace, |op, out| judge(&mut sessions, &mut report, op, out));
+    report
 }
 
 #[cfg(test)]

@@ -14,14 +14,14 @@
 //! the PBS paper plots against (N, R, W); experiment E1 regenerates that
 //! table on the quorum protocol.
 //!
-//! The definition is written once, as [`StalenessStream`]: it classifies
-//! one completed read at a time against the writes acknowledged so far,
-//! and [`measure_staleness`] is that operator folded over a finished
-//! trace.
+//! The definition is written once, as `judge`: it classifies one
+//! completed read at a time against the writes acknowledged so far.
+//! [`measure_staleness`] folds it over a finished trace, and
+//! [`crate::StreamVerifier`] feeds it online.
 
-use crate::stream::{cutoff, fold, StreamChecker, StreamViolation, ViolationKind, Watermark};
+use crate::stream::{fold, StreamViolation, ViolationKind};
 use serde::{Deserialize, Serialize};
-use simnet::{Duration, IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
+use simnet::{IdHashMap, OpKind, OpRecord, OpTrace, SimTime};
 
 /// An acknowledged write: completion time and version stamp.
 type AckedWrite = (SimTime, (u64, u64));
@@ -73,110 +73,67 @@ impl StalenessReport {
     }
 }
 
-/// The staleness meter, one completed operation at a time (feed-order
-/// contract in [`crate::stream`]).
-///
-/// State is the per-key index of acknowledged writes `(completed,
-/// stamp)`, kept sorted by construction (feed order is completion
-/// order). Eviction drops writes acknowledged before the window; a read
-/// can then only miss *fewer* acked writes than an unbounded run sees,
-/// so bounded runs under-count staleness and never over-count.
-///
+/// The staleness table: per key, the acknowledged writes `(completed,
+/// stamp)`, sorted by construction (feed order is completion order).
+pub(crate) type AckedWrites = IdHashMap<u64, Vec<AckedWrite>>;
+
+/// Judge one completed, successful operation (feed-order contract in
+/// [`crate::stream`]): a write joins its key's index, a read is
+/// classified against the writes acknowledged before it was invoked.
 /// The per-read `k_staleness` / `t_staleness_ms` samples grow with the
-/// number of stale reads, so only an unbounded stream (`window: None`)
-/// keeps them; a windowed one is flat-memory and reports the scalar
-/// counts alone.
-#[derive(Debug)]
-pub struct StalenessStream {
-    window: Option<Duration>,
-    writes: IdHashMap<u64, Vec<AckedWrite>>,
-    report: StalenessReport,
-    evicted: u64,
-}
-
-impl StalenessStream {
-    /// A staleness stream; `window: None` never evicts.
-    pub fn new(window: Option<Duration>) -> Self {
-        StalenessStream {
-            window,
-            writes: IdHashMap::default(),
-            report: StalenessReport::default(),
-            evicted: 0,
-        }
-    }
-
-    /// Consume the stream, yielding the final report.
-    pub fn into_report(self) -> StalenessReport {
-        self.report
-    }
-}
-
-impl StreamChecker for StalenessStream {
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>) {
-        if !op.ok {
-            return;
-        }
-        match op.kind {
-            OpKind::Write => {
-                if let Some(s) = op.stamp {
-                    self.writes.entry(op.key).or_default().push((op.completed, s));
-                }
+/// number of stale reads, so they are kept only when `samples` is set
+/// (an unbounded run); the scalar counts are always kept.
+pub(crate) fn judge(
+    writes: &mut AckedWrites,
+    report: &mut StalenessReport,
+    samples: bool,
+    op: &OpRecord,
+    out: &mut Vec<StreamViolation>,
+) {
+    match op.kind {
+        OpKind::Write => {
+            if let Some(s) = op.stamp {
+                writes.entry(op.key).or_default().push((op.completed, s));
             }
-            OpKind::Read => {
-                let Some(ws) = self.writes.get(&op.key) else {
-                    self.report.unclassified_reads += 1;
-                    return;
-                };
-                // Writes acknowledged strictly before the read was
-                // invoked: a prefix, since the index is completion-sorted.
-                let acked = &ws[..ws.partition_point(|&(c, _)| c < op.invoked)];
-                if acked.is_empty() {
-                    self.report.unclassified_reads += 1;
-                    return;
-                }
-                let returned = op.stamp.unwrap_or((0, 0));
-                let missed = acked.iter().filter(|&&(_, s)| s > returned);
-                let (k, oldest) = missed.fold((0u64, None::<SimTime>), |(k, oldest), &(c, _)| {
-                    (k + 1, Some(oldest.map_or(c, |o| o.min(c))))
-                });
-                match oldest {
-                    None => self.report.fresh_reads += 1,
-                    Some(oldest_missed_ack) => {
-                        self.report.stale_reads += 1;
-                        if self.window.is_none() {
-                            self.report.k_staleness.push(k);
-                            self.report.t_staleness_ms.push(
-                                op.invoked.saturating_since(oldest_missed_ack).as_millis_f64(),
-                            );
-                        }
-                        out.push(StreamViolation::of(ViolationKind::StaleRead, op));
+        }
+        OpKind::Read => {
+            // Writes acknowledged strictly before the read was invoked:
+            // a prefix, since the index is completion-sorted.
+            let acked = writes
+                .get(&op.key)
+                .map_or(&[][..], |ws| &ws[..ws.partition_point(|&(c, _)| c < op.invoked)]);
+            if acked.is_empty() {
+                report.unclassified_reads += 1;
+                return;
+            }
+            let returned = op.stamp.unwrap_or((0, 0));
+            let missed = acked.iter().filter(|&&(_, s)| s > returned);
+            let (k, oldest) = missed.fold((0u64, None::<SimTime>), |(k, oldest), &(c, _)| {
+                (k + 1, Some(oldest.map_or(c, |o| o.min(c))))
+            });
+            match oldest {
+                None => report.fresh_reads += 1,
+                Some(oldest_missed_ack) => {
+                    report.stale_reads += 1;
+                    if samples {
+                        report.k_staleness.push(k);
+                        report
+                            .t_staleness_ms
+                            .push(op.invoked.saturating_since(oldest_missed_ack).as_millis_f64());
                     }
+                    out.push(StreamViolation::of(ViolationKind::StaleRead, op));
                 }
             }
         }
     }
-
-    fn advance(&mut self, wm: Watermark) {
-        let Some(cut) = cutoff(wm, self.window) else { return };
-        let mut dropped = 0;
-        self.writes.retain(|_, ws| {
-            let keep_from = ws.partition_point(|&(c, _)| c < cut);
-            dropped += keep_from as u64;
-            ws.drain(..keep_from);
-            !ws.is_empty()
-        });
-        self.evicted += dropped;
-    }
-
-    fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
 }
 
-/// Measure staleness over a finished trace: the unbounded
-/// [`StalenessStream`] folded over it.
+/// Measure staleness over a finished trace: `judge` folded over it with
+/// a table of its own, keeping every per-read sample.
 pub fn measure_staleness(trace: &OpTrace) -> StalenessReport {
-    fold(trace, StalenessStream::new(None)).into_report()
+    let (mut writes, mut report) = (AckedWrites::default(), StalenessReport::default());
+    fold(trace, |op, out| judge(&mut writes, &mut report, true, op, out));
+    report
 }
 
 #[cfg(test)]

@@ -1,27 +1,30 @@
-//! Driving the checkers: the operator contract, the fold, the verifier.
+//! Driving the checkers: the one verifier and the fold.
 //!
 //! Each of [`crate::session`], [`crate::staleness`], [`crate::monotonic`]
-//! and [`crate::convergence`] states its guarantee **once**, as an
-//! incremental operator: a [`StreamChecker`] that consumes one completed
-//! operation at a time, flags violations as they appear, and — when
-//! given a bounded window — evicts state the advancing [`Watermark`]
-//! proves it will never need again. There are two ways to drive one:
+//! and [`crate::convergence`] states its guarantee **once**, as a `judge`
+//! function: it takes one completed, successful operation and the
+//! guarantee's table, updates the table, counts the check in the report
+//! and flags each violation as it appears. The tables themselves have
+//! one owner, [`StreamVerifier`], which hands every op to all four judges
+//! and — when given a bounded window — evicts the state the advancing
+//! [`Watermark`] proves no future op can need. There are two ways to
+//! drive a judge:
 //!
 //! * **over a finished trace** — `check_session_guarantees`,
 //!   `measure_staleness`, `check_monotonic_values` and
-//!   `check_convergence` fold the unbounded operator (`window: None`)
-//!   over a resident [`simnet::OpTrace`];
-//! * **online** — a [`StreamVerifier`] bundles all four behind one feed
+//!   `check_convergence` each fold their own judge over a fresh table of
+//!   their own (never evicting) across a resident [`simnet::OpTrace`];
+//! * **online** — a [`StreamVerifier`] judges all four behind one feed
 //!   point, fed while the run executes (`Experiment::run_monitored`) or
 //!   from a JSONL log (`tracequery check --stream`), in flat memory
 //!   when windowed.
 //!
-//! Both run the same code, so they agree by construction. What says the
-//! code is *right* is a third, independent statement of each guarantee:
-//! the all-pairs oracle under `tests/oracle/`, compared three ways by
-//! `tests/checker_stream_parity.rs` and
+//! Both run the same judges, so they agree by construction. What says
+//! the code is *right* is a third, independent statement of each
+//! guarantee: the all-pairs oracle under `tests/oracle/`, compared three
+//! ways by `tests/checker_stream_parity.rs` and
 //! `tests/checker_stream_properties.rs`. With a bounded window the
-//! operators can only *under*-report: eviction drops old floors and old
+//! verifier can only *under*-report: eviction drops old floors and old
 //! acknowledged writes, so every violation a bounded run flags is one an
 //! unbounded run flags too, and violations whose evidence lies inside
 //! the window are still caught (same property suite).
@@ -30,7 +33,7 @@
 //!
 //! Operations must be fed in `(completed, session, op_id)` order — the
 //! order [`simnet::OpTrace::sort_by_completion`] produces. Two
-//! consequences the operators rely on:
+//! consequences the judges rely on:
 //!
 //! * per key, acknowledged writes arrive in completion order, so the
 //!   staleness index stays sorted by construction;
@@ -42,17 +45,17 @@
 //! # Watermarks and eviction
 //!
 //! [`Watermark`] `t` is a promise from the feeder: *no future operation
-//! completes before `t`*. A checker constructed with window `w` may then
+//! completes before `t`*. A verifier constructed with window `w` may then
 //! discard state last touched before `t - w`. Everything evicted is
-//! counted (exported as the `checker_events_evicted` counter; violations
-//! flagged online bump `stream_violations`) so a bounded run is never
-//! silently lossy. Semantics per checker are documented in
+//! counted once (exported as the `checker_events_evicted` counter;
+//! violations flagged online bump `stream_violations`) so a bounded run
+//! is never silently lossy. Semantics per guarantee are documented in
 //! `docs/CHECKERS.md`.
 
-use crate::convergence::{ConvergenceReport, ConvergenceStream};
-use crate::monotonic::{MonotonicStream, MonotonicValueReport};
-use crate::session::{SessionReport, SessionStream};
-use crate::staleness::{StalenessReport, StalenessStream};
+use crate::convergence::{self, Convergence, ConvergenceReport};
+use crate::monotonic::{self, MonotonicValueReport, ValueFloors};
+use crate::session::{self, SessionReport, Sessions};
+use crate::staleness::{self, AckedWrites, StalenessReport};
 use obs::{Counter, Recorder};
 use serde::{Deserialize, Serialize};
 use simnet::{Duration, OpRecord, OpTrace, SimTime};
@@ -93,7 +96,7 @@ obs::names! {
     }
 }
 
-/// One violation flagged online by a streaming checker.
+/// One violation flagged online by a judge.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StreamViolation {
     /// The violated guarantee.
@@ -122,40 +125,19 @@ impl StreamViolation {
     }
 }
 
-/// An incremental consistency checker over the completed-operation
-/// stream. Each implementation is the one definition of its guarantee;
-/// see the module docs for the feed-order contract.
-pub trait StreamChecker {
-    /// Consume one completed operation, appending any violations it
-    /// exposes to `out`.
-    fn feed(&mut self, op: &OpRecord, out: &mut Vec<StreamViolation>);
-
-    /// Observe a watermark advance: state only needed for operations
-    /// completing before `wm.t - window` may be evicted.
-    fn advance(&mut self, wm: Watermark);
-
-    /// Total state entries evicted so far (watermark eviction plus any
-    /// feed-time invalidation, e.g. convergence view clearing).
-    fn events_evicted(&self) -> u64;
-}
-
-/// Eviction cutoff for a watermark under an optional window: state last
-/// touched before the returned time is reclaimable.
-pub(crate) fn cutoff(wm: Watermark, window: Option<Duration>) -> Option<SimTime> {
-    window.map(|w| SimTime::from_micros(wm.t.as_micros().saturating_sub(w.0)))
-}
-
-/// Feed a finished trace through `checker` in the feed-order contract's
-/// `(completed, session, op_id)` order and hand the checker back — how
-/// the whole-trace entry points drive their operator. A trace already in
-/// that order (anything a run produced) is walked in place; a hand-built
-/// one is fed through a sorted vector of references.
-pub(crate) fn fold<C: StreamChecker>(trace: &OpTrace, mut checker: C) -> C {
+/// Hand a finished trace's successful operations to `judge` in the
+/// feed-order contract's `(completed, session, op_id)` order — how each
+/// whole-trace entry point folds its own judge over its own table. A
+/// trace already in that order (anything a run produced) is walked in
+/// place; a hand-built one is fed through a sorted vector of references.
+pub(crate) fn fold(trace: &OpTrace, mut judge: impl FnMut(&OpRecord, &mut Vec<StreamViolation>)) {
     let order = |r: &OpRecord| (r.completed, r.session, r.op_id);
     let mut flagged = Vec::new();
     let mut feed = |op: &OpRecord| {
-        checker.feed(op, &mut flagged);
-        flagged.clear(); // the report carries the counts; keep memory flat
+        if op.ok {
+            judge(op, &mut flagged);
+            flagged.clear(); // the report carries the counts; keep memory flat
+        }
     };
     let records = trace.records();
     if records.windows(2).all(|w| order(&w[0]) <= order(&w[1])) {
@@ -163,9 +145,8 @@ pub(crate) fn fold<C: StreamChecker>(trace: &OpTrace, mut checker: C) -> C {
     } else {
         let mut sorted: Vec<&OpRecord> = records.iter().collect();
         sorted.sort_by_key(|r| order(r));
-        sorted.into_iter().for_each(&mut feed);
+        sorted.into_iter().for_each(feed);
     }
-    checker
 }
 
 /// Configuration for a [`StreamVerifier`].
@@ -173,7 +154,7 @@ pub(crate) fn fold<C: StreamChecker>(trace: &OpTrace, mut checker: C) -> C {
 pub struct StreamConfig {
     /// Eviction window; `None` never evicts, and the reports equal the
     /// whole-trace entry points'. A windowed verifier also drops the
-    /// per-read staleness samples (see [`StalenessStream`]).
+    /// per-read staleness samples (they grow with the stale reads).
     pub window: Option<Duration>,
     /// Convergence grace period (must be non-zero).
     pub grace: Duration,
@@ -185,7 +166,7 @@ impl Default for StreamConfig {
     }
 }
 
-/// Final reports from a [`StreamVerifier`], one per operator, plus the
+/// Final reports from a [`StreamVerifier`], one per guarantee, plus the
 /// online violation log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamReports {
@@ -199,33 +180,54 @@ pub struct StreamReports {
     pub convergence: Option<ConvergenceReport>,
     /// Every violation flagged, in feed order (divergences last).
     pub violations: Vec<StreamViolation>,
-    /// Total state entries evicted across all operators.
+    /// Total state entries evicted across all guarantees.
     pub events_evicted: u64,
 }
 
-/// All four streaming checkers behind one feed point, with optional
+/// The one owner of checker state: every guarantee's table, judged op by
+/// op behind one feed point, evicted behind one watermark, with optional
 /// [`Recorder`] export of the `stream_violations` /
 /// `checker_events_evicted` counters.
 #[derive(Debug)]
 pub struct StreamVerifier {
-    session: SessionStream,
-    staleness: StalenessStream,
-    monotonic: MonotonicStream,
-    convergence: ConvergenceStream,
+    window: Option<Duration>,
+    /// Per session: the RYW/MR floors and the MW/WFR stamps.
+    sessions: Sessions,
+    /// Per `(session, key)`: the value floor and when it was last touched.
+    value_floors: ValueFloors,
+    /// Per key: the acknowledged writes, in completion order.
+    writes: AckedWrites,
+    /// Convergence's own state: written keys, post-quiescence views.
+    convergence: Convergence,
+    session: SessionReport,
+    staleness: StalenessReport,
+    monotonic: MonotonicValueReport,
     violations: Vec<StreamViolation>,
+    /// State entries evicted so far: watermark eviction plus
+    /// convergence's feed-time view clearing.
+    evicted: u64,
     recorder: Option<Recorder>,
     reported_evicted: u64,
 }
 
 impl StreamVerifier {
-    /// A verifier running all four operators under `config`.
+    /// A verifier judging all four guarantees under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.grace` is zero (see `check_convergence`).
     pub fn new(config: StreamConfig) -> Self {
         StreamVerifier {
-            session: SessionStream::new(config.window),
-            staleness: StalenessStream::new(config.window),
-            monotonic: MonotonicStream::new(config.window),
-            convergence: ConvergenceStream::new(config.grace),
+            window: config.window,
+            sessions: Sessions::default(),
+            value_floors: ValueFloors::default(),
+            writes: AckedWrites::default(),
+            convergence: Convergence::new(config.grace),
+            session: SessionReport::default(),
+            staleness: StalenessReport::default(),
+            monotonic: MonotonicValueReport::default(),
             violations: Vec::new(),
+            evicted: 0,
             recorder: None,
             reported_evicted: 0,
         }
@@ -240,12 +242,17 @@ impl StreamVerifier {
     /// Feed one completed operation (see the module docs for the
     /// required order). Returns how many violations it exposed.
     pub fn feed(&mut self, op: &OpRecord) -> usize {
-        let before = self.violations.len();
-        self.session.feed(op, &mut self.violations);
-        self.staleness.feed(op, &mut self.violations);
-        self.monotonic.feed(op, &mut self.violations);
-        self.convergence.feed(op, &mut self.violations);
-        let found = self.violations.len() - before;
+        if !op.ok {
+            return 0;
+        }
+        let out = &mut self.violations;
+        let before = out.len();
+        session::judge(&mut self.sessions, &mut self.session, op, out);
+        let samples = self.window.is_none();
+        staleness::judge(&mut self.writes, &mut self.staleness, samples, op, out);
+        monotonic::judge(&mut self.value_floors, &mut self.monotonic, op, out);
+        self.evicted += convergence::judge(&mut self.convergence, op);
+        let found = out.len() - before;
         if let Some(rec) = &self.recorder {
             if found > 0 {
                 rec.count(Counter::StreamViolations, found as u64);
@@ -265,28 +272,48 @@ impl StreamVerifier {
         }
     }
 
-    /// Advance the watermark on every operator, evicting what the
-    /// window allows.
+    /// Advance the watermark, evicting what the window allows: state
+    /// last touched before `wm.t - window`. Eviction drops floors and
+    /// evidence, never adds them, so a bounded run can only miss
+    /// violations, never invent them.
     pub fn advance(&mut self, wm: Watermark) {
-        self.session.advance(wm);
-        self.staleness.advance(wm);
-        self.monotonic.advance(wm);
-        self.convergence.advance(wm);
-        let total = self.events_evicted();
+        if let Some(window) = self.window {
+            let cut = SimTime::from_micros(wm.t.as_micros().saturating_sub(window.0));
+            let evicted = &mut self.evicted;
+            // Session: whole sessions idle since the cutoff. A later op
+            // of one restarts it with empty floors.
+            self.sessions.retain(|_, st| {
+                let keep = st.last_touch >= cut;
+                if !keep {
+                    *evicted += st.entries();
+                }
+                keep
+            });
+            // Staleness: writes acknowledged before the cutoff, a prefix
+            // of each key's completion-ordered index.
+            self.writes.retain(|_, ws| {
+                let keep_from = ws.partition_point(|&(c, _)| c < cut);
+                *evicted += keep_from as u64;
+                ws.drain(..keep_from);
+                !ws.is_empty()
+            });
+            // Monotonic: value floors idle since the cutoff. (Convergence
+            // evicts at feed time: each write clears the views.)
+            let floors = self.value_floors.len();
+            self.value_floors.retain(|_, &mut (_, touch)| touch >= cut);
+            *evicted += (floors - self.value_floors.len()) as u64;
+        }
         if let Some(rec) = &self.recorder {
-            if total > self.reported_evicted {
-                rec.count(Counter::CheckerEventsEvicted, total - self.reported_evicted);
+            if self.evicted > self.reported_evicted {
+                rec.count(Counter::CheckerEventsEvicted, self.evicted - self.reported_evicted);
             }
         }
-        self.reported_evicted = total;
+        self.reported_evicted = self.evicted;
     }
 
-    /// Total state entries evicted across all operators so far.
+    /// Total state entries evicted so far.
     pub fn events_evicted(&self) -> u64 {
-        self.session.events_evicted()
-            + self.staleness.events_evicted()
-            + self.monotonic.events_evicted()
-            + self.convergence.events_evicted()
+        self.evicted
     }
 
     /// Violations flagged so far, in feed order.
@@ -299,29 +326,25 @@ impl StreamVerifier {
     pub fn finish(mut self) -> StreamReports {
         let convergence = self.convergence.report();
         if let Some(report) = &convergence {
-            let mut fresh = 0;
-            for d in &report.diverged {
-                self.violations.push(StreamViolation {
-                    kind: ViolationKind::Divergence,
-                    session: 0,
-                    op_id: 0,
-                    key: d.key,
-                    t_us: report.quiescence_at.as_micros(),
-                });
-                fresh += 1;
-            }
-            if let (Some(rec), true) = (&self.recorder, fresh > 0) {
-                rec.count(Counter::StreamViolations, fresh);
+            let t_us = report.quiescence_at.as_micros();
+            self.violations.extend(report.diverged.iter().map(|d| StreamViolation {
+                kind: ViolationKind::Divergence,
+                session: 0,
+                op_id: 0,
+                key: d.key,
+                t_us,
+            }));
+            if let (Some(rec), false) = (&self.recorder, report.diverged.is_empty()) {
+                rec.count(Counter::StreamViolations, report.diverged.len() as u64);
             }
         }
-        let events_evicted = self.events_evicted();
         StreamReports {
-            session: self.session.into_report(),
-            staleness: self.staleness.into_report(),
-            monotonic: self.monotonic.into_report(),
+            session: self.session,
+            staleness: self.staleness,
+            monotonic: self.monotonic,
             convergence,
             violations: self.violations,
-            events_evicted,
+            events_evicted: self.evicted,
         }
     }
 }
@@ -399,7 +422,7 @@ mod tests {
     }
 
     /// The reports on the anomalous trace, worked out by hand from the
-    /// definitions — not from either way of driving the operators.
+    /// definitions — not from either way of driving the judges.
     #[test]
     fn reports_on_the_anomalous_trace_are_the_hand_derived_ones() {
         let trace = anomalous_trace();

@@ -22,7 +22,10 @@
 //! run is still producing it. `--window-ms N` bounds checker memory by
 //! evicting state older than N milliseconds behind the event clock
 //! (violations older than the window can then go unreported; see
-//! `docs/CHECKERS.md`).
+//! `docs/CHECKERS.md`). A log of several runs (a `--seeds`/`--jobs`
+//! grid's, its cells' logs one after another, each numbered from `seq`
+//! 0) gets one report per run, each headed `run N from line L:`.
+//! `explain` answers for one run's clock and refuses such a log.
 //!
 //! `prof top` ranks handler cells by the chosen weight. `prof diff`
 //! compares two runs cell-by-cell and prints relative change, biggest
@@ -37,7 +40,7 @@
 //! parse error, no profile block, unknown trace id, conservation or
 //! consistency violation), `2` usage error.
 
-use consistency::{ChainLink, SpanWindow};
+use consistency::SpanTable;
 use obs::FoldWeight;
 use obs_tools::{
     build_tree, check_spans, chrome_trace, diff_rows, parse_jsonl, parse_line, parse_profile,
@@ -78,9 +81,12 @@ fn emit(text: &str) {
 /// Read `path` and parse it (a trace with [`parse_jsonl`], a results
 /// document with [`parse_profile`]), or exit 1 naming it.
 fn load<T, E: std::fmt::Display>(path: &str, parse: fn(&str) -> Result<T, E>) -> T {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+    parse(&read(path)).unwrap_or_else(|e| fail(&format!("{path}: {e}")))
+}
+
+/// The text of `path`, or exit 1 naming it.
+fn read(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")))
 }
 
 /// The value of `flag` if `arg` is it — `flag=value`, or `flag` with
@@ -145,9 +151,9 @@ fn main() {
                     None => usage_error(&format!("unknown flag `{a}`")),
                 }
             }
-            let events = load(path, parse_jsonl);
+            let events = one_run(path);
             // One span table for the in-flight spans and every chain.
-            let spans = SpanWindow::of_log(&events);
+            let spans = SpanTable::of_log(&events);
             let ctx = consistency::attribute_violation_in(&events, &spans, t_us, window_us);
             let mut out = format!("at t={t_us}µs (window {window_us}µs): {}\n", ctx.verdict());
             for (reason, n) in &ctx.drops_by_reason {
@@ -169,8 +175,7 @@ fn main() {
                 ));
                 // Walk the causal chain from this span to its trace
                 // root: the path the operation took to get here.
-                let chain = spans.causal_chain(s.span);
-                for (i, link) in chain.iter().filter_map(ChainLink::span).enumerate().skip(1) {
+                for (i, link) in spans.causal_chain(s.span).iter().enumerate().skip(1) {
                     out.push_str(&format!(
                         "  {:>width$}caused by {} #{} (node {}) opened at {}µs\n",
                         "",
@@ -216,6 +221,25 @@ fn main() {
         "prof" => prof(&args[1..]),
         other => usage_error(&format!("unknown command `{other}`")),
     }
+}
+
+/// The events of `path`, which must hold one run: a `seq` of 0 after the
+/// first event starts another run, on a clock of its own, so no instant
+/// `t_us` is shared by two and `explain` refuses such a log (exit 1).
+fn one_run(path: &str) -> Vec<obs::TracedEvent> {
+    let text = read(path);
+    let events = parse_jsonl(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+    let starts: Vec<usize> = (1..events.len()).filter(|&i| events[i].seq == 0).collect();
+    if let Some(&second) = starts.first() {
+        let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
+        let line = lines.nth(second).map_or(0, |(n, _)| n + 1);
+        fail(&format!(
+            "{path}: {} runs, the second from line {line}; explain answers for one run: give \
+             it one cell's trace",
+            starts.len() + 1
+        ));
+    }
+    events
 }
 
 /// `prof top|diff|folded`: the views of a `--profile` results document.
@@ -287,9 +311,9 @@ fn prof(args: &[String]) {
 }
 
 /// `check --stream`: run the incremental consistency checkers over the
-/// log's `op_complete` events, line by line. Reads stdin when the path
-/// is `-`, so a live trace pipe can be monitored as it grows. Exits 1
-/// if any violation was flagged.
+/// log's `op_complete` events, line by line, one report per run. Reads
+/// stdin when the path is `-`, so a live trace pipe can be monitored as
+/// it grows. Exits 1 if any run flagged a violation.
 fn check_stream(rest: &[String]) {
     use std::io::BufRead;
     let mut path: Option<String> = None;
@@ -322,9 +346,12 @@ fn check_stream(rest: &[String]) {
         (&path, Box::new(std::io::BufReader::new(file)))
     };
     // One buffer for every line, held to `seq` order as `parse_jsonl`
-    // holds a document.
+    // holds a document. A `seq` of 0 after the first event starts the
+    // next run (a `--seeds`/`--jobs` grid's log is its cells' logs one
+    // after another), which a fresh verifier judges on its own.
     let mut line = String::new();
     let mut order = SeqOrder::default();
+    let (mut run, mut run_from, mut violated) = (1, None, false);
     for lineno in 1.. {
         line.clear();
         match input.read_line(&mut line) {
@@ -341,11 +368,31 @@ fn check_stream(rest: &[String]) {
         let ev = parse_line(text, lineno)
             .and_then(|ev| order.check(ev.seq, lineno).map(|()| ev))
             .unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+        match run_from {
+            Some(from) if ev.seq == 0 => {
+                let done = std::mem::replace(&mut checker, StreamTraceChecker::new(config));
+                violated |= report_run(done, Some((run, from)));
+                (run, run_from) = (run + 1, Some(lineno));
+            }
+            Some(_) => {}
+            None => run_from = Some(lineno),
+        }
         checker.observe(&ev);
     }
-    let (ops, reports) = checker.finish();
-    emit(&render_stream_report(ops, &reports));
-    if !reports.violations.is_empty() {
+    violated |= report_run(checker, run_from.filter(|_| run > 1).map(|from| (run, from)));
+    if violated {
         std::process::exit(1);
     }
+}
+
+/// Finish one run's checker and print its report, headed `run N from
+/// line L:` when the log holds more than one run. True if the run
+/// flagged a violation.
+fn report_run(checker: StreamTraceChecker, head: Option<(usize, usize)>) -> bool {
+    let (ops, reports) = checker.finish();
+    if let Some((run, from)) = head {
+        emit(&format!("run {run} from line {from}:\n"));
+    }
+    emit(&render_stream_report(ops, &reports));
+    !reports.violations.is_empty()
 }

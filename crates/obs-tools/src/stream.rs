@@ -16,6 +16,11 @@
 //! `(session, op_id)` before feeding, which restores the feed-order
 //! contract's order (`OpTrace::sort_by_completion`) — the one the
 //! whole-trace checkers fold a finished trace in.
+//!
+//! A checker judges one run's history. The log of a `--seeds`/`--jobs`
+//! grid is several runs one after another, each from `seq` 0 on a clock
+//! of its own, so `tracequery check --stream` starts a fresh checker at
+//! each run.
 
 use consistency::{StreamConfig, StreamReports, StreamVerifier};
 use obs::{ClientOpKind, EventKind, TracedEvent};

@@ -94,3 +94,82 @@ fn a_log_whose_seq_goes_back_is_exit_1_naming_the_line() {
     }
     std::fs::remove_file(&log).unwrap();
 }
+
+/// Session 1 writes key 1 at `stamp` and reads it back: one run's
+/// `op_complete` lines, numbered from `seq` `first`.
+fn write_then_read(first: u64, stamp: u64) -> [String; 2] {
+    let value = 10 * stamp;
+    [
+        format!(
+            r#"{{"seq":{first},"t_us":1000,"type":"op_complete","session":1,"op":1,"key":1,"kind":"write","ok":true,"invoked_us":500,"replica":0,"value":{value},"values":[],"stamp":[{stamp},0]}}"#
+        ),
+        format!(
+            r#"{{"seq":{},"t_us":2000,"type":"op_complete","session":1,"op":2,"key":1,"kind":"read","ok":true,"invoked_us":1500,"replica":0,"values":[{value}],"stamp":[{stamp},0]}}"#,
+            first + 1
+        ),
+    ]
+}
+
+/// A grid's log is its cells' logs one after another, each numbered from
+/// `seq` 0. `check --stream` judges each run with a verifier of its own:
+/// two runs, each clean alone, print two clean blocks (a blank line
+/// between them counts as a line) and exit 0. The same four lines as
+/// one run mix the two histories and flag what neither holds.
+#[test]
+fn each_run_of_a_log_is_checked_alone() {
+    let dir = std::env::temp_dir();
+    let file = |name: &str| dir.join(format!("tracequery_cli_{}_{name}.jsonl", std::process::id()));
+    let (runs, first, second, mixed) = (file("runs"), file("run1"), file("run2"), file("mixed"));
+    let [w1, r1] = write_then_read(0, 5);
+    let [w2, r2] = write_then_read(0, 2);
+    std::fs::write(&runs, [&w1, &r1, "", &w2, &r2].join("\n")).unwrap();
+    std::fs::write(&first, [&w1[..], &r1].join("\n")).unwrap();
+    std::fs::write(&second, [&w2[..], &r2].join("\n")).unwrap();
+    let [w2_on, r2_on] = write_then_read(2, 2);
+    std::fs::write(&mixed, [&w1[..], &r1, &w2_on, &r2_on].join("\n")).unwrap();
+    let path = |p: &std::path::PathBuf| p.to_str().unwrap().to_string();
+
+    let alone = |p| {
+        let (code, stdout, stderr) = tracequery(&["check", "--stream", &path(p)]);
+        assert_eq!(code, Some(0), "{stdout}{stderr}");
+        assert!(stdout.starts_with("checked 2 op(s): 0 violation(s)"), "{stdout}");
+        stdout
+    };
+    let want =
+        format!("run 1 from line 1:\n{}run 2 from line 4:\n{}", alone(&first), alone(&second));
+    assert_eq!(tracequery(&["check", "--stream", &path(&runs)]), (Some(0), want, String::new()));
+
+    let (code, stdout, _) = tracequery(&["check", "--stream", &path(&mixed)]);
+    assert_eq!(code, Some(1), "{stdout}");
+    assert!(!stdout.contains("run "), "{stdout}");
+    for kind in ["monotonic_writes", "read_your_writes", "monotonic_reads"] {
+        assert!(stdout.contains(&format!("VIOLATION {kind} session=1 op=")), "{kind}: {stdout}");
+    }
+    for p in [runs, first, second, mixed] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+/// `explain` answers for one instant of one run's clock, so a log of
+/// several runs is exit 1 naming how many and where the second starts;
+/// one run's file is answered.
+#[test]
+fn explain_refuses_a_log_of_several_runs() {
+    let log =
+        std::env::temp_dir().join(format!("tracequery_cli_{}_explain.jsonl", std::process::id()));
+    let path = log.to_str().unwrap();
+    let [w1, r1] = write_then_read(0, 5);
+    let [w2, r2] = write_then_read(0, 2);
+    std::fs::write(&log, [&w1, &r1, "", &w2, &r2].join("\n")).unwrap();
+    let (code, stdout, stderr) = tracequery(&["explain", "1500", path]);
+    assert_eq!((code, stdout.as_str()), (Some(1), ""), "{stderr}");
+    assert!(
+        stderr.starts_with(&format!("tracequery: {path}: 2 runs, the second from line 4;")),
+        "{stderr}"
+    );
+    std::fs::write(&log, [&w1[..], &r1].join("\n")).unwrap();
+    let (code, stdout, stderr) = tracequery(&["explain", "1500", path]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.starts_with("at t=1500µs (window 500000µs): no fault active"), "{stdout}");
+    std::fs::remove_file(&log).unwrap();
+}

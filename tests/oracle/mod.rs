@@ -18,7 +18,7 @@
 //!
 //! It shares with the crate only the *report types* (the violation
 //! record among them), so that agreement is one `assert_eq!`. It must
-//! never call a `check_*` function or a `*Stream` operator: its value is
+//! never call a `check_*` function, a judge or the verifier: its value is
 //! that it can disagree with them.
 
 use rethinking_ec::consistency::{
