@@ -7,17 +7,16 @@
 //! in the same state regardless of delivery order — eventual consistency by
 //! construction rather than by timestamp arbitration.
 //!
-//! This crate provides the classic menagerie of state-based CRDTs
-//! (CvRDTs) — ship your whole state; the receiver joins:
-//! * [`GCounter`], [`PnCounter`] — grow-only / increment-decrement counters
-//! * [`LwwRegister`] — last-writer-wins register (the "lossy" baseline the
-//!   E6 experiment quantifies)
-//! * [`MvRegister`] — multi-value register keeping concurrent siblings
-//! * [`GSet`], [`TwoPSet`], [`OrSet`] — sets with increasingly useful
-//!   remove semantics (add-wins observed-remove for [`OrSet`])
-//! * [`OrMap`] — add-wins map composing any nested CvRDT value
-//! * [`Rga`] — a replicated growable array (ordered sequence) for the
-//!   collaborative-list example
+//! This crate provides the state-based CRDTs (CvRDTs) the lab runs —
+//! ship your whole state; the receiver joins:
+//! * [`GCounter`], [`PnCounter`] — grow-only / increment-decrement
+//!   counters; [`PnCounter`] is the state behind the `CrdtMerge`
+//!   resolution (E6, `mm+gossip+crdt`, the fuzzer)
+//! * [`OrSet`] — add-wins observed-remove set
+//! * [`OrMap`] — add-wins map composing any nested CvRDT value, its keys
+//!   an [`OrSet`]
+//! * [`LwwRegister`] — last-writer-wins register, the lossy baseline of
+//!   `examples/shopping_cart.rs`
 //!
 //! Every type satisfies the semilattice laws (commutativity,
 //! associativity, idempotence) and update inflation; `proptest` suites in
@@ -27,14 +26,12 @@
 pub mod counter;
 pub mod map;
 pub mod register;
-pub mod rga;
 pub mod set;
 
 pub use counter::{GCounter, PnCounter};
 pub use map::OrMap;
-pub use register::{LwwRegister, MvRegister};
-pub use rga::Rga;
-pub use set::{GSet, OrSet, TwoPSet};
+pub use register::LwwRegister;
+pub use set::OrSet;
 
 /// A state-based (convergent) replicated data type.
 ///

@@ -1,13 +1,13 @@
 //! An add-wins observed-remove map composing nested CRDT values.
 
-use crate::CvRdt;
-use clocks::{ActorId, Dot};
+use crate::{CvRdt, OrSet};
+use clocks::ActorId;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-/// An observed-remove map: key *visibility* behaves like [`crate::OrSet`]
-/// elements (add-wins), while value state is a separate, always-merged
-/// monotone lattice.
+/// An observed-remove map: key *visibility* is an [`OrSet`] of keys
+/// (add-wins), while value state is a separate, always-merged monotone
+/// lattice.
 ///
 /// Two consequences worth spelling out:
 ///
@@ -21,24 +21,15 @@ use std::collections::{BTreeMap, BTreeSet};
 ///   trade-off.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OrMap<K: Ord, V> {
-    /// Live presence tags per key (add-wins visibility).
-    presence: BTreeMap<K, BTreeSet<Dot>>,
-    /// Tombstoned presence tags.
-    removed: BTreeSet<Dot>,
+    /// The live keys.
+    keys: OrSet<K>,
     /// Monotone value state per key; never discarded, merged on every join.
     values: BTreeMap<K, V>,
-    /// Per-actor tag counters.
-    counters: BTreeMap<ActorId, u64>,
 }
 
 impl<K: Ord, V> Default for OrMap<K, V> {
     fn default() -> Self {
-        OrMap {
-            presence: BTreeMap::new(),
-            removed: BTreeSet::new(),
-            values: BTreeMap::new(),
-            counters: BTreeMap::new(),
-        }
+        OrMap { keys: OrSet::default(), values: BTreeMap::new() }
     }
 }
 
@@ -48,33 +39,24 @@ impl<K: Ord + Clone, V: CvRdt + Default> OrMap<K, V> {
         Self::default()
     }
 
-    fn next_dot(&mut self, actor: ActorId) -> Dot {
-        let c = self.counters.entry(actor).or_insert(0);
-        *c += 1;
-        Dot::new(actor, *c)
-    }
-
     /// Mutate (creating if absent) the value at `key` as `actor`.
     ///
-    /// Each update adds a fresh presence tag, so updates concurrent with a
+    /// Each update adds a fresh key tag, so updates concurrent with a
     /// remove keep the key alive.
     pub fn update(&mut self, actor: ActorId, key: K, f: impl FnOnce(&mut V)) {
-        let dot = self.next_dot(actor);
-        self.presence.entry(key.clone()).or_default().insert(dot);
+        self.keys.insert(actor, key.clone());
         f(self.values.entry(key).or_default());
     }
 
-    /// Remove `key`, tombstoning the presence tags observed here. The value
+    /// Remove `key`, tombstoning the key tags observed here. The value
     /// lattice is retained (see type-level docs).
     pub fn remove(&mut self, key: &K) {
-        if let Some(tags) = self.presence.remove(key) {
-            self.removed.extend(tags);
-        }
+        self.keys.remove(key);
     }
 
     /// Read the value at `key`, if the key is live.
     pub fn get(&self, key: &K) -> Option<&V> {
-        if self.presence.contains_key(key) {
+        if self.keys.contains(key) {
             self.values.get(key)
         } else {
             None
@@ -83,28 +65,18 @@ impl<K: Ord + Clone, V: CvRdt + Default> OrMap<K, V> {
 
     /// Whether `key` is live.
     pub fn contains_key(&self, key: &K) -> bool {
-        self.presence.contains_key(key)
+        self.keys.contains(key)
     }
 
     /// Iterate live `(key, value)` pairs in key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
-        self.presence.keys().filter_map(|k| self.values.get(k).map(|v| (k, v)))
+        self.keys.iter().filter_map(|k| self.values.get(k).map(|v| (k, v)))
     }
 }
 
 impl<K: Ord + Clone, V: CvRdt + Default> CvRdt for OrMap<K, V> {
     fn merge(&mut self, other: &Self) {
-        // Tombstones union first so incoming tags can be filtered by them.
-        self.removed.extend(other.removed.iter().copied());
-        for (k, tags) in &other.presence {
-            let entry = self.presence.entry(k.clone()).or_default();
-            entry.extend(tags.iter().copied());
-        }
-        let removed = &self.removed;
-        self.presence.retain(|_, tags| {
-            tags.retain(|d| !removed.contains(d));
-            !tags.is_empty()
-        });
+        self.keys.merge(&other.keys);
         // Value state merges unconditionally (monotone; independent of
         // visibility) — this is what makes the map a product lattice.
         for (k, v) in &other.values {
@@ -114,10 +86,6 @@ impl<K: Ord + Clone, V: CvRdt + Default> CvRdt for OrMap<K, V> {
                     self.values.insert(k.clone(), v.clone());
                 }
             }
-        }
-        for (&a, &c) in &other.counters {
-            let e = self.counters.entry(a).or_insert(0);
-            *e = (*e).max(c);
         }
     }
 }
@@ -218,9 +186,10 @@ mod proptests {
     use crate::counter::GCounter;
     use proptest::prelude::*;
 
-    /// Three divergent replicas from one shared history (actor ids must be
-    /// globally unique per replica for CRDT laws to apply; see the note on
-    /// `arb_mv_replicas` in `register.rs`).
+    /// Three divergent replicas from one shared history: CRDT laws only
+    /// hold when each replica tags with an actor id of its own, so states
+    /// from unrelated histories (which could reuse a dot for different
+    /// keys) are outside the contract.
     fn arb_map_replicas() -> impl Strategy<Value = [OrMap<u8, GCounter>; 3]> {
         proptest::collection::vec(
             (0usize..3, 0u8..4, proptest::bool::ANY, proptest::bool::ANY),

@@ -1,89 +1,9 @@
-//! Replicated sets: grow-only, two-phase, and observed-remove.
+//! The observed-remove set.
 
 use crate::CvRdt;
 use clocks::{ActorId, Dot};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A grow-only set: add only, merge = union.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct GSet<T: Ord> {
-    items: BTreeSet<T>,
-}
-
-impl<T: Ord> Default for GSet<T> {
-    fn default() -> Self {
-        GSet { items: BTreeSet::new() }
-    }
-}
-
-impl<T: Ord + Clone> GSet<T> {
-    /// An empty set.
-    pub fn new() -> Self {
-        GSet { items: BTreeSet::new() }
-    }
-
-    /// Insert an element.
-    pub fn insert(&mut self, item: T) {
-        self.items.insert(item);
-    }
-
-    /// Iterate elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.items.iter()
-    }
-}
-
-impl<T: Ord + Clone> CvRdt for GSet<T> {
-    fn merge(&mut self, other: &Self) {
-        self.items.extend(other.items.iter().cloned());
-    }
-}
-
-/// A two-phase set: removed elements can never be re-added (the tombstone
-/// wins forever). Simple, but usually the wrong tool — see [`OrSet`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TwoPSet<T: Ord> {
-    added: BTreeSet<T>,
-    removed: BTreeSet<T>,
-}
-
-impl<T: Ord> Default for TwoPSet<T> {
-    fn default() -> Self {
-        TwoPSet { added: BTreeSet::new(), removed: BTreeSet::new() }
-    }
-}
-
-impl<T: Ord + Clone> TwoPSet<T> {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert an element. Re-adding a removed element has no effect.
-    pub fn insert(&mut self, item: T) {
-        self.added.insert(item);
-    }
-
-    /// Remove an element (permanently).
-    pub fn remove(&mut self, item: &T) {
-        if self.added.contains(item) {
-            self.removed.insert(item.clone());
-        }
-    }
-
-    /// Membership: added and not removed.
-    pub fn contains(&self, item: &T) -> bool {
-        self.added.contains(item) && !self.removed.contains(item)
-    }
-}
-
-impl<T: Ord + Clone> CvRdt for TwoPSet<T> {
-    fn merge(&mut self, other: &Self) {
-        self.added.extend(other.added.iter().cloned());
-        self.removed.extend(other.removed.iter().cloned());
-    }
-}
 
 /// An observed-remove set with add-wins semantics.
 ///
@@ -167,43 +87,6 @@ impl<T: Ord + Clone> CvRdt for OrSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gset_union() {
-        let mut a = GSet::new();
-        let mut b = GSet::new();
-        a.insert(1);
-        b.insert(2);
-        let m = a.merged(&b);
-        assert_eq!(m.iter().copied().collect::<Vec<_>>(), vec![1, 2]);
-    }
-
-    #[test]
-    fn twopset_remove_is_permanent() {
-        let mut s = TwoPSet::new();
-        s.insert("x");
-        s.remove(&"x");
-        s.insert("x"); // too late: tombstone wins
-        assert!(!s.contains(&"x"));
-    }
-
-    #[test]
-    fn twopset_remove_of_unseen_is_noop() {
-        let mut s: TwoPSet<&str> = TwoPSet::new();
-        s.remove(&"ghost");
-        s.insert("ghost");
-        assert!(s.contains(&"ghost"));
-    }
-
-    #[test]
-    fn twopset_merge_propagates_removal() {
-        let mut a = TwoPSet::new();
-        a.insert("x");
-        let mut b = a.clone();
-        b.remove(&"x");
-        let m = a.merged(&b);
-        assert!(!m.contains(&"x"));
-    }
 
     #[test]
     fn orset_add_remove_add() {
@@ -308,35 +191,6 @@ mod proptests {
             prop_assert_eq!(abc1.iter().collect::<Vec<_>>(), abc2.iter().collect::<Vec<_>>());
             let aa = a.clone().merged(&a);
             prop_assert_eq!(aa.iter().collect::<Vec<_>>(), a.iter().collect::<Vec<_>>());
-        }
-
-        #[test]
-        fn gset_lattice_laws(
-            a in proptest::collection::btree_set(0u8..20, 0..10),
-            b in proptest::collection::btree_set(0u8..20, 0..10),
-        ) {
-            let mk = |s: &std::collections::BTreeSet<u8>| {
-                let mut g = GSet::new();
-                for &x in s { g.insert(x); }
-                g
-            };
-            let (ga, gb) = (mk(&a), mk(&b));
-            prop_assert_eq!(ga.clone().merged(&gb), gb.clone().merged(&ga));
-            prop_assert_eq!(ga.clone().merged(&ga), ga);
-        }
-
-        #[test]
-        fn twopset_lattice_laws(
-            adds in proptest::collection::vec(0u8..10, 0..10),
-            rems in proptest::collection::vec(0u8..10, 0..10),
-        ) {
-            let mut a = TwoPSet::new();
-            for x in &adds { a.insert(*x); }
-            for x in &rems { a.remove(x); }
-            let mut b = TwoPSet::new();
-            for x in &rems { b.insert(*x); }
-            prop_assert_eq!(a.clone().merged(&b), b.clone().merged(&a));
-            prop_assert_eq!(a.clone().merged(&a), a);
         }
     }
 }

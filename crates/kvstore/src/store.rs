@@ -114,6 +114,15 @@ mod tests {
     }
 
     #[test]
+    fn empty_until_a_key_holds_a_version() {
+        let mut s = MvStore::new();
+        assert!(s.is_empty());
+        s.put(1, Value::from_u64(10), ts(1, 0), 100);
+        assert!(!s.is_empty());
+        assert_eq!(s.len(), 1);
+    }
+
+    #[test]
     fn out_of_order_arrival_keeps_latest() {
         // Replicated writes can arrive in any order; the chain stays sorted.
         let mut s = MvStore::new();

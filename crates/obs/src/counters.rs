@@ -78,10 +78,16 @@ names! {
         HintsDropped = "hints_dropped",
         /// Keys pushed to new owners during ring membership rebalancing.
         RebalancedKeys = "rebalanced_keys",
-        /// Violations flagged by the online streaming consistency checkers.
+        /// Meant for violations flagged by the online streaming consistency
+        /// checkers. Nothing bumps it: `consistency::StreamVerifier`
+        /// reports its own violations. Kept because labbench's
+        /// `result_digest` hashes every counter name through
+        /// `MetricsReport`; it goes with the next labbench re-pin.
         StreamViolations = "stream_violations",
-        /// State entries the streaming checkers evicted at watermark
-        /// advances (bounded-memory operation; see `docs/CHECKERS.md`).
+        /// Meant for state entries the streaming checkers evict at
+        /// watermark advances. Nothing bumps it: the verifier reports
+        /// its own count (`StreamReports::events_evicted`). Kept, and
+        /// to go, as `stream_violations` above.
         CheckerEventsEvicted = "checker_events_evicted",
         /// Actor handler invocations measured by the profiler (0 unless
         /// profiling is enabled; see `docs/PROFILING.md`).

@@ -864,7 +864,8 @@ impl EventKind {
             ],
             // Operation completions bump no counter: the op trace is the
             // source of truth for operation counts, and the streaming
-            // checkers count their own findings (`stream_violations`).
+            // checkers report their own findings (`stream_violations`
+            // has no producer and goes with the next labbench re-pin).
             // `Recorder::record_op_complete` relies on this: it skips
             // the counters, and builds no event for a log that drops it.
             EventKind::OpComplete(_) => [None, None],

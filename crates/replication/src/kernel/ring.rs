@@ -195,8 +195,9 @@ impl Ring {
         self.snap.members.len()
     }
 
-    /// True when the ring has no members (never observable via `new`,
-    /// only via `leave` of the last member being refused).
+    /// True when the ring has no members: never, since `new` refuses an
+    /// empty member set and `leave` refuses the last member. Kept beside
+    /// [`Ring::len`] (clippy's `len_without_is_empty`).
     pub fn is_empty(&self) -> bool {
         self.snap.members.is_empty()
     }
@@ -412,6 +413,7 @@ mod tests {
         let mut r = ring(1, 1, 4);
         assert!(!r.leave(NodeId(0)));
         assert_eq!(r.len(), 1);
+        assert!(!r.is_empty());
     }
 
     #[test]

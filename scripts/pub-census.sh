@@ -18,7 +18,12 @@
 #     narrowed functions that are never used, and a check of each such
 #     crate's library with its unit tests tells those no test calls
 #     ("no test") from those only their own crate's unit tests call
-#     ("unit tests only").
+#     ("unit tests only");
+#  4. every function step 2 restored is narrowed again, and step 2
+#     repeats against `cargo check --workspace --lib --bins` and
+#     labbench --all-targets; of those that stay narrowed, the ones
+#     `cargo check --workspace` reports unused are called only by
+#     integration tests and examples ("tests and examples only").
 #
 # Prints one line per function, `file:line  Type::name  tag`, sorted by
 # file and line, and the totals. Exit status 0 whatever it finds; 1 when
@@ -68,6 +73,7 @@ for crate in sorted(os.path.join(top, name) for top in ('crates', 'vendor')
                     narrowed[(path, i + 1)] = name
             with open(path, 'w') as f:
                 f.writelines(lines)
+names = dict(narrowed)
 
 def rel(file_name, cwd):
     return os.path.relpath(os.path.realpath(os.path.join(cwd, file_name)), tree)
@@ -97,22 +103,45 @@ def narrowed_lines(span, cwd):
         if (path, line) in narrowed:
             yield (path, line)
 
-def restore(key):
+def rewrite(key, old, new):
     path, line = key
     with open(path) as f:
         lines = f.readlines()
-    lines[line - 1] = lines[line - 1].replace('pub(crate) ', 'pub ', 1)
+    lines[line - 1] = lines[line - 1].replace(old, new, 1)
     with open(path, 'w') as f:
         f.writelines(lines)
+
+def restore(key):
+    rewrite(key, 'pub(crate) ', 'pub ')
     del narrowed[key]
 
-CHECKS = [(['check', '--workspace', '--all-targets', '--keep-going'], '.'),
-          (['check', '--all-targets', '--keep-going'], 'labbench')]
-rounds = 0
-while True:
-    rounds += 1
+def narrow(key):
+    rewrite(key, 'pub ', 'pub(crate) ')
+    narrowed[key] = names[key]
+
+LABBENCH = (['check', '--all-targets', '--keep-going'], 'labbench')
+
+def restore_until_built(checks):
+    """Restores every narrowed function a privacy error of `checks`
+    points at until they all build; returns the build rounds taken and
+    the functions restored."""
+    rounds, restored = 0, set()
+    while True:
+        rounds += 1
+        named = blamed(checks)
+        if named is None:
+            return rounds, restored
+        for key in sorted(named):
+            restore(key)
+        restored |= named
+        sys.stderr.write(f'round {rounds}: {len(named)} restored, '
+                         f'{len(narrowed)} still narrowed\n')
+
+def blamed(checks):
+    """The narrowed functions the first failing check's errors point
+    at, or None when every check builds."""
     named, errors = set(), []
-    for args, cwd in CHECKS:
+    for args, cwd in checks:
         diags, at, run = cargo(args, cwd)
         for diag in diags:
             if diag['level'] != 'error':
@@ -132,14 +161,14 @@ while True:
         if errors:
             break
     if not errors:
-        break
+        return None
     if not named:
         fail('the copy does not build and no narrowed function is to blame',
              ''.join(errors[:5]))
-    for key in sorted(named):
-        restore(key)
-    sys.stderr.write(f'round {rounds}: {len(named)} restored, '
-                     f'{len(narrowed)} still narrowed\n')
+    return named
+
+rounds, restored = restore_until_built(
+    [(['check', '--workspace', '--all-targets', '--keep-going'], '.'), LABBENCH])
 
 def crate_of(path):
     """`crates/<name>` or `vendor/<name>`: the package directory."""
@@ -167,6 +196,14 @@ for crate in sorted({crate_of(k[0]) for k in never_used}):
         package = re.search(r'^name = "([^"]+)"', f.read(), re.M).group(1)
     untested |= unused(['check', '-p', package, '--lib', '--profile', 'test'], crate)
 
+# Step 4, after the unit-test checks: with these narrowed, the crates
+# that use the vendored proptest do not build under `--profile test`.
+for key in restored:
+    narrow(key)
+rounds_lib, _ = restore_until_built(
+    [(['check', '--workspace', '--lib', '--bins', '--keep-going'], '.'), LABBENCH])
+tests_only = unused(['check', '--workspace']) & restored
+
 def owner(path, line):
     """The type of the nearest enclosing top-level `impl`, if any."""
     with open(path) as f:
@@ -179,11 +216,16 @@ def owner(path, line):
             return ''
     return ''
 
-for key in sorted(never_used):
+def tag(key):
+    if key in tests_only:
+        return 'tests and examples only'
+    return 'no test' if key in untested else 'unit tests only'
+
+for key in sorted(never_used | tests_only):
     path, line = key
-    tag = 'no test' if key in untested else 'unit tests only'
-    print(f'{path}:{line}  {owner(path, line)}{narrowed[key]}  {tag}')
+    print(f'{path}:{line}  {owner(path, line)}{names[key]}  {tag(key)}')
 no_test = len(never_used & untested)
 print(f'# {len(never_used)} unused outside their crate: {no_test} no test, '
-      f'{len(never_used) - no_test} unit tests only ({rounds} build rounds)')
+      f'{len(never_used) - no_test} unit tests only; {len(tests_only)} called by '
+      f'tests and examples only ({rounds} + {rounds_lib} build rounds)')
 PY
