@@ -8,7 +8,6 @@
 //! the same "count distinct responders up to a need" loop).
 
 use simnet::{Context, Duration, NodeId};
-use std::collections::BTreeSet;
 
 /// How updates propagate (the propagation axis of a
 /// [`super::Composition`]).
@@ -166,35 +165,57 @@ impl Gossip {
     }
 }
 
+/// Distinct ackers an [`AckTracker`] holds without allocating: every
+/// acker of a 3- or 5-node group and six peers of an eager broadcast.
+const INLINE_ACKERS: usize = 6;
+
 /// Count distinct acking nodes toward a threshold.
-#[derive(Debug, Clone, Default)]
+///
+/// The first six distinct ackers sit in the tracker itself; only a
+/// tracker that hears from more spills the rest into a `Vec`.
+#[derive(Debug, Clone)]
 pub struct AckTracker {
     need: usize,
-    from: BTreeSet<NodeId>,
+    /// Distinct ackers so far.
+    count: usize,
+    /// The first `INLINE_ACKERS` of them, in arrival order.
+    inline: [NodeId; INLINE_ACKERS],
+    /// The rest, sorted.
+    spill: Vec<NodeId>,
 }
 
 impl AckTracker {
     /// A tracker needing `need` distinct acks.
     pub fn new(need: usize) -> Self {
-        AckTracker { need, from: BTreeSet::new() }
+        AckTracker { need, count: 0, inline: [NodeId(0); INLINE_ACKERS], spill: Vec::new() }
     }
 
     /// Record an ack. Returns `true` exactly once: when this ack first
     /// reaches the threshold (duplicates and over-acks return `false`).
     pub fn ack(&mut self, from: NodeId) -> bool {
-        let was_reached = self.reached();
-        self.from.insert(from);
-        !was_reached && self.reached()
+        if self.inline[..self.count.min(INLINE_ACKERS)].contains(&from) {
+            return false;
+        }
+        if self.count < INLINE_ACKERS {
+            self.inline[self.count] = from;
+        } else {
+            match self.spill.binary_search(&from) {
+                Ok(_) => return false,
+                Err(at) => self.spill.insert(at, from),
+            }
+        }
+        self.count += 1;
+        self.count == self.need
     }
 
     /// Whether the threshold has been met.
     pub fn reached(&self) -> bool {
-        self.from.len() >= self.need
+        self.count >= self.need
     }
 
     /// Distinct acks so far.
     pub fn count(&self) -> usize {
-        self.from.len()
+        self.count
     }
 }
 
@@ -221,7 +242,51 @@ mod tests {
 
     #[test]
     fn zero_need_is_immediately_reached() {
-        let t = AckTracker::new(0);
+        let mut t = AckTracker::new(0);
         assert!(t.reached());
+        assert!(!t.ack(NodeId(4)), "a tracker already reached never fires");
+        assert_eq!(t.count(), 1);
+    }
+
+    #[test]
+    fn ackers_past_the_inline_capacity_spill_and_still_count_once() {
+        let n = INLINE_ACKERS as u32 + 5;
+        let mut t = AckTracker::new(n as usize);
+        // Descending, so the spilled ackers arrive out of order.
+        for i in (0..n - 1).rev() {
+            assert!(!t.ack(NodeId(i * 3)));
+            assert!(!t.ack(NodeId(i * 3)), "duplicate of acker {i} counted");
+        }
+        for i in 0..n - 1 {
+            assert!(!t.ack(NodeId(i * 3)), "repeat of acker {i} counted");
+        }
+        assert_eq!(t.count(), n as usize - 1);
+        assert!(!t.reached());
+        assert!(t.ack(NodeId(1)), "the last distinct acker fires");
+        assert!(!t.ack(NodeId(2)), "over-ack past the spill does not re-fire");
+        assert!(!t.ack(NodeId(1)));
+        assert_eq!(t.count(), n as usize + 1);
+        assert!(t.reached());
+    }
+
+    proptest::proptest! {
+        /// Any sequence of acks counts what a set of ackers counts, and
+        /// fires exactly at the ack that brings the set to `need`.
+        #[test]
+        fn ack_tracker_counts_as_a_set_does(
+            need in 0usize..12,
+            acks in proptest::collection::vec(0u32..16, 0..40),
+        ) {
+            let mut t = AckTracker::new(need);
+            let mut model = std::collections::BTreeSet::new();
+            for from in acks {
+                let fired = t.ack(NodeId(from));
+                let was = model.len() >= need;
+                model.insert(NodeId(from));
+                proptest::prop_assert_eq!(fired, !was && model.len() >= need);
+                proptest::prop_assert_eq!(t.count(), model.len());
+                proptest::prop_assert_eq!(t.reached(), model.len() >= need);
+            }
+        }
     }
 }

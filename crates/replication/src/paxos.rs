@@ -22,8 +22,13 @@ use crate::kernel::telemetry::{ProbeVersions, Probed};
 use clocks::LamportTimestamp;
 use kvstore::{Key, MvStore, Value};
 use obs::{EventKind, QuorumKind};
-use simnet::{Actor, Context, Duration, NodeId, SharedTrace, SimTime, SpanId, SpanStatus};
+use simnet::{
+    Actor, Context, Duration, IdHashMap, NodeId, SharedTrace, SimTime, SpanId, SpanStatus,
+};
+use slot_log::SlotLog;
 use std::collections::BTreeMap;
+
+mod slot_log;
 
 /// A ballot number: `(round, node)` — totally ordered, node breaks ties.
 pub type Ballot = (u64, u64);
@@ -140,6 +145,71 @@ struct AcceptedEntry {
     cmd: Command,
 }
 
+/// One slot of a node's log: what its acceptor accepted and what its
+/// learner learned was chosen.
+#[derive(Debug, Default)]
+struct Slot {
+    accepted: Option<AcceptedEntry>,
+    committed: Committed,
+}
+
+/// The learner's half of a [`Slot`].
+#[derive(Debug, Default)]
+enum Committed {
+    /// Nothing learned yet.
+    #[default]
+    No,
+    /// The accepted command was chosen: the normal case, one copy.
+    Accepted,
+    /// A command other than the accepted one was chosen (a `Commit` for a
+    /// slot whose `Accept` was lost, or an `Accept` that came after).
+    Other(Box<Command>),
+}
+
+impl Slot {
+    /// The chosen command, if this node learned it.
+    fn committed(&self) -> Option<&Command> {
+        match &self.committed {
+            Committed::No => None,
+            Committed::Accepted => self.accepted.as_ref().map(|e| &e.cmd),
+            Committed::Other(cmd) => Some(cmd),
+        }
+    }
+
+    /// Accept `cmd` at `ballot`, keeping a chosen command that differs.
+    fn accept(&mut self, ballot: Ballot, cmd: Command) {
+        if let (Committed::Accepted, Some(old)) = (&self.committed, &self.accepted) {
+            if old.cmd != cmd {
+                self.committed = Committed::Other(Box::new(old.cmd.clone()));
+            }
+        }
+        self.accepted = Some(AcceptedEntry { ballot, cmd });
+    }
+
+    /// Learn that `cmd` was chosen, unless a command already was.
+    fn commit(&mut self, cmd: Command) {
+        if let Committed::No = self.committed {
+            self.committed = match &self.accepted {
+                Some(e) if e.cmd == cmd => Committed::Accepted,
+                _ => Committed::Other(Box::new(cmd)),
+            };
+        }
+    }
+}
+
+/// The entry a candidate adopts at `slot`: its Phase 1 difference if it
+/// has one there, else the log's accepted entry.
+fn adopted_entry<'a>(
+    adopted: &'a SlotLog<Option<AcceptedEntry>>,
+    log: &'a SlotLog<Slot>,
+    slot: u64,
+) -> Option<&'a AcceptedEntry> {
+    match adopted.get(slot) {
+        Some(entry) => entry.as_ref(),
+        None => log.get(slot).and_then(|s| s.accepted.as_ref()),
+    }
+}
+
 /// Node role.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Role {
@@ -163,10 +233,9 @@ pub struct PaxosNode {
     role: Role,
     /// Highest ballot promised (acceptor).
     promised: Ballot,
-    /// Accepted entries per slot (acceptor).
-    accepted: BTreeMap<u64, AcceptedEntry>,
-    /// Committed commands per slot (learner).
-    committed: BTreeMap<u64, Command>,
+    /// The log: accepted entry (acceptor) and chosen command (learner)
+    /// per slot.
+    log: SlotLog<Slot>,
     /// Next slot to apply to the state machine.
     apply_index: u64,
     /// The replicated state machine.
@@ -175,18 +244,24 @@ pub struct PaxosNode {
     my_ballot: Ballot,
     /// Leader: next free slot.
     next_slot: u64,
-    /// Leader: Phase 2 quorum tracking per slot (distinct acceptors).
-    p2: BTreeMap<u64, AckTracker>,
+    /// Leader: Phase 2 quorum tracking (distinct acceptors) per slot not
+    /// yet committed; a slot's tracker goes when the slot commits.
+    p2: IdHashMap<u64, AckTracker>,
     /// Candidate: Phase 1 quorum tracking (distinct promisers).
     p1: AckTracker,
-    p1_adopted: BTreeMap<u64, AcceptedEntry>,
+    /// Candidate: where the entries to adopt differ from the log's
+    /// accepted entries as they stood at election start. `Some` is a
+    /// higher-ballot entry a promiser reported; an `Accept` that arrives
+    /// mid-election first saves the entry it replaces here (`None` for an
+    /// empty one), so the log's later changes never reach the adoption.
+    p1_adopted: SlotLog<Option<AcceptedEntry>>,
     /// Who I believe leads (for NotLeader hints).
     leader_hint: Option<NodeId>,
-    /// Best-effort write dedup across client retries: (client, op_id) →
-    /// slot. At-least-once semantics remain possible across failover (the
-    /// new leader may lack the entry); duplicate applies of the same
-    /// unique value are idempotent for the register state machine.
-    seen_writes: BTreeMap<(u32, u64), u64>,
+    /// Write dedup across client retries: (client, op_id) → slot, on the
+    /// leader that took the request only. A new leader lacks the entries,
+    /// so a retried write can be committed in a second slot and applied
+    /// again over newer values (ROADMAP 1(b)).
+    seen_writes: IdHashMap<(u32, u64), u64>,
     /// Election timer bookkeeping: id of the live timer.
     election_timer: Option<u64>,
     /// Leader: tracing span per proposed slot, closed `Ok` when the slot
@@ -206,18 +281,17 @@ impl PaxosNode {
             nodes,
             role: Role::Follower,
             promised: (0, 0),
-            accepted: BTreeMap::new(),
-            committed: BTreeMap::new(),
+            log: SlotLog::default(),
             apply_index: 1,
             store: Probed::new(MvStore::new()),
             my_ballot: (0, 0),
             next_slot: 1,
-            p2: BTreeMap::new(),
+            p2: IdHashMap::default(),
             p1: AckTracker::new(nodes / 2 + 1),
-            p1_adopted: BTreeMap::new(),
+            p1_adopted: SlotLog::default(),
             leader_hint: None,
             election_timer: None,
-            seen_writes: BTreeMap::new(),
+            seen_writes: IdHashMap::default(),
             slot_spans: BTreeMap::new(),
             peer_cache: PeerCache::default(),
             cmd_scratch: Vec::new(),
@@ -227,6 +301,17 @@ impl PaxosNode {
     /// Majority size.
     fn majority(&self) -> usize {
         self.nodes / 2 + 1
+    }
+
+    /// The command chosen for `slot`, if this node learned it.
+    fn committed(&self, slot: u64) -> Option<&Command> {
+        self.log.get(slot).and_then(Slot::committed)
+    }
+
+    /// Learn that `cmd` was chosen for `slot`; its Phase 2 tally is done.
+    fn learn(&mut self, slot: u64, cmd: Command) {
+        self.log.get_or_insert_with(slot, Slot::default).commit(cmd);
+        self.p2.remove(&slot);
     }
 
     fn reset_election_timer(&mut self, ctx: &mut Context<Msg>) {
@@ -246,7 +331,7 @@ impl PaxosNode {
         self.my_ballot = (round, me.0 as u64);
         self.p1 = AckTracker::new(self.majority());
         self.p1.ack(me); // self-promise
-        self.p1_adopted = self.accepted.clone();
+        self.p1_adopted.clear();
         self.promised = self.my_ballot;
         let peers = self.peer_cache.take(self.nodes, me);
         for &p in &peers {
@@ -264,14 +349,23 @@ impl PaxosNode {
         self.role = Role::Leader;
         self.leader_hint = Some(ctx.self_id());
         // Adopt accepted entries: re-propose them under my ballot, starting
-        // after the highest committed slot.
+        // after the highest committed slot. Proposing in a slot changes
+        // that slot only, so the walk reads the log as it stood.
         let adopted = std::mem::take(&mut self.p1_adopted);
-        let max_seen =
-            adopted.keys().copied().chain(self.committed.keys().copied()).max().unwrap_or(0);
+        let last = self.log.max_slot().max(adopted.max_slot()).unwrap_or(0);
+        let max_seen = (1..=last)
+            .rev()
+            .find(|&slot| {
+                self.committed(slot).is_some() || adopted_entry(&adopted, &self.log, slot).is_some()
+            })
+            .unwrap_or(0);
         self.next_slot = max_seen + 1;
-        for (slot, entry) in adopted {
-            if !self.committed.contains_key(&slot) {
-                self.propose_in_slot(ctx, slot, entry.cmd);
+        for slot in 1..=max_seen {
+            if self.committed(slot).is_none() {
+                if let Some(entry) = adopted_entry(&adopted, &self.log, slot) {
+                    let cmd = entry.cmd.clone();
+                    self.propose_in_slot(ctx, slot, cmd);
+                }
             }
         }
         ctx.set_timer(HEARTBEAT_INTERVAL, TAG_HEARTBEAT);
@@ -280,7 +374,7 @@ impl PaxosNode {
     fn propose_in_slot(&mut self, ctx: &mut Context<Msg>, slot: u64, cmd: Command) {
         let me = ctx.self_id();
         // Self-accept.
-        self.accepted.insert(slot, AcceptedEntry { ballot: self.my_ballot, cmd: cmd.clone() });
+        self.log.get_or_insert_with(slot, Slot::default).accept(self.my_ballot, cmd.clone());
         let mut tracker = AckTracker::new(self.majority());
         tracker.ack(me);
         self.p2.insert(slot, tracker);
@@ -297,10 +391,10 @@ impl PaxosNode {
             return;
         }
         let acks = self.p2.get(&slot).map(AckTracker::count).unwrap_or(0);
-        if acks < self.majority() || self.committed.contains_key(&slot) {
+        if acks < self.majority() || self.committed(slot).is_some() {
             return;
         }
-        let Some(entry) = self.accepted.get(&slot) else {
+        let Some(entry) = self.log.get(slot).and_then(|s| s.accepted.as_ref()) else {
             return;
         };
         let cmd = entry.cmd.clone();
@@ -311,7 +405,7 @@ impl PaxosNode {
             acks: acks as u64,
             needed: self.majority() as u64,
         });
-        self.committed.insert(slot, cmd.clone());
+        self.learn(slot, cmd.clone());
         let me = ctx.self_id();
         let peers = self.peer_cache.take(self.nodes, me);
         for &p in &peers {
@@ -323,7 +417,7 @@ impl PaxosNode {
 
     /// Apply committed slots in order; the leader answers clients.
     fn apply_ready(&mut self, ctx: &mut Context<Msg>, answer: bool) {
-        while let Some(cmd) = self.committed.get(&self.apply_index).cloned() {
+        while let Some(cmd) = self.committed(self.apply_index).cloned() {
             let slot = self.apply_index;
             self.apply_index += 1;
             let (value, stamp, version_ts) = match cmd.value {
@@ -374,13 +468,13 @@ impl Actor<Msg> for PaxosNode {
 
     fn on_recover(&mut self, ctx: &mut Context<Msg>, amnesia: bool) {
         if amnesia {
-            // Classic Paxos durability: `promised`, `accepted`, and my
-            // ballot sit on stable storage (an acceptor fsyncs before
-            // answering), and the learner's `committed` log plus the write
-            // dedup table ride along. Everything else is volatile: the
-            // node restarts as a follower with empty quorum tallies and
-            // rebuilds the state machine by re-applying committed slots in
-            // order — without re-answering clients.
+            // Classic Paxos durability: `promised`, the log's accepted
+            // entries and my ballot sit on stable storage (an acceptor
+            // fsyncs before answering), and the log's committed commands
+            // plus the write dedup table ride along. Everything else is
+            // volatile: the node restarts as a follower with empty quorum
+            // tallies and rebuilds the state machine by re-applying
+            // committed slots in order — without re-answering clients.
             self.role = Role::Follower;
             self.abandon_proposals(ctx);
             self.p1 = AckTracker::new(self.majority());
@@ -433,10 +527,10 @@ impl Actor<Msg> for PaxosNode {
                 let mut sweep = std::mem::take(&mut self.cmd_scratch);
                 sweep.clear();
                 sweep.extend(
-                    self.accepted
-                        .range(self.apply_index..)
-                        .filter(|(slot, _)| !self.committed.contains_key(slot))
-                        .map(|(&slot, e)| (slot, e.cmd.clone()))
+                    self.log
+                        .range_from(self.apply_index)
+                        .filter(|(_, s)| s.committed().is_none())
+                        .filter_map(|(slot, s)| s.accepted.as_ref().map(|e| (slot, e.cmd.clone())))
                         .take(32),
                 );
                 for (slot, cmd) in sweep.drain(..) {
@@ -453,9 +547,9 @@ impl Actor<Msg> for PaxosNode {
                 // Re-announce commits the followers may have missed (a
                 // dropped Commit leaves their apply index stalled).
                 sweep.extend(
-                    self.committed
-                        .range(self.apply_index.saturating_sub(8)..)
-                        .map(|(&s, c)| (s, c.clone()))
+                    self.log
+                        .range_from(self.apply_index.saturating_sub(8))
+                        .filter_map(|(slot, s)| s.committed().map(|c| (slot, c.clone())))
                         .take(16),
                 );
                 for (slot, cmd) in sweep.drain(..) {
@@ -490,7 +584,7 @@ impl Actor<Msg> for PaxosNode {
                 if value.is_some() {
                     if let Some(&slot) = self.seen_writes.get(&(from.0, op_id)) {
                         // Duplicate of an in-flight or committed write.
-                        if self.committed.contains_key(&slot) {
+                        if self.committed(slot).is_some() {
                             ctx.send(
                                 from,
                                 Msg::Response {
@@ -527,8 +621,13 @@ impl Actor<Msg> for PaxosNode {
                         self.abandon_proposals(ctx);
                     }
                     self.leader_hint = Some(NodeId(ballot.1 as u32));
-                    let accepted: Vec<(u64, Ballot, Command)> =
-                        self.accepted.iter().map(|(&s, e)| (s, e.ballot, e.cmd.clone())).collect();
+                    let entries = || {
+                        self.log
+                            .iter()
+                            .filter_map(|(slot, s)| s.accepted.as_ref().map(|e| (slot, e)))
+                    };
+                    let mut accepted = Vec::with_capacity(entries().count());
+                    accepted.extend(entries().map(|(slot, e)| (slot, e.ballot, e.cmd.clone())));
                     ctx.send(from, Msg::Promise { ballot, accepted });
                     self.reset_election_timer(ctx);
                 }
@@ -537,9 +636,9 @@ impl Actor<Msg> for PaxosNode {
                 if self.role == Role::Candidate && ballot == self.my_ballot {
                     self.p1.ack(from);
                     for (slot, b, cmd) in accepted {
-                        let e = self.p1_adopted.get(&slot);
+                        let e = adopted_entry(&self.p1_adopted, &self.log, slot);
                         if e.map(|x| b > x.ballot).unwrap_or(true) {
-                            self.p1_adopted.insert(slot, AcceptedEntry { ballot: b, cmd });
+                            self.p1_adopted.insert(slot, Some(AcceptedEntry { ballot: b, cmd }));
                         }
                     }
                     self.maybe_become_leader(ctx);
@@ -554,14 +653,23 @@ impl Actor<Msg> for PaxosNode {
                     }
                     self.leader_hint = Some(NodeId(ballot.1 as u32));
                     let span = ctx.span_open("acceptor_accept");
-                    self.accepted.insert(slot, AcceptedEntry { ballot, cmd });
+                    let entry = self.log.get_or_insert_with(slot, Slot::default);
+                    if self.role == Role::Candidate && self.p1_adopted.get(slot).is_none() {
+                        self.p1_adopted.insert(slot, entry.accepted.clone());
+                    }
+                    entry.accept(ballot, cmd);
                     ctx.send(from, Msg::Accepted { ballot, slot });
                     ctx.span_close(span, SpanStatus::Ok);
                     self.reset_election_timer(ctx);
                 }
             }
             Msg::Accepted { ballot, slot } => {
-                if self.role == Role::Leader && ballot == self.my_ballot {
+                // A committed slot's tally is done: a late ack changes
+                // nothing and must not bring its tracker back.
+                if self.role == Role::Leader
+                    && ballot == self.my_ballot
+                    && self.committed(slot).is_none()
+                {
                     let majority = self.majority();
                     let tracker = self.p2.entry(slot).or_insert_with(|| AckTracker::new(majority));
                     if tracker.ack(from) {
@@ -571,7 +679,7 @@ impl Actor<Msg> for PaxosNode {
             }
             Msg::Commit { slot, cmd } => {
                 let span = ctx.span_open("learner_commit");
-                self.committed.entry(slot).or_insert(cmd);
+                self.learn(slot, cmd);
                 self.apply_ready(ctx, false);
                 ctx.span_close(span, SpanStatus::Ok);
             }
@@ -701,7 +809,10 @@ impl ClientProtocol for PaxosSession {
 mod tests {
     use super::*;
     use crate::common::unique_value;
+    use obs::Recorder;
     use simnet::{optrace, FaultSchedule, LatencyModel, OpKind, Sim, SimConfig};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     /// Recorded message `bytes` are `size_of::<Msg>()` (see
     /// `docs/METRICS.md`), so the enum's size is part of every pinned
@@ -709,6 +820,84 @@ mod tests {
     #[test]
     fn msg_size_is_pinned() {
         assert_eq!(std::mem::size_of::<Msg>(), 72);
+    }
+
+    /// Every node keeps one entry per slot for the whole run, so a field
+    /// added to a slot is memory every Paxos run pays for: the accepted
+    /// `(ballot, command)` and a chosen command boxed only when it differs.
+    #[test]
+    fn paxos_slot_size_is_pinned() {
+        assert_eq!(std::mem::size_of::<Slot>(), 80);
+        assert_eq!(std::mem::size_of::<Option<Slot>>(), 80);
+    }
+
+    /// Drives a node the test can still look into once the simulator
+    /// owns it.
+    struct Shared(Rc<RefCell<PaxosNode>>);
+
+    impl Actor<Msg> for Shared {
+        fn role(&self) -> &'static str {
+            "replica"
+        }
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            self.0.borrow_mut().on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+            self.0.borrow_mut().on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, id: u64, tag: u64) {
+            self.0.borrow_mut().on_timer(ctx, id, tag);
+        }
+    }
+
+    #[test]
+    fn late_accepted_for_a_committed_slot_changes_nothing() {
+        let recorder = Recorder::with_event_log();
+        let trace = optrace::shared_trace();
+        let leader = Rc::new(RefCell::new(PaxosNode::new(3)));
+        let mut sim = Sim::new(
+            SimConfig::default()
+                .seed(1)
+                .latency(LatencyModel::Constant(Duration::from_millis(5)))
+                .recorder(recorder.clone()),
+        );
+        sim.add_node(Box::new(Shared(leader.clone())));
+        sim.add_node(Box::new(PaxosNode::new(3)));
+        sim.add_node(Box::new(PaxosNode::new(3)));
+        sim.add_node(Box::new(PaxosClient::new(
+            1,
+            script(&[(OpKind::Write, 1)]),
+            trace.clone(),
+            3,
+        )));
+        sim.run_until(SimTime::from_millis(200));
+        assert!(trace.borrow().records()[0].ok);
+        let ballot = {
+            let node = leader.borrow();
+            assert_eq!(node.role, Role::Leader);
+            assert!(node.committed(1).is_some());
+            // Node 0 committed at the first follower's ack; the second
+            // one came later and found the tally gone.
+            assert!(node.p2.is_empty(), "a committed slot kept its tracker");
+            node.my_ballot
+        };
+        let before = recorder.for_each_event(|_| {});
+        sim.inject_at(sim.now(), NodeId(2), NodeId(0), Msg::Accepted { ballot, slot: 1 });
+        assert!(sim.step());
+        let mut after = Vec::new();
+        recorder.for_each_event(|ev| after.push(ev.kind.clone()));
+        assert!(
+            matches!(
+                &after[before..],
+                [
+                    EventKind::MessageSent { from: 2, to: 0, .. },
+                    EventKind::MessageDelivered { from: 2, to: 0, .. }
+                ]
+            ),
+            "the late ack was delivered and did nothing else: {:?}",
+            &after[before..]
+        );
+        assert!(leader.borrow().p2.is_empty());
     }
 
     fn build(

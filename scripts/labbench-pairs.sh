@@ -13,13 +13,16 @@
 # median and every run made; `ops_failed` per side.
 #
 # Calibration: before each side of each pair the *parent* binary runs
-# `event_storm` at seed 12 for 2 s, a fixed kernel no change under test
-# makes faster or slower, so its `work_per_s` is how fast the host is at
-# that moment. Per workload the script prints how far it drifted over the
-# round and, per pair, the ratio of the calibration before the change's
-# side to the one before the parent's; a pair whose two calibrations
-# differ by more than the parent's work_per_s IQR / median is flagged
-# (HOST MOVED), which never fails the run.
+# `event_storm` at seed 12 three times for 2/3 s (2 s in all), a fixed
+# kernel no change under test makes faster or slower, and the fastest of
+# the three `work_per_s` is how fast the host is at that moment (one
+# run alone reads a descheduled second as a slow host). Per workload the
+# script prints how far it drifted over the round, the range of the
+# pairs' calibration ratios and, per pair, the ratio of the calibration
+# before the change's side to the one before the parent's with the three
+# runs each took; a pair whose two calibrations differ by more than the
+# parent's work_per_s IQR / median is flagged (HOST MOVED), which never
+# fails the run.
 #
 # Exit status 1 when a run is not `correct`, fails operations, or a
 # `result_digest` differs between the sides or — at the seeds
@@ -65,9 +68,12 @@ fi
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
-# The calibration kernel: the parent binary's event_storm, pinned.
+# The calibration kernel: the parent binary's event_storm, pinned; the
+# fastest of `calibration_runs` runs sharing `calibration_seconds`.
 calibration_seed=12
 calibration_seconds=2
+calibration_runs=3
+calibration_run_seconds=$(python3 -c "print($calibration_seconds / $calibration_runs)")
 
 # One run: its `outcome` line, tagged `kind side workload pair`, appended
 # to $runs.
@@ -81,9 +87,11 @@ run_one() { # kind side bin workload pair run-workload run-seed run-seconds
     printf '%s %s %s %s %s\n' "$1" "$2" "$4" "$5" "$(printf '%s\n' "$out" | grep '^outcome ' | cut -d' ' -f2-)" >> "$runs"
 }
 
-# One side of a pair, after its calibration.
+# One side of a pair, after its calibration runs.
 run_side() { # side bin workload pair
-    run_one cal "$1" "$parent" "$3" "$4" event_storm "$calibration_seed" "$calibration_seconds"
+    for _ in $(seq 1 "$calibration_runs"); do
+        run_one cal "$1" "$parent" "$3" "$4" event_storm "$calibration_seed" "$calibration_run_seconds"
+    done
     run_one run "$1" "$2" "$3" "$4" "$3" "$seed" "$seconds"
 }
 
@@ -101,22 +109,20 @@ for w in $workloads; do
 done
 
 python3 - "$runs" "$root/BENCHMARK.json" "$root/labbench/BASELINE.json" "$seed" "$seconds" \
-    "$calibration_seed" "$calibration_seconds" <<'PY'
+    "$calibration_seed" "$calibration_seconds" "$calibration_runs" <<'PY'
 import json, sys
 
-runs_path, bench_path, baseline_path, seed, seconds, cal_seed, cal_seconds = sys.argv[1:]
+runs_path, bench_path, baseline_path, seed, seconds, cal_seed, cal_seconds, cal_runs = sys.argv[1:]
 bench = json.load(open(bench_path))
 baseline = json.load(open(baseline_path)).get("seed_" + seed)
 runs = {}  # workload -> side -> [outcome], in pair order
-cals = {}  # workload -> pair -> side -> calibration work_per_s; and the order they ran in
-cal_order = {}
+cals = {}  # workload -> pair -> side -> [calibration work_per_s of each run]
 for line in open(runs_path):
     kind, side, workload, pair, outcome = line.split(" ", 4)
     outcome = json.loads(outcome)
     if kind == "cal":
         value = outcome["metrics"]["work_per_s"]["value"]
-        cals.setdefault(workload, {}).setdefault(int(pair), {})[side] = value
-        cal_order.setdefault(workload, []).append(value)
+        cals.setdefault(workload, {}).setdefault(int(pair), {}).setdefault(side, []).append(value)
     else:
         runs.setdefault(workload, {"parent": [], "change": []})[side].append(outcome)
 
@@ -133,7 +139,8 @@ def fmt(x):
     return f"{x:.4g}" if abs(x) < 1000 else f"{x:,.0f}"
 
 bad = []
-print(f"seed {seed}, {seconds} s a run, parent first in odd pairs")
+print(f"seed {seed}, {seconds} s a run, parent first in odd pairs; a calibration is the fastest of"
+      f" {cal_runs} runs sharing {cal_seconds} s")
 if baseline is None:
     print(f"labbench/BASELINE.json records no seed {seed}: digests are compared between the sides only")
 for workload, sides in runs.items():
@@ -167,15 +174,21 @@ for workload, sides in runs.items():
         print(f"    change runs: {' '.join(fmt(x) for x in c)}")
         if name == "work_per_s":
             spread = (p3 - p1) / pm
-    order = cal_order[workload]
+    best = {pair: {side: max(values) for side, values in by_side.items()}
+            for pair, by_side in sorted(cals[workload].items())}
+    # In the order they ran: odd pairs calibrate the parent's side first.
+    order = [by_side[side] for pair, by_side in best.items()
+             for side in (("parent", "change") if pair % 2 else ("change", "parent"))]
+    ratios = [by_side["change"] / by_side["parent"] for by_side in best.values()]
     print(f"  calibration (parent event_storm/work_per_s, seed {cal_seed}, {cal_seconds} s before each side):"
           f" drift over the round {order[-1] / order[0]:.3f} (first {fmt(order[0])}, last {fmt(order[-1])},"
-          f" range {fmt(min(order))} .. {fmt(max(order))})")
-    for pair, by_side in sorted(cals[workload].items()):
+          f" range {fmt(min(order))} .. {fmt(max(order))}), pair ratios {min(ratios):.3f} .. {max(ratios):.3f}")
+    for pair, by_side in best.items():
         ratio = by_side["change"] / by_side["parent"]
         moved = abs(ratio - 1) > spread
+        tries = {side: " ".join(fmt(x) for x in cals[workload][pair][side]) for side in by_side}
         print(f"    pair {pair}: before parent {fmt(by_side['parent'])}, before change {fmt(by_side['change'])},"
-              f" ratio {ratio:.3f}"
+              f" ratio {ratio:.3f}  (runs: parent {tries['parent']}; change {tries['change']})"
               f"{f'  HOST MOVED: more than the parent IQR/median {100 * spread:.1f} %' if moved else ''}")
 for line in bad:
     print("FAIL " + line, file=sys.stderr)

@@ -11,7 +11,7 @@
 use rethinking_ec::core::fuzz::{
     run_case, try_run_case_recorded, FuzzCase, Verdict, ViolationKind,
 };
-use rethinking_ec::obs::Recorder;
+use rethinking_ec::obs::{EventKind, Recorder};
 use serde_json::Value;
 
 fn load(name: &str) -> FuzzCase {
@@ -57,6 +57,46 @@ fn loss_burst_reproducer_still_violates() {
         "partial_quorum_loss_burst.json",
         Verdict::Violation { kind: ViolationKind::StaleReads, count: 2 },
     );
+}
+
+/// A must-pass case: the initial leader (node 0) crashes with amnesia
+/// and, while it is down, follower 2 is cut off, so the group stalls
+/// until one side heals. The survivors elect a new leader, the old one
+/// rebuilds its state machine from its durable log, and every read is
+/// still linearizable. The judged-vs-replayed and mutation tests below
+/// take this file through the log's election and amnesia paths too.
+#[test]
+fn paxos_leader_amnesia_with_a_partitioned_follower_passes() {
+    let name = "paxos_leader_amnesia_partition.json";
+    assert_replays(name, Verdict::Pass);
+    let recorder = Recorder::with_event_log();
+    recorder.enable_profiling();
+    assert_eq!(try_run_case_recorded(&load(name), recorder.clone()), Ok(Verdict::Pass));
+    let mut replayed = Vec::new();
+    recorder.for_each_event(|ev| {
+        if let EventKind::WalReplay { node, records } = ev.kind {
+            replayed.push((node, records));
+        }
+    });
+    assert!(
+        replayed.iter().any(|&(node, records)| node == 0 && records > 0),
+        "node 0 replays committed slots after its amnesia crash: {replayed:?}"
+    );
+    // A message's type is not in the event log; the handler profile
+    // counts the `Prepare`s replicas handled.
+    let prepares: u64 = recorder
+        .report()
+        .profile
+        .expect("profiling is on")
+        .schemes
+        .iter()
+        .flat_map(|s| &s.handlers)
+        .filter(|h| h.role == "replica" && h.variant == "prepare")
+        .map(|h| h.invocations)
+        .sum();
+    // Node 0's opening election accounts for two: nodes 1 and 2 each
+    // handle one.
+    assert!(prepares > 2, "{prepares} Prepares handled: no election after the crash");
 }
 
 /// `run_case` ends a run once every op has its row; a replay runs to the

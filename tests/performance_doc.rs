@@ -231,6 +231,21 @@ fn quoted_test_files_exist() {
     ] {
         assert!(phase_19.contains(guard), "the Phase 19 record must name `{guard}`");
     }
+    let phase_20 = DOC.split("\n## Phase 20").nth(1).expect("PERFORMANCE.md lost its Phase 20");
+    let phase_20 = phase_20.split("\n## ").next().unwrap();
+    for guard in [
+        "slot_log_is_a_btree_map_by_slot",
+        "paxos_slot_size_is_pinned",
+        "msg_size_is_pinned",
+        "late_accepted_for_a_committed_slot_changes_nothing",
+        "ack_tracker_counts_as_a_set_does",
+        "tests/corpus_replay.rs",
+        "tests/trace_golden.rs",
+        "proto_sweep/peak_rss_mb",
+        "replication.us_per_op.paxos",
+    ] {
+        assert!(phase_20.contains(guard), "the Phase 20 record must name `{guard}`");
+    }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");
     let wheel = wheel.split("\n## ").next().unwrap();
