@@ -13,7 +13,7 @@ use rec_core::Grid;
 use serde::Serialize;
 use simnet::{Duration, LatencyModel, Sim, SimConfig, SimRng, SimTime};
 use txn::client::{shared_stats, SharedTxnStats};
-use txn::{GroupNode, TxnClient, TxnConfig, TxnSpec};
+use txn::{GroupNode, TxnClient, TxnConfig, TxnSpec, TxnStats};
 use workload::ZipfSampler;
 
 #[derive(Serialize)]
@@ -75,28 +75,24 @@ fn run(cross_group: bool, registrar: usize, theta: f64, clients: usize, cell: Si
         sim.add_node(Box::new(TxnClient::new(c as u64 + 1, cfg, script, stats, registrar)));
     }
     sim.run_until(SimTime::from_secs(120));
-    let mut committed = 0;
-    let mut aborted = 0;
-    let mut timed_out = 0;
-    let mut latencies = Vec::new();
+    // The clients' stats folded in client order: one `TxnStats` for the
+    // cell, its latencies in the order the clients hold them.
+    let mut cell = TxnStats::default();
     for s in &all_stats {
         let s = s.borrow();
-        committed += s.committed;
-        aborted += s.aborted;
-        timed_out += s.timed_out;
-        latencies.extend(s.commit_latency_ms.iter().copied());
+        cell.committed += s.committed;
+        cell.aborted += s.aborted;
+        cell.timed_out += s.timed_out;
+        cell.commit_latency_ms.extend(s.commit_latency_ms.iter().copied());
     }
+    let TxnStats { committed, aborted, timed_out, .. } = cell;
     let total = committed + aborted + timed_out;
     Cell {
         committed,
         aborted,
         timed_out,
         abort_rate: if total == 0 { 0.0 } else { (aborted + timed_out) as f64 / total as f64 },
-        mean_commit_ms: if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<f64>() / latencies.len() as f64
-        },
+        mean_commit_ms: cell.mean_commit_ms(),
     }
 }
 

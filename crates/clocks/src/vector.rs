@@ -54,13 +54,6 @@ impl VectorClock {
         self.entries.get(&actor).copied().unwrap_or(0)
     }
 
-    /// Tick `actor`'s component and return its new value.
-    pub fn increment(&mut self, actor: ActorId) -> u64 {
-        let e = self.entries.entry(actor).or_insert(0);
-        *e += 1;
-        *e
-    }
-
     /// Set `actor`'s component to `max(current, counter)`.
     pub fn observe(&mut self, actor: ActorId, counter: u64) {
         if counter == 0 {
@@ -222,7 +215,7 @@ mod tests {
     fn increment_creates_after() {
         let a = VectorClock::new();
         let mut b = a.clone();
-        b.increment(1);
+        b.observe(1, 1);
         assert_eq!(b.compare(&a), CausalOrd::After);
         assert_eq!(a.compare(&b), CausalOrd::Before);
         assert!(b.dominates(&a));
@@ -233,8 +226,8 @@ mod tests {
     fn divergent_clocks_are_concurrent() {
         let mut a = VectorClock::new();
         let mut b = VectorClock::new();
-        a.increment(1);
-        b.increment(2);
+        a.observe(1, 1);
+        b.observe(2, 1);
         assert_eq!(a.compare(&b), CausalOrd::Concurrent);
         assert!(!a.dominates(&b) && !b.dominates(&a));
     }
@@ -362,7 +355,7 @@ mod proptests {
         #[test]
         fn increment_strictly_advances(a in arb_clock(), actor in 0u64..6) {
             let mut b = a.clone();
-            b.increment(actor);
+            b.observe(actor, a.get(actor) + 1);
             prop_assert_eq!(b.compare(&a), CausalOrd::After);
         }
     }

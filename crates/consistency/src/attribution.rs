@@ -7,9 +7,9 @@
 //! dropped around it, how long had it been since the victim's last
 //! anti-entropy round, and which nodes were down.
 //!
-//! The event log is the same one exported as JSONL via `--trace-out`, so
-//! attribution works both in-process (on [`obs::Recorder::events`]) and
-//! offline on a parsed trace.
+//! The event log is the one exported as JSONL via `--trace-out`:
+//! attribution reads it parsed ([`obs::parse_jsonl`]), whether the text
+//! came from a file or from [`obs::Recorder::export_jsonl`] in-process.
 //!
 //! With causal tracing enabled the log also carries span open/close
 //! pairs, and attribution walks them: [`spans_at`] lists the operation
@@ -169,7 +169,7 @@ impl ViolationContext {
 
 /// Explain the network conditions at violation time `t_us`, looking back
 /// `window_us` for message drops. Events must be in recording order
-/// (ascending `seq`), which [`obs::Recorder::events`] guarantees.
+/// (ascending `seq`), which [`obs::parse_jsonl`] holds an exported log to.
 pub fn attribute_violation(events: &[TracedEvent], t_us: u64, window_us: u64) -> ViolationContext {
     attribute_violation_in(events, &SpanTable::of_log(events), t_us, window_us)
 }

@@ -287,11 +287,6 @@ impl StreamVerifier {
         }
     }
 
-    /// Total state entries evicted so far.
-    pub fn events_evicted(&self) -> u64 {
-        self.evicted
-    }
-
     /// Violations flagged so far, in feed order.
     pub fn violations(&self) -> &[StreamViolation] {
         &self.violations
@@ -537,6 +532,6 @@ mod tests {
             ..StreamConfig::default()
         });
         v.feed_slice(trace.records());
-        assert!(v.events_evicted() > 0);
+        assert!(v.finish().events_evicted > 0);
     }
 }

@@ -13,10 +13,6 @@
 //!   counters; [`PnCounter`] is the state behind the `CrdtMerge`
 //!   resolution (E6, `mm+gossip+crdt`, the fuzzer)
 //! * [`OrSet`] — add-wins observed-remove set
-//! * [`OrMap`] — add-wins map composing any nested CvRDT value, its keys
-//!   an [`OrSet`]
-//! * [`LwwRegister`] — last-writer-wins register, the lossy baseline of
-//!   `examples/shopping_cart.rs`
 //!
 //! Every type satisfies the semilattice laws (commutativity,
 //! associativity, idempotence) and update inflation; `proptest` suites in
@@ -24,13 +20,9 @@
 //! permutation of pairwise merges reaches the same state.
 
 pub mod counter;
-pub mod map;
-pub mod register;
 pub mod set;
 
 pub use counter::{GCounter, PnCounter};
-pub use map::OrMap;
-pub use register::LwwRegister;
 pub use set::OrSet;
 
 /// A state-based (convergent) replicated data type.

@@ -49,16 +49,6 @@ impl<T: Ord + Clone> OrSet<T> {
             self.removed.extend(tags);
         }
     }
-
-    /// Membership: at least one live tag.
-    pub fn contains(&self, item: &T) -> bool {
-        self.entries.contains_key(item)
-    }
-
-    /// Iterate live elements in order.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
-        self.entries.keys()
-    }
 }
 
 impl<T: Ord + Clone> CvRdt for OrSet<T> {
@@ -87,6 +77,18 @@ impl<T: Ord + Clone> CvRdt for OrSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<T: Ord> OrSet<T> {
+        /// Membership: at least one live tag.
+        fn contains(&self, item: &T) -> bool {
+            self.entries.contains_key(item)
+        }
+
+        /// Iterate live elements in order.
+        pub(super) fn iter(&self) -> impl Iterator<Item = &T> {
+            self.entries.keys()
+        }
+    }
 
     #[test]
     fn orset_add_remove_add() {

@@ -62,11 +62,6 @@ impl MvStore {
         self.chains.get(&key).and_then(|c| c.last())
     }
 
-    /// All versions of `key`, oldest first.
-    pub fn versions(&self, key: Key) -> &[Version] {
-        self.chains.get(&key).map(Vec::as_slice).unwrap_or(&[])
-    }
-
     /// How many keys hold a version.
     pub fn len(&self) -> usize {
         self.chains.len()
@@ -98,6 +93,13 @@ impl MvStore {
 mod tests {
     use super::*;
 
+    impl MvStore {
+        /// All versions of `key`, oldest first.
+        pub(super) fn versions(&self, key: Key) -> &[Version] {
+            self.chains.get(&key).map(Vec::as_slice).unwrap_or(&[])
+        }
+    }
+
     fn ts(c: u64, a: u64) -> LamportTimestamp {
         LamportTimestamp::new(c, a)
     }
@@ -126,8 +128,10 @@ mod tests {
     fn out_of_order_arrival_keeps_latest() {
         // Replicated writes can arrive in any order; the chain stays sorted.
         let mut s = MvStore::new();
-        s.put(1, Value::from_u64(20), ts(2, 0), 200);
-        s.put(1, Value::from_u64(10), ts(1, 0), 100);
+        assert!(s.put(1, Value::from_u64(20), ts(2, 0), 200));
+        // An older version no read will see still counts as new: callers
+        // log it to the WAL (and causal re-points its version at it).
+        assert!(s.put(1, Value::from_u64(10), ts(1, 0), 100));
         assert_eq!(s.get(1).unwrap().value.as_u64(), Some(20));
         assert_eq!(s.versions(1).len(), 2);
         assert!(s.versions(1).windows(2).all(|w| w[0].ts < w[1].ts));

@@ -262,8 +262,7 @@ macro_rules! wire_pack {
 }
 
 /// The next field's value off the [`Unpacker`] `$r`, as `wire_pack!`
-/// packed it: the field's type, but a list's elements as they are read
-/// (`.into()` collects them).
+/// packed it: the field's type, but a list's elements as they are read.
 macro_rules! wire_unpack {
     (int, $r:ident) => {
         $r.int()
@@ -507,18 +506,6 @@ macro_rules! wire_events {
                             wire_row!($kind $(($arg))?, $field));)*)?
                     })*
                     $($enum::$bvariant(payload) => payload.pack(seq, t_us, log),)*
-                }
-            }
-
-            /// The event of type `tag` whose fields `r` is at.
-            pub(crate) fn unpack(tag: u8, r: &mut Unpacker) -> $enum {
-                match TAGS[usize::from(tag)] {
-                    $(Tag::$variant => $enum::$variant {
-                        $($($field: wire_unpack!($kind $(($arg))?, r).into(),)*)?
-                    },)*
-                    $(Tag::$bvariant => $enum::$bvariant(Box::new($payload {
-                        $($bfield: wire_unpack!($bkind $(($barg))?, r).into(),)*
-                    })),)*
                 }
             }
 

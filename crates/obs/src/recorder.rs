@@ -7,7 +7,7 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use crate::counters::{Counter, CounterSet};
-use crate::event::{EventKind, OpCompletion, TracedEvent};
+use crate::event::{EventKind, OpCompletion};
 use crate::hist::{Histogram, Metric};
 use crate::packed::EventLog;
 use crate::prof::{HandlerKind, PauseAlloc, ProfSample, Profile};
@@ -324,14 +324,6 @@ impl Recorder {
         }
     }
 
-    /// Bump a counter directly (global only), for quantities that have
-    /// no associated event (e.g. transaction commits).
-    pub fn count(&self, counter: Counter, delta: u64) {
-        if let Some(core) = &self.core {
-            core.lock().unwrap().global.add(counter, delta);
-        }
-    }
-
     /// Bump a counter for a specific node (and globally).
     pub fn count_node(&self, node: u64, counter: Counter, delta: u64) {
         if let Some(core) = &self.core {
@@ -400,29 +392,10 @@ impl Recorder {
         f(core.as_ref().and_then(|core| core.events.as_ref()).unwrap_or(&EventLog::default()))
     }
 
-    /// Run `f` over every retained event, in sequence order.
-    ///
-    /// Returns the number of events visited (0 when the event log is
-    /// disabled). The log is packed, so each event `f` sees is rebuilt
-    /// for it, and dropped after.
-    pub fn for_each_event<F: FnMut(&TracedEvent)>(&self, mut f: F) -> usize {
-        self.with_log(|log| {
-            log.for_each(|ev| f(&ev));
-            log.len()
-        })
-    }
-
-    /// The retained event log, rebuilt as rows (empty if disabled).
-    pub fn events(&self) -> Vec<TracedEvent> {
-        self.with_log(|log| {
-            let mut events = Vec::with_capacity(log.len());
-            log.for_each(|ev| events.push(ev));
-            events
-        })
-    }
-
     /// Bytes the retained events take in the packed log (0 if
     /// disabled): the figure `tests/event_log_size.rs` holds to a bound.
+    /// Test probe.
+    #[doc(hidden)]
     pub fn event_log_bytes(&self) -> usize {
         self.with_log(EventLog::packed_bytes)
     }
@@ -477,7 +450,7 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let rec = Recorder::disabled();
         rec.record(0, EventKind::Crash { node: 1 });
-        rec.count(Counter::TxnCommits, 5);
+        rec.count_node(0, Counter::TxnCommits, 5);
         assert!(!rec.is_enabled());
         assert_eq!(rec.report().counter(Counter::TxnCommits), 0);
         assert_eq!(rec.export_jsonl(), "");
@@ -554,7 +527,7 @@ mod tests {
                     needed: 2,
                 },
             );
-            rec.count(Counter::TxnCommits, 1);
+            rec.count_node(0, Counter::TxnCommits, 1);
             rec.sample(150_000, crate::TsMetric::StalenessVersions, 5);
             rec.sample(150_000, crate::TsMetric::InflightDepth, 3);
         }
@@ -572,7 +545,7 @@ mod tests {
     #[test]
     fn absorb_is_inert_when_either_side_is_disabled() {
         let on = Recorder::enabled();
-        on.count(Counter::TxnCommits, 3);
+        on.count_node(0, Counter::TxnCommits, 3);
         let off = Recorder::disabled();
         off.absorb(&on); // no panic, still disabled
         assert_eq!(off.report(), MetricsReport::default());
@@ -675,7 +648,7 @@ mod tests {
         rec.record_op_complete(3, unbuilt);
         let report = rec.report();
         assert_eq!((report.events_recorded, report.events_dropped), (4, 1));
-        let events = rec.events();
+        let events = crate::parse_jsonl(&rec.export_jsonl()).unwrap();
         assert_eq!(events.iter().map(|e| e.seq).collect::<Vec<_>>(), [0, 1, 2]);
         assert_eq!(events[1].kind, EventKind::OpComplete(Box::new(completion(1))));
         // It implies no counter: the crash and the recovery are all there is.

@@ -27,8 +27,10 @@ names! {
         /// Version lag of a completed read: how many committed writes to
         /// the key the returned version was behind (0 = fresh).
         StalenessVersions = "staleness_versions",
-        /// Microseconds between a write committing and a later read first
-        /// observing it (sampled at the observing read).
+        /// Sampled at every successful read, like `StalenessVersions`: 0
+        /// when the read missed no acknowledged write, otherwise its
+        /// invocation time minus the completion time of the newest write
+        /// it missed, in µs (`simnet::OpTrace::read_staleness`).
         VisibilityLagUs = "visibility_lag_us",
         /// Distinct versions of a key across replicas at a probe instant
         /// (1 = converged).

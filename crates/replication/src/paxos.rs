@@ -881,11 +881,11 @@ mod tests {
             assert!(node.p2.is_empty(), "a committed slot kept its tracker");
             node.my_ballot
         };
-        let before = recorder.for_each_event(|_| {});
+        let events = || obs::parse_jsonl(&recorder.export_jsonl()).unwrap();
+        let before = events().len();
         sim.inject_at(sim.now(), NodeId(2), NodeId(0), Msg::Accepted { ballot, slot: 1 });
         assert!(sim.step());
-        let mut after = Vec::new();
-        recorder.for_each_event(|ev| after.push(ev.kind.clone()));
+        let after: Vec<EventKind> = events().into_iter().map(|ev| ev.kind).collect();
         assert!(
             matches!(
                 &after[before..],

@@ -132,12 +132,14 @@ impl<M> EventQueue<M> {
 
     /// Time of the earliest pending event. (The wheel may pre-drain its
     /// next tick into the batch buffer to answer; that is invisible to
-    /// callers.)
+    /// callers.) Test probe.
+    #[doc(hidden)]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.wheel.peek_time()
     }
 
-    /// Number of pending events.
+    /// Number of pending events. Test probe.
+    #[doc(hidden)]
     pub fn len(&self) -> usize {
         self.wheel.len()
     }
@@ -152,7 +154,8 @@ impl<M> EventQueue<M> {
     /// keeps for reuse, which is bounded whatever has gone through
     /// (`docs/PERFORMANCE.md`, "Timing-wheel architecture"). The
     /// envelope slab, which stays at the high-water mark of pending
-    /// events by design, is not counted. A diagnostic.
+    /// events by design, is not counted. Test probe.
+    #[doc(hidden)]
     pub fn key_buffer_bytes(&self) -> usize {
         self.wheel.key_buffer_bytes()
     }

@@ -140,7 +140,7 @@ pub trait Actor<M> {
 ///
 /// Protocol `Msg` enums implement [`MsgMeta::variant_name`] with a
 /// `match` returning each variant's name; driving a [`Sim`]
-/// ([`Sim::step`]/[`Sim::run_until`]) requires the bound. The default
+/// ([`Sim::run_until`]) requires the bound. The default
 /// (`"msg"`) suits opaque message types, and blanket impls cover the
 /// primitive message types tests and microbenchmarks use.
 pub trait MsgMeta {
@@ -516,8 +516,9 @@ impl<M> Sim<M> {
     }
 
     /// Heap bytes of the key buffers the event queue owns right now
-    /// ([`EventQueue::key_buffer_bytes`]): a diagnostic for what a
-    /// simulator that has been through a burst still pins.
+    /// ([`EventQueue::key_buffer_bytes`]): what a simulator that has been
+    /// through a burst still pins. Test probe.
+    #[doc(hidden)]
     pub fn queue_key_buffer_bytes(&self) -> usize {
         self.queue.key_buffer_bytes()
     }
@@ -720,6 +721,8 @@ impl<M> Sim<M> {
 /// [`Sim::inject_at`]) stay unbounded.
 impl<M: MsgMeta> Sim<M> {
     /// Process a single event. Returns `false` when the queue is empty.
+    /// Test probe: runs go through `run_until`.
+    #[doc(hidden)]
     pub fn step(&mut self) -> bool {
         self.start_if_needed();
         let Some(ev) = self.queue.pop() else {
@@ -1145,11 +1148,13 @@ mod tests {
         // Both messages carried the trace, sent and delivered (a delivery
         // runs its handler under the trace its envelope carries).
         let (mut traced_sends, mut traced_deliveries) = (0, 0);
-        rec.for_each_event(|ev| match ev.kind {
-            EventKind::MessageSent { trace, .. } if trace != 0 => traced_sends += 1,
-            EventKind::MessageDelivered { trace, .. } if trace != 0 => traced_deliveries += 1,
-            _ => {}
-        });
+        for ev in obs::parse_jsonl(&rec.export_jsonl()).unwrap() {
+            match ev.kind {
+                EventKind::MessageSent { trace, .. } if trace != 0 => traced_sends += 1,
+                EventKind::MessageDelivered { trace, .. } if trace != 0 => traced_deliveries += 1,
+                _ => {}
+            }
+        }
         assert_eq!((traced_sends, traced_deliveries), (2, 2));
     }
 

@@ -1,42 +1,17 @@
-//! The tutorial's shopping-cart story, end to end.
-//!
-//! Act 1 — last-writer-wins: two devices edit the same cart concurrently
-//! and one edit silently vanishes.
-//!
-//! Act 2 — the Dynamo fix: a sibling store surfaces the conflict instead
-//! of hiding it, and the application merges.
-//!
-//! Act 3 — the CRDT fix: an observed-remove map of counters merges by
-//! construction; removes don't resurrect, concurrent adds survive.
+//! The tutorial's shopping cart, the Dynamo way: two devices edit the
+//! same cart concurrently, a sibling store surfaces the conflict instead
+//! of hiding it, and the application merges. `kvstore::SiblingStore` is
+//! the store E6's sibling rows run.
 //!
 //! ```sh
 //! cargo run --example shopping_cart
 //! ```
 
-use rethinking_ec::clocks::{LamportTimestamp, VersionVector};
-use rethinking_ec::crdt::{CvRdt, LwwRegister, OrMap, PnCounter};
+use rethinking_ec::clocks::VersionVector;
 use rethinking_ec::kvstore::{SiblingStore, Value};
 
-fn act1_lww_loses_an_edit() {
-    println!("— Act 1: last-writer-wins —");
-    // The cart is one LWW register holding a serialized item list.
-    let mut phone: LwwRegister<Vec<&str>> = LwwRegister::new();
-    phone.set(LamportTimestamp::new(1, 1), vec!["beer"]);
-    let mut laptop = phone.clone();
-
-    // Concurrently: the phone adds chips, the laptop adds wine.
-    phone.set(LamportTimestamp::new(2, 1), vec!["beer", "chips"]);
-    laptop.set(LamportTimestamp::new(2, 2), vec!["beer", "wine"]);
-
-    // Replicas exchange state; both converge...
-    let merged = phone.clone().merged(&laptop);
-    println!("  converged cart: {:?}", merged.get().unwrap());
-    assert_eq!(merged.get().unwrap(), &vec!["beer", "wine"]);
-    println!("  the chips are GONE — a lost update, and nobody was told.\n");
-}
-
-fn act2_siblings_surface_the_conflict() {
-    println!("— Act 2: sibling store (Dynamo) —");
+fn main() {
+    println!("— sibling store (Dynamo) —");
     let mut store_a = SiblingStore::new(0);
     let mut store_b = SiblingStore::new(1);
     const CART: u64 = 1;
@@ -62,39 +37,7 @@ fn act2_siblings_surface_the_conflict() {
     let after = store_a.read(CART);
     assert_eq!(after.values.len(), 1);
     println!(
-        "  app-level merge wrote back: {}\n",
+        "  app-level merge wrote back: {}",
         String::from_utf8_lossy(after.values[0].as_bytes())
     );
-}
-
-fn act3_crdt_cart_merges_itself() {
-    println!("— Act 3: CRDT cart (observed-remove map of counters) —");
-    let mut phone: OrMap<&str, PnCounter> = OrMap::new();
-    phone.update(1, "beer", |c| c.increment(1, 6));
-    let mut laptop = phone.clone();
-
-    // Concurrently: the phone removes the beer entirely; the laptop adds
-    // two more bottles and some chips.
-    phone.remove(&"beer");
-    laptop.update(2, "beer", |c| c.increment(2, 2));
-    laptop.update(2, "chips", |c| c.increment(2, 1));
-
-    let merged = phone.clone().merged(&laptop);
-    let merged_back = laptop.merged(&phone);
-    // Convergent: both directions agree.
-    let view: Vec<(&str, i64)> = merged.iter().map(|(k, v)| (*k, v.value())).collect();
-    let view_back: Vec<(&str, i64)> = merged_back.iter().map(|(k, v)| (*k, v.value())).collect();
-    assert_eq!(view, view_back);
-    println!("  converged cart: {view:?}");
-    // Add-wins: the concurrent add keeps beer in the cart (with the full
-    // counter state — the documented keep-on-remove semantics).
-    assert!(merged.contains_key(&"beer"));
-    assert!(merged.contains_key(&"chips"));
-    println!("  the concurrent add survived the remove — add-wins, by construction.");
-}
-
-fn main() {
-    act1_lww_loses_an_edit();
-    act2_siblings_surface_the_conflict();
-    act3_crdt_cart_merges_itself();
 }

@@ -23,10 +23,14 @@
 #     repeats against `cargo check --workspace --lib --bins` and
 #     labbench --all-targets; of those that stay narrowed, the ones
 #     `cargo check --workspace` reports unused are called only by
-#     integration tests and examples ("tests and examples only").
+#     integration tests and examples ("tests and examples only"), or
+#     "test probe" where the function is `#[doc(hidden)]`: it exists so
+#     a test can look inside.
 #
-# Prints one line per function, `file:line  Type::name  tag`, sorted by
-# file and line, and the totals. Exit status 0 whatever it finds; 1 when
+# Leaves out an `is_empty` whose type has a public `len`: clippy's
+# `len_without_is_empty` asks for it whoever calls it. Prints one line
+# per function, `file:line  Type::name  tag`, sorted by file and line,
+# and the totals. Exit status 0 whatever it finds; 1 when
 # the copy cannot be made to build by restoring `pub`.
 set -euo pipefail
 
@@ -216,16 +220,41 @@ def owner(path, line):
             return ''
     return ''
 
+def hidden(key):
+    """Whether the attributes and doc comment right above the function
+    hold `#[doc(hidden)]`."""
+    path, line = key
+    with open(path) as f:
+        lines = f.readlines()
+    for text in reversed(lines[:line - 1]):
+        text = text.strip()
+        if text == '#[doc(hidden)]':
+            return True
+        if not text.startswith(('#[', '///')):
+            return False
+    return False
+
+def kept_for_clippy(key):
+    """An `is_empty` beside a `len` that was public."""
+    path, line = key
+    if names[key] != 'is_empty':
+        return False
+    impl = owner(path, line)
+    return any(p == path and n == 'len' and owner(p, l) == impl
+               for (p, l), n in names.items())
+
 def tag(key):
     if key in tests_only:
-        return 'tests and examples only'
+        return 'test probe' if hidden(key) else 'tests and examples only'
     return 'no test' if key in untested else 'unit tests only'
 
-for key in sorted(never_used | tests_only):
+listed = sorted(k for k in never_used | tests_only if not kept_for_clippy(k))
+for key in listed:
     path, line = key
     print(f'{path}:{line}  {owner(path, line)}{names[key]}  {tag(key)}')
-no_test = len(never_used & untested)
-print(f'# {len(never_used)} unused outside their crate: {no_test} no test, '
-      f'{len(never_used) - no_test} unit tests only; {len(tests_only)} called by '
-      f'tests and examples only ({rounds} + {rounds_lib} build rounds)')
+tags = [tag(k) for k in listed]
+print(f'# {tags.count("no test")} no test, {tags.count("unit tests only")} unit tests only, '
+      f'{tags.count("tests and examples only")} tests and examples only, '
+      f'{tags.count("test probe")} test probes; {len(never_used | tests_only) - len(listed)} '
+      f'is_empty beside a public len left out ({rounds} + {rounds_lib} build rounds)')
 PY

@@ -11,7 +11,7 @@
 use rethinking_ec::core::fuzz::{
     run_case, try_run_case_recorded, FuzzCase, Verdict, ViolationKind,
 };
-use rethinking_ec::obs::{EventKind, Recorder};
+use rethinking_ec::obs::{parse_jsonl, EventKind, Recorder};
 use serde_json::Value;
 
 fn load(name: &str) -> FuzzCase {
@@ -72,12 +72,14 @@ fn paxos_leader_amnesia_with_a_partitioned_follower_passes() {
     let recorder = Recorder::with_event_log();
     recorder.enable_profiling();
     assert_eq!(try_run_case_recorded(&load(name), recorder.clone()), Ok(Verdict::Pass));
-    let mut replayed = Vec::new();
-    recorder.for_each_event(|ev| {
-        if let EventKind::WalReplay { node, records } = ev.kind {
-            replayed.push((node, records));
-        }
-    });
+    let replayed: Vec<(u64, u64)> = parse_jsonl(&recorder.export_jsonl())
+        .unwrap()
+        .into_iter()
+        .filter_map(|ev| match ev.kind {
+            EventKind::WalReplay { node, records } => Some((node, records)),
+            _ => None,
+        })
+        .collect();
     assert!(
         replayed.iter().any(|&(node, records)| node == 0 && records > 0),
         "node 0 replays committed slots after its amnesia crash: {replayed:?}"

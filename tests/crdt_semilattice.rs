@@ -3,9 +3,9 @@
 //!
 //! Each module in `crdt` carries its own targeted proptests; this suite
 //! asserts the three semilattice laws — commutativity, associativity,
-//! idempotence — uniformly across the register, counter, set and map
-//! types from *replica histories* (states built by actors
-//! applying operations, the only states a running system can reach).
+//! idempotence — uniformly across the counter and set types from
+//! *replica histories* (states built by actors applying operations, the
+//! only states a running system can reach).
 //! Convergence of the replication layer reduces to exactly these laws,
 //! so they are tested at the integration level where the kernel's
 //! `ResolvingStore::apply` is also cross-checked against merging the
@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use rethinking_ec::clocks::{LamportClock, LamportTimestamp, VersionVector};
-use rethinking_ec::crdt::{CvRdt, GCounter, LwwRegister, OrMap, OrSet, PnCounter};
+use rethinking_ec::crdt::{CvRdt, GCounter, OrSet, PnCounter};
 use rethinking_ec::kvstore::{Key, MvStore, SiblingStore, Value};
 use rethinking_ec::replication::kernel::resolution::{
     Digest, DigestCache, Item, ResolutionPolicy, ResolvingStore,
@@ -72,15 +72,6 @@ fn g_counter(actor: u64, ops: &[(u8, u8, bool)]) -> GCounter {
     c
 }
 
-fn lww_register(actor: u64, ops: &[(u8, u8, bool)]) -> LwwRegister<u8> {
-    let mut clock = LamportClock::new();
-    let mut r = LwwRegister::new();
-    for &(_, v, _) in ops {
-        r.set(clock.tick(actor), v);
-    }
-    r
-}
-
 fn or_set(actor: u64, ops: &[(u8, u8, bool)]) -> OrSet<u8> {
     let mut s = OrSet::new();
     for &(k, _, add) in ops {
@@ -93,18 +84,6 @@ fn or_set(actor: u64, ops: &[(u8, u8, bool)]) -> OrSet<u8> {
     s
 }
 
-fn or_map(actor: u64, ops: &[(u8, u8, bool)]) -> OrMap<u8, PnCounter> {
-    let mut m = OrMap::new();
-    for &(k, n, add) in ops {
-        if add {
-            m.update(actor, k, |c: &mut PnCounter| c.increment(actor, n as u64));
-        } else {
-            m.remove(&k);
-        }
-    }
-    m
-}
-
 proptest! {
     #[test]
     fn counters_are_semilattices(a in arb_ops(), b in arb_ops(), c in arb_ops()) {
@@ -113,18 +92,8 @@ proptest! {
     }
 
     #[test]
-    fn registers_are_semilattices(a in arb_ops(), b in arb_ops(), c in arb_ops()) {
-        assert_lattice_laws(&lww_register(0, &a), &lww_register(1, &b), &lww_register(2, &c));
-    }
-
-    #[test]
     fn sets_are_semilattices(a in arb_ops(), b in arb_ops(), c in arb_ops()) {
         assert_lattice_laws(&or_set(0, &a), &or_set(1, &b), &or_set(2, &c));
-    }
-
-    #[test]
-    fn maps_are_semilattices(a in arb_ops(), b in arb_ops(), c in arb_ops()) {
-        assert_lattice_laws(&or_map(0, &a), &or_map(1, &b), &or_map(2, &c));
     }
 
     /// The kernel's CrdtMerge store is the same machine as merging the

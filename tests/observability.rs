@@ -13,7 +13,7 @@
 //! `docs/METRICS.md` must list exactly what the code exports.
 
 use rethinking_ec::core::{Experiment, RunResult, Scheme};
-use rethinking_ec::obs::{Counter, EventKind, Recorder, TsMetric};
+use rethinking_ec::obs::{parse_jsonl, Counter, EventKind, Recorder, TsMetric};
 use rethinking_ec::obs_tools::check_spans;
 use rethinking_ec::simnet::{Duration, FaultSchedule, LatencyModel, NodeId, SimTime};
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
@@ -214,7 +214,7 @@ fn span_conservation_holds_across_schemes_under_faults() {
         // Per-span accounting: every open has exactly one matching
         // close (an explicit `abandoned` close counts), parents exist,
         // ids are unique.
-        let report = check_spans(&rec.events());
+        let report = check_spans(&parse_jsonl(&rec.export_jsonl()).unwrap());
         assert!(report.ok(), "{label}: {report}");
         assert!(report.opened > 0, "{label}: run recorded no spans");
 

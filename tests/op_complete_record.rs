@@ -19,8 +19,8 @@
 use rethinking_ec::core::scheme::ClientPlacement;
 use rethinking_ec::core::{Experiment, Scheme};
 use rethinking_ec::obs::{
-    alloc_totals, ClientOpKind, CountingAlloc, DropReason, EventKind, OpCompletion, QuorumKind,
-    Recorder, SpanStatus, TsMetric,
+    alloc_totals, parse_jsonl, ClientOpKind, CountingAlloc, DropReason, EventKind, OpCompletion,
+    QuorumKind, Recorder, SpanStatus, TsMetric,
 };
 use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
 use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, Msg};
@@ -132,7 +132,7 @@ fn events_recorded_does_not_depend_on_the_log() {
     assert_eq!(ops, ops_logged);
     let recorded = counters.report().events_recorded;
     assert_eq!(log.report().events_recorded, recorded);
-    let events = log.events();
+    let events = parse_jsonl(&log.export_jsonl()).unwrap();
     assert_eq!(events.len() as u64, recorded);
     assert!(events.iter().enumerate().all(|(i, ev)| ev.seq == i as u64));
     let completions =
