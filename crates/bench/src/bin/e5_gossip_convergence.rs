@@ -13,8 +13,9 @@ use rec_core::Grid;
 use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
 use replication::kernel::{Composition, ResolutionPolicy};
+use replication::sink;
 use serde::Serialize;
-use simnet::{optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
+use simnet::{Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
 
 const KEYS: u64 = 5;
 const POLL_US: u64 = 5_000;
@@ -39,7 +40,7 @@ struct Cell {
 }
 
 fn run(replicas: usize, fanout: usize, interval_ms: u64, cell: SimConfig) -> Cell {
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     let cfg = Composition::eventual(
         replicas,
         false,

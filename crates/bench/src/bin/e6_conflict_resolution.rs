@@ -18,8 +18,9 @@ use rec_core::Grid;
 use replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use replication::eventual::{EventualClient, EventualReplica, GossipConfig};
 use replication::kernel::{Composition, ResolutionPolicy};
+use replication::sink;
 use serde::Serialize;
-use simnet::{optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
+use simnet::{Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
 
 const COUNTER_KEY: u64 = 0;
 
@@ -54,7 +55,7 @@ struct Cell {
 /// it, and repeat until a read saw no write. Every write off that chain
 /// is a lost increment.
 fn run_lww(writers: usize, increments: u64, cell: SimConfig) -> Cell {
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     let replicas = writers.clamp(2, 4);
     let cfg = Composition::eventual(
         replicas,
@@ -116,7 +117,7 @@ fn run_lww(writers: usize, increments: u64, cell: SimConfig) -> Cell {
 }
 
 fn run_crdt(writers: usize, increments: u64, cell: SimConfig) -> Cell {
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     let replicas = writers.clamp(2, 4);
     let cfg = Composition::eventual(
         replicas,

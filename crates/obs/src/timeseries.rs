@@ -25,12 +25,15 @@ names! {
     #[repr(usize)]
     TsMetric, "time-series metric" {
         /// Version lag of a completed read: how many committed writes to
-        /// the key the returned version was behind (0 = fresh).
+        /// the key the returned version was behind (0 = fresh), from the
+        /// per-key index of acknowledged writes the run's trace sink
+        /// keeps while the simulation runs
+        /// (`replication::sink::TraceSink::read_staleness`).
         StalenessVersions = "staleness_versions",
         /// Sampled at every successful read, like `StalenessVersions`: 0
         /// when the read missed no acknowledged write, otherwise its
         /// invocation time minus the completion time of the newest write
-        /// it missed, in µs (`simnet::OpTrace::read_staleness`).
+        /// it missed, in µs (the same call).
         VisibilityLagUs = "visibility_lag_us",
         /// Distinct versions of a key across replicas at a probe instant
         /// (1 = converged).

@@ -19,10 +19,13 @@ use replication::paxos::{PaxosClient, PaxosNode};
 use replication::primary::{PrimaryClient, PrimaryReplica};
 use replication::quorum::{QuorumClient, QuorumNode};
 use replication::sharded::{check_membership, initial_ring};
+use replication::sink::{SharedTrace, TraceSink};
 use simnet::{
-    optrace, Actor, FaultSchedule, LatencyModel, MsgMeta, NodeId, OpTrace, SharedTrace, Sim,
-    SimConfig, SimRng, SimTime,
+    Actor, FaultSchedule, LatencyModel, MsgMeta, NodeId, OpRecord, OpTrace, Sim, SimConfig, SimRng,
+    SimTime,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 use workload::WorkloadSpec;
 
 /// A complete experiment description.
@@ -175,7 +178,7 @@ impl Experiment {
 
     /// Run the experiment to its horizon and collect the trace.
     pub fn run(&self) -> RunResult {
-        self.run_inner(optrace::shared_trace(), None, false)
+        self.run_inner(None, false)
     }
 
     /// The trace [`Experiment::run`] collects, from a run that ends at
@@ -186,7 +189,7 @@ impl Experiment {
     /// trace equals `run().trace` row for row. A run in which some op
     /// never ends (a client crashed for good) runs to the horizon.
     pub(crate) fn op_trace(&self) -> OpTrace {
-        self.run_inner(optrace::shared_trace(), None, true).trace
+        self.run_inner(None, true).trace
     }
 
     /// Run the experiment with a live monitor: at every time-series
@@ -198,38 +201,24 @@ impl Experiment {
     /// it). Monitoring slices the run exactly like an attached recorder
     /// does, and slicing is event-for-event identical to an unsliced
     /// run, so the trace and verdicts are unchanged by observation.
-    pub fn run_monitored(
-        &self,
-        monitor: &mut dyn FnMut(&[simnet::OpRecord], SimTime),
-    ) -> RunResult {
-        let trace = optrace::shared_trace();
-        let hook_trace = trace.clone();
+    pub fn run_monitored(&self, monitor: &mut dyn FnMut(&[OpRecord], SimTime)) -> RunResult {
         let mut fed = 0usize;
-        let mut hook = |now: SimTime| {
-            let slice = {
-                let tr = hook_trace.borrow();
-                let mut slice = tr.records()[fed..].to_vec();
-                fed = tr.len();
-                // Records are pushed at completion time, so the slice is
-                // already nearly sorted; the explicit key also fixes the
-                // order of same-instant completions.
-                slice.sort_by_key(|r| (r.completed, r.session, r.op_id));
-                slice
-            };
+        let mut hook = |trace: &OpTrace, now: SimTime| {
+            let mut slice = trace.records()[fed..].to_vec();
+            fed = trace.len();
+            // Records are pushed at completion time, so only same-instant
+            // completions can be out of order; the explicit key fixes
+            // their order.
+            slice.sort_unstable_by_key(|r| (r.completed, r.session, r.op_id));
             monitor(&slice, now);
         };
-        self.run_inner(trace, Some(&mut hook), false)
+        self.run_inner(Some(&mut hook), false)
     }
 
     /// Deploy and drive the run; with `stop_when_traced`, end it once
     /// the trace holds a row for every scripted op
     /// ([`Experiment::op_trace`]).
-    fn run_inner(
-        &self,
-        trace: SharedTrace,
-        monitor: Option<&mut dyn FnMut(SimTime)>,
-        stop_when_traced: bool,
-    ) -> RunResult {
+    fn run_inner(&self, monitor: Option<Monitor>, stop_when_traced: bool) -> RunResult {
         if self.profile {
             // Must happen before `Sim::new` caches the recorder's
             // profiling flag; the scheme label keys every sample.
@@ -251,7 +240,10 @@ impl Experiment {
         }
         let scripts = self.scripts();
         // Rows, not workload ops: a read-modify-write expands to two.
+        // Every expanded op ends in exactly one row, so the trace's
+        // buffer is allocated once, at its final size.
         let rows = scripts.iter().map(Vec::len).sum();
+        let trace = Rc::new(RefCell::new(TraceSink::with_capacity(rows)));
         let launch = Launch {
             cfg: SimConfig::default()
                 .seed(self.seed)
@@ -262,15 +254,17 @@ impl Experiment {
             servers: self.scheme.server_node_count(),
             scripts,
             horizon: self.horizon,
+            trace: trace.clone(),
             monitor,
-            stop: stop_when_traced.then(|| (trace.clone(), rows)),
+            stop: stop_when_traced.then_some(rows),
         };
-        let (delivered, dropped, events, ended, final_versions) =
-            deploy(&self.scheme, &trace, launch);
+        let (delivered, dropped, events, ended, final_versions) = deploy(&self.scheme, launch);
 
-        // The simulation and its clients are gone; nothing pushes to the
-        // shared trace any more (a monitor hook only ever read it).
-        let mut trace = std::mem::take(&mut *trace.borrow_mut());
+        // The simulation and its clients are gone, and with them every
+        // other handle on the sink: the trace leaves it, and the
+        // staleness index the clients read is dropped.
+        let sink = Rc::into_inner(trace).expect("a handle on the sink outlived its run");
+        let mut trace = sink.into_inner().into_trace();
         trace.sort_by_completion();
         RunResult {
             trace,
@@ -289,16 +283,22 @@ impl Experiment {
 /// every replica's `(node, key, version)` store contents.
 type DriveOutcome = (u64, u64, u64, SimTime, Vec<(NodeId, u64, u64)>);
 
+/// A hook [`drive`] hands the trace so far and the virtual time at
+/// every bucket boundary.
+type Monitor<'a> = &'a mut dyn FnMut(&OpTrace, SimTime);
+
 /// Everything a deployment needs besides its actors.
 struct Launch<'a> {
     cfg: SimConfig,
     servers: usize,
     scripts: Vec<Vec<ScriptOp>>,
     horizon: SimTime,
-    monitor: Option<&'a mut dyn FnMut(SimTime)>,
-    /// End the run at the first bucket boundary at which this trace holds
+    /// The sink every client pushes its rows into.
+    trace: SharedTrace,
+    monitor: Option<Monitor<'a>>,
+    /// End the run at the first bucket boundary at which the trace holds
     /// this many rows; `None` runs to the horizon.
-    stop: Option<(SharedTrace, usize)>,
+    stop: Option<usize>,
 }
 
 impl Launch<'_> {
@@ -316,7 +316,7 @@ impl Launch<'_> {
         for (i, script) in self.scripts.into_iter().enumerate() {
             sim.add_node(Box::new(client(i, i as u64 + 1, script)));
         }
-        drive(sim, self.horizon, self.monitor, self.stop)
+        drive(sim, self.horizon, &self.trace, self.monitor, self.stop)
     }
 }
 
@@ -333,7 +333,7 @@ impl Launch<'_> {
 /// are always sticky, Paxos clients always talk to the leader's group).
 /// On a ring every node coordinates (Dynamo-style, per-key preference
 /// lists from the ring) and client `i` sticks to node `i % nodes`.
-fn deploy(scheme: &Scheme, trace: &SharedTrace, launch: Launch) -> DriveOutcome {
+fn deploy(scheme: &Scheme, launch: Launch) -> DriveOutcome {
     let (comp, guarantees, placement, ring) = match scheme {
         Scheme::Sharded { inner, nodes, vnodes, .. } => (
             inner.clone(),
@@ -356,6 +356,7 @@ fn deploy(scheme: &Scheme, trace: &SharedTrace, launch: Launch) -> DriveOutcome 
         ClientPlacement::Sticky => sticky(i),
         ClientPlacement::Random => TargetPolicy::Random,
     };
+    let trace = launch.trace.clone();
     let t = || trace.clone();
     match (&comp.propagation, &ring) {
         (Prop::EagerBroadcast { .. } | Prop::AntiEntropyGossip(_), None) => launch.run(
@@ -392,15 +393,17 @@ fn deploy(scheme: &Scheme, trace: &SharedTrace, launch: Launch) -> DriveOutcome 
 /// driver samples the in-flight message depth and per-key replica
 /// divergence (distinct versions across nodes, kept up to date by a
 /// [`DivergenceProbe`] from the keys each store changed), hands the
-/// boundary time to the monitor, and ends the run if the `stop` trace
-/// holds its target number of rows. A probe drains telemetry-only dirty
-/// sets; it never schedules, reorders or drops an event, so a sliced run
-/// is event-for-event identical to an unsliced one up to where it ends.
+/// boundary time and the trace so far to the monitor, and ends the run
+/// if the trace holds the `stop` number of rows. A probe drains
+/// telemetry-only dirty sets; it never schedules, reorders or drops an
+/// event, so a sliced run is event-for-event identical to an unsliced
+/// one up to where it ends.
 fn drive<M: simnet::MsgMeta>(
     mut sim: Sim<M>,
     horizon: SimTime,
-    mut monitor: Option<&mut dyn FnMut(SimTime)>,
-    stop: Option<(SharedTrace, usize)>,
+    trace: &SharedTrace,
+    mut monitor: Option<Monitor>,
+    stop: Option<usize>,
 ) -> DriveOutcome {
     let probing = sim.recorder().is_enabled();
     if !probing && monitor.is_none() && stop.is_none() {
@@ -422,9 +425,9 @@ fn drive<M: simnet::MsgMeta>(
             tests::audit_probe(&sim, &probe);
         }
         if let Some(m) = monitor.as_deref_mut() {
-            m(SimTime::from_micros(t));
+            m(&trace.borrow(), SimTime::from_micros(t));
         }
-        if stop.as_ref().is_some_and(|(trace, rows)| trace.borrow().len() == *rows) {
+        if stop.is_some_and(|rows| trace.borrow().len() == rows) {
             break;
         }
     }
@@ -572,12 +575,10 @@ mod tests {
     }
 
     /// Complexity guard, by count: a ten times longer session must not
-    /// make a staleness sample or a probe instant dearer. A sample walks
-    /// the versions the read missed (its output) and, beyond those,
-    /// examines the logarithm of the key's writes (one more
-    /// binary-search step per doubling); a scan of the history examines
-    /// ten times as much. Probe reports per instant follow the writes of
-    /// the instant; a scan of the stores reports every stored key.
+    /// make a probe instant dearer. Probe reports per instant follow the
+    /// writes of the instant; a scan of the stores reports every stored
+    /// key. (The staleness sample's guard is
+    /// `crates/replication/tests/staleness_index.rs`, beside the index.)
     #[test]
     fn telemetry_cost_does_not_grow_with_session_length() {
         const SESSIONS: u32 = 4;
@@ -599,31 +600,12 @@ mod tests {
                 .recorder(Recorder::enabled())
                 .run();
             assert_eq!(result.trace.len() as u32, SESSIONS * ops_per_session);
-            let ok = |kind| result.trace.records().iter().filter(move |r| r.ok && r.kind == kind);
-            // Entries examined beyond the missed versions the sample
-            // reports (its output): the search and the stopping entry.
-            let overhead: u64 = ok(OpKind::Read)
-                .map(|r| {
-                    let ((missed, _), visited) =
-                        result.trace.read_staleness_counted(r.key, r.invoked, &r.value_read);
-                    visited - missed
-                })
-                .sum();
+            let writes = result.trace.records().iter().filter(|r| r.ok && r.kind == OpKind::Write);
             let audit = AUDIT.get();
-            (
-                overhead as f64 / ok(OpKind::Read).count() as f64,
-                audit.touched as f64 / audit.instants as f64,
-                audit.touched,
-                ok(OpKind::Write).count() as u64,
-            )
+            (audit.touched as f64 / audit.instants as f64, audit.touched, writes.count() as u64)
         };
-        let (short_visits, short_reports, ..) = run(800);
-        let (long_visits, long_reports, touched, writes) = run(8_000);
-        assert!(
-            long_visits <= short_visits + 4.0,
-            "index entries examined per read, beyond the versions it missed, grew from \
-             {short_visits:.1} to {long_visits:.1}"
-        );
+        let (short_reports, ..) = run(800);
+        let (long_reports, touched, writes) = run(8_000);
         assert!(
             long_reports <= short_reports * 1.25,
             "change reports per probe instant grew from {short_reports:.1} to {long_reports:.1}"
@@ -633,6 +615,27 @@ mod tests {
             "{touched} change reports for {writes} writes on 3 replicas: the probe reports more \
              than what changed"
         );
+    }
+
+    /// A run reserves its trace once, at the number of rows its scripts
+    /// end in, and the in-place sort keeps that buffer: capacity equals
+    /// the scripted rows, whether the run ends at its horizon or at its
+    /// last row, with or without a monitor.
+    #[test]
+    fn a_run_sizes_its_trace_to_its_scripted_rows() {
+        for scheme in [Scheme::quorum(3, 2, 2), Scheme::Paxos { nodes: 3 }] {
+            let label = scheme.label();
+            let e = Experiment::new(scheme).workload(tiny_workload()).seed(3);
+            let rows: usize = e.scripts().iter().map(Vec::len).sum();
+            assert_eq!(rows, 60, "{label}");
+            let run = e.run();
+            assert_eq!(run.trace.len(), rows, "{label}: every scripted op has its row");
+            assert_eq!(run.trace.capacity(), rows, "{label}: the trace grew past its rows");
+            assert_eq!(e.op_trace().capacity(), rows, "{label}: stopped at its last row");
+            let monitored = e.run_monitored(&mut |_, _| {});
+            assert_eq!(monitored.trace.capacity(), rows, "{label}: monitored");
+            assert_eq!(monitored.trace.records(), run.trace.records(), "{label}");
+        }
     }
 
     fn tiny_workload() -> WorkloadSpec {

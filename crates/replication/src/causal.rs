@@ -17,10 +17,11 @@ use crate::common::{ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, Session
 use crate::kernel::durability;
 use crate::kernel::propagation::PeerCache;
 use crate::kernel::telemetry::{ProbeVersions, Probed};
+use crate::sink::SharedTrace;
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::{Key, MvStore, Value, Wal};
 use obs::EventKind;
-use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanStatus};
+use simnet::{Actor, Context, Duration, NodeId, OpKind, SimTime, SpanStatus};
 use std::collections::BTreeMap;
 
 /// A replicated write with its causal dependencies.
@@ -352,7 +353,8 @@ impl ClientProtocol for CausalSession {
 mod tests {
     use super::*;
     use crate::common::unique_value;
-    use simnet::{optrace, LatencyModel, Sim, SimConfig};
+    use crate::sink;
+    use simnet::{LatencyModel, Sim, SimConfig};
 
     /// Recorded message `bytes` are `size_of::<Msg>()` (see
     /// `docs/METRICS.md`), so the enum's size is part of every pinned
@@ -378,7 +380,7 @@ mod tests {
 
     #[test]
     fn local_write_read_cycle() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let c = CausalClient::new(
             1,
             vec![
@@ -438,7 +440,7 @@ mod tests {
         // With random latencies this is exactly what dependency buffering
         // guarantees; run many sessions and check the invariant on the
         // trace directly.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let writer = CausalClient::new(
             1,
             vec![
@@ -480,7 +482,7 @@ mod tests {
 
     #[test]
     fn replicas_converge_after_quiescence() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let mut clients = Vec::new();
         for s in 1..=3u64 {
             let script: Vec<ScriptOp> = (0..10)

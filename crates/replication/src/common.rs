@@ -8,12 +8,12 @@
 //! back as an [`OpOutcome`]. `EventualClient` … `CausalClient` are names
 //! for `SessionClient<…>` with that protocol's implementation.
 
+use crate::sink::SharedTrace;
 use kvstore::Key;
 use obs::TsMetric;
 use serde::{Deserialize, Serialize};
 use simnet::{
-    Actor, Context, Duration, MsgMeta, NodeId, OpKind, OpRecord, SharedTrace, SimTime, SpanId,
-    SpanStatus,
+    Actor, Context, Duration, MsgMeta, NodeId, OpKind, OpRecord, SimTime, SpanId, SpanStatus,
 };
 
 /// One scripted client operation.
@@ -324,7 +324,7 @@ impl<P: ClientProtocol> SessionClient<P> {
             stamp: outcome.stamp,
             version_ts_us: outcome.version_ts.map(|t| t.as_micros()),
         });
-        self.trace.borrow_mut().push(OpRecord {
+        self.trace.borrow_mut().record(OpRecord {
             session: self.session,
             op_id: p.op.op_id,
             key: p.op.key,
@@ -412,7 +412,8 @@ pub mod workload_op {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{optrace, Sim, SimConfig};
+    use crate::sink;
+    use simnet::{Sim, SimConfig};
 
     #[test]
     fn unique_values_encode_session() {
@@ -497,7 +498,7 @@ mod tests {
 
     #[test]
     fn session_drives_script_with_timeouts() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let script: Vec<ScriptOp> =
             (0..6).map(|i| ScriptOp { gap_us: 100, kind: OpKind::Read, key: i }).collect();
         let mut sim: Sim<TestMsg> = Sim::new(SimConfig::default().seed(3));

@@ -47,10 +47,11 @@ use crate::kernel::resolution::{
 };
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
+use crate::sink::SharedTrace;
 use clocks::{LamportClock, LamportTimestamp, VersionVector};
 use kvstore::{Key, Wal};
 use obs::EventKind;
-use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanStatus};
+use simnet::{Actor, Context, Duration, NodeId, OpKind, SimTime, SpanStatus};
 use std::collections::BTreeMap;
 
 pub use crate::kernel::propagation::GossipConfig;
@@ -653,7 +654,8 @@ mod tests {
     use super::*;
     use crate::common::unique_value;
     use crate::kernel::ResolutionPolicy;
-    use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
+    use crate::sink;
+    use simnet::{FaultSchedule, LatencyModel, Sim, SimConfig};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -686,7 +688,7 @@ mod tests {
 
     #[test]
     fn write_then_read_same_replica() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::eventual_lww(3);
         let client = EventualClient::new(
             1,
@@ -710,7 +712,7 @@ mod tests {
     fn eager_broadcast_converges_replicas() {
         // Eager-only (no gossip): a write at replica 0 must be readable at
         // every other replica shortly after one network delay.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::eventual(3, true, None, ResolutionPolicy::LwwRegister);
         let writer = EventualClient::new(
             1,
@@ -748,7 +750,7 @@ mod tests {
 
     #[test]
     fn gossip_propagates_without_eager() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let gossip = GossipConfig { interval: Duration::from_millis(20), fanout: 2 };
         let cfg = Composition::eventual(3, false, Some(gossip), ResolutionPolicy::LwwRegister);
         // Writer writes at replica 0; reader reads key at replica 2 after
@@ -808,7 +810,7 @@ mod tests {
         // A session with Random targets writes then reads many times with
         // gossip-only propagation. With RYW on, every read that follows a
         // write of the same key must return a stamp >= the write's stamp.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let gossip = GossipConfig { interval: Duration::from_millis(10), fanout: 1 };
         let cfg = Composition::eventual(3, false, Some(gossip), ResolutionPolicy::LwwRegister);
         let mut ops = Vec::new();
@@ -844,7 +846,7 @@ mod tests {
 
     #[test]
     fn counter_mode_sums_concurrent_increments() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let gossip = GossipConfig { interval: Duration::from_millis(10), fanout: 2 };
         let cfg = Composition::eventual(3, true, Some(gossip), ResolutionPolicy::CrdtMerge);
         // Three sessions increment the same counter key at three replicas;
@@ -880,7 +882,7 @@ mod tests {
 
     #[test]
     fn sibling_mode_exposes_concurrent_writes() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let gossip = GossipConfig { interval: Duration::from_millis(10), fanout: 2 };
         let cfg =
             Composition::eventual(2, true, Some(gossip), ResolutionPolicy::VersionVectorSiblings);
@@ -925,7 +927,7 @@ mod tests {
     fn eager_acked_defers_put_resp_until_all_peers_apply() {
         // acks = replicas - 1: by the time the client sees PutResp, every
         // replica holds the write, so an immediate read anywhere is fresh.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::mm_eager_acked(3);
         let writer = EventualClient::new(
             1,
@@ -1025,7 +1027,7 @@ mod tests {
         // with amnesia must read back its full value afterwards without
         // any gossip refill (gossip is disabled here on a 1-replica
         // deployment so the only possible source is the fsynced state).
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition {
             durability: DurabilityPolicy::FsyncedState,
             ..Composition::eventual(1, false, None, ResolutionPolicy::CrdtMerge)

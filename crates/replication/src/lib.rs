@@ -22,8 +22,8 @@
 //!
 //! The client is [`common::SessionClient`], one generic actor: a
 //! scripted session that issues reads/writes, times out, and records
-//! every operation into the `simnet` op-trace the `consistency` crate's
-//! checkers consume. Each protocol module implements
+//! every operation into the run's [`sink::TraceSink`], whose
+//! `simnet` op-trace the `consistency` crate's checkers consume. Each protocol module implements
 //! [`common::ClientProtocol`] for it (target choice, request/reply
 //! mapping, its private hooks). A new protocol is one replica actor, one
 //! `ClientProtocol` impl and one arm in `rec-core`'s runner.
@@ -37,6 +37,7 @@ pub mod paxos;
 pub mod primary;
 pub mod quorum;
 pub mod sharded;
+pub mod sink;
 
 pub use common::{Guarantees, OpOutcome, ScriptOp, SessionClient, TargetPolicy};
 pub use kernel::Composition;

@@ -19,12 +19,11 @@
 use crate::common::{ClientProtocol, IssueOp, OpOutcome, Reply, ScriptOp, SessionClient};
 use crate::kernel::propagation::{AckTracker, PeerCache};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
+use crate::sink::SharedTrace;
 use clocks::LamportTimestamp;
 use kvstore::{Key, MvStore, Value};
 use obs::{EventKind, QuorumKind};
-use simnet::{
-    Actor, Context, Duration, IdHashMap, NodeId, SharedTrace, SimTime, SpanId, SpanStatus,
-};
+use simnet::{Actor, Context, Duration, IdHashMap, NodeId, SimTime, SpanId, SpanStatus};
 use slot_log::SlotLog;
 use std::collections::BTreeMap;
 
@@ -84,12 +83,16 @@ pub enum Msg {
     Prepare {
         /// Candidate's ballot.
         ballot: Ballot,
+        /// The candidate's apply index: every slot below it is committed
+        /// there, so a promise need not report it.
+        from_slot: u64,
     },
     /// Phase 1b.
     Promise {
         /// The ballot being promised.
         ballot: Ballot,
-        /// Accepted entries the candidate must adopt: `(slot, ballot, cmd)`.
+        /// Accepted entries the candidate must adopt, at or above the
+        /// prepare's `from_slot`: `(slot, ballot, cmd)`.
         accepted: Vec<(u64, Ballot, Command)>,
     },
     /// Phase 2a.
@@ -334,8 +337,9 @@ impl PaxosNode {
         self.p1_adopted.clear();
         self.promised = self.my_ballot;
         let peers = self.peer_cache.take(self.nodes, me);
+        let from_slot = self.apply_index;
         for &p in &peers {
-            ctx.send(p, Msg::Prepare { ballot: self.my_ballot });
+            ctx.send(p, Msg::Prepare { ballot: self.my_ballot, from_slot });
         }
         self.peer_cache.restore(peers);
         self.reset_election_timer(ctx);
@@ -613,7 +617,7 @@ impl Actor<Msg> for PaxosNode {
                     Command { client: from, op_id, key, value, issued_at: ctx.now().as_micros() };
                 self.propose_in_slot(ctx, slot, cmd);
             }
-            Msg::Prepare { ballot } => {
+            Msg::Prepare { ballot, from_slot } => {
                 if ballot > self.promised {
                     self.promised = ballot;
                     if self.role == Role::Leader {
@@ -621,9 +625,13 @@ impl Actor<Msg> for PaxosNode {
                         self.abandon_proposals(ctx);
                     }
                     self.leader_hint = Some(NodeId(ballot.1 as u32));
+                    // The candidate has applied, hence committed, every
+                    // slot below `from_slot`: it counts them in its
+                    // `max_seen` and proposes none of them, so what this
+                    // node accepted there would change nothing.
                     let entries = || {
                         self.log
-                            .iter()
+                            .range_from(from_slot)
                             .filter_map(|(slot, s)| s.accepted.as_ref().map(|e| (slot, e)))
                     };
                     let mut accepted = Vec::with_capacity(entries().count());
@@ -809,8 +817,9 @@ impl ClientProtocol for PaxosSession {
 mod tests {
     use super::*;
     use crate::common::unique_value;
+    use crate::sink;
     use obs::Recorder;
-    use simnet::{optrace, FaultSchedule, LatencyModel, OpKind, Sim, SimConfig};
+    use simnet::{FaultSchedule, LatencyModel, OpKind, Sim, SimConfig};
     use std::cell::RefCell;
     use std::rc::Rc;
 
@@ -853,7 +862,7 @@ mod tests {
     #[test]
     fn late_accepted_for_a_committed_slot_changes_nothing() {
         let recorder = Recorder::with_event_log();
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let leader = Rc::new(RefCell::new(PaxosNode::new(3)));
         let mut sim = Sim::new(
             SimConfig::default()
@@ -900,6 +909,133 @@ mod tests {
         assert!(leader.borrow().p2.is_empty());
     }
 
+    /// A node the test can look into, and every message it was handed.
+    struct Watched {
+        node: Rc<RefCell<PaxosNode>>,
+        inbox: Rc<RefCell<Vec<(NodeId, Msg)>>>,
+    }
+
+    impl Actor<Msg> for Watched {
+        fn role(&self) -> &'static str {
+            "replica"
+        }
+        fn on_start(&mut self, ctx: &mut Context<Msg>) {
+            self.node.borrow_mut().on_start(ctx);
+        }
+        fn on_message(&mut self, ctx: &mut Context<Msg>, from: NodeId, msg: Msg) {
+            self.inbox.borrow_mut().push((from, msg.clone()));
+            self.node.borrow_mut().on_message(ctx, from, msg);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<Msg>, id: u64, tag: u64) {
+            self.node.borrow_mut().on_timer(ctx, id, tag);
+        }
+    }
+
+    /// The slots a candidate proposed on winning before promises were
+    /// trimmed, when each promise carried the promiser's whole accepted
+    /// log: every slot up to the highest committed or adopted one that
+    /// the candidate has not committed and someone accepted, read from
+    /// the logs as they stood when the election began.
+    fn proposals_from_whole_logs(candidate: &PaxosNode, promisers: &[&PaxosNode]) -> Vec<u64> {
+        let mut adopted: BTreeMap<u64, Ballot> = BTreeMap::new();
+        for node in std::iter::once(candidate).chain(promisers.iter().copied()) {
+            for (slot, s) in node.log.iter() {
+                if let Some(e) = &s.accepted {
+                    let best = adopted.entry(slot).or_insert(e.ballot);
+                    *best = (*best).max(e.ballot);
+                }
+            }
+        }
+        let committed = |slot| candidate.committed(slot).is_some();
+        let last = candidate.log.max_slot().into_iter().chain(adopted.keys().copied()).max();
+        let max_seen = (1..=last.unwrap_or(0))
+            .rev()
+            .find(|&slot| committed(slot) || adopted.contains_key(&slot))
+            .unwrap_or(0);
+        (1..=max_seen).filter(|&slot| !committed(slot) && adopted.contains_key(&slot)).collect()
+    }
+
+    #[test]
+    fn a_candidate_is_promised_no_slot_it_has_applied() {
+        const K: u64 = 6;
+        let nodes: Vec<_> = (0..3).map(|_| Rc::new(RefCell::new(PaxosNode::new(3)))).collect();
+        let inboxes: Vec<_> = (0..3).map(|_| Rc::new(RefCell::new(Vec::new()))).collect();
+        let trace = sink::shared_trace();
+        // The first leader, node 0, crashes for good once every write has
+        // committed everywhere.
+        let crash = SimTime::from_secs(1);
+        let mut sim = Sim::new(
+            SimConfig::default()
+                .seed(9)
+                .latency(LatencyModel::Constant(Duration::from_millis(5)))
+                .faults(FaultSchedule::none().crash(NodeId(0), crash, SimTime::from_secs(600))),
+        );
+        for (node, inbox) in nodes.iter().zip(&inboxes) {
+            sim.add_node(Box::new(Watched { node: node.clone(), inbox: inbox.clone() }));
+        }
+        let writes: Vec<(OpKind, Key)> = (1..=K).map(|key| (OpKind::Write, key)).collect();
+        sim.add_node(Box::new(PaxosClient::new(1, script(&writes), trace.clone(), 3)));
+        sim.run_until(SimTime::from_millis(999));
+        assert!(trace.borrow().records().iter().all(|r| r.ok));
+        for node in &nodes {
+            assert_eq!(node.borrow().apply_index, K + 1, "slots 1..={K} applied everywhere");
+        }
+        // An `Accept` for slot K + 1 reached node 2 alone before the
+        // crash: whoever wins must re-propose it.
+        let ballot = nodes[0].borrow().my_ballot;
+        let cmd = Command {
+            client: NodeId(3),
+            op_id: 99,
+            key: 1,
+            value: Some(unique_value(1, 99)),
+            issued_at: 0,
+        };
+        nodes[2].borrow_mut().log.get_or_insert_with(K + 1, Slot::default).accept(ballot, cmd);
+        let expected = |candidate: usize| {
+            let promiser = nodes[3 - candidate].borrow();
+            proposals_from_whole_logs(&nodes[candidate].borrow(), &[&promiser])
+        };
+        let (expected_1, expected_2) = (expected(1), expected(2));
+        assert_eq!(expected_1, [K + 1]);
+        assert_eq!(expected_2, [K + 1]);
+        // Before the trim, each promise carried slots 1..=K as well.
+        for node in &nodes[1..] {
+            assert!((1..=K).all(|slot| node.borrow().log.get(slot).is_some()));
+        }
+
+        sim.run_until(SimTime::from_secs(3));
+        let leader = (1..3).find(|&i| nodes[i].borrow().role == Role::Leader).expect("a leader");
+        let new_ballot = nodes[leader].borrow().my_ballot;
+        let mut promised = 0;
+        for inbox in &inboxes[1..] {
+            for (_, msg) in inbox.borrow().iter() {
+                if let Msg::Promise { accepted, .. } = msg {
+                    promised += 1;
+                    let slots: Vec<u64> = accepted.iter().map(|&(slot, ..)| slot).collect();
+                    assert!(
+                        slots.iter().all(|&slot| slot > K),
+                        "promised applied slots: {slots:?}"
+                    );
+                }
+            }
+        }
+        assert!(promised > 0, "an election ran");
+        let follower = 3 - leader;
+        let mut proposed: Vec<u64> = inboxes[follower]
+            .borrow()
+            .iter()
+            .filter_map(|(from, msg)| match msg {
+                Msg::Accept { ballot, slot, .. } if *from == NodeId(leader as u32) => {
+                    (*ballot == new_ballot).then_some(*slot)
+                }
+                _ => None,
+            })
+            .collect();
+        proposed.dedup();
+        assert_eq!(proposed, if leader == 1 { expected_1 } else { expected_2 });
+        assert_eq!(nodes[leader].borrow().apply_index, K + 2, "slot K + 1 committed and applied");
+    }
+
     fn build(
         nodes: usize,
         clients: Vec<PaxosClient>,
@@ -927,7 +1063,7 @@ mod tests {
 
     #[test]
     fn write_then_read_linearizes() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let c =
             PaxosClient::new(1, script(&[(OpKind::Write, 1), (OpKind::Read, 1)]), trace.clone(), 3);
         let mut sim = build(3, vec![c], 1, FaultSchedule::none());
@@ -941,7 +1077,7 @@ mod tests {
 
     #[test]
     fn cross_client_read_sees_committed_write() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let writer = PaxosClient::new(1, script(&[(OpKind::Write, 5)]), trace.clone(), 3);
         let reader = PaxosClient::new(
             2,
@@ -961,7 +1097,7 @@ mod tests {
     fn not_leader_redirect_converges() {
         // The client starts by believing node 0 leads; even when a
         // different node wins the first election the request lands.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let c = PaxosClient::new(1, script(&[(OpKind::Write, 2)]), trace.clone(), 5);
         let mut sim = build(5, vec![c], 7, FaultSchedule::none());
         sim.run_until(SimTime::from_secs(3));
@@ -971,7 +1107,7 @@ mod tests {
 
     #[test]
     fn leader_crash_triggers_failover() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         // Crash node 0 (the initial leader) at 500ms forever.
         let faults = FaultSchedule::none().crash(
             NodeId(0),
@@ -998,7 +1134,7 @@ mod tests {
 
     #[test]
     fn minority_partition_cannot_commit() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         // Cut node 0 (initial leader) off from 1 and 2 at t=1s. A client
         // stuck on node 0's side cannot commit.
         let faults = FaultSchedule::none().partition(

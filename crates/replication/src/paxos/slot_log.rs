@@ -61,6 +61,7 @@ impl<T> SlotLog<T> {
     }
 
     /// Every occupied slot, ascending.
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         self.range_from(0)
     }

@@ -36,10 +36,11 @@ use crate::kernel::durability;
 use crate::kernel::propagation::{PeerCache, PropagationPolicy, ShipMode};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
+use crate::sink::SharedTrace;
 use clocks::LamportTimestamp;
 use kvstore::{Key, LogRecord, MvStore, Value, Wal};
 use obs::{EventKind, QuorumKind};
-use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
+use simnet::{Actor, Context, Duration, NodeId, OpKind, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
 
 /// Primary-side wait before failing a sync write.
@@ -712,7 +713,8 @@ impl ClientProtocol for PrimarySession {
 mod tests {
     use super::*;
     use crate::common::unique_value;
-    use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
+    use crate::sink;
+    use simnet::{FaultSchedule, LatencyModel, Sim, SimConfig};
 
     /// Recorded message `bytes` are `size_of::<Msg>()` (see
     /// `docs/METRICS.md`), so the enum's size is part of every pinned
@@ -749,7 +751,7 @@ mod tests {
 
     #[test]
     fn sync_write_then_backup_read_is_fresh() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::primary(3, ShipMode::Sync, false);
         let writer = PrimaryClient::new(
             1,
@@ -774,7 +776,7 @@ mod tests {
 
     #[test]
     fn sync_write_latency_includes_backup_round_trip() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::primary(3, ShipMode::Sync, false);
         let writer = PrimaryClient::new(
             1,
@@ -794,7 +796,7 @@ mod tests {
 
     #[test]
     fn async_write_acks_after_one_hop() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::primary(
             3,
             ShipMode::Async { interval: Duration::from_millis(100) },
@@ -818,7 +820,7 @@ mod tests {
 
     #[test]
     fn async_backup_read_is_stale_within_lag_window() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::primary(
             2,
             ShipMode::Async { interval: Duration::from_millis(200) },
@@ -862,7 +864,7 @@ mod tests {
     fn forwarded_write_reaches_primary() {
         // A write injected at a *backup* must be forwarded to the primary,
         // applied there, and become visible to a later read at the primary.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::primary(3, ShipMode::Sync, false);
         let reader = PrimaryClient::new(
             1,
@@ -891,7 +893,7 @@ mod tests {
         // 200ms; a write issued at 1.5s (routed via replica 1, which by
         // then leads view 1) must succeed, and a later read at replica 1
         // must see it.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg =
             Composition::primary(3, ShipMode::Async { interval: Duration::from_millis(50) }, true);
         let faults = FaultSchedule::none().crash(
@@ -927,7 +929,7 @@ mod tests {
         // Node 0 crashes, node 1 takes over and accepts a write; node 0
         // recovers, is demoted by the higher view, and receives the state
         // (snapshot + log): a late read at replica 0 sees the write.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg =
             Composition::primary(3, ShipMode::Async { interval: Duration::from_millis(50) }, true);
         let faults = FaultSchedule::none().crash(
@@ -962,7 +964,7 @@ mod tests {
 
     #[test]
     fn primary_crash_blocks_writes_but_backups_serve_reads() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::primary(3, ShipMode::Sync, false);
         let faults = FaultSchedule::none().crash(
             NodeId(0),

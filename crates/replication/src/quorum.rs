@@ -19,10 +19,11 @@ use crate::kernel::propagation::PropagationPolicy;
 use crate::kernel::ring::{rebalance_pushes, Ring};
 use crate::kernel::telemetry::{ProbeVersions, Probed};
 use crate::kernel::Composition;
+use crate::sink::SharedTrace;
 use clocks::{LamportClock, LamportTimestamp};
 use kvstore::{Key, MvStore, Value, Wal};
 use obs::{Counter, EventKind, QuorumKind};
-use simnet::{Actor, Context, Duration, NodeId, OpKind, SharedTrace, SimTime, SpanId, SpanStatus};
+use simnet::{Actor, Context, Duration, NodeId, OpKind, SimTime, SpanId, SpanStatus};
 use std::collections::BTreeMap;
 
 /// How long a coordinator waits for a quorum before failing the op.
@@ -872,7 +873,8 @@ impl ClientProtocol for QuorumSession {
 mod tests {
     use super::*;
     use crate::common::unique_value;
-    use simnet::{optrace, FaultSchedule, LatencyModel, Sim, SimConfig};
+    use crate::sink;
+    use simnet::{FaultSchedule, LatencyModel, Sim, SimConfig};
 
     /// Recorded message `bytes` are `size_of::<Msg>()` (see
     /// `docs/METRICS.md`), so the enum's size is part of every pinned
@@ -927,7 +929,7 @@ mod tests {
 
     #[test]
     fn majority_quorum_read_sees_prior_write() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = majority(3);
         let writer = QuorumClient::new(
             1,
@@ -960,7 +962,7 @@ mod tests {
         // search seeds under jitter for a deterministic witness.
         let mut witness = None;
         for seed in 0..100u64 {
-            let trace = optrace::shared_trace();
+            let trace = sink::shared_trace();
             let cfg = Composition::quorum(3, 1, 1, false, 0);
             let writer = QuorumClient::new(
                 1,
@@ -1010,7 +1012,7 @@ mod tests {
 
     #[test]
     fn read_repair_spreads_version_to_all_replicas() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::quorum(3, 1, 2, true, 0);
         let writer = QuorumClient::new(
             1,
@@ -1055,7 +1057,7 @@ mod tests {
 
     #[test]
     fn minority_partition_blocks_majority_quorum_ops() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = majority(3);
         // Side A holds node 0 *and* its client (node 3); the fine client
         // (node 4) stays with the majority.
@@ -1088,7 +1090,7 @@ mod tests {
 
     #[test]
     fn coordinator_timeout_produces_client_failure_quickly() {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = majority(3);
         // The client (node 3) sits on node 0's side of the cut so its
         // request reaches the coordinator, whose op timeout then fires.
@@ -1115,7 +1117,7 @@ mod tests {
     #[test]
     fn r1w1_is_available_in_both_partition_sides() {
         // CAP in one test: R=W=1 keeps serving on both sides of a cut.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::quorum(3, 1, 1, true, 0);
         // The minority client (node 3) is co-located with node 0.
         let faults = FaultSchedule::none().partition(
@@ -1147,7 +1149,7 @@ mod tests {
     /// replicas 1 and 2 are cut off, with or without one spare, its
     /// request id the one after `next_req`.
     fn write_with_homes_down(sloppy: bool, next_req: u64) -> bool {
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::quorum(3, 2, 2, true, usize::from(sloppy));
         let total = cfg.server_node_count();
         // Side A: coordinator 0, the spare (if any), and the client.
@@ -1192,7 +1194,7 @@ mod tests {
         // Write lands via hints during the outage; after the heal the
         // spare hands the version to the real owners, and an R=1 read at
         // node 1 sees it.
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::quorum(3, 1, 2, true, 1);
         let total = cfg.server_node_count();
         let faults = FaultSchedule::none().partition(

@@ -111,9 +111,10 @@ mod tests {
             initial_ring(&self.inner, self.nodes, self.vnodes)
         }
     }
+    use crate::sink;
     use kvstore::Key;
     use obs::Counter;
-    use simnet::{optrace, Duration, FaultSchedule, LatencyModel, OpKind, Sim, SimConfig, SimTime};
+    use simnet::{Duration, FaultSchedule, LatencyModel, OpKind, Sim, SimConfig, SimTime};
 
     fn build(
         cfg: &Cluster,
@@ -146,7 +147,7 @@ mod tests {
     #[test]
     fn ring_write_lands_on_owners_and_read_finds_it() {
         let cfg = Cluster::new(0, 8, 16);
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let keys: Vec<Key> = (0..10).collect();
         let writer = QuorumClient::new(
             1,
@@ -209,7 +210,7 @@ mod tests {
             SimTime::from_millis(5),
             SimTime::from_secs(4),
         );
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let coordinator = owners[1];
         let writer = QuorumClient::new(
             1,
@@ -242,7 +243,7 @@ mod tests {
             vec![QuorumClient::new(
                 1,
                 script(&[(OpKind::Write, key)]),
-                optrace::shared_trace(),
+                sink::shared_trace(),
                 cfg.nodes,
                 TargetPolicy::Sticky(coordinator),
             )],
@@ -274,7 +275,7 @@ mod tests {
             new_ring.owners(key).into_iter().filter(|n| !owners.contains(n)).collect();
         assert!(!gained.is_empty(), "pick a key whose ownership actually moves");
 
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let writer = QuorumClient::new(
             1,
             script(&[(OpKind::Write, key)]),

@@ -72,7 +72,7 @@ pub use faults::{FaultEvent, FaultSchedule, Partition};
 pub use idhash::{IdHashMap, IdHashSet};
 pub use latency::LatencyModel;
 pub use nemesis::{IntensityProfile, NemesisEvent};
-pub use optrace::{OpKind, OpRecord, OpTrace, SharedTrace};
+pub use optrace::{OpKind, OpRecord, OpTrace};
 pub use rng::SimRng;
 pub use sim::{Actor, Context, MsgMeta, NodeId, Sim, SimConfig};
 pub use time::{Duration, SimTime};
@@ -87,8 +87,9 @@ pub use obs::{SpanId, SpanStatus};
 /// The *descriptions* of a simulation — config, RNG, fault schedule,
 /// latency model, and the finished trace — must be `Send` so a grid cell
 /// can be shipped to a worker thread and its results shipped back. The
-/// running [`Sim`] itself is intentionally **not** `Send`: it hands
-/// actors `Rc<RefCell<..>>` trace handles, so a simulation must start and
+/// running [`Sim`] itself is intentionally **not** `Send`: its actors
+/// hold `Rc<RefCell<..>>` handles (a client's trace sink,
+/// `replication::sink::SharedTrace`), so a simulation must start and
 /// finish on one thread. Parallelism lives *between* cells, never inside
 /// one — see DESIGN.md.
 #[cfg(test)]
@@ -109,14 +110,5 @@ mod send_audit {
         assert_sync::<SimConfig>();
         assert_sync::<FaultSchedule>();
         assert_sync::<LatencyModel>();
-    }
-
-    /// `Sim` and `SharedTrace` are deliberately !Send (`Rc<RefCell<..>>`
-    /// inside); this is a documentation anchor, not an assertion — the
-    /// compiler enforces it at every cross-thread use site.
-    #[test]
-    fn shared_trace_is_thread_local_by_construction() {
-        let trace: SharedTrace = optrace::shared_trace();
-        assert_eq!(trace.borrow().records().len(), 0);
     }
 }

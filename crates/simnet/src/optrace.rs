@@ -12,10 +12,7 @@
 
 use crate::sim::NodeId;
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize, Value};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::rc::Rc;
+use serde::{Deserialize, Serialize};
 
 /// The kind of a client operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -67,43 +64,12 @@ impl OpRecord {
     }
 }
 
-/// One acknowledged write in the per-key staleness index.
-#[derive(Debug, Clone, Copy)]
-struct AckedWrite {
-    completed: SimTime,
-    /// `None` only for hand-built records: such a write can never be the
-    /// version a read observed, so it counts as missed forever.
-    value: Option<u64>,
-}
-
-/// A full run's operation history.
+/// A full run's operation history: its records and nothing else.
 ///
-/// Besides the records the trace keeps, per key, the acknowledged
-/// writes in record order, so [`OpTrace::read_staleness`] never rescans
-/// the history. The index is derived state: it is rebuilt by
-/// [`OpTrace::sort_by_completion`] and on deserialisation, and the wire
-/// shape stays `{"records": [...]}`.
-#[derive(Debug, Clone, Default)]
+/// The wire shape is `{"records": [...]}`.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct OpTrace {
     records: Vec<OpRecord>,
-    acked_writes: BTreeMap<u64, Vec<AckedWrite>>,
-}
-
-impl Serialize for OpTrace {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![("records".to_string(), self.records.to_value())])
-    }
-}
-
-impl Deserialize for OpTrace {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let records =
-            v.get("records").ok_or_else(|| serde::Error::custom("missing field `records`"))?;
-        let mut trace =
-            OpTrace { records: Vec::from_value(records)?, acked_writes: BTreeMap::new() };
-        trace.reindex();
-        Ok(trace)
-    }
 }
 
 impl OpTrace {
@@ -112,26 +78,21 @@ impl OpTrace {
         Self::default()
     }
 
+    /// An empty trace with room for `rows` records, so a run that knows
+    /// how many rows its scripts end in allocates its buffer once.
+    pub fn with_capacity(rows: usize) -> Self {
+        OpTrace { records: Vec::with_capacity(rows) }
+    }
+
     /// Append a record.
     pub fn push(&mut self, r: OpRecord) {
-        Self::index(&mut self.acked_writes, &r);
         self.records.push(r);
     }
 
-    fn index(acked_writes: &mut BTreeMap<u64, Vec<AckedWrite>>, r: &OpRecord) {
-        if r.kind == OpKind::Write && r.ok {
-            acked_writes
-                .entry(r.key)
-                .or_default()
-                .push(AckedWrite { completed: r.completed, value: r.value_written });
-        }
-    }
-
-    fn reindex(&mut self) {
-        self.acked_writes.clear();
-        for r in &self.records {
-            Self::index(&mut self.acked_writes, r);
-        }
+    /// Records the buffer has room for. Test probe.
+    #[doc(hidden)]
+    pub fn capacity(&self) -> usize {
+        self.records.capacity()
     }
 
     /// All records, in append order.
@@ -167,62 +128,14 @@ impl OpTrace {
         s
     }
 
-    /// Sort records by completion time (checkers want real-time order).
-    /// Records are appended as ops complete, so a trace is usually in
-    /// order already; then nothing moves and the index stands.
+    /// Sort records by completion time (checkers want real-time order),
+    /// in place. Records are appended as ops complete, so only
+    /// same-instant completions of different sessions can be out of
+    /// order. In any trace a run produces `(completed, session, op_id)`
+    /// is unique, so the unstable sort gives the order a stable sort
+    /// would, without its scratch buffer.
     pub fn sort_by_completion(&mut self) {
-        let order = |r: &OpRecord| (r.completed, r.session, r.op_id);
-        if self.records.is_sorted_by_key(order) {
-            return;
-        }
-        self.records.sort_by_key(order);
-        self.reindex();
-    }
-
-    /// Staleness of a read against the writes committed before it was
-    /// invoked: how many acknowledged writes to `key` (completed at or
-    /// before `at`) are newer than the version the read returned, and
-    /// how long ago (µs) the newest such missed write was acknowledged.
-    /// Returns `(0, 0)` for a perfectly fresh read.
-    ///
-    /// Records are appended at completion time, so `completed` is
-    /// non-decreasing within a key's acknowledged writes and the
-    /// committed prefix is found by binary search; the walk then runs
-    /// newest-first and stops at the version the read observed. Cost:
-    /// O(log writes-to-key + missed), whatever the history's length.
-    pub fn read_staleness(&self, key: u64, at: SimTime, values_read: &[u64]) -> (u64, u64) {
-        self.read_staleness_counted(key, at, values_read).0
-    }
-
-    /// [`OpTrace::read_staleness`] plus the number of index entries it
-    /// examined (binary-search probes and entries walked) — what the
-    /// complexity guard among `rec_core::runner`'s tests holds flat as
-    /// sessions grow.
-    #[doc(hidden)]
-    pub fn read_staleness_counted(
-        &self,
-        key: u64,
-        at: SimTime,
-        values_read: &[u64],
-    ) -> ((u64, u64), u64) {
-        let Some(writes) = self.acked_writes.get(&key) else {
-            return ((0, 0), 0);
-        };
-        let prefix = writes.partition_point(|w| w.completed <= at);
-        let mut visited = (usize::BITS - writes.len().leading_zeros()) as u64;
-        let mut missed = 0u64;
-        for w in writes[..prefix].iter().rev() {
-            visited += 1;
-            if w.value.is_some_and(|v| values_read.contains(&v)) {
-                break; // writes older than the version read were superseded, not missed
-            }
-            missed += 1;
-        }
-        let lag_us = match missed {
-            0 => 0,
-            _ => at.saturating_since(writes[prefix - 1].completed).as_micros(),
-        };
-        ((missed, lag_us), visited)
+        self.records.sort_unstable_by_key(|r| (r.completed, r.session, r.op_id));
     }
 
     /// Fraction of operations that succeeded.
@@ -232,14 +145,6 @@ impl OpTrace {
         }
         self.records.iter().filter(|r| r.ok).count() as f64 / self.records.len() as f64
     }
-}
-
-/// A trace shared between client actors in a single-threaded simulation.
-pub type SharedTrace = Rc<RefCell<OpTrace>>;
-
-/// Create an empty shared trace.
-pub fn shared_trace() -> SharedTrace {
-    Rc::new(RefCell::new(OpTrace::new()))
 }
 
 #[cfg(test)]
@@ -300,11 +205,45 @@ mod tests {
         assert_eq!(t.records()[0].op_id, 1);
     }
 
+    /// A trace as a run pushes it: completion times never go back, each
+    /// session numbers its ops upwards, and sessions completing in the
+    /// same µs arrive in any order. `(gap_us, session)` per record.
+    fn pushed(ops: &[(u64, u64)]) -> OpTrace {
+        let mut trace = OpTrace::with_capacity(ops.len());
+        let (mut now, mut next_op) = (0, [0u64; 4]);
+        for &(gap, session) in ops {
+            now += gap;
+            next_op[session as usize] += 1;
+            let mut r = rec(session, next_op[session as usize], OpKind::Read, true);
+            r.completed = SimTime::from_micros(now);
+            trace.push(r);
+        }
+        trace
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn sorting_in_place_equals_the_stable_sort(
+            ops in proptest::collection::vec((0u64..2, 0u64..4), 0..200)
+        ) {
+            let mut trace = pushed(&ops);
+            let mut reference = trace.records().to_vec();
+            reference.sort_by_key(|r| (r.completed, r.session, r.op_id));
+            let (buffer, capacity) = (trace.records().as_ptr(), trace.capacity());
+            trace.sort_by_completion();
+            proptest::prop_assert_eq!(trace.records(), &reference[..]);
+            proptest::prop_assert_eq!(trace.records().as_ptr(), buffer, "the sort moved the buffer");
+            proptest::prop_assert_eq!(trace.capacity(), capacity);
+        }
+    }
+
     #[test]
-    fn shared_trace_is_shared() {
-        let s = shared_trace();
-        let s2 = s.clone();
-        s.borrow_mut().push(rec(0, 0, OpKind::Write, true));
-        assert_eq!(s2.borrow().len(), 1);
+    fn the_wire_shape_is_the_records() {
+        let mut t = OpTrace::new();
+        t.push(rec(0, 1, OpKind::Write, true));
+        let json = serde_json::to_string(&t).unwrap();
+        assert!(json.starts_with("{\"records\":[{\"session\":0,"), "{json}");
+        let back: OpTrace = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.records(), t.records());
     }
 }

@@ -25,7 +25,13 @@
 #     `cargo check --workspace` reports unused are called only by
 #     integration tests and examples ("tests and examples only"), or
 #     "test probe" where the function is `#[doc(hidden)]`: it exists so
-#     a test can look inside.
+#     a test can look inside;
+#  5. every function step 4 restored is narrowed again, and step 2
+#     repeats against `cargo check --workspace --lib --bins` alone; of
+#     those that stay narrowed, the ones `cargo check --workspace`
+#     reports unused are called by no library or binary of the
+#     workspace, only by labbench (and tests): "labbench only", such as
+#     a type no scheme runs that a benchmark still times.
 #
 # Leaves out an `is_empty` whose type has a public `len`: clippy's
 # `len_without_is_empty` asks for it whoever calls it. Prints one line
@@ -204,9 +210,15 @@ for crate in sorted({crate_of(k[0]) for k in never_used}):
 # that use the vendored proptest do not build under `--profile test`.
 for key in restored:
     narrow(key)
-rounds_lib, _ = restore_until_built(
-    [(['check', '--workspace', '--lib', '--bins', '--keep-going'], '.'), LABBENCH])
+WORKSPACE_LIB = (['check', '--workspace', '--lib', '--bins', '--keep-going'], '.')
+rounds_lib, lib_restored = restore_until_built([WORKSPACE_LIB, LABBENCH])
 tests_only = unused(['check', '--workspace']) & restored
+
+# Step 5: what step 4 restored for labbench alone.
+for key in lib_restored:
+    narrow(key)
+rounds_bench, _ = restore_until_built([WORKSPACE_LIB])
+labbench_only = unused(['check', '--workspace']) & lib_restored
 
 def owner(path, line):
     """The type of the nearest enclosing top-level `impl`, if any."""
@@ -244,17 +256,21 @@ def kept_for_clippy(key):
                for (p, l), n in names.items())
 
 def tag(key):
+    if key in labbench_only:
+        return 'labbench only'
     if key in tests_only:
         return 'test probe' if hidden(key) else 'tests and examples only'
     return 'no test' if key in untested else 'unit tests only'
 
-listed = sorted(k for k in never_used | tests_only if not kept_for_clippy(k))
+found = never_used | tests_only | labbench_only
+listed = sorted(k for k in found if not kept_for_clippy(k))
 for key in listed:
     path, line = key
     print(f'{path}:{line}  {owner(path, line)}{names[key]}  {tag(key)}')
 tags = [tag(k) for k in listed]
 print(f'# {tags.count("no test")} no test, {tags.count("unit tests only")} unit tests only, '
       f'{tags.count("tests and examples only")} tests and examples only, '
-      f'{tags.count("test probe")} test probes; {len(never_used | tests_only) - len(listed)} '
-      f'is_empty beside a public len left out ({rounds} + {rounds_lib} build rounds)')
+      f'{tags.count("test probe")} test probes, {tags.count("labbench only")} labbench only; '
+      f'{len(found) - len(listed)} is_empty beside a public len left out '
+      f'({rounds} + {rounds_lib} + {rounds_bench} build rounds)')
 PY

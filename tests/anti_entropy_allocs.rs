@@ -22,9 +22,8 @@ use rethinking_ec::obs::{alloc_totals, CountingAlloc};
 use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
 use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig, Msg};
 use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
-use rethinking_ec::simnet::{
-    optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime,
-};
+use rethinking_ec::replication::sink;
+use rethinking_ec::simnet::{Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
 use std::collections::BTreeMap;
 
 #[global_allocator]
@@ -34,7 +33,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// second of `comp`, after a session per replica has written every one
 /// of `keys` keys and gossip has made the replicas agree.
 fn quiet_cost_per_message(comp: &Composition, keys: u64) -> (f64, f64) {
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     let mut sim: Sim<Msg> = Sim::new(
         SimConfig::default().seed(7).latency(LatencyModel::Constant(Duration::from_millis(1))),
     );

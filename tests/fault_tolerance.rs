@@ -152,9 +152,10 @@ fn gossip_repairs_divergence_after_partition_heals() {
     use rethinking_ec::replication::common::{ScriptOp, TargetPolicy};
     use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig};
     use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
-    use rethinking_ec::simnet::{optrace, Sim, SimConfig};
+    use rethinking_ec::replication::sink;
+    use rethinking_ec::simnet::{Sim, SimConfig};
 
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     let cfg = Composition::eventual(
         3,
         true,
@@ -205,7 +206,7 @@ fn gossip_repairs_divergence_after_partition_heals() {
         )));
     }
     sim.run_until(SimTime::from_secs(60));
-    let t = trace.borrow().clone();
+    let t = trace.borrow();
     let report = rethinking_ec::consistency::check_convergence(&t, Duration::from_secs(2))
         .expect("writes happened");
     assert!(report.converged(), "replicas diverged after quiescence: {:?}", report.diverged);

@@ -17,8 +17,9 @@ use rethinking_ec::obs_tools::{check_spans, parse_jsonl};
 use rethinking_ec::replication::common::{unique_value, Guarantees, ScriptOp, TargetPolicy};
 use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig};
 use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
+use rethinking_ec::replication::sink;
 use rethinking_ec::simnet::{
-    optrace, Duration, FaultSchedule, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime,
+    Duration, FaultSchedule, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime,
 };
 use rethinking_ec::workload::{Arrival, KeyDistribution, OpMix, WorkloadSpec};
 
@@ -120,7 +121,7 @@ fn oversubscribed_jobs_clamp_and_stay_deterministic() {
 /// write ids to one counter; a late reader at every replica reads it.
 /// Returns the sum written and what each replica's reader saw.
 fn crdt_counter_cell(writers: u64, cell: SimConfig) -> (u64, Vec<Vec<u64>>) {
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     let cfg = Composition::eventual(
         3,
         true,

@@ -24,10 +24,9 @@ use rethinking_ec::obs::{
 };
 use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
 use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, Msg};
+use rethinking_ec::replication::sink;
 use rethinking_ec::replication::Composition;
-use rethinking_ec::simnet::{
-    optrace, Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime,
-};
+use rethinking_ec::simnet::{Duration, LatencyModel, NodeId, OpKind, Sim, SimConfig, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -44,7 +43,7 @@ fn allocations(f: impl FnOnce()) -> u64 {
 fn run_reads(recorder: Recorder, reads: u64) -> (u64, Vec<usize>) {
     const GAP_US: u64 = 200;
     let comp = Composition::eventual_lww(1);
-    let trace = optrace::shared_trace();
+    let trace = sink::shared_trace();
     // The time series grow a bucket per 100 ms; sized for the whole run
     // up front, so the window below measures the client's completions.
     let end = SimTime::from_millis(2_000);

@@ -140,7 +140,7 @@ fn quoted_test_files_exist() {
         "an_inline_id_and_its_decoded_bytes_are_one_value",
         "layout_is_one_shared_pointer",
         "campaign_reproducers_are_what_shrink_case_makes",
-        "crates/simnet/tests/staleness_index.rs",
+        "crates/replication/tests/staleness_index.rs",
         "fuzz_campaign/work_per_s",
     ] {
         assert!(phase_14.contains(guard), "the Phase 14 record must name `{guard}`");
@@ -245,6 +245,20 @@ fn quoted_test_files_exist() {
         "replication.us_per_op.paxos",
     ] {
         assert!(phase_20.contains(guard), "the Phase 20 record must name `{guard}`");
+    }
+    let phase_21 = DOC.split("\n## Phase 21").nth(1).expect("PERFORMANCE.md lost its Phase 21");
+    let phase_21 = phase_21.split("\n## ").next().unwrap();
+    for guard in [
+        "a_run_sizes_its_trace_to_its_scripted_rows",
+        "sorting_in_place_equals_the_stable_sort",
+        "crates/replication/tests/staleness_index.rs",
+        "staleness_cost_does_not_grow_with_session_length",
+        "a_candidate_is_promised_no_slot_it_has_applied",
+        "msg_size_is_pinned",
+        "tests/trace_golden.rs",
+        "proto_sweep/peak_rss_mb",
+    ] {
+        assert!(phase_21.contains(guard), "the Phase 21 record must name `{guard}`");
     }
     // The architecture section's "allocation-free" sentence cites its guard.
     let wheel = DOC.split("\n## Timing-wheel architecture").nth(1).expect("wheel section");

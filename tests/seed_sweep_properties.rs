@@ -141,7 +141,8 @@ fn eventual_store_converges_after_fault_horizon() {
     use rethinking_ec::replication::common::{Guarantees, ScriptOp, TargetPolicy};
     use rethinking_ec::replication::eventual::{EventualClient, EventualReplica, GossipConfig};
     use rethinking_ec::replication::kernel::{Composition, ResolutionPolicy};
-    use rethinking_ec::simnet::{optrace, OpKind, Sim, SimConfig};
+    use rethinking_ec::replication::sink;
+    use rethinking_ec::simnet::{OpKind, Sim, SimConfig};
 
     const KEYS: u64 = 5;
     let seeds: Vec<u64> = (0..SEEDS).map(|s| 0x3000 + s * 17).collect();
@@ -150,7 +151,7 @@ fn eventual_store_converges_after_fault_horizon() {
         // random partition (guaranteed divergence while it holds); late
         // pollers at every replica read every key at t = 12s, after the
         // fault horizon (all faults heal by t = 10s).
-        let trace = optrace::shared_trace();
+        let trace = sink::shared_trace();
         let cfg = Composition::eventual(
             3,
             true,
